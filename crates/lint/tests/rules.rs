@@ -59,23 +59,6 @@ fn d1_silent_on_sanitised_corpus() {
 }
 
 #[test]
-fn d1_fires_in_columnar_dictionary_code() {
-    // The column-store idiom: dictionaries and per-code sets are
-    // hash-ordered; kernels that let them reach ordered outputs leak
-    // nondeterminism into what must be bit-identical row order.
-    let lines = lines_for(Rule::D1, "crates/demo/src/util.rs", "fail/d1_columnar_dict.rs");
-    assert_eq!(lines, vec![6, 11, 17], "dict collect, code-set extend, per-code for loop");
-}
-
-#[test]
-fn columnar_kernel_idiom_lints_clean() {
-    // The flip side: sorted dictionaries, turbofish collects into
-    // order-insensitive maps, and justified gather indexing all pass.
-    let diags = analyze_str("crates/demo/src/util.rs", &fixture("pass/columnar_kernel_clean.rs"));
-    assert!(diags.is_empty(), "columnar kernel idiom must lint clean: {diags:?}");
-}
-
-#[test]
 fn d1_fires_on_hash_ordered_cache_eviction() {
     // The plan-cache hazard: eviction order derived from iterating the
     // cache's key map is seed-dependent, so identical runs could evict
@@ -201,12 +184,6 @@ fn d3_exempts_bench_tests_and_examples() {
 fn p1_fires_on_unwrap_expect_indexing() {
     let lines = lines_for(Rule::P1, "crates/demo/src/util.rs", "fail/p1_panics.rs");
     assert_eq!(lines, vec![3, 4, 5, 12], "unwrap, expect, index, multi-line index");
-}
-
-#[test]
-fn p1_fires_in_columnar_kernel_code() {
-    let lines = lines_for(Rule::P1, "crates/demo/src/util.rs", "fail/p1_columnar_kernel.rs");
-    assert_eq!(lines, vec![4, 5, 9, 10], "code index, dict index, unwrap, expect");
 }
 
 #[test]

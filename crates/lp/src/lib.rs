@@ -17,17 +17,18 @@
 //! * exact dual values recovered by solving `Bᵀy = c_B` over the final
 //!   basis, with the sign conventions documented on [`Solution::duals`].
 //!
-//! Two interchangeable engines implement the method (see
-//! [`SimplexEngine`]):
+//! Two implementations of the method exist:
 //!
-//! * the default **sparse revised simplex** stores the constraint matrix as
-//!   sparse columns and maintains a product-form basis inverse (dense
+//! * the **sparse revised simplex** behind [`LinearProgram::solve`] (and
+//!   the warm/budgeted variants) stores the constraint matrix as sparse
+//!   columns and maintains a product-form basis inverse (dense
 //!   snapshot + eta file) updated per pivot, so per-iteration work scales
 //!   with the matrix nonzeros — the polymatroid LPs of `subw` on
 //!   5+-variable queries have 2–4 nonzeros per row, which is where the
 //!   speedup over the tableau comes from;
-//! * the **dense tableau** rewrites the full `m × (n + m)` tableau per
-//!   pivot and is kept as the simple, auditable reference.
+//! * the **dense tableau** behind [`LinearProgram::solve_dense`] rewrites
+//!   the full `m × (n + m)` tableau per pivot and is kept as the simple,
+//!   auditable reference the tests compare against.
 //!
 //! Both engines follow identical pivot rules on exact rational data, so
 //! they visit the same bases and return bit-for-bit identical optima *and*
@@ -71,7 +72,7 @@ mod simplex;
 mod solution;
 
 pub use budget::{CancelToken, PivotBudget};
-pub use problem::{Basis, Constraint, ConstraintOp, LinearProgram, SimplexEngine};
+pub use problem::{Basis, Constraint, ConstraintOp, LinearProgram};
 pub use solution::{LpOutcome, Solution};
 
 // Compile-time thread-safety guarantee for the parallel selector/bag LP

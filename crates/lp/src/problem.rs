@@ -23,25 +23,6 @@ pub struct Basis {
     pub(crate) num_cols: usize,
 }
 
-/// Which simplex implementation [`LinearProgram::solve_with`] runs.
-///
-/// Both engines implement the identical two-phase method with identical
-/// pivot rules over exact rationals, so they visit the same bases and
-/// return bit-for-bit identical outcomes — including the dual values.  The
-/// dense tableau is kept as the simple, auditable reference; the revised
-/// engine is the fast default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimplexEngine {
-    /// Sparse revised simplex with a product-form basis inverse (the
-    /// default): per-pivot work proportional to the matrix nonzeros.
-    #[default]
-    Revised,
-    /// Dense-tableau simplex: rewrites the full `m × (n + m)` tableau per
-    /// pivot.  Simple enough to audit by hand; used as the differential
-    /// reference in tests.
-    DenseTableau,
-}
-
 /// The relational operator of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintOp {
@@ -200,7 +181,7 @@ impl LinearProgram {
     }
 
     /// Solves the program with the two-phase simplex method (the sparse
-    /// revised engine, [`SimplexEngine::Revised`]).
+    /// revised engine).
     ///
     /// ```
     /// use panda_lp::{ConstraintOp, LinearProgram, LpOutcome};
@@ -224,24 +205,19 @@ impl LinearProgram {
     /// assert!(solution.certificate_violations(&lp).is_empty());
     /// ```
     pub fn solve(&self) -> Result<LpOutcome, LpError> {
-        self.solve_with(SimplexEngine::Revised)
-    }
-
-    /// Solves the program with the dense-tableau reference engine
-    /// ([`SimplexEngine::DenseTableau`]).  Returns bit-for-bit the same
-    /// outcome as [`LinearProgram::solve`]; useful for differential tests
-    /// and for auditing the revised engine.
-    pub fn solve_dense(&self) -> Result<LpOutcome, LpError> {
-        self.solve_with(SimplexEngine::DenseTableau)
-    }
-
-    /// Solves the program with an explicitly chosen engine.
-    pub fn solve_with(&self, engine: SimplexEngine) -> Result<LpOutcome, LpError> {
         self.validate()?;
-        match engine {
-            SimplexEngine::Revised => RevisedSimplex::new(self).run(),
-            SimplexEngine::DenseTableau => Simplex::new(self).run(),
-        }
+        RevisedSimplex::new(self).run()
+    }
+
+    /// Solves the program with the dense-tableau reference engine: the
+    /// same two-phase method and pivot rules, rewriting the full
+    /// `m × (n + m)` tableau per pivot.  Returns bit-for-bit the same
+    /// outcome as [`LinearProgram::solve`], duals included; it is the
+    /// differential reference of `crates/lp/tests/engines.rs` and of the
+    /// Γ-corpus test in `panda-entropy`, not an engine to choose.
+    pub fn solve_dense(&self) -> Result<LpOutcome, LpError> {
+        self.validate()?;
+        Simplex::new(self).run()
     }
 
     /// Solves with the revised engine, optionally warm-starting from the

@@ -1,8 +1,8 @@
 //! Differential and edge-case tests for the two simplex engines.
 //!
-//! The revised engine ([`panda_lp::SimplexEngine::Revised`]) must return
-//! bit-for-bit the same outcome — objective, primal point *and* dual
-//! values — as the dense-tableau reference on every program, because the
+//! The revised engine (`LinearProgram::solve`) must return bit-for-bit
+//! the same outcome — objective, primal point *and* dual values — as the
+//! dense-tableau reference (`solve_dense`) on every program, because the
 //! entropy crate reads Shannon-flow certificates straight off the duals.
 //! These tests pin that equivalence on textbook cycling/degenerate LPs,
 //! infeasible and unbounded programs, warm-started solves, and random

@@ -91,13 +91,6 @@ impl VarRelation {
         if kept_cols.len() != atom.arity() {
             filtered = operators::reorder(&filtered, &kept_cols);
         }
-        // Under the columnar layout, make sure the bound relation carries a
-        // column store even when repeated-variable handling produced a
-        // fresh relation (the plain-clone case inherits the database
-        // relation's store through the shared cache).
-        if crate::config::Layout::from_env().is_columnar() {
-            let _ = filtered.column_store();
-        }
         VarRelation::new(kept_vars, filtered)
     }
 

@@ -1,5 +1,4 @@
-//! Execution-engine configuration: the sequential/parallel knob and the
-//! storage-layout knob.
+//! Execution-engine configuration: the sequential/parallel knob.
 //!
 //! Every evaluator in this crate runs **sequentially by default**
 //! ([`Engine::Sequential`]); parallelism is strictly opt-in, either
@@ -14,17 +13,9 @@
 //! count (the workspace's `parallel_determinism` suite pins this).  What
 //! parallelism changes is wall-clock time only — never answers, plans or
 //! row order.
-//!
-//! The same contract holds for the storage layout: [`Layout`] (re-exported
-//! from `panda-relation`; `PANDA_LAYOUT=columnar` via [`Layout::from_env`])
-//! switches base relations to per-column buffers and the operator layer to
-//! vectorised batch kernels, with bit-identical outputs across layouts and
-//! engines.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
-
-pub use panda_relation::Layout;
 
 /// How many worker threads parallel stages may use.
 ///

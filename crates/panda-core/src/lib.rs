@@ -30,10 +30,8 @@
 //! * [`config`] — the [`Engine`]/[`Parallelism`] knob: evaluation is
 //!   sequential by default and opt-in parallel (deterministic —
 //!   bit-identical outputs at any thread count), toggled per evaluator or
-//!   through the `PANDA_THREADS` environment variable — the [`Layout`]
-//!   knob selecting row-major or columnar relation storage (also
-//!   bit-identical, toggled through `PANDA_LAYOUT`), and the [`Budgets`]
-//!   for deterministic planning/execution resource caps.
+//!   through the `PANDA_THREADS` environment variable — and the
+//!   [`Budgets`] for deterministic planning/execution resource caps.
 //!
 //! See `docs/ARCHITECTURE.md` at the workspace root for the execution
 //! flow and the paper-section → module map, and `docs/NOTATION.md` for
@@ -63,7 +61,7 @@ pub use binding::VarRelation;
 // The cooperative cancellation token lives in `panda-lp` (the pivot loop
 // is its polling point); re-exported here because serving layers attach it
 // through the `Panda` facade.
-pub use config::{plan_cache_enabled, Budgets, Engine, Layout, Parallelism};
+pub use config::{plan_cache_enabled, Budgets, Engine, Parallelism};
 pub use ddr_eval::{DdrEvaluator, DdrModel};
 pub use fingerprint::{canonicalize_query, CanonicalQuery};
 pub use generic_join::GenericJoin;

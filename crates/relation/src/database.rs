@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use crate::column::Layout;
 use crate::relation::{Relation, Value};
 
 /// A database instance: a mapping from relation symbols to relation
@@ -53,16 +52,7 @@ impl Database {
     }
 
     /// Inserts (or replaces) a relation instance under the given symbol.
-    ///
-    /// Under the columnar layout ([`Layout::from_env`], i.e.
-    /// `PANDA_LAYOUT=columnar`) the relation's [column
-    /// store](Relation::column_store) is built eagerly here, so every
-    /// O(1) clone handed to the evaluators dispatches to the columnar
-    /// kernels.
     pub fn insert(&mut self, name: impl Into<String>, relation: Relation) -> &mut Self {
-        if Layout::from_env().is_columnar() {
-            let _ = relation.column_store();
-        }
         self.epoch += 1;
         self.relations.insert(name.into(), relation);
         self

@@ -22,8 +22,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // contents are a pure function of the relation, never of timing.
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::column::ColumnStore;
-use crate::kernels;
 use crate::relation::{Relation, Tuple, Value};
 use crate::stats::GroupedDegrees;
 
@@ -72,51 +70,6 @@ impl HashIndex {
         for (i, row) in relation.iter().enumerate() {
             let key: Tuple = key_cols.iter().map(|&c| row[c]).collect();
             map.entry(key).or_default().push(i);
-        }
-        HashIndex { key_cols: key_cols.to_vec(), map }
-    }
-
-    /// Column-direct build: reads keys from a [`ColumnStore`] instead of
-    /// striding over row-major tuples.  Rows are visited in the same order
-    /// as [`HashIndex::build`], so for a store mirroring the same relation
-    /// the resulting index is observably identical (same keys, same row
-    /// ids in the same per-key order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of range.
-    #[must_use]
-    pub fn build_from_store(store: &ColumnStore, key_cols: &[usize]) -> Self {
-        for &c in key_cols {
-            assert!(
-                c < store.num_columns(),
-                "index column {c} out of range for {} columns",
-                store.num_columns()
-            );
-        }
-        let rows = store.num_rows();
-        if let [col] = key_cols {
-            if let Some((codes, dict)) = store.dict_column(*col) {
-                // Group row ids per code first (row order preserved per
-                // code), then key the map by the decoded values.
-                let mut per_code: Vec<Vec<usize>> = vec![Vec::new(); dict.len()];
-                for (i, &code) in codes.iter().enumerate() {
-                    per_code[code as usize].push(i);
-                }
-                let map: HashMap<Tuple, Vec<usize>> = per_code
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, ids)| !ids.is_empty())
-                    .map(|(code, ids)| (vec![dict[code]], ids))
-                    .collect();
-                return HashIndex { key_cols: key_cols.to_vec(), map };
-            }
-        }
-        let mut map: HashMap<Tuple, Vec<usize>> = HashMap::with_capacity(rows);
-        let mut key_buf: Tuple = Tuple::with_capacity(key_cols.len());
-        for i in 0..rows {
-            store.gather_key(i, key_cols, &mut key_buf);
-            map.entry(key_buf.clone()).or_default().push(i);
         }
         HashIndex { key_cols: key_cols.to_vec(), map }
     }
@@ -208,36 +161,6 @@ impl ValueIndex {
         ValueIndex { group_cols: group_cols.to_vec(), value_col, map }
     }
 
-    /// Column-direct build from a [`ColumnStore`]: gathers group keys and
-    /// values column-wise.  Candidate lists are sorted and deduplicated
-    /// exactly like [`ValueIndex::build`], so the result is observably
-    /// identical for a store mirroring the same relation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of range.
-    #[must_use]
-    pub fn build_from_store(store: &ColumnStore, group_cols: &[usize], value_col: usize) -> Self {
-        for &c in group_cols.iter().chain(std::iter::once(&value_col)) {
-            assert!(
-                c < store.num_columns(),
-                "value-index column {c} out of range for {} columns",
-                store.num_columns()
-            );
-        }
-        let mut map: HashMap<Tuple, Vec<Value>> = HashMap::new();
-        let mut key_buf: Tuple = Tuple::with_capacity(group_cols.len());
-        for i in 0..store.num_rows() {
-            store.gather_key(i, group_cols, &mut key_buf);
-            map.entry(key_buf.clone()).or_default().push(store.value(i, value_col));
-        }
-        for values in map.values_mut() {
-            values.sort_unstable();
-            values.dedup();
-        }
-        ValueIndex { group_cols: group_cols.to_vec(), value_col, map }
-    }
-
     /// The group (conditioning) columns.
     #[must_use]
     pub fn group_cols(&self) -> &[usize] {
@@ -290,23 +213,9 @@ pub(crate) struct IndexCache {
     values: Mutex<HashMap<ValueKey, Arc<ValueIndex>>>,
     degrees: Mutex<HashMap<DegreeKey, Arc<GroupedDegrees>>>,
     counts: Mutex<HashMap<Vec<usize>, usize>>,
-    /// The columnar mirror of the relation's rows, when the columnar
-    /// layout attached one.  Lives here so it inherits the whole
-    /// copy-on-write story: shared by O(1) clones, detached on mutation.
-    columns: Mutex<Option<Arc<ColumnStore>>>,
 }
 
 impl IndexCache {
-    /// A cache pre-seeded with a column store — used by
-    /// `Relation::partitioned` to hand shard views a zero-copy slice of
-    /// the parent's store.
-    pub(crate) fn with_column_store(store: ColumnStore) -> Self {
-        let cache = IndexCache::default();
-        *cache.columns.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(store));
-        cache.mark_populated();
-        cache
-    }
-
     /// Whether any entry was ever inserted (relaxed; used only to decide if
     /// mutation needs to detach from the cache).
     pub(crate) fn is_populated(&self) -> bool {
@@ -315,23 +224,6 @@ impl IndexCache {
 
     fn mark_populated(&self) {
         self.populated.store(true, Ordering::Relaxed);
-    }
-
-    /// The cached column store, if one was attached.
-    pub(crate) fn cached_column_store(&self) -> Option<Arc<ColumnStore>> {
-        self.columns.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
-
-    /// The column store for `relation`, building and caching it on first
-    /// use.
-    pub(crate) fn column_store(&self, relation: &Relation) -> Arc<ColumnStore> {
-        if let Some(store) = self.cached_column_store() {
-            return store;
-        }
-        let built = Arc::new(ColumnStore::from_relation(relation));
-        self.mark_populated();
-        let mut slot = self.columns.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.get_or_insert(built).clone()
     }
 
     /// Returns the cached hash index for a canonical column set, if built.
@@ -345,12 +237,7 @@ impl IndexCache {
         if let Some(idx) = self.cached_index(cols) {
             return idx;
         }
-        // Column-direct build when the columnar layout attached a store —
-        // observably identical to the row-major build.
-        let built = match self.cached_column_store() {
-            Some(store) => Arc::new(HashIndex::build_from_store(&store, cols)),
-            None => Arc::new(HashIndex::build(relation, cols)),
-        };
+        let built = Arc::new(HashIndex::build(relation, cols));
         self.mark_populated();
         self.indexes
             .lock()
@@ -374,10 +261,7 @@ impl IndexCache {
         {
             return idx;
         }
-        let built = match self.cached_column_store() {
-            Some(store) => Arc::new(ValueIndex::build_from_store(&store, group_cols, value_col)),
-            None => Arc::new(ValueIndex::build(relation, group_cols, value_col)),
-        };
+        let built = Arc::new(ValueIndex::build(relation, group_cols, value_col));
         self.mark_populated();
         self.values
             .lock()
@@ -394,11 +278,7 @@ impl IndexCache {
         if let Some(&n) = self.counts.lock().unwrap_or_else(PoisonError::into_inner).get(cols) {
             return n;
         }
-        let n = if let Some(store) = self.cached_column_store() {
-            // Column-direct count (code bitmaps / single-column sets);
-            // counting is order-insensitive, so the result is identical.
-            kernels::distinct_count(&store, cols)
-        } else if cols.len() == relation.arity() {
+        let n = if cols.len() == relation.arity() {
             // Full-row count: hash borrowed row slices, no per-row allocation.
             let mut seen: std::collections::HashSet<&[Value]> =
                 std::collections::HashSet::with_capacity(relation.len());
@@ -433,12 +313,7 @@ impl IndexCache {
         {
             return gd;
         }
-        let built = match self.cached_column_store() {
-            Some(store) => {
-                Arc::new(GroupedDegrees::compute_from_store(&store, group_cols, value_cols))
-            }
-            None => Arc::new(GroupedDegrees::compute(relation, group_cols, value_cols)),
-        };
+        let built = Arc::new(GroupedDegrees::compute(relation, group_cols, value_cols));
         self.mark_populated();
         self.degrees
             .lock()

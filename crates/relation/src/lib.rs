@@ -15,11 +15,6 @@
 //!   O(1) relation clones share built indexes and measured degrees across
 //!   every consumer of the same data (see [`Relation::index_for`],
 //!   [`Relation::value_index`] and [`Relation::grouped_degrees`]),
-//! * an optional columnar mirror of each relation in [`mod@column`] — per-column
-//!   `Arc`-shared buffers with dictionary encoding for low-cardinality
-//!   columns, cached alongside the indexes and dispatched to vectorised
-//!   operator kernels when the [`Layout::Columnar`] layout is active
-//!   (outputs are bit-identical to the row-major path),
 //! * degree statistics, heavy/light splitting and power-of-two degree
 //!   bucketing in [`stats`] — the measurements that feed degree constraints
 //!   (Section 3.2 of the paper) and PANDA's data partitioning (Section 8),
@@ -46,17 +41,14 @@
 #![warn(missing_docs)]
 
 pub mod annotated;
-pub mod column;
 pub mod database;
 pub mod index;
-mod kernels;
 pub mod operators;
 pub mod relation;
 pub mod semiring;
 pub mod stats;
 
 pub use annotated::AnnotatedRelation;
-pub use column::{ColumnData, ColumnStore, Layout};
 pub use database::Database;
 pub use index::{HashIndex, ValueIndex};
 pub use relation::{Relation, Tuple, Value};

@@ -23,7 +23,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::index::HashIndex;
-use crate::kernels;
 use crate::relation::{Relation, Tuple, Value};
 
 /// The sort order a projection's output inherits: the longest prefix of
@@ -58,19 +57,14 @@ pub fn project(relation: &Relation, cols: &[usize]) -> Relation {
     for &c in cols {
         assert!(c < relation.arity(), "projection column {c} out of range");
     }
-    let mut out = if let Some(store) = relation.try_column_store() {
-        kernels::project(&store, cols)
-    } else {
-        let mut out = Relation::with_capacity(cols.len(), relation.len());
-        let mut seen: HashSet<Tuple> = HashSet::with_capacity(relation.len());
-        for row in relation.iter() {
-            let projected: Tuple = cols.iter().map(|&c| row[c]).collect();
-            if seen.insert(projected.clone()) {
-                out.push_row(&projected);
-            }
+    let mut out = Relation::with_capacity(cols.len(), relation.len());
+    let mut seen: HashSet<Tuple> = HashSet::with_capacity(relation.len());
+    for row in relation.iter() {
+        let projected: Tuple = cols.iter().map(|&c| row[c]).collect();
+        if seen.insert(projected.clone()) {
+            out.push_row(&projected);
         }
-        out
-    };
+    }
     if !out.is_empty() {
         if let Some(order) = relation.sort_order().and_then(|o| projected_sort_order(o, cols)) {
             out.assume_sort_order(order);
@@ -84,17 +78,12 @@ pub fn project(relation: &Relation, cols: &[usize]) -> Relation {
 #[must_use]
 pub fn select_eq(relation: &Relation, col: usize, value: Value) -> Relation {
     assert!(col < relation.arity(), "selection column {col} out of range");
-    let mut out = if let Some(store) = relation.try_column_store() {
-        kernels::select_eq(&store, col, value)
-    } else {
-        let mut out = Relation::new(relation.arity());
-        for row in relation.iter() {
-            if row[col] == value {
-                out.push_row(row);
-            }
+    let mut out = Relation::new(relation.arity());
+    for row in relation.iter() {
+        if row[col] == value {
+            out.push_row(row);
         }
-        out
-    };
+    }
     // A filter keeps a subsequence of the rows, so sortedness survives.
     if !out.is_empty() {
         if let Some(order) = relation.sort_order() {
@@ -194,7 +183,7 @@ impl std::hash::Hasher for PrehashedHasher {
 /// hash mapped to a row id — no owned copy of any row is kept outside the
 /// buffer itself.  Distinct rows with colliding hashes (vanishingly rare)
 /// go to a linearly scanned overflow list.
-pub(crate) struct DedupSink {
+struct DedupSink {
     arity: usize,
     data: Vec<Value>,
     rows: usize,
@@ -205,7 +194,7 @@ pub(crate) struct DedupSink {
 }
 
 impl DedupSink {
-    pub(crate) fn new(arity: usize) -> Self {
+    fn new(arity: usize) -> Self {
         DedupSink {
             arity,
             data: Vec::new(),
@@ -217,7 +206,7 @@ impl DedupSink {
         }
     }
 
-    pub(crate) fn push(&mut self, row: &[Value]) {
+    fn push(&mut self, row: &[Value]) {
         use std::collections::hash_map::Entry;
         use std::hash::BuildHasher;
         debug_assert_eq!(row.len(), self.arity);
@@ -247,7 +236,7 @@ impl DedupSink {
         self.rows += 1;
     }
 
-    pub(crate) fn into_relation(self) -> Relation {
+    fn into_relation(self) -> Relation {
         if self.arity == 0 {
             let mut out = Relation::new(0);
             if self.zero_arity_present {
@@ -324,19 +313,6 @@ fn probe_side_join(
     build_left: bool,
     out_arity: usize,
 ) -> Relation {
-    // A columnar probe side (including the sliced stores par_join's shard
-    // views inherit) takes the batch kernel; same visit order, same sink.
-    if let Some(store) = probe.try_column_store() {
-        return kernels::probe_side_join(
-            build,
-            &store,
-            idx,
-            probe_cols,
-            right_keep_cols,
-            build_left,
-            out_arity,
-        );
-    }
     let mut out = DedupSink::new(out_arity);
     let mut row_buf: Tuple = Tuple::with_capacity(out_arity);
     let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
@@ -627,20 +603,15 @@ fn filter_by_membership(
         assert!(r < right.arity(), "right join column {r} out of range");
     }
     let (idx, probe_cols) = build_side_index(right, on, false);
-    // Both layouts reduce to the same keep-bitmap: the columnar kernel
-    // probes per dictionary code where it can, the row loop per row.
-    let keep: Vec<bool> = if let Some(store) = left.try_column_store() {
-        kernels::membership_bitmap(&store, &idx, &probe_cols, keep_matches)
-    } else {
-        let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
-        left.iter()
-            .map(|row| {
-                key_buf.clear();
-                key_buf.extend(probe_cols.iter().map(|&c| row[c]));
-                idx.contains_key(&key_buf) == keep_matches
-            })
-            .collect()
-    };
+    let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
+    let keep: Vec<bool> = left
+        .iter()
+        .map(|row| {
+            key_buf.clear();
+            key_buf.extend(probe_cols.iter().map(|&c| row[c]));
+            idx.contains_key(&key_buf) == keep_matches
+        })
+        .collect();
     if keep.iter().all(|&k| k) {
         return left.clone();
     }

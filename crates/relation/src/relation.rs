@@ -7,7 +7,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::column::ColumnStore;
 use crate::index::{is_canonical_cols, HashIndex, IndexCache, ValueIndex};
 use crate::stats::GroupedDegrees;
 
@@ -166,11 +165,11 @@ impl Relation {
     ///
     /// Materialisation changes the relation's [storage
     /// identity](Relation::storage_id), so any derived statistics computed
-    /// under the old identity (indexes, distinct counts, column-store
-    /// slices of the parent buffer) are detached here — not only by the
-    /// mutating callers — ensuring a mutation path that reaches
-    /// `make_owned` directly (e.g. [`Relation::reserve`]) can never leave a
-    /// pre-materialisation cache attached to post-materialisation storage.
+    /// under the old identity (indexes, distinct counts) are detached
+    /// here — not only by the mutating callers — ensuring a mutation path
+    /// that reaches `make_owned` directly (e.g. [`Relation::reserve`]) can
+    /// never leave a pre-materialisation cache attached to
+    /// post-materialisation storage.
     fn make_owned(&mut self) {
         if self.view.is_some() {
             self.invalidate_derived();
@@ -596,46 +595,6 @@ impl Relation {
         self.cache.grouped_degrees(self, &group, &value)
     }
 
-    /// The columnar twin of this relation's rows: per-column `Arc`-shared
-    /// buffers with dictionary encoding for low-cardinality columns,
-    /// cached in the shared `IndexCache` and built on first use (clones
-    /// share it; mutation detaches it with the rest of the cache).  Once
-    /// present, the operator and statistics layers dispatch to the
-    /// vectorised columnar kernels — with bit-identical output to the
-    /// row-major path.  Returns `None` for arity zero, which has no
-    /// columns to store.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use panda_relation::Relation;
-    ///
-    /// let r = Relation::from_rows(2, vec![[1, 10], [2, 20]]);
-    /// let store = r.column_store().unwrap();
-    /// assert_eq!(store.num_rows(), 2);
-    /// assert_eq!(store.value(1, 1), 20);
-    /// // Clones share the cached store.
-    /// assert!(r.clone().column_store().unwrap().shares_buffers_with(&store));
-    /// ```
-    #[must_use]
-    pub fn column_store(&self) -> Option<Arc<ColumnStore>> {
-        if self.arity == 0 {
-            return None;
-        }
-        Some(self.cache.column_store(self))
-    }
-
-    /// The cached column store, if one was already built — the operator
-    /// layer's dispatch test: `Some` means the columnar layout is active
-    /// for this relation and kernels should take the column path.
-    #[must_use]
-    pub fn try_column_store(&self) -> Option<Arc<ColumnStore>> {
-        if self.arity == 0 {
-            return None;
-        }
-        self.cache.cached_column_store()
-    }
-
     /// Splits the relation into at most `parts` contiguous, balanced shards
     /// that together cover all rows in order.  Shards are **zero-copy
     /// views**: they share the parent's `Arc`-backed tuple storage (no
@@ -679,27 +638,18 @@ impl Relation {
             return vec![self.clone()];
         }
         let base = self.view.map_or(0, |(start, _)| start);
-        // When the parent already carries a column store, each shard starts
-        // from a zero-copy column *slice* of it instead of an empty cache,
-        // so the columnar layout survives the parallel fan-out without
-        // re-encoding per shard.
-        let parent_store = self.cache.cached_column_store();
         let k = parts.min(len);
         let shards: Vec<Relation> = (0..k)
             .map(|i| {
                 let lo = len * i / k;
                 let hi = len * (i + 1) / k;
-                let cache = match &parent_store {
-                    Some(store) => IndexCache::with_column_store(store.slice(lo, hi - lo)),
-                    None => IndexCache::default(),
-                };
                 Relation {
                     arity: self.arity,
                     data: Arc::clone(&self.data),
                     view: Some((base + lo, hi - lo)),
                     // A contiguous slice of a sorted sequence is sorted.
                     sort_order: self.sort_order.clone(),
-                    cache: Arc::new(cache),
+                    cache: Arc::new(IndexCache::default()),
                 }
             })
             .collect();

@@ -23,7 +23,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::column::ColumnStore;
 use crate::index::HashIndex;
 use crate::relation::{Relation, Tuple, Value};
 
@@ -51,163 +50,56 @@ impl GroupedDegrees {
     /// Measures the degrees on a relation.  `group_cols` and `value_cols`
     /// must already be canonical (strictly increasing); use
     /// [`Relation::grouped_degrees`] to canonicalise and cache.
+    ///
+    /// Hash order never reaches an ordered sink here: the degrees map and
+    /// the max/min/total folds are order-insensitive.
     #[must_use]
     pub(crate) fn compute(relation: &Relation, group_cols: &[usize], value_cols: &[usize]) -> Self {
-        if value_cols.is_empty() {
-            // Every group has exactly one distinct (empty) value-tuple, so
-            // this degenerates to a distinct count over the group columns —
-            // no per-group set needed.
-            let mut degrees: HashMap<Tuple, usize> = HashMap::with_capacity(relation.len());
-            for row in relation.iter() {
-                let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
-                degrees.entry(key).or_insert(1);
+        let degrees: HashMap<Tuple, usize> = match (group_cols, value_cols) {
+            (_, []) => {
+                // Every group has exactly one distinct (empty) value-tuple, so
+                // this degenerates to a distinct count over the group columns —
+                // no per-group set needed.
+                let mut degrees = HashMap::with_capacity(relation.len());
+                for row in relation.iter() {
+                    let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
+                    degrees.entry(key).or_insert(1);
+                }
+                degrees
             }
-            let n = degrees.len();
-            return GroupedDegrees {
-                group_cols: group_cols.to_vec(),
-                value_cols: Vec::new(),
-                degrees,
-                max_degree: usize::from(n > 0),
-                min_degree: usize::from(n > 0),
-                total: n,
-            };
-        }
-        let mut groups: HashMap<Tuple, HashSet<Tuple>> = HashMap::new();
-        for row in relation.iter() {
-            let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
-            let value: Tuple = value_cols.iter().map(|&c| row[c]).collect();
-            groups.entry(key).or_default().insert(value);
-        }
+            (&[g], &[v]) => {
+                // deg(v | g), the shape every binary atom is measured in:
+                // per-group sets keyed by the bare values, no `Tuple` per row.
+                let mut groups: HashMap<Value, HashSet<Value>> = HashMap::new();
+                for row in relation.iter() {
+                    groups.entry(row[g]).or_default().insert(row[v]);
+                }
+                groups
+                    .into_iter()
+                    .map(|(key, values)| (vec![key], values.len()))
+                    .collect::<HashMap<_, _>>()
+            }
+            _ => {
+                let mut groups: HashMap<Tuple, HashSet<Tuple>> = HashMap::new();
+                for row in relation.iter() {
+                    let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
+                    let value: Tuple = value_cols.iter().map(|&c| row[c]).collect();
+                    groups.entry(key).or_default().insert(value);
+                }
+                groups
+                    .into_iter()
+                    .map(|(key, values)| (key, values.len()))
+                    .collect::<HashMap<_, _>>()
+            }
+        };
         let mut max_degree = 0;
         let mut min_degree = usize::MAX;
         let mut total = 0;
-        let degrees: HashMap<Tuple, usize> = groups
-            .into_iter()
-            .map(|(key, values)| {
-                let d = values.len();
-                max_degree = max_degree.max(d);
-                min_degree = min_degree.min(d);
-                total += d;
-                (key, d)
-            })
-            .collect();
-        if degrees.is_empty() {
-            min_degree = 0;
+        for &d in degrees.values() {
+            max_degree = max_degree.max(d);
+            min_degree = min_degree.min(d);
+            total += d;
         }
-        GroupedDegrees {
-            group_cols: group_cols.to_vec(),
-            value_cols: value_cols.to_vec(),
-            degrees,
-            max_degree,
-            min_degree,
-            total,
-        }
-    }
-
-    /// Column-direct twin of [`GroupedDegrees::compute`]: reads group keys
-    /// and value tuples from a [`ColumnStore`].  On the ubiquitous
-    /// single-group/single-value shape the per-group sets are keyed by the
-    /// bare `u64` (and indexed per dictionary code when the group column is
-    /// dictionary-encoded) instead of allocating a `Tuple` per row.
-    ///
-    /// Degrees are per-group *set sizes* — order-insensitive — so the
-    /// resulting map, max/min and total are identical to the row-major
-    /// computation by construction.
-    #[must_use]
-    pub(crate) fn compute_from_store(
-        store: &ColumnStore,
-        group_cols: &[usize],
-        value_cols: &[usize],
-    ) -> Self {
-        let rows = store.num_rows();
-        if let ([g], [v]) = (group_cols, value_cols) {
-            // deg(v | g): one set of v-values per distinct g-value, keyed
-            // back as single-column tuples.  Hash order never reaches an
-            // ordered sink here: the degrees map and the max/min/total
-            // folds below are order-insensitive.
-            let degrees: HashMap<Tuple, usize> = if let Some((codes, dict)) = store.dict_column(*g)
-            {
-                let mut per_code: Vec<HashSet<Value>> = vec![HashSet::new(); dict.len()];
-                for (i, &code) in codes.iter().enumerate() {
-                    per_code[code as usize].insert(store.value(i, *v));
-                }
-                per_code
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, set)| !set.is_empty())
-                    .map(|(code, set)| (vec![dict[code]], set.len()))
-                    .collect::<HashMap<Tuple, usize>>()
-            } else {
-                let mut by_value: HashMap<Value, HashSet<Value>> = HashMap::new();
-                for i in 0..rows {
-                    by_value.entry(store.value(i, *g)).or_default().insert(store.value(i, *v));
-                }
-                by_value
-                    .into_iter()
-                    .map(|(key, set)| (vec![key], set.len()))
-                    .collect::<HashMap<Tuple, usize>>()
-            };
-            let mut max_degree = 0;
-            let mut min_degree = usize::MAX;
-            let mut total = 0;
-            for &d in degrees.values() {
-                max_degree = max_degree.max(d);
-                min_degree = min_degree.min(d);
-                total += d;
-            }
-            if degrees.is_empty() {
-                min_degree = 0;
-            }
-            return GroupedDegrees {
-                group_cols: group_cols.to_vec(),
-                value_cols: value_cols.to_vec(),
-                degrees,
-                max_degree,
-                min_degree,
-                total,
-            };
-        }
-        if value_cols.is_empty() {
-            // As in `compute`: degenerates to the distinct groups.
-            let mut degrees: HashMap<Tuple, usize> = HashMap::with_capacity(rows);
-            let mut key_buf: Tuple = Tuple::with_capacity(group_cols.len());
-            for i in 0..rows {
-                store.gather_key(i, group_cols, &mut key_buf);
-                if !degrees.contains_key(&key_buf) {
-                    degrees.insert(key_buf.clone(), 1);
-                }
-            }
-            let n = degrees.len();
-            return GroupedDegrees {
-                group_cols: group_cols.to_vec(),
-                value_cols: Vec::new(),
-                degrees,
-                max_degree: usize::from(n > 0),
-                min_degree: usize::from(n > 0),
-                total: n,
-            };
-        }
-        let mut groups: HashMap<Tuple, HashSet<Tuple>> = HashMap::new();
-        let mut key_buf: Tuple = Tuple::with_capacity(group_cols.len());
-        let mut val_buf: Tuple = Tuple::with_capacity(value_cols.len());
-        for i in 0..rows {
-            store.gather_key(i, group_cols, &mut key_buf);
-            store.gather_key(i, value_cols, &mut val_buf);
-            groups.entry(key_buf.clone()).or_default().insert(val_buf.clone());
-        }
-        let mut max_degree = 0;
-        let mut min_degree = usize::MAX;
-        let mut total = 0;
-        let degrees: HashMap<Tuple, usize> = groups
-            .into_iter()
-            .map(|(key, values)| {
-                let d = values.len();
-                max_degree = max_degree.max(d);
-                min_degree = min_degree.min(d);
-                total += d;
-                (key, d)
-            })
-            .collect();
         if degrees.is_empty() {
             min_degree = 0;
         }

@@ -210,16 +210,6 @@ proptest! {
     }
 }
 
-/// An independent copy of `r` with a column store attached.  A plain
-/// `clone()` would share the index cache — attaching a store to it would
-/// turn the row-major twin columnar too and defeat the differential
-/// comparison.
-fn columnar(r: &Relation) -> Relation {
-    let c = Relation::from_rows(r.arity(), r.iter());
-    let _ = c.column_store();
-    c
-}
-
 /// Rows in storage order — the bit-level comparison, stronger than the
 /// canonical (set-level) one.
 fn raw(rel: &Relation) -> Vec<Tuple> {
@@ -228,123 +218,61 @@ fn raw(rel: &Relation) -> Vec<Tuple> {
 
 proptest! {
     #[test]
-    fn prop_columnar_operators_are_bit_identical(
-        lrows in rows_strategy(2, 40),
-        rrows in rows_strategy(2, 40),
-        lcol in 0usize..2,
-        rcol in 0usize..2,
-        value in 0u64..6,
-        threads in 1usize..6,
-    ) {
-        let left = rel_from(2, &lrows);
-        let right = rel_from(2, &rrows);
-        let (lc, rc) = (columnar(&left), columnar(&right));
-        let on = [(lcol, rcol)];
-        // Projection and selection through the columnar kernels.
-        for cols in [&[0][..], &[1][..], &[1, 0][..]] {
-            prop_assert_eq!(
-                raw(&operators::project(&lc, cols)),
-                raw(&operators::project(&left, cols))
-            );
-        }
-        prop_assert_eq!(
-            raw(&operators::select_eq(&lc, lcol, value)),
-            raw(&operators::select_eq(&left, lcol, value))
-        );
-        // Join-shaped operators: cold store/index caches, then warm, then
-        // the parallel engine (probe shards inherit sliced stores).
-        let join_exp = raw(&operators::join(&left, &right, &on));
-        prop_assert_eq!(raw(&operators::join(&lc, &rc, &on)), join_exp.clone());
-        prop_assert_eq!(raw(&operators::join(&lc, &rc, &on)), join_exp.clone());
-        prop_assert_eq!(
-            raw(&operators::par_join(&lc, &rc, &on, threads)),
-            raw(&operators::par_join(&left, &right, &on, threads))
-        );
-        prop_assert_eq!(
-            raw(&operators::semijoin(&lc, &rc, &on)),
-            raw(&operators::semijoin(&left, &right, &on))
-        );
-        prop_assert_eq!(
-            raw(&operators::antijoin(&lc, &rc, &on)),
-            raw(&operators::antijoin(&left, &right, &on))
-        );
-        // Mixed layouts: a columnar side joined against a row-major one.
-        prop_assert_eq!(raw(&operators::join(&lc, &right, &on)), join_exp.clone());
-        prop_assert_eq!(raw(&operators::join(&left, &rc, &on)), join_exp);
-        // Set operations.
-        prop_assert_eq!(
-            raw(&operators::union(&lc, &rc)),
-            raw(&operators::union(&left, &right))
-        );
-        prop_assert_eq!(
-            raw(&operators::difference(&lc, &rc)),
-            raw(&operators::difference(&left, &right))
-        );
-        prop_assert_eq!(
-            raw(&operators::intersection(&lc, &rc)),
-            raw(&operators::intersection(&left, &right))
-        );
-    }
-
-    #[test]
-    fn prop_columnar_statistics_and_indexes_agree(rows in rows_strategy(3, 50)) {
+    fn prop_grouped_degrees_match_naive_count(rows in rows_strategy(3, 50)) {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Duplicate rows and the empty relation are both in the strategy's
+        // range.  The splits cover the single-column branch, the general
+        // multi-column branch and the `value_cols = []` branch.
         let r = rel_from(3, &rows);
-        let c = columnar(&r);
-        prop_assert_eq!(c.distinct_count(), r.distinct_count());
-        for cols in [&[0][..], &[2][..], &[0, 1][..], &[1, 2][..]] {
-            prop_assert_eq!(c.distinct_count_of(cols), r.distinct_count_of(cols));
-        }
         for (g, v) in [
             (&[0][..], &[1][..]),
+            (&[2][..], &[0][..]),
             (&[0][..], &[1, 2][..]),
             (&[0, 1][..], &[2][..]),
+            (&[][..], &[0, 1, 2][..]),
             (&[0][..], &[][..]),
+            (&[1, 2][..], &[][..]),
         ] {
-            let a = c.grouped_degrees(g, v);
-            let b = r.grouped_degrees(g, v);
-            prop_assert_eq!(a.max_degree(), b.max_degree(), "max deg({v:?} | {g:?})");
-            prop_assert_eq!(a.min_degree(), b.min_degree(), "min deg({v:?} | {g:?})");
-            prop_assert_eq!(a.total(), b.total(), "total deg({v:?} | {g:?})");
-            prop_assert_eq!(a.num_groups(), b.num_groups(), "groups deg({v:?} | {g:?})");
+            let pick =
+                |row: &[Value], cols: &[usize]| -> Tuple { cols.iter().map(|&c| row[c]).collect() };
+            let mut naive: BTreeMap<Tuple, BTreeSet<Tuple>> = BTreeMap::new();
             for row in r.iter() {
-                prop_assert_eq!(a.degree_of_row(row), b.degree_of_row(row));
+                naive.entry(pick(row, g)).or_default().insert(pick(row, v));
             }
-        }
-        // The hash and value indexes built from the store are observably
-        // identical to the row-built ones: same keys, same row ids in the
-        // same per-key order, same candidate lists.
-        for cols in [&[0][..], &[1][..], &[0, 2][..]] {
-            let ic = c.index_for(cols);
-            let ir = r.index_for(cols);
-            prop_assert_eq!(ic.num_keys(), ir.num_keys());
-            prop_assert_eq!(ic.max_degree(), ir.max_degree());
+            let gd = r.grouped_degrees(g, v);
+            let mut seq: Vec<usize> = naive.values().map(BTreeSet::len).collect();
+            seq.sort_unstable_by(|a, b| b.cmp(a));
+            prop_assert_eq!(gd.num_groups(), naive.len(), "groups deg({:?} | {:?})", v, g);
+            prop_assert_eq!(gd.max_degree(), seq.first().copied().unwrap_or(0));
+            prop_assert_eq!(gd.min_degree(), seq.last().copied().unwrap_or(0));
+            prop_assert_eq!(gd.total(), seq.iter().sum::<usize>());
+            prop_assert_eq!(gd.sequence_desc(), seq, "deg({:?} | {:?})", v, g);
             for row in r.iter() {
-                let key: Tuple = cols.iter().map(|&col| row[col]).collect();
-                prop_assert_eq!(ic.probe(&key), ir.probe(&key));
+                prop_assert_eq!(gd.degree_of_row(row), naive[&pick(row, g)].len());
             }
-        }
-        let vc = c.value_index(&[0], 2);
-        let vr = r.value_index(&[0], 2);
-        for row in r.iter() {
-            prop_assert_eq!(vc.candidates(&[row[0]]), vr.candidates(&[row[0]]));
+            // 9 is outside the value domain: an absent group has degree 0.
+            if !g.is_empty() {
+                prop_assert_eq!(gd.degree_of_row(&[9, 9, 9]), 0);
+            }
         }
     }
 
     #[test]
-    fn prop_columnar_shards_match_row_major_shards(
+    fn prop_shards_tile_the_parent_and_start_cold(
         rows in rows_strategy(2, 60),
         parts in 1usize..7,
     ) {
         let r = rel_from(2, &rows);
-        let c = columnar(&r);
-        let rshards = r.partitioned(parts);
-        let cshards = c.partitioned(parts);
-        prop_assert_eq!(rshards.len(), cshards.len());
-        for (rs, cs) in rshards.iter().zip(&cshards) {
-            prop_assert_eq!(raw(rs), raw(cs));
-            // Shards of a columnar parent stay columnar: either an O(1)
-            // clone sharing the cache, or a zero-copy store slice.
-            prop_assert!(cs.try_column_store().is_some());
+        let _ = r.index_for(&[0]);
+        let shards = r.partitioned(parts);
+        prop_assert_eq!(shards.iter().flat_map(raw).collect::<Vec<_>>(), raw(&r));
+        for shard in &shards {
+            prop_assert!(shard.shares_storage_with(&r));
+        }
+        // A real split hands out views with their own empty cache (a single
+        // shard is an O(1) clone and keeps the parent's).
+        if shards.len() > 1 {
+            prop_assert!(shards.iter().all(|s| s.try_cached_index(&[0]).is_none()));
         }
     }
 }

@@ -1,10 +1,7 @@
 //! Parallel-determinism suite: the parallel engine must produce
 //! **bit-identical** outputs to sequential evaluation at every tested
 //! thread count {1, 2, 8} — same rows in the same storage order, not just
-//! the same set.  The workload matrix additionally crosses every cell with
-//! the storage layout {RowMajor, Columnar}: a columnar-activated copy of
-//! each database must reproduce the row-major sequential reference bit for
-//! bit under every strategy and thread count.
+//! the same set.
 //!
 //! Coverage mirrors the two corpora named by the docs/parallel PR:
 //!
@@ -41,28 +38,6 @@ fn engines() -> Vec<(usize, Engine)> {
     THREAD_COUNTS.iter().map(|&n| (n, Engine::Parallel(Parallelism::threads(n)))).collect()
 }
 
-/// A deep copy of `db` with a column store attached to every relation —
-/// the state `PANDA_LAYOUT=columnar` produces at insert time.  (The env
-/// knob is read once per process, so the in-process layout matrix
-/// activates the columnar layout by attaching stores directly; the CI
-/// matrix covers the env-variable route.)
-fn columnar_copy(db: &Database) -> Database {
-    let mut out = Database::new();
-    for (name, rel) in db.iter() {
-        // A deep copy: clones share the index cache, so attaching a store
-        // to a clone would silently activate the row-major original too.
-        let mut copy = panda::relation::Relation::from_rows(rel.arity(), rel.iter());
-        if let Some(order) = rel.sort_order() {
-            // Stable re-sort of already-sorted rows: identical storage
-            // order, but the recorded sort order carries over.
-            copy = copy.sorted_by_columns(order);
-        }
-        let _ = copy.column_store();
-        out.insert(name, copy);
-    }
-    out
-}
-
 fn random_graph_db(names: &[&str], n: u64, edges: usize, seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = Database::new();
@@ -77,12 +52,10 @@ fn random_graph_db(names: &[&str], n: u64, edges: usize, seed: u64) -> Database 
     db
 }
 
-/// Every (strategy, workload, layout) cell of the experiment tables:
-/// parallel output equals the row-major sequential output bit for bit,
-/// and a columnar-activated database reproduces the same bits under
-/// every strategy and thread count.
+/// Every (strategy, workload) cell of the experiment tables: parallel
+/// output equals the sequential output bit for bit at every thread count.
 #[test]
-fn all_strategies_are_bit_identical_across_thread_counts_and_layouts() {
+fn all_strategies_are_bit_identical_across_thread_counts() {
     let cases: Vec<(ConjunctiveQuery, Database, &str)> = vec![
         // E1: Figure 2's example instance under the projected 4-cycle.
         (workloads::four_cycle_projected(), workloads::figure2_db(), "figure2"),
@@ -111,32 +84,19 @@ fn all_strategies_are_bit_identical_across_thread_counts_and_layouts() {
         EvaluationStrategy::BinaryJoin,
     ];
     for (query, db, label) in &cases {
-        let columnar = columnar_copy(db);
         for strategy in strategies {
             let seq = Panda::new(query.clone())
                 .with_engine(Engine::Sequential)
                 .evaluate_with(db, strategy);
             let expected = raw_rows(&seq);
-            for (layout, ldb) in [("row-major", db), ("columnar", &columnar)] {
-                let seq_layout = Panda::new(query.clone())
-                    .with_engine(Engine::Sequential)
-                    .evaluate_with(ldb, strategy);
-                assert_eq!(seq_layout.vars, seq.vars, "{label}/{strategy:?}/{layout}/seq");
+            for (threads, engine) in engines() {
+                let par = Panda::new(query.clone()).with_engine(engine).evaluate_with(db, strategy);
+                assert_eq!(par.vars, seq.vars, "{label}/{strategy:?}/t{threads}");
                 assert_eq!(
-                    raw_rows(&seq_layout),
+                    raw_rows(&par),
                     expected,
-                    "{label}/{strategy:?}/{layout} diverges sequentially"
+                    "{label}/{strategy:?} diverges at {threads} threads"
                 );
-                for (threads, engine) in engines() {
-                    let par =
-                        Panda::new(query.clone()).with_engine(engine).evaluate_with(ldb, strategy);
-                    assert_eq!(par.vars, seq.vars, "{label}/{strategy:?}/{layout}/t{threads}");
-                    assert_eq!(
-                        raw_rows(&par),
-                        expected,
-                        "{label}/{strategy:?}/{layout} diverges at {threads} threads"
-                    );
-                }
             }
         }
     }
@@ -155,21 +115,16 @@ fn ddr_models_are_bit_identical_across_thread_counts() {
         let stats = StatisticsSet::measure(&query, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
         let seq = evaluator.evaluate_with_engine(&db, Engine::Sequential);
-        let columnar = columnar_copy(&db);
-        for (layout, ldb) in [("row-major", &db), ("columnar", &columnar)] {
-            for engine in
-                std::iter::once(Engine::Sequential).chain(engines().into_iter().map(|(_, e)| e))
-            {
-                let par = evaluator.evaluate_with_engine(ldb, engine);
-                assert_eq!(par.targets.len(), seq.targets.len());
-                for ((s_schema, s_rel), (p_schema, p_rel)) in seq.targets.iter().zip(&par.targets) {
-                    assert_eq!(s_schema, p_schema);
-                    assert_eq!(
-                        raw_rows(p_rel),
-                        raw_rows(s_rel),
-                        "DDR target diverges under {layout}/{engine:?}"
-                    );
-                }
+        for (threads, engine) in engines() {
+            let par = evaluator.evaluate_with_engine(&db, engine);
+            assert_eq!(par.targets.len(), seq.targets.len());
+            for ((s_schema, s_rel), (p_schema, p_rel)) in seq.targets.iter().zip(&par.targets) {
+                assert_eq!(s_schema, p_schema);
+                assert_eq!(
+                    raw_rows(p_rel),
+                    raw_rows(s_rel),
+                    "DDR target diverges at {threads} threads"
+                );
             }
         }
     }

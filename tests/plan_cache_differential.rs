@@ -3,8 +3,7 @@
 //! order, the same [`PlanReport`] (up to the `cache_events` telemetry
 //! field, which records hit/miss and is deliberately excluded from the
 //! bit-identity contract and from EXPLAIN), and byte-identical EXPLAIN
-//! text — across both engines, both storage layouts, and structurally
-//! isomorphic query variants.
+//! text — across both engines and structurally isomorphic query variants.
 //!
 //! Coverage mirrors the parallel-determinism suite's two corpora: the
 //! E1–E15 experiment workloads at reduced sizes and a proptest random
@@ -47,22 +46,6 @@ fn report_modulo_cache_events(report: &PlanReport) -> String {
     let mut r = report.clone();
     r.cache_events = Vec::new();
     format!("{r:?}")
-}
-
-/// A deep copy of `db` with a column store attached to every relation (the
-/// `PANDA_LAYOUT=columnar` state) — same construction as the
-/// parallel-determinism suite.
-fn columnar_copy(db: &Database) -> Database {
-    let mut out = Database::new();
-    for (name, rel) in db.iter() {
-        let mut copy = panda::relation::Relation::from_rows(rel.arity(), rel.iter());
-        if let Some(order) = rel.sort_order() {
-            copy = copy.sorted_by_columns(order);
-        }
-        let _ = copy.column_store();
-        out.insert(name, copy);
-    }
-    out
 }
 
 fn random_graph_db(names: &[&str], n: u64, edges: usize, seed: u64) -> Database {
@@ -133,10 +116,9 @@ fn cache_on() -> bool {
     panda::config::plan_cache_enabled()
 }
 
-/// The E-workload matrix: every (workload, engine, layout) cell is
-/// cold/warm bit-identical, and the cells of one workload agree with each
-/// other on rows and EXPLAIN bytes (planning is engine- and
-/// layout-independent, cached or not).
+/// The E-workload matrix: every (workload, engine) cell is cold/warm
+/// bit-identical, and the cells of one workload agree with each other on
+/// rows and EXPLAIN bytes (planning is engine-independent, cached or not).
 #[test]
 fn e_workloads_cold_and_warm_runs_are_bit_identical() {
     let _guard = cache_guard();
@@ -157,18 +139,15 @@ fn e_workloads_cold_and_warm_runs_are_bit_identical() {
     ];
     let engines = [Engine::Sequential, Engine::Parallel(Parallelism::threads(2))];
     for (query, db, label) in &cases {
-        let columnar = columnar_copy(db);
         let mut reference: Option<(String, Vec<Vec<u64>>)> = None;
         for engine in engines {
-            for (layout, ldb) in [("row-major", db), ("columnar", &columnar)] {
-                let cell = format!("{label}/{layout}/{}threads", engine.threads());
-                let (_, explain, rows) = assert_cold_warm_identical(query, ldb, engine, &cell);
-                match &reference {
-                    None => reference = Some((explain, rows)),
-                    Some((ref_explain, ref_rows)) => {
-                        assert_eq!(ref_explain, &explain, "{cell}: EXPLAIN is cell-independent");
-                        assert_eq!(ref_rows, &rows, "{cell}: rows are cell-independent");
-                    }
+            let cell = format!("{label}/{}threads", engine.threads());
+            let (_, explain, rows) = assert_cold_warm_identical(query, db, engine, &cell);
+            match &reference {
+                None => reference = Some((explain, rows)),
+                Some((ref_explain, ref_rows)) => {
+                    assert_eq!(ref_explain, &explain, "{cell}: EXPLAIN is cell-independent");
+                    assert_eq!(ref_rows, &rows, "{cell}: rows are cell-independent");
                 }
             }
         }

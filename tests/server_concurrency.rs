@@ -8,8 +8,8 @@
 //! result or `ERR cancelled`, the ack names a legal state, and the session
 //! keeps serving afterwards.
 //!
-//! This binary runs in the CI matrix (engines × layouts × thread counts)
-//! and in the plan-cache-off job, covering cache-on and cache-off modes.
+//! This binary runs in the CI matrix (engines × thread counts) and in the
+//! plan-cache-off job, covering cache-on and cache-off modes.
 
 // panda-lint: allow-file(D2) -- this test IS the concurrency harness for
 // the serving layer: it needs real client threads against a real TCP

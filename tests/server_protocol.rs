@@ -2,11 +2,11 @@
 //! command, error, downgrade and cancellation path of `panda-server`.
 //!
 //! Transcripts are asserted byte for byte, and this binary runs in the CI
-//! build-test matrix (PANDA_THREADS × PANDA_LAYOUT) and in the
-//! plan-cache-off job, so the goldens are pinned across engines, layouts,
-//! thread counts and cache modes.  Responses never encode the engine, so
-//! one golden serves every matrix cell; the only cache-mode-dependent
-//! response (`STATS`) branches on [`plan_cache_enabled`] explicitly.
+//! build-test matrix (`PANDA_THREADS`) and in the plan-cache-off job, so
+//! the goldens are pinned across engines, thread counts and cache modes.
+//! Responses never encode the engine, so one golden serves every matrix
+//! cell; the only cache-mode-dependent response (`STATS`) branches on
+//! [`plan_cache_enabled`] explicitly.
 //!
 //! Relation names are unique per test: the plan cache is process-wide and
 //! the tests run concurrently, so distinct cache keys are what keep each
