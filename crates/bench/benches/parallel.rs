@@ -6,18 +6,18 @@
 //! rows differ in wall-clock time only.
 //!
 //! Covered fan-outs: the generic join's top-level candidate split, the
-//! adaptive plan's degree branches (E8), DDR branch evaluation (E7), the
-//! sharded probe-side `par_join`, and the 5-cycle selector LP chains.
+//! adaptive plan's degree branches (E8), DDR branch evaluation (E7), and
+//! the sharded probe-side `par_join`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use panda_core::config::{Engine, Parallelism};
 use panda_core::{DdrEvaluator, GenericJoin, PandaEvaluator};
-use panda_entropy::{subw_with_tds, subw_with_tds_parallel, StatisticsSet};
-use panda_query::{BagSelector, DisjunctiveRule, TreeDecomposition, Var, VarSet};
+use panda_entropy::StatisticsSet;
+use panda_query::{BagSelector, DisjunctiveRule, Var, VarSet};
 use panda_relation::{operators, Relation};
 use panda_workloads::{
-    double_star_db, erdos_renyi_db, five_cycle_projected, four_cycle_full, four_cycle_projected,
-    s_pentagon_statistics, s_square_statistics, triangle_query,
+    double_star_db, erdos_renyi_db, four_cycle_full, four_cycle_projected, s_square_statistics,
+    triangle_query,
 };
 use std::time::Duration;
 
@@ -105,27 +105,6 @@ fn bench_par_join(c: &mut Criterion) {
     group.finish();
 }
 
-/// The 5-cycle selector LP chains: a representative slice of the 197
-/// bag-selector Γ₅ LPs behind `subw`, chained warm sequentially vs split
-/// over 4 workers (per-thread scaffold memo).
-fn bench_selector_chains(c: &mut Criterion) {
-    let query = five_cycle_projected();
-    let stats = s_pentagon_statistics(1 << 20);
-    let tds = TreeDecomposition::enumerate(&query);
-    // The full 197-selector enumeration takes ~30 s per solve chain; the
-    // bag-selector cross product of a 2-TD slice keeps one bench sample
-    // near a second while preserving the chain shape (selectors of equal
-    // structure warm-start each other).
-    let slice: Vec<TreeDecomposition> = tds.into_iter().take(2).collect();
-    let mut group = c.benchmark_group("parallel_subw_selectors");
-    group
-        .bench_function("seq", |b| b.iter(|| subw_with_tds(&query, &slice, &stats).unwrap().value));
-    group.bench_function("par4", |b| {
-        b.iter(|| subw_with_tds_parallel(&query, &slice, &stats, PAR_THREADS).unwrap().value)
-    });
-    group.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -133,17 +112,9 @@ fn config() -> Criterion {
         .measurement_time(Duration::from_millis(1200))
 }
 
-fn config_lp() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(600))
-}
-
 criterion_group! {
     name = benches;
     config = config();
     targets = bench_wcoj, bench_adaptive, bench_ddr, bench_par_join
 }
-criterion_group! { name = benches_lp; config = config_lp(); targets = bench_selector_chains }
-criterion_main!(benches, benches_lp);
+criterion_main!(benches);

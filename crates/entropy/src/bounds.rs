@@ -15,7 +15,7 @@
 
 // panda-lint: allow-file(P1) -- LP variable ids are minted by the
 // Γ-LP builder in this module, so objective/constraint lookups are
-// in range by construction; pool-build expects have no fallible path.
+// in range by construction.
 
 // panda-lint: allow(D2) -- the import feeds the Γ-scaffold memo below:
 // pure memoisation of deterministic LP scaffolds, never observable in
@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use panda_lp::{Basis, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_query::{BagSelector, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_rational::Rat;
+use panda_relation::fan_out::ordered_map;
 
 use crate::constraints::{StatKind, Statistic, StatisticsSet};
 use crate::elemental::Elemental;
@@ -155,7 +156,7 @@ impl SubwReport {
 /// and `fhtw` one per bag, all over the same `(universe, statistics)`
 /// scaffold, which is why scaffolds are memoised in a small
 /// process-shared cache keyed by exactly that pair (see `scaffold_for`):
-/// all pool workers and repeated queries against unchanged statistics
+/// all chain threads and repeated queries against unchanged statistics
 /// reuse one scaffold build.
 struct GammaScaffold {
     space: EntropyVarSpace,
@@ -210,8 +211,8 @@ impl GammaScaffold {
 
 /// How many `(universe, statistics)` scaffolds the shared cache keeps.
 /// One width computation alternates between at most two scaffolds (one per
-/// statistics set in play), but the cache is now process-shared across pool
-/// workers and repeated queries, so the cap leaves room for several
+/// statistics set in play), but the cache is process-shared across chain
+/// threads and repeated queries, so the cap leaves room for several
 /// concurrent statistics sets while still bounding memory when a caller
 /// streams many distinct ones (e.g. per-branch re-costing in the adaptive
 /// evaluator).
@@ -607,27 +608,17 @@ pub fn fhtw(query: &ConjunctiveQuery, stats: &StatisticsSet) -> Result<FhtwRepor
 }
 
 /// Splits `items` into at most `threads` balanced contiguous chunks — the
-/// unit of work of the parallel width computations: each chunk is one
-/// warm-started LP chain on one pool worker.
+/// unit of work of the parallel fhtw computation: each chunk is one
+/// warm-started LP chain on one thread.
 fn chunked<T>(items: &[T], threads: usize) -> Vec<&[T]> {
     let k = threads.min(items.len()).max(1);
     let chunks: Vec<&[T]> =
         (0..k).map(|i| &items[items.len() * i / k..items.len() * (i + 1) / k]).collect();
     // The chunks must tile the input in order — flattening chunk results
-    // in chunk order is what keeps parallel width chains bit-identical to
-    // the sequential ones.
+    // in chunk order is what keeps the parallel chains bit-identical to
+    // the sequential one.
     debug_assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), items.len());
     chunks
-}
-
-/// Flattens per-chunk results in chunk order, surfacing the error of the
-/// earliest failing item so parallel runs fail deterministically.
-fn flatten_chunks<T>(chunks: Vec<Result<Vec<T>, BoundError>>) -> Result<Vec<T>, BoundError> {
-    let mut out = Vec::new();
-    for chunk in chunks {
-        out.extend(chunk?);
-    }
-    Ok(out)
 }
 
 /// [`fhtw`] over an explicit set of tree decompositions.
@@ -636,7 +627,7 @@ pub fn fhtw_with_tds(
     tds: &[TreeDecomposition],
     stats: &StatisticsSet,
 ) -> Result<FhtwReport, BoundError> {
-    fhtw_chain(query, tds, stats, None)
+    fhtw_with_tds_parallel(query, tds, stats, 1)
 }
 
 /// [`fhtw_with_tds`] with every simplex pivot of the per-bag LP chain
@@ -651,19 +642,17 @@ pub fn fhtw_with_tds_budgeted(
     stats: &StatisticsSet,
     budget: &mut PivotBudget,
 ) -> Result<FhtwReport, BoundError> {
-    fhtw_chain(query, tds, stats, Some(budget))
+    fhtw_chain(query.all_vars(), tds, stats, Some(budget)).map(fhtw_report)
 }
 
-/// The shared sequential per-bag LP chain behind [`fhtw_with_tds`] and
-/// [`fhtw_with_tds_budgeted`].
+/// One warm-started per-bag LP chain over `tds`, in order: the cost of
+/// every decomposition, or the error of the first LP that fails.
 fn fhtw_chain(
-    query: &ConjunctiveQuery,
+    universe: VarSet,
     tds: &[TreeDecomposition],
     stats: &StatisticsSet,
     mut budget: Option<&mut PivotBudget>,
-) -> Result<FhtwReport, BoundError> {
-    assert!(!tds.is_empty(), "fhtw requires at least one tree decomposition");
-    let universe = query.all_vars();
+) -> Result<Vec<TdCost>, BoundError> {
     let mut per_td = Vec::with_capacity(tds.len());
     // Per-bag LPs share every constraint (only the objective moves), so
     // each solve warm-starts from the previous bag's optimal basis.
@@ -683,76 +672,48 @@ fn fhtw_chain(
         }
         per_td.push((td.clone(), worst, per_bag));
     }
+    Ok(per_td)
+}
+
+/// The report over the decomposition costs: the first decomposition of
+/// minimum cost is the best one.  Panics on an empty list — every public
+/// `fhtw` form ends here, so this is their one emptiness check.
+fn fhtw_report(per_td: Vec<TdCost>) -> FhtwReport {
     let best = per_td
         .iter()
         .enumerate()
         .min_by(|a, b| a.1 .1.cmp(&b.1 .1))
         .map(|(i, _)| i)
-        .expect("non-empty");
-    Ok(FhtwReport { value: per_td[best].1, best, per_td })
+        .expect("fhtw requires at least one tree decomposition");
+    FhtwReport { value: per_td[best].1, best, per_td }
 }
 
 /// [`fhtw_with_tds`] with the per-TD bag-LP chains distributed over up to
-/// `threads` pool workers.
+/// `threads` threads.
 ///
-/// The decompositions are split into contiguous chunks; each worker runs
+/// The decompositions are split into contiguous chunks; each thread runs
 /// the warm-started per-bag chain for its chunk, all sharing one Γ_n
 /// scaffold through the process-wide memo (see `scaffold_for`), so the
 /// scaffold is built at most once.  Optimal LP values are unique, so the
 /// reported widths and per-bag bounds are **identical** to the sequential
-/// chain at any thread count; only wall-clock time changes.  With
-/// `threads <= 1` this is exactly [`fhtw_with_tds`].
+/// chain at any thread count; only wall-clock time changes.  When several
+/// chunks fail, the error of the earliest one is returned, as a single
+/// chain would.
 pub fn fhtw_with_tds_parallel(
     query: &ConjunctiveQuery,
     tds: &[TreeDecomposition],
     stats: &StatisticsSet,
     threads: usize,
 ) -> Result<FhtwReport, BoundError> {
-    assert!(!tds.is_empty(), "fhtw requires at least one tree decomposition");
-    if threads <= 1 || tds.len() < 2 {
-        return fhtw_with_tds(query, tds, stats);
-    }
     let universe = query.all_vars();
-    let chunks = chunked(tds, threads);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool construction is infallible");
-    let per_chunk: Vec<Result<Vec<TdCost>, BoundError>> = pool.install(|| {
-        use rayon::prelude::*;
-        chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut carried: Option<Basis> = None;
-                let mut per_td = Vec::with_capacity(chunk.len());
-                for td in *chunk {
-                    let mut worst = Rat::ZERO;
-                    let mut per_bag = Vec::with_capacity(td.num_bags());
-                    for &bag in td.bags() {
-                        let lp = GammaLp::build(universe, stats, &[bag]);
-                        let (report, basis) =
-                            lp.solve_warm(stats, &[bag], carried.as_ref(), None)?;
-                        carried = basis;
-                        worst = worst.max(report.log_bound);
-                        per_bag.push((bag, report.log_bound));
-                    }
-                    per_td.push((td.clone(), worst, per_bag));
-                }
-                Ok(per_td)
-            })
-            .collect()
+    let per_chunk = ordered_map(threads, &chunked(tds, threads), |chunk| {
+        fhtw_chain(universe, chunk, stats, None)
     });
-    let per_td = flatten_chunks(per_chunk)?;
-    // One result per decomposition, in input order — the argmin below must
-    // see the same sequence the sequential chain would produce.
-    debug_assert_eq!(per_td.len(), tds.len());
-    let best = per_td
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1 .1.cmp(&b.1 .1))
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    Ok(FhtwReport { value: per_td[best].1, best, per_td })
+    let mut per_td = Vec::with_capacity(tds.len());
+    for chunk in per_chunk {
+        per_td.extend(chunk?);
+    }
+    Ok(fhtw_report(per_td))
 }
 
 /// The submodular width of a query under statistics (Eq. 41), using the
@@ -813,71 +774,6 @@ fn subw_chain(
         value = value.max(report.log_bound);
         per_selector.push(SelectorBound { selector, report });
     }
-    Ok(SubwReport { value, tds: tds.to_vec(), per_selector })
-}
-
-/// [`subw_with_tds`] with the selector LP chains distributed over up to
-/// `threads` pool workers — the dominant cost of `subw` on larger queries
-/// (the 5-cycle enumerates 197 bag selectors, each one Γ₅ LP).
-///
-/// The selectors are split into contiguous chunks; each worker runs a
-/// warm-started chain over its chunk, all sharing the process-wide Γ_n
-/// scaffold memo, exactly like the sequential chain does globally.  The
-/// submodular width and every per-selector bound are **identical** to the
-/// sequential computation (optimal LP values are unique); the dual
-/// *certificates* of warm-started solves may differ across chain shapes,
-/// as already documented on the warm-start API, and every certificate is
-/// verified before it is returned.  With `threads <= 1` this is exactly
-/// [`subw_with_tds`].
-pub fn subw_with_tds_parallel(
-    query: &ConjunctiveQuery,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-    threads: usize,
-) -> Result<SubwReport, BoundError> {
-    assert!(!tds.is_empty(), "subw requires at least one tree decomposition");
-    // Bail out before the (combinatorial) selector enumeration: the
-    // sequential fallback re-enumerates, and the default engine is
-    // sequential.
-    if threads <= 1 {
-        return subw_with_tds(query, tds, stats);
-    }
-    let universe = query.all_vars();
-    let selectors = BagSelector::enumerate(tds);
-    if selectors.len() < 2 {
-        return subw_with_tds(query, tds, stats);
-    }
-    let chunks = chunked(&selectors, threads);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool construction is infallible");
-    let per_chunk: Vec<Result<Vec<SelectorBound>, BoundError>> = pool.install(|| {
-        use rayon::prelude::*;
-        chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut carried: Option<Basis> = None;
-                let mut bounds = Vec::with_capacity(chunk.len());
-                for selector in *chunk {
-                    let lp = GammaLp::build(universe, stats, selector.bags());
-                    let (report, basis) =
-                        lp.solve_warm(stats, selector.bags(), carried.as_ref(), None)?;
-                    carried = basis;
-                    bounds.push(SelectorBound { selector: selector.clone(), report });
-                }
-                Ok(bounds)
-            })
-            .collect()
-    });
-    let per_selector = flatten_chunks(per_chunk)?;
-    // One bound per selector, in enumeration order — the report must list
-    // selectors exactly as the sequential chain would.
-    debug_assert_eq!(per_selector.len(), selectors.len());
-    let value = per_selector
-        .iter()
-        .map(|sel| sel.report.log_bound)
-        .fold(Rat::ZERO, |acc, bound| acc.max(bound));
     Ok(SubwReport { value, tds: tds.to_vec(), per_selector })
 }
 
@@ -1048,6 +944,21 @@ mod tests {
     }
 
     #[test]
+    fn parallel_fhtw_chain_reports_the_earliest_failure() {
+        let q = four_cycle();
+        let tds = TreeDecomposition::enumerate(&q);
+        assert!(tds.len() >= 2, "need one chunk per thread to fail");
+        // Only R(X,Y) is constrained and every decomposition has a bag
+        // holding Z or W, so every chunk's chain fails.
+        let mut stats = StatisticsSet::new(1000);
+        stats.add_cardinality("R", vs(&[0, 1]), 1000);
+        for threads in [1, 2, 8] {
+            let err = fhtw_with_tds_parallel(&q, &tds, &stats, threads).unwrap_err();
+            assert_eq!(err, BoundError::Unbounded, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn acyclic_query_fhtw_is_one() {
         let q = parse_query("P(A,B,C) :- R(A,B), S(B,C)").unwrap();
         let stats = StatisticsSet::identical_cardinalities(&q, 4096);
@@ -1143,17 +1054,8 @@ mod tests {
         let q = four_cycle();
         let stats = s_square(1000);
         let tds = TreeDecomposition::enumerate(&q);
-        let seq_subw = subw_with_tds(&q, &tds, &stats).unwrap();
         let seq_fhtw = fhtw_with_tds(&q, &tds, &stats).unwrap();
         for threads in [1, 2, 8] {
-            let par_subw = subw_with_tds_parallel(&q, &tds, &stats, threads).unwrap();
-            assert_eq!(par_subw.value, seq_subw.value, "subw, threads = {threads}");
-            assert_eq!(par_subw.per_selector.len(), seq_subw.per_selector.len());
-            for (p, s) in par_subw.per_selector.iter().zip(&seq_subw.per_selector) {
-                assert_eq!(p.selector, s.selector, "selector order must be preserved");
-                assert_eq!(p.report.log_bound, s.report.log_bound);
-                p.report.flow.verify_identity().unwrap();
-            }
             let par_fhtw = fhtw_with_tds_parallel(&q, &tds, &stats, threads).unwrap();
             assert_eq!(par_fhtw.value, seq_fhtw.value, "fhtw, threads = {threads}");
             assert_eq!(par_fhtw.best, seq_fhtw.best);

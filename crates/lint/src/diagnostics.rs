@@ -9,7 +9,7 @@ pub enum Rule {
     /// Hash-order leak: `HashMap`/`HashSet` iteration flowing into an
     /// ordered sink without an intervening sort.
     D1,
-    /// Parallelism primitive outside the deterministic pool.
+    /// Parallelism primitive outside the ordered fan-out.
     D2,
     /// Wall-clock or randomness in a result path.
     D3,
@@ -59,7 +59,8 @@ impl Rule {
         match self {
             Rule::D1 => "HashMap/HashSet iteration must not reach an ordered sink unsorted",
             Rule::D2 => {
-                "no thread/lock/atomic primitives outside vendor/rayon and panda_core::config"
+                "no thread/lock/atomic primitives outside panda_relation::fan_out::ordered_map \
+                 and panda_core::config"
             }
             Rule::D3 => "no Instant/SystemTime/rand in non-bench, non-test code",
             Rule::P1 => "unwrap/expect/slice-indexing in library crates needs a justification",

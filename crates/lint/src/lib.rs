@@ -4,7 +4,7 @@
 //!
 //! * parallel execution is bit-identical to sequential at any thread count
 //!   (every merge is input-ordered, all parallelism goes through the
-//!   deterministic pool), and
+//!   ordered fan-out), and
 //! * LP optima and dual certificates are bit-identical across engines.
 //!
 //! One `HashMap` iteration feeding an output, one stray
@@ -16,7 +16,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `D1` | hash iteration order must not reach an ordered sink unsorted |
-//! | `D2` | no thread/lock/atomic primitives outside the deterministic pool |
+//! | `D2` | no thread/lock/atomic primitives outside the ordered fan-out |
 //! | `D3` | no clock/entropy reads in non-bench, non-test code |
 //! | `P1` | `unwrap`/`expect`/indexing in library crates needs justification |
 //! | `S1` | every crate root declares `#![forbid(unsafe_code)]` |

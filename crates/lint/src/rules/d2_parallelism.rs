@@ -1,14 +1,15 @@
 //! D2 — no parallelism or synchronisation primitives outside the
-//! deterministic pool.
+//! ordered fan-out.
 //!
 //! The engine's bit-identical-at-any-thread-count guarantee holds because
-//! *all* parallelism is funnelled through the vendored rayon-subset pool
-//! (ordered fork/join, input-ordered merges).  A stray
-//! `std::thread::spawn`, channel or ad-hoc atomic counter re-introduces
-//! scheduling order as an observable, so any use of those primitives must
-//! either live in the two sanctioned places — `vendor/rayon` (not walked)
-//! and `panda_core::config` (thread-count discovery) — or carry an
-//! explicit justification that scheduling order cannot reach an output.
+//! *all* of its parallelism is funnelled through
+//! `panda_relation::fan_out::ordered_map` (contiguous chunks, results
+//! merged in input order).  A stray `std::thread::spawn`, channel or
+//! ad-hoc atomic counter re-introduces scheduling order as an observable,
+//! so any use of those primitives must either live in
+//! `panda_core::config` (thread-count discovery, exempt by policy) or
+//! carry an explicit justification that scheduling order cannot reach an
+//! output — as `fan_out.rs` itself does, file-wide.
 
 use crate::diagnostics::{Diagnostic, Rule};
 use crate::parse::FileContext;
@@ -34,11 +35,10 @@ const BANNED_TYPES: [&str; 17] = [
     "mpsc",
 ];
 
-/// Files exempt from D2 by policy (alongside `vendor/`, which the driver
-/// never walks).
+/// Files exempt from D2 by policy.
 fn exempt(ctx: &FileContext) -> bool {
     let p = ctx.path.to_string_lossy().replace('\\', "/");
-    p.ends_with("crates/panda-core/src/config.rs") || p.contains("vendor/")
+    p.ends_with("crates/panda-core/src/config.rs")
 }
 
 /// Scans for banned primitives and `std::thread` paths.
@@ -54,7 +54,7 @@ pub fn check(ctx: &FileContext, diags: &mut Vec<Diagnostic>) {
                 i,
                 format!(
                     "`{}` is a scheduling-order hazard: all parallelism must go through \
-                     the deterministic pool (vendor/rayon via panda::config)",
+                     panda_relation::fan_out::ordered_map",
                     t.text
                 ),
                 diags,
@@ -72,8 +72,8 @@ pub fn check(ctx: &FileContext, diags: &mut Vec<Diagnostic>) {
                 ctx.report(
                     Rule::D2,
                     i,
-                    "`std::thread` is off-limits: spawn work on the deterministic pool \
-                     (vendor/rayon) so merge order stays input-ordered"
+                    "`std::thread` is off-limits: fan work out through \
+                     panda_relation::fan_out::ordered_map so merge order stays input-ordered"
                         .into(),
                     diags,
                 );

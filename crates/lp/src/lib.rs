@@ -75,10 +75,10 @@ pub use budget::{CancelToken, PivotBudget};
 pub use problem::{Basis, Constraint, ConstraintOp, LinearProgram};
 pub use solution::{LpOutcome, Solution};
 
-// Compile-time thread-safety guarantee for the parallel selector/bag LP
-// chains in `panda-entropy`: whole `LinearProgram`s are built on pool
-// workers and `Basis`/`Solution` values are carried between warm-started
-// solves inside a worker, so every solver artifact must be `Send + Sync`
+// Compile-time thread-safety guarantee for the parallel per-bag LP
+// chains in `panda-entropy`: whole `LinearProgram`s are built on chain
+// threads and `Basis`/`Solution` values are carried between warm-started
+// solves inside one, so every solver artifact must be `Send + Sync`
 // (plain owned rational data, no interior mutability).  A regression that
 // introduced e.g. an `Rc` into these types would break parallel width
 // computation at a distance — this pins it at compile time.

@@ -49,7 +49,7 @@ impl BinaryJoinPlan {
     }
 
     /// [`BinaryJoinPlan::evaluate`] under an explicit [`Engine`]: each
-    /// pairwise hash join shards its probe side over the pool
+    /// pairwise hash join shards its probe side over the engine's threads
     /// ([`panda_relation::operators::par_join`]), with bit-identical
     /// output at any thread count.
     #[must_use]

@@ -48,15 +48,16 @@ impl Parallelism {
 ///
 /// [`Engine::Sequential`] is the default; [`Engine::Parallel`] fans
 /// independent work units (generic-join top-level branches, PANDA degree
-/// branches, DDR branches, probe shards, selector LP chains) out over a
-/// thread pool and merges the results in a fixed order, producing
-/// bit-identical outputs.
+/// branches, DDR branches, probe shards, per-decomposition LP chains) out
+/// over a fixed number of threads and merges the results in input order
+/// ([`panda_relation::fan_out::ordered_map`]), producing bit-identical
+/// outputs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Evaluate everything on the calling thread (the default).
     #[default]
     Sequential,
-    /// Evaluate independent work units on a pool of the given size.
+    /// Evaluate independent work units on up to the given number of threads.
     Parallel(Parallelism),
 }
 
@@ -74,17 +75,22 @@ impl Engine {
     #[must_use]
     pub fn from_env() -> Self {
         static FROM_ENV: OnceLock<Engine> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("PANDA_THREADS") {
-            Ok(value) if value.eq_ignore_ascii_case("auto") => {
-                Engine::Parallel(Parallelism::auto())
-            }
-            Ok(value) => match value.trim().parse::<usize>() {
-                Ok(0) => Engine::Parallel(Parallelism::auto()),
-                Ok(1) | Err(_) => Engine::Sequential,
-                Ok(n) => Engine::Parallel(Parallelism::threads(n)),
-            },
-            Err(_) => Engine::Sequential,
-        })
+        *FROM_ENV
+            .get_or_init(|| Engine::from_setting(std::env::var("PANDA_THREADS").ok().as_deref()))
+    }
+
+    /// The engine a `PANDA_THREADS` value selects (`None` = unset); see
+    /// [`Engine::from_env`].  Surrounding whitespace is ignored.
+    fn from_setting(value: Option<&str>) -> Self {
+        let Some(value) = value.map(str::trim) else { return Engine::Sequential };
+        if value.eq_ignore_ascii_case("auto") {
+            return Engine::Parallel(Parallelism::auto());
+        }
+        match value.parse::<usize>() {
+            Ok(0) => Engine::Parallel(Parallelism::auto()),
+            Ok(1) | Err(_) => Engine::Sequential,
+            Ok(n) => Engine::Parallel(Parallelism::threads(n)),
+        }
     }
 
     /// The number of worker threads this engine may use (1 when
@@ -101,27 +107,6 @@ impl Engine {
     #[must_use]
     pub fn is_parallel(self) -> bool {
         self.threads() > 1
-    }
-
-    /// Runs `op` under this engine: directly on the calling thread when
-    /// sequential, inside a thread pool of [`Engine::threads`] workers when
-    /// parallel (so `rayon` primitives called inside see that budget).
-    pub fn install<OP, R>(self, op: OP) -> R
-    where
-        OP: FnOnce() -> R + Send,
-        R: Send,
-    {
-        match self {
-            Engine::Sequential => op(),
-            // panda-lint: allow(P1) -- the vendored pool builder has no
-            // fallible path (no spawn handler, threads >= 1): build cannot
-            // return Err.
-            Engine::Parallel(p) => rayon::ThreadPoolBuilder::new()
-                .num_threads(p.get())
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(op),
-        }
     }
 }
 
@@ -268,10 +253,20 @@ mod tests {
     }
 
     #[test]
-    fn install_runs_the_closure_under_the_budget() {
-        let seq = Engine::Sequential.install(|| 41 + 1);
-        assert_eq!(seq, 42);
-        let par = Engine::Parallel(Parallelism::threads(3)).install(rayon::current_num_threads);
-        assert_eq!(par, 3);
+    fn panda_threads_values_select_the_documented_engine() {
+        let auto = Engine::Parallel(Parallelism::auto());
+        let cases = [
+            (None, Engine::Sequential),
+            (Some(""), Engine::Sequential),
+            (Some("1"), Engine::Sequential),
+            (Some("0"), auto),
+            (Some("auto"), auto),
+            (Some(" AUTO "), auto),
+            (Some("4"), Engine::Parallel(Parallelism::threads(4))),
+            (Some("x"), Engine::Sequential),
+        ];
+        for (value, expected) in cases {
+            assert_eq!(Engine::from_setting(value), expected, "PANDA_THREADS = {value:?}");
+        }
     }
 }

@@ -33,6 +33,7 @@ use std::collections::BTreeSet;
 use panda_entropy::{ddr_polymatroid_bound, BoundError, StatisticsSet};
 use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, DisjunctiveRule, Var, VarSet};
+use panda_relation::fan_out::ordered_map;
 use panda_relation::{stats as rstats, Database, Relation};
 
 use crate::binding::VarRelation;
@@ -189,7 +190,7 @@ impl DdrEvaluator {
 
     /// [`DdrEvaluator::evaluate`] under an explicit [`Engine`]: the degree
     /// branches are independent (each picks its cheapest target and covers
-    /// it), so a parallel engine evaluates them on the thread pool; branch
+    /// it), so a parallel engine evaluates them on its threads; branch
     /// contributions are merged into the targets **in branch order**
     /// before the final per-target deduplication, making the model
     /// bit-identical to sequential evaluation at any thread count.
@@ -233,14 +234,7 @@ impl DdrEvaluator {
             });
             (best_idx, rel)
         };
-        let covered: Vec<(usize, VarRelation)> = if across_branches {
-            engine.install(|| {
-                use rayon::prelude::*;
-                branches.par_iter().map(evaluate_branch).collect()
-            })
-        } else {
-            branches.iter().map(evaluate_branch).collect()
-        };
+        let covered = ordered_map(engine.threads(), &branches, evaluate_branch);
         for (best_idx, rel) in covered {
             let order = targets[best_idx].1.vars.clone();
             targets[best_idx].1.rel.extend_from(&rel.project_onto(&order).rel);

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use panda_query::{ConjunctiveQuery, Var, VarSet};
+use panda_relation::fan_out::ordered_map;
 use panda_relation::{Database, Relation, Value, ValueIndex};
 
 use crate::binding::VarRelation;
@@ -69,7 +70,7 @@ impl GenericJoin {
     /// Under a parallel engine the **top-level branches** of the
     /// backtracking search — the candidate values of the first variable in
     /// the order — are split into contiguous chunks evaluated on the
-    /// thread pool; chunk outputs are concatenated in candidate order and
+    /// engine's threads; chunk outputs are concatenated in candidate order and
     /// deduplicated exactly like the sequential stream, so the result is
     /// bit-identical to sequential evaluation at any thread count.
     ///
@@ -150,10 +151,7 @@ impl GenericJoin {
                 let chunks: Vec<&[Value]> = (0..k)
                     .map(|i| &candidates[candidates.len() * i / k..candidates.len() * (i + 1) / k])
                     .collect();
-                let pieces: Vec<Relation> = engine.install(|| {
-                    use rayon::prelude::*;
-                    chunks.par_iter().map(|chunk| run_chunk(chunk)).collect()
-                });
+                let pieces = ordered_map(threads, &chunks, |chunk| run_chunk(chunk));
                 let merged = Relation::concatenated(output_vars.len(), &pieces);
                 return VarRelation::new(output_vars, merged.deduped());
             }

@@ -29,9 +29,11 @@
 //!   fail-soft [`Downgrade`]s under the configured [`Budgets`],
 //! * [`config`] — the [`Engine`]/[`Parallelism`] knob: evaluation is
 //!   sequential by default and opt-in parallel (deterministic —
-//!   bit-identical outputs at any thread count), toggled per evaluator or
-//!   through the `PANDA_THREADS` environment variable — and the
-//!   [`Budgets`] for deterministic planning/execution resource caps.
+//!   bit-identical outputs at any thread count, because every parallel
+//!   region is one [`panda_relation::fan_out::ordered_map`] call), toggled
+//!   per evaluator or through the `PANDA_THREADS` environment variable —
+//!   and the [`Budgets`] for deterministic planning/execution resource
+//!   caps.
 //!
 //! See `docs/ARCHITECTURE.md` at the workspace root for the execution
 //! flow and the paper-section → module map, and `docs/NOTATION.md` for

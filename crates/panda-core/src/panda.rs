@@ -511,7 +511,7 @@ impl Panda {
     /// budget downgrades.
     ///
     /// Deterministic and engine-independent: under a parallel engine the
-    /// per-bag `fhtw` LP chains run on the thread pool (optimal LP values
+    /// per-bag `fhtw` LP chains run on its threads (optimal LP values
     /// are unique, so the widths are identical either way), while the
     /// `subw` certificate chain stays sequential because its Shannon flows
     /// seed the adaptive partitions and the reported certificates.  Only

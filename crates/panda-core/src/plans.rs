@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use panda_entropy::{FhtwReport, PivotBudget, StatisticsSet, SubwReport};
 use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, Var, VarSet};
+use panda_relation::fan_out::ordered_map;
 use panda_relation::{stats as rstats, Database, Relation};
 
 use crate::binding::VarRelation;
@@ -82,8 +83,8 @@ impl StaticTdPlan {
 
     /// [`StaticTdPlan::evaluate`] under an explicit [`Engine`]: each bag's
     /// worst-case-optimal join fans its top-level branches out over the
-    /// pool ([`GenericJoin::join_with_engine`]); the Yannakakis combination
-    /// stays sequential (it is linear in its inputs).
+    /// engine's threads ([`GenericJoin::join_with_engine`]); the Yannakakis
+    /// combination stays sequential (it is linear in its inputs).
     #[must_use]
     pub fn evaluate_with_engine(
         &self,
@@ -329,7 +330,7 @@ impl PandaEvaluator {
 
     /// [`PandaEvaluator::evaluate`] under an explicit [`Engine`]: the
     /// degree branches (the heavy/light case splits of Section 8.2) are
-    /// independent, so a parallel engine evaluates them on the thread pool
+    /// independent, so a parallel engine evaluates them on its threads
     /// and merges the branch outputs **in branch order** before the final
     /// deduplication — bit-identical to sequential evaluation at any
     /// thread count.  Planning (`build_branches`, the per-branch TD
@@ -357,14 +358,7 @@ impl PandaEvaluator {
                 plan.evaluate_with_engine_shared(query, branch_db, inner_engine, Some(&registry));
             out.project_onto(&order).rel
         };
-        let outputs: Vec<Relation> = if across_branches {
-            engine.install(|| {
-                use rayon::prelude::*;
-                branches.par_iter().map(evaluate_branch).collect()
-            })
-        } else {
-            branches.iter().map(evaluate_branch).collect()
-        };
+        let outputs = ordered_map(engine.threads(), &branches, evaluate_branch);
         let mut result = empty_result(query.free_vars());
         for out in &outputs {
             result.rel.extend_from(out);

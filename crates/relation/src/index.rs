@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 // panda-lint: allow(D2) -- the index cache is the one sanctioned use of
-// interior mutability outside the pool: it memoises *deterministic* derived
+// interior mutability in this crate: it memoises *deterministic* derived
 // structures, so which thread populates an entry can never change a result.
 use std::sync::atomic::{AtomicBool, Ordering};
 // panda-lint: allow(D2) -- same cache: Mutex guards lookup tables whose

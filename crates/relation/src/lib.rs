@@ -27,13 +27,14 @@
 //! helper for interning arbitrary string values when building instances
 //! from external data.
 //!
-//! For the parallel execution layer, [`Relation::partitioned`] splits a
-//! relation into zero-copy contiguous shard views over the shared storage
-//! and [`Relation::concatenated`] re-assembles them in order;
-//! [`operators::par_join`] uses them to evaluate a hash join's probe side
-//! on a thread pool with bit-identical output.  See
-//! `docs/ARCHITECTURE.md` at the workspace root for how the evaluators
-//! drive this.
+//! For the parallel execution layer, [`fan_out::ordered_map`] is the one
+//! place the workspace's engine spawns threads: a pure function mapped
+//! over a slice, results merged in input order.  [`Relation::partitioned`]
+//! splits a relation into zero-copy contiguous shard views over the shared
+//! storage and [`Relation::concatenated`] re-assembles them in order;
+//! [`operators::par_join`] maps a hash join's probe side over those shards
+//! with bit-identical output.  See `docs/ARCHITECTURE.md` at the workspace
+//! root for how the evaluators drive this.
 
 // Every public item in this crate must be documented; broken or missing
 // docs fail CI via the `cargo doc` job (RUSTDOCFLAGS="-D warnings").
@@ -42,6 +43,7 @@
 
 pub mod annotated;
 pub mod database;
+pub mod fan_out;
 pub mod index;
 pub mod operators;
 pub mod relation;

@@ -15,13 +15,13 @@
 //! sort-merge path that needs no hash table at all.
 
 // panda-lint: allow-file(P1) -- column indices are validated against
-// both arities in join/semijoin setup before any row is touched, and
-// the pool-build expect has no fallible path in the vendored subset.
+// both arities in join/semijoin setup before any row is touched.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::fan_out::ordered_map;
 use crate::index::HashIndex;
 use crate::relation::{Relation, Tuple, Value};
 
@@ -373,8 +373,8 @@ fn hash_join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relati
 }
 
 /// [`join`] with the probe side split into up to `threads` zero-copy
-/// shards ([`Relation::partitioned`]) that are joined on a thread pool and
-/// concatenated in shard order.
+/// shards ([`Relation::partitioned`]) that are joined through
+/// [`ordered_map`] and concatenated in shard order.
 ///
 /// The output is **bit-identical to [`join`]** at every thread count: the
 /// build side (and its shared cached index) is the same, probe rows are
@@ -434,17 +434,9 @@ pub fn par_join(
             None => Relation::new(setup.out_arity),
         };
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool construction is infallible");
-    let pieces: Vec<Relation> = pool.install(|| {
-        use rayon::prelude::*;
-        shards.par_iter().map(run_shard).collect()
-    });
-    // The deterministic pool's indexed collect must hand back exactly one
-    // piece per probe shard, in shard order, all with the output arity —
-    // the precondition for the order-preserving merge below.
+    let pieces = ordered_map(threads, &shards, run_shard);
+    // One piece per probe shard, in shard order, all with the output
+    // arity — the precondition for the order-preserving merge below.
     debug_assert_eq!(pieces.len(), shards.len());
     debug_assert!(pieces.iter().all(|p| p.arity() == setup.out_arity));
     let merged = Relation::concatenated(setup.out_arity, &pieces);

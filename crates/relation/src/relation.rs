@@ -604,9 +604,10 @@ impl Relation {
     /// O(1) clone when `parts == 1` or the relation has a single row (or
     /// arity zero).
     ///
-    /// This is the fan-out primitive of the parallel execution layer: a
-    /// probe side split into shards can be joined shard-by-shard on a
-    /// thread pool and re-assembled with [`Relation::concatenated`],
+    /// This is how the parallel execution layer splits data: a probe side
+    /// split into shards can be joined shard-by-shard through
+    /// [`ordered_map`](crate::fan_out::ordered_map) and re-assembled with
+    /// [`Relation::concatenated`],
     /// reproducing the sequential output exactly.
     ///
     /// # Panics

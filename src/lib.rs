@@ -36,8 +36,9 @@
 //! Evaluation is sequential by default; the [`config`] module (re-exported
 //! from `panda-core`) holds the opt-in [`config::Engine`] /
 //! [`config::Parallelism`] knob and the `PANDA_THREADS` environment
-//! toggle.  Parallel execution is deterministic: outputs are bit-identical
-//! to sequential at any thread count.
+//! toggle.  Parallel execution is deterministic: every parallel region is
+//! one [`relation::fan_out::ordered_map`] call, which merges in input
+//! order, so outputs are bit-identical to sequential at any thread count.
 //!
 //! # Quickstart
 //!
