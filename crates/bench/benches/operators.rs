@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the relational operator layer: cached vs fresh hash
-//! indexes, hash vs sort-merge joins, and cached degree measurements — the
-//! constant factors the adaptive plans pay per partition (ROADMAP "Hot
-//! paths").
+//! indexes and cached degree measurements — the constant factors the
+//! adaptive plans pay per partition (ROADMAP "Hot paths").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use panda_relation::{operators, stats, Relation};
@@ -36,12 +35,6 @@ fn bench_join_paths(c: &mut Criterion) {
     // iteration — the steady state of repeated joins in the evaluators.
     group.bench_function(BenchmarkId::new("hash", "warm_index"), |b| {
         b.iter(|| operators::join(&left, &right, &on).len());
-    });
-    // Sort-merge: both sides carry an aligned recorded sort order.
-    let lsorted = left.sorted_by_columns(&[1, 0]);
-    let rsorted = right.sorted_by_columns(&[0, 1]);
-    group.bench_function(BenchmarkId::new("merge", "presorted"), |b| {
-        b.iter(|| operators::join(&lsorted, &rsorted, &on).len());
     });
     group.finish();
 }

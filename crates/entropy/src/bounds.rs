@@ -497,20 +497,6 @@ pub fn polymatroid_bound(
     lp.solve(stats, &[target])
 }
 
-/// [`polymatroid_bound`] with every simplex pivot charged to a shared
-/// [`PivotBudget`]; aborts with [`BoundError::PivotBudgetExhausted`] once
-/// the budget runs out.  A solve that completes within budget returns
-/// bit-for-bit the same report as the unbudgeted one.
-pub fn polymatroid_bound_budgeted(
-    target: VarSet,
-    universe: VarSet,
-    stats: &StatisticsSet,
-    budget: &mut PivotBudget,
-) -> Result<BoundReport, BoundError> {
-    let lp = GammaLp::build(universe, stats, &[target]);
-    lp.solve_warm(stats, &[target], None, Some(budget)).map(|(report, _)| report)
-}
-
 /// The polymatroid bound of a disjunctive datalog rule (Theorem 5.1):
 /// `max { min_B h(B) : h ⊨ S, Γ_n }`.
 ///
@@ -538,19 +524,6 @@ pub fn ddr_polymatroid_bound(
 ) -> Result<BoundReport, BoundError> {
     let lp = GammaLp::build(universe, stats, targets);
     lp.solve(stats, targets)
-}
-
-/// [`ddr_polymatroid_bound`] with every simplex pivot charged to a shared
-/// [`PivotBudget`]; aborts with [`BoundError::PivotBudgetExhausted`] once
-/// the budget runs out.
-pub fn ddr_polymatroid_bound_budgeted(
-    targets: &[VarSet],
-    universe: VarSet,
-    stats: &StatisticsSet,
-    budget: &mut PivotBudget,
-) -> Result<BoundReport, BoundError> {
-    let lp = GammaLp::build(universe, stats, targets);
-    lp.solve_warm(stats, targets, None, Some(budget)).map(|(report, _)| report)
 }
 
 /// The AGM bound of a query under per-relation cardinalities: the

@@ -46,10 +46,9 @@ pub mod shannon;
 pub mod varspace;
 
 pub use bounds::{
-    agm_bound, ddr_polymatroid_bound, ddr_polymatroid_bound_budgeted, fhtw, fhtw_with_tds,
-    fhtw_with_tds_budgeted, fhtw_with_tds_parallel, polymatroid_bound, polymatroid_bound_budgeted,
-    subw, subw_with_tds, subw_with_tds_budgeted, BoundError, BoundReport, FhtwReport,
-    SelectorBound, SubwReport,
+    agm_bound, ddr_polymatroid_bound, fhtw, fhtw_with_tds, fhtw_with_tds_budgeted,
+    fhtw_with_tds_parallel, polymatroid_bound, subw, subw_with_tds, subw_with_tds_budgeted,
+    BoundError, BoundReport, FhtwReport, SelectorBound, SubwReport,
 };
 pub use constraints::{exact_log, StatKind, Statistic, StatisticsSet};
 pub use elemental::Elemental;

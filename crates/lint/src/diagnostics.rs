@@ -62,7 +62,9 @@ impl Rule {
                 "no thread/lock/atomic primitives outside panda_relation::fan_out::ordered_map \
                  and panda_core::config"
             }
-            Rule::D3 => "no Instant/SystemTime/rand in non-bench, non-test code",
+            Rule::D3 => {
+                "no Instant/SystemTime/rand in non-bench, non-test code; env::var only in main"
+            }
             Rule::P1 => "unwrap/expect/slice-indexing in library crates needs a justification",
             Rule::S1 => "every crate root must declare #![forbid(unsafe_code)]",
             Rule::L0 => "panda-lint directives must be well-formed and justified",

@@ -17,7 +17,7 @@
 //! |------|-----------|
 //! | `D1` | hash iteration order must not reach an ordered sink unsorted |
 //! | `D2` | no thread/lock/atomic primitives outside the ordered fan-out |
-//! | `D3` | no clock/entropy reads in non-bench, non-test code |
+//! | `D3` | no clock/entropy/environment reads in non-bench, non-test code |
 //! | `P1` | `unwrap`/`expect`/indexing in library crates needs justification |
 //! | `S1` | every crate root declares `#![forbid(unsafe_code)]` |
 //! | `L0` | `panda-lint:` directives themselves must be well-formed |

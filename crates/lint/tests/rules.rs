@@ -162,6 +162,26 @@ fn d3_fires_on_wall_clock_budgets_in_library_code() {
 }
 
 #[test]
+fn d3_fires_on_environment_reads_in_library_code() {
+    // Ambient configuration is the same hazard as a clock: the library
+    // answers differently in two processes given the same arguments.
+    let lines = lines_for(Rule::D3, "crates/demo/src/util.rs", "fail/d3_library_env.rs");
+    assert_eq!(lines, vec![7, 12], "env::var, env::var_os");
+}
+
+#[test]
+fn d3_lets_binary_entry_points_read_the_environment() {
+    // The same read in `src/main.rs` or `src/bin/**` is where it belongs.
+    let src = fixture("fail/d3_library_env.rs");
+    for path in ["crates/demo/src/main.rs", "crates/demo/src/bin/tool.rs"] {
+        let diags = analyze_str(path, &src);
+        assert!(diags.iter().all(|d| d.rule != Rule::D3), "{path}: {diags:?}");
+    }
+    let diags = analyze_str("crates/demo/src/main.rs", &fixture("pass/d3_main_reads_env.rs"));
+    assert!(diags.is_empty(), "a main.rs reading PANDA_THREADS must lint clean: {diags:?}");
+}
+
+#[test]
 fn d3_exempts_bench_tests_and_examples() {
     let src = fixture("fail/d3_clock_and_rand.rs");
     for path in [
@@ -275,12 +295,14 @@ fn every_fail_fixture_fires_and_every_pass_fixture_is_clean() {
         assert!(!entries.is_empty(), "fixture corpus must not be empty");
         for path in entries {
             let src = std::fs::read_to_string(&path).expect("fixture readable");
-            let as_path =
-                if path.file_name().is_some_and(|n| n.to_string_lossy().starts_with("s1_")) {
-                    "crates/demo/src/lib.rs"
-                } else {
-                    "crates/demo/src/util.rs"
-                };
+            let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
+            let as_path = if name.starts_with("s1_") {
+                "crates/demo/src/lib.rs"
+            } else if name.contains("_main_") {
+                "crates/demo/src/main.rs"
+            } else {
+                "crates/demo/src/util.rs"
+            };
             let diags = analyze_str(as_path, &src);
             if want_clean {
                 assert!(diags.is_empty(), "{} must lint clean, got {diags:?}", path.display());

@@ -40,12 +40,11 @@ impl BinaryJoinPlan {
     /// Evaluates the query with greedy pairwise joins: start from the
     /// smallest relation; at every step join with the connected relation
     /// that minimises the estimated intermediate size (estimated as
-    /// `|acc| · max-degree of the new attributes`).  Uses the engine
-    /// selected by `PANDA_THREADS` ([`Engine::from_env`], sequential by
-    /// default).
+    /// `|acc| · max-degree of the new attributes`).  Sequential; see
+    /// [`BinaryJoinPlan::evaluate_with_engine`].
     #[must_use]
     pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::from_env())
+        self.evaluate_with_engine(query, db, Engine::Sequential)
     }
 
     /// [`BinaryJoinPlan::evaluate`] under an explicit [`Engine`]: each

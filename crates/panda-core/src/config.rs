@@ -1,11 +1,12 @@
 //! Execution-engine configuration: the sequential/parallel knob.
 //!
 //! Every evaluator in this crate runs **sequentially by default**
-//! ([`Engine::Sequential`]); parallelism is strictly opt-in, either
-//! programmatically (`Panda::new(q).with_engine(Engine::Parallel(
-//! Parallelism::threads(4)))`) or through the `PANDA_THREADS` environment
-//! variable ([`Engine::from_env`]), which every default-constructed
-//! evaluator consults.
+//! ([`Engine::Sequential`]); parallelism is strictly opt-in and always
+//! passed in by the caller (`Panda::new(q).with_engine(Engine::Parallel(
+//! Parallelism::threads(4)))`, or an evaluator's `*_with_engine` method).
+//! Nothing in this library reads the environment: the `panda-server` and
+//! `panda-shell` binaries read `PANDA_THREADS` once in `main`, parse it
+//! with [`Engine::from_setting`] and hand the engine down.
 //!
 //! Parallel execution is **deterministic**: work is split into contiguous
 //! chunks whose results are merged back in input order, so the output of
@@ -15,7 +16,6 @@
 //! row order.
 
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
 
 /// How many worker threads parallel stages may use.
 ///
@@ -62,26 +62,17 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The engine selected by the `PANDA_THREADS` environment variable
-    /// (read once per process):
+    /// The engine a `PANDA_THREADS` value selects (`None` = unset):
     ///
     /// * unset, empty, `1`, or unparsable — [`Engine::Sequential`],
     /// * `0` or `auto` — [`Engine::Parallel`] at the machine's available
     ///   parallelism,
     /// * `n > 1` — [`Engine::Parallel`] with `n` threads.
     ///
-    /// This is what every default-constructed evaluator uses, and what the
-    /// CI matrix toggles to run the whole test suite under both engines.
+    /// Surrounding whitespace is ignored.  A pure parser: reading the
+    /// variable is the job of a binary's `main`.
     #[must_use]
-    pub fn from_env() -> Self {
-        static FROM_ENV: OnceLock<Engine> = OnceLock::new();
-        *FROM_ENV
-            .get_or_init(|| Engine::from_setting(std::env::var("PANDA_THREADS").ok().as_deref()))
-    }
-
-    /// The engine a `PANDA_THREADS` value selects (`None` = unset); see
-    /// [`Engine::from_env`].  Surrounding whitespace is ignored.
-    fn from_setting(value: Option<&str>) -> Self {
+    pub fn from_setting(value: Option<&str>) -> Self {
         let Some(value) = value.map(str::trim) else { return Engine::Sequential };
         if value.eq_ignore_ascii_case("auto") {
             return Engine::Parallel(Parallelism::auto());
@@ -108,31 +99,6 @@ impl Engine {
     pub fn is_parallel(self) -> bool {
         self.threads() > 1
     }
-}
-
-/// Whether the cross-query plan cache is enabled, from the
-/// `PANDA_PLAN_CACHE` environment variable (read once per process):
-///
-/// * unset, or anything other than the values below — enabled (the
-///   default),
-/// * `off`, `0`, or `false` (case-insensitive) — disabled: every
-///   evaluation plans from scratch, exactly as if the cache had never
-///   existed.
-///
-/// Disabling the cache never changes results: a warm-cache evaluation is
-/// bit-identical to a cold one (the workspace's `plan_cache_differential`
-/// suite pins this); the knob exists so CI can keep the cold path honest
-/// and so operators can rule the cache out when debugging.
-#[must_use]
-pub fn plan_cache_enabled() -> bool {
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("PANDA_PLAN_CACHE") {
-        Ok(value) => {
-            let v = value.trim();
-            !(v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") || v == "0")
-        }
-        Err(_) => true,
-    })
 }
 
 /// Deterministic resource budgets for planning and strategy selection.

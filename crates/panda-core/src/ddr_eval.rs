@@ -28,20 +28,18 @@
 // DDR rule's own disjunct list, and cover expects are guarded by the
 // finite-cost check directly above them.
 
-use std::collections::BTreeSet;
-
 use panda_entropy::{ddr_polymatroid_bound, BoundError, StatisticsSet};
-use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, DisjunctiveRule, Var, VarSet};
 use panda_relation::fan_out::ordered_map;
-use panda_relation::{stats as rstats, Database, Relation};
+use panda_relation::{Database, Relation};
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::generic_join::GenericJoin;
 use crate::materialize::{subplan_key, SubplanRegistry};
 use crate::plans::{
-    chain_join_estimate, estimate_bag_size, greedy_projection_cover, PartitionSpec,
+    chain_join_estimate, estimate_bag_size, greedy_projection_cover, partition_branches,
+    partitions_of, PartitionSpec,
 };
 
 /// A model of a DDR: one relation per head disjunct (possibly empty), such
@@ -126,66 +124,19 @@ impl DdrEvaluator {
     pub fn plan(rule: &DisjunctiveRule, stats: &StatisticsSet) -> Result<Self, BoundError> {
         let universe = rule.body_vars();
         let report = ddr_polymatroid_bound(rule.head(), universe, stats)?;
-        Ok(Self::from_bound(rule, &report))
-    }
-
-    /// [`DdrEvaluator::plan`] under an LP pivot budget: the bound's LP
-    /// charges every simplex pivot against `budget` and fails with
-    /// [`BoundError::PivotBudgetExhausted`] when it runs out.  A plan that
-    /// completes within budget is identical to the unbudgeted one.
-    pub fn plan_budgeted(
-        rule: &DisjunctiveRule,
-        stats: &StatisticsSet,
-        budget: &mut panda_entropy::PivotBudget,
-    ) -> Result<Self, BoundError> {
-        let universe = rule.body_vars();
-        let report =
-            panda_entropy::ddr_polymatroid_bound_budgeted(rule.head(), universe, stats, budget)?;
-        Ok(Self::from_bound(rule, &report))
-    }
-
-    /// The partition-derivation core shared by [`DdrEvaluator::plan`] and
-    /// [`DdrEvaluator::plan_budgeted`]: extracts the Shannon flow's proof
-    /// sequence and records one degree partition per decomposition step
-    /// that applies to an input guard.
-    fn from_bound(rule: &DisjunctiveRule, report: &panda_entropy::BoundReport) -> Self {
-        let mut partitions: BTreeSet<PartitionSpec> = BTreeSet::new();
-        if let Ok(integral) = report.flow.to_integral() {
-            let identity = TermIdentity::from_flow(&integral);
-            if let Ok(sequence) = ProofSequence::derive(&identity) {
-                for step in &sequence.steps {
-                    let ProofStep::Decomposition { joint, cond } = step else { continue };
-                    let guard = integral.sources.iter().find_map(|(term, _, stat)| {
-                        if term.is_unconditional() && term.subj == *joint {
-                            stat.guard.clone()
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some(relation) = guard {
-                        partitions.insert(PartitionSpec {
-                            relation,
-                            group_vars: cond.to_vec(),
-                            value_vars: joint.difference(*cond).to_vec(),
-                        });
-                    }
-                }
-            }
-        }
-        DdrEvaluator {
+        Ok(DdrEvaluator {
             rule: rule.clone(),
-            partitions: partitions.into_iter().collect(),
+            partitions: partitions_of(&report.flow).into_iter().collect(),
             log_bound: report.log_bound,
             max_branches: 4096,
-        }
+        })
     }
 
-    /// Evaluates the rule on a database instance, producing a model.  Uses
-    /// the engine selected by `PANDA_THREADS` ([`Engine::from_env`],
-    /// sequential by default).
+    /// Evaluates the rule on a database instance, producing a model.
+    /// Sequential; see [`DdrEvaluator::evaluate_with_engine`].
     #[must_use]
     pub fn evaluate(&self, db: &Database) -> DdrModel {
-        self.evaluate_with_engine(db, Engine::from_env())
+        self.evaluate_with_engine(db, Engine::Sequential)
     }
 
     /// [`DdrEvaluator::evaluate`] under an explicit [`Engine`]: the degree
@@ -248,50 +199,16 @@ impl DdrEvaluator {
     /// Splits the database into branches according to the partition specs.
     #[must_use]
     pub fn build_branches(&self, db: &Database) -> Vec<Database> {
-        let mut branches = vec![db.clone()];
-        for spec in &self.partitions {
-            let Some(atom) = self.rule.body().iter().find(|a| a.relation == spec.relation) else {
-                continue;
-            };
-            let group_cols: Vec<usize> =
-                spec.group_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
-            let value_cols: Vec<usize> =
-                spec.value_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
-            if group_cols.len() != spec.group_vars.len()
-                || value_cols.len() != spec.value_vars.len()
-            {
-                continue;
-            }
-            let mut next = Vec::new();
-            for branch in &branches {
-                let Some(rel) = branch.relation(&spec.relation) else {
-                    next.push(branch.clone());
-                    continue;
-                };
-                let buckets = rstats::bucket_by_degree(rel, &group_cols, &value_cols);
-                if buckets.len() <= 1 || branches.len() * buckets.len() > self.max_branches {
-                    next.push(branch.clone());
-                    continue;
-                }
-                for bucket in buckets {
-                    let mut b = branch.clone();
-                    b.insert(spec.relation.clone(), bucket.relation);
-                    next.push(b);
-                }
-            }
-            branches = next;
-        }
-        branches
+        partition_branches(self.rule.body(), &self.partitions, self.max_branches, db)
     }
 }
 
 /// Materialises a superset of `π_bag(⋈ atoms)` using the cheaper of the two
-/// constructions described in the module documentation.  Uses the engine
-/// selected by `PANDA_THREADS` ([`Engine::from_env`], sequential by
-/// default).
+/// constructions described in the module documentation.  Sequential; see
+/// [`materialize_bag_with_engine`].
 #[must_use]
 pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet) -> VarRelation {
-    materialize_bag_with_engine(atoms, db, bag, Engine::from_env())
+    materialize_bag_with_engine(atoms, db, bag, Engine::Sequential)
 }
 
 /// [`materialize_bag`] under an explicit [`Engine`] (applied to the

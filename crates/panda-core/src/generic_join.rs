@@ -47,9 +47,8 @@ impl GenericJoin {
 
     /// Joins the given bound relations over all variables of the order that
     /// appear in them and projects the result onto `output`, deduplicated.
-    /// Equivalent to [`GenericJoin::join_with_engine`] with the engine
-    /// selected by `PANDA_THREADS` ([`Engine::from_env`], sequential by
-    /// default).
+    /// Equivalent to [`GenericJoin::join_with_engine`] with
+    /// [`Engine::Sequential`].
     ///
     /// Variable-free relations are treated as Boolean filters: if any of
     /// them is empty the result is empty.
@@ -62,7 +61,7 @@ impl GenericJoin {
     /// output variable does not occur in the join.
     #[must_use]
     pub fn join(&self, inputs: &[VarRelation], output: &[Var]) -> VarRelation {
-        self.join_with_engine(inputs, output, Engine::from_env())
+        self.join_with_engine(inputs, output, Engine::Sequential)
     }
 
     /// [`GenericJoin::join`] under an explicit [`Engine`].
@@ -169,11 +168,10 @@ impl GenericJoin {
 
     /// Evaluates a full or projected conjunctive query with a worst-case
     /// optimal join over all its atoms, returning the answer over the free
-    /// variables.  Uses the engine selected by `PANDA_THREADS`
-    /// ([`Engine::from_env`], sequential by default).
+    /// variables.  Sequential; see [`GenericJoin::evaluate_with_engine`].
     #[must_use]
     pub fn evaluate(query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        GenericJoin::evaluate_with_engine(query, db, Engine::from_env())
+        GenericJoin::evaluate_with_engine(query, db, Engine::Sequential)
     }
 
     /// [`GenericJoin::evaluate`] under an explicit [`Engine`].

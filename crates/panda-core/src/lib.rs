@@ -30,10 +30,10 @@
 //! * [`config`] — the [`Engine`]/[`Parallelism`] knob: evaluation is
 //!   sequential by default and opt-in parallel (deterministic —
 //!   bit-identical outputs at any thread count, because every parallel
-//!   region is one [`panda_relation::fan_out::ordered_map`] call), toggled
-//!   per evaluator or through the `PANDA_THREADS` environment variable —
-//!   and the [`Budgets`] for deterministic planning/execution resource
-//!   caps.
+//!   region is one [`panda_relation::fan_out::ordered_map`] call), chosen
+//!   by the caller per evaluator (the binaries map `PANDA_THREADS` onto it
+//!   in their `main`) — and the [`Budgets`] for deterministic
+//!   planning/execution resource caps.
 //!
 //! See `docs/ARCHITECTURE.md` at the workspace root for the execution
 //! flow and the paper-section → module map, and `docs/NOTATION.md` for
@@ -63,7 +63,7 @@ pub use binding::VarRelation;
 // The cooperative cancellation token lives in `panda-lp` (the pivot loop
 // is its polling point); re-exported here because serving layers attach it
 // through the `Panda` facade.
-pub use config::{plan_cache_enabled, Budgets, Engine, Parallelism};
+pub use config::{Budgets, Engine, Parallelism};
 pub use ddr_eval::{DdrEvaluator, DdrModel};
 pub use fingerprint::{canonicalize_query, CanonicalQuery};
 pub use generic_join::GenericJoin;

@@ -78,8 +78,8 @@ impl std::fmt::Display for EvaluationStrategy {
 /// certificates) backing the choice.
 ///
 /// Every field is deterministic and engine-independent: the same query,
-/// statistics, data and budgets produce the identical report at any
-/// `PANDA_THREADS` setting (pinned by `tests/parallel_determinism.rs`).
+/// statistics, data and budgets produce the identical report under any
+/// [`Engine`] (pinned by `tests/parallel_determinism.rs`).
 #[derive(Debug, Clone)]
 pub struct PlanReport {
     /// The strategy that will actually execute (after any downgrades).
@@ -122,9 +122,8 @@ pub struct PlanReport {
     /// at any thread count).
     pub materializations: Vec<MaterializedSubplan>,
     /// How the plan cache participated in this report:
-    /// [`ReasonCode::PlanCacheHit`], [`ReasonCode::PlanCacheMiss`] (plus
-    /// [`ReasonCode::PlanCacheEvict`] when the insert evicted an entry), or
-    /// [`ReasonCode::PlanCacheBypass`] when `PANDA_PLAN_CACHE=off`.
+    /// [`ReasonCode::PlanCacheHit`], or [`ReasonCode::PlanCacheMiss`] (plus
+    /// [`ReasonCode::PlanCacheEvict`] when the insert evicted an entry).
     ///
     /// This field is **process-state telemetry**, not plan content: it is
     /// deliberately excluded from the [`Explain`] rendering and from the
@@ -198,8 +197,8 @@ impl std::fmt::Display for Explain {
             }
         }
         // Cache events are deliberately NOT rendered: EXPLAIN output is
-        // byte-stable across cold and warm runs (and across the CI
-        // explain-stability matrix), while cache events are process state.
+        // byte-stable across cold and warm runs, while cache events are
+        // process state.
         if !r.materializations.is_empty() {
             writeln!(f, "materialised subplans:")?;
             for m in &r.materializations {
@@ -298,16 +297,15 @@ pub struct Panda {
 impl Panda {
     /// Creates an evaluator for a query.  Statistics are measured from the
     /// data at evaluation time unless supplied with
-    /// [`Panda::with_statistics`]; the execution engine is the one
-    /// selected by `PANDA_THREADS` ([`Engine::from_env`], sequential by
-    /// default) unless overridden with [`Panda::with_engine`]; all
+    /// [`Panda::with_statistics`]; the execution engine is
+    /// [`Engine::Sequential`] unless set with [`Panda::with_engine`]; all
     /// [`Budgets`] are unlimited unless set with [`Panda::with_budgets`].
     #[must_use]
     pub fn new(query: ConjunctiveQuery) -> Self {
         Panda {
             query,
             statistics: None,
-            engine: Engine::from_env(),
+            engine: Engine::Sequential,
             budgets: Budgets::default(),
             cancel: None,
         }
@@ -439,11 +437,11 @@ impl Panda {
     /// isomorphism — variable renaming and body-atom permutation), the
     /// canonical encoding of the statistics the planner would consume, the
     /// budgets, and the requested strategy.  Thread count is deliberately
-    /// excluded: planning is engine-independent (the explain-stability CI
-    /// matrix proves it), so a plan cached under one engine serves every
-    /// other bit-identically.  With `want_widths` the key also pins the
-    /// exact variable numbering so width reports are always expressed in
-    /// the query's own variables.
+    /// excluded: planning is engine-independent
+    /// (`tests/parallel_determinism.rs` pins it), so a plan cached under
+    /// one engine serves every other bit-identically.  With `want_widths`
+    /// the key also pins the exact variable numbering so width reports are
+    /// always expressed in the query's own variables.
     fn select_cached(
         &self,
         stats: &StatisticsSet,
@@ -451,19 +449,6 @@ impl Panda {
         requested: EvaluationStrategy,
         want_widths: bool,
     ) -> Result<(Selection, Vec<ReasonCode>), BoundError> {
-        if !crate::config::plan_cache_enabled() {
-            let selection = selector::select(
-                &self.query,
-                stats,
-                db,
-                self.budgets,
-                self.engine.threads(),
-                requested,
-                want_widths,
-                self.cancel.as_ref(),
-            )?;
-            return Ok((selection, vec![ReasonCode::PlanCacheBypass]));
-        }
         let canon = fingerprint::canonicalize_query(&self.query);
         let stats_enc = fingerprint::canonical_statistics_encoding(stats, &canon.renaming);
         let key = plan_cache::PlanKey {

@@ -15,9 +15,9 @@
 //! [`Database::statistics_fingerprint`](panda_relation::Database::statistics_fingerprint)),
 //! the [`Budgets`], the requested [`EvaluationStrategy`], and the
 //! `want_widths` flag.  The thread count is deliberately **excluded**:
-//! planning is engine-independent (CI's explain-stability job pins this),
-//! so a plan built at one `PANDA_THREADS` setting is byte-identical to the
-//! plan built at any other.
+//! planning is engine-independent (`tests/parallel_determinism.rs` pins
+//! this), so a plan built under one [`Engine`](crate::Engine) is
+//! byte-identical to the plan built under any other.
 //!
 //! **Serving.**  A hit whose entry was inserted by a query with the *same*
 //! variable numbering (the common case: the same query re-run, a query
@@ -39,10 +39,8 @@
 //! a capacity-bounded ([`PLAN_CACHE_CAP`]) linear-scan store, so cache
 //! behaviour is a pure function of the request sequence.
 //!
-//! The cache is on by default and disabled by `PANDA_PLAN_CACHE=off`
-//! ([`crate::config::plan_cache_enabled`]); CI runs the conformance suite
-//! with it off to keep the cold path honest, and the
-//! `plan_cache_differential` suite pins cold/warm bit-identity.
+//! The cache is always on: the cold path is the code every miss runs, and
+//! the `plan_cache_differential` suite pins cold/warm bit-identity.
 
 // panda-lint: allow(D2) -- the import feeds the plan cache below: pure
 // memoisation of deterministic selections (see `PLAN_CACHE`).

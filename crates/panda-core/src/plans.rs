@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use panda_entropy::{FhtwReport, PivotBudget, StatisticsSet, SubwReport};
+use panda_entropy::{FhtwReport, PivotBudget, ShannonFlow, StatisticsSet, SubwReport};
 use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, Var, VarSet};
 use panda_relation::fan_out::ordered_map;
@@ -74,11 +74,11 @@ impl StaticTdPlan {
     /// Evaluates the query: every bag is materialised by a worst-case
     /// optimal join of the atoms assigned to it (each atom is assigned to
     /// one bag containing it, Eq. 13), and the bag relations are combined
-    /// with Yannakakis (Eq. 12).  Uses the engine selected by
-    /// `PANDA_THREADS` ([`Engine::from_env`], sequential by default).
+    /// with Yannakakis (Eq. 12).  Sequential; see
+    /// [`StaticTdPlan::evaluate_with_engine`].
     #[must_use]
     pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::from_env())
+        self.evaluate_with_engine(query, db, Engine::Sequential)
     }
 
     /// [`StaticTdPlan::evaluate`] under an explicit [`Engine`]: each bag's
@@ -204,6 +204,80 @@ pub struct PartitionSpec {
     pub value_vars: Vec<Var>,
 }
 
+/// The degree partitions a Shannon-flow certificate asks for: one per
+/// decomposition step of its proof sequence whose joint set is guarded by
+/// an input relation (the relation to partition).  Empty when the flow has
+/// no integral form or no proof sequence.
+pub(crate) fn partitions_of(flow: &ShannonFlow) -> BTreeSet<PartitionSpec> {
+    let mut partitions = BTreeSet::new();
+    let Ok(integral) = flow.to_integral() else { return partitions };
+    let Ok(sequence) = ProofSequence::derive(&TermIdentity::from_flow(&integral)) else {
+        return partitions;
+    };
+    for step in &sequence.steps {
+        let ProofStep::Decomposition { joint, cond } = step else { continue };
+        let guard = integral.sources.iter().find_map(|(term, _, stat)| {
+            if term.is_unconditional() && term.subj == *joint {
+                stat.guard.clone()
+            } else {
+                None
+            }
+        });
+        if let Some(relation) = guard {
+            partitions.insert(PartitionSpec {
+                relation,
+                group_vars: cond.to_vec(),
+                value_vars: joint.difference(*cond).to_vec(),
+            });
+        }
+    }
+    partitions
+}
+
+/// Splits `db` into branch databases: the cross product of the per-spec
+/// power-of-two degree buckets, capped at `max_branches`.  A spec's
+/// variables map to columns through the first of `atoms` over its
+/// relation; specs that do not map are skipped.
+pub(crate) fn partition_branches(
+    atoms: &[Atom],
+    specs: &[PartitionSpec],
+    max_branches: usize,
+    db: &Database,
+) -> Vec<Database> {
+    let mut branches = vec![db.clone()];
+    for spec in specs {
+        let Some(atom) = atoms.iter().find(|a| a.relation == spec.relation) else {
+            continue;
+        };
+        let group_cols: Vec<usize> =
+            spec.group_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
+        let value_cols: Vec<usize> =
+            spec.value_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
+        if group_cols.len() != spec.group_vars.len() || value_cols.len() != spec.value_vars.len() {
+            continue;
+        }
+        let mut next = Vec::new();
+        for branch in &branches {
+            let Some(rel) = branch.relation(&spec.relation) else {
+                next.push(branch.clone());
+                continue;
+            };
+            let buckets = rstats::bucket_by_degree(rel, &group_cols, &value_cols);
+            if buckets.len() <= 1 || branches.len() * buckets.len() > max_branches {
+                next.push(branch.clone());
+                continue;
+            }
+            for bucket in buckets {
+                let mut b = branch.clone();
+                b.insert(spec.relation.clone(), bucket.relation);
+                next.push(b);
+            }
+        }
+        branches = next;
+    }
+    branches
+}
+
 /// The adaptive, multi-tree-decomposition evaluator (Sections 5 and 8).
 #[derive(Debug, Clone)]
 pub struct PandaEvaluator {
@@ -268,31 +342,8 @@ impl PandaEvaluator {
         report: &SubwReport,
         fhtw_report: &FhtwReport,
     ) -> Self {
-        let mut partitions: BTreeSet<PartitionSpec> = BTreeSet::new();
-        for sel in &report.per_selector {
-            let Ok(integral) = sel.report.flow.to_integral() else { continue };
-            let identity = TermIdentity::from_flow(&integral);
-            let Ok(sequence) = ProofSequence::derive(&identity) else { continue };
-            for step in &sequence.steps {
-                let ProofStep::Decomposition { joint, cond } = step else { continue };
-                // Find an input statistic guarding exactly this joint set so
-                // we know which relation to partition.
-                let guard = integral.sources.iter().find_map(|(term, _, stat)| {
-                    if term.is_unconditional() && term.subj == *joint {
-                        stat.guard.clone()
-                    } else {
-                        None
-                    }
-                });
-                if let Some(relation) = guard {
-                    partitions.insert(PartitionSpec {
-                        relation,
-                        group_vars: cond.to_vec(),
-                        value_vars: joint.difference(*cond).to_vec(),
-                    });
-                }
-            }
-        }
+        let mut partitions: BTreeSet<PartitionSpec> =
+            report.per_selector.iter().flat_map(|sel| partitions_of(&sel.report.flow)).collect();
         // Uniformisation: partition every binary atom on both directions.
         // Only meaningful when the query is genuinely adaptive (subw < fhtw);
         // otherwise a single decomposition already matches the width.
@@ -321,11 +372,11 @@ impl PandaEvaluator {
     /// into power-of-two degree buckets, every bucket combination forms a
     /// branch, each branch is costed from its own measured statistics, and
     /// the cheapest tree decomposition evaluates it.  The union of the
-    /// branch outputs is the answer.  Uses the engine selected by
-    /// `PANDA_THREADS` ([`Engine::from_env`], sequential by default).
+    /// branch outputs is the answer.  Sequential; see
+    /// [`PandaEvaluator::evaluate_with_engine`].
     #[must_use]
     pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::from_env())
+        self.evaluate_with_engine(query, db, Engine::Sequential)
     }
 
     /// [`PandaEvaluator::evaluate`] under an explicit [`Engine`]: the
@@ -422,42 +473,7 @@ impl PandaEvaluator {
     /// [`PandaEvaluator::max_branches`]).
     #[must_use]
     pub fn build_branches(&self, query: &ConjunctiveQuery, db: &Database) -> Vec<Database> {
-        let mut branches = vec![db.clone()];
-        for spec in &self.partitions {
-            // Map the spec's variables to column indices via the first atom
-            // over this relation.
-            let Some(atom) = query.atoms().iter().find(|a| a.relation == spec.relation) else {
-                continue;
-            };
-            let group_cols: Vec<usize> =
-                spec.group_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
-            let value_cols: Vec<usize> =
-                spec.value_vars.iter().filter_map(|v| atom.position_of(*v)).collect();
-            if group_cols.len() != spec.group_vars.len()
-                || value_cols.len() != spec.value_vars.len()
-            {
-                continue;
-            }
-            let mut next = Vec::new();
-            for branch in &branches {
-                let Some(rel) = branch.relation(&spec.relation) else {
-                    next.push(branch.clone());
-                    continue;
-                };
-                let buckets = rstats::bucket_by_degree(rel, &group_cols, &value_cols);
-                if buckets.len() <= 1 || branches.len() * buckets.len() > self.max_branches {
-                    next.push(branch.clone());
-                    continue;
-                }
-                for bucket in buckets {
-                    let mut b = branch.clone();
-                    b.insert(spec.relation.clone(), bucket.relation);
-                    next.push(b);
-                }
-            }
-            branches = next;
-        }
-        branches
+        partition_branches(query.atoms(), &self.partitions, self.max_branches, db)
     }
 
     /// Chooses the cheapest tree decomposition for one branch.  The cost of

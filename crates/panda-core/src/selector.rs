@@ -126,20 +126,9 @@ pub enum ReasonCode {
     PlanCacheHit,
     /// The selection was planned cold and inserted into the plan cache.
     PlanCacheMiss,
-    /// The plan cache was disabled (`PANDA_PLAN_CACHE=off`), so the
-    /// selection was planned cold and not cached.
-    PlanCacheBypass,
     /// Inserting this selection evicted the least-recently-used cache
     /// entry.
     PlanCacheEvict,
-    /// The plan materialises at least one shared subplan once for several
-    /// branch scans (see
-    /// [`PlanReport::materializations`](crate::PlanReport::materializations)).
-    SubplanMaterialized,
-    /// Runtime telemetry code for a subplan scan served from an existing
-    /// materialisation (used by logs/tests, never by reports — the runtime
-    /// hit/miss split may vary with thread interleaving).
-    SubplanReused,
 }
 
 impl ReasonCode {
@@ -157,10 +146,7 @@ impl ReasonCode {
             ReasonCode::MemoryBudgetExceeded => "memory_budget_exceeded",
             ReasonCode::PlanCacheHit => "plan_cache_hit",
             ReasonCode::PlanCacheMiss => "plan_cache_miss",
-            ReasonCode::PlanCacheBypass => "plan_cache_bypass",
             ReasonCode::PlanCacheEvict => "plan_cache_evict",
-            ReasonCode::SubplanMaterialized => "subplan_materialized",
-            ReasonCode::SubplanReused => "subplan_reused",
         }
     }
 }

@@ -10,14 +10,11 @@
 //! cache ([`Relation::index_for`]) before building a hash table, so
 //! repeated joins on the same `(relation, key columns)` pair — the normal
 //! case across PANDA's degree branches and Yannakakis' semijoin passes —
-//! pay for the index once.  When both inputs carry a compatible recorded
-//! sort order ([`Relation::sort_order`]), [`join`] switches to a
-//! sort-merge path that needs no hash table at all.
+//! pay for the index once.
 
 // panda-lint: allow-file(P1) -- column indices are validated against
 // both arities in join/semijoin setup before any row is touched.
 
-use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -25,29 +22,8 @@ use crate::fan_out::ordered_map;
 use crate::index::HashIndex;
 use crate::relation::{Relation, Tuple, Value};
 
-/// The sort order a projection's output inherits: the longest prefix of
-/// the input's recorded order whose columns all survive into `cols`,
-/// rewritten to output positions (first occurrence in `cols`).  Valid
-/// because keep-first deduplication preserves the input row order, and a
-/// lexicographic order restricted to a leading prefix is still
-/// non-decreasing.
-fn projected_sort_order(input_order: &[usize], cols: &[usize]) -> Option<Vec<usize>> {
-    let mapped: Vec<usize> =
-        input_order.iter().map_while(|c| cols.iter().position(|x| x == c)).collect();
-    if mapped.is_empty() {
-        None
-    } else {
-        Some(mapped)
-    }
-}
-
 /// Projects `relation` onto the given columns (in the given order),
 /// removing duplicates (first occurrences kept, in input row order).
-///
-/// When the input carries a recorded sort order whose leading columns all
-/// survive the projection, the corresponding output order is recorded on
-/// the result — so a downstream [`join`] on those columns can take the
-/// sort-merge path.
 ///
 /// # Panics
 ///
@@ -65,16 +41,11 @@ pub fn project(relation: &Relation, cols: &[usize]) -> Relation {
             out.push_row(&projected);
         }
     }
-    if !out.is_empty() {
-        if let Some(order) = relation.sort_order().and_then(|o| projected_sort_order(o, cols)) {
-            out.assume_sort_order(order);
-        }
-    }
     out
 }
 
 /// Selects the rows where column `col` equals `value`.  Preserves row
-/// order and the input's recorded sort order.
+/// order.
 #[must_use]
 pub fn select_eq(relation: &Relation, col: usize, value: Value) -> Relation {
     assert!(col < relation.arity(), "selection column {col} out of range");
@@ -84,28 +55,17 @@ pub fn select_eq(relation: &Relation, col: usize, value: Value) -> Relation {
             out.push_row(row);
         }
     }
-    // A filter keeps a subsequence of the rows, so sortedness survives.
-    if !out.is_empty() {
-        if let Some(order) = relation.sort_order() {
-            out.assume_sort_order(order.to_vec());
-        }
-    }
     out
 }
 
 /// Selects the rows satisfying an arbitrary predicate.  Preserves row
-/// order and the input's recorded sort order.
+/// order.
 #[must_use]
 pub fn select_where<F: FnMut(&[Value]) -> bool>(relation: &Relation, mut pred: F) -> Relation {
     let mut out = Relation::new(relation.arity());
     for row in relation.iter() {
         if pred(row) {
             out.push_row(row);
-        }
-    }
-    if !out.is_empty() {
-        if let Some(order) = relation.sort_order() {
-            out.assume_sort_order(order.to_vec());
         }
     }
     out
@@ -248,7 +208,7 @@ impl DedupSink {
     }
 }
 
-/// Hash- or merge-joins `left` and `right` on the column pairs
+/// Hash-joins `left` and `right` on the column pairs
 /// `on = [(lcol, rcol)]`.
 ///
 /// The output schema is all columns of `left` followed by the columns of
@@ -257,39 +217,30 @@ impl DedupSink {
 /// The output is deduplicated (streamed — duplicates are dropped as they
 /// are produced, never materialised).
 ///
-/// The build side's hash index is served from the relation's shared cache;
-/// when both sides carry a recorded sort order whose prefixes align with
-/// `on`, a sort-merge path is used instead.
+/// The build side's hash index is served from the relation's shared cache.
 ///
-/// # Examples
+/// # Panics
 ///
-/// Pre-sorting both inputs routes the same join through the sort-merge
-/// path, with identical results:
-///
-/// ```
-/// use panda_relation::{operators, Relation};
-///
-/// let r = Relation::from_rows(2, vec![[1, 2], [2, 3]]);
-/// let s = Relation::from_rows(2, vec![[2, 5], [2, 6], [3, 7]]);
-/// let hashed = operators::join(&r, &s, &[(1, 0)]);
-/// let merged = operators::join(&r.sorted_by_columns(&[1, 0]), &s.sorted_by_columns(&[0, 1]), &[(1, 0)]);
-/// assert_eq!(hashed.canonical_rows(), merged.canonical_rows());
-/// ```
+/// Panics if a column index is out of range.
 #[must_use]
 pub fn join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relation {
-    for &(l, r) in on {
-        assert!(l < left.arity(), "left join column {l} out of range");
-        assert!(r < right.arity(), "right join column {r} out of range");
-    }
-    if let Some(aligned) = merge_alignment(left, right, on) {
-        return merge_join(left, right, &aligned, on);
-    }
-    hash_join(left, right, on)
+    let setup = join_setup(left, right, on);
+    let build = if setup.build_left { left } else { right };
+    let probe = if setup.build_left { right } else { left };
+    probe_side_join(
+        build,
+        probe,
+        &setup.idx,
+        &setup.probe_cols,
+        &setup.right_keep_cols,
+        setup.build_left,
+        setup.out_arity,
+    )
 }
 
-/// Chooses the build side like [`hash_join`]: prefer a side whose index is
-/// already cached; otherwise build on the smaller side for cache
-/// friendliness and probe with the other.
+/// Chooses the build side: prefer a side whose index is already cached;
+/// otherwise build on the smaller side for cache friendliness and probe
+/// with the other.
 fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> bool {
     let cached = |rel: &Relation, is_left: bool| {
         canonical_pairs(on, is_left).is_some_and(|(cols, _)| rel.try_cached_index(&cols).is_some())
@@ -303,7 +254,7 @@ fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -
 
 /// Probes every row of `probe` against the build side's index, streaming
 /// the joined rows through a dedup sink — the inner loop shared by
-/// [`hash_join`] and each [`par_join`] probe shard.
+/// [`join`] and each [`par_join`] probe shard.
 fn probe_side_join(
     build: &Relation,
     probe: &Relation,
@@ -331,10 +282,11 @@ fn probe_side_join(
     out.into_relation()
 }
 
-/// The shared setup of a hash join: output shape, build-side choice and
-/// the (cached) build index.  [`hash_join`] and [`par_join`] both start
-/// from this one helper so their build/probe decisions can never diverge —
-/// which is what `par_join`'s bit-identical-to-[`join`] contract rests on.
+/// The shared setup of a hash join: column checks, output shape,
+/// build-side choice and the (cached) build index.  [`join`] and
+/// [`par_join`] both start from this one helper so their build/probe
+/// decisions can never diverge — which is what `par_join`'s
+/// bit-identical-to-[`join`] contract rests on.
 struct JoinSetup {
     build_left: bool,
     idx: Arc<HashIndex>,
@@ -344,6 +296,10 @@ struct JoinSetup {
 }
 
 fn join_setup(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> JoinSetup {
+    for &(l, r) in on {
+        assert!(l < left.arity(), "left join column {l} out of range");
+        assert!(r < right.arity(), "right join column {r} out of range");
+    }
     let right_join_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
     let right_keep_cols: Vec<usize> =
         (0..right.arity()).filter(|c| !right_join_cols.contains(c)).collect();
@@ -357,21 +313,6 @@ fn join_setup(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> JoinS
     JoinSetup { build_left, idx, probe_cols, right_keep_cols, out_arity }
 }
 
-fn hash_join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relation {
-    let setup = join_setup(left, right, on);
-    let build = if setup.build_left { left } else { right };
-    let probe = if setup.build_left { right } else { left };
-    probe_side_join(
-        build,
-        probe,
-        &setup.idx,
-        &setup.probe_cols,
-        &setup.right_keep_cols,
-        setup.build_left,
-        setup.out_arity,
-    )
-}
-
 /// [`join`] with the probe side split into up to `threads` zero-copy
 /// shards ([`Relation::partitioned`]) that are joined through
 /// [`ordered_map`] and concatenated in shard order.
@@ -380,8 +321,8 @@ fn hash_join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relati
 /// build side (and its shared cached index) is the same, probe rows are
 /// visited in the same order across the ordered shards, and the final
 /// deduplication keeps first occurrences exactly like the sequential
-/// streaming sink.  With `threads <= 1`, or when the sort-merge path
-/// applies, this delegates to [`join`] directly.
+/// streaming sink.  With `threads <= 1` this delegates to [`join`]
+/// directly.
 ///
 /// # Panics
 ///
@@ -406,11 +347,7 @@ pub fn par_join(
     on: &[(usize, usize)],
     threads: usize,
 ) -> Relation {
-    for &(l, r) in on {
-        assert!(l < left.arity(), "left join column {l} out of range");
-        assert!(r < right.arity(), "right join column {r} out of range");
-    }
-    if threads <= 1 || merge_alignment(left, right, on).is_some() {
+    if threads <= 1 {
         return join(left, right, on);
     }
     let setup = join_setup(left, right, on);
@@ -454,105 +391,6 @@ pub fn par_join(
     }
 }
 
-/// Checks whether the recorded sort orders of both sides begin with the
-/// join columns in matching positions; returns the `on` pairs re-ordered to
-/// that common prefix when they do.
-fn merge_alignment(
-    left: &Relation,
-    right: &Relation,
-    on: &[(usize, usize)],
-) -> Option<Vec<(usize, usize)>> {
-    if on.is_empty() {
-        return None;
-    }
-    let lo = left.sort_order()?;
-    let ro = right.sort_order()?;
-    if lo.len() < on.len() || ro.len() < on.len() {
-        return None;
-    }
-    let mut remaining: Vec<(usize, usize)> = on.to_vec();
-    let mut aligned = Vec::with_capacity(on.len());
-    for i in 0..on.len() {
-        let pair = (lo[i], ro[i]);
-        let pos = remaining.iter().position(|&p| p == pair)?;
-        remaining.remove(pos);
-        aligned.push(pair);
-    }
-    Some(aligned)
-}
-
-/// `true` iff `order` is the full identity permutation for `arity` columns
-/// — the case where a merge join's output is itself lexicographically
-/// sorted.
-fn is_identity_order(order: &[usize], arity: usize) -> bool {
-    order.len() == arity && order.iter().enumerate().all(|(i, &c)| i == c)
-}
-
-/// Sort-merge join: both sides are sorted with the aligned join columns as
-/// the leading prefix of their sort orders, so equal-key groups are
-/// contiguous and can be paired with two cursors.
-fn merge_join(
-    left: &Relation,
-    right: &Relation,
-    aligned: &[(usize, usize)],
-    on: &[(usize, usize)],
-) -> Relation {
-    let lcols: Vec<usize> = aligned.iter().map(|p| p.0).collect();
-    let rcols: Vec<usize> = aligned.iter().map(|p| p.1).collect();
-    let right_join_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let right_keep_cols: Vec<usize> =
-        (0..right.arity()).filter(|c| !right_join_cols.contains(c)).collect();
-    let out_arity = left.arity() + right_keep_cols.len();
-    let mut out = DedupSink::new(out_arity);
-
-    let key_cmp = |a: &[Value], acols: &[usize], b: &[Value], bcols: &[usize]| -> Ordering {
-        acols.iter().map(|&c| a[c]).cmp(bcols.iter().map(|&c| b[c]))
-    };
-
-    let (ln, rn) = (left.len(), right.len());
-    let mut row_buf: Tuple = Tuple::with_capacity(out_arity);
-    let (mut i, mut j) = (0, 0);
-    while i < ln && j < rn {
-        match key_cmp(left.row(i), &lcols, right.row(j), &rcols) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                let i_end = (i + 1..ln)
-                    .find(|&x| key_cmp(left.row(x), &lcols, left.row(i), &lcols) != Ordering::Equal)
-                    .unwrap_or(ln);
-                let j_end = (j + 1..rn)
-                    .find(|&x| {
-                        key_cmp(right.row(x), &rcols, right.row(j), &rcols) != Ordering::Equal
-                    })
-                    .unwrap_or(rn);
-                for a in i..i_end {
-                    let lrow = left.row(a);
-                    for b in j..j_end {
-                        let rrow = right.row(b);
-                        row_buf.clear();
-                        row_buf.extend_from_slice(lrow);
-                        row_buf.extend(right_keep_cols.iter().map(|&c| rrow[c]));
-                        out.push(&row_buf);
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    let mut out = out.into_relation();
-    // With fully (identity-)sorted inputs the concatenated output is itself
-    // sorted: left parts are non-decreasing, and within one left row the
-    // kept right columns ascend with the right rows.
-    if left.sort_order().is_some_and(|o| is_identity_order(o, left.arity()))
-        && right.sort_order().is_some_and(|o| is_identity_order(o, right.arity()))
-        && !out.is_empty()
-    {
-        out.assume_sort_order((0..out_arity).collect());
-    }
-    out
-}
-
 /// The Cartesian product of two relations (a join with no join columns).
 #[must_use]
 pub fn cartesian_product(left: &Relation, right: &Relation) -> Relation {
@@ -560,9 +398,8 @@ pub fn cartesian_product(left: &Relation, right: &Relation) -> Relation {
 }
 
 /// Semijoin: the rows of `left` that have at least one matching row in
-/// `right` under the column pairs `on`.  Preserves `left`'s row order (and
-/// recorded sort order); when nothing is filtered the result is an O(1)
-/// clone of `left`.
+/// `right` under the column pairs `on`.  Preserves `left`'s row order;
+/// when nothing is filtered the result is an O(1) clone of `left`.
 ///
 /// # Panics
 ///
@@ -573,8 +410,8 @@ pub fn semijoin(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Rel
 }
 
 /// Antijoin: the rows of `left` with **no** matching row in `right`.
-/// Preserves `left`'s row order (and recorded sort order); when nothing is
-/// filtered the result is an O(1) clone of `left`.
+/// Preserves `left`'s row order; when nothing is filtered the result is an
+/// O(1) clone of `left`.
 ///
 /// # Panics
 ///
@@ -611,11 +448,6 @@ fn filter_by_membership(
     let mut out = Relation::with_capacity(left.arity(), kept);
     for (row, _) in left.iter().zip(&keep).filter(|&(_, &k)| k) {
         out.push_row(row);
-    }
-    if let Some(order) = left.sort_order() {
-        if !out.is_empty() {
-            out.assume_sort_order(order.to_vec());
-        }
     }
     out
 }
@@ -665,17 +497,6 @@ pub fn reorder(relation: &Relation, permutation: &[usize]) -> Relation {
             buf[o] = row[c];
         }
         out.push_row(&buf);
-    }
-    // Row order is preserved, so the longest prefix of the input's recorded
-    // sort order whose columns survive into the output still holds there
-    // (remapped through the permutation) — this keeps reordered inputs on
-    // the sort-merge join path.
-    if let Some(order) = relation.sort_order() {
-        let remapped: Vec<usize> =
-            order.iter().map_while(|&c| permutation.iter().position(|&p| p == c)).collect();
-        if !remapped.is_empty() && !out.is_empty() {
-            out.assume_sort_order(remapped);
-        }
     }
     out
 }
@@ -748,30 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_path_matches_hash_join() {
-        let r = Relation::from_rows(2, vec![[2, 1], [1, 5], [1, 2], [3, 9]]);
-        let s = Relation::from_rows(2, vec![[5, 8], [1, 7], [2, 6], [2, 4]]);
-        let expected = join(&r, &s, &[(1, 0)]).canonical_rows();
-        let rs = r.sorted_by_columns(&[1, 0]);
-        let ss = s.sorted_by_columns(&[0, 1]);
-        let merged = join(&rs, &ss, &[(1, 0)]);
-        assert_eq!(merged.canonical_rows(), expected);
-    }
-
-    #[test]
-    fn merge_join_of_identity_sorted_inputs_is_sorted() {
-        let mut r = Relation::from_rows(2, vec![[2, 1], [1, 2], [1, 5]]);
-        let mut s = Relation::from_rows(2, vec![[1, 7], [2, 6], [5, 8]]);
-        r.sort();
-        s.sort();
-        let out = join(&r, &s, &[(0, 0)]);
-        assert_eq!(out.sort_order(), Some(&[0, 1, 2][..]));
-        let mut canon = out.clone();
-        canon.sort();
-        assert_eq!(canon.canonical_rows(), out.canonical_rows());
-    }
-
-    #[test]
     fn cartesian_product_sizes_multiply() {
         let a = Relation::from_rows(1, vec![[1], [2], [3]]);
         let b = Relation::from_rows(1, vec![[10], [20]]);
@@ -802,38 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_and_antijoin_propagate_the_left_sort_order() {
-        let l = Relation::from_rows(2, vec![[4, 0], [1, 2], [2, 3], [2, 4], [3, 1]])
-            .sorted_by_columns(&[0, 1]);
-        let r = Relation::from_rows(1, vec![[2], [3]]);
-        // The filtered paths re-assemble kept rows in order and must carry
-        // the recorded order through, keeping them on the merge-join path.
-        let semi = semijoin(&l, &r, &[(0, 0)]);
-        assert!(semi.len() < l.len(), "this case must exercise the filtered path");
-        assert_eq!(semi.sort_order(), Some(&[0, 1][..]));
-        let anti = antijoin(&l, &r, &[(0, 0)]);
-        assert!(anti.len() < l.len());
-        assert_eq!(anti.sort_order(), Some(&[0, 1][..]));
-        // The unfiltered (O(1)-clone) path trivially keeps it.
-        let all = semijoin(&l, &Relation::from_rows(1, vec![[1], [2], [3], [4]]), &[(0, 0)]);
-        assert_eq!(all.sort_order(), Some(&[0, 1][..]));
-        // A sorted, filtered semijoin output feeds the sort-merge join: the
-        // result must be identical to joining the unsorted equivalent.
-        let s = Relation::from_rows(2, vec![[2, 7], [3, 8]]);
-        let merged = join(&semi, &s, &[(0, 0)]);
-        let reference = join(&semijoin(&l.clone().deduped(), &r, &[(0, 0)]), &s, &[(0, 0)]);
-        assert_eq!(merged.canonical_rows(), reference.canonical_rows());
-    }
-
-    #[test]
-    fn intersection_and_difference_inherit_left_order() {
-        let a = Relation::from_rows(1, vec![[3], [1], [2]]).sorted_by_columns(&[0]);
-        let b = Relation::from_rows(1, vec![[3], [4]]);
-        assert_eq!(intersection(&a, &b).sort_order(), Some(&[0][..]));
-        assert_eq!(difference(&a, &b).sort_order(), Some(&[0][..]));
-    }
-
-    #[test]
     fn union_difference_intersection() {
         let a = Relation::from_rows(1, vec![[1], [2], [3]]);
         let b = Relation::from_rows(1, vec![[3], [4]]);
@@ -847,23 +612,6 @@ mod tests {
         let r = Relation::from_rows(2, vec![[1, 2]]);
         let out = reorder(&r, &[1, 0, 1]);
         assert_eq!(out.row(0), &[2, 1, 2]);
-    }
-
-    #[test]
-    fn reorder_remaps_the_recorded_sort_order() {
-        let r = Relation::from_rows(2, vec![[3, 1], [1, 2], [2, 2]]).sorted_by_columns(&[1, 0]);
-        // Swap the columns: the order (old cols [1, 0]) becomes [0, 1].
-        let swapped = reorder(&r, &[1, 0]);
-        assert_eq!(swapped.sort_order(), Some(&[0, 1][..]));
-        // Dropping the leading order column truncates the order to the
-        // prefix that survives (here: nothing — col 1 is gone).
-        let dropped = reorder(&r, &[0]);
-        assert_eq!(dropped.sort_order(), None);
-        // Dropping a trailing order column keeps the sorted prefix.
-        let tail = reorder(&r, &[1]);
-        assert_eq!(tail.sort_order(), Some(&[0][..]));
-        // An unsorted input stays unsorted.
-        assert_eq!(reorder(&r_edges(), &[1, 0]).sort_order(), None);
     }
 
     #[test]
@@ -912,46 +660,6 @@ mod tests {
         let par = raw_rows(&par_join(&all_same, &s, &[(1, 0)], 4));
         assert_eq!(par, seq);
         assert_eq!(par.len(), 1, "cross-shard duplicates must collapse");
-    }
-
-    #[test]
-    fn project_propagates_usable_sort_order_prefix() {
-        let r = Relation::from_rows(3, vec![[2, 1, 9], [1, 5, 8], [1, 2, 7]]);
-        let s = r.sorted_by_columns(&[1, 0, 2]);
-        // All order columns survive (reordered): the full order maps through.
-        let p = project(&s, &[1, 0]);
-        assert_eq!(p.sort_order(), Some(&[0, 1][..]));
-        // Only the leading order column survives: the prefix maps through.
-        let q = project(&s, &[1, 2]);
-        assert_eq!(q.sort_order(), Some(&[0][..]));
-        // The leading order column is projected away: nothing usable.
-        let n = project(&s, &[0, 2]);
-        assert_eq!(n.sort_order(), None);
-    }
-
-    #[test]
-    fn selections_propagate_the_sort_order() {
-        let r = Relation::from_rows(2, vec![[2, 1], [1, 5], [1, 2], [2, 3]]);
-        let s = r.sorted_by_columns(&[0, 1]);
-        assert_eq!(select_eq(&s, 0, 1).sort_order(), Some(&[0, 1][..]));
-        assert_eq!(select_where(&s, |row| row[1] >= 2).sort_order(), Some(&[0, 1][..]));
-        // The unsorted input stays unsorted.
-        assert_eq!(select_eq(&r, 0, 1).sort_order(), None);
-    }
-
-    #[test]
-    fn projected_outputs_take_the_sort_merge_path() {
-        let r = Relation::from_rows(3, vec![[4, 1, 0], [3, 2, 0], [2, 1, 1], [1, 3, 1]]);
-        let a = project(&r.sorted_by_columns(&[0, 1]), &[0, 1]);
-        let b = project(&r.sorted_by_columns(&[1, 2]), &[1, 2]);
-        // Both projections carry orders aligning with a join on their first
-        // columns, so the merge path applies …
-        assert!(merge_alignment(&a, &b, &[(0, 0)]).is_some());
-        // … and produces the same result as the hash path on order-free
-        // copies of the same rows.
-        let strip = |rel: &Relation| Relation::from_rows(rel.arity(), rel.iter());
-        let expected = join(&strip(&a), &strip(&b), &[(0, 0)]).canonical_rows();
-        assert_eq!(join(&a, &b, &[(0, 0)]).canonical_rows(), expected);
     }
 
     #[test]

@@ -62,10 +62,6 @@ pub struct Relation {
     /// `None` means the whole buffer.  Mutation materialises the view
     /// first (see [`Relation::make_owned`]).
     view: Option<(usize, usize)>,
-    /// When set, rows are in non-decreasing lexicographic order of these
-    /// columns (ties in arbitrary order) — the precondition for the
-    /// sort-merge join path in [`crate::operators::join`].
-    sort_order: Option<Vec<usize>>,
     cache: Arc<IndexCache>,
 }
 
@@ -77,7 +73,6 @@ impl Relation {
             arity,
             data: Arc::new(Vec::new()),
             view: None,
-            sort_order: None,
             cache: Arc::new(IndexCache::default()),
         }
     }
@@ -89,7 +84,6 @@ impl Relation {
             arity,
             data: Arc::new(Vec::with_capacity(arity * rows)),
             view: None,
-            sort_order: None,
             cache: Arc::new(IndexCache::default()),
         }
     }
@@ -103,13 +97,7 @@ impl Relation {
             "flat buffer of length {} is not row-aligned for arity {arity}",
             data.len()
         );
-        Relation {
-            arity,
-            data: Arc::new(data),
-            view: None,
-            sort_order: None,
-            cache: Arc::new(IndexCache::default()),
-        }
+        Relation { arity, data: Arc::new(data), view: None, cache: Arc::new(IndexCache::default()) }
     }
 
     /// Builds a relation from an iterator of rows.
@@ -229,7 +217,6 @@ impl Relation {
             self.arity
         );
         self.invalidate_derived();
-        self.sort_order = None;
         self.make_owned();
         let data = Arc::make_mut(&mut self.data);
         if self.arity == 0 {
@@ -280,9 +267,8 @@ impl Relation {
     }
 
     /// Removes duplicate rows in place, keeping the first occurrence of
-    /// every row (so a sorted relation stays sorted).  When the relation is
-    /// already duplicate-free this is a no-op that preserves shared storage
-    /// and cached indexes.
+    /// every row.  When the relation is already duplicate-free this is a
+    /// no-op that preserves shared storage and cached indexes.
     pub fn dedup(&mut self) {
         if self.arity == 0 || self.len() <= 1 {
             return;
@@ -304,8 +290,6 @@ impl Relation {
         self.invalidate_derived();
         self.data = Arc::new(out);
         self.view = None;
-        // `sort_order` is preserved: dropping later duplicates keeps a
-        // sorted sequence sorted.
     }
 
     /// Returns a deduplicated copy.
@@ -313,95 +297,6 @@ impl Relation {
     pub fn deduped(mut self) -> Self {
         self.dedup();
         self
-    }
-
-    /// Sorts rows lexicographically in place and records the sort order.
-    /// Useful for canonical comparisons in tests and for the sort-merge
-    /// join path.  A no-op when the relation already carries the full
-    /// lexicographic order.
-    pub fn sort(&mut self) {
-        if self.arity == 0 {
-            self.sort_order = Some(Vec::new());
-            return;
-        }
-        let identity: Vec<usize> = (0..self.arity).collect();
-        if self.sort_order.as_ref() == Some(&identity) {
-            return;
-        }
-        let mut rows: Vec<&[Value]> = self.iter().collect();
-        rows.sort_unstable();
-        let mut data = Vec::with_capacity(rows.len() * self.arity);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        self.invalidate_derived();
-        self.data = Arc::new(data);
-        self.view = None;
-        self.sort_order = Some(identity);
-    }
-
-    /// Returns a copy whose rows are sorted lexicographically by the given
-    /// columns (ties in arbitrary order), with the sort order recorded so
-    /// the operator layer can pick the sort-merge join path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a column index is out of range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use panda_relation::Relation;
-    ///
-    /// let r = Relation::from_rows(2, vec![[9, 1], [3, 2], [3, 1]]);
-    /// let s = r.sorted_by_columns(&[1, 0]);
-    /// assert_eq!(s.sort_order(), Some(&[1, 0][..]));
-    /// assert_eq!(s.row(0), &[3, 1]);
-    /// // Re-sorting by the recorded order is an O(1) clone.
-    /// assert!(s.sorted_by_columns(&[1, 0]).shares_storage_with(&s));
-    /// ```
-    #[must_use]
-    pub fn sorted_by_columns(&self, cols: &[usize]) -> Relation {
-        for &c in cols {
-            assert!(c < self.arity, "sort column {c} out of range for arity {}", self.arity);
-        }
-        if self.sort_order.as_deref() == Some(cols) {
-            return self.clone();
-        }
-        let mut rows: Vec<&[Value]> = self.iter().collect();
-        rows.sort_by(|a, b| cols.iter().map(|&c| a[c]).cmp(cols.iter().map(|&c| b[c])));
-        let mut data = Vec::with_capacity(rows.len() * self.arity);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Relation {
-            arity: self.arity,
-            data: Arc::new(data),
-            view: None,
-            sort_order: Some(cols.to_vec()),
-            cache: Arc::new(IndexCache::default()),
-        }
-    }
-
-    /// The recorded sort order, if any: rows are in non-decreasing
-    /// lexicographic order of these columns.
-    #[must_use]
-    pub fn sort_order(&self) -> Option<&[usize]> {
-        self.sort_order.as_deref()
-    }
-
-    /// Records a sort order the caller has established by construction
-    /// (debug-asserted).  Crate-internal: operators use it to propagate
-    /// orderedness through order-preserving outputs.
-    pub(crate) fn assume_sort_order(&mut self, order: Vec<usize>) {
-        debug_assert!(
-            self.iter().zip(self.iter().skip(1)).all(|(a, b)| {
-                order.iter().map(|&c| a[c]).cmp(order.iter().map(|&c| b[c]))
-                    != std::cmp::Ordering::Greater
-            }),
-            "assume_sort_order called with an order the rows do not satisfy"
-        );
-        self.sort_order = Some(order);
     }
 
     /// Returns the rows as a sorted, deduplicated vector of owned tuples —
@@ -462,7 +357,6 @@ impl Relation {
             return;
         }
         self.invalidate_derived();
-        self.sort_order = None;
         self.make_owned();
         let data = Arc::make_mut(&mut self.data);
         if self.arity == 0 {
@@ -598,9 +492,8 @@ impl Relation {
     /// Splits the relation into at most `parts` contiguous, balanced shards
     /// that together cover all rows in order.  Shards are **zero-copy
     /// views**: they share the parent's `Arc`-backed tuple storage (no
-    /// tuple data is duplicated until a shard is mutated) and inherit the
-    /// parent's recorded sort order, but start from their own empty index
-    /// cache.  Returns an empty vector for an empty relation and a single
+    /// tuple data is duplicated until a shard is mutated) but start from
+    /// their own empty index cache.  Returns an empty vector for an empty relation and a single
     /// O(1) clone when `parts == 1` or the relation has a single row (or
     /// arity zero).
     ///
@@ -648,8 +541,6 @@ impl Relation {
                     arity: self.arity,
                     data: Arc::clone(&self.data),
                     view: Some((base + lo, hi - lo)),
-                    // A contiguous slice of a sorted sequence is sorted.
-                    sort_order: self.sort_order.clone(),
                     cache: Arc::new(IndexCache::default()),
                 }
             })
@@ -771,16 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_orders_lexicographically() {
-        let mut r = Relation::from_rows(2, vec![[2, 1], [1, 5], [1, 2]]);
-        r.sort();
-        assert_eq!(r.row(0), &[1, 2]);
-        assert_eq!(r.row(1), &[1, 5]);
-        assert_eq!(r.row(2), &[2, 1]);
-        assert_eq!(r.sort_order(), Some(&[0, 1][..]));
-    }
-
-    #[test]
     fn distinct_count_and_extend() {
         let mut r = Relation::from_rows(1, vec![[1], [2], [2]]);
         assert_eq!(r.distinct_count(), 2);
@@ -815,29 +696,6 @@ mod tests {
         r.extend_from(&other);
         assert!(r.shares_storage_with(&other));
         assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn sorted_by_columns_records_the_order() {
-        let r = Relation::from_rows(2, vec![[9, 1], [3, 2], [3, 1]]);
-        let s = r.sorted_by_columns(&[1, 0]);
-        assert_eq!(s.sort_order(), Some(&[1, 0][..]));
-        assert_eq!(s.row(0), &[3, 1]);
-        assert_eq!(s.row(1), &[9, 1]);
-        assert_eq!(s.row(2), &[3, 2]);
-        // The original is untouched and unordered.
-        assert_eq!(r.sort_order(), None);
-        // Re-sorting by the recorded order is an O(1) clone.
-        assert!(s.sorted_by_columns(&[1, 0]).shares_storage_with(&s));
-    }
-
-    #[test]
-    fn mutation_clears_the_sort_order() {
-        let mut r = Relation::from_rows(1, vec![[1], [2]]);
-        r.sort();
-        assert!(r.sort_order().is_some());
-        r.push_row(&[0]);
-        assert_eq!(r.sort_order(), None);
     }
 
     #[test]
@@ -919,12 +777,10 @@ mod tests {
     }
 
     #[test]
-    fn shards_of_a_sorted_relation_stay_sorted_and_can_renest() {
-        let mut r = Relation::from_rows(2, (0..12u64).map(|i| [i / 3, i % 3]));
-        r.sort();
+    fn shards_can_renest() {
+        let r = Relation::from_rows(2, (0..12u64).map(|i| [i / 3, i % 3]));
         let shards = r.partitioned(3);
         for shard in &shards {
-            assert_eq!(shard.sort_order(), Some(&[0, 1][..]));
             // A shard of a shard composes the view offsets.
             let nested = shard.partitioned(2);
             let merged = Relation::concatenated(2, &nested);

@@ -1,6 +1,6 @@
 //! Differential tests for the operator layer: every join-shaped operator is
 //! checked against a naive nested-loop reference on random inputs, through
-//! all three execution paths — fresh index, cached index, and sort-merge.
+//! both execution paths — fresh index and cached index.
 
 use panda_relation::{operators, Relation, Tuple, Value};
 use proptest::prelude::*;
@@ -148,23 +148,6 @@ proptest! {
         let _ = right.index_for(&[0]);
         let both_cached = operators::join(&left, &right, &on).canonical_rows();
         prop_assert_eq!(&cold, &both_cached);
-    }
-
-    #[test]
-    fn prop_merge_join_agrees_with_hash_join(
-        lrows in rows_strategy(2, 40),
-        rrows in rows_strategy(2, 40),
-        lcol in 0usize..2,
-        rcol in 0usize..2,
-    ) {
-        let left = rel_from(2, &lrows);
-        let right = rel_from(2, &rrows);
-        let on = [(lcol, rcol)];
-        let expected = naive_join(&left, &right, &on);
-        let lsorted = left.sorted_by_columns(&[lcol, 1 - lcol]);
-        let rsorted = right.sorted_by_columns(&[rcol, 1 - rcol]);
-        prop_assert!(lsorted.sort_order().is_some());
-        prop_assert_eq!(operators::join(&lsorted, &rsorted, &on).canonical_rows(), expected);
     }
 
     #[test]

@@ -43,6 +43,8 @@ pub mod protocol;
 pub mod serve;
 pub mod session;
 
+// The engine type `ServeOptions` and `Session::with_engine` take.
+pub use panda_core::Engine;
 pub use protocol::{body_lines, parse_request, Command, ErrorCode, Request, WireError};
 pub use serve::{serve, serve_connection, serve_stdio, ServeOptions, QUEUE_CAP};
 pub use session::{Reply, Session, SessionCacheStats};

@@ -6,6 +6,10 @@
 //! panda-server --stdio                   # one sequential session on stdio
 //! panda-server --listen ... --once       # serve one connection, then exit
 //! ```
+//!
+//! `PANDA_THREADS` (read here, once, and nowhere in the libraries) selects
+//! the engine every session runs under; see
+//! [`panda_core::Engine::from_setting`] for the accepted values.
 
 #![forbid(unsafe_code)]
 
@@ -13,6 +17,7 @@ use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
+use panda_core::Engine;
 use panda_server::serve::{serve, serve_stdio, ServeOptions};
 
 const USAGE: &str = "usage: panda-server [--listen <addr>] [--stdio] [--once]";
@@ -43,8 +48,9 @@ fn main() -> ExitCode {
             }
         }
     }
+    let engine = Engine::from_setting(std::env::var("PANDA_THREADS").ok().as_deref());
     if stdio {
-        return match serve_stdio() {
+        return match serve_stdio(engine) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("panda-server: {e}");
@@ -72,7 +78,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    match serve(&listener, ServeOptions { once }) {
+    match serve(&listener, ServeOptions { once, engine }) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("panda-server: {e}");

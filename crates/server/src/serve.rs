@@ -32,7 +32,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 
-use panda_core::CancelToken;
+use panda_core::{CancelToken, Engine};
 
 use crate::protocol::{parse_request, Command, ErrorCode, WireError, MAX_LINE_BYTES};
 use crate::session::{Reply, Session};
@@ -46,6 +46,9 @@ pub const QUEUE_CAP: usize = 64;
 pub struct ServeOptions {
     /// Serve a single connection, then return (used by tests and CI).
     pub once: bool,
+    /// The engine every session's requests run under (sequential by
+    /// default; the binary maps `PANDA_THREADS` onto it).
+    pub engine: Engine,
 }
 
 struct Job {
@@ -167,8 +170,9 @@ fn worker_loop(
     stream: &TcpStream,
     shared: &Shared,
     writer: &Mutex<BufWriter<TcpStream>>,
+    engine: Engine,
 ) -> io::Result<()> {
-    let mut session = Session::new();
+    let mut session = Session::with_engine(engine);
     loop {
         let job = {
             let mut st = lock(&shared.state);
@@ -202,8 +206,9 @@ fn worker_loop(
     }
 }
 
-/// Serves one accepted connection to completion (QUIT or EOF).
-pub fn serve_connection(stream: TcpStream) -> io::Result<()> {
+/// Serves one accepted connection to completion (QUIT or EOF), its
+/// session running under `engine`.
+pub fn serve_connection(stream: TcpStream, engine: Engine) -> io::Result<()> {
     let writer = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
     let shared = Arc::new(Shared {
         state: Mutex::new(ConnState::default()),
@@ -220,7 +225,7 @@ pub fn serve_connection(stream: TcpStream) -> io::Result<()> {
             let _ = reader_loop(read_stream, &shared, &writer);
         })
     };
-    let worker_result = worker_loop(&stream, &shared, &writer);
+    let worker_result = worker_loop(&stream, &shared, &writer, engine);
     // Unblock and join the reader: close the socket (stops a blocked read)
     // and wake any wait on the queue.
     let _ = stream.shutdown(Shutdown::Both);
@@ -241,25 +246,26 @@ pub fn serve(listener: &TcpListener, options: ServeOptions) -> io::Result<()> {
     for stream in listener.incoming() {
         let stream = stream?;
         if options.once {
-            return serve_connection(stream);
+            return serve_connection(stream, options.engine);
         }
         // panda-lint: allow(D2) -- one handler thread per connection;
         // sessions share no mutable state (the plan cache is already
         // internally synchronised and order-insensitive by construction).
         thread::spawn(move || {
-            let _ = serve_connection(stream);
+            let _ = serve_connection(stream, options.engine);
         });
     }
     Ok(())
 }
 
 /// Serves a single session over stdin/stdout, strictly sequentially: the
-/// deterministic reference transport (no threads, no out-of-band cancel).
-pub fn serve_stdio() -> io::Result<()> {
+/// deterministic reference transport (no transport threads, no
+/// out-of-band cancel).  The session runs under `engine`.
+pub fn serve_stdio(engine: Engine) -> io::Result<()> {
     let stdin = io::stdin();
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
-    let mut session = Session::new();
+    let mut session = Session::with_engine(engine);
     let mut line = String::new();
     loop {
         line.clear();

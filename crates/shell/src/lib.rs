@@ -39,6 +39,7 @@ use std::net::TcpStream;
 use panda_query::{parse_statement, Parsed};
 use panda_server::protocol::{body_lines, parse_request, Command};
 use panda_server::session::Session;
+use panda_server::Engine;
 
 /// Where shell input is executed: in-process or over TCP.
 pub enum ShellBackend {
@@ -56,10 +57,10 @@ pub struct Connection {
 }
 
 impl ShellBackend {
-    /// An embedded backend over a fresh session.
+    /// An embedded backend over a fresh session running under `engine`.
     #[must_use]
-    pub fn embedded() -> ShellBackend {
-        ShellBackend::Embedded(Box::new(Session::new()))
+    pub fn embedded(engine: Engine) -> ShellBackend {
+        ShellBackend::Embedded(Box::new(Session::with_engine(engine)))
     }
 
     /// Connects to a `panda-server` at `addr` (e.g. `127.0.0.1:4860`).
@@ -340,7 +341,7 @@ mod tests {
     use super::*;
 
     fn run_embedded(script: &str) -> String {
-        let mut shell = Shell::new(ShellBackend::embedded());
+        let mut shell = Shell::new(ShellBackend::embedded(Engine::Sequential));
         let mut out = Vec::new();
         shell.run_script(script, &mut out).unwrap();
         String::from_utf8(out).unwrap()
@@ -389,7 +390,7 @@ mod tests {
 
     #[test]
     fn quit_ends_the_script() {
-        let mut shell = Shell::new(ShellBackend::embedded());
+        let mut shell = Shell::new(ShellBackend::embedded(Engine::Sequential));
         let mut out = Vec::new();
         let quit = shell.run_script("\\q\nPING\n", &mut out).unwrap();
         assert!(quit);

@@ -5,12 +5,16 @@
 //! panda-shell --connect 127.0.0.1:4860  # drive a running panda-server
 //! panda-shell --script session.panda  # replay a script, print transcript
 //! ```
+//!
+//! `PANDA_THREADS` (read here, once) selects the embedded session's engine;
+//! a connected shell runs on whatever engine the server was started with.
 
 #![forbid(unsafe_code)]
 
 use std::io::{self, BufRead, IsTerminal, Write};
 use std::process::ExitCode;
 
+use panda_server::Engine;
 use panda_shell::{Shell, ShellBackend};
 
 const USAGE: &str = "usage: panda-shell [--connect <addr>] [--script <file>]";
@@ -47,7 +51,10 @@ fn run() -> io::Result<ExitCode> {
     }
     let backend = match &connect {
         Some(addr) => ShellBackend::connect(addr)?,
-        None => ShellBackend::embedded(),
+        None => {
+            let engine = Engine::from_setting(std::env::var("PANDA_THREADS").ok().as_deref());
+            ShellBackend::embedded(engine)
+        }
     };
     let mut shell = Shell::new(backend);
     let stdout = io::stdout();

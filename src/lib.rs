@@ -35,8 +35,9 @@
 //!
 //! Evaluation is sequential by default; the [`config`] module (re-exported
 //! from `panda-core`) holds the opt-in [`config::Engine`] /
-//! [`config::Parallelism`] knob and the `PANDA_THREADS` environment
-//! toggle.  Parallel execution is deterministic: every parallel region is
+//! [`config::Parallelism`] knob, passed in by the caller (only the
+//! `panda-server` and `panda-shell` binaries read `PANDA_THREADS`).
+//! Parallel execution is deterministic: every parallel region is
 //! one [`relation::fan_out::ordered_map`] call, which merges in input
 //! order, so outputs are bit-identical to sequential at any thread count.
 //!

@@ -14,9 +14,10 @@
 //!   instance of E13) at reduced sizes, through every evaluation strategy
 //!   plus DDR models and the width computations the tables report.
 //!
-//! The CI matrix additionally re-runs the whole workspace test suite under
-//! `PANDA_THREADS ∈ {1, 4}`, which routes every default-constructed
-//! evaluator through both engines.
+//! The engine is always an argument here: no library code reads
+//! `PANDA_THREADS`, so these in-process comparisons are the whole of the
+//! cross-engine coverage (the binaries' reading of the variable is checked
+//! by CI's serve-replay job).
 
 use panda::config::{Engine, Parallelism};
 use panda::prelude::*;

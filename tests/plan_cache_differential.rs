@@ -89,31 +89,17 @@ fn assert_cold_warm_identical(
         report_modulo_cache_events(&warm_report),
         "{label}: warm report must equal cold up to cache_events"
     );
-    if cache_on() {
-        assert_eq!(
-            cold_report.cache_events.first(),
-            Some(&ReasonCode::PlanCacheMiss),
-            "{label}: the first cold report is a miss"
-        );
-        assert_eq!(
-            warm_report.cache_events,
-            vec![ReasonCode::PlanCacheHit],
-            "{label}: the warm report is a pure hit"
-        );
-    } else {
-        // PANDA_PLAN_CACHE=off (the CI plan-cache-off leg): every report
-        // carries the bypass marker and the bit-identity above is the
-        // cold path agreeing with itself.
-        assert_eq!(cold_report.cache_events, vec![ReasonCode::PlanCacheBypass]);
-        assert_eq!(warm_report.cache_events, vec![ReasonCode::PlanCacheBypass]);
-    }
+    assert_eq!(
+        cold_report.cache_events.first(),
+        Some(&ReasonCode::PlanCacheMiss),
+        "{label}: the first cold report is a miss"
+    );
+    assert_eq!(
+        warm_report.cache_events,
+        vec![ReasonCode::PlanCacheHit],
+        "{label}: the warm report is a pure hit"
+    );
     (cold_report, cold_explain, cold_rows)
-}
-
-/// Whether the plan cache is enabled in this process (`PANDA_PLAN_CACHE`):
-/// the counter- and hit/miss-event assertions only apply when it is.
-fn cache_on() -> bool {
-    panda::config::plan_cache_enabled()
 }
 
 /// The E-workload matrix: every (workload, engine) cell is cold/warm
@@ -174,10 +160,8 @@ fn cached_plans_serve_across_engines() {
     let warm_explain = par.explain(&db).unwrap().to_string();
     let warm_rows = raw_rows(&par.evaluate(&db));
 
-    if cache_on() {
-        assert_eq!(cold_report.cache_events.first(), Some(&ReasonCode::PlanCacheMiss));
-        assert_eq!(warm_report.cache_events, vec![ReasonCode::PlanCacheHit]);
-    }
+    assert_eq!(cold_report.cache_events.first(), Some(&ReasonCode::PlanCacheMiss));
+    assert_eq!(warm_report.cache_events, vec![ReasonCode::PlanCacheHit]);
     assert_eq!(cold_explain, warm_explain);
     assert_eq!(cold_rows, warm_rows);
     assert_eq!(report_modulo_cache_events(&cold_report), report_modulo_cache_events(&warm_report));
@@ -217,23 +201,19 @@ fn isomorphic_queries_share_a_slot_and_stay_bit_identical() {
     for (q, (cold_explain, cold_rows)) in [&base, &renamed, &permuted].into_iter().zip(&cold) {
         let p = Panda::new(q.clone());
         let report = p.plan_report(&db).unwrap();
-        if cache_on() {
-            assert_eq!(
-                report.cache_events,
-                vec![ReasonCode::PlanCacheHit],
-                "isomorphic variant must hit the plan cache"
-            );
-        }
+        assert_eq!(
+            report.cache_events,
+            vec![ReasonCode::PlanCacheHit],
+            "isomorphic variant must hit the plan cache"
+        );
         assert_eq!(&p.explain(&db).unwrap().to_string(), cold_explain);
         assert_eq!(&raw_rows(&p.evaluate(&db)), cold_rows);
     }
-    if cache_on() {
-        let after = plan_cache_stats();
-        // Base: 1 report miss; its evaluation is served by the report-path
-        // entry (the fallback tier).  Variants: all hits.
-        assert_eq!(after.misses - before.misses, 1);
-        assert!(after.hits - before.hits >= 6);
-    }
+    let after = plan_cache_stats();
+    // Base: 1 report miss; its evaluation is served by the report-path
+    // entry (the fallback tier).  Variants: all hits.
+    assert_eq!(after.misses - before.misses, 1);
+    assert!(after.hits - before.hits >= 6);
 }
 
 /// An isomorphic query whose variables first occur in a *different order*
@@ -259,10 +239,8 @@ fn renumbered_isomorphic_queries_evaluate_identically() {
     let after = plan_cache_stats();
 
     assert_eq!(cold_rows, warm_rows, "renamed served plan must match cold evaluation");
-    if cache_on() {
-        assert_eq!(after.misses - before.misses, 1, "q1 plans cold");
-        assert_eq!(after.hits - before.hits, 1, "q2 is served from q1's slot");
-    }
+    assert_eq!(after.misses - before.misses, 1, "q1 plans cold");
+    assert_eq!(after.hits - before.hits, 1, "q2 is served from q1's slot");
 }
 
 /// LRU eviction is deterministic in access counts: filling the cache past
@@ -272,9 +250,6 @@ fn renumbered_isomorphic_queries_evaluate_identically() {
 #[test]
 fn lru_eviction_is_deterministic_and_observable() {
     let _guard = cache_guard();
-    if !cache_on() {
-        return; // nothing to evict with the cache disabled
-    }
     let query = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z)").unwrap();
     plan_cache_clear();
     let before = plan_cache_stats();

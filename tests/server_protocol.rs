@@ -1,26 +1,34 @@
 //! Protocol conformance: golden request/response transcripts for every
 //! command, error, downgrade and cancellation path of `panda-server`.
 //!
-//! Transcripts are asserted byte for byte, and this binary runs in the CI
-//! build-test matrix (`PANDA_THREADS`) and in the plan-cache-off job, so
-//! the goldens are pinned across engines, thread counts and cache modes.
-//! Responses never encode the engine, so one golden serves every matrix
-//! cell; the only cache-mode-dependent response (`STATS`) branches on
-//! [`plan_cache_enabled`] explicitly.
+//! Transcripts are asserted byte for byte.  Responses never encode the
+//! engine, so [`transcript`] replays every golden script through a second
+//! session built with `Engine::Parallel(4)` and requires the same bytes;
+//! the one response that depends on cache temperature (`STATS`) is
+//! asserted on a single pass.
 //!
 //! Relation names are unique per test: the plan cache is process-wide and
 //! the tests run concurrently, so distinct cache keys are what keep each
 //! test's hit/miss accounting deterministic.
 
-use panda::core::plan_cache_enabled;
+use panda::config::{Engine, Parallelism};
 use panda::prelude::*;
 use panda::server::session::Session;
 use panda::server::{body_lines, Reply};
 
+/// Runs a script through a sequential session and again through a
+/// four-thread one, asserts the two transcripts are the same bytes, and
+/// returns them.
+fn transcript(lines: &[&str]) -> Vec<String> {
+    let sequential = replay(Session::new(), lines);
+    let parallel = replay(Session::with_engine(Engine::Parallel(Parallelism::threads(4))), lines);
+    assert_eq!(parallel, sequential, "the transcript must not depend on the engine");
+    sequential
+}
+
 /// Runs a scripted session line by line, collecting all response lines and
 /// asserting the framing invariant (`lines=` announces the body exactly).
-fn transcript(lines: &[&str]) -> Vec<String> {
-    let mut session = Session::new();
+fn replay(mut session: Session, lines: &[&str]) -> Vec<String> {
     let mut out = Vec::new();
     for line in lines {
         let reply = session.handle_line(line);
@@ -304,26 +312,24 @@ fn golden_quit() {
 #[test]
 fn stats_account_the_sessions_own_cache_traffic() {
     // Unique relation names give this test its own plan-cache keys, so
-    // the second identical query is deterministically a hit (cache on) or
-    // a bypass (PANDA_PLAN_CACHE=off) — the explicit branch below is what
-    // keeps this golden valid in the CI plan-cache-off job.
-    let out = transcript(&[
-        "LOAD PiR 2",
-        "1 2",
-        "END",
-        "LOAD PiS 2",
-        "2 3",
-        "END",
-        "QUERY Q(X,Z) :- PiR(X,Y), PiS(Y,Z)",
-        "QUERY Q(X,Z) :- PiR(X,Y), PiS(Y,Z)",
-        "STATS",
-    ]);
+    // the second identical query is deterministically a hit.  One pass
+    // only: a second session would find both plans cached.
+    let out = replay(
+        Session::new(),
+        &[
+            "LOAD PiR 2",
+            "1 2",
+            "END",
+            "LOAD PiS 2",
+            "2 3",
+            "END",
+            "QUERY Q(X,Z) :- PiR(X,Y), PiS(Y,Z)",
+            "QUERY Q(X,Z) :- PiR(X,Y), PiS(Y,Z)",
+            "STATS",
+        ],
+    );
     let stats = out.last().cloned().unwrap_or_default();
-    if plan_cache_enabled() {
-        assert_eq!(stats, "OK stats hits=1 misses=1 evictions=0 bypasses=0");
-    } else {
-        assert_eq!(stats, "OK stats hits=0 misses=0 evictions=0 bypasses=2");
-    }
+    assert_eq!(stats, "OK stats hits=1 misses=1 evictions=0 bypasses=0");
     let global = transcript(&["STATS GLOBAL"]);
     assert_eq!(global.len(), 1);
     assert!(global[0].starts_with("OK stats-global hits="), "{global:?}");
