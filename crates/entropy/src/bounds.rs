@@ -12,6 +12,12 @@
 //!
 //! Every bound comes back as a [`BoundReport`] carrying the optimal value
 //! *and* the dual certificate as a verified [`ShannonFlow`].
+//!
+//! The two width chains are where planning spends its pivots, so each
+//! exists once and takes the request's [`PivotBudget`]:
+//! [`fhtw_with_tds_budgeted`] and [`subw_with_tds_budgeted`] charge every
+//! pivot to it and poll its cancel token there; [`fhtw`] and [`subw`] are
+//! the same chains under [`PivotBudget::unlimited`].
 
 // panda-lint: allow-file(P1) -- LP variable ids are minted by the
 // Γ-LP builder in this module, so objective/constraint lookups are
@@ -25,7 +31,6 @@ use std::sync::{Arc, Mutex};
 use panda_lp::{Basis, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_query::{BagSelector, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_rational::Rat;
-use panda_relation::fan_out::ordered_map;
 
 use crate::constraints::{StatKind, Statistic, StatisticsSet};
 use crate::elemental::Elemental;
@@ -332,7 +337,8 @@ impl GammaLp {
 
     /// Solves the LP and converts the dual into a verified [`ShannonFlow`].
     fn solve(&self, stats: &StatisticsSet, targets: &[VarSet]) -> Result<BoundReport, BoundError> {
-        self.solve_warm(stats, targets, None, None).map(|(report, _)| report)
+        self.solve_warm(stats, targets, None, &mut PivotBudget::unlimited())
+            .map(|(report, _)| report)
     }
 
     /// Like [`GammaLp::solve`], but optionally warm-starting from the final
@@ -343,21 +349,17 @@ impl GammaLp {
     /// *identical* — only the objective moves), skipping phase 1 whenever
     /// the carried basis is still exactly feasible.
     ///
-    /// When a [`PivotBudget`] is supplied, every simplex pivot is charged
-    /// to it and the solve aborts with
-    /// [`BoundError::PivotBudgetExhausted`] once it runs out.
+    /// Every simplex pivot is charged to `budget`; the solve aborts with
+    /// [`BoundError::PivotBudgetExhausted`] once it runs out and with
+    /// [`BoundError::Cancelled`] once its token fires.
     fn solve_warm(
         &self,
         stats: &StatisticsSet,
         targets: &[VarSet],
         hint: Option<&Basis>,
-        budget: Option<&mut PivotBudget>,
+        budget: &mut PivotBudget,
     ) -> Result<(BoundReport, Option<Basis>), BoundError> {
-        let solved = match budget {
-            Some(b) => self.lp.solve_warm_budgeted(hint, b),
-            None => self.lp.solve_warm(hint),
-        };
-        let (outcome, basis) = solved.map_err(|e| match e {
+        let (outcome, basis) = self.lp.solve_warm(hint, budget).map_err(|e| match e {
             LpError::PivotBudgetExhausted { .. } => BoundError::PivotBudgetExhausted,
             LpError::Cancelled => BoundError::Cancelled,
             other => BoundError::Solver(other.to_string()),
@@ -577,56 +579,27 @@ pub fn agm_bound(
 /// ```
 pub fn fhtw(query: &ConjunctiveQuery, stats: &StatisticsSet) -> Result<FhtwReport, BoundError> {
     let tds = TreeDecomposition::enumerate(query);
-    fhtw_with_tds(query, &tds, stats)
+    fhtw_with_tds_budgeted(query, &tds, stats, &mut PivotBudget::unlimited())
 }
 
-/// Splits `items` into at most `threads` balanced contiguous chunks — the
-/// unit of work of the parallel fhtw computation: each chunk is one
-/// warm-started LP chain on one thread.
-fn chunked<T>(items: &[T], threads: usize) -> Vec<&[T]> {
-    let k = threads.min(items.len()).max(1);
-    let chunks: Vec<&[T]> =
-        (0..k).map(|i| &items[items.len() * i / k..items.len() * (i + 1) / k]).collect();
-    // The chunks must tile the input in order — flattening chunk results
-    // in chunk order is what keeps the parallel chains bit-identical to
-    // the sequential one.
-    debug_assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), items.len());
-    chunks
-}
-
-/// [`fhtw`] over an explicit set of tree decompositions.
-pub fn fhtw_with_tds(
-    query: &ConjunctiveQuery,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-) -> Result<FhtwReport, BoundError> {
-    fhtw_with_tds_parallel(query, tds, stats, 1)
-}
-
-/// [`fhtw_with_tds`] with every simplex pivot of the per-bag LP chain
-/// charged to a shared [`PivotBudget`]; aborts with
-/// [`BoundError::PivotBudgetExhausted`] once the budget runs out.  A chain
-/// that completes within budget returns bit-for-bit the same report as the
-/// unbudgeted sequential chain (the budget counts pivots, it never alters
-/// one).
+/// [`fhtw`] over an explicit set of tree decompositions, with every
+/// simplex pivot of the per-bag LP chain charged to a shared
+/// [`PivotBudget`]; aborts with [`BoundError::PivotBudgetExhausted`] once
+/// the budget runs out and with [`BoundError::Cancelled`] once its token
+/// fires.  The budget counts pivots, it never alters one, so a chain that
+/// completes returns bit-for-bit the same report under any limit.
+///
+/// # Panics
+///
+/// Panics if `tds` is empty.
 pub fn fhtw_with_tds_budgeted(
     query: &ConjunctiveQuery,
     tds: &[TreeDecomposition],
     stats: &StatisticsSet,
     budget: &mut PivotBudget,
 ) -> Result<FhtwReport, BoundError> {
-    fhtw_chain(query.all_vars(), tds, stats, Some(budget)).map(fhtw_report)
-}
-
-/// One warm-started per-bag LP chain over `tds`, in order: the cost of
-/// every decomposition, or the error of the first LP that fails.
-fn fhtw_chain(
-    universe: VarSet,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-    mut budget: Option<&mut PivotBudget>,
-) -> Result<Vec<TdCost>, BoundError> {
-    let mut per_td = Vec::with_capacity(tds.len());
+    let universe = query.all_vars();
+    let mut per_td: Vec<TdCost> = Vec::with_capacity(tds.len());
     // Per-bag LPs share every constraint (only the objective moves), so
     // each solve warm-starts from the previous bag's optimal basis.
     let mut carried: Option<Basis> = None;
@@ -635,8 +608,7 @@ fn fhtw_chain(
         let mut per_bag = Vec::with_capacity(td.num_bags());
         for &bag in td.bags() {
             let lp = GammaLp::build(universe, stats, &[bag]);
-            let (report, basis) =
-                lp.solve_warm(stats, &[bag], carried.as_ref(), budget.as_deref_mut())?;
+            let (report, basis) = lp.solve_warm(stats, &[bag], carried.as_ref(), budget)?;
             // An Ok solve is always Optimal here, and Optimal always
             // carries a basis.
             carried = basis;
@@ -645,87 +617,40 @@ fn fhtw_chain(
         }
         per_td.push((td.clone(), worst, per_bag));
     }
-    Ok(per_td)
-}
-
-/// The report over the decomposition costs: the first decomposition of
-/// minimum cost is the best one.  Panics on an empty list — every public
-/// `fhtw` form ends here, so this is their one emptiness check.
-fn fhtw_report(per_td: Vec<TdCost>) -> FhtwReport {
+    // The first decomposition of minimum cost is the best one.
     let best = per_td
         .iter()
         .enumerate()
         .min_by(|a, b| a.1 .1.cmp(&b.1 .1))
         .map(|(i, _)| i)
         .expect("fhtw requires at least one tree decomposition");
-    FhtwReport { value: per_td[best].1, best, per_td }
-}
-
-/// [`fhtw_with_tds`] with the per-TD bag-LP chains distributed over up to
-/// `threads` threads.
-///
-/// The decompositions are split into contiguous chunks; each thread runs
-/// the warm-started per-bag chain for its chunk, all sharing one Γ_n
-/// scaffold through the process-wide memo (see `scaffold_for`), so the
-/// scaffold is built at most once.  Optimal LP values are unique, so the
-/// reported widths and per-bag bounds are **identical** to the sequential
-/// chain at any thread count; only wall-clock time changes.  When several
-/// chunks fail, the error of the earliest one is returned, as a single
-/// chain would.
-pub fn fhtw_with_tds_parallel(
-    query: &ConjunctiveQuery,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-    threads: usize,
-) -> Result<FhtwReport, BoundError> {
-    let universe = query.all_vars();
-    let per_chunk = ordered_map(threads, &chunked(tds, threads), |chunk| {
-        fhtw_chain(universe, chunk, stats, None)
-    });
-    let mut per_td = Vec::with_capacity(tds.len());
-    for chunk in per_chunk {
-        per_td.extend(chunk?);
-    }
-    Ok(fhtw_report(per_td))
+    Ok(FhtwReport { value: per_td[best].1, best, per_td })
 }
 
 /// The submodular width of a query under statistics (Eq. 41), using the
 /// query's enumerated free-connex tree decompositions.
 pub fn subw(query: &ConjunctiveQuery, stats: &StatisticsSet) -> Result<SubwReport, BoundError> {
     let tds = TreeDecomposition::enumerate(query);
-    subw_with_tds(query, &tds, stats)
+    subw_with_tds_budgeted(query, &tds, stats, &mut PivotBudget::unlimited())
 }
 
-/// [`subw`] over an explicit set of tree decompositions.
-pub fn subw_with_tds(
-    query: &ConjunctiveQuery,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-) -> Result<SubwReport, BoundError> {
-    subw_chain(query, tds, stats, None)
-}
-
-/// [`subw_with_tds`] with every simplex pivot of the selector LP chain
-/// charged to a shared [`PivotBudget`]; aborts with
-/// [`BoundError::PivotBudgetExhausted`] once the budget runs out.  A chain
-/// that completes within budget returns bit-for-bit the same report as the
-/// unbudgeted sequential chain.
+/// [`subw`] over an explicit set of tree decompositions, with every
+/// simplex pivot of the selector LP chain charged to a shared
+/// [`PivotBudget`]; aborts with [`BoundError::PivotBudgetExhausted`] once
+/// the budget runs out and with [`BoundError::Cancelled`] once its token
+/// fires.  A chain that completes returns bit-for-bit the same report
+/// under any limit.  The chain is sequential by design: its per-selector
+/// Shannon flows seed the adaptive partitions, so its shape must not
+/// depend on a thread count.
+///
+/// # Panics
+///
+/// Panics if `tds` is empty.
 pub fn subw_with_tds_budgeted(
     query: &ConjunctiveQuery,
     tds: &[TreeDecomposition],
     stats: &StatisticsSet,
     budget: &mut PivotBudget,
-) -> Result<SubwReport, BoundError> {
-    subw_chain(query, tds, stats, Some(budget))
-}
-
-/// The shared sequential selector LP chain behind [`subw_with_tds`] and
-/// [`subw_with_tds_budgeted`].
-fn subw_chain(
-    query: &ConjunctiveQuery,
-    tds: &[TreeDecomposition],
-    stats: &StatisticsSet,
-    mut budget: Option<&mut PivotBudget>,
 ) -> Result<SubwReport, BoundError> {
     assert!(!tds.is_empty(), "subw requires at least one tree decomposition");
     let universe = query.all_vars();
@@ -739,8 +664,7 @@ fn subw_chain(
     let mut carried: Option<Basis> = None;
     for selector in selectors {
         let lp = GammaLp::build(universe, stats, selector.bags());
-        let (report, basis) =
-            lp.solve_warm(stats, selector.bags(), carried.as_ref(), budget.as_deref_mut())?;
+        let (report, basis) = lp.solve_warm(stats, selector.bags(), carried.as_ref(), budget)?;
         // An Ok solve is always Optimal here, and Optimal always carries a
         // basis.
         carried = basis;
@@ -917,21 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fhtw_chain_reports_the_earliest_failure() {
-        let q = four_cycle();
-        let tds = TreeDecomposition::enumerate(&q);
-        assert!(tds.len() >= 2, "need one chunk per thread to fail");
-        // Only R(X,Y) is constrained and every decomposition has a bag
-        // holding Z or W, so every chunk's chain fails.
-        let mut stats = StatisticsSet::new(1000);
-        stats.add_cardinality("R", vs(&[0, 1]), 1000);
-        for threads in [1, 2, 8] {
-            let err = fhtw_with_tds_parallel(&q, &tds, &stats, threads).unwrap_err();
-            assert_eq!(err, BoundError::Unbounded, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn acyclic_query_fhtw_is_one() {
         let q = parse_query("P(A,B,C) :- R(A,B), S(B,C)").unwrap();
         let stats = StatisticsSet::identical_cardinalities(&q, 4096);
@@ -1013,29 +922,11 @@ mod tests {
         // be identical to cold per-selector solves.
         let q = four_cycle();
         let stats = s_square(1000);
-        let tds = TreeDecomposition::enumerate(&q);
-        let report = subw_with_tds(&q, &tds, &stats).unwrap();
+        let report = subw(&q, &stats).unwrap();
         for sel in &report.per_selector {
             let cold = ddr_polymatroid_bound(sel.selector.bags(), q.all_vars(), &stats).unwrap();
             assert_eq!(cold.log_bound, sel.report.log_bound);
             sel.report.flow.verify_identity().unwrap();
-        }
-    }
-
-    #[test]
-    fn parallel_width_chains_match_sequential_values() {
-        let q = four_cycle();
-        let stats = s_square(1000);
-        let tds = TreeDecomposition::enumerate(&q);
-        let seq_fhtw = fhtw_with_tds(&q, &tds, &stats).unwrap();
-        for threads in [1, 2, 8] {
-            let par_fhtw = fhtw_with_tds_parallel(&q, &tds, &stats, threads).unwrap();
-            assert_eq!(par_fhtw.value, seq_fhtw.value, "fhtw, threads = {threads}");
-            assert_eq!(par_fhtw.best, seq_fhtw.best);
-            for (p, s) in par_fhtw.per_td.iter().zip(&seq_fhtw.per_td) {
-                assert_eq!(p.1, s.1);
-                assert_eq!(p.2, s.2, "per-bag bounds must be identical");
-            }
         }
     }
 

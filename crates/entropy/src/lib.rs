@@ -46,15 +46,14 @@ pub mod shannon;
 pub mod varspace;
 
 pub use bounds::{
-    agm_bound, ddr_polymatroid_bound, fhtw, fhtw_with_tds, fhtw_with_tds_budgeted,
-    fhtw_with_tds_parallel, polymatroid_bound, subw, subw_with_tds, subw_with_tds_budgeted,
-    BoundError, BoundReport, FhtwReport, SelectorBound, SubwReport,
+    agm_bound, ddr_polymatroid_bound, fhtw, fhtw_with_tds_budgeted, polymatroid_bound, subw,
+    subw_with_tds_budgeted, BoundError, BoundReport, FhtwReport, SelectorBound, SubwReport,
 };
 pub use constraints::{exact_log, StatKind, Statistic, StatisticsSet};
 pub use elemental::Elemental;
 // Planning budgets live in `panda-lp` (the pivot loop is what they bound);
 // re-exported here so `panda-core` and callers above it need no direct
-// solver dependency to use budgeted width computations.
+// solver dependency to hand a width chain its budget.
 pub use mm::{mm_cost_log, omega_subw_square, MATRIX_MULT_OMEGA};
 pub use panda_lp::{CancelToken, PivotBudget};
 pub use shannon::{CondTerm, IntegralShannonFlow, ShannonFlow};

@@ -14,15 +14,17 @@
 //! code.)
 //!
 //! A single [`PivotBudget`] is threaded by `&mut` through a whole chain of
-//! [`solve_warm_budgeted`](crate::LinearProgram::solve_warm_budgeted)
-//! calls, so the budget bounds the *total* work of the chain, not each
-//! solve separately.
+//! [`solve_warm`](crate::LinearProgram::solve_warm) calls, so the budget
+//! bounds the *total* work of the chain, not each solve separately.  Every
+//! solve has one: "no budget" is [`PivotBudget::unlimited`], a limit of
+//! `u64::MAX` that no chain can reach, so there is no unbudgeted pivot
+//! loop beside the budgeted one.
 //!
 //! The budget counters double as the library's **cancellation points**: a
 //! [`CancelToken`] attached with [`PivotBudget::with_cancel_token`] is
 //! polled wherever a pivot would be consumed — never a wall clock, so the
 //! serving layer's cooperative cancellation rides the same deterministic
-//! counters as the budgets themselves.
+//! counters as the budgets themselves, whether or not a limit is set.
 
 // panda-lint: allow(D2) -- the one-way cooperative cancel flag below:
 // observing it can only *abort* a solve with a structured error, never
@@ -35,7 +37,7 @@ use std::sync::Arc;
 /// A token starts un-cancelled; [`CancelToken::cancel`] flips it, forever.
 /// Attached to a [`PivotBudget`] via [`PivotBudget::with_cancel_token`],
 /// the flag is polled at the budget's own counting points (every pivot of
-/// a budgeted solve), so a cancelled token makes the solve abort with
+/// a solve), so a cancelled token makes the solve abort with
 /// [`LpError::Cancelled`](crate::LpError::Cancelled) at the next pivot.
 ///
 /// Cancellation is **cooperative and best-effort**: a solve that finishes
@@ -85,7 +87,7 @@ impl CancelToken {
 /// A deterministic budget on simplex pivots, shared across a chain of
 /// solves.
 ///
-/// Each pivot of a budgeted solve consumes one unit; when the budget runs
+/// Each pivot of a solve consumes one unit; when the budget runs
 /// out the solve aborts with
 /// [`LpError::PivotBudgetExhausted`](crate::LpError::PivotBudgetExhausted)
 /// instead of continuing to optimality.  [`PivotBudget::used`] reports how
@@ -113,7 +115,7 @@ impl CancelToken {
 /// assert_eq!(budget.remaining(), 1_000);
 /// assert!(!budget.is_exhausted());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PivotBudget {
     limit: u64,
     used: u64,
@@ -133,6 +135,14 @@ impl PivotBudget {
     #[must_use]
     pub fn new(limit: u64) -> Self {
         PivotBudget { limit, used: 0, cancel: None }
+    }
+
+    /// The budget of a solve nobody limited: `u64::MAX` pivots, which no
+    /// chain reaches, so it only counts — and, with a token attached,
+    /// still cancels.
+    #[must_use]
+    pub fn unlimited() -> Self {
+        PivotBudget::new(u64::MAX)
     }
 
     /// Attaches a cooperative [`CancelToken`], polled at every pivot.

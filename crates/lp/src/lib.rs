@@ -19,8 +19,9 @@
 //!
 //! Two implementations of the method exist:
 //!
-//! * the **sparse revised simplex** behind [`LinearProgram::solve`] (and
-//!   the warm/budgeted variants) stores the constraint matrix as sparse
+//! * the **sparse revised simplex** behind [`LinearProgram::solve`] and
+//!   [`LinearProgram::solve_warm`] (warm-startable, every pivot charged
+//!   to a [`PivotBudget`]) stores the constraint matrix as sparse
 //!   columns and maintains a product-form basis inverse (dense
 //!   snapshot + eta file) updated per pivot, so per-iteration work scales
 //!   with the matrix nonzeros — the polymatroid LPs of `subw` on

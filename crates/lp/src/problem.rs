@@ -205,8 +205,7 @@ impl LinearProgram {
     /// assert!(solution.certificate_violations(&lp).is_empty());
     /// ```
     pub fn solve(&self) -> Result<LpOutcome, LpError> {
-        self.validate()?;
-        RevisedSimplex::new(self).run()
+        self.solve_warm(None, &mut crate::PivotBudget::unlimited()).map(|(outcome, _)| outcome)
     }
 
     /// Solves the program with the dense-tableau reference engine: the
@@ -231,27 +230,24 @@ impl LinearProgram {
     /// warm-started solve may reach a different optimal basis than a cold
     /// one when the optimum is degenerate, so the dual certificate can
     /// legitimately differ; the objective value cannot.
-    pub fn solve_warm(&self, hint: Option<&Basis>) -> Result<(LpOutcome, Option<Basis>), LpError> {
-        self.validate()?;
-        RevisedSimplex::new(self).run_warm(hint)
-    }
-
-    /// Like [`LinearProgram::solve_warm`], but charging every pivot to a
-    /// caller-supplied [`crate::PivotBudget`] shared across a chain of
-    /// solves.  Aborts with
+    ///
+    /// Every pivot is charged to `budget`, which a chain of solves shares
+    /// ([`PivotBudget::unlimited`](crate::PivotBudget::unlimited) when
+    /// nothing limits it).  The solve aborts with
     /// [`LpError::PivotBudgetExhausted`](crate::LpError::PivotBudgetExhausted)
-    /// once the budget runs out; a solve that completes within budget is
-    /// bit-for-bit identical to its unbudgeted counterpart (the budget only
-    /// counts, it never alters a pivot decision).  Only the revised engine
-    /// is budgeted — the dense tableau is the auditable reference and stays
-    /// parameter-free.
-    pub fn solve_warm_budgeted(
+    /// once the budget runs out and with
+    /// [`LpError::Cancelled`](crate::LpError::Cancelled) once its token
+    /// fires; the budget only counts, it never alters a pivot decision, so
+    /// a solve that completes is bit-for-bit the same under any limit.
+    /// Only the revised engine is budgeted — the dense tableau is the
+    /// auditable reference and stays parameter-free.
+    pub fn solve_warm(
         &self,
         hint: Option<&Basis>,
         budget: &mut crate::PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
         self.validate()?;
-        RevisedSimplex::new(self).run_warm_budgeted(hint, Some(budget))
+        RevisedSimplex::new(self).run_warm(hint, budget)
     }
 
     /// Checks whether a point is feasible (satisfies every constraint and

@@ -258,37 +258,24 @@ impl<'a> RevisedSimplex<'a> {
         }
     }
 
-    pub(crate) fn run(self) -> Result<LpOutcome, LpError> {
-        self.run_warm(None).map(|(outcome, _)| outcome)
-    }
-
-    pub(crate) fn run_warm(
-        self,
-        hint: Option<&Basis>,
-    ) -> Result<(LpOutcome, Option<Basis>), LpError> {
-        self.run_warm_budgeted(hint, None)
-    }
-
-    /// Like [`RevisedSimplex::run`], but optionally starting phase 2
-    /// directly from a carried-over basis (see
-    /// [`LinearProgram::solve_warm`]), and returning the final basis for
-    /// the next solve in the family.
+    /// Runs the two-phase solve, optionally starting phase 2 directly from
+    /// a carried-over basis (see [`LinearProgram::solve_warm`]), and
+    /// returns the final basis for the next solve in the family.
     ///
-    /// When a [`PivotBudget`] is supplied, every pivot of both phases
-    /// consumes one unit and the solve aborts with
-    /// [`LpError::PivotBudgetExhausted`] once the budget runs out.  The
-    /// post-phase-1 artificial-elimination pass is bookkeeping (at most one
-    /// degenerate pivot per redundant row, `O(m)` in total) and is not
-    /// charged, so budgeted and unbudgeted solves that finish visit the
-    /// identical basis sequence.
-    pub(crate) fn run_warm_budgeted(
+    /// Every pivot of both phases consumes one unit of `budget` and the
+    /// solve aborts with [`LpError::PivotBudgetExhausted`] once it runs
+    /// out.  The post-phase-1 artificial-elimination pass is bookkeeping
+    /// (at most one degenerate pivot per redundant row, `O(m)` in total)
+    /// and is not charged, so solves that finish visit the identical basis
+    /// sequence under any limit.
+    pub(crate) fn run_warm(
         mut self,
         hint: Option<&Basis>,
-        mut budget: Option<&mut PivotBudget>,
+        budget: &mut PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
         let warm = hint.is_some_and(|h| self.try_install_basis(h));
         if !warm {
-            if let Some(outcome) = self.phase_one(budget.as_deref_mut())? {
+            if let Some(outcome) = self.phase_one(budget)? {
                 return Ok((outcome, None));
             }
         }
@@ -357,10 +344,7 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Runs phase 1 (when artificials exist), returning `Some(Infeasible)`
     /// to short-circuit or `None` to proceed to phase 2.
-    fn phase_one(
-        &mut self,
-        budget: Option<&mut PivotBudget>,
-    ) -> Result<Option<LpOutcome>, LpError> {
+    fn phase_one(&mut self, budget: &mut PivotBudget) -> Result<Option<LpOutcome>, LpError> {
         if self.has_artificials {
             let mut phase1_cost = vec![Rat::ZERO; self.num_cols];
             for (j, cost) in phase1_cost.iter_mut().enumerate() {
@@ -383,12 +367,12 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     /// Runs the simplex iterations for the given cost vector, charging one
-    /// unit of `budget` (when one is supplied) per pivot applied.
+    /// unit of `budget` per pivot applied.
     fn optimize(
         &mut self,
         cost: &[Rat],
         bar_artificials: bool,
-        mut budget: Option<&mut PivotBudget>,
+        budget: &mut PivotBudget,
     ) -> Result<Phase, LpError> {
         let m = self.basis.len();
         let bland_threshold = 4 * (m + self.num_cols) + 64;
@@ -403,13 +387,11 @@ impl<'a> RevisedSimplex<'a> {
             let Some(leaving_row) = self.choose_leaving(&w) else {
                 return Ok(Phase::Unbounded);
             };
-            if let Some(b) = budget.as_deref_mut() {
-                if b.is_cancelled() {
-                    return Err(LpError::Cancelled);
-                }
-                if !b.consume() {
-                    return Err(LpError::PivotBudgetExhausted { limit: b.limit() });
-                }
+            if budget.is_cancelled() {
+                return Err(LpError::Cancelled);
+            }
+            if !budget.consume() {
+                return Err(LpError::PivotBudgetExhausted { limit: budget.limit() });
             }
             self.pivot(leaving_row, entering, &w);
         }

@@ -8,7 +8,7 @@
 //! infeasible and unbounded programs, warm-started solves, and random
 //! small LPs via proptest.
 
-use panda_lp::{ConstraintOp, LinearProgram, LpError, LpOutcome};
+use panda_lp::{Basis, CancelToken, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_rational::Rat;
 use proptest::collection;
 use proptest::prelude::*;
@@ -31,6 +31,11 @@ fn solve_both(lp: &LinearProgram) -> LpOutcome {
         );
     }
     revised
+}
+
+/// A warm-startable solve nobody limits.
+fn warm_solve(lp: &LinearProgram, hint: Option<&Basis>) -> (LpOutcome, Option<Basis>) {
+    lp.solve_warm(hint, &mut PivotBudget::unlimited()).expect("revised solve")
 }
 
 /// Beale's classic cycling example: Dantzig pricing with naive tie-breaks
@@ -131,13 +136,13 @@ fn warm_start_skips_phase_one_and_matches_the_cold_objective() {
         lp
     };
     let first = build(vec![Rat::ONE, Rat::ZERO, Rat::ZERO]);
-    let (outcome, basis) = first.solve_warm(None).unwrap();
+    let (outcome, basis) = warm_solve(&first, None);
     let cold_first = first.solve().unwrap();
     assert_eq!(outcome, cold_first, "warm API without a hint is a cold solve");
     let basis = basis.expect("optimal solve returns a basis");
 
     let second = build(vec![Rat::ZERO, Rat::ZERO, Rat::ONE]);
-    let (warm, _) = second.solve_warm(Some(&basis)).unwrap();
+    let (warm, _) = warm_solve(&second, Some(&basis));
     let warm = warm.expect_optimal("warm");
     let cold = second.solve().unwrap().expect_optimal("cold");
     // A degenerate optimum may pick a different basis, but the optimal
@@ -147,17 +152,48 @@ fn warm_start_skips_phase_one_and_matches_the_cold_objective() {
 }
 
 #[test]
+fn the_pivot_loop_counts_exhausts_and_cancels_without_changing_a_solve() {
+    let mut lp = LinearProgram::new(3);
+    lp.set_objective(vec![Rat::ONE, Rat::ZERO, Rat::ONE]);
+    lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Ge, r(2));
+    lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE), (2, Rat::ONE)], ConstraintOp::Le, r(6));
+    lp.add_constraint(vec![(1, Rat::ONE), (2, Rat::ONE)], ConstraintOp::Le, r(4));
+
+    let mut free = PivotBudget::unlimited();
+    let (reference, _) = lp.solve_warm(None, &mut free).unwrap();
+    let pivots = free.used();
+    assert!(pivots > 1, "the program needs both phases");
+    assert_eq!(reference, lp.solve().unwrap());
+
+    // Exactly enough pivots: the same outcome, bit for bit.
+    let mut exact = PivotBudget::new(pivots);
+    assert_eq!(lp.solve_warm(None, &mut exact).unwrap().0, reference);
+    assert!(exact.is_exhausted());
+    // One short: the solve stops at the limit, having spent all of it.
+    let mut short = PivotBudget::new(pivots - 1);
+    let err = lp.solve_warm(None, &mut short).unwrap_err();
+    assert_eq!(err, LpError::PivotBudgetExhausted { limit: pivots - 1 });
+    assert_eq!(short.used(), pivots - 1);
+    // A fired token stops an unlimited solve before its first pivot.
+    let token = CancelToken::new();
+    token.cancel();
+    let mut cancelled = PivotBudget::unlimited().with_cancel_token(token);
+    assert_eq!(lp.solve_warm(None, &mut cancelled).unwrap_err(), LpError::Cancelled);
+    assert_eq!(cancelled.used(), 0);
+}
+
+#[test]
 fn incompatible_warm_hint_falls_back_to_the_cold_path() {
     let mut small = LinearProgram::new(1);
     small.set_objective(vec![Rat::ONE]);
     small.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, r(3));
-    let (_, basis) = small.solve_warm(None).unwrap();
+    let (_, basis) = warm_solve(&small, None);
     let basis = basis.unwrap();
 
     let mut other = LinearProgram::new(2);
     other.set_objective(vec![Rat::ONE, Rat::ONE]);
     other.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Le, r(5));
-    let (with_hint, _) = other.solve_warm(Some(&basis)).unwrap();
+    let (with_hint, _) = warm_solve(&other, Some(&basis));
     assert_eq!(with_hint, other.solve().unwrap(), "stale hint must not change the result");
 }
 
@@ -172,13 +208,13 @@ fn warm_hint_with_a_basic_artificial_is_rejected() {
     first.set_objective(vec![Rat::ZERO, Rat::ONE]);
     first.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Eq, r(2));
     first.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Eq, r(2));
-    let (_, basis) = first.solve_warm(None).unwrap();
+    let (_, basis) = warm_solve(&first, None);
 
     let mut second = LinearProgram::new(2);
     second.set_objective(vec![Rat::ZERO, Rat::ONE]);
     second.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Eq, r(2));
     second.add_constraint(vec![(0, Rat::ONE), (1, -Rat::ONE)], ConstraintOp::Eq, r(2));
-    let (warm, _) = second.solve_warm(basis.as_ref()).unwrap();
+    let (warm, _) = warm_solve(&second, basis.as_ref());
     let cold = second.solve().unwrap();
     assert_eq!(warm, cold);
     let s = warm.expect_optimal("x=2, y=0 is the unique feasible point");
@@ -196,9 +232,9 @@ fn infeasible_warm_hint_falls_back_to_the_cold_path() {
         lp.add_constraint(vec![(1, Rat::ONE)], ConstraintOp::Le, r(10));
         lp
     };
-    let (_, basis) = build(1).solve_warm(None).unwrap();
+    let (_, basis) = warm_solve(&build(1), None);
     let loose = build(-30); // flips the row normalisation: hint may not fit
-    let (warm, _) = loose.solve_warm(basis.as_ref()).unwrap();
+    let (warm, _) = warm_solve(&loose, basis.as_ref());
     assert_eq!(warm, loose.solve().unwrap());
 }
 
@@ -267,9 +303,9 @@ proptest! {
             lp
         };
         let first = build(&objective);
-        let (_, basis) = first.solve_warm(None).unwrap();
+        let (_, basis) = warm_solve(&first, None);
         let second = build(&second_objective);
-        let (warm, _) = second.solve_warm(basis.as_ref()).unwrap();
+        let (warm, _) = warm_solve(&second, basis.as_ref());
         let cold = second.solve().unwrap();
         match (warm, cold) {
             (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {

@@ -14,27 +14,17 @@ use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::yannakakis::empty_result;
 
-/// A greedy left-deep binary-join plan.
+/// A greedy left-deep binary-join plan.  Intermediate results are
+/// projected onto the variables still needed (free variables plus join
+/// variables of the remaining atoms) after every join.
 #[derive(Debug, Clone, Default)]
-pub struct BinaryJoinPlan {
-    /// When `true` (default), intermediate results are projected onto the
-    /// variables still needed (free variables plus join variables of the
-    /// remaining atoms).
-    pub project_early: bool,
-}
+pub struct BinaryJoinPlan;
 
 impl BinaryJoinPlan {
-    /// Creates the default plan (with projection push-down).
+    /// Creates the plan.
     #[must_use]
     pub fn new() -> Self {
-        BinaryJoinPlan { project_early: true }
-    }
-
-    /// Creates a plan without projection push-down (closest to a naive
-    /// join-then-project execution).
-    #[must_use]
-    pub fn without_projection_pushdown() -> Self {
-        BinaryJoinPlan { project_early: false }
+        BinaryJoinPlan
     }
 
     /// Evaluates the query with greedy pairwise joins: start from the
@@ -79,12 +69,9 @@ impl BinaryJoinPlan {
             let pick = connected.into_iter().min_by_key(|&i| remaining[i].len()).unwrap_or(0);
             let next = remaining.remove(pick);
             acc = acc.natural_join_with_engine(&next, engine);
-            if self.project_early {
-                let needed: VarSet = remaining
-                    .iter()
-                    .fold(query.free_vars(), |acc_set, r| acc_set.union(r.var_set()));
-                acc = acc.project_to_set(acc.var_set().intersect(needed));
-            }
+            let needed: VarSet =
+                remaining.iter().fold(query.free_vars(), |acc_set, r| acc_set.union(r.var_set()));
+            acc = acc.project_to_set(acc.var_set().intersect(needed));
         }
         let order: Vec<Var> = query.free_vars().to_vec();
         acc.project_onto(&order)
@@ -126,15 +113,13 @@ mod tests {
             let q = parse_query(text).unwrap();
             let db = random_db(&["R", "S", "T", "U"], 9, 50, i as u64);
             let expected = GenericJoin::evaluate(&q, &db);
-            for plan in [BinaryJoinPlan::new(), BinaryJoinPlan::without_projection_pushdown()] {
-                let got = plan.evaluate(&q, &db);
-                let order: Vec<Var> = q.free_vars().to_vec();
-                assert_eq!(
-                    got.canonical_rows_ordered(&order),
-                    expected.canonical_rows_ordered(&order),
-                    "query {text}"
-                );
-            }
+            let got = BinaryJoinPlan::new().evaluate(&q, &db);
+            let order: Vec<Var> = q.free_vars().to_vec();
+            assert_eq!(
+                got.canonical_rows_ordered(&order),
+                expected.canonical_rows_ordered(&order),
+                "query {text}"
+            );
         }
     }
 

@@ -169,7 +169,11 @@ impl VarRelation {
     /// [`operators::par_join`] (probe-side shards), whose output is
     /// bit-identical to the sequential operator.
     #[must_use]
-    pub fn natural_join_with_engine(&self, other: &VarRelation, engine: Engine) -> VarRelation {
+    pub(crate) fn natural_join_with_engine(
+        &self,
+        other: &VarRelation,
+        engine: Engine,
+    ) -> VarRelation {
         let shared: Vec<(usize, usize)> = self
             .vars
             .iter()

@@ -1,4 +1,5 @@
-//! Execution-engine configuration: the sequential/parallel knob.
+//! Request configuration: the sequential/parallel [`Engine`] knob and the
+//! deterministic [`Budgets`].
 //!
 //! Every evaluator in this crate runs **sequentially by default**
 //! ([`Engine::Sequential`]); parallelism is strictly opt-in and always
@@ -13,9 +14,14 @@
 //! every evaluator is bit-identical to its sequential output at any thread
 //! count (the workspace's `parallel_determinism` suite pins this).  What
 //! parallelism changes is wall-clock time only — never answers, plans or
-//! row order.
+//! row order.  Planning never fans out: the width LP chains run on the
+//! calling thread under the request's one [`PivotBudget`], so the pivot at
+//! which a limit or a `CANCEL` stops them is the same at every thread
+//! count.
 
 use std::num::NonZeroUsize;
+
+use panda_entropy::{CancelToken, PivotBudget};
 
 /// How many worker threads parallel stages may use.
 ///
@@ -48,8 +54,8 @@ impl Parallelism {
 ///
 /// [`Engine::Sequential`] is the default; [`Engine::Parallel`] fans
 /// independent work units (generic-join top-level branches, PANDA degree
-/// branches, DDR branches, probe shards, per-decomposition LP chains) out
-/// over a fixed number of threads and merges the results in input order
+/// branches, DDR branches, probe shards) out over a fixed number of
+/// threads and merges the results in input order
 /// ([`panda_relation::fan_out::ordered_map`]), producing bit-identical
 /// outputs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -173,6 +179,17 @@ impl Budgets {
     pub fn with_memory_rows_budget(mut self, rows: u64) -> Self {
         self.memory_rows_budget = Some(rows);
         self
+    }
+
+    /// The one [`PivotBudget`] of a planning request: the configured pivot
+    /// limit, or [`PivotBudget::unlimited`] when none is set, carrying the
+    /// request's cancel token either way — so `CANCEL` binds at the next
+    /// pivot whether or not a limit does.
+    #[must_use]
+    pub(crate) fn pivot_budget(&self, cancel: &CancelToken) -> PivotBudget {
+        self.lp_pivot_budget
+            .map_or_else(PivotBudget::unlimited, PivotBudget::new)
+            .with_cancel_token(cancel.clone())
     }
 
     /// `true` iff no budget is set.

@@ -181,7 +181,7 @@ impl DdrEvaluator {
             let bag = self.rule.head()[best_idx];
             let atoms: Vec<&Atom> = self.rule.body().iter().collect();
             let rel = registry.get_or_materialize(subplan_key(bag, &atoms, branch_db), || {
-                materialize_bag_with_engine(self.rule.body(), branch_db, bag, inner_engine)
+                materialize_bag(self.rule.body(), branch_db, bag, inner_engine)
             });
             (best_idx, rel)
         };
@@ -204,22 +204,10 @@ impl DdrEvaluator {
 }
 
 /// Materialises a superset of `π_bag(⋈ atoms)` using the cheaper of the two
-/// constructions described in the module documentation.  Sequential; see
-/// [`materialize_bag_with_engine`].
+/// constructions described in the module documentation.  The `engine`
+/// applies to the worst-case-optimal join of construction (i).
 #[must_use]
-pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet) -> VarRelation {
-    materialize_bag_with_engine(atoms, db, bag, Engine::Sequential)
-}
-
-/// [`materialize_bag`] under an explicit [`Engine`] (applied to the
-/// worst-case-optimal join of construction (i)).
-#[must_use]
-pub fn materialize_bag_with_engine(
-    atoms: &[Atom],
-    db: &Database,
-    bag: VarSet,
-    engine: Engine,
-) -> VarRelation {
+pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet, engine: Engine) -> VarRelation {
     // Cost of construction (i): degree-aware chain bound on the join of the
     // atoms contained in the bag, provided they cover it.
     let contained: Vec<&Atom> = atoms.iter().filter(|a| a.var_set().is_subset_of(bag)).collect();
@@ -390,7 +378,7 @@ mod tests {
         db.insert("T", t);
         db.insert("U", Relation::from_rows(2, vec![[1000, 7]]));
         let bag = vs(&[1, 2, 3]); // {Y,Z,W}
-        let out = materialize_bag(q.atoms(), &db, bag);
+        let out = materialize_bag(q.atoms(), &db, bag, Engine::Sequential);
         // |π_Y(S)| · |T| = 1 · 50 = 50, versus |S ⋈ T| = 50 too here, but the
         // result must at least be a superset of the true projection and have
         // schema {Y,Z,W}.
@@ -414,7 +402,7 @@ mod tests {
         let stats = StatisticsSet::measure(&q, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
         let model = evaluator.evaluate(&db);
-        let naive = materialize_bag(q.atoms(), &db, vs(&[0, 1, 2]));
+        let naive = materialize_bag(q.atoms(), &db, vs(&[0, 1, 2]), Engine::Sequential);
         assert!(model.max_target_size() < naive.len());
     }
 }

@@ -33,7 +33,11 @@
 //!   region is one [`panda_relation::fan_out::ordered_map`] call), chosen
 //!   by the caller per evaluator (the binaries map `PANDA_THREADS` onto it
 //!   in their `main`) — and the [`Budgets`] for deterministic
-//!   planning/execution resource caps.
+//!   planning/execution resource caps.  Planning itself never fans out:
+//!   every request builds one `PivotBudget` (the configured pivot limit,
+//!   or an unlimited one) that carries its [`CancelToken`] through both
+//!   width chains down to the pivot loop, so limits and `CANCEL` bind at
+//!   the same pivot at every thread count.
 //!
 //! See `docs/ARCHITECTURE.md` at the workspace root for the execution
 //! flow and the paper-section → module map, and `docs/NOTATION.md` for

@@ -112,8 +112,9 @@ pub struct PlanReport {
     /// per bag selector for the adaptive plan, one per bag of the best
     /// decomposition for the static plan, empty otherwise.
     pub branch_bounds: Vec<BranchBound>,
-    /// Simplex pivots consumed by planning, when an LP pivot budget was
-    /// configured.
+    /// Simplex pivots consumed by planning, when an LP pivot limit was
+    /// configured (the pivots are counted either way; the report stays
+    /// silent about them unless a limit was asked for).
     pub lp_pivots_used: Option<u64>,
     /// Subplans the plan materialises once and scans from several degree
     /// branches ([`MaterializedSubplan`]), in deterministic first-seen
@@ -291,7 +292,7 @@ pub struct Panda {
     statistics: Option<StatisticsSet>,
     engine: Engine,
     budgets: Budgets,
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
 }
 
 impl Panda {
@@ -307,7 +308,7 @@ impl Panda {
             statistics: None,
             engine: Engine::Sequential,
             budgets: Budgets::default(),
-            cancel: None,
+            cancel: CancelToken::new(),
         }
     }
 
@@ -339,8 +340,10 @@ impl Panda {
     }
 
     /// Attaches a cooperative [`CancelToken`] checked at the start of every
-    /// planning and evaluation request, and — when an LP pivot budget is
-    /// configured — polled at every simplex pivot during planning.
+    /// planning and evaluation request and polled at every simplex pivot
+    /// during planning (it rides on the request's one pivot budget, which
+    /// is unlimited when no limit is configured).  Without this call the
+    /// evaluator holds a token of its own that nothing ever fires.
     ///
     /// Cancellation is **cooperative and best-effort**: work that completes
     /// before the next poll returns its normal, bit-identical result, and a
@@ -352,7 +355,7 @@ impl Panda {
     /// fail-soft downgrade — `Auto` aborts too.
     #[must_use]
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.cancel = token;
         self
     }
 
@@ -376,21 +379,6 @@ impl Panda {
 
     fn stats_for(&self, db: &Database) -> StatisticsSet {
         self.statistics.clone().unwrap_or_else(|| StatisticsSet::measure(&self.query, db))
-    }
-
-    /// `true` iff an attached [`CancelToken`] has fired.
-    fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Builds a [`PivotBudget`](panda_entropy::PivotBudget) for an explicit
-    /// budgeted planning path, attaching the cancel token when one is set.
-    fn pivot_budget(&self, limit: u64) -> panda_entropy::PivotBudget {
-        let budget = panda_entropy::PivotBudget::new(limit);
-        match &self.cancel {
-            Some(token) => budget.with_cancel_token(token.clone()),
-            None => budget,
-        }
     }
 
     /// `true` iff the query is acyclic *and* free-connex, i.e. eligible for
@@ -475,10 +463,9 @@ impl Panda {
             stats,
             db,
             self.budgets,
-            self.engine.threads(),
             requested,
             want_widths,
-            self.cancel.as_ref(),
+            &self.cancel,
         )?;
         // Only completed selections reach the cache: a cancelled (or
         // otherwise failed) plan returned above leaves the cache untouched.
@@ -495,12 +482,11 @@ impl Panda {
     /// widths, per-branch bounds with certificates, branch counts, and any
     /// budget downgrades.
     ///
-    /// Deterministic and engine-independent: under a parallel engine the
-    /// per-bag `fhtw` LP chains run on its threads (optimal LP values
-    /// are unique, so the widths are identical either way), while the
-    /// `subw` certificate chain stays sequential because its Shannon flows
-    /// seed the adaptive partitions and the reported certificates.  Only
-    /// an LP solver *bug* surfaces as an error; unbounded widths and
+    /// Deterministic and engine-independent: planning runs on the calling
+    /// thread whatever the engine (the `subw` chain's Shannon flows seed
+    /// the adaptive partitions and the reported certificates, so its shape
+    /// must not depend on a thread count).  Only an LP solver *bug* and a
+    /// fired [`CancelToken`] surface as errors; unbounded widths and
     /// exhausted budgets are absorbed into the selection fail-soft.
     pub fn plan_report(&self, db: &Database) -> Result<PlanReport, BoundError> {
         self.plan_report_for(db, EvaluationStrategy::Auto)
@@ -514,7 +500,7 @@ impl Panda {
         db: &Database,
         strategy: EvaluationStrategy,
     ) -> Result<PlanReport, BoundError> {
-        if self.is_cancelled() {
+        if self.cancel.is_cancelled() {
             return Err(BoundError::Cancelled);
         }
         let stats = self.stats_for(db);
@@ -597,7 +583,7 @@ impl Panda {
         db: &Database,
         strategy: EvaluationStrategy,
     ) -> Result<(VarRelation, Vec<ReasonCode>), StrategyError> {
-        if self.is_cancelled() {
+        if self.cancel.is_cancelled() {
             return Err(StrategyError::Cancelled { strategy });
         }
         match strategy {
@@ -618,26 +604,16 @@ impl Panda {
                 .ok_or(StrategyError::CyclicYannakakis),
             EvaluationStrategy::StaticTd => {
                 let stats = self.stats_for(db);
-                let result = match self.budgets.lp_pivot_budget {
-                    Some(limit) => {
-                        let mut budget = self.pivot_budget(limit);
-                        StaticTdPlan::best_for_budgeted(&self.query, &stats, &mut budget)
-                    }
-                    None => StaticTdPlan::best_for(&self.query, &stats),
-                };
-                let plan = result.map_err(|e| self.planning_error(strategy, e))?;
+                let mut budget = self.budgets.pivot_budget(&self.cancel);
+                let plan = StaticTdPlan::best_within(&self.query, &stats, &mut budget)
+                    .map_err(|e| self.planning_error(strategy, e))?;
                 Ok((plan.evaluate_with_engine(&self.query, db, self.engine), Vec::new()))
             }
             EvaluationStrategy::Adaptive => {
                 let stats = self.stats_for(db);
-                let result = match self.budgets.lp_pivot_budget {
-                    Some(limit) => {
-                        let mut budget = self.pivot_budget(limit);
-                        PandaEvaluator::plan_budgeted(&self.query, &stats, &mut budget)
-                    }
-                    None => PandaEvaluator::plan(&self.query, &stats),
-                };
-                let mut evaluator = result.map_err(|e| self.planning_error(strategy, e))?;
+                let mut budget = self.budgets.pivot_budget(&self.cancel);
+                let mut evaluator = PandaEvaluator::plan_within(&self.query, &stats, &mut budget)
+                    .map_err(|e| self.planning_error(strategy, e))?;
                 // An explicit adaptive request honours the branch budget as
                 // a cap (branch splitting degrades gracefully), not an
                 // error: the plan stays correct with fewer splits.
@@ -914,28 +890,25 @@ mod tests {
 
     #[test]
     fn a_mid_planning_cancel_aborts_at_the_next_pivot() {
-        // Attach a pre-cancelled token *and* a pivot budget: planning then
-        // has in-loop polling points and must abort inside the LP chain
-        // (exercised via the explicit strategy, which skips the entry check
-        // only in the sense that planning starts before any pivot runs).
+        // `Panda`'s entry check answers a token that fired before the
+        // request; a token that fires *during* planning is met by the
+        // planners the explicit strategies call, at their first pivot and
+        // with no pivot limit configured.
         let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
-        let db = random_db(9, 45, 8);
-        let token = CancelToken::new();
-        token.cancel();
-        let panda = Panda::new(q)
-            .with_budgets(Budgets::unlimited().with_lp_pivot_budget(u64::MAX))
-            .with_cancel_token(token);
-        // The entry check fires first here; drop to the planning internals
-        // by calling the budgeted planner directly.
-        let stats = panda.stats_for(&db);
-        let mut budget =
-            panda_entropy::PivotBudget::new(u64::MAX).with_cancel_token(CancelToken::new());
-        assert!(StaticTdPlan::best_for_budgeted(panda.query(), &stats, &mut budget).is_ok());
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        let mut budget = panda_entropy::PivotBudget::new(u64::MAX).with_cancel_token(cancelled);
+        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
+        let live = CancelToken::new();
+        let mut budget = Budgets::default().pivot_budget(&live);
+        assert!(StaticTdPlan::best_within(&q, &stats, &mut budget).is_ok());
+        assert!(PandaEvaluator::plan_within(&q, &stats, &mut budget).is_ok());
+
+        live.cancel();
+        let mut budget = Budgets::default().pivot_budget(&live);
         assert!(matches!(
-            StaticTdPlan::best_for_budgeted(panda.query(), &stats, &mut budget),
+            StaticTdPlan::best_within(&q, &stats, &mut budget),
+            Err(BoundError::Cancelled)
+        ));
+        assert!(matches!(
+            PandaEvaluator::plan_within(&q, &stats, &mut budget),
             Err(BoundError::Cancelled)
         ));
         // The poll consumed no pivots before aborting.

@@ -14,10 +14,12 @@
 //! planner consumes — strictly stronger than
 //! [`Database::statistics_fingerprint`](panda_relation::Database::statistics_fingerprint)),
 //! the [`Budgets`], the requested [`EvaluationStrategy`], and the
-//! `want_widths` flag.  The thread count is deliberately **excluded**:
-//! planning is engine-independent (`tests/parallel_determinism.rs` pins
-//! this), so a plan built under one [`Engine`](crate::Engine) is
-//! byte-identical to the plan built under any other.
+//! `want_widths` flag.  The thread count is not in the key because the
+//! selector never receives it: planning runs on the calling thread under
+//! the request's one pivot budget, so a plan built under one
+//! [`Engine`](crate::Engine) *is* the plan built under any other.  The
+//! request's cancel token is not in the key either: a token can only
+//! abort planning, and an aborted selection never reaches the cache.
 //!
 //! **Serving.**  A hit whose entry was inserted by a query with the *same*
 //! variable numbering (the common case: the same query re-run, a query

@@ -51,17 +51,14 @@ impl StaticTdPlan {
         query: &ConjunctiveQuery,
         stats: &StatisticsSet,
     ) -> Result<Self, panda_entropy::BoundError> {
-        let report = panda_entropy::fhtw(query, stats)?;
-        Ok(StaticTdPlan::new(report.best_td().clone()))
+        Self::best_within(query, stats, &mut PivotBudget::unlimited())
     }
 
-    /// [`StaticTdPlan::best_for`] under an LP pivot budget: the `fhtw`
-    /// chain charges every simplex pivot against `budget` and fails with
-    /// [`BoundError::PivotBudgetExhausted`](panda_entropy::BoundError::PivotBudgetExhausted)
-    /// when it runs out.  A solve that completes within budget picks the
-    /// identical decomposition as [`StaticTdPlan::best_for`] (the budget
-    /// only counts pivots; it never alters them).
-    pub fn best_for_budgeted(
+    /// [`StaticTdPlan::best_for`] with the `fhtw` chain charged to the
+    /// request's `budget`, which also carries its cancel token.  The
+    /// budget only counts pivots, so the decomposition picked does not
+    /// depend on the limit.
+    pub(crate) fn best_within(
         query: &ConjunctiveQuery,
         stats: &StatisticsSet,
         budget: &mut PivotBudget,
@@ -309,18 +306,13 @@ impl PandaEvaluator {
         query: &ConjunctiveQuery,
         stats: &StatisticsSet,
     ) -> Result<Self, panda_entropy::BoundError> {
-        let tds = TreeDecomposition::enumerate(query);
-        let report = panda_entropy::subw_with_tds(query, &tds, stats)?;
-        let fhtw_report = panda_entropy::fhtw_with_tds(query, &tds, stats)?;
-        Ok(Self::from_reports(query, &report, &fhtw_report))
+        Self::plan_within(query, stats, &mut PivotBudget::unlimited())
     }
 
-    /// [`PandaEvaluator::plan`] under an LP pivot budget shared across the
-    /// `fhtw` and `subw` chains; fails with
-    /// [`BoundError::PivotBudgetExhausted`](panda_entropy::BoundError::PivotBudgetExhausted)
-    /// when the budget runs out mid-planning.  A plan that completes within
-    /// budget is identical to the unbudgeted one.
-    pub fn plan_budgeted(
+    /// [`PandaEvaluator::plan`] with the `fhtw` and `subw` chains charged,
+    /// in that order, to the request's `budget`, which also carries its
+    /// cancel token.  The plan does not depend on the limit.
+    pub(crate) fn plan_within(
         query: &ConjunctiveQuery,
         stats: &StatisticsSet,
         budget: &mut PivotBudget,

@@ -45,10 +45,10 @@
 //! error, because the caller left the selector no fallback to offer.
 //!
 //! Everything here is deterministic and engine-independent: widths are
-//! exact rationals with unique optima, the `subw` certificate chain runs
-//! sequentially (its Shannon flows seed the adaptive partitions, so the
-//! chain shape must not depend on the thread count), and budgets count
-//! pivots/branches/rows — never wall-clock time.
+//! exact rationals, both width chains run on the calling thread under the
+//! request's one [`PivotBudget`] (the `subw` chain's Shannon flows seed the
+//! adaptive partitions, so its shape must not depend on a thread count),
+//! and budgets count pivots/branches/rows — never wall-clock time.
 
 use panda_entropy::{
     BoundError, BoundReport, CancelToken, FhtwReport, PivotBudget, ShannonFlow, StatisticsSet,
@@ -209,7 +209,7 @@ pub(crate) struct Selection {
     /// every single-plan strategy; for a downgraded adaptive plan, the
     /// count that triggered the downgrade).
     pub branch_count: usize,
-    /// Simplex pivots consumed by planning, when a pivot budget was set.
+    /// Simplex pivots consumed by planning, when a pivot limit was set.
     pub lp_pivots_used: Option<u64>,
     /// Subplans the adaptive plan will materialise once and scan from
     /// several branches (plan-derived and deterministic; empty for
@@ -292,24 +292,34 @@ fn apply_memory_budget(
 
 /// Attaches informational widths to a selection that did not need them to
 /// decide (the explicit override and the acyclic fast path): EXPLAIN
-/// callers still want to see `fhtw`/`subw`.  Runs unbudgeted — the
-/// selection itself spent no LP work, so the budget has nothing to govern —
-/// and absorbs width errors into absence (`None`).
+/// callers still want to see `fhtw`/`subw`.  The selection itself spent no
+/// LP work, so no pivot limit governs these chains: their budget is
+/// unlimited and only carries the request's cancel token.
+/// [`BoundError::Cancelled`] propagates; every other width error is
+/// absorbed into absence (`None`).
 fn attach_informational_widths(
     selection: &mut Selection,
     query: &ConjunctiveQuery,
     stats: &StatisticsSet,
-    threads: usize,
-) {
+    cancel: &CancelToken,
+) -> Result<(), BoundError> {
+    fn unless_cancelled<T>(width: Result<T, BoundError>) -> Result<Option<T>, BoundError> {
+        match width {
+            Err(BoundError::Cancelled) => Err(BoundError::Cancelled),
+            other => Ok(other.ok()),
+        }
+    }
     let tds = TreeDecomposition::enumerate(query);
-    if let Ok(report) = panda_entropy::fhtw_with_tds_parallel(query, &tds, stats, threads) {
+    let mut budget = PivotBudget::unlimited().with_cancel_token(cancel.clone());
+    let fhtw = panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut budget);
+    if let Some(report) = unless_cancelled(fhtw)? {
         selection.best_td = Some(report.best_td().clone());
         selection.fhtw = Some(report);
     }
-    if let Ok(report) = panda_entropy::subw_with_tds(query, &tds, stats) {
-        selection.subw = Some(report);
-    }
+    let subw = panda_entropy::subw_with_tds_budgeted(query, &tds, stats, &mut budget);
+    selection.subw = unless_cancelled(subw)?;
     selection.tds = tds;
+    Ok(())
 }
 
 /// Runs the selector: walks the rule list in order, applies the budgets,
@@ -328,28 +338,25 @@ fn attach_informational_widths(
 /// deliberately *not* fail-soft: the caller asked for the work to stop,
 /// not for a cheaper plan to run instead.
 ///
-/// `cancel` attaches a cooperative [`CancelToken`] to the pivot budget
-/// when one is configured; the token is polled at every pivot, so a
-/// cancelled token aborts planning at the next counting point.  With no
-/// pivot budget there are no counting points — the caller's entry-level
-/// cancellation checks are then the only cancellation granularity.
-#[allow(clippy::too_many_arguments)]
+/// `cancel` rides on the request's one [`PivotBudget`] — the configured
+/// pivot limit, or an unlimited one — and is polled at every pivot, so a
+/// fired token aborts planning at the next pivot whether or not a limit is
+/// set.
 pub(crate) fn select(
     query: &ConjunctiveQuery,
     stats: &StatisticsSet,
     db: &Database,
     budgets: Budgets,
-    threads: usize,
     requested: EvaluationStrategy,
     want_widths: bool,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<Selection, BoundError> {
     // Rule 1: explicit override.
     if requested != EvaluationStrategy::Auto {
         let mut selection =
             Selection::new(SelectorRule::ExplicitOverride, ReasonCode::ExplicitStrategy, requested);
         if want_widths {
-            attach_informational_widths(&mut selection, query, stats, threads);
+            attach_informational_widths(&mut selection, query, stats, cancel)?;
         }
         return Ok(selection);
     }
@@ -362,26 +369,17 @@ pub(crate) fn select(
             EvaluationStrategy::Yannakakis,
         );
         if want_widths {
-            attach_informational_widths(&mut selection, query, stats, threads);
+            attach_informational_widths(&mut selection, query, stats, cancel)?;
         }
         return Ok(selection);
     }
 
     let tds = TreeDecomposition::enumerate(query);
-    let mut budget = budgets.lp_pivot_budget.map(|limit| match cancel {
-        Some(token) => PivotBudget::new(limit).with_cancel_token(token.clone()),
-        None => PivotBudget::new(limit),
-    });
+    let mut budget = budgets.pivot_budget(cancel);
+    // The report shows the pivot count only when a limit was asked for.
+    let pivots_used = |budget: &PivotBudget| budgets.lp_pivot_budget.map(|_| budget.used());
 
-    // fhtw: parallel chains when unbudgeted (optimal values are unique, so
-    // the result is engine-independent either way); the budgeted chain is
-    // sequential so the pivot count at which the budget dies is identical
-    // at every thread count.
-    let fhtw_result = match budget.as_mut() {
-        Some(b) => panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, b),
-        None => panda_entropy::fhtw_with_tds_parallel(query, &tds, stats, threads),
-    };
-    let fhtw_report = match fhtw_result {
+    let fhtw_report = match panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut budget) {
         Ok(report) => report,
         Err(BoundError::Unbounded) => {
             // Rule 5: no finite width exists.
@@ -391,7 +389,7 @@ pub(crate) fn select(
                 EvaluationStrategy::GenericJoin,
             );
             selection.tds = tds;
-            selection.lp_pivots_used = budget.as_ref().map(PivotBudget::used);
+            selection.lp_pivots_used = pivots_used(&budget);
             return Ok(selection);
         }
         Err(BoundError::PivotBudgetExhausted) => {
@@ -404,21 +402,14 @@ pub(crate) fn select(
                 EvaluationStrategy::GenericJoin,
             );
             selection.tds = tds;
-            selection.lp_pivots_used = budget.as_ref().map(PivotBudget::used);
+            selection.lp_pivots_used = pivots_used(&budget);
             return Ok(selection);
         }
         Err(e) => return Err(e),
     };
 
-    // subw: always the sequential chain — its per-selector Shannon flows
-    // seed the adaptive partitions and the report's certificates, so the
-    // chain shape (and with it the extracted duals) must not depend on the
-    // thread count.
-    let subw_result = match budget.as_mut() {
-        Some(b) => panda_entropy::subw_with_tds_budgeted(query, &tds, stats, b),
-        None => panda_entropy::subw_with_tds(query, &tds, stats),
-    };
-    let lp_pivots_used = budget.as_ref().map(PivotBudget::used);
+    let subw_result = panda_entropy::subw_with_tds_budgeted(query, &tds, stats, &mut budget);
+    let lp_pivots_used = pivots_used(&budget);
 
     let mut selection = match subw_result {
         Ok(subw_report) if subw_report.value < fhtw_report.value => {
@@ -545,5 +536,65 @@ pub(crate) fn branch_bounds_for(
                 .collect()
         }
         _ => Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use panda_query::parse_query;
+    use panda_relation::Relation;
+
+    #[test]
+    fn a_fired_token_stops_planning_with_no_pivot_limit_configured() {
+        // With no `BUDGET pivots=` the request's budget is unlimited, and
+        // it is still what polls the token.
+        let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
+        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
+        let mut db = Database::new();
+        for name in ["R", "S", "T", "U"] {
+            db.insert(name, Relation::from_rows(2, vec![[1, 2], [2, 1]]));
+        }
+        let plan = |requested, want_widths, cancel: &CancelToken| {
+            select(&q, &stats, &db, Budgets::default(), requested, want_widths, cancel)
+        };
+        let fired = CancelToken::new();
+        fired.cancel();
+        for requested in
+            [EvaluationStrategy::Auto, EvaluationStrategy::StaticTd, EvaluationStrategy::Adaptive]
+        {
+            // The report path solves width LPs under every request.
+            let live = plan(requested, true, &CancelToken::new()).unwrap();
+            assert_eq!(live.lp_pivots_used, None, "no limit configured, none reported");
+            assert!(live.fhtw.is_some() && live.subw.is_some());
+            assert_eq!(plan(requested, true, &fired).unwrap_err(), BoundError::Cancelled);
+        }
+        // The evaluation path solves them under `Auto` only.
+        assert_eq!(
+            plan(EvaluationStrategy::Auto, false, &fired).unwrap_err(),
+            BoundError::Cancelled
+        );
+        assert!(plan(EvaluationStrategy::StaticTd, false, &fired).is_ok());
+    }
+
+    #[test]
+    fn informational_widths_absorb_every_error_but_cancellation() {
+        // Only R is constrained, so both widths are unbounded: absent from
+        // the selection, not an error.
+        let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
+        let mut stats = StatisticsSet::new(1000);
+        stats.add_cardinality("R", q.atoms()[0].var_set(), 1000);
+        let selection = select(
+            &q,
+            &stats,
+            &Database::new(),
+            Budgets::default(),
+            EvaluationStrategy::BinaryJoin,
+            true,
+            &CancelToken::new(),
+        )
+        .unwrap();
+        assert!(selection.fhtw.is_none() && selection.subw.is_none());
+        assert_eq!(selection.tds.len(), 2);
     }
 }

@@ -1,12 +1,12 @@
 //! The one ordered fan-out every parallel region of the workspace uses.
 //!
-//! Probe shards, generic-join top-level candidates, PANDA and DDR degree
-//! branches and per-decomposition LP chains all have the same shape: apply
-//! a pure function to each item of a slice and merge the results in input
-//! order.  [`ordered_map`] is that shape, once.  Because the merge order is
-//! the input order, its output equals `items.iter().map(f).collect()` at
-//! every thread count — which is what makes every evaluator built on it
-//! bit-identical to its sequential run.
+//! Probe shards, generic-join top-level candidates and PANDA and DDR
+//! degree branches all have the same shape: apply a pure function to each
+//! item of a slice and merge the results in input order.  [`ordered_map`]
+//! is that shape, once.  Because the merge order is the input order, its
+//! output equals `items.iter().map(f).collect()` at every thread count —
+//! which is what makes every evaluator built on it bit-identical to its
+//! sequential run.
 
 // panda-lint: allow-file(D2) -- this file IS the deterministic fan-out:
 // each scoped thread maps one contiguous chunk and the chunk results are

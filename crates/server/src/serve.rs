@@ -119,8 +119,10 @@ fn reader_loop(
             continue;
         }
         let trimmed = line.trim_end_matches(['\r', '\n']);
+        // One parse serves the cancel check and the job's tag.
+        let request = parse_request(trimmed).ok();
         // Out-of-band cancellation: reach queued and in-flight requests.
-        if let Ok(req) = parse_request(trimmed) {
+        if let Some(req) = &request {
             if let Command::Cancel { id } = req.command {
                 let state = {
                     let st = lock(&shared.state);
@@ -145,7 +147,7 @@ fn reader_loop(
                 // Unknown here: the session answers pending/done in order.
             }
         }
-        let id = parse_request(trimmed).ok().and_then(|r| r.id);
+        let id = request.and_then(|r| r.id);
         let job = Job { line: trimmed.to_string(), id, cancel: CancelToken::new() };
         let mut st = lock(&shared.state);
         while st.queue.len() >= QUEUE_CAP && !st.shutdown {

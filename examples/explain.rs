@@ -38,7 +38,7 @@ fn main() {
     //    The pivot threshold is measured (not hard-coded) so the output
     //    stays stable across solver changes.
     let tds = TreeDecomposition::enumerate(&query);
-    let mut probe = panda::entropy::PivotBudget::new(u64::MAX);
+    let mut probe = panda::entropy::PivotBudget::unlimited();
     panda::entropy::fhtw_with_tds_budgeted(&query, &tds, &stats, &mut probe).unwrap();
     let budgets = Budgets::unlimited().with_lp_pivot_budget(probe.used() + 1);
     println!();

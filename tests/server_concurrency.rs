@@ -226,46 +226,41 @@ fn frame(lines: &[String]) -> Vec<Vec<String>> {
     out
 }
 
-#[test]
-fn mid_query_cancel_is_race_free_in_outcome() {
+/// One block of racy `CANCEL`s against an adaptive triangle query, with
+/// the `BUDGET` line of the session given or left out.
+fn cancel_race_rounds(budget_line: &[&str]) {
     // The cancel itself is racy (queued / inflight / already done); the
     // *outcome* must not be: the target answers its full correct result or
     // `ERR cancelled`, and the session keeps serving either way.
     let addr = spawn_server();
+    let load = ["LOAD CnR 2", "1 2", "2 3", "3 1", "END"];
+    let target = "QUERY Q(A,B,C) :- CnR(A,B), CnR(B,C), CnR(C,A)";
+    let tagged = format!("#1 {target}");
     let script = s(&[
-        "LOAD CnR 2",
-        "1 2",
-        "2 3",
-        "3 1",
-        "END",
-        "BUDGET pivots=10000",
-        "STRATEGY adaptive",
-        "#1 QUERY Q(A,B,C) :- CnR(A,B), CnR(B,C), CnR(C,A)",
-        "CANCEL 1",
-        "STRATEGY auto",
-        "QUERY Q(A,B) :- CnR(A,B)",
-    ]);
+        &load[..],
+        budget_line,
+        &[
+            "STRATEGY adaptive",
+            tagged.as_str(),
+            "CANCEL 1",
+            "STRATEGY auto",
+            "QUERY Q(A,B) :- CnR(A,B)",
+        ],
+    ]
+    .concat());
     // The follow-up query's exact bytes, from a session that never cancels.
-    let tail_expected =
-        reference(&s(&["LOAD CnR 2", "1 2", "2 3", "3 1", "END", "QUERY Q(A,B) :- CnR(A,B)"]));
+    let tail_expected = reference(&s(&[&load[..], &["QUERY Q(A,B) :- CnR(A,B)"]].concat()));
     let tail_expected = &tail_expected[1..]; // drop the LOAD ack
-    let full_expected = reference(&s(&[
-        "LOAD CnR 2",
-        "1 2",
-        "2 3",
-        "3 1",
-        "END",
-        "BUDGET pivots=10000",
-        "STRATEGY adaptive",
-        "QUERY Q(A,B,C) :- CnR(A,B), CnR(B,C), CnR(C,A)",
-    ]));
-    let full_expected = &full_expected[3..]; // the target's success reply
+    let full_expected =
+        reference(&s(&[&load[..], budget_line, &["STRATEGY adaptive", target]].concat()));
+    // The target's success reply follows one ack per set-up command.
+    let full_expected = &full_expected[2 + budget_line.len()..];
 
     for round in 0..25 {
         let transcript = run_client(addr, &script);
         let replies = frame(&transcript);
-        // LOAD + BUDGET + STRATEGY, target, cancel ack, STRATEGY, tail = 7.
-        assert_eq!(replies.len(), 7, "round {round}: {transcript:?}");
+        // LOAD (+ BUDGET) + STRATEGY, target, cancel ack, STRATEGY, tail.
+        assert_eq!(replies.len(), 6 + budget_line.len(), "round {round}: {transcript:?}");
         // The ack may interleave anywhere between whole replies (the
         // reader writes it out-of-band), so classify by content.
         let mut target = None;
@@ -303,6 +298,18 @@ fn mid_query_cancel_is_race_free_in_outcome() {
         // The session survives: the follow-up is byte-exact.
         assert_eq!(&tail[..], tail_expected, "round {round}");
     }
+}
+
+#[test]
+fn mid_query_cancel_is_race_free_in_outcome() {
+    cancel_race_rounds(&["BUDGET pivots=10000"]);
+}
+
+#[test]
+fn mid_query_cancel_is_race_free_without_a_pivot_limit() {
+    // The token rides on the request's unlimited budget, so an in-flight
+    // `CANCEL` binds at the next pivot with no `BUDGET` line sent.
+    cancel_race_rounds(&[]);
 }
 
 #[test]

@@ -143,10 +143,10 @@ fn rule_5_generic_default_when_no_width_exists() {
 /// solver changes.
 fn measured_pivot_costs(query: &ConjunctiveQuery, stats: &StatisticsSet) -> (u64, u64) {
     let tds = TreeDecomposition::enumerate(query);
-    let mut fhtw_budget = panda::entropy::PivotBudget::new(u64::MAX);
+    let mut fhtw_budget = panda::entropy::PivotBudget::unlimited();
     panda::entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut fhtw_budget)
         .expect("unbudgeted fhtw must succeed");
-    let mut total_budget = panda::entropy::PivotBudget::new(u64::MAX);
+    let mut total_budget = panda::entropy::PivotBudget::unlimited();
     panda::entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut total_budget)
         .expect("unbudgeted fhtw must succeed");
     panda::entropy::subw_with_tds_budgeted(query, &tds, stats, &mut total_budget)
@@ -245,6 +245,71 @@ fn within_budget_planning_is_identical_to_unbudgeted_planning() {
     assert_eq!(budgeted.branch_bounds, unbudgeted.branch_bounds);
     assert_eq!(budgeted.lp_pivots_used, Some(total_pivots));
     assert_eq!(unbudgeted.lp_pivots_used, None);
+}
+
+// ---------------------------------------------------------------------------
+// One planning budget: "no limit" is a limit of `u64::MAX`, not a second path.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn width_chains_poll_the_token_of_an_unlimited_budget() {
+    use panda::entropy::{fhtw_with_tds_budgeted, subw_with_tds_budgeted, BoundError, PivotBudget};
+    let query = panda::workloads::four_cycle_projected();
+    let stats = gap_stats(&query);
+    let tds = TreeDecomposition::enumerate(&query);
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let mut budget = PivotBudget::unlimited().with_cancel_token(cancelled);
+    let fhtw_err = fhtw_with_tds_budgeted(&query, &tds, &stats, &mut budget).unwrap_err();
+    assert_eq!(fhtw_err, BoundError::Cancelled);
+    let subw_err = subw_with_tds_budgeted(&query, &tds, &stats, &mut budget).unwrap_err();
+    assert_eq!(subw_err, BoundError::Cancelled);
+    assert_eq!(budget.used(), 0, "the poll comes before the first pivot and costs none");
+}
+
+#[test]
+fn unlimited_width_chains_equal_the_conveniences_field_for_field() {
+    use panda::entropy::{fhtw_with_tds_budgeted, subw_with_tds_budgeted, PivotBudget};
+    let query = panda::workloads::four_cycle_projected();
+    let stats = gap_stats(&query);
+    let tds = TreeDecomposition::enumerate(&query);
+    let mut budget = PivotBudget::unlimited().with_cancel_token(CancelToken::new());
+
+    let chain = fhtw_with_tds_budgeted(&query, &tds, &stats, &mut budget).unwrap();
+    let plain = fhtw(&query, &stats).unwrap();
+    assert_eq!((chain.value, chain.best), (plain.value, plain.best));
+    assert_eq!(chain.per_td, plain.per_td);
+
+    let chain = subw_with_tds_budgeted(&query, &tds, &stats, &mut budget).unwrap();
+    let plain = subw(&query, &stats).unwrap();
+    assert_eq!(chain.value, plain.value);
+    assert_eq!(chain.tds, plain.tds);
+    assert_eq!(chain.per_selector.len(), plain.per_selector.len());
+    for (c, p) in chain.per_selector.iter().zip(&plain.per_selector) {
+        assert_eq!(c.selector.bags(), p.selector.bags());
+        assert_eq!(c.report, p.report, "bound and certificate");
+    }
+    assert!(budget.used() > 0 && !budget.is_exhausted());
+}
+
+#[test]
+fn only_a_configured_limit_puts_the_pivot_count_in_the_report() {
+    let query = panda::workloads::four_cycle_projected();
+    let db = panda::workloads::double_star_db(16);
+    let stats = gap_stats(&query);
+    let (_, total_pivots) = measured_pivot_costs(&query, &stats);
+    let planner = Panda::new(query).with_statistics(stats);
+    let no_limit = planner.plan_report(&db).unwrap();
+    let max_limit = planner
+        .clone()
+        .with_budgets(Budgets::unlimited().with_lp_pivot_budget(u64::MAX))
+        .plan_report(&db)
+        .unwrap();
+    assert_eq!(no_limit.lp_pivots_used, None);
+    assert_eq!(max_limit.lp_pivots_used, Some(total_pivots));
+    assert_eq!((max_limit.fhtw, max_limit.subw), (no_limit.fhtw, no_limit.subw));
+    assert_eq!(max_limit.strategy, no_limit.strategy);
+    assert_eq!(max_limit.branch_bounds, no_limit.branch_bounds);
 }
 
 #[test]
