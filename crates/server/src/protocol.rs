@@ -237,24 +237,74 @@ fn parse_budget_patch(args: &str) -> Result<BudgetPatch, WireError> {
     Ok(patch)
 }
 
+/// Splits a trimmed request line into its raw `#` tag token (when the line
+/// starts with `#`), its keyword and the keyword's arguments.
+fn split_request(line: &str) -> (Option<&str>, &str, &str) {
+    let (tag, rest) = match line.strip_prefix('#') {
+        Some(tagged) => {
+            let (tag, rest) = split_token(tagged);
+            (Some(tag), rest)
+        }
+        None => (None, line),
+    };
+    let (keyword, args) = split_token(rest);
+    (tag, keyword, args)
+}
+
+/// What a line means inside an open `LOAD` block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockLine {
+    /// A row of the relation — or anything else that is neither of the two
+    /// below, which the session then reports as a bad row.
+    Data,
+    /// A bare `END` (surrounding blanks allowed): closes the block.
+    End,
+    /// A well-formed, optionally tagged `CANCEL <id>` — the one command
+    /// that stays a command inside a block (its keyword cannot be numeric
+    /// data, so reserving it costs nothing).
+    Cancel(u64),
+}
+
+/// Classifies a line of an open `LOAD` block without parsing it as a
+/// request: `END` is one string comparison, and only a line starting with
+/// `C` or `#` is looked at further, so a row of integers costs a first-byte
+/// check.  `Cancel` is returned for exactly the lines [`parse_request`]
+/// parses into [`Command::Cancel`].
+///
+/// The TCP reader and the session both decide with this function, which is
+/// why the reader's idea of where a block ends can never disagree with the
+/// session's.
+#[must_use]
+pub fn classify_block_line(line: &str) -> BlockLine {
+    let line = line.trim();
+    if line == "END" {
+        return BlockLine::End;
+    }
+    if !line.starts_with(['C', '#']) {
+        return BlockLine::Data;
+    }
+    let (tag, keyword, args) = split_request(line);
+    let tag_parses = tag.map_or(true, |tag| tag.parse::<u64>().is_ok());
+    match args.parse::<u64>() {
+        Ok(id) if keyword == "CANCEL" && tag_parses => BlockLine::Cancel(id),
+        _ => BlockLine::Data,
+    }
+}
+
 /// Parses one request line (already stripped of its trailing newline).
 ///
 /// Blank lines are the caller's concern ([`crate::session::Session`] skips
 /// them); everything else either parses into a [`Request`] or yields a
 /// structured [`WireError`] that renders as the response.
 pub fn parse_request(line: &str) -> Result<Request, WireError> {
-    let line = line.trim();
-    let (id, rest) = match line.strip_prefix('#') {
-        Some(tagged) => {
-            let (tag, rest) = split_token(tagged);
-            match tag.parse::<u64>() {
-                Ok(id) => (Some(id), rest),
-                Err(_) => return Err(malformed(format!("request tag `#{tag}` is not an integer"))),
-            }
-        }
-        None => (None, line),
+    let (tag, keyword, args) = split_request(line.trim());
+    let id = match tag {
+        Some(tag) => match tag.parse::<u64>() {
+            Ok(id) => Some(id),
+            Err(_) => return Err(malformed(format!("request tag `#{tag}` is not an integer"))),
+        },
+        None => None,
     };
-    let (keyword, args) = split_token(rest);
     let command = match keyword {
         "PING" => Command::Ping,
         "LOAD" => {
@@ -353,6 +403,45 @@ mod tests {
         assert_eq!(parse_request("#x PING").unwrap_err().code, ErrorCode::MalformedRequest);
         assert_eq!(parse_request("LOAD R 0").unwrap_err().code, ErrorCode::MalformedRequest);
         assert_eq!(parse_request("CANCEL soon").unwrap_err().code, ErrorCode::MalformedRequest);
+    }
+
+    #[test]
+    fn block_lines_are_cancels_exactly_when_they_parse_as_one() {
+        for line in [
+            "1 2",
+            "",
+            "  ",
+            "END",
+            " END\t",
+            "END 1",
+            "ENDURE",
+            "end",
+            "CANCEL 7",
+            "#3 CANCEL 7",
+            "# 3 CANCEL 7",
+            "#3CANCEL 7",
+            "#x CANCEL 7",
+            "# CANCEL 7",
+            "CANCEL",
+            "CANCEL soon",
+            "CANCEL 7 8",
+            "CANCEL +7",
+            "CANCEL -7",
+            "cancel 7",
+            "CANCELLED 7",
+            " CANCEL  7 ",
+            "C",
+            "#",
+            "LOAD R 2",
+            "QUIT",
+        ] {
+            let expected = match parse_request(line) {
+                Ok(Request { command: Command::Cancel { id }, .. }) => BlockLine::Cancel(id),
+                _ if line.trim() == "END" => BlockLine::End,
+                _ => BlockLine::Data,
+            };
+            assert_eq!(classify_block_line(line), expected, "line {line:?}");
+        }
     }
 
     #[test]

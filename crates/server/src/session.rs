@@ -14,6 +14,16 @@
 //! [`CancelToken`] fires mid-flight answers `ERR cancelled` instead of its
 //! normal response.  Everything else — row order, EXPLAIN bytes, error
 //! texts — is bit-stable across engines, thread counts and runs.
+//!
+//! # Inside a `LOAD` block
+//!
+//! Between a `LOAD` header and its `END` a line is a row, and is never
+//! parsed as a request: [`classify_block_line`] picks out the two keywords
+//! that stay keywords — a bare `END`, and `CANCEL <id>`, the one command
+//! reserved inside a block because its keyword cannot be numeric data —
+//! and for a row that is a first-byte check.  Rows are parsed into one
+//! reused buffer and pushed straight into the [`Relation`] that `END` will
+//! deduplicate and insert, so a row allocates nothing and is stored once.
 
 use std::collections::BTreeSet;
 
@@ -25,7 +35,10 @@ use panda_entropy::BoundError;
 use panda_query::{parse_query, Var};
 use panda_relation::{Database, Relation, Value};
 
-use crate::protocol::{parse_request, BudgetPatch, Command, ErrorCode, WireError, MAX_LINE_BYTES};
+use crate::protocol::{
+    classify_block_line, parse_request, BlockLine, BudgetPatch, Command, ErrorCode, WireError,
+    MAX_LINE_BYTES,
+};
 
 /// The response to one request line: zero or more response lines (header
 /// first, then exactly the body the header's `lines=` field announces),
@@ -78,15 +91,55 @@ impl SessionCacheStats {
     }
 }
 
-/// An open `LOAD` block: rows accumulate until `END`; the first bad data
-/// line poisons the block (remaining lines are still consumed so the
-/// stream stays in sync) and `END` then reports the error and discards.
+/// An open `LOAD` block: rows accumulate, already in the relation's flat
+/// layout, until `END`; the first bad data line poisons the block
+/// (remaining lines are still consumed so the stream stays in sync) and
+/// `END` then reports the error and discards.
 #[derive(Debug, Clone)]
 struct LoadState {
     relation: String,
-    arity: usize,
-    rows: Vec<Vec<Value>>,
+    rows: Relation,
+    /// The row being parsed; reused so a data line allocates nothing.
+    row: Vec<Value>,
     error: Option<WireError>,
+}
+
+impl LoadState {
+    /// Takes one data line: a row, a blank line, or the block's first error.
+    fn push_line(&mut self, line: &str) {
+        if self.error.is_some() {
+            return;
+        }
+        self.row.clear();
+        for token in line.split_whitespace() {
+            match token.parse::<Value>() {
+                Ok(v) => self.row.push(v),
+                Err(_) => {
+                    self.error = Some(WireError::new(
+                        ErrorCode::LoadError,
+                        format!("non-integer value `{token}` in LOAD {}", self.relation),
+                    ));
+                    return;
+                }
+            }
+        }
+        if self.row.is_empty() {
+            return; // a blank line
+        }
+        if self.row.len() != self.rows.arity() {
+            self.error = Some(WireError::new(
+                ErrorCode::LoadError,
+                format!(
+                    "row has {} values but LOAD {} declared arity {}",
+                    self.row.len(),
+                    self.relation,
+                    self.rows.arity()
+                ),
+            ));
+            return;
+        }
+        self.rows.push_row(&self.row);
+    }
 }
 
 /// A serving session.  See the module docs for the determinism contract.
@@ -146,8 +199,17 @@ impl Session {
             ));
         }
         let line = raw.trim_end_matches(['\r', '\n']);
-        if self.load.is_some() && !is_cancel_line(line) {
-            return self.handle_load_line(line);
+        if let Some(load) = &mut self.load {
+            // Inside a block nothing is parsed as a request: a row costs
+            // the classifier's first-byte check.
+            return match classify_block_line(line) {
+                BlockLine::Data => {
+                    load.push_line(line);
+                    Reply::none()
+                }
+                BlockLine::End => self.finish_load(),
+                BlockLine::Cancel(id) => self.handle_cancel(id),
+            };
         }
         if line.trim().is_empty() {
             return Reply::none();
@@ -172,7 +234,12 @@ impl Session {
         let reply = match request.command {
             Command::Ping => Reply::line("OK pong".to_string()),
             Command::Load { relation, arity } => {
-                self.load = Some(LoadState { relation, arity, rows: Vec::new(), error: None });
+                self.load = Some(LoadState {
+                    relation,
+                    rows: Relation::new(arity),
+                    row: Vec::with_capacity(arity),
+                    error: None,
+                });
                 Reply::none()
             }
             Command::End => Reply::error(WireError::new(
@@ -197,53 +264,17 @@ impl Session {
         reply
     }
 
-    fn handle_load_line(&mut self, line: &str) -> Reply {
-        let trimmed = line.trim();
-        if trimmed == "END" {
-            let Some(load) = self.load.take() else {
-                return Reply::none(); // unreachable: guarded by the caller
-            };
-            if let Some(err) = load.error {
-                return Reply::error(err);
-            }
-            let relation = Relation::from_rows(load.arity, load.rows).deduped();
-            let rows = relation.len();
-            self.db.insert(&load.relation, relation);
-            return Reply::line(format!("OK loaded rel={} rows={rows}", load.relation));
-        }
-        let Some(load) = self.load.as_mut() else {
+    fn finish_load(&mut self) -> Reply {
+        let Some(load) = self.load.take() else {
             return Reply::none(); // unreachable: guarded by the caller
         };
-        if load.error.is_some() || trimmed.is_empty() {
-            return Reply::none();
+        if let Some(err) = load.error {
+            return Reply::error(err);
         }
-        let mut row: Vec<Value> = Vec::with_capacity(load.arity);
-        for token in trimmed.split_whitespace() {
-            match token.parse::<Value>() {
-                Ok(v) => row.push(v),
-                Err(_) => {
-                    load.error = Some(WireError::new(
-                        ErrorCode::LoadError,
-                        format!("non-integer value `{token}` in LOAD {}", load.relation),
-                    ));
-                    return Reply::none();
-                }
-            }
-        }
-        if row.len() != load.arity {
-            load.error = Some(WireError::new(
-                ErrorCode::LoadError,
-                format!(
-                    "row has {} values but LOAD {} declared arity {}",
-                    row.len(),
-                    load.relation,
-                    load.arity
-                ),
-            ));
-            return Reply::none();
-        }
-        load.rows.push(row);
-        Reply::none()
+        let relation = load.rows.deduped();
+        let rows = relation.len();
+        self.db.insert(&load.relation, relation);
+        Reply::line(format!("OK loaded rel={} rows={rows}", load.relation))
     }
 
     fn handle_cancel(&mut self, id: u64) -> Reply {
@@ -378,13 +409,6 @@ impl Session {
     }
 }
 
-/// `true` when a line is a `CANCEL` command — the one command that stays a
-/// command even inside a `LOAD` data block (its keyword cannot be numeric
-/// data, so reserving it costs nothing).
-fn is_cancel_line(line: &str) -> bool {
-    matches!(parse_request(line), Ok(req) if matches!(req.command, Command::Cancel { .. }))
-}
-
 fn fmt_opt(value: Option<u64>) -> String {
     value.map_or_else(|| "none".to_string(), |n| n.to_string())
 }
@@ -486,6 +510,70 @@ mod tests {
         // The bad block was discarded; a clean reload works.
         let out = feed(&mut session, &["LOAD R 2", "7 8", "END", "QUERY Q(A,B) :- R(A,B)"]);
         assert_eq!(out, vec!["OK loaded rel=R rows=1", "OK rows n=1 vars=A,B lines=1", "7 8"]);
+    }
+
+    #[test]
+    fn only_bare_end_and_well_formed_cancel_are_keywords_inside_a_block() {
+        // The answers to `LOAD R 2`, `1 2`, the line, `1 2`, `END`, `PING`.
+        let bad = |token: &str| {
+            vec![format!("ERR load_error non-integer value `{token}` in LOAD R"), "OK pong".into()]
+        };
+        let cancelled = || {
+            vec![
+                "OK cancel id=7 state=pending".to_string(),
+                "OK loaded rel=R rows=1".into(),
+                "OK pong".into(),
+            ]
+        };
+        let closed_early = || {
+            vec![
+                "OK loaded rel=R rows=1".to_string(),
+                "ERR unknown_command unknown command `1`".into(),
+                "ERR malformed_request END outside a LOAD block".into(),
+                "OK pong".into(),
+            ]
+        };
+        let table: Vec<(&str, Vec<String>)> = vec![
+            ("cancel 7", bad("cancel")),
+            ("CANCELLED 7", bad("CANCELLED")),
+            ("CANCEL", bad("CANCEL")),
+            ("CANCEL soon", bad("CANCEL")),
+            ("CANCEL 7 8", bad("CANCEL")),
+            ("#x CANCEL 7", bad("#x")),
+            ("END 1", bad("END")),
+            ("ENDURE", bad("ENDURE")),
+            ("-1 2", bad("-1")),
+            ("CANCEL 7", cancelled()),
+            ("CANCEL +7", cancelled()),
+            ("#3 CANCEL 7", cancelled()),
+            ("# 3 CANCEL 7", cancelled()),
+            ("  END  ", closed_early()),
+            ("\u{a0}END\u{a0}", closed_early()),
+            ("+5 6", vec!["OK loaded rel=R rows=2".into(), "OK pong".into()]),
+            ("", vec!["OK loaded rel=R rows=1".into(), "OK pong".into()]),
+            ("1\u{a0}2", vec!["OK loaded rel=R rows=1".into(), "OK pong".into()]),
+        ];
+        for (line, expected) in table {
+            let mut session = Session::new();
+            let out = feed(&mut session, &["LOAD R 2", "1 2", line, "1 2", "END", "PING"]);
+            assert_eq!(out, expected, "line {line:?}");
+        }
+    }
+
+    #[test]
+    fn loaded_counts_duplicate_rows_once() {
+        let rows: Vec<String> = (0..1000).map(|i| format!("{} {}", i % 10, i % 7)).collect();
+        let mut lines = vec!["LOAD R 2"];
+        lines.extend(rows.iter().map(String::as_str));
+        lines.push("END");
+        let mut session = Session::new();
+        assert_eq!(feed(&mut session, &lines), vec!["OK loaded rel=R rows=70"]);
+        // What is stored is what `from_rows(..).deduped()` stored: first
+        // occurrences, in arrival order.
+        let reference = Relation::from_rows(2, (0..1000).map(|i| [i % 10, i % 7])).deduped();
+        let in_order = |r: &Relation| r.iter().map(<[Value]>::to_vec).collect::<Vec<_>>();
+        assert_eq!(reference.len(), 70);
+        assert_eq!(session.db.relation("R").map(in_order), Some(in_order(&reference)));
     }
 
     #[test]

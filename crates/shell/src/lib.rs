@@ -37,7 +37,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
 use panda_query::{parse_statement, Parsed};
-use panda_server::protocol::{body_lines, parse_request, Command};
+use panda_server::protocol::{body_lines, classify_block_line, parse_request, BlockLine, Command};
 use panda_server::session::Session;
 use panda_server::Engine;
 
@@ -94,16 +94,19 @@ impl Connection {
     /// Whether the server will answer this line at all — the client-side
     /// mirror of the session's `LOAD` block state machine.
     fn expects_response(&mut self, line: &str) -> bool {
-        let trimmed = line.trim();
         if self.in_load {
-            if trimmed == "END" {
-                self.in_load = false;
-                return true;
-            }
-            // CANCEL stays a command even inside a data block.
-            return matches!(parse_request(trimmed),
-                Ok(req) if matches!(req.command, Command::Cancel { .. }));
+            // The session's own classifier: CANCEL stays a command even
+            // inside a data block.
+            return match classify_block_line(line) {
+                BlockLine::Data => false,
+                BlockLine::End => {
+                    self.in_load = false;
+                    true
+                }
+                BlockLine::Cancel(_) => true,
+            };
         }
+        let trimmed = line.trim();
         if trimmed.is_empty() {
             return false;
         }

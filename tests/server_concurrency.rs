@@ -19,7 +19,9 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread;
+use std::time::Duration;
 
 use panda::server::session::Session;
 use panda::server::{body_lines, serve, ServeOptions, QUEUE_CAP};
@@ -35,25 +37,41 @@ fn spawn_server() -> std::net::SocketAddr {
     addr
 }
 
+/// How long a client waits for bytes before the test fails instead of
+/// hanging: a wedged connection is a failure, not a stuck CI job.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Runs a script over one TCP connection, fully pipelined: writes every
 /// request, half-closes, and reads response lines until the server closes.
 fn run_client(addr: std::net::SocketAddr, script: &[String]) -> Vec<String> {
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let reader = BufReader::new(stream);
     let mut payload = String::new();
     for line in script {
         payload.push_str(line);
         payload.push('\n');
     }
-    writer.write_all(payload.as_bytes()).expect("write script");
-    writer.flush().expect("flush script");
-    let _ = stream_shutdown_write(&writer);
-    let mut out = Vec::new();
-    for line in reader.lines() {
-        out.push(line.expect("read response line"));
-    }
-    out
+    run_raw(addr, payload.as_bytes())
+}
+
+/// [`run_client`] for a payload that is already bytes (and need not be
+/// UTF-8).  The writer is a thread of its own: the server stops reading
+/// when its queue is full, so a large script can only be written while
+/// the responses are being read.
+fn run_raw(addr: std::net::SocketAddr, payload: &[u8]) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let reader = BufReader::new(stream);
+    thread::scope(|scope| {
+        scope.spawn(move || {
+            writer.write_all(payload).expect("write script");
+            let _ = stream_shutdown_write(&writer);
+        });
+        let mut out = Vec::new();
+        for line in reader.lines() {
+            out.push(line.expect("read response line"));
+        }
+        out
+    })
 }
 
 fn stream_shutdown_write(stream: &TcpStream) -> std::io::Result<()> {
@@ -66,7 +84,11 @@ fn reference(script: &[String]) -> Vec<String> {
     let mut session = Session::new();
     let mut out = Vec::new();
     for line in script {
-        out.extend(session.handle_line(line).lines);
+        let reply = session.handle_line(line);
+        out.extend(reply.lines);
+        if reply.quit {
+            break;
+        }
     }
     out
 }
@@ -336,4 +358,212 @@ fn a_session_after_cancellation_still_caches_and_explains() {
         "EXPLAIN Q(A,C) :- CpR(A,B), CpR(B,C)",
     ]);
     assert_eq!(run_client(addr, &follow_script), reference(&follow_script));
+}
+
+// ---- chunked LOAD blocks: how many lines travel together is invisible ----
+
+/// `LOAD <rel> 2`, `rows` distinct 16-byte rows, `END`: more than
+/// `rows / 4096` chunks of 64 KiB when it arrives faster than it is read.
+fn block(rel: &str, rows: usize) -> Vec<String> {
+    let mut script = vec![format!("LOAD {rel} 2")];
+    script.extend((0..rows).map(|i| format!("{} {}", 1_000_000 + i, 2_000_000 + i)));
+    script.push("END".to_string());
+    script
+}
+
+#[test]
+fn a_block_spanning_several_chunks_loads_every_row() {
+    // ~320 KiB of rows, then the whole relation back: a row cut, dropped or
+    // doubled at a chunk boundary would show in the answer.
+    let mut script = block("CkBig", 20_000);
+    script.push("QUERY Q(A,B) :- CkBig(A,B)".to_string());
+    let expected = reference(&script);
+    assert_eq!(expected.first().map(String::as_str), Some("OK loaded rel=CkBig rows=20000"));
+    assert_eq!(run_client(spawn_server(), &script), expected);
+}
+
+#[test]
+fn a_row_poisoned_in_the_first_chunk_is_reported_at_end() {
+    let mut script = block("CkBad", 20_000);
+    script[10] = "7 seven".to_string();
+    script.extend(block("CkBad", 3));
+    script.push("QUERY Q(A,B) :- CkBad(A,B)".to_string());
+    let expected = reference(&script);
+    assert_eq!(
+        expected.first().map(String::as_str),
+        Some("ERR load_error non-integer value `seven` in LOAD CkBad")
+    );
+    assert_eq!(run_client(spawn_server(), &script), expected);
+}
+
+#[test]
+fn a_cancel_line_inside_a_block_is_answered_and_the_block_still_loads() {
+    // Tag 99 names no request, so the ack is the session's in-order
+    // `pending`, not a racy out-of-band one.
+    let mut script = block("CkCan", 6_000);
+    script.insert(3_000, "CANCEL 99".to_string());
+    script.insert(5, "#4 CANCEL 98".to_string());
+    let expected = reference(&script);
+    assert_eq!(
+        expected,
+        s(&[
+            "OK cancel id=98 state=pending",
+            "OK cancel id=99 state=pending",
+            "OK loaded rel=CkCan rows=6000"
+        ])
+    );
+    assert_eq!(run_client(spawn_server(), &script), expected);
+}
+
+#[test]
+fn lines_after_a_header_that_opened_no_block_are_answered_one_by_one() {
+    // The reader takes `#7 LOAD CkNo 2` for the start of a block; the
+    // session, which answers it `ERR cancelled`, does not.  Nor does it for
+    // a header the reader also rejects.
+    let numeric = ["1 2", "3 4", "", "5 6", "END", "PING"];
+    for header in [&["CANCEL 7", "#7 LOAD CkNo 2"][..], &["LOAD CkNo 0"]] {
+        let script = s(&[header, &numeric[..]].concat());
+        let expected = reference(&script);
+        assert_eq!(expected.len(), header.len() + 5, "one answer per non-blank line");
+        assert_eq!(run_client(spawn_server(), &script), expected);
+    }
+    // Commands in such a run of lines are commands, `QUIT` included.
+    let script =
+        s(&["CANCEL 7", "#7 LOAD CkNo 2", "PING", "LOAD CkYes 1", "5", "END", "QUIT", "9"]);
+    let expected = reference(&script);
+    assert_eq!(expected[2..], s(&["OK pong", "OK loaded rel=CkYes rows=1", "OK bye"]));
+    assert_eq!(run_client(spawn_server(), &script), expected);
+}
+
+#[test]
+fn a_client_that_waits_for_each_answer_is_never_kept_waiting_by_a_chunk() {
+    // Closed loop: nothing is sent until the last line was answered, so a
+    // reader that held `PING` back for an `END` that never comes would hang.
+    let stream = TcpStream::connect(spawn_server()).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut session = Session::new();
+    let script =
+        ["CANCEL 7", "#7 LOAD CkNo 2", "PING", "STATS", "LOAD CkYes 1", "5", "CANCEL 8", "END"];
+    for line in script {
+        writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
+        for expected in session.handle_line(line).lines {
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("an answer before the timeout");
+            assert_eq!(answer.trim_end(), expected, "answer to {line:?}");
+        }
+    }
+}
+
+#[test]
+fn blank_padded_and_crlf_lines_inside_a_block() {
+    let script = s(&[
+        "LOAD CkPad 2\r",
+        "1 2\r",
+        "",
+        "   ",
+        "  3   4  \r",
+        "\t5\t6",
+        "  END  \r",
+        "QUERY Q(A,B) :- CkPad(A,B)\r",
+    ]);
+    assert_eq!(run_client(spawn_server(), &script), reference(&script));
+}
+
+#[test]
+fn eof_in_the_middle_of_a_block_discards_it_quietly() {
+    let mut script = s(&["PING"]);
+    script.extend(block("CkEof", 9_000));
+    script.pop(); // no END
+    assert_eq!(run_client(spawn_server(), &script), s(&["OK pong"]));
+}
+
+#[test]
+fn quit_queued_behind_a_block_is_answered_after_it() {
+    let mut script = block("CkQuit", 9_000);
+    script.push("QUIT".to_string());
+    assert_eq!(
+        run_client(spawn_server(), &script),
+        s(&["OK loaded rel=CkQuit rows=9000", "OK bye"])
+    );
+}
+
+#[test]
+fn a_block_sent_line_by_line_matches_the_reference() {
+    // The opposite of pipelining: every line its own segment, so chunks end
+    // wherever the reader happens to run dry.
+    let mut script = block("CkDrip", 300);
+    script.insert(100, "CANCEL 99".to_string());
+    script.push("QUERY Q(A) :- CkDrip(A,B)".to_string());
+    let stream = TcpStream::connect(spawn_server()).expect("connect");
+    stream.set_nodelay(true).expect("set nodelay");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    for line in &script {
+        writer.write_all(format!("{line}\n").as_bytes()).expect("write line");
+    }
+    let _ = stream_shutdown_write(&writer);
+    let transcript: Vec<String> =
+        BufReader::new(stream).lines().map(|line| line.expect("read response line")).collect();
+    assert_eq!(transcript, reference(&script));
+}
+
+#[test]
+fn backpressure_preserves_order_around_a_block_of_more_chunks_than_the_queue_holds() {
+    // More than QUEUE_CAP chunks of 64 KiB (> 4 MiB) between the pings: the
+    // reader must block on the full queue, not drop or reorder a chunk.
+    let rows = (QUEUE_CAP + 8) * 4096;
+    let pings = vec!["PING".to_string(); QUEUE_CAP];
+    let script = [pings.clone(), block("CkWide", rows), pings].concat();
+    assert!(script.iter().map(|line| line.len() + 1).sum::<usize>() > QUEUE_CAP * 64 * 1024);
+    let mut expected = vec!["OK pong".to_string(); QUEUE_CAP];
+    expected.push(format!("OK loaded rel=CkWide rows={rows}"));
+    expected.extend(vec!["OK pong".to_string(); QUEUE_CAP]);
+    assert_eq!(run_client(spawn_server(), &script), expected);
+}
+
+// ---- a connection ends or answers; it never wedges ----
+
+#[test]
+fn bytes_that_are_not_utf8_are_answered_in_order() {
+    // Outside a block the line is an unknown command, inside one a bad row.
+    let payload = b"PING\n\xff\xfe\nPING\nLOAD CkRaw 2\n1 2\n3 \xff\nEND\nPING\n";
+    let script: Vec<String> =
+        String::from_utf8_lossy(payload).lines().map(ToString::to_string).collect();
+    let expected = reference(&script);
+    assert_eq!(
+        expected,
+        s(&[
+            "OK pong",
+            "ERR unknown_command unknown command `\u{fffd}\u{fffd}`",
+            "OK pong",
+            "ERR load_error non-integer value `\u{fffd}` in LOAD CkRaw",
+            "OK pong"
+        ])
+    );
+    assert_eq!(run_raw(spawn_server(), payload), expected);
+}
+
+#[test]
+fn a_reset_connection_ends_the_serve_loop() {
+    // The client leaves with an answer unread, which resets the
+    // connection under the reader.  `serve` with `once` returns only when
+    // both halves of the connection are done.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let (done, served) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = serve(&listener, ServeOptions { once: true, ..ServeOptions::default() });
+        let _ = done.send(());
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("set read timeout");
+    let mut oversized = vec![b'x'; 80 * 1024];
+    oversized.push(b'\n');
+    stream.write_all(&oversized).expect("write");
+    // The reader has answered (`ERR line_too_long …`); take one byte of it.
+    stream.read_exact(&mut [0u8; 1]).expect("first byte of the answer");
+    drop(stream);
+    served.recv_timeout(CLIENT_TIMEOUT).expect("the serve loop ends when its connection is reset");
 }
