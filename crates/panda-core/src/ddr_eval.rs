@@ -23,6 +23,11 @@
 //! Both constructions produce supersets of `π_B(⋈ body)`, so the union over
 //! branches is always a valid model; the choice per branch is what keeps
 //! the model small.
+//!
+//! Every branch builds its cover itself.  Unlike the adaptive plan's bags
+//! ([`crate::materialize`]), a cover has nothing to share: which
+//! construction runs depends on every body atom, and any two branches
+//! differ in the storage of at least one partitioned body relation.
 
 // panda-lint: allow-file(P1) -- head/bag indices are positions into the
 // DDR rule's own disjunct list, and cover expects are guarded by the
@@ -36,7 +41,6 @@ use panda_relation::{Database, Relation};
 use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::generic_join::GenericJoin;
-use crate::materialize::{subplan_key, SubplanRegistry};
 use crate::plans::{
     chain_join_estimate, estimate_bag_size, greedy_projection_cover, partition_branches,
     partitions_of, PartitionSpec,
@@ -164,10 +168,6 @@ impl DdrEvaluator {
         // branch the engine is spent inside the bag materialisation
         // instead.
         let inner_engine = if across_branches { Engine::Sequential } else { engine };
-        // Disjuncts whose body atoms touch no partitioned relation cover
-        // the identical subjoin in every branch that picks them: compute
-        // each once, serve later scans zero-copy (see `crate::materialize`).
-        let registry = SubplanRegistry::new();
         let evaluate_branch = |branch_db: &Database| -> (usize, VarRelation) {
             // Choose the cheapest target for this branch.
             let (best_idx, _) = self
@@ -179,11 +179,7 @@ impl DdrEvaluator {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("a DDR has at least one head disjunct");
             let bag = self.rule.head()[best_idx];
-            let atoms: Vec<&Atom> = self.rule.body().iter().collect();
-            let rel = registry.get_or_materialize(subplan_key(bag, &atoms, branch_db), || {
-                materialize_bag(self.rule.body(), branch_db, bag, inner_engine)
-            });
-            (best_idx, rel)
+            (best_idx, materialize_bag(self.rule.body(), branch_db, bag, inner_engine))
         };
         let covered = ordered_map(engine.threads(), &branches, evaluate_branch);
         for (best_idx, rel) in covered {

@@ -31,7 +31,7 @@ use crate::config::{Budgets, Engine};
 use crate::generic_join::GenericJoin;
 use crate::materialize::MaterializedSubplan;
 use crate::plans::{PandaEvaluator, PartitionSpec, StaticTdPlan};
-use crate::selector::{self, BranchBound, Downgrade, ReasonCode, Selection, SelectorRule};
+use crate::selector::{self, Binding, BranchBound, Downgrade, ReasonCode, Selection, SelectorRule};
 use crate::yannakakis::yannakakis_query;
 use crate::{fingerprint, plan_cache};
 
@@ -104,9 +104,12 @@ pub struct PlanReport {
     /// The degree partitions the adaptive plan uses (empty for other
     /// strategies).
     pub partitions: Vec<PartitionSpec>,
-    /// Number of degree branches the plan fans out into (1 for single-plan
-    /// strategies; for a branch-budget downgrade, the count that triggered
-    /// it).
+    /// Number of degree branches the plan fans out into on this request's
+    /// data (1 for single-plan strategies and after a memory-budget
+    /// downgrade; for a branch-budget downgrade, the count that triggered
+    /// it).  The branches are built from the data the report was asked
+    /// for, after the plan-cache lookup, so a plan cached for another
+    /// database with equal statistics reports this database's count.
     pub branch_count: usize,
     /// Per-branch width bounds with their Shannon-flow certificates: one
     /// per bag selector for the adaptive plan, one per bag of the best
@@ -116,11 +119,12 @@ pub struct PlanReport {
     /// configured (the pivots are counted either way; the report stays
     /// silent about them unless a limit was asked for).
     pub lp_pivots_used: Option<u64>,
-    /// Subplans the plan materialises once and scans from several degree
-    /// branches ([`MaterializedSubplan`]), in deterministic first-seen
-    /// order; empty for single-branch strategies.  Plan-derived, so it is
-    /// part of the report's bit-identity contract (identical warm or cold,
-    /// at any thread count).
+    /// Subplans the adaptive plan materialises once and scans from several
+    /// of this request's degree branches ([`MaterializedSubplan`]), in
+    /// deterministic first-seen order; empty for plans that build no
+    /// branches.  Read off the bag jobs the plan, bound to this data,
+    /// executes, so it is part of the report's bit-identity contract
+    /// (identical warm or cold, at any thread count).
     pub materializations: Vec<MaterializedSubplan>,
     /// How the plan cache participated in this report:
     /// [`ReasonCode::PlanCacheHit`], or [`ReasonCode::PlanCacheMiss`] (plus
@@ -388,10 +392,12 @@ impl Panda {
         selector::free_connex_acyclic(&self.query)
     }
 
-    /// Builds the full [`PlanReport`] from a completed selection.
+    /// Builds the full [`PlanReport`] from a completed selection and its
+    /// binding to the request's data.
     fn report_from(
         &self,
         selection: Selection,
+        binding: Binding,
         stats: &StatisticsSet,
         cache_events: Vec<ReasonCode>,
     ) -> PlanReport {
@@ -408,10 +414,12 @@ impl Panda {
             subw: selection.subw.as_ref().map(|r| r.value),
             tds: selection.tds,
             partitions,
-            branch_count: selection.branch_count,
+            branch_count: binding.branch_count,
             branch_bounds,
             lp_pivots_used: selection.lp_pivots_used,
-            materializations: selection.materializations,
+            materializations: binding
+                .plan
+                .map_or_else(Vec::new, |plan| plan.materializations(&self.query)),
             cache_events,
         }
     }
@@ -433,7 +441,6 @@ impl Panda {
     fn select_cached(
         &self,
         stats: &StatisticsSet,
-        db: &Database,
         requested: EvaluationStrategy,
         want_widths: bool,
     ) -> Result<(Selection, Vec<ReasonCode>), BoundError> {
@@ -461,7 +468,6 @@ impl Panda {
         let selection = selector::select(
             &self.query,
             stats,
-            db,
             self.budgets,
             requested,
             want_widths,
@@ -504,9 +510,10 @@ impl Panda {
             return Err(BoundError::Cancelled);
         }
         let stats = self.stats_for(db);
-        let (selection, cache_events) =
-            self.select_cached(&stats, db, strategy, /*want_widths=*/ true)?;
-        Ok(self.report_from(selection, &stats, cache_events))
+        let (mut selection, cache_events) =
+            self.select_cached(&stats, strategy, /*want_widths=*/ true)?;
+        let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
+        Ok(self.report_from(selection, binding, &stats, cache_events))
     }
 
     /// [`Panda::plan_report`] rendered for humans: returns the [`Explain`]
@@ -589,15 +596,11 @@ impl Panda {
         match strategy {
             EvaluationStrategy::Auto => {
                 let stats = self.stats_for(db);
-                let (selection, cache_events) = self
-                    .select_cached(
-                        &stats,
-                        db,
-                        EvaluationStrategy::Auto,
-                        /*want_widths=*/ false,
-                    )
+                let (mut selection, cache_events) = self
+                    .select_cached(&stats, EvaluationStrategy::Auto, /*want_widths=*/ false)
                     .map_err(|source| self.planning_error(EvaluationStrategy::Auto, source))?;
-                Ok((self.execute_selection(db, &selection)?, cache_events))
+                let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
+                Ok((self.execute(db, &selection, binding)?, cache_events))
             }
             EvaluationStrategy::Yannakakis => yannakakis_query(&self.query, db)
                 .map(|result| (result, Vec::new()))
@@ -644,13 +647,15 @@ impl Panda {
         }
     }
 
-    /// Runs the strategy a completed [`Selection`] settled on, reusing the
+    /// Runs the strategy a bound [`Selection`] settled on, reusing the
     /// planning artifacts it carries (the best decomposition, the adaptive
-    /// evaluator) so no LP is ever solved twice.
-    fn execute_selection(
+    /// plan already bound to its branches) so no LP is solved and no branch
+    /// is built twice.
+    fn execute(
         &self,
         db: &Database,
         selection: &Selection,
+        binding: Binding,
     ) -> Result<VarRelation, StrategyError> {
         match selection.executed {
             EvaluationStrategy::Yannakakis => {
@@ -664,8 +669,8 @@ impl Panda {
                     .unwrap_or_else(|| TreeDecomposition::new(vec![self.query.all_vars()]));
                 Ok(StaticTdPlan::new(td).evaluate_with_engine(&self.query, db, self.engine))
             }
-            EvaluationStrategy::Adaptive => match selection.evaluator.as_ref() {
-                Some(evaluator) => Ok(evaluator.evaluate_with_engine(&self.query, db, self.engine)),
+            EvaluationStrategy::Adaptive => match binding.plan {
+                Some(plan) => Ok(plan.evaluate(self.query.free_vars(), self.engine)),
                 // The selector always plans the evaluator it selects; keep
                 // the fail-soft contract even if that invariant breaks.
                 None => Ok(GenericJoin::evaluate_with_engine(&self.query, db, self.engine)),

@@ -2,11 +2,14 @@
 //!
 //! Planning a cyclic query is LP work — the fhtw/subw chains dominate
 //! end-to-end time on small and medium inputs — and it is a pure function
-//! of `(query structure, statistics, budgets, requested strategy)`.  This
-//! module caches completed (crate-internal) `Selection`s process-wide
-//! under exactly that
-//! key, so a repeated (or structurally-isomorphic — see
-//! [`crate::fingerprint`]) query skips straight to execution.
+//! of `(query structure, statistics, budgets, requested strategy)`: the
+//! selector never sees the data.  This module caches completed
+//! (crate-internal) `Selection`s process-wide under exactly that key, so a
+//! repeated (or structurally-isomorphic — see [`crate::fingerprint`]) query
+//! skips straight to binding, the per-request step that applies the plan
+//! to the request's data (branches, shared subplans, the branch and memory
+//! budgets).  An entry therefore serves any database with equal
+//! statistics, each bound to its own data.
 //!
 //! **Key.**  The canonical query encoding (renaming-invariant), the
 //! canonical statistics encoding (label-free, renaming-invariant, derived
@@ -52,7 +55,6 @@ use panda_query::{TreeDecomposition, Var, VarSet};
 
 use crate::config::Budgets;
 use crate::fingerprint::rename_set;
-use crate::materialize::MaterializedSubplan;
 use crate::panda::EvaluationStrategy;
 use crate::plans::{PandaEvaluator, PartitionSpec};
 use crate::selector::Selection;
@@ -232,17 +234,7 @@ fn rename_selection(selection: &Selection, sigma: &[u32]) -> Selection {
                 .collect(),
             max_branches: e.max_branches,
         }),
-        branch_count: selection.branch_count,
         lp_pivots_used: selection.lp_pivots_used,
-        materializations: selection
-            .materializations
-            .iter()
-            .map(|m| MaterializedSubplan {
-                bag: set(m.bag),
-                relations: m.relations.clone(),
-                num_scans: m.num_scans,
-            })
-            .collect(),
     }
 }
 
@@ -314,14 +306,10 @@ mod tests {
         let bag: VarSet = [Var(0), Var(1)].into_iter().collect();
         selection.tds = vec![TreeDecomposition::new(vec![bag])];
         selection.best_td = Some(TreeDecomposition::new(vec![bag]));
-        selection.materializations =
-            vec![MaterializedSubplan { bag, relations: vec!["R".into()], num_scans: 2 }];
         let renamed = rename_selection(&selection, &[1, 2, 0]);
         let expected: VarSet = [Var(1), Var(2)].into_iter().collect();
         assert_eq!(renamed.tds[0].bags(), &[expected]);
         assert_eq!(renamed.best_td.unwrap().bags(), &[expected]);
-        assert_eq!(renamed.materializations[0].bag, expected);
-        assert_eq!(renamed.materializations[0].num_scans, 2);
         assert!(renamed.fhtw.is_none() && renamed.subw.is_none());
         assert_eq!(renamed.rule, SelectorRule::SubwGap);
     }

@@ -12,24 +12,28 @@
 //!   decomposition's cost matches the submodular-width bound, which is how
 //!   the `O(N^{subw} log N + OUT)` behaviour arises (one `log N` factor per
 //!   partitioned degree).
+//!
+//! Both plans come from statistics alone.  Each reaches the data through
+//! one step, [`crate::materialize`]'s bound plan: an adaptive plan is bound
+//! once per request (branches built, each branch's decomposition picked,
+//! bags keyed into jobs) and a static plan is its one-branch case, so the
+//! two share their execution code.
 
 // panda-lint: allow-file(P1) -- bag and atom positions come from the
 // same tree decomposition the plan was built from; a miss would mean
 // the TD enumeration itself produced an invalid cover.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use panda_entropy::{FhtwReport, PivotBudget, ShannonFlow, StatisticsSet, SubwReport};
 use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, Var, VarSet};
-use panda_relation::fan_out::ordered_map;
 use panda_relation::{stats as rstats, Database, Relation};
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
-use crate::generic_join::GenericJoin;
-use crate::materialize::{subplan_key, MaterializedSubplan, SubplanKey, SubplanRegistry};
-use crate::yannakakis::{empty_result, yannakakis_free_connex};
+use crate::materialize::BoundPlan;
+use crate::yannakakis::empty_result;
 
 /// A static query plan built from a single tree decomposition (Section 4.1).
 #[derive(Debug, Clone)]
@@ -80,8 +84,11 @@ impl StaticTdPlan {
 
     /// [`StaticTdPlan::evaluate`] under an explicit [`Engine`]: each bag's
     /// worst-case-optimal join fans its top-level branches out over the
-    /// engine's threads ([`GenericJoin::join_with_engine`]); the Yannakakis
-    /// combination stays sequential (it is linear in its inputs).
+    /// engine's threads
+    /// ([`GenericJoin::join_with_engine`](crate::GenericJoin::join_with_engine));
+    /// the Yannakakis combination stays sequential (it is linear in its
+    /// inputs).  This is the one-branch case of the adaptive plan's
+    /// execution.
     #[must_use]
     pub fn evaluate_with_engine(
         &self,
@@ -89,84 +96,17 @@ impl StaticTdPlan {
         db: &Database,
         engine: Engine,
     ) -> VarRelation {
-        self.evaluate_with_engine_shared(query, db, engine, None)
-    }
-
-    /// [`StaticTdPlan::evaluate_with_engine`] with an optional shared
-    /// [`SubplanRegistry`]: when the adaptive evaluator runs this plan once
-    /// per degree branch, bags whose inputs are the identical `Arc`-shared
-    /// relation instances across branches are materialised once and every
-    /// later scan is served zero-copy (see [`crate::materialize`]).
-    pub(crate) fn evaluate_with_engine_shared(
-        &self,
-        query: &ConjunctiveQuery,
-        db: &Database,
-        engine: Engine,
-        registry: Option<&SubplanRegistry>,
-    ) -> VarRelation {
-        let bound = VarRelation::bind_all(query, db);
-        if bound.iter().any(VarRelation::is_empty) {
-            return empty_result(query.free_vars());
-        }
-        let assigned = self.assign_atoms(query);
-        // Materialise each non-empty bag.
-        let mut bag_relations: Vec<VarRelation> = Vec::new();
-        for (bag_idx, atom_ids) in assigned.iter().enumerate() {
-            if atom_ids.is_empty() {
-                continue;
-            }
-            let inputs: Vec<VarRelation> = atom_ids.iter().map(|&i| bound[i].clone()).collect();
-            let covered: VarSet =
-                inputs.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set()));
-            let bag_vars = self.td.bags()[bag_idx].intersect(covered);
-            let join = GenericJoin::new(covered);
-            let bag_rel = match registry {
-                Some(registry) => {
-                    let atoms: Vec<&Atom> = atom_ids.iter().map(|&i| &query.atoms()[i]).collect();
-                    registry.get_or_materialize(subplan_key(bag_vars, &atoms, db), || {
-                        join.join_with_engine(&inputs, &bag_vars.to_vec(), engine)
-                    })
-                }
-                None => join.join_with_engine(&inputs, &bag_vars.to_vec(), engine),
-            };
-            bag_relations.push(bag_rel);
-        }
-        // Combine the bags.  Their schemas are sub-sets of the TD bags and
-        // are acyclic in all but pathological cases; fall back to a
-        // sequential join with early projection otherwise.
-        if let Some(result) = yannakakis_free_connex(&bag_relations, query.free_vars()) {
-            return result;
-        }
-        sequential_join(&bag_relations, query.free_vars())
-    }
-
-    /// Assigns every atom to the first bag that contains it (Eq. 13) — the
-    /// single source of truth shared by execution and the plan-time
-    /// materialisation simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some atom fits no bag (the TD would be invalid for the
-    /// query).
-    fn assign_atoms(&self, query: &ConjunctiveQuery) -> Vec<Vec<usize>> {
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); self.td.num_bags()];
-        for (i, atom) in query.atoms().iter().enumerate() {
-            let vars = atom.var_set();
-            let bag = self
-                .td
-                .bags()
-                .iter()
-                .position(|b| vars.is_subset_of(*b))
-                .expect("a valid TD contains every atom in some bag");
-            assigned[bag].push(i);
-        }
-        assigned
+        let free = query.free_vars();
+        BoundPlan::new(query, [(db, &self.td)])
+            .execute(free, engine)
+            .pop()
+            .unwrap_or_else(|| empty_result(free))
     }
 }
 
 /// Joins relations one by one, projecting after every join onto the free
 /// variables plus the variables still needed by the remaining relations.
-fn sequential_join(relations: &[VarRelation], free: VarSet) -> VarRelation {
+pub(crate) fn sequential_join(relations: &[VarRelation], free: VarSet) -> VarRelation {
     if relations.is_empty() {
         return VarRelation::boolean(true);
     }
@@ -373,11 +313,11 @@ impl PandaEvaluator {
 
     /// [`PandaEvaluator::evaluate`] under an explicit [`Engine`]: the
     /// degree branches (the heavy/light case splits of Section 8.2) are
-    /// independent, so a parallel engine evaluates them on its threads
-    /// and merges the branch outputs **in branch order** before the final
-    /// deduplication — bit-identical to sequential evaluation at any
-    /// thread count.  Planning (`build_branches`, the per-branch TD
-    /// choice's inputs) is deterministic and engine-independent.
+    /// independent, so a parallel engine spreads its threads over the
+    /// branches' bag jobs and then over the branches, and the branch
+    /// outputs are merged **in branch order** before the final
+    /// deduplication — bit-identical to sequential evaluation at any thread
+    /// count.
     #[must_use]
     pub fn evaluate_with_engine(
         &self,
@@ -385,79 +325,17 @@ impl PandaEvaluator {
         db: &Database,
         engine: Engine,
     ) -> VarRelation {
-        let branches = self.build_branches(query, db);
-        let order: Vec<Var> = query.free_vars().to_vec();
-        let across_branches = engine.is_parallel() && branches.len() > 1;
-        // Branch workers own the coarse-grained parallelism; with a single
-        // branch the engine is spent inside the bag joins instead.
-        let inner_engine = if across_branches { Engine::Sequential } else { engine };
-        // Bags whose atoms touch no partitioned relation are identical in
-        // every branch: materialise each once, serve later scans zero-copy.
-        let registry = SubplanRegistry::new();
-        let evaluate_branch = |branch_db: &Database| -> Relation {
-            let td = self.choose_td_for(query, branch_db);
-            let plan = StaticTdPlan::new(td);
-            let out =
-                plan.evaluate_with_engine_shared(query, branch_db, inner_engine, Some(&registry));
-            out.project_onto(&order).rel
-        };
-        let outputs = ordered_map(engine.threads(), &branches, evaluate_branch);
-        let mut result = empty_result(query.free_vars());
-        for out in &outputs {
-            result.rel.extend_from(out);
-        }
-        result.rel.dedup();
-        result
+        self.bind(query, db).evaluate(query.free_vars(), engine)
     }
 
-    /// Simulates, deterministically at plan time, which bag subplans the
-    /// branches will share: replays the per-branch decomposition choice and
-    /// atom-to-bag assignment of [`PandaEvaluator::evaluate_with_engine`]
-    /// over the given `branches`, computes each bag's
-    /// [`SubplanKey`](crate::materialize), and reports every key scanned by
-    /// two or more branches as a [`MaterializedSubplan`] (first-seen order).
-    ///
-    /// Plan-derived and engine-independent — safe to surface in a
-    /// [`PlanReport`](crate::PlanReport), unlike the registry's runtime
-    /// hit/miss counters whose split can vary with thread interleaving.
-    #[must_use]
-    pub fn materialization_plan(
-        &self,
-        query: &ConjunctiveQuery,
-        branches: &[Database],
-    ) -> Vec<MaterializedSubplan> {
-        let mut counts: BTreeMap<SubplanKey, (VarSet, Vec<String>, usize)> = BTreeMap::new();
-        let mut order: Vec<SubplanKey> = Vec::new();
-        for branch_db in branches {
-            let td = self.choose_td_for(query, branch_db);
-            let plan = StaticTdPlan::new(td);
-            for (bag_idx, atom_ids) in plan.assign_atoms(query).iter().enumerate() {
-                if atom_ids.is_empty() {
-                    continue;
-                }
-                let atoms: Vec<&Atom> = atom_ids.iter().map(|&i| &query.atoms()[i]).collect();
-                let covered = atoms.iter().fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()));
-                let bag_vars = plan.td.bags()[bag_idx].intersect(covered);
-                let key = subplan_key(bag_vars, &atoms, branch_db);
-                match counts.get_mut(&key) {
-                    Some(entry) => entry.2 += 1,
-                    None => {
-                        let mut relations: Vec<String> =
-                            atoms.iter().map(|a| a.relation.clone()).collect();
-                        relations.sort();
-                        counts.insert(key.clone(), (bag_vars, relations, 1));
-                        order.push(key);
-                    }
-                }
-            }
-        }
-        order
-            .into_iter()
-            .filter_map(|key| {
-                let (bag, relations, num_scans) = counts.remove(&key)?;
-                (num_scans >= 2).then_some(MaterializedSubplan { bag, relations, num_scans })
-            })
-            .collect()
+    /// Binds the plan to `db`: builds the degree branches, picks each
+    /// branch's decomposition and keys its bags — the one place the
+    /// adaptive plan reads the data (see [`crate::materialize`]).
+    pub(crate) fn bind(&self, query: &ConjunctiveQuery, db: &Database) -> BoundPlan {
+        let branches = self.build_branches(query, db);
+        let tds: Vec<TreeDecomposition> =
+            branches.iter().map(|branch| self.choose_td_for(query, branch)).collect();
+        BoundPlan::new(query, branches.iter().zip(&tds))
     }
 
     /// Splits the database into branch databases according to the partition
@@ -689,6 +567,7 @@ pub fn greedy_projection_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generic_join::GenericJoin;
     use panda_query::parse_query;
     use panda_relation::Relation;
     use rand::rngs::StdRng;

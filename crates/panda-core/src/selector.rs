@@ -44,6 +44,18 @@
 //! [`StrategyError::BudgetExceeded`](crate::StrategyError::BudgetExceeded)
 //! error, because the caller left the selector no fallback to offer.
 //!
+//! Planning is split where the paper splits it.  `select` reads only the
+//! query, the statistics, the budgets, the requested strategy and whether
+//! widths were asked for — the plan cache's key (plus the cancel token,
+//! which can only abort) — so the `Selection` it returns (rule, reason,
+//! widths, decompositions, the adaptive evaluator and its partitions, the
+//! LP-budget downgrade) is a function of that key and is what the cache
+//! stores.  The data enters in `bind`, once per request after the cache
+//! lookup: it builds the adaptive plan's degree branches and bag jobs
+//! ([`crate::materialize`]) and applies the two budgets that read the data
+//! — branches and memory — so a downgrade they force is decided on this
+//! request's data, cold or warm.
+//!
 //! Everything here is deterministic and engine-independent: widths are
 //! exact rationals, both width chains run on the calling thread under the
 //! request's one [`PivotBudget`] (the `subw` chain's Shannon flows seed the
@@ -60,7 +72,7 @@ use panda_rational::Rat;
 use panda_relation::Database;
 
 use crate::config::Budgets;
-use crate::materialize::MaterializedSubplan;
+use crate::materialize::BoundPlan;
 use crate::panda::EvaluationStrategy;
 use crate::plans::{estimate_bag_size, PandaEvaluator};
 
@@ -189,14 +201,21 @@ pub struct BranchBound {
 }
 
 /// The full outcome of one selection: what fired, what was selected, what
-/// will execute, and every planning artifact worth reusing at execution
-/// time (so planning work is never done twice).
+/// will execute before the data is seen, and every planning artifact worth
+/// reusing at execution time (so planning work is never done twice).  As
+/// planned and cached, no field depends on the data: a selection is a
+/// function of its plan-cache key, and [`bind`] applies a copy of it to a
+/// request's data.
 #[derive(Debug, Clone)]
 pub(crate) struct Selection {
     pub rule: SelectorRule,
     pub reason: ReasonCode,
     pub selected: EvaluationStrategy,
+    /// What executes: after planning, and on a request's copy after
+    /// [`bind`] too.
     pub executed: EvaluationStrategy,
+    /// The LP-budget downgrade planning forced, if any; on a request's
+    /// copy, followed by those [`bind`] forced.
     pub downgrades: Vec<Downgrade>,
     pub fhtw: Option<FhtwReport>,
     pub subw: Option<SubwReport>,
@@ -205,16 +224,8 @@ pub(crate) struct Selection {
     pub best_td: Option<TreeDecomposition>,
     /// The fully planned adaptive evaluator, when the gap rule fired.
     pub evaluator: Option<PandaEvaluator>,
-    /// Number of degree branches the executed plan fans out into (1 for
-    /// every single-plan strategy; for a downgraded adaptive plan, the
-    /// count that triggered the downgrade).
-    pub branch_count: usize,
     /// Simplex pivots consumed by planning, when a pivot limit was set.
     pub lp_pivots_used: Option<u64>,
-    /// Subplans the adaptive plan will materialise once and scan from
-    /// several branches (plan-derived and deterministic; empty for
-    /// single-branch strategies).
-    pub materializations: Vec<MaterializedSubplan>,
 }
 
 impl Selection {
@@ -234,9 +245,7 @@ impl Selection {
             tds: Vec::new(),
             best_td: None,
             evaluator: None,
-            branch_count: 1,
             lp_pivots_used: None,
-            materializations: Vec::new(),
         }
     }
 
@@ -244,6 +253,17 @@ impl Selection {
         self.downgrades.push(Downgrade { from: self.executed, to, reason });
         self.executed = to;
     }
+}
+
+/// What binding a [`Selection`] to one request's data produced besides its
+/// downgrades: the adaptive plan bound to its degree branches, and the
+/// branch count the report shows (1 for every single-plan strategy and
+/// after a memory-budget downgrade; after a branch-budget downgrade, the
+/// count that triggered it).
+#[derive(Debug)]
+pub(crate) struct Binding {
+    pub branch_count: usize,
+    pub plan: Option<BoundPlan>,
 }
 
 /// `true` iff the query is acyclic *and* free-connex (Section 3.4): both
@@ -263,31 +283,53 @@ fn peak_bag_rows(query: &ConjunctiveQuery, db: &Database, td: &TreeDecomposition
     td.bags().iter().map(|&bag| estimate_bag_size(query.atoms(), db, bag)).fold(0.0_f64, f64::max)
 }
 
-/// Applies the memory budget to a bag-materialising selection: if the
-/// estimated peak rows of the plan's decomposition exceed the budget, the
-/// selection downgrades to a binary join (which materialises only pairwise
-/// join results and the output).  `BinaryJoin` and `GenericJoin` are the
-/// ladder's floor and are never memory-checked; Yannakakis is linear in
-/// input plus output and is exempt by construction.
-fn apply_memory_budget(
+/// Binds a selection to the request's data — the one planning step that
+/// reads the [`Database`], run on the request's own copy of the selection
+/// after the plan-cache lookup, on the report and the evaluation path
+/// alike.  An adaptive selection is bound to its degree branches
+/// ([`PandaEvaluator::bind`]); then the budgets that read the data apply,
+/// in the ladder's order, each as a downgrade of `selection`:
+///
+/// * a branch count above the branch budget downgrades the adaptive plan
+///   to a binary join;
+/// * an estimated peak bag size above the memory budget downgrades a
+///   bag-materialising plan (static or adaptive) to a binary join, which
+///   materialises only pairwise join results and the output.  The estimate
+///   is the largest per-bag estimate of the best decomposition over the
+///   whole database, which upper-bounds every branch (branch databases are
+///   subsets of the input), so one check covers both strategies.
+///   `BinaryJoin` and `GenericJoin` are the ladder's floor and are never
+///   memory-checked; Yannakakis is linear in input plus output and is
+///   exempt by construction.
+///
+/// An explicit request is never downgraded: its budgets bind at planning,
+/// as [`StrategyError`](crate::StrategyError)s.
+pub(crate) fn bind(
     selection: &mut Selection,
     query: &ConjunctiveQuery,
     db: &Database,
     budgets: Budgets,
-) {
-    let Some(limit) = budgets.memory_rows_budget else { return };
-    if !matches!(selection.executed, EvaluationStrategy::StaticTd | EvaluationStrategy::Adaptive) {
-        return;
+) -> Binding {
+    let plan = selection.evaluator.as_ref().map(|evaluator| evaluator.bind(query, db));
+    let mut branch_count = plan.as_ref().map_or(1, BoundPlan::branch_count);
+    if plan.is_some() && budgets.branch_budget.is_some_and(|cap| branch_count > cap) {
+        selection.downgrade_to(EvaluationStrategy::BinaryJoin, ReasonCode::BranchBudgetExceeded);
     }
-    let Some(td) = selection.best_td.as_ref() else { return };
-    // For the adaptive plan the whole-database estimate over the best
-    // decomposition upper-bounds every branch (branch databases are subsets
-    // of the input), so one deterministic check covers both strategies.
-    let estimated = peak_bag_rows(query, db, td);
-    if estimated > limit as f64 {
-        selection.downgrade_to(EvaluationStrategy::BinaryJoin, ReasonCode::MemoryBudgetExceeded);
-        selection.branch_count = 1;
+    let bags_checked = selection.rule != SelectorRule::ExplicitOverride
+        && matches!(
+            selection.executed,
+            EvaluationStrategy::StaticTd | EvaluationStrategy::Adaptive
+        );
+    if let (true, Some(limit), Some(td)) =
+        (bags_checked, budgets.memory_rows_budget, selection.best_td.as_ref())
+    {
+        if peak_bag_rows(query, db, td) > limit as f64 {
+            selection
+                .downgrade_to(EvaluationStrategy::BinaryJoin, ReasonCode::MemoryBudgetExceeded);
+            branch_count = 1;
+        }
     }
+    Binding { branch_count, plan }
 }
 
 /// Attaches informational widths to a selection that did not need them to
@@ -345,7 +387,6 @@ fn attach_informational_widths(
 pub(crate) fn select(
     query: &ConjunctiveQuery,
     stats: &StatisticsSet,
-    db: &Database,
     budgets: Budgets,
     requested: EvaluationStrategy,
     want_widths: bool,
@@ -419,19 +460,8 @@ pub(crate) fn select(
                 ReasonCode::SubwBelowFhtw,
                 EvaluationStrategy::Adaptive,
             );
-            let evaluator = PandaEvaluator::from_reports(query, &subw_report, &fhtw_report);
-            let branches = evaluator.build_branches(query, db);
-            selection.branch_count = branches.len();
-            selection.materializations = evaluator.materialization_plan(query, &branches);
-            if let Some(cap) = budgets.branch_budget {
-                if selection.branch_count > cap {
-                    selection.downgrade_to(
-                        EvaluationStrategy::BinaryJoin,
-                        ReasonCode::BranchBudgetExceeded,
-                    );
-                }
-            }
-            selection.evaluator = Some(evaluator);
+            selection.evaluator =
+                Some(PandaEvaluator::from_reports(query, &subw_report, &fhtw_report));
             selection.best_td = Some(fhtw_report.best_td().clone());
             selection.subw = Some(subw_report);
             selection.fhtw = Some(fhtw_report);
@@ -481,7 +511,6 @@ pub(crate) fn select(
 
     selection.tds = tds;
     selection.lp_pivots_used = lp_pivots_used;
-    apply_memory_budget(&mut selection, query, db, budgets);
     Ok(selection)
 }
 
@@ -543,7 +572,6 @@ pub(crate) fn branch_bounds_for(
 mod tests {
     use super::*;
     use panda_query::parse_query;
-    use panda_relation::Relation;
 
     #[test]
     fn a_fired_token_stops_planning_with_no_pivot_limit_configured() {
@@ -551,12 +579,8 @@ mod tests {
         // it is still what polls the token.
         let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
         let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let mut db = Database::new();
-        for name in ["R", "S", "T", "U"] {
-            db.insert(name, Relation::from_rows(2, vec![[1, 2], [2, 1]]));
-        }
         let plan = |requested, want_widths, cancel: &CancelToken| {
-            select(&q, &stats, &db, Budgets::default(), requested, want_widths, cancel)
+            select(&q, &stats, Budgets::default(), requested, want_widths, cancel)
         };
         let fired = CancelToken::new();
         fired.cancel();
@@ -587,7 +611,6 @@ mod tests {
         let selection = select(
             &q,
             &stats,
-            &Database::new(),
             Budgets::default(),
             EvaluationStrategy::BinaryJoin,
             true,

@@ -385,18 +385,26 @@ pub fn serve(listener: &TcpListener, options: ServeOptions) -> io::Result<()> {
 /// deterministic reference transport (no transport threads, no
 /// out-of-band cancel).  The session runs under `engine`.
 pub fn serve_stdio(engine: Engine) -> io::Result<()> {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    let mut out = BufWriter::new(stdout.lock());
+    serve_lines(io::stdin().lock(), BufWriter::new(io::stdout().lock()), engine)
+}
+
+/// The stdio loop over any byte stream: one session, each line answered
+/// before the next is read.  Bytes that are not UTF-8 decode to U+FFFD, as
+/// on TCP, so such a line is answered in order instead of ending the
+/// stream.
+pub(crate) fn serve_lines(
+    mut input: impl BufRead,
+    mut out: impl Write,
+    engine: Engine,
+) -> io::Result<()> {
     let mut session = Session::with_engine(engine);
-    let mut line = String::new();
+    let mut raw = Vec::new();
     loop {
-        line.clear();
-        let n = stdin.lock().read_line(&mut line)?;
-        if n == 0 {
+        raw.clear();
+        if input.read_until(b'\n', &mut raw)? == 0 {
             return out.flush();
         }
-        let reply = session.handle_line(&line);
+        let reply = session.handle_line(&String::from_utf8_lossy(&raw));
         for l in &reply.lines {
             out.write_all(l.as_bytes())?;
             out.write_all(b"\n")?;
@@ -405,5 +413,20 @@ pub fn serve_stdio(engine: Engine) -> io::Result<()> {
         if reply.quit {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stdio_answers_bytes_that_are_not_utf8_in_order() {
+        let mut out = Vec::new();
+        serve_lines(&b"PING\n\xff\xfe\nPING\n"[..], &mut out, Engine::Sequential).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "OK pong\nERR unknown_command unknown command `\u{fffd}\u{fffd}`\nOK pong\n"
+        );
     }
 }

@@ -231,7 +231,7 @@ impl Shell {
                     writeln!(out, "ERR malformed_request {name} needs a file path")?;
                     return Ok(false);
                 }
-                match std::fs::read_to_string(args) {
+                match std::fs::File::open(args).and_then(read_all) {
                     Ok(script) => self.run_script(&script, out),
                     Err(e) => {
                         writeln!(out, "ERR malformed_request cannot read `{args}`: {e}")?;
@@ -306,25 +306,25 @@ impl Shell {
 
     /// The interactive loop: reads `input` to EOF (or `\q`), writing
     /// responses — and, when `prompt` is set, a `panda>` prompt — to
-    /// `out`.
+    /// `out`.  Bytes that are not UTF-8 decode to U+FFFD, as on the wire.
     pub fn repl(
         &mut self,
         input: &mut impl BufRead,
         out: &mut impl Write,
         prompt: bool,
     ) -> io::Result<()> {
-        let mut line = String::new();
+        let mut raw = Vec::new();
         loop {
             if prompt {
                 let p = if self.has_pending_input() { "  ...> " } else { "panda> " };
                 out.write_all(p.as_bytes())?;
                 out.flush()?;
             }
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
+            raw.clear();
+            if input.read_until(b'\n', &mut raw)? == 0 {
                 return out.flush();
             }
-            if self.process_line(&line, out)? {
+            if self.process_line(&String::from_utf8_lossy(&raw), out)? {
                 return out.flush();
             }
             out.flush()?;
@@ -332,11 +332,12 @@ impl Shell {
     }
 }
 
-/// Reads a whole stream to a string (helper for `--script -`).
+/// Reads a whole script — a file, or stdin for `--script -` — to a
+/// string; bytes that are not UTF-8 decode to U+FFFD, as on the wire.
 pub fn read_all(mut input: impl Read) -> io::Result<String> {
-    let mut text = String::new();
-    input.read_to_string(&mut text)?;
-    Ok(text)
+    let mut bytes = Vec::new();
+    input.read_to_end(&mut bytes)?;
+    Ok(String::from_utf8_lossy(&bytes).into_owned())
 }
 
 #[cfg(test)]
@@ -389,6 +390,20 @@ mod tests {
         );
         let transcript = run_embedded("\\frobnicate\n");
         assert!(transcript.starts_with("ERR unknown_command"), "{transcript}");
+    }
+
+    #[test]
+    fn bytes_that_are_not_utf8_do_not_end_the_input() {
+        // The undecodable line is query text to the shell (it buffers it
+        // as an incomplete statement); what matters is that the PINGs on
+        // either side are both answered.
+        let input = b"PING\n\xff\xfe\nPING\n";
+        let mut shell = Shell::new(ShellBackend::embedded(Engine::Sequential));
+        let mut out = Vec::new();
+        shell.repl(&mut &input[..], &mut out, false).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "OK pong\nOK pong\n");
+        let script = read_all(&input[..]).unwrap();
+        assert_eq!(run_embedded(&script), "OK pong\nOK pong\n");
     }
 
     #[test]

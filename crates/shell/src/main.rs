@@ -63,7 +63,7 @@ fn run() -> io::Result<ExitCode> {
         let text = if path == "-" {
             panda_shell::read_all(io::stdin().lock())?
         } else {
-            std::fs::read_to_string(&path)?
+            panda_shell::read_all(std::fs::File::open(&path)?)?
         };
         shell.run_script(&text, &mut out)?;
         out.flush()?;

@@ -275,6 +275,132 @@ fn lru_eviction_is_deterministic_and_observable() {
     assert_eq!(report.cache_events, vec![ReasonCode::PlanCacheHit]);
 }
 
+/// Two 4-cycle instances with equal measured statistics — every relation
+/// has 40 rows and max-degree 16 both ways — and different degree buckets:
+/// `A` is a double star with 16 leaves a side plus 8 matching edges; `B`
+/// turns 4 of those edges into a star, which adds a degree-4 bucket to
+/// every relation (81 branches for `A`, 256 for `B`).
+fn equal_statistics_instances() -> (Database, Database) {
+    let instance = |star: bool| {
+        let mut rel = panda::relation::Relation::new(2);
+        for leaf in 2..18 {
+            rel.push_row(&[leaf, 1]);
+            rel.push_row(&[1, leaf]);
+        }
+        for j in 0..8 {
+            if star && j >= 4 {
+                rel.push_row(&[300, 400 + j]);
+            } else {
+                rel.push_row(&[100 + j, 200 + j]);
+            }
+        }
+        let mut db = Database::new();
+        for name in ["R", "S", "T", "U"] {
+            db.insert(name, rel.clone());
+        }
+        db
+    };
+    (instance(false), instance(true))
+}
+
+/// Plans `second` cold, then again warm after `first` filled the cache
+/// under the same key: the warm report, EXPLAIN and rows must equal the
+/// cold ones.  Returns the cold report.
+fn assert_warm_serves_the_second_instance_as_cold(
+    panda: &Panda,
+    first: &Database,
+    second: &Database,
+    label: &str,
+) -> PlanReport {
+    plan_cache_clear();
+    let cold_report = panda.plan_report(second).unwrap();
+    let cold_explain = panda.explain(second).unwrap().to_string();
+    let cold_rows = raw_rows(&panda.evaluate(second));
+
+    plan_cache_clear();
+    let _ = panda.plan_report(first).unwrap();
+    let warm_report = panda.plan_report(second).unwrap();
+    let warm_explain = panda.explain(second).unwrap().to_string();
+    let warm_rows = raw_rows(&panda.evaluate(second));
+
+    assert_eq!(warm_report.cache_events, vec![ReasonCode::PlanCacheHit], "{label}: same key");
+    assert_eq!(
+        report_modulo_cache_events(&warm_report),
+        report_modulo_cache_events(&cold_report),
+        "{label}: a warm report describes this request's data"
+    );
+    assert_eq!(warm_explain, cold_explain, "{label}: warm EXPLAIN");
+    assert_eq!(warm_rows, cold_rows, "{label}: warm rows");
+    cold_report
+}
+
+/// A cached plan is a function of its key.  Two databases with equal
+/// statistics share a key, so what the plan does with the data — its
+/// branches, shared subplans and the budgets that read the data — must
+/// come from the request's own data, not from whichever database planned
+/// first.
+#[test]
+fn a_cached_plan_is_bound_to_each_requests_data() {
+    let _guard = cache_guard();
+    let query = workloads::four_cycle_projected();
+    let (a, b) = equal_statistics_instances();
+    assert_eq!(StatisticsSet::measure(&query, &a), StatisticsSet::measure(&query, &b));
+
+    let panda = Panda::new(query.clone());
+    let a_report = assert_warm_serves_the_second_instance_as_cold(&panda, &b, &a, "A after B");
+    let b_report = assert_warm_serves_the_second_instance_as_cold(&panda, &a, &b, "B after A");
+    assert_eq!(b_report.strategy, EvaluationStrategy::Adaptive);
+    assert_eq!((a_report.branch_count, b_report.branch_count), (81, 256));
+    assert_eq!((a_report.materializations.len(), b_report.materializations.len()), (13, 22));
+
+    // The branch budget binds on B's 256 branches, warm as cold.
+    let budgeted = Panda::new(query).with_budgets(Budgets::unlimited().with_branch_budget(81));
+    let a_report = assert_warm_serves_the_second_instance_as_cold(&budgeted, &b, &a, "budget A");
+    let b_report = assert_warm_serves_the_second_instance_as_cold(&budgeted, &a, &b, "budget B");
+    assert_eq!(a_report.strategy, EvaluationStrategy::Adaptive);
+    assert!(a_report.downgrades.is_empty());
+    assert_eq!(b_report.strategy, EvaluationStrategy::BinaryJoin);
+    assert_eq!(
+        b_report.downgrades.iter().map(|d| d.reason).collect::<Vec<_>>(),
+        vec![ReasonCode::BranchBudgetExceeded]
+    );
+    assert_eq!(b_report.branch_count, 256, "the triggering count is reported");
+}
+
+/// With statistics supplied through `with_statistics` the key holds no
+/// trace of the data at all, so any two databases share it: the double
+/// star at 16 and at 64 leaves a side must each be served as cold, and a
+/// memory budget between their estimated bag sizes binds on the larger
+/// one only, warm as cold.
+#[test]
+fn supplied_statistics_share_a_key_across_databases() {
+    let _guard = cache_guard();
+    let query = workloads::four_cycle_projected();
+    let stats = StatisticsSet::identical_cardinalities(&query, 1 << 12);
+    let (small, large) = (workloads::double_star_db(16), workloads::double_star_db(64));
+
+    let panda = Panda::new(query.clone()).with_statistics(stats.clone());
+    for (first, second, label) in [(&large, &small, "16 after 64"), (&small, &large, "64 after 16")]
+    {
+        let report = assert_warm_serves_the_second_instance_as_cold(&panda, first, second, label);
+        assert_eq!(report.strategy, EvaluationStrategy::Adaptive);
+    }
+
+    let budgeted = Panda::new(query)
+        .with_statistics(stats)
+        .with_budgets(Budgets::unlimited().with_memory_rows_budget(1_000));
+    let small_report =
+        assert_warm_serves_the_second_instance_as_cold(&budgeted, &large, &small, "rows 16");
+    let large_report =
+        assert_warm_serves_the_second_instance_as_cold(&budgeted, &small, &large, "rows 64");
+    assert_eq!(small_report.strategy, EvaluationStrategy::Adaptive);
+    assert_eq!(large_report.strategy, EvaluationStrategy::BinaryJoin);
+    assert_eq!(
+        large_report.downgrades.iter().map(|d| d.reason).collect::<Vec<_>>(),
+        vec![ReasonCode::MemoryBudgetExceeded]
+    );
+}
+
 proptest! {
     // Random operator corpus: on random graph databases, cold and warm
     // runs of a cyclic (triangle) and an acyclic (projected path) query

@@ -276,6 +276,125 @@ fn golden_downgrade_appears_in_explain() {
     );
 }
 
+/// The rows of the equal-statistics 4-cycle pair: a double star with 16
+/// leaves a side plus 8 matching edges (`A`), or the same with 4 of those
+/// edges turned into a star (`B`).  Both measure 40 rows and max-degree 16
+/// each way; `B` adds a degree-4 bucket.
+fn equal_statistics_rows(star: bool) -> Vec<String> {
+    let mut rows = Vec::new();
+    for leaf in 2..18 {
+        rows.push(format!("{leaf} 1"));
+        rows.push(format!("1 {leaf}"));
+    }
+    if star {
+        for j in 0..4 {
+            rows.push(format!("{} {}", 100 + j, 200 + j));
+            rows.push(format!("300 {}", 400 + j));
+        }
+    } else {
+        rows.extend((0..8).map(|j| format!("{} {}", 100 + j, 200 + j)));
+    }
+    rows
+}
+
+#[test]
+fn golden_explain_binds_each_instance_under_a_shared_plan() {
+    // A and B have equal statistics, so B's EXPLAIN is served A's cached
+    // plan; its branches, shared subplans and the branch budget must still
+    // come from B's data — the bytes a fresh process gives for B alone.
+    let explain = "EXPLAIN Q(X,Y) :- PmR(X,Y), PmS(Y,Z), PmT(Z,W), PmU(W,X)";
+    let mut script = vec!["BUDGET branches=81".to_string()];
+    for star in [false, true] {
+        for name in ["PmR", "PmS", "PmT", "PmU"] {
+            script.push(format!("LOAD {name} 2"));
+            script.extend(equal_statistics_rows(star));
+            script.push("END".to_string());
+        }
+        script.push(explain.to_string());
+    }
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    assert_eq!(
+        transcript(&script),
+        vec![
+            "OK budgets pivots=none branches=81 rows=none",
+            "OK loaded rel=PmR rows=40",
+            "OK loaded rel=PmS rows=40",
+            "OK loaded rel=PmT rows=40",
+            "OK loaded rel=PmU rows=40",
+            "OK explain lines=27",
+            "query: Q(X,Y) :- PmR(X,Y), PmS(Y,Z), PmT(Z,W), PmU(W,X)",
+            "strategy: adaptive",
+            "selected: adaptive",
+            "rule: subw-gap",
+            "reason: subw_below_fhtw",
+            "widths: fhtw = 19893/15625, subw = 34071/31250",
+            "branches: 81",
+            "downgrades: (none)",
+            "branch bounds:",
+            "  {X,Y,Z} | {X,Y,W}: 34071/31250 (certified)",
+            "  {X,Y,Z} | {Y,Z,W}: 34071/31250 (certified)",
+            "  {X,Y,W} | {X,Z,W}: 34071/31250 (certified)",
+            "  {X,Z,W} | {Y,Z,W}: 34071/31250 (certified)",
+            "materialised subplans:",
+            "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (2 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (5 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (2 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "OK loaded rel=PmR rows=40",
+            "OK loaded rel=PmS rows=40",
+            "OK loaded rel=PmT rows=40",
+            "OK loaded rel=PmU rows=40",
+            "OK explain lines=37",
+            "query: Q(X,Y) :- PmR(X,Y), PmS(Y,Z), PmT(Z,W), PmU(W,X)",
+            "strategy: binary-join",
+            "selected: adaptive",
+            "rule: subw-gap",
+            "reason: subw_below_fhtw",
+            "widths: fhtw = 19893/15625, subw = 34071/31250",
+            "branches: 256",
+            "downgrades:",
+            "  adaptive -> binary-join [branch_budget_exceeded]",
+            "branch bounds:",
+            "  {X,Y,Z} | {X,Y,W}: 34071/31250 (certified)",
+            "  {X,Y,Z} | {Y,Z,W}: 34071/31250 (certified)",
+            "  {X,Y,W} | {X,Z,W}: 34071/31250 (certified)",
+            "  {X,Z,W} | {Y,Z,W}: 34071/31250 (certified)",
+            "materialised subplans:",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+        ]
+    );
+}
+
 #[test]
 fn golden_cancellation_lifecycle() {
     assert_eq!(
