@@ -10,8 +10,10 @@ use std::time::Duration;
 fn bench_scaling(c: &mut Criterion) {
     let query = four_cycle_projected();
     let stats = s_square_statistics(1 << 20);
-    let adaptive = PandaEvaluator::plan(&query, &stats).unwrap();
-    let static_plan = StaticTdPlan::best_for(&query, &stats).unwrap();
+    let fhtw = panda_entropy::fhtw(&query, &stats).unwrap();
+    let subw = panda_entropy::subw(&query, &stats).unwrap();
+    let adaptive = PandaEvaluator::from_reports(&query, &subw, &fhtw);
+    let static_plan = StaticTdPlan::new(fhtw.best_td().clone());
     let binary = BinaryJoinPlan::new();
     let mut group = c.benchmark_group("four_cycle_double_star");
     for half in [256u64, 1024] {

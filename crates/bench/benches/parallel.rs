@@ -52,7 +52,9 @@ fn bench_wcoj(c: &mut Criterion) {
 fn bench_adaptive(c: &mut Criterion) {
     let query = four_cycle_projected();
     let stats = s_square_statistics(1 << 20);
-    let evaluator = PandaEvaluator::plan(&query, &stats).unwrap();
+    let fhtw = panda_entropy::fhtw(&query, &stats).unwrap();
+    let subw = panda_entropy::subw(&query, &stats).unwrap();
+    let evaluator = PandaEvaluator::from_reports(&query, &subw, &fhtw);
     let mut group = c.benchmark_group("parallel_adaptive_double_star");
     for half in [256u64, 512] {
         let db = double_star_db(half);

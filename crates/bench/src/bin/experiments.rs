@@ -297,8 +297,9 @@ fn e8_four_cycle_scaling() {
     header("E8", "Sections 5.1/8.2 — adaptive O(N^1.5) vs single-TD Ω(N²) on the double star");
     let q = four_cycle_projected();
     let stats = s_square_statistics(1 << 20);
-    let adaptive = PandaEvaluator::plan(&q, &stats).unwrap();
-    let static_plan = StaticTdPlan::best_for(&q, &stats).unwrap();
+    let fhtw_report = fhtw(&q, &stats).unwrap();
+    let adaptive = PandaEvaluator::from_reports(&q, &subw(&q, &stats).unwrap(), &fhtw_report);
+    let static_plan = StaticTdPlan::new(fhtw_report.best_td().clone());
     let binary = BinaryJoinPlan::new();
     let mut adaptive_pts = Vec::new();
     let mut static_pts = Vec::new();

@@ -120,9 +120,11 @@ impl Engine {
 /// exceeded budget triggers a **one-way fail-soft downgrade** to a cheaper
 /// strategy, recorded in the
 /// [`PlanReport`](crate::PlanReport)'s
-/// [`Downgrade`](crate::Downgrade) list; under an explicit strategy (which
-/// has no fallback to downgrade to) it surfaces as
-/// [`StrategyError::BudgetExceeded`](crate::StrategyError::BudgetExceeded).
+/// [`Downgrade`](crate::Downgrade) list.  An explicit strategy has no
+/// fallback: an exhausted pivot budget surfaces as
+/// [`StrategyError::BudgetExceeded`](crate::StrategyError::BudgetExceeded),
+/// the branch budget caps an adaptive plan's fan-out, and the memory budget
+/// is not checked.
 ///
 /// ```
 /// use panda_core::Budgets;

@@ -299,7 +299,8 @@ mod tests {
         let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
         let db = double_star_db(16);
         let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let evaluator = PandaEvaluator::plan(&q, &stats).unwrap();
+        let (fhtw, subw) = (panda_entropy::fhtw(&q, &stats), panda_entropy::subw(&q, &stats));
+        let evaluator = PandaEvaluator::from_reports(&q, &subw.unwrap(), &fhtw.unwrap());
         let branches = evaluator.build_branches(&q, &db);
         let tds: Vec<TreeDecomposition> =
             branches.iter().map(|b| evaluator.choose_td_for(&q, b)).collect();

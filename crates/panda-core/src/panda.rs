@@ -30,7 +30,7 @@ use crate::binding::VarRelation;
 use crate::config::{Budgets, Engine};
 use crate::generic_join::GenericJoin;
 use crate::materialize::MaterializedSubplan;
-use crate::plans::{PandaEvaluator, PartitionSpec, StaticTdPlan};
+use crate::plans::{PartitionSpec, StaticTdPlan};
 use crate::selector::{self, Binding, BranchBound, Downgrade, ReasonCode, Selection, SelectorRule};
 use crate::yannakakis::yannakakis_query;
 use crate::{fingerprint, plan_cache};
@@ -237,9 +237,9 @@ pub enum StrategyError {
         /// The width-computation error.
         source: BoundError,
     },
-    /// A configured budget was exceeded while planning an explicit
-    /// strategy, which has no fallback to downgrade to (use `Auto` for
-    /// fail-soft downgrades).
+    /// The pivot budget ran out while planning an explicit strategy, which
+    /// has no fallback to downgrade to (use `Auto` for fail-soft
+    /// downgrades); no other budget raises it.
     BudgetExceeded {
         /// The strategy that was requested.
         strategy: EvaluationStrategy,
@@ -334,9 +334,10 @@ impl Panda {
     }
 
     /// Uses the given [`Budgets`].  Under `Auto` an exceeded budget
-    /// triggers a fail-soft downgrade recorded in the [`PlanReport`];
-    /// under an explicit strategy it surfaces as
-    /// [`StrategyError::BudgetExceeded`].
+    /// triggers a fail-soft downgrade recorded in the [`PlanReport`].  An
+    /// explicit strategy's exhausted pivot budget is a
+    /// [`StrategyError::BudgetExceeded`]; its branch budget caps an adaptive
+    /// plan's fan-out and its memory budget is not checked.
     #[must_use]
     pub fn with_budgets(mut self, budgets: Budgets) -> Self {
         self.budgets = budgets;
@@ -424,10 +425,15 @@ impl Panda {
         }
     }
 
-    /// Runs the selector through the cross-query plan cache: a hit skips
-    /// planning (all width LPs and certificate chains) and serves the
-    /// cached [`Selection`]; a miss plans as usual and populates the cache.
-    /// Returns the selection plus the cache events that occurred, in order.
+    /// The one request path of every strategy, shared by the report and
+    /// the evaluation path: the selector through the cross-query plan
+    /// cache, then [`selector::bind`] to `db`.  A hit skips planning (all
+    /// width LPs and certificate chains) and serves the cached
+    /// [`Selection`]; a miss plans as usual and populates the cache.
+    /// Returns the bound selection plus the cache events that occurred, in
+    /// order.  `stats` is `None` only on the evaluation path of a strategy
+    /// that plans nothing ([`selector::plans`]), which therefore measures
+    /// no statistics and records no cache event.
     ///
     /// Keying is by the *canonical* form of the query (structural
     /// isomorphism — variable renaming and body-atom permutation), the
@@ -438,12 +444,22 @@ impl Panda {
     /// one engine serves every other bit-identically.  With `want_widths`
     /// the key also pins the exact variable numbering so width reports are
     /// always expressed in the query's own variables.
-    fn select_cached(
+    fn plan_request(
         &self,
-        stats: &StatisticsSet,
+        db: &Database,
+        stats: Option<&StatisticsSet>,
         requested: EvaluationStrategy,
         want_widths: bool,
-    ) -> Result<(Selection, Vec<ReasonCode>), BoundError> {
+    ) -> Result<(Selection, Binding, Vec<ReasonCode>), BoundError> {
+        let Some(stats) = stats else {
+            let mut selection = Selection::new(
+                SelectorRule::ExplicitOverride,
+                ReasonCode::ExplicitStrategy,
+                requested,
+            );
+            let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
+            return Ok((selection, binding, Vec::new()));
+        };
         let canon = fingerprint::canonicalize_query(&self.query);
         let stats_enc = fingerprint::canonical_statistics_encoding(stats, &canon.renaming);
         let key = plan_cache::PlanKey {
@@ -462,25 +478,30 @@ impl Panda {
             want_widths: true,
             ..key.clone()
         });
-        if let Some(selection) = plan_cache::lookup(&key, fallback.as_ref(), &canon.renaming) {
-            return Ok((selection, vec![ReasonCode::PlanCacheHit]));
-        }
-        let selection = selector::select(
-            &self.query,
-            stats,
-            self.budgets,
-            requested,
-            want_widths,
-            &self.cancel,
-        )?;
-        // Only completed selections reach the cache: a cancelled (or
-        // otherwise failed) plan returned above leaves the cache untouched.
-        let evicted = plan_cache::insert(key, canon.renaming, &selection);
-        let mut events = vec![ReasonCode::PlanCacheMiss];
-        if evicted {
-            events.push(ReasonCode::PlanCacheEvict);
-        }
-        Ok((selection, events))
+        let (mut selection, events) =
+            match plan_cache::lookup(&key, fallback.as_ref(), &canon.renaming) {
+                Some(selection) => (selection, vec![ReasonCode::PlanCacheHit]),
+                None => {
+                    let selection = selector::select(
+                        &self.query,
+                        stats,
+                        self.budgets,
+                        requested,
+                        want_widths,
+                        &self.cancel,
+                    )?;
+                    // Only completed selections reach the cache: a cancelled
+                    // (or otherwise failed) plan returned above leaves the
+                    // cache untouched.
+                    let mut events = vec![ReasonCode::PlanCacheMiss];
+                    if plan_cache::insert(key, canon.renaming, &selection) {
+                        events.push(ReasonCode::PlanCacheEvict);
+                    }
+                    (selection, events)
+                }
+            };
+        let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
+        Ok((selection, binding, events))
     }
 
     /// Produces the planning report for the automatic strategy choice on
@@ -498,9 +519,9 @@ impl Panda {
         self.plan_report_for(db, EvaluationStrategy::Auto)
     }
 
-    /// [`Panda::plan_report`] for an explicit strategy request: the
-    /// explicit-override rule fires and widths are attached
-    /// informationally.
+    /// [`Panda::plan_report`] for any strategy request: the plan
+    /// [`Panda::try_evaluate_with`] runs, failing exactly when planning
+    /// fails there, with the widths it did not need attached.
     pub fn plan_report_for(
         &self,
         db: &Database,
@@ -510,24 +531,18 @@ impl Panda {
             return Err(BoundError::Cancelled);
         }
         let stats = self.stats_for(db);
-        let (mut selection, cache_events) =
-            self.select_cached(&stats, strategy, /*want_widths=*/ true)?;
-        let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
+        let (selection, binding, cache_events) =
+            self.plan_request(db, Some(&stats), strategy, /*want_widths=*/ true)?;
         Ok(self.report_from(selection, binding, &stats, cache_events))
     }
 
     /// [`Panda::plan_report`] rendered for humans: returns the [`Explain`]
     /// wrapper whose `Display` output is stable line-oriented text.
     pub fn explain(&self, db: &Database) -> Result<Explain, BoundError> {
-        let report = self.plan_report(db)?;
-        Ok(Explain {
-            report,
-            names: self.query.var_names().to_vec(),
-            query: self.query.to_string(),
-        })
+        self.explain_with(db, EvaluationStrategy::Auto)
     }
 
-    /// [`Panda::explain`] for an explicit strategy request.
+    /// [`Panda::explain`] for any strategy request.
     pub fn explain_with(
         &self,
         db: &Database,
@@ -553,7 +568,7 @@ impl Panda {
     ///
     /// Panics if the strategy cannot run — `Yannakakis` on a cyclic query,
     /// a width-based plan whose statistics leave the output unbounded, or
-    /// a configured budget exceeded under an explicit strategy — use
+    /// the pivot budget exhausted while planning one — use
     /// [`Panda::try_evaluate_with`] for the non-panicking form.
     #[must_use]
     pub fn evaluate_with(&self, db: &Database, strategy: EvaluationStrategy) -> VarRelation {
@@ -581,8 +596,8 @@ impl Panda {
     /// of the request (in order), so serving layers can account cache
     /// hits, misses and evictions per session.
     ///
-    /// Only `Auto` consults the cross-query plan cache on the evaluation
-    /// path; explicit strategies plan directly and report no events.  Like
+    /// Every strategy that plans (`Auto`, `StaticTd`, `Adaptive`) consults
+    /// the cross-query plan cache; the others report no events.  Like
     /// [`PlanReport::cache_events`] these are process-state telemetry, not
     /// part of the result's bit-identity contract.
     pub fn try_evaluate_with_events(
@@ -593,50 +608,15 @@ impl Panda {
         if self.cancel.is_cancelled() {
             return Err(StrategyError::Cancelled { strategy });
         }
-        match strategy {
-            EvaluationStrategy::Auto => {
-                let stats = self.stats_for(db);
-                let (mut selection, cache_events) = self
-                    .select_cached(&stats, EvaluationStrategy::Auto, /*want_widths=*/ false)
-                    .map_err(|source| self.planning_error(EvaluationStrategy::Auto, source))?;
-                let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
-                Ok((self.execute(db, &selection, binding)?, cache_events))
-            }
-            EvaluationStrategy::Yannakakis => yannakakis_query(&self.query, db)
-                .map(|result| (result, Vec::new()))
-                .ok_or(StrategyError::CyclicYannakakis),
-            EvaluationStrategy::StaticTd => {
-                let stats = self.stats_for(db);
-                let mut budget = self.budgets.pivot_budget(&self.cancel);
-                let plan = StaticTdPlan::best_within(&self.query, &stats, &mut budget)
-                    .map_err(|e| self.planning_error(strategy, e))?;
-                Ok((plan.evaluate_with_engine(&self.query, db, self.engine), Vec::new()))
-            }
-            EvaluationStrategy::Adaptive => {
-                let stats = self.stats_for(db);
-                let mut budget = self.budgets.pivot_budget(&self.cancel);
-                let mut evaluator = PandaEvaluator::plan_within(&self.query, &stats, &mut budget)
-                    .map_err(|e| self.planning_error(strategy, e))?;
-                // An explicit adaptive request honours the branch budget as
-                // a cap (branch splitting degrades gracefully), not an
-                // error: the plan stays correct with fewer splits.
-                if let Some(cap) = self.budgets.branch_budget {
-                    evaluator.max_branches = evaluator.max_branches.min(cap);
-                }
-                Ok((evaluator.evaluate_with_engine(&self.query, db, self.engine), Vec::new()))
-            }
-            EvaluationStrategy::GenericJoin => {
-                Ok((GenericJoin::evaluate_with_engine(&self.query, db, self.engine), Vec::new()))
-            }
-            EvaluationStrategy::BinaryJoin => Ok((
-                BinaryJoinPlan::new().evaluate_with_engine(&self.query, db, self.engine),
-                Vec::new(),
-            )),
-        }
+        let stats = selector::plans(strategy).then(|| self.stats_for(db));
+        let (selection, binding, cache_events) = self
+            .plan_request(db, stats.as_ref(), strategy, /*want_widths=*/ false)
+            .map_err(|source| self.planning_error(strategy, source))?;
+        Ok((self.execute(db, &selection, binding)?, cache_events))
     }
 
-    /// Maps a planning [`BoundError`] for an explicit strategy request to
-    /// the matching [`StrategyError`].
+    /// Maps a planning [`BoundError`] to the matching [`StrategyError`]
+    /// (under `Auto` only a cancel or a solver bug gets this far).
     fn planning_error(&self, strategy: EvaluationStrategy, source: BoundError) -> StrategyError {
         match source {
             BoundError::PivotBudgetExhausted => {
@@ -657,30 +637,24 @@ impl Panda {
         selection: &Selection,
         binding: Binding,
     ) -> Result<VarRelation, StrategyError> {
-        match selection.executed {
-            EvaluationStrategy::Yannakakis => {
-                // The acyclic fast-path rule verified free-connexity.
+        match (selection.executed, binding.plan, &selection.best_td) {
+            // Under `Auto` the acyclic fast-path rule verified free-connexity;
+            // an explicit request may name a cyclic query.
+            (EvaluationStrategy::Yannakakis, ..) => {
                 yannakakis_query(&self.query, db).ok_or(StrategyError::CyclicYannakakis)
             }
-            EvaluationStrategy::StaticTd => {
-                let td = selection
-                    .best_td
-                    .clone()
-                    .unwrap_or_else(|| TreeDecomposition::new(vec![self.query.all_vars()]));
-                Ok(StaticTdPlan::new(td).evaluate_with_engine(&self.query, db, self.engine))
+            (EvaluationStrategy::StaticTd, _, Some(td)) => {
+                Ok(StaticTdPlan::new(td.clone()).evaluate_with_engine(&self.query, db, self.engine))
             }
-            EvaluationStrategy::Adaptive => match binding.plan {
-                Some(plan) => Ok(plan.evaluate(self.query.free_vars(), self.engine)),
-                // The selector always plans the evaluator it selects; keep
-                // the fail-soft contract even if that invariant breaks.
-                None => Ok(GenericJoin::evaluate_with_engine(&self.query, db, self.engine)),
-            },
-            EvaluationStrategy::GenericJoin | EvaluationStrategy::Auto => {
-                Ok(GenericJoin::evaluate_with_engine(&self.query, db, self.engine))
+            (EvaluationStrategy::Adaptive, Some(plan), _) => {
+                Ok(plan.evaluate(self.query.free_vars(), self.engine))
             }
-            EvaluationStrategy::BinaryJoin => {
+            (EvaluationStrategy::BinaryJoin, ..) => {
                 Ok(BinaryJoinPlan::new().evaluate_with_engine(&self.query, db, self.engine))
             }
+            // `GenericJoin`: `Auto` never executes, and a width-based strategy
+            // always carries its plan.
+            _ => Ok(GenericJoin::evaluate_with_engine(&self.query, db, self.engine)),
         }
     }
 }
@@ -897,27 +871,27 @@ mod tests {
     fn a_mid_planning_cancel_aborts_at_the_next_pivot() {
         // `Panda`'s entry check answers a token that fired before the
         // request; a token that fires *during* planning is met by the
-        // planners the explicit strategies call, at their first pivot and
-        // with no pivot limit configured.
+        // selector at the next pivot of every strategy that plans, with no
+        // pivot limit configured.
         let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
         let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
         let live = CancelToken::new();
-        let mut budget = Budgets::default().pivot_budget(&live);
-        assert!(StaticTdPlan::best_within(&q, &stats, &mut budget).is_ok());
-        assert!(PandaEvaluator::plan_within(&q, &stats, &mut budget).is_ok());
+        let select =
+            |strategy, budgets| selector::select(&q, &stats, budgets, strategy, false, &live);
+        let planning =
+            [EvaluationStrategy::Auto, EvaluationStrategy::StaticTd, EvaluationStrategy::Adaptive];
+        for strategy in planning {
+            assert!(select(strategy, Budgets::default()).is_ok());
+        }
 
         live.cancel();
-        let mut budget = Budgets::default().pivot_budget(&live);
-        assert!(matches!(
-            StaticTdPlan::best_within(&q, &stats, &mut budget),
-            Err(BoundError::Cancelled)
-        ));
-        assert!(matches!(
-            PandaEvaluator::plan_within(&q, &stats, &mut budget),
-            Err(BoundError::Cancelled)
-        ));
-        // The poll consumed no pivots before aborting.
-        assert_eq!(budget.used(), 0);
+        for strategy in planning {
+            assert_eq!(select(strategy, Budgets::default()).unwrap_err(), BoundError::Cancelled);
+            // The poll comes before a pivot is charged: with no pivot to
+            // spend, the answer is still the cancel, not the budget.
+            let none = Budgets::default().with_lp_pivot_budget(0);
+            assert_eq!(select(strategy, none).unwrap_err(), BoundError::Cancelled);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! skips straight to binding, the per-request step that applies the plan
 //! to the request's data (branches, shared subplans, the branch and memory
 //! budgets).  An entry therefore serves any database with equal
-//! statistics, each bound to its own data.
+//! statistics, each bound to its own data.  Explicit requests are cached
+//! like `Auto`; only evaluating one that plans nothing skips the cache.
 //!
 //! **Key.**  The canonical query encoding (renaming-invariant), the
 //! canonical statistics encoding (label-free, renaming-invariant, derived
@@ -78,7 +79,7 @@ pub(crate) struct PlanKey {
     pub(crate) stats: Vec<u8>,
     /// The planning budgets (they shape downgrades, hence the plan).
     pub(crate) budgets: Budgets,
-    /// The requested strategy (rule 1 short-circuits on it).
+    /// The requested strategy (rule 1 plans only what it names).
     pub(crate) requested: EvaluationStrategy,
     /// Whether informational widths were requested (the report path).
     pub(crate) want_widths: bool,

@@ -13,7 +13,9 @@
 //!   the `O(N^{subw} log N + OUT)` behaviour arises (one `log N` factor per
 //!   partitioned degree).
 //!
-//! Both plans come from statistics alone.  Each reaches the data through
+//! Both plans come from statistics alone — the `fhtw` report's best
+//! decomposition, or [`PandaEvaluator::from_reports`] — and a request of any
+//! strategy gets them from [`crate::selector`].  Each reaches the data through
 //! one step, [`crate::materialize`]'s bound plan: an adaptive plan is bound
 //! once per request (branches built, each branch's decomposition picked,
 //! bags keyed into jobs) and a static plan is its one-branch case, so the
@@ -25,7 +27,7 @@
 
 use std::collections::BTreeSet;
 
-use panda_entropy::{FhtwReport, PivotBudget, ShannonFlow, StatisticsSet, SubwReport};
+use panda_entropy::{FhtwReport, ShannonFlow, SubwReport};
 use panda_proof::{ProofSequence, ProofStep, TermIdentity};
 use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, Var, VarSet};
 use panda_relation::{stats as rstats, Database, Relation};
@@ -47,29 +49,6 @@ impl StaticTdPlan {
     #[must_use]
     pub fn new(td: TreeDecomposition) -> Self {
         StaticTdPlan { td }
-    }
-
-    /// Picks the cheapest decomposition for a query according to the
-    /// fractional hypertree width under the given statistics.
-    pub fn best_for(
-        query: &ConjunctiveQuery,
-        stats: &StatisticsSet,
-    ) -> Result<Self, panda_entropy::BoundError> {
-        Self::best_within(query, stats, &mut PivotBudget::unlimited())
-    }
-
-    /// [`StaticTdPlan::best_for`] with the `fhtw` chain charged to the
-    /// request's `budget`, which also carries its cancel token.  The
-    /// budget only counts pivots, so the decomposition picked does not
-    /// depend on the limit.
-    pub(crate) fn best_within(
-        query: &ConjunctiveQuery,
-        stats: &StatisticsSet,
-        budget: &mut PivotBudget,
-    ) -> Result<Self, panda_entropy::BoundError> {
-        let tds = TreeDecomposition::enumerate(query);
-        let report = panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, budget)?;
-        Ok(StaticTdPlan::new(report.best_td().clone()))
     }
 
     /// Evaluates the query: every bag is materialised by a worst-case
@@ -229,45 +208,20 @@ pub struct PandaEvaluator {
 }
 
 impl PandaEvaluator {
-    /// Plans the adaptive evaluation of `query` under `stats`: enumerates
-    /// `TD(Q)`, computes the submodular-width LPs for every bag selector,
-    /// converts their dual Shannon flows into proof sequences, and collects
-    /// one [`PartitionSpec`] per decomposition step that applies to an
-    /// input guard.
+    /// Plans the adaptive evaluation of `query` from its width reports
+    /// (`panda_entropy::fhtw` / `subw`, or the selector's budgeted chains
+    /// over the same `TD(Q)`): the dual Shannon flow of every bag selector
+    /// becomes a proof sequence, and each decomposition step that applies
+    /// to an input guard becomes one [`PartitionSpec`].  Deterministic: the
+    /// output depends only on the reports and the query.
     ///
-    /// In addition to the proof-sequence partitions, every binary atom is
-    /// partitioned on both of its conditional degrees.  This is the
-    /// branch-local analogue of Marx's *uniformisation* step: PANDA proper
-    /// partitions intermediate relations recursively as the proof sequence
-    /// unfolds; our branch-then-recost executor instead makes every branch
+    /// When `subw < fhtw`, every binary atom is also partitioned on both of
+    /// its conditional degrees.  This is the branch-local analogue of
+    /// Marx's *uniformisation* step: PANDA proper partitions intermediate
+    /// relations recursively as the proof sequence unfolds; our
+    /// branch-then-recost executor instead makes every branch
     /// degree-uniform up to a factor of two, after which the per-branch
     /// cheapest tree decomposition is within the submodular-width cost.
-    pub fn plan(
-        query: &ConjunctiveQuery,
-        stats: &StatisticsSet,
-    ) -> Result<Self, panda_entropy::BoundError> {
-        Self::plan_within(query, stats, &mut PivotBudget::unlimited())
-    }
-
-    /// [`PandaEvaluator::plan`] with the `fhtw` and `subw` chains charged,
-    /// in that order, to the request's `budget`, which also carries its
-    /// cancel token.  The plan does not depend on the limit.
-    pub(crate) fn plan_within(
-        query: &ConjunctiveQuery,
-        stats: &StatisticsSet,
-        budget: &mut PivotBudget,
-    ) -> Result<Self, panda_entropy::BoundError> {
-        let tds = TreeDecomposition::enumerate(query);
-        let fhtw_report = panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, budget)?;
-        let report = panda_entropy::subw_with_tds_budgeted(query, &tds, stats, budget)?;
-        Ok(Self::from_reports(query, &report, &fhtw_report))
-    }
-
-    /// Builds the adaptive evaluator from already-computed width reports —
-    /// the partition-derivation core shared by [`PandaEvaluator::plan`] and
-    /// the strategy selector (which has the reports in hand and must not
-    /// pay for the LPs twice).  Deterministic: the output depends only on
-    /// the reports and the query.
     #[must_use]
     pub fn from_reports(
         query: &ConjunctiveQuery,
@@ -568,6 +522,7 @@ pub fn greedy_projection_cover(
 mod tests {
     use super::*;
     use crate::generic_join::GenericJoin;
+    use panda_entropy::StatisticsSet;
     use panda_query::parse_query;
     use panda_relation::Relation;
     use rand::rngs::StdRng;
@@ -575,6 +530,16 @@ mod tests {
 
     fn four_cycle() -> ConjunctiveQuery {
         parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap()
+    }
+
+    /// The 4-cycle and its adaptive plan under `2^12` tuples per atom.
+    fn adaptive_four_cycle() -> (ConjunctiveQuery, PandaEvaluator) {
+        let q = four_cycle();
+        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
+        let fhtw = panda_entropy::fhtw(&q, &stats).unwrap();
+        let evaluator =
+            PandaEvaluator::from_reports(&q, &panda_entropy::subw(&q, &stats).unwrap(), &fhtw);
+        (q, evaluator)
     }
 
     /// The paper's fhtw-hard instance (Section 5.1):
@@ -610,7 +575,7 @@ mod tests {
         let q = four_cycle();
         let db = random_graph_db(12, 80, 5);
         let stats = StatisticsSet::measure(&q, &db);
-        let plan = StaticTdPlan::best_for(&q, &stats).unwrap();
+        let plan = StaticTdPlan::new(panda_entropy::fhtw(&q, &stats).unwrap().best_td().clone());
         let expected = GenericJoin::evaluate(&q, &db);
         let got = plan.evaluate(&q, &db);
         let order: Vec<Var> = q.free_vars().to_vec();
@@ -628,9 +593,7 @@ mod tests {
 
     #[test]
     fn adaptive_plan_partitions_on_a_proof_sequence_degree() {
-        let q = four_cycle();
-        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let evaluator = PandaEvaluator::plan(&q, &stats).unwrap();
+        let (_, evaluator) = adaptive_four_cycle();
         assert_eq!(evaluator.tds.len(), 2);
         assert!(
             !evaluator.partitions.is_empty(),
@@ -644,9 +607,7 @@ mod tests {
 
     #[test]
     fn adaptive_plan_is_correct_on_random_and_adversarial_inputs() {
-        let q = four_cycle();
-        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let evaluator = PandaEvaluator::plan(&q, &stats).unwrap();
+        let (q, evaluator) = adaptive_four_cycle();
         let order: Vec<Var> = q.free_vars().to_vec();
         for db in [random_graph_db(10, 60, 9), double_star_db(24)] {
             let expected = GenericJoin::evaluate(&q, &db);
@@ -657,9 +618,7 @@ mod tests {
 
     #[test]
     fn adaptive_branches_partition_the_guard_relation() {
-        let q = four_cycle();
-        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let evaluator = PandaEvaluator::plan(&q, &stats).unwrap();
+        let (q, evaluator) = adaptive_four_cycle();
         let db = double_star_db(16);
         let branches = evaluator.build_branches(&q, &db);
         assert!(branches.len() >= 2, "the double-star instance has mixed degrees");
@@ -680,9 +639,7 @@ mod tests {
         // On the double-star instance, the branch where S is restricted to
         // its low-degree part should prefer a different TD than the branch
         // with the high-degree part — the essence of adaptivity.
-        let q = four_cycle();
-        let stats = StatisticsSet::identical_cardinalities(&q, 1 << 12);
-        let evaluator = PandaEvaluator::plan(&q, &stats).unwrap();
+        let (q, evaluator) = adaptive_four_cycle();
         let db = double_star_db(64);
         let branches = evaluator.build_branches(&q, &db);
         let chosen: BTreeSet<Vec<VarSet>> =

@@ -5,7 +5,8 @@
 //! *which* rule fired and *why* as machine-readable [`ReasonCode`]s:
 //!
 //! 1. **Explicit override** ([`SelectorRule::ExplicitOverride`]) — the
-//!    caller named a strategy; the selector steps aside.
+//!    caller named a strategy; the selector plans only what it runs
+//!    (`fhtw` for `StaticTd`, `fhtw` and `subw` for `Adaptive`).
 //! 2. **Acyclic fast path** ([`SelectorRule::AcyclicFastPath`]) — the
 //!    query is free-connex acyclic, so Yannakakis runs in `O(N + OUT)`
 //!    without solving a single LP.
@@ -39,10 +40,11 @@
 //! Downgrades only ever move *down* the ladder `Adaptive → StaticTd →
 //! BinaryJoin`; a downgraded plan still returns bit-identical results
 //! (every strategy computes the same relation), it just renounces the
-//! width guarantee.  Explicit strategies never downgrade — a budget
-//! violation there is a structured
-//! [`StrategyError::BudgetExceeded`](crate::StrategyError::BudgetExceeded)
-//! error, because the caller left the selector no fallback to offer.
+//! width guarantee.  Explicit strategies never downgrade, since the caller
+//! left no fallback: an exhausted pivot budget is their error
+//! ([`StrategyError::BudgetExceeded`](crate::StrategyError::BudgetExceeded),
+//! or that [`BoundError`] from EXPLAIN), the branch budget caps an adaptive
+//! plan's fan-out, and the memory budget is not checked.
 //!
 //! Planning is split where the paper splits it.  `select` reads only the
 //! query, the statistics, the budgets, the requested strategy and whether
@@ -222,7 +224,7 @@ pub(crate) struct Selection {
     pub tds: Vec<TreeDecomposition>,
     /// fhtw's best decomposition, when fhtw completed.
     pub best_td: Option<TreeDecomposition>,
-    /// The fully planned adaptive evaluator, when the gap rule fired.
+    /// The fully planned adaptive evaluator, when `Adaptive` was selected.
     pub evaluator: Option<PandaEvaluator>,
     /// Simplex pivots consumed by planning, when a pivot limit was set.
     pub lp_pivots_used: Option<u64>,
@@ -302,20 +304,26 @@ fn peak_bag_rows(query: &ConjunctiveQuery, db: &Database, td: &TreeDecomposition
 ///   memory-checked; Yannakakis is linear in input plus output and is
 ///   exempt by construction.
 ///
-/// An explicit request is never downgraded: its budgets bind at planning,
-/// as [`StrategyError`](crate::StrategyError)s.
+/// An explicit request is never downgraded: its branch budget caps the
+/// adaptive plan's `max_branches`, and its memory budget is not checked.
 pub(crate) fn bind(
     selection: &mut Selection,
     query: &ConjunctiveQuery,
     db: &Database,
     budgets: Budgets,
 ) -> Binding {
+    let explicit = selection.rule == SelectorRule::ExplicitOverride;
+    if let (true, Some(evaluator), Some(cap)) =
+        (explicit, selection.evaluator.as_mut(), budgets.branch_budget)
+    {
+        evaluator.max_branches = evaluator.max_branches.min(cap);
+    }
     let plan = selection.evaluator.as_ref().map(|evaluator| evaluator.bind(query, db));
     let mut branch_count = plan.as_ref().map_or(1, BoundPlan::branch_count);
-    if plan.is_some() && budgets.branch_budget.is_some_and(|cap| branch_count > cap) {
+    if !explicit && plan.is_some() && budgets.branch_budget.is_some_and(|cap| branch_count > cap) {
         selection.downgrade_to(EvaluationStrategy::BinaryJoin, ReasonCode::BranchBudgetExceeded);
     }
-    let bags_checked = selection.rule != SelectorRule::ExplicitOverride
+    let bags_checked = !explicit
         && matches!(
             selection.executed,
             EvaluationStrategy::StaticTd | EvaluationStrategy::Adaptive
@@ -332,36 +340,51 @@ pub(crate) fn bind(
     Binding { branch_count, plan }
 }
 
-/// Attaches informational widths to a selection that did not need them to
-/// decide (the explicit override and the acyclic fast path): EXPLAIN
-/// callers still want to see `fhtw`/`subw`.  The selection itself spent no
-/// LP work, so no pivot limit governs these chains: their budget is
-/// unlimited and only carries the request's cancel token.
-/// [`BoundError::Cancelled`] propagates; every other width error is
-/// absorbed into absence (`None`).
-fn attach_informational_widths(
+/// Solves the widths `selection` still lacks over `TD(Q)`, charging
+/// `budget`: `fhtw`, then `subw` when `with_subw`.  A `required` width is
+/// what the requested strategy runs, so every error propagates.  Otherwise
+/// it is informational — EXPLAIN shows it though no decision rests on it —
+/// and only [`BoundError::Cancelled`] propagates; any other error leaves it
+/// absent.
+fn solve_widths(
     selection: &mut Selection,
     query: &ConjunctiveQuery,
     stats: &StatisticsSet,
-    cancel: &CancelToken,
+    budget: &mut PivotBudget,
+    with_subw: bool,
+    required: bool,
 ) -> Result<(), BoundError> {
-    fn unless_cancelled<T>(width: Result<T, BoundError>) -> Result<Option<T>, BoundError> {
+    fn kept<T>(width: Result<T, BoundError>, required: bool) -> Result<Option<T>, BoundError> {
         match width {
-            Err(BoundError::Cancelled) => Err(BoundError::Cancelled),
+            Err(e) if required || e == BoundError::Cancelled => Err(e),
             other => Ok(other.ok()),
         }
     }
-    let tds = TreeDecomposition::enumerate(query);
-    let mut budget = PivotBudget::unlimited().with_cancel_token(cancel.clone());
-    let fhtw = panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut budget);
-    if let Some(report) = unless_cancelled(fhtw)? {
-        selection.best_td = Some(report.best_td().clone());
-        selection.fhtw = Some(report);
+    if selection.tds.is_empty() {
+        selection.tds = TreeDecomposition::enumerate(query);
     }
-    let subw = panda_entropy::subw_with_tds_budgeted(query, &tds, stats, &mut budget);
-    selection.subw = unless_cancelled(subw)?;
-    selection.tds = tds;
+    let tds = &selection.tds;
+    if selection.fhtw.is_none() {
+        let fhtw = panda_entropy::fhtw_with_tds_budgeted(query, tds, stats, budget);
+        if let Some(report) = kept(fhtw, required)? {
+            selection.best_td = Some(report.best_td().clone());
+            selection.fhtw = Some(report);
+        }
+    }
+    if with_subw && selection.subw.is_none() {
+        let subw = panda_entropy::subw_with_tds_budgeted(query, tds, stats, budget);
+        selection.subw = kept(subw, required)?;
+    }
     Ok(())
+}
+
+/// Whether `requested` plans from the statistics: `Auto` and the
+/// width-based strategies do; Yannakakis and the two joins run off the data.
+pub(crate) fn plans(requested: EvaluationStrategy) -> bool {
+    matches!(
+        requested,
+        EvaluationStrategy::Auto | EvaluationStrategy::StaticTd | EvaluationStrategy::Adaptive
+    )
 }
 
 /// Runs the selector: walks the rule list in order, applies the budgets,
@@ -373,12 +396,13 @@ fn attach_informational_widths(
 /// itself; the evaluation path leaves it off so e.g. acyclic queries never
 /// solve an LP.
 ///
-/// Only [`BoundError::Solver`] — an LP solver *bug* — and
+/// Under `Auto` only [`BoundError::Solver`] — an LP solver *bug* — and
 /// [`BoundError::Cancelled`] propagate as errors; `Unbounded` and
 /// `PivotBudgetExhausted` are absorbed into the selection as fallbacks or
 /// downgrades (that is the fail-soft contract).  Cancellation is
 /// deliberately *not* fail-soft: the caller asked for the work to stop,
-/// not for a cheaper plan to run instead.
+/// not for a cheaper plan to run instead.  Under an explicit strategy
+/// every planning error propagates.
 ///
 /// `cancel` rides on the request's one [`PivotBudget`] — the configured
 /// pivot limit, or an unlimited one — and is polled at every pivot, so a
@@ -392,12 +416,26 @@ pub(crate) fn select(
     want_widths: bool,
     cancel: &CancelToken,
 ) -> Result<Selection, BoundError> {
-    // Rule 1: explicit override.
+    // The report shows the pivot count only when a limit was asked for.
+    let pivots_used = |budget: &PivotBudget| budgets.lp_pivot_budget.map(|_| budget.used());
+    let mut informational = PivotBudget::unlimited().with_cancel_token(cancel.clone());
+
+    // Rule 1: explicit override — plan what the named strategy runs; the
+    // caller left no fallback, so nothing here is fail-soft.
     if requested != EvaluationStrategy::Auto {
         let mut selection =
             Selection::new(SelectorRule::ExplicitOverride, ReasonCode::ExplicitStrategy, requested);
+        if plans(requested) {
+            let mut budget = budgets.pivot_budget(cancel);
+            let adaptive = requested == EvaluationStrategy::Adaptive;
+            solve_widths(&mut selection, query, stats, &mut budget, adaptive, true)?;
+            if let (Some(fhtw), Some(subw)) = (&selection.fhtw, &selection.subw) {
+                selection.evaluator = Some(PandaEvaluator::from_reports(query, subw, fhtw));
+            }
+            selection.lp_pivots_used = pivots_used(&budget);
+        }
         if want_widths {
-            attach_informational_widths(&mut selection, query, stats, cancel)?;
+            solve_widths(&mut selection, query, stats, &mut informational, true, false)?;
         }
         return Ok(selection);
     }
@@ -410,15 +448,13 @@ pub(crate) fn select(
             EvaluationStrategy::Yannakakis,
         );
         if want_widths {
-            attach_informational_widths(&mut selection, query, stats, cancel)?;
+            solve_widths(&mut selection, query, stats, &mut informational, true, false)?;
         }
         return Ok(selection);
     }
 
     let tds = TreeDecomposition::enumerate(query);
     let mut budget = budgets.pivot_budget(cancel);
-    // The report shows the pivot count only when a limit was asked for.
-    let pivots_used = |budget: &PivotBudget| budgets.lp_pivot_budget.map(|_| budget.used());
 
     let fhtw_report = match panda_entropy::fhtw_with_tds_budgeted(query, &tds, stats, &mut budget) {
         Ok(report) => report,
@@ -584,21 +620,24 @@ mod tests {
         };
         let fired = CancelToken::new();
         fired.cancel();
+        // A strategy that plans solves width LPs on both paths.
         for requested in
             [EvaluationStrategy::Auto, EvaluationStrategy::StaticTd, EvaluationStrategy::Adaptive]
         {
-            // The report path solves width LPs under every request.
-            let live = plan(requested, true, &CancelToken::new()).unwrap();
-            assert_eq!(live.lp_pivots_used, None, "no limit configured, none reported");
-            assert!(live.fhtw.is_some() && live.subw.is_some());
-            assert_eq!(plan(requested, true, &fired).unwrap_err(), BoundError::Cancelled);
+            for want_widths in [true, false] {
+                let live = plan(requested, want_widths, &CancelToken::new()).unwrap();
+                assert_eq!(live.lp_pivots_used, None, "no limit configured, none reported");
+                assert!(live.fhtw.is_some() && live.best_td.is_some());
+                assert_eq!(
+                    plan(requested, want_widths, &fired).unwrap_err(),
+                    BoundError::Cancelled
+                );
+            }
         }
-        // The evaluation path solves them under `Auto` only.
-        assert_eq!(
-            plan(EvaluationStrategy::Auto, false, &fired).unwrap_err(),
-            BoundError::Cancelled
-        );
-        assert!(plan(EvaluationStrategy::StaticTd, false, &fired).is_ok());
+        // One that plans nothing solves them only for the report.
+        let generic = EvaluationStrategy::GenericJoin;
+        assert_eq!(plan(generic, true, &fired).unwrap_err(), BoundError::Cancelled);
+        assert!(plan(generic, false, &fired).is_ok());
     }
 
     #[test]

@@ -64,8 +64,11 @@ impl ShellBackend {
     }
 
     /// Connects to a `panda-server` at `addr` (e.g. `127.0.0.1:4860`).
+    /// Requests are sent when a reply is awaited, on a `TCP_NODELAY`
+    /// socket, so a `LOAD` block leaves in buffered writes.
     pub fn connect(addr: &str) -> io::Result<ShellBackend> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(ShellBackend::Connected(Connection {
             reader,
@@ -123,10 +126,10 @@ impl Connection {
         let expects = self.expects_response(line);
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         if !expects {
             return Ok((Vec::new(), false));
         }
+        self.writer.flush()?;
         let mut header = String::new();
         if self.reader.read_line(&mut header)? == 0 {
             return Err(io::Error::new(
@@ -404,6 +407,23 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), "OK pong\nOK pong\n");
         let script = read_all(&input[..]).unwrap();
         assert_eq!(run_embedded(&script), "OK pong\nOK pong\n");
+    }
+
+    #[test]
+    fn a_connected_shell_buffers_on_a_nodelay_socket_and_matches_the_embedded_transcript() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let options = panda_server::ServeOptions { once: true, ..Default::default() };
+        // panda-lint: allow(D2) -- the server under test; only its replies are compared.
+        let server = std::thread::spawn(move || panda_server::serve(&listener, options));
+        let backend = ShellBackend::connect(&addr).unwrap();
+        let nodelay = |conn: &Connection| conn.writer.get_ref().nodelay().unwrap();
+        assert!(matches!(&backend, ShellBackend::Connected(conn) if nodelay(conn)));
+        let script = "LOAD ShR 2\n1 2\n2 3\n3 4\n4 1\nEND\nQ(A,C) :- ShR(A,B), ShR(B,C)\n\\q\n";
+        let mut out = Vec::new();
+        assert!(Shell::new(backend).run_script(script, &mut out).unwrap());
+        assert_eq!(String::from_utf8(out).unwrap(), run_embedded(script));
+        server.join().unwrap().unwrap();
     }
 
     #[test]

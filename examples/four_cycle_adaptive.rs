@@ -16,8 +16,10 @@ fn main() {
     let query = four_cycle_projected();
     let stats = s_square_statistics(1 << 20);
 
-    let adaptive = PandaEvaluator::plan(&query, &stats).expect("planning succeeds");
-    let static_plan = StaticTdPlan::best_for(&query, &stats).expect("planning succeeds");
+    let fhtw = panda::entropy::fhtw(&query, &stats).expect("fhtw is finite");
+    let subw = panda::entropy::subw(&query, &stats).expect("subw is finite");
+    let adaptive = PandaEvaluator::from_reports(&query, &subw, &fhtw);
+    let static_plan = StaticTdPlan::new(fhtw.best_td().clone());
     println!("tree decompositions: {}", adaptive.tds.len());
     for spec in &adaptive.partitions {
         println!(

@@ -255,31 +255,33 @@ fn cancel_race_rounds(budget_line: &[&str]) {
     // *outcome* must not be: the target answers its full correct result or
     // `ERR cancelled`, and the session keeps serving either way.
     let addr = spawn_server();
-    let load = ["LOAD CnR 2", "1 2", "2 3", "3 1", "END"];
-    let target = "QUERY Q(A,B,C) :- CnR(A,B), CnR(B,C), CnR(C,A)";
-    let tagged = format!("#1 {target}");
-    let script = s(&[
-        &load[..],
-        budget_line,
-        &[
-            "STRATEGY adaptive",
-            tagged.as_str(),
-            "CANCEL 1",
-            "STRATEGY auto",
-            "QUERY Q(A,B) :- CnR(A,B)",
-        ],
-    ]
-    .concat());
-    // The follow-up query's exact bytes, from a session that never cancels.
-    let tail_expected = reference(&s(&[&load[..], &["QUERY Q(A,B) :- CnR(A,B)"]].concat()));
-    let tail_expected = &tail_expected[1..]; // drop the LOAD ack
-    let full_expected =
-        reference(&s(&[&load[..], budget_line, &["STRATEGY adaptive", target]].concat()));
-    // The target's success reply follows one ack per set-up command.
-    let full_expected = &full_expected[2 + budget_line.len()..];
-
     for round in 0..25 {
+        // Explicit plans are cached and relation names are part of the plan
+        // key, so a relation of its own keeps every round's planning cold:
+        // each round can meet the `CANCEL` at a pivot.
+        let rel = format!("Cn{round}R");
+        let header = format!("LOAD {rel} 2");
+        let load = [header.as_str(), "1 2", "2 3", "3 1", "END"];
+        let target = format!("QUERY Q(A,B,C) :- {rel}(A,B), {rel}(B,C), {rel}(C,A)");
+        let tagged = format!("#1 {target}");
+        let tail_query = format!("QUERY Q(A,B) :- {rel}(A,B)");
+        let script = s(&[
+            &load[..],
+            budget_line,
+            &["STRATEGY adaptive", &tagged, "CANCEL 1", "STRATEGY auto", &tail_query],
+        ]
+        .concat());
         let transcript = run_client(addr, &script);
+        // The references run in this process after the client, so they
+        // cannot warm the plan cache the server plans against.
+        // The follow-up query's exact bytes, from a session that never cancels.
+        let tail_expected = reference(&s(&[&load[..], &[tail_query.as_str()]].concat()));
+        let tail_expected = &tail_expected[1..]; // drop the LOAD ack
+        let full_expected =
+            reference(&s(&[&load[..], budget_line, &["STRATEGY adaptive", &target]].concat()));
+        // The target's success reply follows one ack per set-up command.
+        let full_expected = &full_expected[2 + budget_line.len()..];
+
         let replies = frame(&transcript);
         // LOAD (+ BUDGET) + STRATEGY, target, cancel ack, STRATEGY, tail.
         assert_eq!(replies.len(), 6 + budget_line.len(), "round {round}: {transcript:?}");

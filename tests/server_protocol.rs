@@ -395,6 +395,198 @@ fn golden_explain_binds_each_instance_under_a_shared_plan() {
     );
 }
 
+/// `LOAD` blocks putting the 16-leaf double star (32 rows) under each name.
+fn double_star_loads(names: &[&str]) -> Vec<String> {
+    let mut script = Vec::new();
+    for name in names {
+        script.push(format!("LOAD {name} 2"));
+        for leaf in 2..18 {
+            script.push(format!("{leaf} 1"));
+            script.push(format!("1 {leaf}"));
+        }
+        script.push("END".to_string());
+    }
+    script
+}
+
+#[test]
+fn golden_explicit_adaptive_explains_the_plan_its_query_runs() {
+    // An explicit strategy plans through the selector, the plan cache and
+    // the binding `Auto` uses, so its EXPLAIN shows the branches and shared
+    // subplans its QUERY runs — `Auto`'s, but for the rule — and the branch
+    // budget caps them instead of downgrading.
+    let explain = "EXPLAIN Q(X,Y) :- PnR(X,Y), PnS(Y,Z), PnT(Z,W), PnU(W,X)";
+    let mut script = double_star_loads(&["PnR", "PnS", "PnT", "PnU"]);
+    script.extend(
+        [explain, "STRATEGY adaptive", explain, "BUDGET branches=2", explain].map(String::from),
+    );
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&script);
+    let auto = &out[4..24];
+    let explicit = &out[25..45];
+    assert_eq!(auto[4..6], ["rule: subw-gap", "reason: subw_below_fhtw"]);
+    assert_eq!([&auto[..4], &auto[6..]].concat(), [&explicit[..4], &explicit[6..]].concat());
+    assert_eq!(
+        explicit,
+        [
+            "OK explain lines=19",
+            "query: Q(X,Y) :- PnR(X,Y), PnS(Y,Z), PnT(Z,W), PnU(W,X)",
+            "strategy: adaptive",
+            "selected: adaptive",
+            "rule: explicit-override",
+            "reason: explicit_strategy",
+            "widths: fhtw = 257143/200000, subw = 1071429/1000000",
+            "branches: 16",
+            "downgrades: (none)",
+            "branch bounds:",
+            "  {X,Y,Z} | {X,Y,W}: 1071429/1000000 (certified)",
+            "  {X,Y,Z} | {Y,Z,W}: 1071429/1000000 (certified)",
+            "  {X,Y,W} | {X,Z,W}: 1071429/1000000 (certified)",
+            "  {X,Z,W} | {Y,Z,W}: 1071429/1000000 (certified)",
+            "materialised subplans:",
+            "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
+            "  {Y,Z,W}: PnS * PnT (2 scans, materialised once)",
+            "  {Y,Z,W}: PnS * PnT (2 scans, materialised once)",
+            "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
+            "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
+        ]
+    );
+    assert_eq!(
+        out[45..],
+        [
+            "OK budgets pivots=none branches=2 rows=none",
+            "OK explain lines=15",
+            "query: Q(X,Y) :- PnR(X,Y), PnS(Y,Z), PnT(Z,W), PnU(W,X)",
+            "strategy: adaptive",
+            "selected: adaptive",
+            "rule: explicit-override",
+            "reason: explicit_strategy",
+            "widths: fhtw = 257143/200000, subw = 1071429/1000000",
+            "branches: 2",
+            "downgrades: (none)",
+            "branch bounds:",
+            "  {X,Y,Z} | {X,Y,W}: 1071429/1000000 (certified)",
+            "  {X,Y,Z} | {Y,Z,W}: 1071429/1000000 (certified)",
+            "  {X,Y,W} | {X,Z,W}: 1071429/1000000 (certified)",
+            "  {X,Z,W} | {Y,Z,W}: 1071429/1000000 (certified)",
+            "materialised subplans:",
+            "  {X,Z,W}: PnT * PnU (2 scans, materialised once)",
+        ]
+    );
+}
+
+#[test]
+fn golden_explicit_plans_are_cached_like_auto() {
+    // One pass: a second session would find the plan cached.
+    let query = "QUERY Q(A,B,C) :- PoE(A,B), PoE(B,C), PoE(C,A)";
+    let out = replay(
+        Session::new(),
+        &["LOAD PoE 2", "1 2", "2 3", "3 1", "END", "STRATEGY static-td", query, query, "STATS"],
+    );
+    assert_eq!(
+        out.last().map(String::as_str),
+        Some("OK stats hits=1 misses=1 evictions=0 bypasses=0")
+    );
+}
+
+#[test]
+fn golden_explicit_explain_fails_where_its_query_fails() {
+    let q = "Q(X,Y) :- PpR(X,Y), PpR(Y,Z), PpR(Z,W), PpR(W,X)";
+    let (explain, query) = (format!("EXPLAIN {q}"), format!("QUERY {q}"));
+    assert_eq!(
+        transcript(&[
+            "LOAD PpR 2",
+            "1 2",
+            "2 1",
+            "END",
+            "STRATEGY adaptive",
+            "BUDGET pivots=1",
+            &explain,
+            &query
+        ]),
+        vec![
+            "OK loaded rel=PpR rows=2",
+            "OK strategy=adaptive",
+            "OK budgets pivots=1 branches=none rows=none",
+            "ERR budget_exceeded reason=lp_budget_exhausted the LP pivot budget was exhausted \
+             before the bound was computed",
+            "ERR budget_exceeded reason=lp_budget_exhausted budget exceeded \
+             (lp_budget_exhausted) while planning adaptive, which has no fallback \
+             (Auto downgrades fail-soft instead)",
+        ]
+    );
+}
+
+#[test]
+fn golden_a_strategy_that_plans_nothing_is_not_cached() {
+    let query = "QUERY Q(A,B,C) :- PqE(A,B), PqE(B,C), PqE(C,A)";
+    let out = replay(
+        Session::new(),
+        &["LOAD PqE 2", "1 2", "2 3", "3 1", "END", "STRATEGY generic-join", query, query, "STATS"],
+    );
+    assert_eq!(
+        out.last().map(String::as_str),
+        Some("OK stats hits=0 misses=0 evictions=0 bypasses=0")
+    );
+}
+
+#[test]
+fn golden_the_memory_budget_is_not_checked_under_an_explicit_strategy() {
+    // `Auto` downgrades the same plan to a binary join; the explicit
+    // request runs the static plan it named and says so.
+    let q = "Q(A,B,C) :- PrE(A,B), PrE(B,C), PrE(C,A)";
+    let (query, explain) = (format!("QUERY {q}"), format!("EXPLAIN {q}"));
+    assert_eq!(
+        transcript(&[
+            "LOAD PrE 2",
+            "1 2",
+            "2 3",
+            "3 1",
+            "1 3",
+            "END",
+            "STRATEGY static-td",
+            "BUDGET rows=1",
+            &query,
+            &explain,
+            "STRATEGY auto",
+            &explain,
+        ]),
+        vec![
+            "OK loaded rel=PrE rows=4",
+            "OK strategy=static-td",
+            "OK budgets pivots=none branches=none rows=1",
+            "OK rows n=3 vars=A,B,C lines=3",
+            "1 2 3",
+            "2 3 1",
+            "3 1 2",
+            "OK explain lines=10",
+            "query: Q(A,B,C) :- PrE(A,B), PrE(B,C), PrE(C,A)",
+            "strategy: static-td",
+            "selected: static-td",
+            "rule: explicit-override",
+            "reason: explicit_strategy",
+            "widths: fhtw = 3/2, subw = 3/2",
+            "branches: 1",
+            "downgrades: (none)",
+            "branch bounds:",
+            "  {A,B,C}: 3/2 (certified)",
+            "OK strategy=auto",
+            "OK explain lines=11",
+            "query: Q(A,B,C) :- PrE(A,B), PrE(B,C), PrE(C,A)",
+            "strategy: binary-join",
+            "selected: static-td",
+            "rule: td-fallback",
+            "reason: no_width_gap",
+            "widths: fhtw = 3/2, subw = 3/2",
+            "branches: 1",
+            "downgrades:",
+            "  static-td -> binary-join [memory_budget_exceeded]",
+            "branch bounds:",
+            "  {A,B,C}: 3/2 (certified)",
+        ]
+    );
+}
+
 #[test]
 fn golden_cancellation_lifecycle() {
     assert_eq!(
