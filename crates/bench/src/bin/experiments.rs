@@ -160,7 +160,7 @@ fn e3_fhtw() {
     for (td, cost, per_bag) in &report.per_td {
         let bags: Vec<String> = per_bag
             .iter()
-            .map(|(b, c)| format!("{}:{}", b.display_with(q.var_names()), c))
+            .map(|(b, r)| format!("{}:{}", b.display_with(q.var_names()), r.log_bound))
             .collect();
         rows.push(vec![td.display_with(&q), cost.to_string(), bags.join("  ")]);
     }

@@ -98,8 +98,9 @@ impl BoundReport {
 }
 
 /// One tree decomposition's cost inside a [`FhtwReport`]:
-/// `(decomposition, cost, per-bag bounds)`.
-pub type TdCost = (TreeDecomposition, Rat, Vec<(VarSet, Rat)>);
+/// `(decomposition, cost, per-bag bounds)`, each bag's bound with the
+/// verified Shannon-flow certificate its LP produced.
+pub type TdCost = (TreeDecomposition, Rat, Vec<(VarSet, BoundReport)>);
 
 /// The fractional-hypertree-width report (Eq. 22).
 #[derive(Debug, Clone)]
@@ -613,7 +614,7 @@ pub fn fhtw_with_tds_budgeted(
             // carries a basis.
             carried = basis;
             worst = worst.max(report.log_bound);
-            per_bag.push((bag, report.log_bound));
+            per_bag.push((bag, report));
         }
         per_td.push((td.clone(), worst, per_bag));
     }
@@ -735,6 +736,29 @@ mod tests {
             assert_eq!(*cost, Rat::from_int(2));
         }
         assert_eq!(report.best_td().num_bags(), 2);
+    }
+
+    #[test]
+    fn fhtw_chain_certificates_match_cold_per_bag_solves() {
+        // The chain's warm-started per-bag reports are the certificates a
+        // static plan ships; a cold solve of each bag is the reference.
+        for text in [
+            "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)",
+            "Tri(A,B,C) :- R(A,B), S(B,C), T(A,C)",
+            "Q(A) :- R(A,B), S(B,C), T(C,A), U(A,D), V(D,E), W(E,A)",
+        ] {
+            let q = parse_query(text).unwrap();
+            let stats = StatisticsSet::identical_cardinalities(&q, 1000);
+            let report = fhtw(&q, &stats).unwrap();
+            for (_, _, per_bag) in &report.per_td {
+                for (bag, bound) in per_bag {
+                    bound.flow.verify_identity().unwrap();
+                    assert_eq!(bound.flow.log_bound(), bound.log_bound, "{text}: {bag:?}");
+                    let cold = polymatroid_bound(*bag, q.all_vars(), &stats).unwrap();
+                    assert_eq!(bound.log_bound, cold.log_bound, "{text}: {bag:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,8 +42,7 @@ use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::generic_join::GenericJoin;
 use crate::plans::{
-    chain_join_estimate, estimate_bag_size, greedy_projection_cover, partition_branches,
-    partitions_of, PartitionSpec,
+    bag_constructions, estimate_bag_size, partition_branches, partitions_of, PartitionSpec,
 };
 
 /// A model of a DDR: one relation per head disjunct (possibly empty), such
@@ -81,7 +80,7 @@ impl DdrModel {
         for row in full.rel.iter() {
             let assignment: Vec<(Var, u64)> =
                 order.iter().copied().zip(row.iter().copied()).collect();
-            let covered = self.targets.iter().any(|(schema, target)| {
+            let covered = self.targets.iter().any(|(_, target)| {
                 if target.is_empty() {
                     return false;
                 }
@@ -96,7 +95,6 @@ impl DdrModel {
                             .expect("target schema is a subset of the body variables")
                     })
                     .collect();
-                let _ = schema;
                 target.rel.contains(&projected)
             });
             if !covered {
@@ -204,18 +202,7 @@ impl DdrEvaluator {
 /// applies to the worst-case-optimal join of construction (i).
 #[must_use]
 pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet, engine: Engine) -> VarRelation {
-    // Cost of construction (i): degree-aware chain bound on the join of the
-    // atoms contained in the bag, provided they cover it.
-    let contained: Vec<&Atom> = atoms.iter().filter(|a| a.var_set().is_subset_of(bag)).collect();
-    let covered = contained.iter().fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()));
-    let contained_cost =
-        if covered == bag { chain_join_estimate(&contained, db) } else { f64::INFINITY };
-
-    // Cost of construction (ii): greedy projection cover.
-    let cover = greedy_projection_cover(atoms, db, bag);
-    let cover_cost: f64 =
-        cover.as_ref().map_or(f64::INFINITY, |c| c.iter().map(|(_, _, d)| *d as f64).product());
-
+    let (contained, contained_cost, cover, cover_cost) = bag_constructions(atoms, db, bag);
     let bag_vars: Vec<Var> = bag.to_vec();
     if contained_cost <= cover_cost {
         // (i) worst-case-optimal join of the contained atoms.

@@ -339,15 +339,32 @@ impl PandaEvaluator {
 /// adaptive plan.
 #[must_use]
 pub fn estimate_bag_size(atoms: &[Atom], db: &Database, bag: VarSet) -> f64 {
+    let (_, join_estimate, _, projection_estimate) = bag_constructions(atoms, db, bag);
+    join_estimate.min(projection_estimate)
+}
+
+/// A greedy projection cover: per step, the atom index, the covered overlap
+/// and the distinct count of that projection.
+pub(crate) type ProjectionCover = Vec<(usize, VarSet, usize)>;
+
+/// The two constructions of [`estimate_bag_size`], costed once for both the
+/// estimate and the DDR evaluator that runs the cheaper one: the atoms
+/// contained in `bag` with the chain estimate of their join (infinite unless
+/// they cover the bag), then the greedy projection cover with the product of
+/// its distinct counts (infinite when no cover exists).
+pub(crate) fn bag_constructions<'a>(
+    atoms: &'a [Atom],
+    db: &Database,
+    bag: VarSet,
+) -> (Vec<&'a Atom>, f64, Option<ProjectionCover>, f64) {
     let contained: Vec<&Atom> = atoms.iter().filter(|a| a.var_set().is_subset_of(bag)).collect();
     let covered = contained.iter().fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()));
-    let join_estimate =
+    let join_cost =
         if covered == bag { chain_join_estimate(&contained, db) } else { f64::INFINITY };
-    let projection_estimate = match greedy_projection_cover(atoms, db, bag) {
-        Some(cover) => cover.iter().map(|(_, _, distinct)| *distinct as f64).product(),
-        None => f64::INFINITY,
-    };
-    join_estimate.min(projection_estimate)
+    let cover = greedy_projection_cover(atoms, db, bag);
+    let cover_cost =
+        cover.as_ref().map_or(f64::INFINITY, |c| c.iter().map(|(_, _, d)| *d as f64).product());
+    (contained, join_cost, cover, cover_cost)
 }
 
 /// A degree-aware upper bound on the size of the natural join of `atoms`:
@@ -478,7 +495,7 @@ pub fn greedy_projection_cover(
     atoms: &[Atom],
     db: &Database,
     bag: VarSet,
-) -> Option<Vec<(usize, VarSet, usize)>> {
+) -> Option<ProjectionCover> {
     let mut remaining = bag;
     let mut cover = Vec::new();
     while !remaining.is_empty() {

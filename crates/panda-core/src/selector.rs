@@ -187,8 +187,8 @@ pub struct Downgrade {
 }
 
 /// One branch's width bound in a [`PlanReport`](crate::PlanReport):
-/// the bags the branch covers, its log-scale bound, and (when planning
-/// extracted one) the Shannon-flow certificate proving the bound.
+/// the bags the branch covers, its log-scale bound, and the Shannon-flow
+/// certificate proving the bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchBound {
     /// The bags this branch covers: one bag per entry for a static plan,
@@ -196,10 +196,9 @@ pub struct BranchBound {
     pub bags: Vec<VarSet>,
     /// The branch's bound in `log_N` scale.
     pub log_bound: Rat,
-    /// The machine-verified dual certificate, when one was extracted.
-    /// Absent on budget-downgraded static plans (re-deriving certificates
-    /// would spend LP work the budget already refused).
-    pub certificate: Option<ShannonFlow>,
+    /// The machine-verified dual certificate the width chain extracted
+    /// with the bound — the same LP solve, so every bound carries one.
+    pub certificate: ShannonFlow,
 }
 
 /// The full outcome of one selection: what fired, what was selected, what
@@ -550,56 +549,31 @@ pub(crate) fn select(
     Ok(selection)
 }
 
-/// Builds the per-branch width bounds for a report.
+/// Builds the per-branch width bounds for a report from the selection
+/// alone: each bound is read off the width chain that planned it, with the
+/// certificate that chain extracted and verified, so no LP is solved here.
 ///
-/// * Adaptive: one [`BranchBound`] per bag selector, certificate included
-///   (the `subw` chain already extracted and verified it).
-/// * Static: one per bag of the best decomposition.  When the selection
-///   completed within budget, each bag's certificate is re-derived with a
-///   *cold* (warm-start-free, hence engine- and chain-independent)
-///   polymatroid solve; after an LP-budget downgrade the recorded bag
-///   bounds are reported without certificates instead of spending pivots
-///   the budget already refused.
+/// * Adaptive: one [`BranchBound`] per bag selector of the `subw` chain.
+/// * Static (selected, or adaptive downgraded by the LP budget before
+///   `subw` finished): one per bag of fhtw's best decomposition.
 /// * Yannakakis / generic / binary plans carry no width bounds.
-pub(crate) fn branch_bounds_for(
-    selection: &Selection,
-    query: &ConjunctiveQuery,
-    stats: &StatisticsSet,
-) -> Vec<BranchBound> {
-    match selection.selected {
-        EvaluationStrategy::Adaptive | EvaluationStrategy::StaticTd => {
-            if selection.selected == EvaluationStrategy::Adaptive {
-                if let Some(subw) = selection.subw.as_ref() {
-                    return subw
-                        .per_selector
-                        .iter()
-                        .map(|sel| BranchBound {
-                            bags: sel.selector.bags().to_vec(),
-                            log_bound: sel.report.log_bound,
-                            certificate: Some(sel.report.flow.clone()),
-                        })
-                        .collect();
-                }
-            }
-            let Some(fhtw) = selection.fhtw.as_ref() else { return Vec::new() };
-            let Some((_, _, per_bag)) = fhtw.per_td.get(fhtw.best) else { return Vec::new() };
-            let budget_died =
-                selection.reason == ReasonCode::LpBudgetExhausted && selection.subw.is_none();
-            let universe = query.all_vars();
-            per_bag
-                .iter()
-                .map(|&(bag, log_bound)| {
-                    let certificate = if budget_died {
-                        None
-                    } else {
-                        panda_entropy::polymatroid_bound(bag, universe, stats)
-                            .ok()
-                            .map(|report: BoundReport| report.flow)
-                    };
-                    BranchBound { bags: vec![bag], log_bound, certificate }
-                })
-                .collect()
+pub(crate) fn branch_bounds_for(selection: &Selection) -> Vec<BranchBound> {
+    let bound = |bags: &[VarSet], report: &BoundReport| BranchBound {
+        bags: bags.to_vec(),
+        log_bound: report.log_bound,
+        certificate: report.flow.clone(),
+    };
+    match (selection.selected, &selection.subw, &selection.fhtw) {
+        (EvaluationStrategy::Adaptive, Some(subw), _) => {
+            subw.per_selector.iter().map(|sel| bound(sel.selector.bags(), &sel.report)).collect()
         }
+        (EvaluationStrategy::Adaptive | EvaluationStrategy::StaticTd, _, Some(fhtw)) => fhtw
+            .per_td
+            .get(fhtw.best)
+            .into_iter()
+            .flat_map(|(_, _, per_bag)| per_bag)
+            .map(|(bag, report)| bound(&[*bag], report))
+            .collect(),
         _ => Vec::new(),
     }
 }

@@ -6,9 +6,11 @@
 //! ```
 //!
 //! The output is **deterministic and byte-stable**: CI runs this example
-//! twice and diffs the two outputs, so every line printed here must come
-//! from the deterministic planner (no clocks, no addresses, no hash-map
-//! iteration order).
+//! twice and diffs the two outputs with each other and with the committed
+//! `examples/explain.expected`, so every line printed here must come from
+//! the deterministic planner (no clocks, no addresses, no hash-map
+//! iteration order).  A change that means to alter the output regenerates
+//! that file with the command above.
 
 use panda::prelude::*;
 
@@ -34,7 +36,8 @@ fn main() {
 
     // 3. The same query under a starvation-level LP pivot budget: the
     //    budget dies during the subw computation, and the selection
-    //    fail-soft downgrades to the single-TD plan fhtw already paid for.
+    //    fail-soft downgrades to the single-TD plan fhtw already paid for,
+    //    whose bag bounds keep the certificates that chain verified.
     //    The pivot threshold is measured (not hard-coded) so the output
     //    stays stable across solver changes.
     let tds = TreeDecomposition::enumerate(&query);

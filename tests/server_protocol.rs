@@ -476,6 +476,52 @@ fn golden_explicit_adaptive_explains_the_plan_its_query_runs() {
 }
 
 #[test]
+fn golden_an_lp_budget_downgrade_ships_the_fhtw_chains_certificates() {
+    // A pivot budget one past the fhtw chain dies inside subw: the plan
+    // downgrades to fhtw's best decomposition, whose bag bounds carry the
+    // certificates that chain already verified.  The threshold is measured
+    // on the statistics the session will measure, not hard-coded.
+    let query = "Q(X,Y) :- PdR(X,Y), PdS(Y,Z), PdT(Z,W), PdU(W,X)";
+    let star = panda::workloads::double_star_db(16).relation("R").unwrap().clone();
+    let mut db = Database::new();
+    for name in ["PdR", "PdS", "PdT", "PdU"] {
+        db.insert(name, star.clone());
+    }
+    let parsed = parse_query(query).unwrap();
+    let stats = StatisticsSet::measure(&parsed, &db);
+    let tds = TreeDecomposition::enumerate(&parsed);
+    let mut probe = panda::entropy::PivotBudget::unlimited();
+    panda::entropy::fhtw_with_tds_budgeted(&parsed, &tds, &stats, &mut probe).unwrap();
+    let pivots = probe.used() + 1;
+
+    let mut script = double_star_loads(&["PdR", "PdS", "PdT", "PdU"]);
+    script.push(format!("BUDGET pivots={pivots}"));
+    script.push(format!("EXPLAIN {query}"));
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&script);
+    assert_eq!(out[4], format!("OK budgets pivots={pivots} branches=none rows=none"));
+    assert_eq!(
+        out[5..],
+        [
+            "OK explain lines=13".to_string(),
+            format!("query: {query}"),
+            "strategy: static-td".to_string(),
+            "selected: adaptive".to_string(),
+            "rule: subw-gap".to_string(),
+            "reason: lp_budget_exhausted".to_string(),
+            "widths: fhtw = 257143/200000, subw = (not computed)".to_string(),
+            "branches: 1".to_string(),
+            format!("lp pivots used: {pivots}"),
+            "downgrades:".to_string(),
+            "  adaptive -> static-td [lp_budget_exhausted]".to_string(),
+            "branch bounds:".to_string(),
+            "  {X,Y,Z}: 257143/200000 (certified)".to_string(),
+            "  {X,Z,W}: 257143/200000 (certified)".to_string(),
+        ]
+    );
+}
+
+#[test]
 fn golden_explicit_plans_are_cached_like_auto() {
     // One pass: a second session would find the plan cached.
     let query = "QUERY Q(A,B,C) :- PoE(A,B), PoE(B,C), PoE(C,A)";
