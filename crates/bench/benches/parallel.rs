@@ -6,15 +6,13 @@
 //! rows differ in wall-clock time only.
 //!
 //! Covered fan-outs: the generic join's top-level candidate split, the
-//! adaptive plan's degree branches (E8), DDR branch evaluation (E7), and
-//! the sharded probe-side `par_join`.
+//! adaptive plan's degree branches (E8) and DDR branch evaluation (E7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use panda_core::config::{Engine, Parallelism};
 use panda_core::{DdrEvaluator, GenericJoin, PandaEvaluator};
 use panda_entropy::StatisticsSet;
 use panda_query::{BagSelector, DisjunctiveRule, Var, VarSet};
-use panda_relation::{operators, Relation};
 use panda_workloads::{
     double_star_db, erdos_renyi_db, four_cycle_full, four_cycle_projected, s_square_statistics,
     triangle_query,
@@ -91,22 +89,6 @@ fn bench_ddr(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sharded probe-side hash join on a skew-free bulk workload.
-fn bench_par_join(c: &mut Criterion) {
-    let n: u64 = 1 << 17;
-    let left = Relation::from_rows(2, (0..n).map(|i| [i, i % 4096]));
-    let right = Relation::from_rows(2, (0..n).map(|i| [i % 4096, i]));
-    // Pre-build the shared build-side index so both columns measure pure
-    // probe work, like a warmed engine would.
-    let _ = left.index_for(&[1]);
-    let mut group = c.benchmark_group("parallel_operator_join");
-    group.bench_function("seq", |b| b.iter(|| operators::join(&left, &right, &[(1, 0)]).len()));
-    group.bench_function("par4", |b| {
-        b.iter(|| operators::par_join(&left, &right, &[(1, 0)], PAR_THREADS).len())
-    });
-    group.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -117,6 +99,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_wcoj, bench_adaptive, bench_ddr, bench_par_join
+    targets = bench_wcoj, bench_adaptive, bench_ddr
 }
 criterion_main!(benches);

@@ -23,11 +23,6 @@
 // Γ-LP builder in this module, so objective/constraint lookups are
 // in range by construction.
 
-// panda-lint: allow(D2) -- the import feeds the Γ-scaffold memo below:
-// pure memoisation of deterministic LP scaffolds, never observable in
-// results (see the cache's own justification).
-use std::sync::{Arc, Mutex};
-
 use panda_lp::{Basis, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_query::{BagSelector, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_rational::Rat;
@@ -160,10 +155,8 @@ impl SubwReport {
 ///
 /// `subw` solves one LP per bag selector — 197 of them for the 5-cycle —
 /// and `fhtw` one per bag, all over the same `(universe, statistics)`
-/// scaffold, which is why scaffolds are memoised in a small
-/// process-shared cache keyed by exactly that pair (see `scaffold_for`):
-/// all chain threads and repeated queries against unchanged statistics
-/// reuse one scaffold build.
+/// scaffold, so each chain builds it once up front and every LP of the
+/// chain replays it.  A single bound builds its own.
 struct GammaScaffold {
     space: EntropyVarSpace,
     /// Per-statistic `(sparse coefficients, rhs)` of the `≤` rows.
@@ -215,48 +208,6 @@ impl GammaScaffold {
     }
 }
 
-/// How many `(universe, statistics)` scaffolds the shared cache keeps.
-/// One width computation alternates between at most two scaffolds (one per
-/// statistics set in play), but the cache is process-shared across chain
-/// threads and repeated queries, so the cap leaves room for several
-/// concurrent statistics sets while still bounding memory when a caller
-/// streams many distinct ones (e.g. per-branch re-costing in the adaptive
-/// evaluator).
-const SCAFFOLD_CACHE_CAP: usize = 16;
-
-/// A cache slot: the `(universe, statistics)` key and its scaffold.
-type ScaffoldEntry = ((VarSet, StatisticsSet), Arc<GammaScaffold>);
-
-/// Process-shared LRU cache of memoised scaffolds, most recently used
-/// last.  Eviction is positional (least recently used first) — determinism
-/// comes from counting uses, never from clocks.
-//
-// panda-lint: allow(D2) -- memoisation only: a scaffold is a pure function
-// of its (universe, statistics) key, so whichever thread populates a slot,
-// every reader observes an identical value; eviction affects only cost,
-// never results.
-static SCAFFOLD_CACHE: Mutex<Vec<ScaffoldEntry>> = Mutex::new(Vec::new());
-
-/// Returns the memoised scaffold for `(universe, stats)`, building and
-/// caching it on a miss.  Shared across threads: parallel width chains and
-/// repeated queries against unchanged statistics all reuse one build.
-fn scaffold_for(universe: VarSet, stats: &StatisticsSet) -> Arc<GammaScaffold> {
-    // panda-lint: allow(D2) -- see SCAFFOLD_CACHE: pure memoisation.
-    let mut cache = SCAFFOLD_CACHE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(pos) = cache.iter().position(|((u, s), _)| *u == universe && s == stats) {
-        let entry = cache.remove(pos);
-        let scaffold = Arc::clone(&entry.1);
-        cache.push(entry);
-        return scaffold;
-    }
-    let scaffold = Arc::new(GammaScaffold::build(universe, stats));
-    if cache.len() >= SCAFFOLD_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push(((universe, stats.clone()), Arc::clone(&scaffold)));
-    scaffold
-}
-
 /// Internal: the Γ_n-plus-statistics LP with bookkeeping for dual
 /// extraction.
 struct GammaLp {
@@ -274,7 +225,7 @@ struct GammaLp {
 impl GammaLp {
     /// Builds the LP `max h(target)` (single target) or `max t` with
     /// `t ≤ h(B)` for every target (DDR form), subject to `h ⊨ S, Γ_n`,
-    /// instantiated from the memoised scaffold.  The row order — statistics,
+    /// instantiated from `scaffold`.  The row order — statistics,
     /// targets, elementals — matches the scaffold-free construction the
     /// seed shipped with, so *cold* solves follow the same pivot paths and
     /// extract the same dual certificates as before the refactor.
@@ -283,8 +234,9 @@ impl GammaLp {
     /// routinely are — so their certificates can legitimately differ; every
     /// certificate is still verified by `ShannonFlow::verify_identity`
     /// before it is returned, and the optimal *value* never changes.
-    fn build(universe: VarSet, stats: &StatisticsSet, targets: &[VarSet]) -> Self {
+    fn build(scaffold: &GammaScaffold, targets: &[VarSet]) -> Self {
         assert!(!targets.is_empty(), "at least one target set is required");
+        let universe = scaffold.space.universe();
         for t in targets {
             assert!(
                 t.is_subset_of(universe),
@@ -292,7 +244,6 @@ impl GammaLp {
             );
             assert!(!t.is_empty(), "target sets must be non-empty");
         }
-        let scaffold = scaffold_for(universe, stats);
         let space = scaffold.space.clone();
         let use_t = targets.len() > 1;
         let num_vars = space.num_lp_vars() + usize::from(use_t);
@@ -496,7 +447,7 @@ pub fn polymatroid_bound(
     universe: VarSet,
     stats: &StatisticsSet,
 ) -> Result<BoundReport, BoundError> {
-    let lp = GammaLp::build(universe, stats, &[target]);
+    let lp = GammaLp::build(&GammaScaffold::build(universe, stats), &[target]);
     lp.solve(stats, &[target])
 }
 
@@ -525,7 +476,7 @@ pub fn ddr_polymatroid_bound(
     universe: VarSet,
     stats: &StatisticsSet,
 ) -> Result<BoundReport, BoundError> {
-    let lp = GammaLp::build(universe, stats, targets);
+    let lp = GammaLp::build(&GammaScaffold::build(universe, stats), targets);
     lp.solve(stats, targets)
 }
 
@@ -599,7 +550,7 @@ pub fn fhtw_with_tds_budgeted(
     stats: &StatisticsSet,
     budget: &mut PivotBudget,
 ) -> Result<FhtwReport, BoundError> {
-    let universe = query.all_vars();
+    let scaffold = GammaScaffold::build(query.all_vars(), stats);
     let mut per_td: Vec<TdCost> = Vec::with_capacity(tds.len());
     // Per-bag LPs share every constraint (only the objective moves), so
     // each solve warm-starts from the previous bag's optimal basis.
@@ -608,7 +559,7 @@ pub fn fhtw_with_tds_budgeted(
         let mut worst = Rat::ZERO;
         let mut per_bag = Vec::with_capacity(td.num_bags());
         for &bag in td.bags() {
-            let lp = GammaLp::build(universe, stats, &[bag]);
+            let lp = GammaLp::build(&scaffold, &[bag]);
             let (report, basis) = lp.solve_warm(stats, &[bag], carried.as_ref(), budget)?;
             // An Ok solve is always Optimal here, and Optimal always
             // carries a basis.
@@ -654,7 +605,7 @@ pub fn subw_with_tds_budgeted(
     budget: &mut PivotBudget,
 ) -> Result<SubwReport, BoundError> {
     assert!(!tds.is_empty(), "subw requires at least one tree decomposition");
-    let universe = query.all_vars();
+    let scaffold = GammaScaffold::build(query.all_vars(), stats);
     let selectors = BagSelector::enumerate(tds);
     let mut per_selector = Vec::with_capacity(selectors.len());
     let mut value = Rat::ZERO;
@@ -664,7 +615,7 @@ pub fn subw_with_tds_budgeted(
     // whenever it is still feasible.
     let mut carried: Option<Basis> = None;
     for selector in selectors {
-        let lp = GammaLp::build(universe, stats, selector.bags());
+        let lp = GammaLp::build(&scaffold, selector.bags());
         let (report, basis) = lp.solve_warm(stats, selector.bags(), carried.as_ref(), budget)?;
         // An Ok solve is always Optimal here, and Optimal always carries a
         // basis.
@@ -907,37 +858,11 @@ mod tests {
         cases.push((two_path.all_vars(), s_norm, vec![two_path.all_vars()]));
 
         for (universe, stats, targets) in cases {
-            let gamma = GammaLp::build(universe, &stats, &targets);
+            let gamma = GammaLp::build(&GammaScaffold::build(universe, &stats), &targets);
             let dense = gamma.lp.solve_dense().unwrap();
             let revised = gamma.lp.solve().unwrap();
             assert_eq!(dense, revised, "engines diverge on targets {targets:?}");
         }
-    }
-
-    #[test]
-    fn scaffold_cache_reuses_and_evicts() {
-        let q = four_cycle();
-        let universe = vs(&[0, 1, 2, 3]);
-        // A statistics set no other test uses, so concurrent test threads
-        // sharing the process-wide cache cannot pre-populate or re-insert
-        // this entry behind our back.
-        let stats = StatisticsSet::identical_cardinalities(&q, 77_741);
-        // Hold the first Arc across the flood so its allocation cannot be
-        // recycled into the rebuilt scaffold's address.
-        let first = scaffold_for(universe, &stats);
-        assert_eq!(
-            Arc::as_ptr(&first),
-            Arc::as_ptr(&scaffold_for(universe, &stats)),
-            "hit on same key"
-        );
-        // Flood the cache with distinct statistics sets to force eviction.
-        // Concurrent inserts from other tests only evict *more*, never
-        // re-create this key, so the assertion below stays valid.
-        for n in 0..=SCAFFOLD_CACHE_CAP as u64 {
-            let _ = scaffold_for(universe, &StatisticsSet::identical_cardinalities(&q, 100 + n));
-        }
-        let rebuilt = scaffold_for(universe, &stats);
-        assert_ne!(Arc::as_ptr(&first), Arc::as_ptr(&rebuilt), "evicted entry is rebuilt fresh");
     }
 
     #[test]

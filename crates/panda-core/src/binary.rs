@@ -6,12 +6,14 @@
 //! skewed data its intermediate results can be quadratically larger than
 //! both the AGM bound and the submodular-width bound, which is exactly what
 //! experiment E8 measures.
+//!
+//! It runs on the calling thread whatever the request's engine: a parallel
+//! engine's threads belong to the plans it is the baseline for.
 
 use panda_query::{ConjunctiveQuery, Var, VarSet};
 use panda_relation::Database;
 
 use crate::binding::VarRelation;
-use crate::config::Engine;
 use crate::yannakakis::empty_result;
 
 /// A greedy left-deep binary-join plan.  Intermediate results are
@@ -30,24 +32,9 @@ impl BinaryJoinPlan {
     /// Evaluates the query with greedy pairwise joins: start from the
     /// smallest relation; at every step join with the connected relation
     /// that minimises the estimated intermediate size (estimated as
-    /// `|acc| · max-degree of the new attributes`).  Sequential; see
-    /// [`BinaryJoinPlan::evaluate_with_engine`].
+    /// `|acc| · max-degree of the new attributes`).
     #[must_use]
     pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::Sequential)
-    }
-
-    /// [`BinaryJoinPlan::evaluate`] under an explicit [`Engine`]: each
-    /// pairwise hash join shards its probe side over the engine's threads
-    /// ([`panda_relation::operators::par_join`]), with bit-identical
-    /// output at any thread count.
-    #[must_use]
-    pub fn evaluate_with_engine(
-        &self,
-        query: &ConjunctiveQuery,
-        db: &Database,
-        engine: Engine,
-    ) -> VarRelation {
         let mut remaining = VarRelation::bind_all(query, db);
         if remaining.iter().any(VarRelation::is_empty) {
             return empty_result(query.free_vars());
@@ -68,7 +55,7 @@ impl BinaryJoinPlan {
             // still-untouched `remaining` vector.
             let pick = connected.into_iter().min_by_key(|&i| remaining[i].len()).unwrap_or(0);
             let next = remaining.remove(pick);
-            acc = acc.natural_join_with_engine(&next, engine);
+            acc = acc.natural_join(&next);
             let needed: VarSet =
                 remaining.iter().fold(query.free_vars(), |acc_set, r| acc_set.union(r.var_set()));
             acc = acc.project_to_set(acc.var_set().intersect(needed));

@@ -5,8 +5,6 @@ use std::collections::HashMap;
 use panda_query::{Atom, ConjunctiveQuery, Var, VarSet};
 use panda_relation::{operators, Database, Relation, Value};
 
-use crate::config::Engine;
-
 /// A relation whose columns are bound to query variables: column `i` holds
 /// the values of `vars[i]`.  All evaluators operate on `VarRelation`s so
 /// that joins and projections can be expressed by variable rather than by
@@ -161,30 +159,13 @@ impl VarRelation {
     /// variables followed by `other`'s non-shared variables.
     #[must_use]
     pub fn natural_join(&self, other: &VarRelation) -> VarRelation {
-        self.natural_join_with_engine(other, Engine::Sequential)
-    }
-
-    /// [`VarRelation::natural_join`] under an explicit [`Engine`]: a
-    /// parallel engine routes the join through
-    /// [`operators::par_join`] (probe-side shards), whose output is
-    /// bit-identical to the sequential operator.
-    #[must_use]
-    pub(crate) fn natural_join_with_engine(
-        &self,
-        other: &VarRelation,
-        engine: Engine,
-    ) -> VarRelation {
         let shared: Vec<(usize, usize)> = self
             .vars
             .iter()
             .enumerate()
             .filter_map(|(i, v)| other.column_of(*v).map(|j| (i, j)))
             .collect();
-        let out_rel = if engine.is_parallel() {
-            operators::par_join(&self.rel, &other.rel, &shared, engine.threads())
-        } else {
-            operators::join(&self.rel, &other.rel, &shared)
-        };
+        let out_rel = operators::join(&self.rel, &other.rel, &shared);
         let mut out_vars = self.vars.clone();
         let shared_other: Vec<usize> = shared.iter().map(|&(_, j)| j).collect();
         for (j, v) in other.vars.iter().enumerate() {

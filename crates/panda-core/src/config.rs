@@ -53,11 +53,12 @@ impl Parallelism {
 /// The execution engine used by the evaluators.
 ///
 /// [`Engine::Sequential`] is the default; [`Engine::Parallel`] fans
-/// independent work units (generic-join top-level branches, PANDA degree
-/// branches, DDR branches, probe shards) out over a fixed number of
-/// threads and merges the results in input order
+/// independent work units (generic-join top-level branches, bag jobs, PANDA
+/// degree branches, DDR branches) out over a fixed number of threads and
+/// merges the results in input order
 /// ([`panda_relation::fan_out::ordered_map`]), producing bit-identical
-/// outputs.
+/// outputs.  Single operators, and so the binary-join baseline, always run
+/// on the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Evaluate everything on the calling thread (the default).
@@ -100,10 +101,17 @@ impl Engine {
         }
     }
 
-    /// `true` iff this engine may use more than one thread.
+    /// Where this engine's threads go over `units` independent work units:
+    /// `(threads across the units, engine inside each unit)`.  Across the
+    /// units when there is more than one, each then running sequentially;
+    /// otherwise inside the one unit.
     #[must_use]
-    pub fn is_parallel(self) -> bool {
-        self.threads() > 1
+    pub(crate) fn fan_out(self, units: usize) -> (usize, Engine) {
+        if self.threads() > 1 && units > 1 {
+            (self.threads(), Engine::Sequential)
+        } else {
+            (1, self)
+        }
     }
 }
 
@@ -224,7 +232,7 @@ mod tests {
     fn sequential_is_the_default_with_one_thread() {
         assert_eq!(Engine::default(), Engine::Sequential);
         assert_eq!(Engine::Sequential.threads(), 1);
-        assert!(!Engine::Sequential.is_parallel());
+        assert_eq!(Engine::Sequential.fan_out(8), (1, Engine::Sequential));
     }
 
     #[test]
@@ -234,7 +242,8 @@ mod tests {
         assert!(Parallelism::auto().get() >= 1);
         let engine = Engine::Parallel(Parallelism::threads(4));
         assert_eq!(engine.threads(), 4);
-        assert!(engine.is_parallel());
+        assert_eq!(engine.fan_out(2), (4, Engine::Sequential), "threads go across units");
+        assert_eq!(engine.fan_out(1), (1, engine), "or inside the only one");
     }
 
     #[test]

@@ -161,11 +161,7 @@ impl DdrEvaluator {
             .collect();
 
         let branches = self.build_branches(db);
-        let across_branches = engine.is_parallel() && branches.len() > 1;
-        // Branch workers own the coarse-grained parallelism; with a single
-        // branch the engine is spent inside the bag materialisation
-        // instead.
-        let inner_engine = if across_branches { Engine::Sequential } else { engine };
+        let (threads, inner_engine) = engine.fan_out(branches.len());
         let evaluate_branch = |branch_db: &Database| -> (usize, VarRelation) {
             // Choose the cheapest target for this branch.
             let (best_idx, _) = self
@@ -179,7 +175,7 @@ impl DdrEvaluator {
             let bag = self.rule.head()[best_idx];
             (best_idx, materialize_bag(self.rule.body(), branch_db, bag, inner_engine))
         };
-        let covered = ordered_map(engine.threads(), &branches, evaluate_branch);
+        let covered = ordered_map(threads, &branches, evaluate_branch);
         for (best_idx, rel) in covered {
             let order = targets[best_idx].1.vars.clone();
             targets[best_idx].1.rel.extend_from(&rel.project_onto(&order).rel);

@@ -151,7 +151,11 @@ impl GenericJoin {
                     .map(|i| &candidates[candidates.len() * i / k..candidates.len() * (i + 1) / k])
                     .collect();
                 let pieces = ordered_map(threads, &chunks, |chunk| run_chunk(chunk));
-                let merged = Relation::concatenated(output_vars.len(), &pieces);
+                // In chunk order; the first piece is adopted in O(1).
+                let mut merged = Relation::new(output_vars.len());
+                for piece in pieces {
+                    merged.extend_from(&piece);
+                }
                 return VarRelation::new(output_vars, merged.deduped());
             }
             let out = run_chunk(&candidates);

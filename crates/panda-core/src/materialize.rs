@@ -191,9 +191,7 @@ impl BoundPlan {
     /// across the jobs and then across the branches, and each join runs
     /// sequentially; with one branch the engine is spent inside the joins.
     pub(crate) fn execute(&self, free: VarSet, engine: Engine) -> Vec<VarRelation> {
-        let across = engine.is_parallel() && self.branches.len() > 1;
-        let (threads, inner) =
-            if across { (engine.threads(), Engine::Sequential) } else { (1, engine) };
+        let (threads, inner) = engine.fan_out(self.branches.len());
         let live = |branch: &BoundBranch| !branch.inputs.iter().any(VarRelation::is_empty);
         let mut needed = vec![false; self.jobs.len()];
         for branch in self.branches.iter().filter(|b| live(b)) {

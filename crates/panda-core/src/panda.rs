@@ -650,7 +650,7 @@ impl Panda {
                 Ok(plan.evaluate(self.query.free_vars(), self.engine))
             }
             (EvaluationStrategy::BinaryJoin, ..) => {
-                Ok(BinaryJoinPlan::new().evaluate_with_engine(&self.query, db, self.engine))
+                Ok(BinaryJoinPlan::new().evaluate(&self.query, db))
             }
             // `GenericJoin`: `Auto` never executes, and a width-based strategy
             // always carries its plan.

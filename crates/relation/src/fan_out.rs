@@ -1,7 +1,7 @@
 //! The one ordered fan-out every parallel region of the workspace uses.
 //!
-//! Probe shards, generic-join top-level candidates and PANDA and DDR
-//! degree branches all have the same shape: apply a pure function to each
+//! Generic-join top-level candidates, bag jobs and PANDA and DDR degree
+//! branches all have the same shape: apply a pure function to each
 //! item of a slice and merge the results in input order.  [`ordered_map`]
 //! is that shape, once.  Because the merge order is the input order, its
 //! output equals `items.iter().map(f).collect()` at every thread count —

@@ -404,5 +404,13 @@ mod tests {
         // The original clone still sees its (valid) cached index.
         assert!(Arc::ptr_eq(&before, &original.index_for(&[0])));
         assert!(original.index_for(&[0]).probe(&[3]).is_empty());
+        // `reserve` writes no row but may re-home the buffer: it must
+        // detach a populated cache as well.
+        let mut reserved = original.clone();
+        let _ = reserved.distinct_count();
+        reserved.reserve(8);
+        assert!(reserved.try_cached_index(&[0]).is_none());
+        assert!(Arc::ptr_eq(&before, &original.index_for(&[0])));
+        assert_eq!(reserved.distinct_count(), 2);
     }
 }

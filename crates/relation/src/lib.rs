@@ -29,12 +29,10 @@
 //!
 //! For the parallel execution layer, [`fan_out::ordered_map`] is the one
 //! place the workspace's engine spawns threads: a pure function mapped
-//! over a slice, results merged in input order.  [`Relation::partitioned`]
-//! splits a relation into zero-copy contiguous shard views over the shared
-//! storage and [`Relation::concatenated`] re-assembles them in order;
-//! [`operators::par_join`] maps a hash join's probe side over those shards
-//! with bit-identical output.  See `docs/ARCHITECTURE.md` at the workspace
-//! root for how the evaluators drive this.
+//! over a slice, results merged in input order.  The operators themselves
+//! are sequential and a [`Relation`] is one whole buffer: the evaluators
+//! fan out over independent work items, never inside a join.  See
+//! `docs/ARCHITECTURE.md` at the workspace root for how they drive this.
 
 // Every public item in this crate must be documented; broken or missing
 // docs fail CI via the `cargo doc` job (RUSTDOCFLAGS="-D warnings").

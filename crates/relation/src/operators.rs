@@ -11,14 +11,17 @@
 //! repeated joins on the same `(relation, key columns)` pair — the normal
 //! case across PANDA's degree branches and Yannakakis' semijoin passes —
 //! pay for the index once.
+//!
+//! Every operator runs on the calling thread.  A parallel engine fans out
+//! one level up, over independent work items (generic-join candidates,
+//! bag jobs, degree branches), never inside one operator.
 
 // panda-lint: allow-file(P1) -- column indices are validated against
-// both arities in join/semijoin setup before any row is touched.
+// both arities at the top of join/semijoin before any row is touched.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::fan_out::ordered_map;
 use crate::index::HashIndex;
 use crate::relation::{Relation, Tuple, Value};
 
@@ -224,46 +227,17 @@ impl DedupSink {
 /// Panics if a column index is out of range.
 #[must_use]
 pub fn join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relation {
-    let setup = join_setup(left, right, on);
-    let build = if setup.build_left { left } else { right };
-    let probe = if setup.build_left { right } else { left };
-    probe_side_join(
-        build,
-        probe,
-        &setup.idx,
-        &setup.probe_cols,
-        &setup.right_keep_cols,
-        setup.build_left,
-        setup.out_arity,
-    )
-}
-
-/// Chooses the build side: prefer a side whose index is already cached;
-/// otherwise build on the smaller side for cache friendliness and probe
-/// with the other.
-fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> bool {
-    let cached = |rel: &Relation, is_left: bool| {
-        canonical_pairs(on, is_left).is_some_and(|(cols, _)| rel.try_cached_index(&cols).is_some())
-    };
-    match (cached(left, true), cached(right, false)) {
-        (true, false) => true,
-        (false, true) => false,
-        _ => left.len() <= right.len(),
+    for &(l, r) in on {
+        assert!(l < left.arity(), "left join column {l} out of range");
+        assert!(r < right.arity(), "right join column {r} out of range");
     }
-}
-
-/// Probes every row of `probe` against the build side's index, streaming
-/// the joined rows through a dedup sink — the inner loop shared by
-/// [`join`] and each [`par_join`] probe shard.
-fn probe_side_join(
-    build: &Relation,
-    probe: &Relation,
-    idx: &HashIndex,
-    probe_cols: &[usize],
-    right_keep_cols: &[usize],
-    build_left: bool,
-    out_arity: usize,
-) -> Relation {
+    let right_join_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+    let right_keep_cols: Vec<usize> =
+        (0..right.arity()).filter(|c| !right_join_cols.contains(c)).collect();
+    let out_arity = left.arity() + right_keep_cols.len();
+    let build_left = choose_build_left(left, right, on);
+    let (build, probe) = if build_left { (left, right) } else { (right, left) };
+    let (idx, probe_cols) = build_side_index(build, on, build_left);
     let mut out = DedupSink::new(out_arity);
     let mut row_buf: Tuple = Tuple::with_capacity(out_arity);
     let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
@@ -282,112 +256,17 @@ fn probe_side_join(
     out.into_relation()
 }
 
-/// The shared setup of a hash join: column checks, output shape,
-/// build-side choice and the (cached) build index.  [`join`] and
-/// [`par_join`] both start from this one helper so their build/probe
-/// decisions can never diverge — which is what `par_join`'s
-/// bit-identical-to-[`join`] contract rests on.
-struct JoinSetup {
-    build_left: bool,
-    idx: Arc<HashIndex>,
-    probe_cols: Vec<usize>,
-    right_keep_cols: Vec<usize>,
-    out_arity: usize,
-}
-
-fn join_setup(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> JoinSetup {
-    for &(l, r) in on {
-        assert!(l < left.arity(), "left join column {l} out of range");
-        assert!(r < right.arity(), "right join column {r} out of range");
-    }
-    let right_join_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let right_keep_cols: Vec<usize> =
-        (0..right.arity()).filter(|c| !right_join_cols.contains(c)).collect();
-    let out_arity = left.arity() + right_keep_cols.len();
-    let build_left = choose_build_left(left, right, on);
-    let (idx, probe_cols) = if build_left {
-        build_side_index(left, on, true)
-    } else {
-        build_side_index(right, on, false)
+/// Chooses the build side: prefer a side whose index is already cached;
+/// otherwise build on the smaller side for cache friendliness and probe
+/// with the other.
+fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> bool {
+    let cached = |rel: &Relation, is_left: bool| {
+        canonical_pairs(on, is_left).is_some_and(|(cols, _)| rel.try_cached_index(&cols).is_some())
     };
-    JoinSetup { build_left, idx, probe_cols, right_keep_cols, out_arity }
-}
-
-/// [`join`] with the probe side split into up to `threads` zero-copy
-/// shards ([`Relation::partitioned`]) that are joined through
-/// [`ordered_map`] and concatenated in shard order.
-///
-/// The output is **bit-identical to [`join`]** at every thread count: the
-/// build side (and its shared cached index) is the same, probe rows are
-/// visited in the same order across the ordered shards, and the final
-/// deduplication keeps first occurrences exactly like the sequential
-/// streaming sink.  With `threads <= 1` this delegates to [`join`]
-/// directly.
-///
-/// # Panics
-///
-/// Panics if a column index is out of range.
-///
-/// # Examples
-///
-/// ```
-/// use panda_relation::{operators, Relation};
-///
-/// let r = Relation::from_rows(2, vec![[1, 2], [2, 3], [4, 4]]);
-/// let s = Relation::from_rows(2, vec![[2, 10], [2, 11], [4, 20]]);
-/// let seq = operators::join(&r, &s, &[(1, 0)]);
-/// let par = operators::par_join(&r, &s, &[(1, 0)], 4);
-/// let rows = |rel: &Relation| rel.iter().map(<[u64]>::to_vec).collect::<Vec<_>>();
-/// assert_eq!(rows(&par), rows(&seq)); // identical rows in identical order
-/// ```
-#[must_use]
-pub fn par_join(
-    left: &Relation,
-    right: &Relation,
-    on: &[(usize, usize)],
-    threads: usize,
-) -> Relation {
-    if threads <= 1 {
-        return join(left, right, on);
-    }
-    let setup = join_setup(left, right, on);
-    let build = if setup.build_left { left } else { right };
-    let probe = if setup.build_left { right } else { left };
-    let run_shard = |shard: &Relation| -> Relation {
-        probe_side_join(
-            build,
-            shard,
-            &setup.idx,
-            &setup.probe_cols,
-            &setup.right_keep_cols,
-            setup.build_left,
-            setup.out_arity,
-        )
-    };
-    let shards = probe.partitioned(threads.max(1));
-    if shards.len() <= 1 {
-        return match shards.first() {
-            Some(shard) => run_shard(shard),
-            None => Relation::new(setup.out_arity),
-        };
-    }
-    let pieces = ordered_map(threads, &shards, run_shard);
-    // One piece per probe shard, in shard order, all with the output
-    // arity — the precondition for the order-preserving merge below.
-    debug_assert_eq!(pieces.len(), shards.len());
-    debug_assert!(pieces.iter().all(|p| p.arity() == setup.out_arity));
-    let merged = Relation::concatenated(setup.out_arity, &pieces);
-    // Cross-shard duplicates can only come from *duplicate probe rows*
-    // landing in different shards: an output row determines the probe row
-    // that produced it (all probe columns appear in the output), and any
-    // duplicates from one probe row are adjacent and removed by that
-    // shard's streaming sink.  A duplicate-free probe side therefore needs
-    // no second dedup pass over the merged output — and the distinct count
-    // is served from the probe relation's cache.
-    if probe.distinct_count() < probe.len() {
-        merged.deduped()
-    } else {
-        merged
+    match (cached(left, true), cached(right, false)) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => left.len() <= right.len(),
     }
 }
 
@@ -619,47 +498,6 @@ mod tests {
     fn reorder_out_of_range_column_panics() {
         let r = Relation::from_rows(2, vec![[1, 2]]);
         let _ = reorder(&r, &[0, 2]);
-    }
-
-    /// Raw rows in storage order — bit-level comparison, not set-level.
-    fn raw_rows(rel: &Relation) -> Vec<Tuple> {
-        rel.iter().map(<[Value]>::to_vec).collect()
-    }
-
-    #[test]
-    fn par_join_is_bit_identical_to_join_at_every_thread_count() {
-        let r = Relation::from_rows(2, (0..40u64).map(|i| [i % 7, i % 11]));
-        let s = Relation::from_rows(2, (0..50u64).map(|i| [i % 11, i % 5]));
-        let expected = raw_rows(&join(&r, &s, &[(1, 0)]));
-        for threads in [1, 2, 3, 8, 64] {
-            let got = raw_rows(&par_join(&r, &s, &[(1, 0)], threads));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_join_handles_empty_and_cartesian_shapes() {
-        let r = Relation::from_rows(1, vec![[1], [2], [3]]);
-        let empty = Relation::new(1);
-        assert!(par_join(&r, &empty, &[(0, 0)], 4).is_empty());
-        assert!(par_join(&empty, &r, &[(0, 0)], 4).is_empty());
-        let b = Relation::from_rows(1, vec![[10], [20]]);
-        let seq = raw_rows(&join(&r, &b, &[]));
-        let par = raw_rows(&par_join(&r, &b, &[], 4));
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_join_dedups_across_shard_boundaries() {
-        // Every probe row produces the same joined row: shard-local dedup
-        // alone would leave one copy per shard, so the final merge must
-        // dedup across shard boundaries too.
-        let all_same = Relation::from_rows(2, (0..16u64).map(|_| [7, 1]));
-        let s = Relation::from_rows(2, vec![[1, 5]]);
-        let seq = raw_rows(&join(&all_same, &s, &[(1, 0)]));
-        let par = raw_rows(&par_join(&all_same, &s, &[(1, 0)], 4));
-        assert_eq!(par, seq);
-        assert_eq!(par.len(), 1, "cross-shard duplicates must collapse");
     }
 
     #[test]

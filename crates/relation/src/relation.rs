@@ -30,11 +30,6 @@ pub type Tuple = Vec<Value>;
 /// set-producing operators enforce this, while bulk-loading methods allow
 /// temporary duplicates for speed.
 ///
-/// A relation can also be a zero-copy *shard view* over a contiguous row
-/// range of a shared buffer (see [`Relation::partitioned`]): shards share
-/// the parent's tuple storage and behave like independent relations —
-/// mutating a shard copies just its own rows out first.
-///
 /// # Examples
 ///
 /// ```
@@ -57,11 +52,6 @@ pub type Tuple = Vec<Value>;
 pub struct Relation {
     arity: usize,
     data: Arc<Vec<Value>>,
-    /// When set, this relation is a shard view over rows
-    /// `[start, start + rows)` of `data` (only ever set for arity > 0);
-    /// `None` means the whole buffer.  Mutation materialises the view
-    /// first (see [`Relation::make_owned`]).
-    view: Option<(usize, usize)>,
     cache: Arc<IndexCache>,
 }
 
@@ -69,23 +59,13 @@ impl Relation {
     /// Creates an empty relation with the given number of columns.
     #[must_use]
     pub fn new(arity: usize) -> Self {
-        Relation {
-            arity,
-            data: Arc::new(Vec::new()),
-            view: None,
-            cache: Arc::new(IndexCache::default()),
-        }
+        Relation::from_flat(arity, Vec::new())
     }
 
     /// Creates an empty relation with capacity for `rows` tuples.
     #[must_use]
     pub fn with_capacity(arity: usize, rows: usize) -> Self {
-        Relation {
-            arity,
-            data: Arc::new(Vec::with_capacity(arity * rows)),
-            view: None,
-            cache: Arc::new(IndexCache::default()),
-        }
+        Relation::from_flat(arity, Vec::with_capacity(arity * rows))
     }
 
     /// Wraps an already-validated flat row-major buffer — the fast path for
@@ -97,7 +77,7 @@ impl Relation {
             "flat buffer of length {} is not row-aligned for arity {arity}",
             data.len()
         );
-        Relation { arity, data: Arc::new(data), view: None, cache: Arc::new(IndexCache::default()) }
+        Relation { arity, data: Arc::new(data), cache: Arc::new(IndexCache::default()) }
     }
 
     /// Builds a relation from an iterator of rows.
@@ -126,43 +106,11 @@ impl Relation {
     /// The number of stored tuples (duplicates included if any).
     #[must_use]
     pub fn len(&self) -> usize {
-        if let Some((_, rows)) = self.view {
-            return rows;
-        }
         match self.data.len().checked_div(self.arity) {
             Some(rows) => rows,
             // A zero-arity relation is either empty or the single empty
             // tuple; we encode the latter by a one-element marker vector.
             None => usize::from(!self.data.is_empty()),
-        }
-    }
-
-    /// The viewed flat row buffer: for a shard view, just its own rows; for
-    /// a whole-buffer relation, all of `data`.  Zero-arity relations are
-    /// never views, so their marker encoding passes through unchanged.
-    fn flat(&self) -> &[Value] {
-        match self.view {
-            Some((start, rows)) => &self.data[start * self.arity..(start + rows) * self.arity],
-            None => &self.data,
-        }
-    }
-
-    /// Materialises a shard view into its own buffer (a one-time copy of
-    /// just this shard's rows).  Called by every mutating method so that
-    /// copy-on-write never touches rows outside the view.
-    ///
-    /// Materialisation changes the relation's [storage
-    /// identity](Relation::storage_id), so any derived statistics computed
-    /// under the old identity (indexes, distinct counts) are detached
-    /// here — not only by the mutating callers — ensuring a mutation path
-    /// that reaches `make_owned` directly (e.g. [`Relation::reserve`]) can
-    /// never leave a pre-materialisation cache attached to
-    /// post-materialisation storage.
-    fn make_owned(&mut self) {
-        if self.view.is_some() {
-            self.invalidate_derived();
-            self.data = Arc::new(self.flat().to_vec());
-            self.view = None;
         }
     }
 
@@ -173,24 +121,22 @@ impl Relation {
     }
 
     /// `true` iff `self` and `other` share the same underlying tuple
-    /// storage: O(1) clones of each other with no intervening mutation, or
-    /// shard views ([`Relation::partitioned`]) over the same buffer.
+    /// storage: O(1) clones of each other with no intervening mutation.
     #[must_use]
     pub fn shares_storage_with(&self, other: &Relation) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// A process-local identity of this relation's *storage*: the address
-    /// of the shared tuple buffer plus the viewed row range.  Two relations
-    /// with equal storage ids hold exactly the same rows (they are O(1)
-    /// clones or identical shard views of one buffer), which is what lets
-    /// the plan layer deduplicate repeated subplans over shared inputs
-    /// without comparing tuple data.  The id is only meaningful while both
-    /// relations are alive and must never be persisted.
+    /// A process-local identity of this relation's *storage*: buffer
+    /// address, arity, rows.  Two live relations with equal storage ids
+    /// hold exactly the same rows (they are O(1) clones of one buffer),
+    /// which is what lets the plan layer deduplicate repeated subplans over
+    /// shared inputs without comparing tuple data.  The id is only
+    /// meaningful while both relations are alive and must never be
+    /// persisted.
     #[must_use]
     pub fn storage_id(&self) -> (usize, usize, usize) {
-        let (start, rows) = self.view.unwrap_or((0, self.len()));
-        (Arc::as_ptr(&self.data) as *const u8 as usize, start, rows)
+        (Arc::as_ptr(&self.data) as *const u8 as usize, self.arity, self.len())
     }
 
     /// Detaches this relation from any cache shared with clones.  Called by
@@ -217,7 +163,6 @@ impl Relation {
             self.arity
         );
         self.invalidate_derived();
-        self.make_owned();
         let data = Arc::make_mut(&mut self.data);
         if self.arity == 0 {
             if data.is_empty() {
@@ -239,7 +184,7 @@ impl Relation {
         if self.arity == 0 {
             &[]
         } else {
-            &self.flat()[i * self.arity..(i + 1) * self.arity]
+            &self.data[i * self.arity..(i + 1) * self.arity]
         }
     }
 
@@ -247,7 +192,7 @@ impl Relation {
     pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
         let arity = self.arity;
         let len = self.len();
-        let flat = self.flat();
+        let flat: &[Value] = &self.data;
         (0..len).map(
             move |i| {
                 if arity == 0 {
@@ -274,7 +219,7 @@ impl Relation {
             return;
         }
         let out = {
-            let flat = self.flat();
+            let flat: &[Value] = &self.data;
             let mut seen: HashSet<&[Value]> = HashSet::with_capacity(self.len());
             let mut out = Vec::with_capacity(flat.len());
             for row in flat.chunks_exact(self.arity) {
@@ -289,7 +234,6 @@ impl Relation {
         };
         self.invalidate_derived();
         self.data = Arc::new(out);
-        self.view = None;
     }
 
     /// Returns a deduplicated copy.
@@ -357,14 +301,13 @@ impl Relation {
             return;
         }
         self.invalidate_derived();
-        self.make_owned();
         let data = Arc::make_mut(&mut self.data);
         if self.arity == 0 {
             if data.is_empty() {
                 data.push(1);
             }
         } else {
-            data.extend_from_slice(other.flat());
+            data.extend_from_slice(&other.data);
         }
     }
 
@@ -375,7 +318,6 @@ impl Relation {
     /// caller is preparing for must start from a clean cache.
     pub fn reserve(&mut self, additional: usize) {
         self.invalidate_derived();
-        self.make_owned();
         Arc::make_mut(&mut self.data).reserve(additional * self.arity.max(1));
     }
 
@@ -488,114 +430,12 @@ impl Relation {
         }
         self.cache.grouped_degrees(self, &group, &value)
     }
-
-    /// Splits the relation into at most `parts` contiguous, balanced shards
-    /// that together cover all rows in order.  Shards are **zero-copy
-    /// views**: they share the parent's `Arc`-backed tuple storage (no
-    /// tuple data is duplicated until a shard is mutated) but start from
-    /// their own empty index cache.  Returns an empty vector for an empty relation and a single
-    /// O(1) clone when `parts == 1` or the relation has a single row (or
-    /// arity zero).
-    ///
-    /// This is how the parallel execution layer splits data: a probe side
-    /// split into shards can be joined shard-by-shard through
-    /// [`ordered_map`](crate::fan_out::ordered_map) and re-assembled with
-    /// [`Relation::concatenated`],
-    /// reproducing the sequential output exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts == 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use panda_relation::Relation;
-    ///
-    /// let r = Relation::from_rows(2, vec![[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]);
-    /// let shards = r.partitioned(2);
-    /// assert_eq!(shards.len(), 2);
-    /// assert_eq!(shards[0].len() + shards[1].len(), r.len());
-    /// // Shards are zero-copy views over the parent's storage …
-    /// assert!(shards.iter().all(|s| s.shares_storage_with(&r)));
-    /// // … and re-assembling them in order reproduces the original.
-    /// assert_eq!(Relation::concatenated(2, &shards), r);
-    /// ```
-    #[must_use]
-    pub fn partitioned(&self, parts: usize) -> Vec<Relation> {
-        assert!(parts > 0, "cannot partition a relation into zero shards");
-        let len = self.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        if parts == 1 || len == 1 || self.arity == 0 {
-            return vec![self.clone()];
-        }
-        let base = self.view.map_or(0, |(start, _)| start);
-        let k = parts.min(len);
-        let shards: Vec<Relation> = (0..k)
-            .map(|i| {
-                let lo = len * i / k;
-                let hi = len * (i + 1) / k;
-                Relation {
-                    arity: self.arity,
-                    data: Arc::clone(&self.data),
-                    view: Some((base + lo, hi - lo)),
-                    cache: Arc::new(IndexCache::default()),
-                }
-            })
-            .collect();
-        // The shards must tile the parent exactly: re-concatenating them in
-        // order is the identity (the determinism contract of the parallel
-        // operators that fan out over these shards).
-        debug_assert_eq!(shards.iter().map(Relation::len).sum::<usize>(), len);
-        debug_assert!(shards.iter().all(|s| s.arity() == self.arity));
-        shards
-    }
-
-    /// Concatenates shards (in order) into one relation of the given
-    /// arity — the merge half of [`Relation::partitioned`].  Rows appear
-    /// exactly in shard order, so partitioning and concatenating is the
-    /// identity; no deduplication is performed.  When at most one shard is
-    /// non-empty the result is an O(1) clone of it (shared storage and
-    /// index cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any shard's arity differs from `arity`.
-    #[must_use]
-    pub fn concatenated(arity: usize, shards: &[Relation]) -> Relation {
-        for shard in shards {
-            assert_eq!(shard.arity(), arity, "shard arity mismatch in concatenated");
-        }
-        let mut non_empty = shards.iter().filter(|s| !s.is_empty());
-        let Some(first) = non_empty.next() else { return Relation::new(arity) };
-        if non_empty.next().is_none() {
-            return first.clone();
-        }
-        if arity == 0 {
-            let mut out = Relation::new(0);
-            out.push_row(&[]);
-            return out;
-        }
-        let total: usize = shards.iter().map(|s| s.flat().len()).sum();
-        let mut data = Vec::with_capacity(total);
-        for shard in shards {
-            data.extend_from_slice(shard.flat());
-        }
-        let out = Relation::from_flat(arity, data);
-        // Shard-order merge preserves every row: the concatenation is the
-        // identity on the shard sequence, nothing dropped or reordered.
-        debug_assert_eq!(out.len(), shards.iter().map(Relation::len).sum::<usize>());
-        out
-    }
 }
 
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.arity == other.arity
-            && ((Arc::ptr_eq(&self.data, &other.data) && self.view == other.view)
-                || self.flat() == other.flat())
+        // `Arc`'s equality short-circuits on a shared buffer.
+        self.arity == other.arity && self.data == other.data
     }
 }
 
@@ -699,133 +539,14 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_shards_are_zero_copy_and_cover_in_order() {
-        let r = Relation::from_rows(2, (0..17u64).map(|i| [i, i * 10]));
-        for parts in [1, 2, 3, 5, 17, 40] {
-            let shards = r.partitioned(parts);
-            assert!(shards.len() <= parts);
-            assert!(shards.iter().all(|s| !s.is_empty()), "parts = {parts}");
-            assert!(shards.iter().all(|s| s.shares_storage_with(&r)), "parts = {parts}");
-            let merged = Relation::concatenated(2, &shards);
-            let expected: Vec<Tuple> = r.iter().map(<[Value]>::to_vec).collect();
-            let got: Vec<Tuple> = merged.iter().map(<[Value]>::to_vec).collect();
-            assert_eq!(got, expected, "parts = {parts}");
-        }
-        assert!(Relation::new(3).partitioned(4).is_empty());
-    }
-
-    #[test]
-    fn shard_views_read_only_their_own_rows() {
-        let r = Relation::from_rows(1, vec![[0], [1], [2], [3], [4]]);
-        let shards = r.partitioned(2);
-        assert_eq!(shards[0].canonical_rows(), vec![vec![0], vec![1]]);
-        assert_eq!(shards[1].canonical_rows(), vec![vec![2], vec![3], vec![4]]);
-        assert_eq!(shards[1].row(0), &[2]);
-        assert!(shards[1].contains(&[4]));
-        assert!(!shards[1].contains(&[1]));
-        assert_eq!(shards[1].distinct_count(), 3);
-    }
-
-    #[test]
-    fn mutating_a_shard_copies_out_and_detaches() {
+    fn storage_id_tracks_sharing() {
         let r = Relation::from_rows(1, vec![[0], [1], [2], [3]]);
-        let shards = r.partitioned(2);
-        let mut shard = shards[1].clone();
-        shard.push_row(&[9]);
-        assert!(!shard.shares_storage_with(&r), "mutation must detach the view");
-        assert_eq!(shard.canonical_rows(), vec![vec![2], vec![3], vec![9]]);
-        // The parent and the sibling shard are untouched.
-        assert_eq!(r.len(), 4);
-        assert_eq!(shards[0].canonical_rows(), vec![vec![0], vec![1]]);
-    }
-
-    #[test]
-    fn make_owned_detaches_stale_derived_statistics() {
-        // Regression: `reserve` reaches `make_owned` without going through
-        // a row-mutating method, so the view materialisation itself must
-        // detach derived statistics — a cache built for the old storage
-        // identity must never survive onto the new one.
-        let r = Relation::from_rows(2, vec![[1, 10], [2, 20], [3, 30], [4, 40]]);
-        let mut shard = r.partitioned(2).pop().unwrap();
-        let before = shard.storage_id();
-        let _ = shard.index_for(&[0]);
-        let _ = shard.distinct_count();
-        assert!(shard.try_cached_index(&[0]).is_some());
-        shard.reserve(8);
-        assert_ne!(shard.storage_id(), before, "materialisation re-homes storage");
-        assert!(
-            shard.try_cached_index(&[0]).is_none(),
-            "derived statistics must be detached when the storage identity changes"
-        );
-        // The rows themselves are intact and re-derived stats are correct.
-        assert_eq!(shard.canonical_rows(), vec![vec![3, 30], vec![4, 40]]);
-        assert_eq!(shard.distinct_count(), 2);
-    }
-
-    #[test]
-    fn storage_id_distinguishes_views_and_tracks_sharing() {
-        let r = Relation::from_rows(1, vec![[0], [1], [2], [3]]);
-        let clone = r.clone();
-        assert_eq!(r.storage_id(), clone.storage_id(), "O(1) clones share identity");
-        let shards = r.partitioned(2);
-        assert_ne!(shards[0].storage_id(), shards[1].storage_id());
-        assert_ne!(shards[0].storage_id(), r.storage_id());
-        // Equal shard views of the same range agree.
-        assert_eq!(shards[1].storage_id(), r.partitioned(2)[1].storage_id());
+        assert_eq!(r.storage_id(), r.clone().storage_id(), "O(1) clones share identity");
         let owned = Relation::from_rows(1, vec![[0], [1], [2], [3]]);
         assert_ne!(owned.storage_id(), r.storage_id(), "distinct buffers differ");
     }
 
-    #[test]
-    fn shards_can_renest() {
-        let r = Relation::from_rows(2, (0..12u64).map(|i| [i / 3, i % 3]));
-        let shards = r.partitioned(3);
-        for shard in &shards {
-            // A shard of a shard composes the view offsets.
-            let nested = shard.partitioned(2);
-            let merged = Relation::concatenated(2, &nested);
-            assert_eq!(merged.canonical_rows(), shard.canonical_rows());
-            assert!(nested.iter().all(|s| s.shares_storage_with(&r)));
-        }
-    }
-
-    #[test]
-    fn shard_equality_is_by_viewed_rows() {
-        let r = Relation::from_rows(1, vec![[7], [7], [8]]);
-        let shards = r.partitioned(3);
-        assert_eq!(shards[0], shards[1], "equal single-row views compare equal");
-        assert_ne!(shards[0], shards[2]);
-        assert_ne!(shards[0], r);
-    }
-
-    #[test]
-    fn concatenated_single_nonempty_shard_is_a_clone() {
-        let r = Relation::from_rows(2, vec![[1, 2], [3, 4]]);
-        let merged = Relation::concatenated(2, &[Relation::new(2), r.clone(), Relation::new(2)]);
-        assert!(merged.shares_storage_with(&r));
-        assert_eq!(Relation::concatenated(2, &[]).len(), 0);
-        // Zero-arity concatenation is boolean-or.
-        let mut t = Relation::new(0);
-        t.push_row(&[]);
-        assert_eq!(Relation::concatenated(0, &[t.clone(), t]).len(), 1);
-    }
-
     proptest! {
-        #[test]
-        fn prop_partition_concat_roundtrips(
-            rows in proptest::collection::vec((0u64..30, 0u64..30), 0..80),
-            parts in 1usize..9,
-        ) {
-            let rel = Relation::from_rows(2, rows.iter().map(|(a, b)| [*a, *b]));
-            let shards = rel.partitioned(parts);
-            let merged = Relation::concatenated(2, &shards);
-            let expected: Vec<Tuple> = rel.iter().map(<[Value]>::to_vec).collect();
-            let got: Vec<Tuple> = merged.iter().map(<[Value]>::to_vec).collect();
-            prop_assert_eq!(got, expected);
-            let total: usize = shards.iter().map(Relation::len).sum();
-            prop_assert_eq!(total, rel.len());
-        }
-
         #[test]
         fn prop_dedup_is_idempotent(rows in proptest::collection::vec((0u64..20, 0u64..20), 0..60)) {
             let rel = Relation::from_rows(2, rows.iter().map(|(a, b)| [*a, *b]));

@@ -74,38 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn prop_par_join_is_bit_identical_to_join(
-        lrows in rows_strategy(2, 40),
-        rrows in rows_strategy(2, 40),
-        lcol in 0usize..2,
-        rcol in 0usize..2,
-        threads in 1usize..9,
-    ) {
-        // Stronger than set equality: the parallel shard merge must
-        // reproduce the sequential row order bit for bit.
-        let left = rel_from(2, &lrows);
-        let right = rel_from(2, &rrows);
-        let on = [(lcol, rcol)];
-        let seq: Vec<Tuple> = operators::join(&left, &right, &on).iter().map(<[Value]>::to_vec).collect();
-        let par: Vec<Tuple> =
-            operators::par_join(&left, &right, &on, threads).iter().map(<[Value]>::to_vec).collect();
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn prop_par_join_on_shards_matches_nested_loop(
-        lrows in rows_strategy(2, 40),
-        rrows in rows_strategy(2, 40),
-        threads in 2usize..6,
-    ) {
-        let left = rel_from(2, &lrows);
-        let right = rel_from(2, &rrows);
-        let on = [(1, 0)];
-        let expected = naive_join(&left, &right, &on);
-        prop_assert_eq!(operators::par_join(&left, &right, &on, threads).canonical_rows(), expected);
-    }
-
-    #[test]
     fn prop_join_on_two_columns_matches_nested_loop(
         lrows in rows_strategy(3, 30),
         rrows in rows_strategy(2, 30),
@@ -193,12 +161,6 @@ proptest! {
     }
 }
 
-/// Rows in storage order — the bit-level comparison, stronger than the
-/// canonical (set-level) one.
-fn raw(rel: &Relation) -> Vec<Tuple> {
-    rel.iter().map(<[Value]>::to_vec).collect()
-}
-
 proptest! {
     #[test]
     fn prop_grouped_degrees_match_naive_count(rows in rows_strategy(3, 50)) {
@@ -237,25 +199,6 @@ proptest! {
             if !g.is_empty() {
                 prop_assert_eq!(gd.degree_of_row(&[9, 9, 9]), 0);
             }
-        }
-    }
-
-    #[test]
-    fn prop_shards_tile_the_parent_and_start_cold(
-        rows in rows_strategy(2, 60),
-        parts in 1usize..7,
-    ) {
-        let r = rel_from(2, &rows);
-        let _ = r.index_for(&[0]);
-        let shards = r.partitioned(parts);
-        prop_assert_eq!(shards.iter().flat_map(raw).collect::<Vec<_>>(), raw(&r));
-        for shard in &shards {
-            prop_assert!(shard.shares_storage_with(&r));
-        }
-        // A real split hands out views with their own empty cache (a single
-        // shard is an O(1) clone and keeps the parent's).
-        if shards.len() > 1 {
-            prop_assert!(shards.iter().all(|s| s.try_cached_index(&[0]).is_none()));
         }
     }
 }

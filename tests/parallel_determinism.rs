@@ -6,9 +6,9 @@
 //! Coverage mirrors the two corpora named by the docs/parallel PR:
 //!
 //! * the proptest *differential operator corpus* (random relations joined
-//!   through the sharded `par_join` and the generic join's parallel
-//!   top-level split) — complementing the per-operator differential suite
-//!   in `crates/relation/tests/operators_differential.rs`, and
+//!   through the generic join's parallel top-level split) — complementing
+//!   the per-operator differential suite in
+//!   `crates/relation/tests/operators_differential.rs`, and
 //! * the *E1–E15 experiment workloads* (Figure 2, the fhtw-hard double
 //!   star of E7/E8, the Erdős–Rényi and Zipf instances of E9, the path
 //!   instance of E13) at reduced sizes, through every evaluation strategy
@@ -21,7 +21,6 @@
 
 use panda::config::{Engine, Parallelism};
 use panda::prelude::*;
-use panda::relation::operators;
 use panda::workloads;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -209,26 +208,6 @@ fn explain_output_is_engine_independent() {
 }
 
 proptest! {
-    // The differential operator corpus, driven through the parallel
-    // engine: random binary joins via `par_join` shards stay bit-identical
-    // to the sequential operator.
-    #[test]
-    fn prop_operator_corpus_par_join_matches(
-        lrows in proptest::collection::vec((0u64..8, 0u64..8), 0..60),
-        rrows in proptest::collection::vec((0u64..8, 0u64..8), 0..60),
-        threads in 1usize..9,
-    ) {
-        let left = panda::relation::Relation::from_rows(2, lrows.iter().map(|(a, b)| [*a, *b]));
-        let right = panda::relation::Relation::from_rows(2, rrows.iter().map(|(a, b)| [*a, *b]));
-        let seq: Vec<Vec<u64>> =
-            operators::join(&left, &right, &[(1, 0)]).iter().map(<[u64]>::to_vec).collect();
-        let par: Vec<Vec<u64>> = operators::par_join(&left, &right, &[(1, 0)], threads)
-            .iter()
-            .map(<[u64]>::to_vec)
-            .collect();
-        prop_assert_eq!(par, seq);
-    }
-
     // Random triangle instances through the generic join's parallel
     // top-level split.
     #[test]
