@@ -8,47 +8,69 @@
 //!   Figure 2 worked example through the width computations, DDR
 //!   evaluation, adaptive-vs-static scaling and the FMM comparison of
 //!   Section 9.3,
-//! * the **Criterion benches** (`benches/`, 9 targets) time the individual
-//!   hot paths: the polymatroid-bound and width LPs (E2–E4, including the
-//!   5-variable `subw` configurations that size the LP solver), WCOJ
-//!   joins, Yannakakis, DDR evaluation, semiring FAQ, the 4-cycle
-//!   scaling study, and the relational operator layer (cached vs fresh
-//!   indexes, hash vs sort-merge joins),
+//! * the **`planner_outliers` binary** (`src/bin/planner_outliers.rs`)
+//!   times the two cold plans too slow for the served benchmark's loop —
+//!   the projected 5-cycle and the non-free-connex 4-path — chain by chain
+//!   through [`plan_chains`], then the Γ₅ full-target polymatroid bound,
 //! * this library holds the shared helpers: [`time_it`], the power-law
 //!   slope fit [`log_log_slope`] used to check `N^{3/2}` vs `N²` scaling
 //!   (E8), and the [`render_table`] text-table renderer.
 //!
-//! Recorded baseline numbers live in `EXPERIMENTS.md` at the workspace
-//! root, together with the methodology notes for the vendored
-//! median-of-samples bench harness.
+//! Recorded numbers live in `EXPERIMENTS.md` at the workspace root; the
+//! served system is measured end to end by the `benchmark/` package.
 
 #![forbid(unsafe_code)]
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use criterion::Criterion;
+use panda_entropy::{fhtw_with_tds_budgeted, subw_with_tds_budgeted, PivotBudget, StatisticsSet};
+use panda_query::{ConjunctiveQuery, TreeDecomposition};
+use panda_rational::Rat;
+use panda_relation::Database;
 
-/// The standard Criterion configuration for the LP-bound benches: 10
-/// samples inside a ~0.9 s measurement budget.
-#[must_use]
-pub fn lp_bench_config() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(900))
+/// One cold plan's width chains, as [`plan_chains`] measured them.
+#[derive(Debug, Clone)]
+pub struct ChainRow {
+    /// Tree decompositions enumerated.
+    pub tds: usize,
+    /// Bag-selector LPs the `subw` chain solved.
+    pub selector_lps: usize,
+    /// Simplex pivots of both chains, charged to one budget.
+    pub pivots: u64,
+    /// The fractional hypertree width.
+    pub fhtw: Rat,
+    /// The submodular width.
+    pub subw: Rat,
+    /// Seconds spent in the `fhtw` chain.
+    pub fhtw_s: f64,
+    /// Seconds spent in the `subw` chain.
+    pub subw_s: f64,
 }
 
-/// The configuration for the near-second-scale 5-variable LP configs
-/// (`subw5_five_cycle`, `polymatroid_bound_5cycle`): a tight warm-up and
-/// measurement budget so each sample runs a single iteration and the
-/// whole bench suite stays bounded.  `sample_size` stays at 10 — the real
-/// `criterion` crate rejects anything below 10 at configuration time, and
-/// the ROADMAP plans a drop-in shim-to-registry swap.
+/// Plans `query` over `db` the way a cold request does: measures the
+/// statistics, enumerates the tree decompositions, then runs the `fhtw`
+/// chain and the `subw` chain under one unlimited [`PivotBudget`].
+///
+/// # Panics
+///
+/// Panics if either chain returns an error.
 #[must_use]
-pub fn lp_bench_config_5var() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(100))
-        .measurement_time(Duration::from_millis(600))
+pub fn plan_chains(query: &ConjunctiveQuery, db: &Database) -> ChainRow {
+    let stats = StatisticsSet::measure(query, db);
+    let tds = TreeDecomposition::enumerate(query);
+    let mut budget = PivotBudget::unlimited();
+    let (fhtw, fhtw_s) =
+        time_it(|| fhtw_with_tds_budgeted(query, &tds, &stats, &mut budget).expect("fhtw chain"));
+    let (subw, subw_s) =
+        time_it(|| subw_with_tds_budgeted(query, &tds, &stats, &mut budget).expect("subw chain"));
+    ChainRow {
+        tds: tds.len(),
+        selector_lps: subw.per_selector.len(),
+        pivots: budget.used(),
+        fhtw: fhtw.value,
+        subw: subw.value,
+        fhtw_s,
+        subw_s,
+    }
 }
 
 /// Times a closure, returning `(result, seconds)`.
@@ -119,6 +141,22 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use panda_entropy::{fhtw, subw};
+    use panda_workloads::{erdos_renyi_db, four_cycle_projected};
+
+    #[test]
+    fn plan_chains_matches_the_width_entry_points() {
+        let query = four_cycle_projected();
+        let db = erdos_renyi_db(&["R", "S", "T", "U"], 30, 120, 7);
+        let row = plan_chains(&query, &db);
+        let stats = StatisticsSet::measure(&query, &db);
+        let subw_report = subw(&query, &stats).unwrap();
+        assert_eq!(row.fhtw, fhtw(&query, &stats).unwrap().value);
+        assert_eq!(row.subw, subw_report.value);
+        assert_eq!(row.selector_lps, subw_report.per_selector.len());
+        assert_eq!(row.tds, TreeDecomposition::enumerate(&query).len());
+        assert!(row.pivots > 0);
+    }
 
     #[test]
     fn slope_of_a_perfect_power_law() {

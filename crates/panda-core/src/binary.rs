@@ -29,40 +29,42 @@ impl BinaryJoinPlan {
         BinaryJoinPlan
     }
 
-    /// Evaluates the query with greedy pairwise joins: start from the
-    /// smallest relation; at every step join with the connected relation
-    /// that minimises the estimated intermediate size (estimated as
-    /// `|acc| · max-degree of the new attributes`).
+    /// Evaluates the query with greedy pairwise joins over its atoms: start
+    /// from the smallest relation and, at every step, join the smallest
+    /// remaining one that shares a variable with the result so far.
     #[must_use]
     pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        let mut remaining = VarRelation::bind_all(query, db);
-        if remaining.iter().any(VarRelation::is_empty) {
-            return empty_result(query.free_vars());
-        }
-        if remaining.is_empty() {
-            return VarRelation::boolean(true);
-        }
-        remaining.sort_by_key(VarRelation::len);
-        let mut acc = remaining.remove(0);
-        while !remaining.is_empty() {
-            // Prefer a connected relation; among those, the smallest.
-            // panda-lint: allow(P1) -- `i` ranges over `0..remaining.len()`
-            // with no mutation until the loop below picks one element.
-            let connected: Vec<usize> = (0..remaining.len())
-                .filter(|&i| !remaining[i].var_set().intersect(acc.var_set()).is_empty())
-                .collect();
-            // panda-lint: allow(P1) -- `connected` holds indices into the
-            // still-untouched `remaining` vector.
-            let pick = connected.into_iter().min_by_key(|&i| remaining[i].len()).unwrap_or(0);
-            let next = remaining.remove(pick);
-            acc = acc.natural_join(&next);
-            let needed: VarSet =
-                remaining.iter().fold(query.free_vars(), |acc_set, r| acc_set.union(r.var_set()));
-            acc = acc.project_to_set(acc.var_set().intersect(needed));
-        }
-        let order: Vec<Var> = query.free_vars().to_vec();
-        acc.project_onto(&order)
+        left_deep_join(VarRelation::bind_all(query, db), query.free_vars())
     }
+}
+
+/// The greedy left-deep join: start from the smallest relation; at every
+/// step join the smallest remaining relation that shares a variable with
+/// the accumulator (the smallest of all when none does), then project onto
+/// the free variables plus the variables the remaining relations still
+/// need.  Also the fallback combination of bag relations whose schema is
+/// cyclic (no free-connex join tree for Yannakakis).
+pub(crate) fn left_deep_join(mut remaining: Vec<VarRelation>, free: VarSet) -> VarRelation {
+    if remaining.iter().any(VarRelation::is_empty) {
+        return empty_result(free);
+    }
+    if remaining.is_empty() {
+        return VarRelation::boolean(true);
+    }
+    remaining.sort_by_key(VarRelation::len);
+    let mut acc = remaining.remove(0);
+    while !remaining.is_empty() {
+        let pos = remaining
+            .iter()
+            .position(|r| !r.var_set().intersect(acc.var_set()).is_empty())
+            .unwrap_or(0);
+        let next = remaining.remove(pos);
+        acc = acc.natural_join(&next);
+        let needed: VarSet = remaining.iter().fold(free, |acc_set, r| acc_set.union(r.var_set()));
+        acc = acc.project_to_set(acc.var_set().intersect(needed));
+    }
+    let order: Vec<Var> = free.to_vec();
+    acc.project_onto(&order)
 }
 
 #[cfg(test)]
@@ -126,5 +128,16 @@ mod tests {
         db.insert("R", Relation::from_rows(1, vec![[1], [2]]));
         db.insert("S", Relation::from_rows(1, vec![[5], [6], [7]]));
         assert_eq!(BinaryJoinPlan::new().evaluate(&q, &db).len(), 6);
+    }
+
+    #[test]
+    fn left_deep_join_fallback_is_correct() {
+        let a =
+            VarRelation::new(vec![Var(0), Var(1)], Relation::from_rows(2, vec![[1, 2], [3, 4]]));
+        let b =
+            VarRelation::new(vec![Var(1), Var(2)], Relation::from_rows(2, vec![[2, 5], [4, 6]]));
+        let c = VarRelation::new(vec![Var(2), Var(0)], Relation::from_rows(2, vec![[5, 1]]));
+        let out = left_deep_join(vec![a, b, c], VarSet::from_iter([Var(0), Var(2)]));
+        assert_eq!(out.rel.canonical_rows(), vec![vec![1, 5]]);
     }
 }

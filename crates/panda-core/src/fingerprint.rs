@@ -29,8 +29,7 @@
 //! matter.
 //!
 //! Everything here is pure computation on the query structure: no global
-//! state, no hashing randomness (the exposed fingerprints use FNV-1a, not
-//! the process-seeded `SipHash`), no clocks.
+//! state, no hashing randomness, no clocks.
 
 // panda-lint: allow-file(P1) -- dense canonicalisation kernel: every
 // index is a variable id `< num_vars` or a colour id minted from the
@@ -58,31 +57,6 @@ pub struct CanonicalQuery {
     /// `renaming[v]` is the canonical id assigned to variable `Var(v)`; a
     /// bijection from the query's variables onto `0..num_vars`.
     pub renaming: Vec<u32>,
-}
-
-impl CanonicalQuery {
-    /// The FNV-1a fingerprint of the canonical encoding — a compact,
-    /// process-independent observable for logs and tests; the cache itself
-    /// compares full encodings, so hash collisions cannot cause false
-    /// plan sharing.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.encoding)
-    }
-}
-
-/// FNV-1a over a byte slice: a fixed, dependency-free 64-bit hash, stable
-/// across processes and runs (unlike `SipHash`, which is key-seeded).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// Applies a canonical renaming to a variable set: bit `v` maps to bit
@@ -338,12 +312,6 @@ pub fn canonical_statistics_encoding(stats: &StatisticsSet, renaming: &[u32]) ->
     out
 }
 
-/// The FNV-1a fingerprint of [`canonical_statistics_encoding`].
-#[must_use]
-pub fn statistics_fingerprint(stats: &StatisticsSet, renaming: &[u32]) -> u64 {
-    fnv1a(&canonical_statistics_encoding(stats, renaming))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,10 +389,6 @@ mod tests {
             canonical_statistics_encoding(&s1, &c1.renaming),
             canonical_statistics_encoding(&s2, &c2.renaming),
         );
-        assert_eq!(
-            statistics_fingerprint(&s1, &c1.renaming),
-            statistics_fingerprint(&s2, &c2.renaming),
-        );
         // Different data, different encoding.
         db.insert("S", Relation::from_rows(2, vec![[2, 5]]));
         let s3 = StatisticsSet::measure(&q1, &db);
@@ -432,12 +396,5 @@ mod tests {
             canonical_statistics_encoding(&s1, &c1.renaming),
             canonical_statistics_encoding(&s3, &c1.renaming),
         );
-    }
-
-    #[test]
-    fn fingerprints_are_stable_fnv() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        let c = canon("Q(X) :- R(X)");
-        assert_eq!(c.fingerprint(), fnv1a(&c.encoding));
     }
 }

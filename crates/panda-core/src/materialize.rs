@@ -37,10 +37,10 @@ use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_relation::fan_out::ordered_map;
 use panda_relation::Database;
 
+use crate::binary::left_deep_join;
 use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::generic_join::GenericJoin;
-use crate::plans::sequential_join;
 use crate::yannakakis::{empty_result, yannakakis_free_connex};
 
 /// A subplan the plan will materialise once and scan several times: the
@@ -183,8 +183,8 @@ impl BoundPlan {
     /// Runs the plan and returns one output per branch, in branch order,
     /// each over `free.to_vec()`.  Every job a branch with non-empty inputs
     /// scans is materialised once by a worst-case-optimal join; Yannakakis
-    /// then combines each such branch's bags (a sequential join with early
-    /// projection when their schemas are cyclic).  A branch with an empty
+    /// then combines each such branch's bags (the binary baseline's greedy
+    /// left-deep join when their schemas are cyclic).  A branch with an empty
     /// input answers the empty relation and builds nothing.
     ///
     /// With more than one branch a parallel engine's threads are spread
@@ -219,7 +219,7 @@ impl BoundPlan {
                 .iter()
                 .map(|&job| relations[job].clone().expect("a live branch's jobs are built"))
                 .collect();
-            yannakakis_free_connex(&bags, free).unwrap_or_else(|| sequential_join(&bags, free))
+            yannakakis_free_connex(&bags, free).unwrap_or_else(|| left_deep_join(bags, free))
         })
     }
 

@@ -13,10 +13,10 @@
 //! like `Auto`; only evaluating one that plans nothing skips the cache.
 //!
 //! **Key.**  The canonical query encoding (renaming-invariant), the
-//! canonical statistics encoding (label-free, renaming-invariant, derived
-//! from the exact [`StatisticsSet`](panda_entropy::StatisticsSet) the
-//! planner consumes — strictly stronger than
-//! [`Database::statistics_fingerprint`](panda_relation::Database::statistics_fingerprint)),
+//! canonical statistics encoding
+//! ([`canonical_statistics_encoding`](crate::fingerprint::canonical_statistics_encoding):
+//! label-free, renaming-invariant, derived from the exact
+//! [`StatisticsSet`](panda_entropy::StatisticsSet) the planner consumes),
 //! the [`Budgets`], the requested [`EvaluationStrategy`], and the
 //! `want_widths` flag.  The thread count is not in the key because the
 //! selector never receives it: planning runs on the calling thread under

@@ -83,30 +83,6 @@ impl StaticTdPlan {
     }
 }
 
-/// Joins relations one by one, projecting after every join onto the free
-/// variables plus the variables still needed by the remaining relations.
-pub(crate) fn sequential_join(relations: &[VarRelation], free: VarSet) -> VarRelation {
-    if relations.is_empty() {
-        return VarRelation::boolean(true);
-    }
-    let mut remaining: Vec<VarRelation> = relations.to_vec();
-    remaining.sort_by_key(VarRelation::len);
-    let mut acc = remaining.remove(0);
-    while !remaining.is_empty() {
-        // Prefer a relation sharing variables with the accumulator.
-        let pos = remaining
-            .iter()
-            .position(|r| !r.var_set().intersect(acc.var_set()).is_empty())
-            .unwrap_or(0);
-        let next = remaining.remove(pos);
-        acc = acc.natural_join(&next);
-        let needed: VarSet = remaining.iter().fold(free, |acc_set, r| acc_set.union(r.var_set()));
-        acc = acc.project_to_set(acc.var_set().intersect(needed));
-    }
-    let order: Vec<Var> = free.to_vec();
-    acc.project_onto(&order)
-}
-
 /// A degree-partitioning instruction extracted from a proof sequence's
 /// decomposition step: partition `relation` by the degree of `value_vars`
 /// given `group_vars`.
@@ -685,16 +661,5 @@ mod tests {
         // A cover also exists for a single-variable bag.
         let cover = greedy_projection_cover(q2.atoms(), &db2, VarSet::singleton(Var(1))).unwrap();
         assert_eq!(cover.len(), 1);
-    }
-
-    #[test]
-    fn sequential_join_fallback_is_correct() {
-        let a =
-            VarRelation::new(vec![Var(0), Var(1)], Relation::from_rows(2, vec![[1, 2], [3, 4]]));
-        let b =
-            VarRelation::new(vec![Var(1), Var(2)], Relation::from_rows(2, vec![[2, 5], [4, 6]]));
-        let c = VarRelation::new(vec![Var(2), Var(0)], Relation::from_rows(2, vec![[5, 1]]));
-        let out = sequential_join(&[a, b, c], VarSet::from_iter([Var(0), Var(2)]));
-        assert_eq!(out.rel.canonical_rows(), vec![vec![1, 5]]);
     }
 }

@@ -23,9 +23,8 @@
 //!
 //! Values are plain `u64`s: the paper's queries range over abstract
 //! domains, and dictionary-encoding strings to integers is standard
-//! practice in analytic engines.  The [`Database`] type offers a small
-//! helper for interning arbitrary string values when building instances
-//! from external data.
+//! practice in analytic engines; the encoding happens before data reaches
+//! a [`Database`].
 //!
 //! For the parallel execution layer, [`fan_out::ordered_map`] is the one
 //! place the workspace's engine spawns threads: a pure function mapped

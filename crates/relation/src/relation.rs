@@ -11,8 +11,7 @@ use crate::index::{is_canonical_cols, HashIndex, IndexCache, ValueIndex};
 use crate::stats::GroupedDegrees;
 
 /// A single attribute value.  The engine is value-agnostic; strings and
-/// other domains are dictionary-encoded to `u64` (see
-/// [`crate::Database::intern`]).
+/// other domains are dictionary-encoded to `u64` by the caller.
 pub type Value = u64;
 
 /// An owned tuple.
