@@ -10,8 +10,8 @@
 
 use panda_bench::{log_log_slope, render_table, time_it};
 use panda_core::{
-    faq, BinaryJoinPlan, DdrEvaluator, EvaluationStrategy, GenericJoin, Panda, PandaEvaluator,
-    StaticTdPlan,
+    faq, BinaryJoinPlan, DdrEvaluator, Engine, EvaluationStrategy, GenericJoin, Panda,
+    PandaEvaluator, StaticTdPlan,
 };
 use panda_entropy::{
     agm_bound, ddr_polymatroid_bound, fhtw, omega_subw_square, polymatroid_bound, subw,
@@ -272,7 +272,7 @@ fn e7_ddr_evaluation() {
         let n = db.relation("R").unwrap().len() as f64;
         let stats = StatisticsSet::measure(&q, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-        let (model, secs) = time_it(|| evaluator.evaluate(&db));
+        let (model, secs) = time_it(|| evaluator.evaluate(&db, Engine::Sequential));
         rows.push(vec![
             format!("{}", n as u64),
             format!("{}", model.max_target_size()),
@@ -308,8 +308,8 @@ fn e8_four_cycle_scaling() {
     for half in [128u64, 256, 512, 1024, 2048] {
         let db = double_star_db(half);
         let n = db.relation("R").unwrap().len() as f64;
-        let (out_a, ta) = time_it(|| adaptive.evaluate(&q, &db));
-        let (out_s, ts) = time_it(|| static_plan.evaluate(&q, &db));
+        let (out_a, ta) = time_it(|| adaptive.evaluate(&q, &db, Engine::Sequential));
+        let (out_s, ts) = time_it(|| static_plan.evaluate(&q, &db, Engine::Sequential));
         let (out_b, tb) = time_it(|| binary.evaluate(&q, &db));
         assert_eq!(out_a.rel.canonical_rows(), out_s.rel.canonical_rows());
         assert_eq!(out_a.rel.canonical_rows(), out_b.rel.canonical_rows());

@@ -4,7 +4,8 @@
 //! Every evaluator in this crate runs **sequentially by default**
 //! ([`Engine::Sequential`]); parallelism is strictly opt-in and always
 //! passed in by the caller (`Panda::new(q).with_engine(Engine::Parallel(
-//! Parallelism::threads(4)))`, or an evaluator's `*_with_engine` method).
+//! Parallelism::threads(4)))`, or the `engine` argument of an evaluator's
+//! `evaluate`).
 //! Nothing in this library reads the environment: the `panda-server` and
 //! `panda-shell` binaries read `PANDA_THREADS` once in `main`, parse it
 //! with [`Engine::from_setting`] and hand the engine down.
@@ -53,12 +54,14 @@ impl Parallelism {
 /// The execution engine used by the evaluators.
 ///
 /// [`Engine::Sequential`] is the default; [`Engine::Parallel`] fans
-/// independent work units (generic-join top-level branches, bag jobs, PANDA
-/// degree branches, DDR branches) out over a fixed number of threads and
-/// merges the results in input order
-/// ([`panda_relation::fan_out::ordered_map`]), producing bit-identical
-/// outputs.  Single operators, and so the binary-join baseline, always run
-/// on the calling thread.
+/// independent work units out over a fixed number of threads and merges the
+/// results in input order ([`panda_relation::fan_out::ordered_map`]),
+/// producing bit-identical outputs.  There are two kinds of unit: a generic
+/// join's top-level branches, and a bound plan's bag jobs and then its
+/// branches — the one executor behind static plans, adaptive plans and
+/// DDRs, which spends the threads across its branches when it has more than
+/// one and inside its joins otherwise.  Single operators, and so the
+/// binary-join baseline, always run on the calling thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Evaluate everything on the calling thread (the default).
@@ -98,19 +101,6 @@ impl Engine {
         match self {
             Engine::Sequential => 1,
             Engine::Parallel(p) => p.get(),
-        }
-    }
-
-    /// Where this engine's threads go over `units` independent work units:
-    /// `(threads across the units, engine inside each unit)`.  Across the
-    /// units when there is more than one, each then running sequentially;
-    /// otherwise inside the one unit.
-    #[must_use]
-    pub(crate) fn fan_out(self, units: usize) -> (usize, Engine) {
-        if self.threads() > 1 && units > 1 {
-            (self.threads(), Engine::Sequential)
-        } else {
-            (1, self)
         }
     }
 }
@@ -232,7 +222,6 @@ mod tests {
     fn sequential_is_the_default_with_one_thread() {
         assert_eq!(Engine::default(), Engine::Sequential);
         assert_eq!(Engine::Sequential.threads(), 1);
-        assert_eq!(Engine::Sequential.fan_out(8), (1, Engine::Sequential));
     }
 
     #[test]
@@ -242,8 +231,6 @@ mod tests {
         assert!(Parallelism::auto().get() >= 1);
         let engine = Engine::Parallel(Parallelism::threads(4));
         assert_eq!(engine.threads(), 4);
-        assert_eq!(engine.fan_out(2), (4, Engine::Sequential), "threads go across units");
-        assert_eq!(engine.fan_out(1), (1, engine), "or inside the only one");
     }
 
     #[test]

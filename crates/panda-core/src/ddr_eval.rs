@@ -11,8 +11,10 @@
 //! heavy `Y`-values are routed to `A'_21(Y,Z,W)` by a Cartesian product
 //! with `T`.
 //!
-//! Each branch covers its chosen target with the cheaper of two
-//! constructions:
+//! This is the adaptive plan's loop with one bag per branch, so it runs on
+//! the same executor, [`crate::materialize`]'s bound plan.  Binding builds
+//! the degree branches, picks each branch's cheapest head disjunct, and
+//! emits one bag job for it with the cheaper of two constructions:
 //!
 //! 1. a worst-case-optimal join of the body atoms contained in the target
 //!    (the "light" construction), or
@@ -22,28 +24,25 @@
 //!
 //! Both constructions produce supersets of `π_B(⋈ body)`, so the union over
 //! branches is always a valid model; the choice per branch is what keeps
-//! the model small.
-//!
-//! Every branch builds its cover itself.  Unlike the adaptive plan's bags
-//! ([`crate::materialize`]), a cover has nothing to share: which
-//! construction runs depends on every body atom, and any two branches
-//! differ in the storage of at least one partitioned body relation.
+//! the model small.  A branch with an empty body relation satisfies no body
+//! tuple and covers nothing.  Two branches that build the same head the
+//! same way from the same relation instances share one job.
 
-// panda-lint: allow-file(P1) -- head/bag indices are positions into the
-// DDR rule's own disjunct list, and cover expects are guarded by the
-// finite-cost check directly above them.
+// panda-lint: allow-file(P1) -- the validity check reads assignments by
+// the body variables every target schema is drawn from.
 
 use panda_entropy::{ddr_polymatroid_bound, BoundError, StatisticsSet};
-use panda_query::{Atom, DisjunctiveRule, Var, VarSet};
-use panda_relation::fan_out::ordered_map;
-use panda_relation::{Database, Relation};
+use panda_query::{DisjunctiveRule, Var, VarSet};
+use panda_relation::Database;
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
 use crate::generic_join::GenericJoin;
+use crate::materialize::BoundPlan;
 use crate::plans::{
-    bag_constructions, estimate_bag_size, partition_branches, partitions_of, PartitionSpec,
+    cheaper_construction, partition_branches, partitions_of, PartitionSpec, MAX_BRANCHES,
 };
+use crate::yannakakis::empty_result;
 
 /// A model of a DDR: one relation per head disjunct (possibly empty), such
 /// that every body-satisfying tuple is covered by at least one of them.
@@ -130,55 +129,25 @@ impl DdrEvaluator {
             rule: rule.clone(),
             partitions: partitions_of(&report.flow).into_iter().collect(),
             log_bound: report.log_bound,
-            max_branches: 4096,
+            max_branches: MAX_BRANCHES,
         })
     }
 
-    /// Evaluates the rule on a database instance, producing a model.
-    /// Sequential; see [`DdrEvaluator::evaluate_with_engine`].
+    /// Evaluates the rule on a database instance under `engine`, producing
+    /// a model: each branch's output is routed into its head's target, and
+    /// each target is deduplicated.  The branches are independent, so a
+    /// parallel engine spreads its threads over their jobs; their outputs
+    /// are merged **in branch order**, making the model bit-identical to
+    /// sequential evaluation at any thread count.
     #[must_use]
-    pub fn evaluate(&self, db: &Database) -> DdrModel {
-        self.evaluate_with_engine(db, Engine::Sequential)
-    }
-
-    /// [`DdrEvaluator::evaluate`] under an explicit [`Engine`]: the degree
-    /// branches are independent (each picks its cheapest target and covers
-    /// it), so a parallel engine evaluates them on its threads; branch
-    /// contributions are merged into the targets **in branch order**
-    /// before the final per-target deduplication, making the model
-    /// bit-identical to sequential evaluation at any thread count.
-    #[must_use]
-    pub fn evaluate_with_engine(&self, db: &Database, engine: Engine) -> DdrModel {
-        let mut targets: Vec<(VarSet, VarRelation)> = self
-            .rule
-            .head()
-            .iter()
-            .map(|&b| {
-                let vars = b.to_vec();
-                let arity = vars.len();
-                (b, VarRelation::new(vars, Relation::new(arity)))
-            })
-            .collect();
-
-        let branches = self.build_branches(db);
-        let (threads, inner_engine) = engine.fan_out(branches.len());
-        let evaluate_branch = |branch_db: &Database| -> (usize, VarRelation) {
-            // Choose the cheapest target for this branch.
-            let (best_idx, _) = self
-                .rule
-                .head()
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| (i, estimate_bag_size(self.rule.body(), branch_db, b)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("a DDR has at least one head disjunct");
-            let bag = self.rule.head()[best_idx];
-            (best_idx, materialize_bag(self.rule.body(), branch_db, bag, inner_engine))
-        };
-        let covered = ordered_map(threads, &branches, evaluate_branch);
-        for (best_idx, rel) in covered {
-            let order = targets[best_idx].1.vars.clone();
-            targets[best_idx].1.rel.extend_from(&rel.project_onto(&order).rel);
+    pub fn evaluate(&self, db: &Database, engine: Engine) -> DdrModel {
+        let mut targets: Vec<(VarSet, VarRelation)> =
+            self.rule.head().iter().map(|&b| (b, empty_result(b))).collect();
+        for out in self.bind(db).execute(engine) {
+            let head = out.var_set();
+            if let Some((_, target)) = targets.iter_mut().find(|(b, _)| *b == head) {
+                target.rel.extend_from(&out.rel);
+            }
         }
         for (_, rel) in &mut targets {
             rel.rel.dedup();
@@ -186,43 +155,22 @@ impl DdrEvaluator {
         DdrModel { targets }
     }
 
-    /// Splits the database into branches according to the partition specs.
-    #[must_use]
-    pub fn build_branches(&self, db: &Database) -> Vec<Database> {
-        partition_branches(self.rule.body(), &self.partitions, self.max_branches, db)
-    }
-}
-
-/// Materialises a superset of `π_bag(⋈ atoms)` using the cheaper of the two
-/// constructions described in the module documentation.  The `engine`
-/// applies to the worst-case-optimal join of construction (i).
-#[must_use]
-pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet, engine: Engine) -> VarRelation {
-    let (contained, contained_cost, cover, cover_cost) = bag_constructions(atoms, db, bag);
-    let bag_vars: Vec<Var> = bag.to_vec();
-    if contained_cost <= cover_cost {
-        // (i) worst-case-optimal join of the contained atoms.
-        let inputs: Vec<VarRelation> =
-            contained.iter().map(|a| VarRelation::from_atom(a, db)).collect();
-        let join = GenericJoin::new(bag);
-        join.join_with_engine(&inputs, &bag_vars, engine)
-    } else {
-        // (ii) join of the covering projections (disjoint pieces are a
-        // Cartesian product).
-        let cover = cover.expect("finite cover cost implies a cover exists");
-        let mut acc: Option<VarRelation> = None;
-        for (atom_idx, overlap, _) in cover {
-            let atom = &atoms[atom_idx];
-            let bound = VarRelation::from_atom(atom, db);
-            let piece_vars: Vec<Var> = overlap.to_vec();
-            let piece = bound.project_onto(&piece_vars);
-            acc = Some(match acc {
-                None => piece,
-                Some(prev) => prev.natural_join(&piece),
-            });
-        }
-        let acc = acc.unwrap_or_else(|| VarRelation::boolean(true));
-        acc.project_onto(&bag_vars)
+    /// Binds the rule to `db`: splits it into the degree branches of the
+    /// partition specs, and gives each branch the head disjunct cheapest to
+    /// cover there ([`crate::plans::estimate_bag_size`]'s estimate; the
+    /// first on a tie) as its output, built by the cheaper construction.
+    pub(crate) fn bind(&self, db: &Database) -> BoundPlan {
+        let body = self.rule.body();
+        let branches = partition_branches(body, &self.partitions, self.max_branches, db);
+        let chosen = branches.iter().filter_map(|branch| {
+            self.rule
+                .head()
+                .iter()
+                .map(|&head| (head, cheaper_construction(body, branch, head)))
+                .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))
+                .map(|(head, (_, construction))| (branch, head, vec![construction]))
+        });
+        BoundPlan::new(body, chosen)
     }
 }
 
@@ -230,6 +178,7 @@ pub fn materialize_bag(atoms: &[Atom], db: &Database, bag: VarSet, engine: Engin
 mod tests {
     use super::*;
     use panda_query::{parse_query, BagSelector};
+    use panda_relation::Relation;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -294,7 +243,7 @@ mod tests {
         let n = db.relation("R").unwrap().len() as f64;
         let stats = StatisticsSet::measure(&q, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-        let model = evaluator.evaluate(&db);
+        let model = evaluator.evaluate(&db, Engine::Sequential);
         assert!(model.is_valid_model(&rule, &db), "model must cover the body join");
         let bound = n.powf(1.5);
         assert!(
@@ -317,7 +266,7 @@ mod tests {
             let db = random_db(12, 70, seed);
             let stats = StatisticsSet::measure(&q, &db);
             let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-            let model = evaluator.evaluate(&db);
+            let model = evaluator.evaluate(&db, Engine::Sequential);
             assert!(model.is_valid_model(&rule, &db), "seed {seed}");
         }
     }
@@ -333,42 +282,10 @@ mod tests {
         db.insert("S", Relation::from_rows(2, vec![[2, 5], [4, 6], [9, 9]]));
         let stats = StatisticsSet::measure(&q, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-        let model = evaluator.evaluate(&db);
+        let model = evaluator.evaluate(&db, Engine::Sequential);
         assert!(model.is_valid_model(&rule, &db));
         assert_eq!(model.targets.len(), 1);
         assert_eq!(model.total_size(), model.max_target_size());
-    }
-
-    #[test]
-    fn materialize_bag_uses_projection_cover_when_cheaper() {
-        // Bag {Y,Z,W} with a tiny π_Y(S) and a large T: the projection cover
-        // π_Y(S) × T must be chosen over joining S with T.
-        let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
-        let mut db = Database::new();
-        // S has a single Y value with many Z's.
-        let mut s = Relation::new(2);
-        let mut t = Relation::new(2);
-        for i in 0..50u64 {
-            s.push_row(&[1, i]);
-            t.push_row(&[i, i + 1000]);
-        }
-        db.insert("R", Relation::from_rows(2, vec![[7, 1]]));
-        db.insert("S", s);
-        db.insert("T", t);
-        db.insert("U", Relation::from_rows(2, vec![[1000, 7]]));
-        let bag = vs(&[1, 2, 3]); // {Y,Z,W}
-        let out = materialize_bag(q.atoms(), &db, bag, Engine::Sequential);
-        // |π_Y(S)| · |T| = 1 · 50 = 50, versus |S ⋈ T| = 50 too here, but the
-        // result must at least be a superset of the true projection and have
-        // schema {Y,Z,W}.
-        assert_eq!(out.vars.len(), 3);
-        assert!(out.len() >= 50);
-        // Sanity: every (y,z,w) of the true join appears.
-        let inputs = VarRelation::bind_all(&q, &db);
-        let full = GenericJoin::new(q.all_vars()).join(&inputs, &[Var(1), Var(2), Var(3)]);
-        for row in full.rel.iter() {
-            assert!(out.project_onto(&[Var(1), Var(2), Var(3)]).rel.contains(row));
-        }
     }
 
     #[test]
@@ -380,8 +297,15 @@ mod tests {
         let db = double_star_db(48);
         let stats = StatisticsSet::measure(&q, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-        let model = evaluator.evaluate(&db);
-        let naive = materialize_bag(q.atoms(), &db, vs(&[0, 1, 2]), Engine::Sequential);
+        let model = evaluator.evaluate(&db, Engine::Sequential);
+        let bag = vs(&[0, 1, 2]);
+        let contained: Vec<VarRelation> = q
+            .atoms()
+            .iter()
+            .filter(|a| a.var_set().is_subset_of(bag))
+            .map(|a| VarRelation::from_atom(a, &db))
+            .collect();
+        let naive = GenericJoin::new(bag).join(&contained, &bag.to_vec());
         assert!(model.max_target_size() < naive.len());
     }
 }

@@ -1,41 +1,46 @@
-//! The bound plan: a plan applied to one request's data.
+//! The bound plan: a plan applied to one request's data, and the one
+//! executor of this crate.
 //!
 //! Planning ([`crate::selector`]) reads only the statistics, so a cached
 //! plan is a function of its cache key.  The data enters here, once per
 //! request, on the report path and the evaluation path alike.  Binding
 //! takes one database per branch — the degree branches of an adaptive plan
-//! (PAPER.md stages 3–5), or the whole input for a static plan — with the
-//! tree decomposition that branch runs, assigns every atom to the first bag
-//! containing it (Eq. 13), and keys every non-empty bag.
+//! or a DDR (PAPER.md stages 3–5), or the whole input for a static plan —
+//! with the branch's output schema and the `Construction` of each of its
+//! bags.  A conjunctive branch assigns every atom to the first bag of its
+//! tree decomposition containing it (Eq. 13), joins each bag and outputs
+//! the free variables; a DDR branch builds the one head disjunct it routes
+//! its tuples to (§8.2), by a join or a projection cover, and outputs it.
 //!
-//! A key is the bag's variable set plus, per assigned atom, the relation
-//! symbol, the atom's positional variables, and the [storage
-//! identity](panda_relation::Relation::storage_id) of the relation instance
-//! the branch joins.  Branch databases differ only in the *partitioned*
-//! relations — every other relation is the same `Arc`-shared instance — so a
-//! bag whose atoms touch no partitioned relation has the same key in every
-//! branch that builds it, and equal keys imply value-identical inputs.  The
-//! bound plan is therefore one list of **bag jobs** in first-seen order,
-//! each with the number of branch scans it serves (the
+//! A bag's key is its construction — which atoms, by position in the
+//! plan's one atom list, and for a cover each step's overlap — plus the
+//! [storage identity](panda_relation::Relation::storage_id) of each atom's
+//! relation in the branch.  Branch databases differ only in the
+//! *partitioned* relations — every other relation is the same `Arc`-shared
+//! instance — so a bag built the same way from unpartitioned atoms has the
+//! same key in every branch, and equal keys imply value-identical outputs.
+//! The bound plan is therefore one list of **bag jobs** in first-seen
+//! order, each with the number of branch scans it serves (the
 //! `push_plan_for_materialization` / `num_scans` idea of
 //! materialisation-aware executors, applied to PANDA's degree branches).
 //!
-//! Execution materialises each job once and runs Yannakakis per branch over
-//! that branch's job relations; branch outputs come back in branch order, so
-//! results are bit-identical at any thread count.  The jobs scanned by two or
-//! more branches are what a [`PlanReport`](crate::PlanReport) lists as
-//! [`MaterializedSubplan`]s and EXPLAIN renders — read off the very list
-//! execution runs, so what is reported is what executes.
+//! Execution materialises each job once and combines each branch's job
+//! relations with Yannakakis onto the branch's output schema; branch outputs
+//! come back in branch order, so results are bit-identical at any thread
+//! count.  The jobs scanned by two or more branches are what a
+//! [`PlanReport`](crate::PlanReport) lists as [`MaterializedSubplan`]s and
+//! EXPLAIN renders — read off the very list execution runs, so what is
+//! reported is what executes.
 
 // panda-lint: allow-file(P1) -- job, branch and atom indices are positions
-// into the plan's own vectors and the query's atom list, minted when the
+// into the plan's own vectors and the plan's atom list, minted when the
 // plan was bound and never edited afterwards.
 
 use std::collections::BTreeMap;
 
 use panda_query::{Atom, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_relation::fan_out::ordered_map;
-use panda_relation::Database;
+use panda_relation::{Database, Relation};
 
 use crate::binary::left_deep_join;
 use crate::binding::VarRelation;
@@ -58,56 +63,73 @@ pub struct MaterializedSubplan {
     pub num_scans: usize,
 }
 
-/// One atom's identity inside a [`SubplanKey`]: relation symbol,
-/// positional variables, and the storage identity of the branch's
-/// relation instance (`None` when the relation is absent from the
-/// branch database).
-pub(crate) type AtomIdentity = (String, Vec<u32>, Option<(usize, usize, usize)>);
-
-/// The identity of one bag-materialisation job: equal keys imply
-/// value-identical inputs and therefore value-identical outputs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) struct SubplanKey {
-    /// The bag's variable set (its bits).
-    pub(crate) bag: u32,
-    /// The identities of the atoms assigned to the bag, sorted.
-    pub(crate) atoms: Vec<AtomIdentity>,
+/// How a bag job builds its relation from its branch's atoms (positions
+/// into the plan's atom list).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Construction {
+    /// The worst-case-optimal join of these atoms, over the variables they
+    /// cover.
+    Join(Vec<usize>),
+    /// The natural join of each atom's projection onto its overlap, in this
+    /// order (a Cartesian product where the overlaps are disjoint): a
+    /// superset of the bag's projection of the body join, which is what a
+    /// DDR target must cover — for the 4-cycle, `π_Y(S_heavy) × T`.
+    Cover(Vec<(usize, VarSet)>),
 }
 
-/// Builds the key for materialising `bag` from `atoms` against `db`.
-pub(crate) fn subplan_key(bag: VarSet, atoms: &[&Atom], db: &Database) -> SubplanKey {
-    let mut encoded: Vec<AtomIdentity> = atoms
-        .iter()
-        .map(|atom| {
-            (
-                atom.relation.clone(),
-                atom.vars.iter().map(|v| v.0).collect(),
-                db.relation(&atom.relation).map(panda_relation::Relation::storage_id),
-            )
-        })
-        .collect();
-    encoded.sort();
-    SubplanKey { bag: bag.bits(), atoms: encoded }
+impl Construction {
+    /// The variables the construction builds.
+    fn bag(&self, atoms: &[Atom]) -> VarSet {
+        match self {
+            Construction::Join(ids) => {
+                ids.iter().fold(VarSet::EMPTY, |acc, &i| acc.union(atoms[i].var_set()))
+            }
+            Construction::Cover(steps) => {
+                steps.iter().fold(VarSet::EMPTY, |acc, (_, overlap)| acc.union(*overlap))
+            }
+        }
+    }
+
+    /// The atoms it reads, in construction order.
+    fn atoms(&self) -> Vec<usize> {
+        match self {
+            Construction::Join(ids) => ids.clone(),
+            Construction::Cover(steps) => steps.iter().map(|&(i, _)| i).collect(),
+        }
+    }
+}
+
+/// The identity of one bag job: its construction, and the storage identity
+/// of the relation each atom it reads binds to in the branch (`None` when
+/// the branch database lacks it).  Equal keys imply value-identical inputs
+/// built the same way, and therefore value-identical outputs.
+type SubplanKey = (Construction, Vec<Option<(usize, usize, usize)>>);
+
+/// Builds the key of `construction` over `atoms` against `db`.
+fn subplan_key(construction: &Construction, atoms: &[Atom], db: &Database) -> SubplanKey {
+    let storage = construction.atoms().into_iter();
+    let storage = storage.map(|i| db.relation(&atoms[i].relation).map(Relation::storage_id));
+    (construction.clone(), storage.collect())
 }
 
 /// One distinct bag materialisation of a [`BoundPlan`].
 #[derive(Debug)]
 struct BagJob {
-    /// The bag, restricted to the variables its atoms cover.
+    /// The variables the construction builds.
     bag: VarSet,
-    /// The query atoms joined to build it.
-    atoms: Vec<usize>,
+    construction: Construction,
     /// The first branch that scans it: its inputs are read from there.
     branch: usize,
     /// How many branch scans it serves.
     scans: usize,
 }
 
-/// One branch of a [`BoundPlan`]: its atoms bound to its database, and the
-/// jobs of its non-empty bags in bag order.
+/// One branch of a [`BoundPlan`]: the plan's atoms bound to its database,
+/// its output schema, and the jobs of its bags in bag order.
 #[derive(Debug)]
 struct BoundBranch {
     inputs: Vec<VarRelation>,
+    output: VarSet,
     jobs: Vec<usize>,
 }
 
@@ -119,46 +141,55 @@ pub(crate) struct BoundPlan {
 }
 
 impl BoundPlan {
-    /// Binds `query` to each branch database under the decomposition that
-    /// branch runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some atom fits no bag of its branch's decomposition (the
-    /// TD would be invalid for the query).
+    /// Binds `atoms` to each branch database, with the branch's output
+    /// schema and the constructions of its bags.
     pub(crate) fn new<'a>(
-        query: &ConjunctiveQuery,
-        branches: impl IntoIterator<Item = (&'a Database, &'a TreeDecomposition)>,
+        atoms: &[Atom],
+        branches: impl IntoIterator<Item = (&'a Database, VarSet, Vec<Construction>)>,
     ) -> Self {
         let mut jobs: Vec<BagJob> = Vec::new();
         let mut seen: BTreeMap<SubplanKey, usize> = BTreeMap::new();
         let mut bound = Vec::new();
-        for (branch, (db, td)) in branches.into_iter().enumerate() {
-            let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); td.num_bags()];
-            for (i, atom) in query.atoms().iter().enumerate() {
-                let vars = atom.var_set();
-                let bag = td
-                    .bags()
-                    .iter()
-                    .position(|b| vars.is_subset_of(*b))
-                    .expect("a valid TD contains every atom in some bag");
-                assigned[bag].push(i);
-            }
+        for (branch, (db, output, constructions)) in branches.into_iter().enumerate() {
             let mut branch_jobs = Vec::new();
-            for atom_ids in assigned.into_iter().filter(|ids| !ids.is_empty()) {
-                let atoms: Vec<&Atom> = atom_ids.iter().map(|&i| &query.atoms()[i]).collect();
-                let bag = atoms.iter().fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()));
-                let key = subplan_key(bag, &atoms, db);
-                let job = *seen.entry(key).or_insert_with(|| {
-                    jobs.push(BagJob { bag, atoms: atom_ids, branch, scans: 0 });
+            for construction in constructions {
+                let job = *seen.entry(subplan_key(&construction, atoms, db)).or_insert_with(|| {
+                    let bag = construction.bag(atoms);
+                    jobs.push(BagJob { bag, construction, branch, scans: 0 });
                     jobs.len() - 1
                 });
                 jobs[job].scans += 1;
                 branch_jobs.push(job);
             }
-            bound.push(BoundBranch { inputs: VarRelation::bind_all(query, db), jobs: branch_jobs });
+            let inputs = atoms.iter().map(|a| VarRelation::from_atom(a, db)).collect();
+            bound.push(BoundBranch { inputs, output, jobs: branch_jobs });
         }
         BoundPlan { branches: bound, jobs }
+    }
+
+    /// Binds `query` to each branch database under the decomposition that
+    /// branch runs: every atom joins the first bag containing it (Eq. 13),
+    /// one job per non-empty bag in bag order, and every branch outputs the
+    /// free variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some atom fits no bag of its branch's decomposition.
+    pub(crate) fn for_query<'a>(
+        query: &ConjunctiveQuery,
+        branches: impl IntoIterator<Item = (&'a Database, &'a TreeDecomposition)>,
+    ) -> Self {
+        let joins = |td: &TreeDecomposition| {
+            let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); td.num_bags()];
+            for (i, atom) in query.atoms().iter().enumerate() {
+                let vars = atom.var_set();
+                let bag = td.bags().iter().position(|b| vars.is_subset_of(*b));
+                assigned[bag.expect("a valid TD contains every atom in some bag")].push(i);
+            }
+            assigned.into_iter().filter(|ids| !ids.is_empty()).map(Construction::Join).collect()
+        };
+        let free = query.free_vars();
+        BoundPlan::new(query.atoms(), branches.into_iter().map(|(db, td)| (db, free, joins(td))))
     }
 
     /// The number of branches.
@@ -166,32 +197,55 @@ impl BoundPlan {
         self.branches.len()
     }
 
-    /// The jobs scanned by two or more branches, in first-seen order.
-    pub(crate) fn materializations(&self, query: &ConjunctiveQuery) -> Vec<MaterializedSubplan> {
+    /// The jobs scanned by two or more branches, in first-seen order;
+    /// `atoms` are the atoms the plan was bound with.
+    pub(crate) fn materializations(&self, atoms: &[Atom]) -> Vec<MaterializedSubplan> {
         self.jobs
             .iter()
             .filter(|job| job.scans >= 2)
             .map(|job| {
                 let mut relations: Vec<String> =
-                    job.atoms.iter().map(|&i| query.atoms()[i].relation.clone()).collect();
+                    job.construction.atoms().iter().map(|&i| atoms[i].relation.clone()).collect();
                 relations.sort();
                 MaterializedSubplan { bag: job.bag, relations, num_scans: job.scans }
             })
             .collect()
     }
 
+    /// Builds one job from the inputs of the first branch that scans it.
+    fn build(&self, job: &BagJob, engine: Engine) -> VarRelation {
+        let inputs = &self.branches[job.branch].inputs;
+        match &job.construction {
+            Construction::Join(ids) => {
+                let inputs: Vec<VarRelation> = ids.iter().map(|&i| inputs[i].clone()).collect();
+                GenericJoin::new(job.bag).join_with_engine(&inputs, &job.bag.to_vec(), engine)
+            }
+            Construction::Cover(steps) => steps
+                .iter()
+                .map(|&(i, overlap)| inputs[i].project_onto(&overlap.to_vec()))
+                .reduce(|acc, piece| acc.natural_join(&piece))
+                .unwrap_or_else(|| VarRelation::boolean(true))
+                .project_onto(&job.bag.to_vec()),
+        }
+    }
+
     /// Runs the plan and returns one output per branch, in branch order,
-    /// each over `free.to_vec()`.  Every job a branch with non-empty inputs
-    /// scans is materialised once by a worst-case-optimal join; Yannakakis
-    /// then combines each such branch's bags (the binary baseline's greedy
-    /// left-deep join when their schemas are cyclic).  A branch with an empty
-    /// input answers the empty relation and builds nothing.
+    /// each over its branch's output schema (in ascending variable order).
+    /// Every job a branch with non-empty inputs scans is materialised once;
+    /// Yannakakis then combines each such branch's bags (the binary
+    /// baseline's greedy left-deep join when their schemas are cyclic).  A
+    /// branch with an empty input answers the empty relation and builds
+    /// nothing.
     ///
     /// With more than one branch a parallel engine's threads are spread
     /// across the jobs and then across the branches, and each join runs
     /// sequentially; with one branch the engine is spent inside the joins.
-    pub(crate) fn execute(&self, free: VarSet, engine: Engine) -> Vec<VarRelation> {
-        let (threads, inner) = engine.fan_out(self.branches.len());
+    pub(crate) fn execute(&self, engine: Engine) -> Vec<VarRelation> {
+        let (threads, inner) = if engine.threads() > 1 && self.branches.len() > 1 {
+            (engine.threads(), Engine::Sequential)
+        } else {
+            (1, engine)
+        };
         let live = |branch: &BoundBranch| !branch.inputs.iter().any(VarRelation::is_empty);
         let mut needed = vec![false; self.jobs.len()];
         for branch in self.branches.iter().filter(|b| live(b)) {
@@ -200,38 +254,37 @@ impl BoundPlan {
             }
         }
         let todo: Vec<usize> = (0..self.jobs.len()).filter(|&job| needed[job]).collect();
-        let built = ordered_map(threads, &todo, |&job| {
-            let job = &self.jobs[job];
-            let inputs = &self.branches[job.branch].inputs;
-            let inputs: Vec<VarRelation> = job.atoms.iter().map(|&i| inputs[i].clone()).collect();
-            GenericJoin::new(job.bag).join_with_engine(&inputs, &job.bag.to_vec(), inner)
-        });
+        let built = ordered_map(threads, &todo, |&job| self.build(&self.jobs[job], inner));
         let mut relations: Vec<Option<VarRelation>> = vec![None; self.jobs.len()];
         for (job, rel) in todo.into_iter().zip(built) {
             relations[job] = Some(rel);
         }
         ordered_map(threads, &self.branches, |branch: &BoundBranch| {
             if !live(branch) {
-                return empty_result(free);
+                return empty_result(branch.output);
             }
             let bags: Vec<VarRelation> = branch
                 .jobs
                 .iter()
                 .map(|&job| relations[job].clone().expect("a live branch's jobs are built"))
                 .collect();
-            yannakakis_free_connex(&bags, free).unwrap_or_else(|| left_deep_join(bags, free))
+            yannakakis_free_connex(&bags, branch.output)
+                .unwrap_or_else(|| left_deep_join(bags, branch.output))
         })
     }
 
-    /// The answer of the whole plan: the branch outputs of
-    /// [`BoundPlan::execute`] concatenated in branch order and
-    /// deduplicated.
+    /// The answer of a plan whose branches all output `free`: the branch
+    /// outputs of [`BoundPlan::execute`] concatenated in branch order, and
+    /// deduplicated when there is more than one (each output alone is
+    /// duplicate-free).
     pub(crate) fn evaluate(&self, free: VarSet, engine: Engine) -> VarRelation {
         let mut result = empty_result(free);
-        for out in self.execute(free, engine) {
+        for out in self.execute(engine) {
             result.rel.extend_from(&out.rel);
         }
-        result.rel.dedup();
+        if self.branches.len() > 1 {
+            result.rel.dedup();
+        }
         result
     }
 }
@@ -241,9 +294,8 @@ mod tests {
     use super::*;
     use panda_entropy::StatisticsSet;
     use panda_query::{parse_query, Var};
-    use panda_relation::Relation;
 
-    use crate::plans::PandaEvaluator;
+    use crate::plans::{cheaper_construction, greedy_projection_cover, PandaEvaluator};
 
     /// The paper's fhtw-hard instance (Section 5.1), `half` leaves a side.
     fn double_star_db(half: u64) -> Database {
@@ -260,6 +312,11 @@ mod tests {
         db
     }
 
+    /// The key of joining the query's first atom.
+    fn first_atom_key(q: &ConjunctiveQuery, db: &Database) -> SubplanKey {
+        subplan_key(&Construction::Join(vec![0]), q.atoms(), db)
+    }
+
     #[test]
     fn equal_storage_yields_equal_keys_and_one_materialisation() {
         let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z)").unwrap();
@@ -267,11 +324,7 @@ mod tests {
         db.insert("R", Relation::from_rows(2, vec![[1, 2], [2, 3]]));
         db.insert("S", Relation::from_rows(2, vec![[2, 5], [3, 5]]));
         let branch = db.clone(); // shares storage
-        let bag = VarSet::from_iter([Var(0), Var(1)]);
-        let atoms: Vec<&Atom> = q.atoms().iter().filter(|a| a.relation == "R").collect();
-        let k1 = subplan_key(bag, &atoms, &db);
-        let k2 = subplan_key(bag, &atoms, &branch);
-        assert_eq!(k1, k2);
+        assert_eq!(first_atom_key(&q, &db), first_atom_key(&q, &branch));
     }
 
     #[test]
@@ -284,12 +337,50 @@ mod tests {
         // subplan key is an *identity*, not a value, so it can only ever
         // under-share, never wrongly share).
         b.insert("R", Relation::from_rows(2, vec![[1, 2]]));
-        let bag = VarSet::from_iter([Var(0), Var(1)]);
-        let atoms: Vec<&Atom> = q.atoms().iter().collect();
-        assert_ne!(subplan_key(bag, &atoms, &a), subplan_key(bag, &atoms, &b));
+        assert_ne!(first_atom_key(&q, &a), first_atom_key(&q, &b));
         // A missing relation is keyed as absent, not skipped.
         let empty = Database::new();
-        assert_ne!(subplan_key(bag, &atoms, &a), subplan_key(bag, &atoms, &empty));
+        assert_ne!(first_atom_key(&q, &a), first_atom_key(&q, &empty));
+    }
+
+    #[test]
+    fn a_cover_job_builds_a_superset_of_the_bag_projection() {
+        // Bag {Y,Z,W} with a tiny π_Y(S) and a large T: the projection cover.
+        let q = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
+        let mut db = Database::new();
+        // S has a single Y value with many Z's.
+        let mut s = Relation::new(2);
+        let mut t = Relation::new(2);
+        for i in 0..50u64 {
+            s.push_row(&[1, i]);
+            t.push_row(&[i, i + 1000]);
+        }
+        db.insert("R", Relation::from_rows(2, vec![[7, 1]]));
+        db.insert("S", s);
+        db.insert("T", t);
+        db.insert("U", Relation::from_rows(2, vec![[1000, 7]]));
+        let bag = VarSet::from_iter([Var(1), Var(2), Var(3)]); // {Y,Z,W}
+        let cover = greedy_projection_cover(q.atoms(), &db, bag).unwrap();
+        let cover = Construction::Cover(cover.into_iter().map(|(i, o, _)| (i, o)).collect());
+        assert_eq!(cover.bag(q.atoms()), bag);
+        // |π(cover)| = 50 ties |S ⋈ T| = 50, so the cheaper construction is
+        // the join; a cover job and a join job never share a key.
+        let (_, join) = cheaper_construction(q.atoms(), &db, bag);
+        assert!(matches!(join, Construction::Join(_)));
+        assert_ne!(subplan_key(&cover, q.atoms(), &db), subplan_key(&join, q.atoms(), &db));
+
+        let plan = BoundPlan::new(q.atoms(), [(&db, bag, vec![cover])]);
+        let out = plan.execute(Engine::Sequential).pop().unwrap();
+        // The result must at least be a superset of the true projection and
+        // have schema {Y,Z,W}.
+        assert_eq!(out.vars.len(), 3);
+        assert!(out.len() >= 50);
+        // Sanity: every (y,z,w) of the true join appears.
+        let inputs = VarRelation::bind_all(&q, &db);
+        let full = GenericJoin::new(q.all_vars()).join(&inputs, &[Var(1), Var(2), Var(3)]);
+        for row in full.rel.iter() {
+            assert!(out.project_onto(&[Var(1), Var(2), Var(3)]).rel.contains(row));
+        }
     }
 
     #[test]
@@ -302,17 +393,14 @@ mod tests {
         let branches = evaluator.build_branches(&q, &db);
         let tds: Vec<TreeDecomposition> =
             branches.iter().map(|b| evaluator.choose_td_for(&q, b)).collect();
-        let plan = BoundPlan::new(&q, branches.iter().zip(&tds));
+        let plan = BoundPlan::for_query(&q, branches.iter().zip(&tds));
         assert_eq!(plan.branch_count(), branches.len());
 
         // Job keys are distinct.
         let keys: Vec<SubplanKey> = plan
             .jobs
             .iter()
-            .map(|job| {
-                let atoms: Vec<&Atom> = job.atoms.iter().map(|&i| &q.atoms()[i]).collect();
-                subplan_key(job.bag, &atoms, &branches[job.branch])
-            })
+            .map(|job| subplan_key(&job.construction, q.atoms(), &branches[job.branch]))
             .collect();
         let distinct: std::collections::BTreeSet<&SubplanKey> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "one job per key");
@@ -339,7 +427,7 @@ mod tests {
         let shared: Vec<(VarSet, usize)> =
             plan.jobs.iter().filter(|job| job.scans >= 2).map(|job| (job.bag, job.scans)).collect();
         let reported: Vec<(VarSet, usize)> =
-            plan.materializations(&q).iter().map(|m| (m.bag, m.num_scans)).collect();
+            plan.materializations(q.atoms()).iter().map(|m| (m.bag, m.num_scans)).collect();
         assert!(!reported.is_empty());
         assert_eq!(reported, shared);
         let first_seen: Vec<usize> = plan.jobs.iter().map(|job| job.branch).collect();
@@ -349,7 +437,7 @@ mod tests {
         let order: Vec<Var> = q.free_vars().to_vec();
         let expected = GenericJoin::evaluate(&q, &db).canonical_rows_ordered(&order);
         let mut got: Vec<Vec<u64>> = plan
-            .execute(q.free_vars(), Engine::Sequential)
+            .execute(Engine::Sequential)
             .iter()
             .flat_map(|out| out.canonical_rows_ordered(&order))
             .collect();

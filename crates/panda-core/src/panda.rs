@@ -30,7 +30,7 @@ use crate::binding::VarRelation;
 use crate::config::{Budgets, Engine};
 use crate::generic_join::GenericJoin;
 use crate::materialize::MaterializedSubplan;
-use crate::plans::{PartitionSpec, StaticTdPlan};
+use crate::plans::PartitionSpec;
 use crate::selector::{self, Binding, BranchBound, Downgrade, ReasonCode, Selection, SelectorRule};
 use crate::yannakakis::yannakakis_query;
 use crate::{fingerprint, plan_cache};
@@ -420,7 +420,7 @@ impl Panda {
             lp_pivots_used: selection.lp_pivots_used,
             materializations: binding
                 .plan
-                .map_or_else(Vec::new, |plan| plan.materializations(&self.query)),
+                .map_or_else(Vec::new, |plan| plan.materializations(self.query.atoms())),
             cache_events,
         }
     }
@@ -627,33 +627,29 @@ impl Panda {
         }
     }
 
-    /// Runs the strategy a bound [`Selection`] settled on, reusing the
-    /// planning artifacts it carries (the best decomposition, the adaptive
-    /// plan already bound to its branches) so no LP is solved and no branch
-    /// is built twice.
+    /// Runs the strategy a bound [`Selection`] settled on: a static or
+    /// adaptive plan runs the plan [`selector::bind`] already bound to its
+    /// branches, so no LP is solved and no branch is built twice.
     fn execute(
         &self,
         db: &Database,
         selection: &Selection,
         binding: Binding,
     ) -> Result<VarRelation, StrategyError> {
-        match (selection.executed, binding.plan, &selection.best_td) {
+        match (selection.executed, binding.plan) {
             // Under `Auto` the acyclic fast-path rule verified free-connexity;
             // an explicit request may name a cyclic query.
-            (EvaluationStrategy::Yannakakis, ..) => {
+            (EvaluationStrategy::Yannakakis, _) => {
                 yannakakis_query(&self.query, db).ok_or(StrategyError::CyclicYannakakis)
             }
-            (EvaluationStrategy::StaticTd, _, Some(td)) => {
-                Ok(StaticTdPlan::new(td.clone()).evaluate_with_engine(&self.query, db, self.engine))
-            }
-            (EvaluationStrategy::Adaptive, Some(plan), _) => {
+            (EvaluationStrategy::StaticTd | EvaluationStrategy::Adaptive, Some(plan)) => {
                 Ok(plan.evaluate(self.query.free_vars(), self.engine))
             }
-            (EvaluationStrategy::BinaryJoin, ..) => {
+            (EvaluationStrategy::BinaryJoin, _) => {
                 Ok(BinaryJoinPlan::new().evaluate(&self.query, db))
             }
-            // `GenericJoin`: `Auto` never executes, and a width-based strategy
-            // always carries its plan.
+            // `GenericJoin`: `Auto` never executes it, and a width-based
+            // strategy always carries its bound plan.
             _ => Ok(GenericJoin::evaluate_with_engine(&self.query, db, self.engine)),
         }
     }

@@ -19,7 +19,13 @@
 //! one step, [`crate::materialize`]'s bound plan: an adaptive plan is bound
 //! once per request (branches built, each branch's decomposition picked,
 //! bags keyed into jobs) and a static plan is its one-branch case, so the
-//! two share their execution code.
+//! two share their execution code with each other and with the DDR
+//! evaluator ([`crate::ddr_eval`]), whose branches run one bag each.
+//!
+//! The costing helpers below are crate-private and estimate from the data:
+//! they pick a branch's decomposition, a DDR branch's head and the
+//! construction of its bag (`cheaper_construction`), and the memory
+//! budget's peak-bag estimate.
 
 // panda-lint: allow-file(P1) -- bag and atom positions come from the
 // same tree decomposition the plan was built from; a miss would mean
@@ -34,8 +40,7 @@ use panda_relation::{stats as rstats, Database, Relation};
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
-use crate::materialize::BoundPlan;
-use crate::yannakakis::empty_result;
+use crate::materialize::{BoundPlan, Construction};
 
 /// A static query plan built from a single tree decomposition (Section 4.1).
 #[derive(Debug, Clone)]
@@ -51,35 +56,18 @@ impl StaticTdPlan {
         StaticTdPlan { td }
     }
 
-    /// Evaluates the query: every bag is materialised by a worst-case
-    /// optimal join of the atoms assigned to it (each atom is assigned to
-    /// one bag containing it, Eq. 13), and the bag relations are combined
-    /// with Yannakakis (Eq. 12).  Sequential; see
-    /// [`StaticTdPlan::evaluate_with_engine`].
+    /// Evaluates the query under `engine`: every bag is materialised by a
+    /// worst-case optimal join of the atoms assigned to it (each atom is
+    /// assigned to one bag containing it, Eq. 13), and the bag relations are
+    /// combined with Yannakakis (Eq. 12).  This is the one-branch case of the
+    /// adaptive plan's execution ([`crate::materialize`]): a parallel
+    /// engine's threads go inside each bag's join
+    /// ([`GenericJoin::join_with_engine`](crate::GenericJoin::join_with_engine)),
+    /// and the Yannakakis combination stays sequential (it is linear in its
+    /// inputs).
     #[must_use]
-    pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::Sequential)
-    }
-
-    /// [`StaticTdPlan::evaluate`] under an explicit [`Engine`]: each bag's
-    /// worst-case-optimal join fans its top-level branches out over the
-    /// engine's threads
-    /// ([`GenericJoin::join_with_engine`](crate::GenericJoin::join_with_engine));
-    /// the Yannakakis combination stays sequential (it is linear in its
-    /// inputs).  This is the one-branch case of the adaptive plan's
-    /// execution.
-    #[must_use]
-    pub fn evaluate_with_engine(
-        &self,
-        query: &ConjunctiveQuery,
-        db: &Database,
-        engine: Engine,
-    ) -> VarRelation {
-        let free = query.free_vars();
-        BoundPlan::new(query, [(db, &self.td)])
-            .execute(free, engine)
-            .pop()
-            .unwrap_or_else(|| empty_result(free))
+    pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database, engine: Engine) -> VarRelation {
+        BoundPlan::for_query(query, [(db, &self.td)]).evaluate(query.free_vars(), engine)
     }
 }
 
@@ -125,6 +113,10 @@ pub(crate) fn partitions_of(flow: &ShannonFlow) -> BTreeSet<PartitionSpec> {
     }
     partitions
 }
+
+/// The default cap on the number of degree branches of an adaptive plan or
+/// a DDR, whose binding code it bounds.
+pub(crate) const MAX_BRANCHES: usize = 4096;
 
 /// Splits `db` into branch databases: the cross product of the per-spec
 /// power-of-two degree buckets, capped at `max_branches`.  A spec's
@@ -226,35 +218,23 @@ impl PandaEvaluator {
         PandaEvaluator {
             tds: report.tds.clone(),
             partitions: partitions.into_iter().collect(),
-            max_branches: 4096,
+            max_branches: MAX_BRANCHES,
         }
     }
 
-    /// Evaluates the query adaptively: the partitioned relations are split
-    /// into power-of-two degree buckets, every bucket combination forms a
-    /// branch, each branch is costed from its own measured statistics, and
-    /// the cheapest tree decomposition evaluates it.  The union of the
-    /// branch outputs is the answer.  Sequential; see
-    /// [`PandaEvaluator::evaluate_with_engine`].
-    #[must_use]
-    pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database) -> VarRelation {
-        self.evaluate_with_engine(query, db, Engine::Sequential)
-    }
-
-    /// [`PandaEvaluator::evaluate`] under an explicit [`Engine`]: the
-    /// degree branches (the heavy/light case splits of Section 8.2) are
+    /// Evaluates the query adaptively under `engine`: the partitioned
+    /// relations are split into power-of-two degree buckets, every bucket
+    /// combination forms a branch, each branch is costed from its own
+    /// measured statistics, and the cheapest tree decomposition evaluates
+    /// it.  The union of the branch outputs is the answer.  The degree
+    /// branches (the heavy/light case splits of Section 8.2) are
     /// independent, so a parallel engine spreads its threads over the
     /// branches' bag jobs and then over the branches, and the branch
     /// outputs are merged **in branch order** before the final
     /// deduplication — bit-identical to sequential evaluation at any thread
     /// count.
     #[must_use]
-    pub fn evaluate_with_engine(
-        &self,
-        query: &ConjunctiveQuery,
-        db: &Database,
-        engine: Engine,
-    ) -> VarRelation {
+    pub fn evaluate(&self, query: &ConjunctiveQuery, db: &Database, engine: Engine) -> VarRelation {
         self.bind(query, db).evaluate(query.free_vars(), engine)
     }
 
@@ -265,7 +245,7 @@ impl PandaEvaluator {
         let branches = self.build_branches(query, db);
         let tds: Vec<TreeDecomposition> =
             branches.iter().map(|branch| self.choose_td_for(query, branch)).collect();
-        BoundPlan::new(query, branches.iter().zip(&tds))
+        BoundPlan::for_query(query, branches.iter().zip(&tds))
     }
 
     /// Splits the database into branch databases according to the partition
@@ -311,36 +291,43 @@ impl PandaEvaluator {
 /// (i) a degree-aware chain bound on the join of the atoms contained in the
 /// bag (the "join construction") and (ii) a greedy cover of the bag by
 /// per-atom projections (the "product construction") — the two candidate
-/// constructions used by the DDR evaluator and the branch cost model of the
+/// constructions used by the DDR's binding and the branch cost model of the
 /// adaptive plan.
-#[must_use]
-pub fn estimate_bag_size(atoms: &[Atom], db: &Database, bag: VarSet) -> f64 {
-    let (_, join_estimate, _, projection_estimate) = bag_constructions(atoms, db, bag);
-    join_estimate.min(projection_estimate)
+pub(crate) fn estimate_bag_size(atoms: &[Atom], db: &Database, bag: VarSet) -> f64 {
+    cheaper_construction(atoms, db, bag).0
 }
 
 /// A greedy projection cover: per step, the atom index, the covered overlap
 /// and the distinct count of that projection.
 pub(crate) type ProjectionCover = Vec<(usize, VarSet, usize)>;
 
-/// The two constructions of [`estimate_bag_size`], costed once for both the
-/// estimate and the DDR evaluator that runs the cheaper one: the atoms
-/// contained in `bag` with the chain estimate of their join (infinite unless
-/// they cover the bag), then the greedy projection cover with the product of
-/// its distinct counts (infinite when no cover exists).
-pub(crate) fn bag_constructions<'a>(
-    atoms: &'a [Atom],
+/// The cheaper of the two constructions of [`estimate_bag_size`] with its
+/// estimate, costed once for both the estimate and the DDR branch that
+/// builds it: the join of the atoms contained in `bag`, costed by the chain
+/// estimate (infinite unless they cover the bag), or the greedy projection
+/// cover, costed by the product of its distinct counts (infinite when no
+/// cover exists).  A tie goes to the join.
+pub(crate) fn cheaper_construction(
+    atoms: &[Atom],
     db: &Database,
     bag: VarSet,
-) -> (Vec<&'a Atom>, f64, Option<ProjectionCover>, f64) {
-    let contained: Vec<&Atom> = atoms.iter().filter(|a| a.var_set().is_subset_of(bag)).collect();
-    let covered = contained.iter().fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()));
-    let join_cost =
-        if covered == bag { chain_join_estimate(&contained, db) } else { f64::INFINITY };
-    let cover = greedy_projection_cover(atoms, db, bag);
-    let cover_cost =
-        cover.as_ref().map_or(f64::INFINITY, |c| c.iter().map(|(_, _, d)| *d as f64).product());
-    (contained, join_cost, cover, cover_cost)
+) -> (f64, Construction) {
+    let contained: Vec<usize> =
+        (0..atoms.len()).filter(|&i| atoms[i].var_set().is_subset_of(bag)).collect();
+    let covered = contained.iter().fold(VarSet::EMPTY, |acc, &i| acc.union(atoms[i].var_set()));
+    let join_cost = if covered == bag {
+        chain_join_estimate(&contained.iter().map(|&i| &atoms[i]).collect::<Vec<_>>(), db)
+    } else {
+        f64::INFINITY
+    };
+    if let Some(cover) = greedy_projection_cover(atoms, db, bag) {
+        let cover_cost: f64 = cover.iter().map(|(_, _, d)| *d as f64).product();
+        if cover_cost < join_cost {
+            let steps = cover.into_iter().map(|(i, overlap, _)| (i, overlap)).collect();
+            return (cover_cost, Construction::Cover(steps));
+        }
+    }
+    (join_cost, Construction::Join(contained))
 }
 
 /// A degree-aware upper bound on the size of the natural join of `atoms`:
@@ -348,8 +335,7 @@ pub(crate) fn bag_constructions<'a>(
 /// whose *maximum degree* of its new variables given the shared variables
 /// is smallest (this is what makes functional dependencies and light degree
 /// buckets pay off, e.g. `|S ⋈ R_light| ≤ |S| · deg_R(X|Y)`).
-#[must_use]
-pub fn chain_join_estimate(atoms: &[&Atom], db: &Database) -> f64 {
+pub(crate) fn chain_join_estimate(atoms: &[&Atom], db: &Database) -> f64 {
     if atoms.is_empty() {
         return 1.0;
     }
@@ -466,8 +452,7 @@ fn exact_pairwise_join_size(a: &Atom, b: &Atom, db: &Database) -> f64 {
 /// `distinct^(1/|overlap|)`, which routes e.g. a single heavy value of `Y`
 /// through the tiny projection `π_Y(S_heavy)` rather than through a large
 /// two-column projection.
-#[must_use]
-pub fn greedy_projection_cover(
+pub(crate) fn greedy_projection_cover(
     atoms: &[Atom],
     db: &Database,
     bag: VarSet,
@@ -570,7 +555,7 @@ mod tests {
         let stats = StatisticsSet::measure(&q, &db);
         let plan = StaticTdPlan::new(panda_entropy::fhtw(&q, &stats).unwrap().best_td().clone());
         let expected = GenericJoin::evaluate(&q, &db);
-        let got = plan.evaluate(&q, &db);
+        let got = plan.evaluate(&q, &db, Engine::Sequential);
         let order: Vec<Var> = q.free_vars().to_vec();
         assert_eq!(got.canonical_rows_ordered(&order), expected.canonical_rows_ordered(&order));
     }
@@ -581,7 +566,7 @@ mod tests {
         let mut db = random_graph_db(8, 30, 1);
         db.insert("T", Relation::new(2));
         let plan = StaticTdPlan::new(TreeDecomposition::enumerate(&q)[0].clone());
-        assert!(plan.evaluate(&q, &db).is_empty());
+        assert!(plan.evaluate(&q, &db, Engine::Sequential).is_empty());
     }
 
     #[test]
@@ -604,7 +589,7 @@ mod tests {
         let order: Vec<Var> = q.free_vars().to_vec();
         for db in [random_graph_db(10, 60, 9), double_star_db(24)] {
             let expected = GenericJoin::evaluate(&q, &db);
-            let got = evaluator.evaluate(&q, &db);
+            let got = evaluator.evaluate(&q, &db, Engine::Sequential);
             assert_eq!(got.canonical_rows_ordered(&order), expected.canonical_rows_ordered(&order));
         }
     }

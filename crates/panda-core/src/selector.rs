@@ -257,7 +257,7 @@ impl Selection {
 }
 
 /// What binding a [`Selection`] to one request's data produced besides its
-/// downgrades: the adaptive plan bound to its degree branches, and the
+/// downgrades: the static or adaptive plan bound to its branches, and the
 /// branch count the report shows (1 for every single-plan strategy and
 /// after a memory-budget downgrade; after a branch-budget downgrade, the
 /// count that triggered it).
@@ -288,8 +288,9 @@ fn peak_bag_rows(query: &ConjunctiveQuery, db: &Database, td: &TreeDecomposition
 /// reads the [`Database`], run on the request's own copy of the selection
 /// after the plan-cache lookup, on the report and the evaluation path
 /// alike.  An adaptive selection is bound to its degree branches
-/// ([`PandaEvaluator::bind`]); then the budgets that read the data apply,
-/// in the ladder's order, each as a downgrade of `selection`:
+/// ([`PandaEvaluator::bind`]), a static one to the whole input under the
+/// best decomposition (one branch); then the budgets that read the data
+/// apply, in the ladder's order, each as a downgrade of `selection`:
 ///
 /// * a branch count above the branch budget downgrades the adaptive plan
 ///   to a binary join;
@@ -317,9 +318,16 @@ pub(crate) fn bind(
     {
         evaluator.max_branches = evaluator.max_branches.min(cap);
     }
-    let plan = selection.evaluator.as_ref().map(|evaluator| evaluator.bind(query, db));
+    let adaptive = selection.executed == EvaluationStrategy::Adaptive;
+    let plan = match (&selection.evaluator, &selection.best_td) {
+        (Some(evaluator), _) if adaptive => Some(evaluator.bind(query, db)),
+        (_, Some(td)) if selection.executed == EvaluationStrategy::StaticTd => {
+            Some(BoundPlan::for_query(query, [(db, td)]))
+        }
+        _ => None,
+    };
     let mut branch_count = plan.as_ref().map_or(1, BoundPlan::branch_count);
-    if !explicit && plan.is_some() && budgets.branch_budget.is_some_and(|cap| branch_count > cap) {
+    if !explicit && adaptive && budgets.branch_budget.is_some_and(|cap| branch_count > cap) {
         selection.downgrade_to(EvaluationStrategy::BinaryJoin, ReasonCode::BranchBudgetExceeded);
     }
     let bags_checked = !explicit

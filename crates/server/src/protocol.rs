@@ -51,6 +51,9 @@ pub enum ErrorCode {
     SolverError,
     /// The request line exceeded [`MAX_LINE_BYTES`].
     LineTooLong,
+    /// The request panicked inside the library (a bug, not an expected
+    /// outcome); the session stays usable.
+    Internal,
 }
 
 impl ErrorCode {
@@ -68,6 +71,7 @@ impl ErrorCode {
             ErrorCode::Cancelled => "cancelled",
             ErrorCode::SolverError => "solver_error",
             ErrorCode::LineTooLong => "line_too_long",
+            ErrorCode::Internal => "internal",
         }
     }
 }

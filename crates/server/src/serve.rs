@@ -429,4 +429,20 @@ mod tests {
             "OK pong\nERR unknown_command unknown command `\u{fffd}\u{fffd}`\nOK pong\n"
         );
     }
+
+    #[test]
+    fn stdio_answers_a_panicking_request_and_keeps_serving() {
+        // Ten variables: TD enumeration panics on more than nine.
+        let input = "LOAD R 2\n1 2\n2 1\nEND\n\
+                     QUERY Q(A,B,C,D,E,F,G,H,I,J) :- R(A,B), R(B,C), R(C,D), R(D,E), R(E,F), \
+                     R(F,G), R(G,H), R(H,I), R(I,J), R(J,A)\nPING\n";
+        let mut out = Vec::new();
+        serve_lines(input.as_bytes(), &mut out, Engine::Sequential).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(lines[0], "OK loaded rel=R rows=2");
+        assert!(lines[1].starts_with("ERR internal "), "{out}");
+        assert_eq!(lines[2], "OK pong");
+    }
 }

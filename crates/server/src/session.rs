@@ -26,6 +26,7 @@
 //! deduplicate and insert, so a row allocates nothing and is stored once.
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use panda_core::{
     plan_cache_stats, Budgets, CancelToken, Engine, EvaluationStrategy, Panda, ReasonCode,
@@ -190,7 +191,9 @@ impl Session {
 
     /// Handles one request line.  `cancel`, when supplied by a concurrent
     /// transport, is attached to the request's planner so an out-of-band
-    /// `CANCEL` can abort it mid-flight.
+    /// `CANCEL` can abort it mid-flight.  A request that panics is answered
+    /// `ERR internal` (its tag still counts as done) and the session keeps
+    /// serving.
     pub fn handle_line_with(&mut self, raw: &str, cancel: Option<&CancelToken>) -> Reply {
         if raw.len() > MAX_LINE_BYTES {
             return Reply::error(WireError::new(
@@ -231,7 +234,10 @@ impl Session {
                 ));
             }
         }
-        let reply = match request.command {
+        // A panic below answers `ERR internal` and leaves the session usable:
+        // every transport reaches the library through this one call.
+        let command = request.command;
+        let dispatch = AssertUnwindSafe(|| match command {
             Command::Ping => Reply::line("OK pong".to_string()),
             Command::Load { relation, arity } => {
                 self.load = Some(LoadState {
@@ -257,7 +263,18 @@ impl Session {
             Command::Stats { global } => self.render_stats(global),
             Command::Cancel { .. } => Reply::none(), // handled above
             Command::Quit => Reply { lines: vec!["OK bye".to_string()], quit: true },
-        };
+        });
+        let reply = catch_unwind(dispatch).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Reply::error(WireError::new(
+                ErrorCode::Internal,
+                format!("the request panicked: {message}"),
+            ))
+        });
         if let Some(id) = request.id {
             self.done.insert(id);
         }

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use panda::core::{BinaryJoinPlan, PandaEvaluator, StaticTdPlan};
+use panda::core::{BinaryJoinPlan, Engine, PandaEvaluator, StaticTdPlan};
 use panda::workloads::{double_star_db, four_cycle_projected, s_square_statistics};
 
 fn main() {
@@ -37,11 +37,11 @@ fn main() {
         let n = db.relation("R").unwrap().len();
 
         let t = Instant::now();
-        let a = adaptive.evaluate(&query, &db);
+        let a = adaptive.evaluate(&query, &db, Engine::Sequential);
         let adaptive_time = t.elapsed();
 
         let t = Instant::now();
-        let s = static_plan.evaluate(&query, &db);
+        let s = static_plan.evaluate(&query, &db, Engine::Sequential);
         let static_time = t.elapsed();
 
         let t = Instant::now();

@@ -5,7 +5,7 @@
 use panda::core::faq;
 use panda::core::DdrEvaluator;
 use panda::prelude::*;
-use panda::workloads::{erdos_renyi_db, zipf_graph_db};
+use panda::workloads::{double_star_db, erdos_renyi_db, four_cycle_projected, zipf_graph_db};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,10 +74,76 @@ fn ddr_models_are_valid_on_random_and_skewed_instances() {
         for selector in &selectors {
             let rule = DisjunctiveRule::for_bag_selector(&q, selector);
             let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-            let model = evaluator.evaluate(db);
+            let model = evaluator.evaluate(db, Engine::Sequential);
             assert!(model.is_valid_model(&rule, db), "instance {i}, selector {selector:?}");
         }
     }
+}
+
+/// FNV-1a over a target's sorted rows: order-free, so it pins the model's
+/// contents and not how they were assembled.
+fn sorted_rows_checksum(rel: &VarRelation) -> u64 {
+    rel.rel
+        .canonical_rows()
+        .iter()
+        .flatten()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &v| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The DDR models of E7's rule on two double stars, and of every 4-cycle
+/// bag selector's rule on the two instances above: each target's exact size
+/// and the checksum of its sorted rows.
+#[test]
+fn ddr_models_are_pinned_target_by_target() {
+    let q = four_cycle_projected();
+    let tds = TreeDecomposition::enumerate(&q);
+    let e7 = BagSelector::new(vec![
+        VarSet::from_iter([Var(0), Var(1), Var(2)]),
+        VarSet::from_iter([Var(1), Var(2), Var(3)]),
+    ]);
+    let mut cases: Vec<(String, DisjunctiveRule, Database)> = [64, 128]
+        .into_iter()
+        .map(|half| {
+            let rule = DisjunctiveRule::for_bag_selector(&q, &e7);
+            (format!("e7/double_star({half})"), rule, double_star_db(half))
+        })
+        .collect();
+    for (label, db) in [
+        ("erdos_renyi", erdos_renyi_db(&["R", "S", "T", "U"], 15, 90, 5)),
+        ("zipf", zipf_graph_db(&["R", "S", "T", "U"], 30, 150, 1.4, 6)),
+    ] {
+        for (i, selector) in BagSelector::enumerate(&tds).iter().enumerate() {
+            let rule = DisjunctiveRule::for_bag_selector(&q, selector);
+            cases.push((format!("{label}/selector {i}"), rule, db.clone()));
+        }
+    }
+    let got: Vec<(String, Vec<(usize, u64)>)> = cases
+        .iter()
+        .map(|(label, rule, db)| {
+            let stats = StatisticsSet::measure(&q, db);
+            let model = DdrEvaluator::plan(rule, &stats).unwrap().evaluate(db, Engine::Sequential);
+            assert!(model.is_valid_model(rule, db), "{label}");
+            let targets =
+                model.targets.iter().map(|(_, r)| (r.len(), sorted_rows_checksum(r))).collect();
+            (label.clone(), targets)
+        })
+        .collect();
+    // An empty target's checksum is the FNV offset basis.
+    let expected: Vec<(&str, Vec<(usize, u64)>)> = vec![
+        ("e7/double_star(64)", vec![(128, 5652449959146753317), (64, 14760202119951619621)]),
+        ("e7/double_star(128)", vec![(256, 7050867232851947813), (128, 2254223715265979685)]),
+        ("erdos_renyi/selector 0", vec![(184, 8244432398740674093), (164, 6231359118662866241)]),
+        ("erdos_renyi/selector 1", vec![(353, 13555067106180836713), (14, 12660131559298234176)]),
+        ("erdos_renyi/selector 2", vec![(366, 5911677642712166642), (0, 14695981039346656037)]),
+        ("erdos_renyi/selector 3", vec![(0, 14695981039346656037), (414, 2649021852700543554)]),
+        ("zipf/selector 0", vec![(112, 14192245943651443414), (220, 763677358414232275)]),
+        ("zipf/selector 1", vec![(0, 14695981039346656037), (400, 198870467951962025)]),
+        ("zipf/selector 2", vec![(135, 14346126771826911578), (151, 13872927544441882030)]),
+        ("zipf/selector 3", vec![(254, 15525252566167469659), (57, 4988230695661410858)]),
+    ];
+    let got: Vec<(&str, Vec<(usize, u64)>)> =
+        got.iter().map(|(label, targets)| (label.as_str(), targets.clone())).collect();
+    assert_eq!(got, expected);
 }
 
 #[test]

@@ -114,9 +114,9 @@ fn ddr_models_are_bit_identical_across_thread_counts() {
     for db in [workloads::double_star_db(32), random_graph_db(&["R", "S", "T", "U"], 12, 70, 5)] {
         let stats = StatisticsSet::measure(&query, &db);
         let evaluator = DdrEvaluator::plan(&rule, &stats).unwrap();
-        let seq = evaluator.evaluate_with_engine(&db, Engine::Sequential);
+        let seq = evaluator.evaluate(&db, Engine::Sequential);
         for (threads, engine) in engines() {
-            let par = evaluator.evaluate_with_engine(&db, engine);
+            let par = evaluator.evaluate(&db, engine);
             assert_eq!(par.targets.len(), seq.targets.len());
             for ((s_schema, s_rel), (p_schema, p_rel)) in seq.targets.iter().zip(&par.targets) {
                 assert_eq!(s_schema, p_schema);

@@ -548,6 +548,45 @@ fn bytes_that_are_not_utf8_are_answered_in_order() {
 }
 
 #[test]
+fn a_request_that_panics_is_answered_and_the_connection_keeps_serving() {
+    // Closed loop, as a client that waits for every answer: a worker that
+    // died with the request would leave the next read hanging.
+    let addr = spawn_server();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).expect("set read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    // Ten variables: TD enumeration panics on more than nine.
+    let cycle = "QUERY Q(A,B,C,D,E,F,G,H,I,J) :- CkBoom(A,B), CkBoom(B,C), CkBoom(C,D), \
+                 CkBoom(D,E), CkBoom(E,F), CkBoom(F,G), CkBoom(G,H), CkBoom(H,I), CkBoom(I,J), \
+                 CkBoom(J,A)";
+    // (request line, whether it is answered)
+    let script = [
+        ("LOAD CkBoom 2", false),
+        ("1 2", false),
+        ("2 1", false),
+        ("END", true),
+        (cycle, true),
+        ("PING", true),
+    ];
+    let mut answers = Vec::new();
+    for (line, answered) in script {
+        writer.write_all(format!("{line}\n").as_bytes()).expect("write request");
+        if answered {
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("an answer before the timeout");
+            answers.push(answer.trim_end().to_string());
+        }
+    }
+    assert_eq!(answers.len(), 3, "{answers:?}");
+    assert_eq!(answers[0], "OK loaded rel=CkBoom rows=2");
+    assert!(answers[1].starts_with("ERR internal "), "{answers:?}");
+    assert_eq!(answers[2], "OK pong");
+    // Other connections were never affected.
+    assert_eq!(run_client(addr, &s(&["PING"])), s(&["OK pong"]));
+}
+
+#[test]
 fn a_reset_connection_ends_the_serve_loop() {
     // The client leaves with an answer unread, which resets the
     // connection under the reader.  `serve` with `once` returns only when

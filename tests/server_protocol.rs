@@ -659,6 +659,36 @@ fn golden_cancellation_lifecycle() {
 }
 
 #[test]
+fn golden_a_request_that_panics_answers_internal_and_the_session_keeps_serving() {
+    // WHEN a request panics inside the library (ten variables: TD
+    // enumeration stops at nine), THEN it is answered `ERR internal`, its
+    // tag counts as done, and the session answers the next requests.
+    assert_eq!(
+        transcript(&[
+            "LOAD PzR 2",
+            "1 2",
+            "2 1",
+            "END",
+            "#5 QUERY Q(A,B,C,D,E,F,G,H,I,J) :- PzR(A,B), PzR(B,C), PzR(C,D), PzR(D,E), \
+             PzR(E,F), PzR(F,G), PzR(G,H), PzR(H,I), PzR(I,J), PzR(J,A)",
+            "CANCEL 5",
+            "QUERY Q(A,B) :- PzR(A,B)",
+            "PING",
+        ]),
+        vec![
+            "OK loaded rel=PzR rows=2",
+            "ERR internal the request panicked: exhaustive TD enumeration is limited to 9 \
+             variables",
+            "OK cancel id=5 state=done",
+            "OK rows n=2 vars=A,B lines=2",
+            "1 2",
+            "2 1",
+            "OK pong",
+        ]
+    );
+}
+
+#[test]
 fn golden_quit() {
     let mut session = Session::new();
     let reply = session.handle_line("QUIT");
