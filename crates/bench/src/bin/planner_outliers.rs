@@ -1,16 +1,18 @@
-//! The planner's outliers: the two cold plans the served benchmark leaves
-//! out of its loop because each takes tens of seconds, measured chain by
-//! chain, then the single largest Γ₅ LP.
+//! The planner's outliers: the two queries the served benchmark leaves
+//! out of its loop because each one's full `subw` chain takes tens of
+//! seconds, measured chain by chain, then the single largest Γ₅ LP.
 //!
 //! ```text
-//! cargo run --release -p panda-bench --bin planner_outliers   # about a minute
+//! cargo run --release -p panda-bench --bin planner_outliers   # about 1.5 minutes
 //! ```
 //!
 //! Both queries run over the same random instance (`erdos_renyi_db` with 30
 //! vertices, 120 edges per relation, seed 7).  Each row is one
 //! [`plan_chains`] call: statistics measured, tree decompositions
 //! enumerated, then the `fhtw` and `subw` chains under one unlimited pivot
-//! budget.
+//! budget.  The last two columns are what a cold `Auto` plan pays instead:
+//! the `fhtw` chain's pivots plus those of deciding `subw < fhtw`, and the
+//! seconds of the decision alone.
 
 use panda_bench::{plan_chains, render_table, time_it};
 use panda_entropy::polymatroid_bound;
@@ -39,6 +41,8 @@ fn main() {
                 row.subw.to_string(),
                 format!("{:.3}", row.fhtw_s),
                 format!("{:.3}", row.subw_s),
+                row.decision_pivots.to_string(),
+                format!("{:.3}", row.decision_s),
             ]
         })
         .collect();
@@ -46,7 +50,18 @@ fn main() {
     print!(
         "{}",
         render_table(
-            &["query", "TDs", "selector LPs", "pivots", "fhtw", "subw", "fhtw s", "subw s"],
+            &[
+                "query",
+                "TDs",
+                "selector LPs",
+                "pivots",
+                "fhtw",
+                "subw",
+                "fhtw s",
+                "subw s",
+                "decision pivots",
+                "decision s",
+            ],
             &rows,
         )
     );

@@ -22,7 +22,9 @@
 #![forbid(unsafe_code)]
 use std::time::Instant;
 
-use panda_entropy::{fhtw_with_tds_budgeted, subw_with_tds_budgeted, PivotBudget, StatisticsSet};
+use panda_entropy::{
+    fhtw_with_tds_budgeted, subw_against_fhtw, subw_with_tds_budgeted, PivotBudget, StatisticsSet,
+};
 use panda_query::{ConjunctiveQuery, TreeDecomposition};
 use panda_rational::Rat;
 use panda_relation::Database;
@@ -44,15 +46,24 @@ pub struct ChainRow {
     pub fhtw_s: f64,
     /// Seconds spent in the `subw` chain.
     pub subw_s: f64,
+    /// Simplex pivots of the `fhtw` chain and of deciding `subw` against it
+    /// ([`subw_against_fhtw`]), charged to one budget: what a cold `Auto`
+    /// plan pays, to compare with [`ChainRow::pivots`].
+    pub decision_pivots: u64,
+    /// Seconds spent deciding `subw` against `fhtw`.
+    pub decision_s: f64,
 }
 
 /// Plans `query` over `db` the way a cold request does: measures the
-/// statistics, enumerates the tree decompositions, then runs the `fhtw`
-/// chain and the `subw` chain under one unlimited [`PivotBudget`].
+/// statistics, enumerates the tree decompositions and runs the `fhtw`
+/// chain under one unlimited [`PivotBudget`].  Then `subw` is computed both
+/// ways a request may: decided against `fhtw`, as a cold `Auto` plan does,
+/// on a copy of the budget; and as the full chain an explicit adaptive plan
+/// runs, on the budget itself.
 ///
 /// # Panics
 ///
-/// Panics if either chain returns an error.
+/// Panics if a chain or the decision returns an error.
 #[must_use]
 pub fn plan_chains(query: &ConjunctiveQuery, db: &Database) -> ChainRow {
     let stats = StatisticsSet::measure(query, db);
@@ -60,6 +71,10 @@ pub fn plan_chains(query: &ConjunctiveQuery, db: &Database) -> ChainRow {
     let mut budget = PivotBudget::unlimited();
     let (fhtw, fhtw_s) =
         time_it(|| fhtw_with_tds_budgeted(query, &tds, &stats, &mut budget).expect("fhtw chain"));
+    let mut decision_budget = budget.clone();
+    let (_, decision_s) = time_it(|| {
+        subw_against_fhtw(query, &tds, &stats, &fhtw, &mut decision_budget).expect("decision")
+    });
     let (subw, subw_s) =
         time_it(|| subw_with_tds_budgeted(query, &tds, &stats, &mut budget).expect("subw chain"));
     ChainRow {
@@ -70,6 +85,8 @@ pub fn plan_chains(query: &ConjunctiveQuery, db: &Database) -> ChainRow {
         subw: subw.value,
         fhtw_s,
         subw_s,
+        decision_pivots: decision_budget.used(),
+        decision_s,
     }
 }
 
@@ -156,6 +173,7 @@ mod tests {
         assert_eq!(row.selector_lps, subw_report.per_selector.len());
         assert_eq!(row.tds, TreeDecomposition::enumerate(&query).len());
         assert!(row.pivots > 0);
+        assert!(row.decision_pivots <= row.pivots, "the decision costs at most the chain");
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! [`fhtw_with_tds_budgeted`] and [`subw_with_tds_budgeted`] charge every
 //! pivot to it and poll its cancel token there; [`fhtw`] and [`subw`] are
 //! the same chains under [`PivotBudget::unlimited`].
+//!
+//! A planner that already holds the `fhtw` report asks `subw` one
+//! question, `subw < fhtw`?  [`subw_against_fhtw`] answers it with the
+//! exact `subw` and runs the selector chain only as far as the answer
+//! needs.  When `subw = fhtw`, it stops at the first selector that reaches
+//! `fhtw`, which on a single-TD query is read off the `fhtw` chain without
+//! an LP.  When `subw < fhtw`, it returns the full chain's report.
 
 // panda-lint: allow-file(P1) -- LP variable ids are minted by the
 // Γ-LP builder in this module, so objective/constraint lookups are
@@ -132,11 +139,21 @@ pub struct SubwReport {
     pub value: Rat,
     /// The tree decompositions used (`TD(Q)`).
     pub tds: Vec<TreeDecomposition>,
-    /// One DDR bound per bag selector in `BS(Q)`.
+    /// The DDR bounds of the bag selectors in `BS(Q)`.  From
+    /// [`subw_with_tds_budgeted`], one per selector.  From
+    /// [`subw_against_fhtw`], the same complete list whenever
+    /// `value < fhtw`; otherwise the one selector that witnesses
+    /// `subw = fhtw`.
     pub per_selector: Vec<SelectorBound>,
 }
 
 impl SubwReport {
+    /// The report over `tds` whose value is the largest selector bound.
+    fn new(tds: &[TreeDecomposition], per_selector: Vec<SelectorBound>) -> Self {
+        let value = per_selector.iter().map(|sel| sel.report.log_bound).max().unwrap_or(Rat::ZERO);
+        SubwReport { value, tds: tds.to_vec(), per_selector }
+    }
+
     /// The selector attaining the maximum (the "hardest" DDR).
     #[must_use]
     pub fn hardest(&self) -> &SelectorBound {
@@ -606,24 +623,112 @@ pub fn subw_with_tds_budgeted(
 ) -> Result<SubwReport, BoundError> {
     assert!(!tds.is_empty(), "subw requires at least one tree decomposition");
     let scaffold = GammaScaffold::build(query.all_vars(), stats);
+    let per_selector = selector_chain(&scaffold, stats, BagSelector::enumerate(tds), None, budget)?;
+    Ok(SubwReport::new(tds, per_selector))
+}
+
+/// [`subw`] when `fhtw` — the `fhtw` chain's report over the same `tds`
+/// and `stats` — is already known, for the one question the selector asks:
+/// is `subw < fhtw`?  The value is exact either way; only the evidence
+/// differs.  Since `subw ≤ fhtw` always holds, one selector whose bound
+/// reaches `fhtw` settles `subw = fhtw`, and a selector `S` can reach it
+/// only if its upper bound `UB(S) = min_{B ∈ S} h*(B)` does, where `h*(B)`
+/// is bag `B`'s bound, already solved by the `fhtw` chain.  Three steps:
+///
+/// 1. A selector of one bag `{B}` with `h*(B) = fhtw` is its own witness:
+///    its LP *is* that bag's LP, so its report is the `fhtw` chain's, and
+///    no LP is solved.
+/// 2. Otherwise the selectors with `UB(S) ≥ fhtw` are solved in the full
+///    chain's order and warm-start chain, stopping at the first whose bound
+///    reaches `fhtw`: the report holds that one witness.
+/// 3. If none does, `subw < fhtw`.  When step 2 skipped no selector it was
+///    the full chain, and its report is kept; otherwise the full chain runs.
+///    Either way [`SubwReport::per_selector`] is the complete list of
+///    [`subw_with_tds_budgeted`], bit for bit, because the adaptive plan
+///    needs every selector's flow.
+///
+/// Pivots and the cancel token are charged to `budget` as in
+/// [`subw_with_tds_budgeted`].
+///
+/// # Panics
+///
+/// Panics if `tds` is empty.
+pub fn subw_against_fhtw(
+    query: &ConjunctiveQuery,
+    tds: &[TreeDecomposition],
+    stats: &StatisticsSet,
+    fhtw: &FhtwReport,
+    budget: &mut PivotBudget,
+) -> Result<SubwReport, BoundError> {
+    assert!(!tds.is_empty(), "subw requires at least one tree decomposition");
     let selectors = BagSelector::enumerate(tds);
+    let bag_bound = |bag: VarSet| {
+        fhtw.per_td
+            .iter()
+            .flat_map(|(_, _, per_bag)| per_bag)
+            .find(|(b, _)| *b == bag)
+            .map(|(_, report)| report)
+    };
+    let reaches = |report: &BoundReport| report.log_bound >= fhtw.value;
+
+    let singleton = selectors.iter().find_map(|selector| match selector.bags() {
+        [bag] => bag_bound(*bag)
+            .filter(|report| reaches(report))
+            .map(|report| SelectorBound { selector: selector.clone(), report: report.clone() }),
+        _ => None,
+    });
+    if let Some(witness) = singleton {
+        return Ok(SubwReport::new(tds, vec![witness]));
+    }
+
+    // A bag the fhtw chain did not solve leaves its selector a candidate.
+    let candidates: Vec<BagSelector> = selectors
+        .iter()
+        .filter(|selector| selector.bags().iter().all(|&bag| bag_bound(bag).map_or(true, reaches)))
+        .cloned()
+        .collect();
+    let skipped_none = candidates.len() == selectors.len();
+    let scaffold = GammaScaffold::build(query.all_vars(), stats);
+    let pass = selector_chain(&scaffold, stats, candidates, Some(fhtw.value), budget)?;
+    if let Some(witness) = pass.last().filter(|last| reaches(&last.report)) {
+        return Ok(SubwReport::new(tds, vec![witness.clone()]));
+    }
+    if skipped_none {
+        return Ok(SubwReport::new(tds, pass));
+    }
+    let per_selector = selector_chain(&scaffold, stats, selectors, None, budget)?;
+    Ok(SubwReport::new(tds, per_selector))
+}
+
+/// The selector LP chain: solves `selectors` in order over `scaffold`,
+/// charging `budget`, and stops after the first selector whose bound
+/// reaches `stop_at`, if one is given.  Selector LPs share the Γ_n
+/// scaffold and differ only in their target rows; consecutive selectors
+/// with equally many bags are structurally compatible, so the optimal
+/// basis carries over and phase 1 is skipped whenever it is still
+/// feasible.
+fn selector_chain(
+    scaffold: &GammaScaffold,
+    stats: &StatisticsSet,
+    selectors: Vec<BagSelector>,
+    stop_at: Option<Rat>,
+    budget: &mut PivotBudget,
+) -> Result<Vec<SelectorBound>, BoundError> {
     let mut per_selector = Vec::with_capacity(selectors.len());
-    let mut value = Rat::ZERO;
-    // Selector LPs share the Γ_n scaffold and differ only in their target
-    // rows; consecutive selectors with equally many bags are structurally
-    // compatible, so the optimal basis carries over and phase 1 is skipped
-    // whenever it is still feasible.
     let mut carried: Option<Basis> = None;
     for selector in selectors {
-        let lp = GammaLp::build(&scaffold, selector.bags());
+        let lp = GammaLp::build(scaffold, selector.bags());
         let (report, basis) = lp.solve_warm(stats, selector.bags(), carried.as_ref(), budget)?;
         // An Ok solve is always Optimal here, and Optimal always carries a
         // basis.
         carried = basis;
-        value = value.max(report.log_bound);
+        let stop = stop_at.is_some_and(|target| report.log_bound >= target);
         per_selector.push(SelectorBound { selector, report });
+        if stop {
+            break;
+        }
     }
-    Ok(SubwReport { value, tds: tds.to_vec(), per_selector })
+    Ok(per_selector)
 }
 
 #[cfg(test)]
@@ -877,6 +982,88 @@ mod tests {
             assert_eq!(cold.log_bound, sel.report.log_bound);
             sel.report.flow.verify_identity().unwrap();
         }
+    }
+
+    /// Asserts that deciding `subw` against `fhtw` gives the full chain's
+    /// value, its complete certificate list when there is a gap, and
+    /// otherwise one verified witness at `fhtw`.  A single-TD query decides
+    /// without an LP.
+    fn assert_decision_matches_full_chain(
+        label: &str,
+        q: &ConjunctiveQuery,
+        stats: &StatisticsSet,
+    ) {
+        let tds = TreeDecomposition::enumerate(q);
+        let fhtw = fhtw_with_tds_budgeted(q, &tds, stats, &mut PivotBudget::unlimited()).unwrap();
+        let full = subw_with_tds_budgeted(q, &tds, stats, &mut PivotBudget::unlimited()).unwrap();
+        let mut budget = PivotBudget::unlimited();
+        let decided = subw_against_fhtw(q, &tds, stats, &fhtw, &mut budget).unwrap();
+        assert_eq!(decided.value, full.value, "{label}: value");
+        assert_eq!(decided.tds, full.tds, "{label}: decompositions");
+        if decided.value < fhtw.value {
+            assert_eq!(decided.per_selector.len(), full.per_selector.len(), "{label}");
+            for (d, f) in decided.per_selector.iter().zip(&full.per_selector) {
+                assert_eq!(d.selector, f.selector, "{label}: selector");
+                assert_eq!(d.report, f.report, "{label}: bound and certificate");
+            }
+        } else {
+            let [witness] = decided.per_selector.as_slice() else {
+                panic!("{label}: one witness expected, got {}", decided.per_selector.len())
+            };
+            witness.report.flow.verify_identity().unwrap();
+            assert_eq!(witness.report.log_bound, fhtw.value, "{label}: witness");
+        }
+        if tds.len() == 1 {
+            assert_eq!(budget.used(), 0, "{label}: a single-TD decision solves no LP");
+        }
+    }
+
+    fn two_rows() -> panda_relation::Database {
+        let mut db = panda_relation::Database::new();
+        db.insert("R", panda_relation::Relation::from_rows(2, vec![[1, 2], [2, 1]]));
+        db
+    }
+
+    #[test]
+    fn deciding_subw_against_fhtw_equals_the_full_chain() {
+        use panda_workloads::{double_star_db, erdos_renyi_db, four_cycle_projected};
+        let shapes = [
+            "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)",
+            "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X), V(X,Z)",
+            "Q(A) :- R(A,B), S(B,C), T(C,A), U(A,D), V(D,E), W(E,A)",
+            "Q(A) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A), W(A,C), P(A,D)",
+            "Q(A,E) :- R(A,B), S(B,C), T(A,C), U(B,D), V(C,D), W(D,E)",
+        ];
+        for seed in 1..=3 {
+            let db = erdos_renyi_db(&["R", "S", "T", "U", "V", "W", "P"], 30, 121, seed);
+            for text in shapes {
+                let q = parse_query(text).unwrap();
+                let stats = StatisticsSet::measure(&q, &db);
+                assert_decision_matches_full_chain(&format!("{text} / {seed}"), &q, &stats);
+            }
+        }
+        let c4 = four_cycle_projected();
+        assert_decision_matches_full_chain("4-cycle under S□", &c4, &s_square(1 << 12));
+        for half in [16, 64] {
+            let stats = StatisticsSet::measure(&c4, &double_star_db(half));
+            assert_decision_matches_full_chain(&format!("4-cycle / star {half}"), &c4, &stats);
+        }
+        let triangle = parse_query("Q(A,B,C) :- R(A,B), R(B,C), R(C,A)").unwrap();
+        let stats = StatisticsSet::measure(&triangle, &two_rows());
+        assert_decision_matches_full_chain("triangle / two rows", &triangle, &stats);
+    }
+
+    #[test]
+    fn the_four_path_decision_skips_to_its_one_candidate() {
+        let q = parse_query("Q(A,E) :- R(A,B), S(B,C), T(C,D), U(D,E)").unwrap();
+        let db = panda_workloads::erdos_renyi_db(&["R", "S", "T", "U"], 30, 120, 7);
+        assert_decision_matches_full_chain("4-path", &q, &StatisticsSet::measure(&q, &db));
+    }
+
+    #[test]
+    fn the_five_cycle_over_two_rows_is_decided_by_its_first_selector() {
+        let q = parse_query("Q(A,B) :- R(A,B), R(B,C), R(C,D), R(D,E), R(E,A)").unwrap();
+        assert_decision_matches_full_chain("5-cycle", &q, &StatisticsSet::measure(&q, &two_rows()));
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub mod varspace;
 
 pub use bounds::{
     agm_bound, ddr_polymatroid_bound, fhtw, fhtw_with_tds_budgeted, polymatroid_bound, subw,
-    subw_with_tds_budgeted, BoundError, BoundReport, FhtwReport, SelectorBound, SubwReport,
+    subw_against_fhtw, subw_with_tds_budgeted, BoundError, BoundReport, FhtwReport, SelectorBound,
+    SubwReport,
 };
 pub use constraints::{exact_log, StatKind, Statistic, StatisticsSet};
 pub use elemental::Elemental;

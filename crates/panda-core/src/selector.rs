@@ -6,7 +6,8 @@
 //!
 //! 1. **Explicit override** ([`SelectorRule::ExplicitOverride`]) — the
 //!    caller named a strategy; the selector plans only what it runs
-//!    (`fhtw` for `StaticTd`, `fhtw` and `subw` for `Adaptive`).
+//!    (`fhtw` for `StaticTd`, `fhtw` and the full `subw` chain for
+//!    `Adaptive`).
 //! 2. **Acyclic fast path** ([`SelectorRule::AcyclicFastPath`]) — the
 //!    query is free-connex acyclic, so Yannakakis runs in `O(N + OUT)`
 //!    without solving a single LP.
@@ -20,6 +21,15 @@
 //!    is available (unbounded statistics, or the LP budget died before
 //!    `fhtw` finished); a worst-case optimal generic join needs no
 //!    planning at all.
+//!
+//! Rules 3 and 4 need one bit of `subw`, so `subw` is decided against the
+//! `fhtw` report ([`panda_entropy::subw_against_fhtw`]).  `subw ≤ fhtw`
+//! always, so the first selector whose bound reaches `fhtw` proves rule 4.
+//! A single-bag selector is read off the `fhtw` chain without an LP.
+//! Selectors whose bags all have `fhtw`-chain bounds at or above `fhtw`
+//! are the only ones that can reach it, so those are solved and the others
+//! are skipped.  Rule 3 gets the full chain's report, whose every selector
+//! flow the adaptive plan reads.
 //!
 //! Budgets ([`Budgets`]) turn unbounded planning or
 //! execution blow-ups into **one-way fail-soft downgrades**, each recorded
@@ -62,7 +72,11 @@
 //! exact rationals, both width chains run on the calling thread under the
 //! request's one [`PivotBudget`] (the `subw` chain's Shannon flows seed the
 //! adaptive partitions, so its shape must not depend on a thread count),
-//! and budgets count pivots/branches/rows — never wall-clock time.
+//! and budgets count pivots/branches/rows — never wall-clock time.  Where
+//! `subw` is decided against `fhtw` — rules 3/4, and the informational
+//! `subw` an EXPLAIN shows beside a known `fhtw` — the reported value is
+//! the full chain's, and so is the certificate list whenever `subw < fhtw`.
+//! With no gap, the list is the one selector that witnesses `subw = fhtw`.
 
 use panda_entropy::{
     BoundError, BoundReport, CancelToken, FhtwReport, PivotBudget, ShannonFlow, StatisticsSet,
@@ -349,10 +363,13 @@ pub(crate) fn bind(
 
 /// Solves the widths `selection` still lacks over `TD(Q)`, charging
 /// `budget`: `fhtw`, then `subw` when `with_subw`.  A `required` width is
-/// what the requested strategy runs, so every error propagates.  Otherwise
-/// it is informational — EXPLAIN shows it though no decision rests on it —
-/// and only [`BoundError::Cancelled`] propagates; any other error leaves it
-/// absent.
+/// what the requested strategy runs, so every error propagates, and a
+/// required `subw` is the full chain, whose every selector flow the
+/// adaptive plan reads.  Otherwise it is informational — EXPLAIN shows it
+/// though no decision rests on it — and only [`BoundError::Cancelled`]
+/// propagates; any other error leaves it absent.  An informational `subw`
+/// beside a known `fhtw` is only its value, so it is decided against `fhtw`
+/// ([`panda_entropy::subw_against_fhtw`]).
 fn solve_widths(
     selection: &mut Selection,
     query: &ConjunctiveQuery,
@@ -379,7 +396,12 @@ fn solve_widths(
         }
     }
     if with_subw && selection.subw.is_none() {
-        let subw = panda_entropy::subw_with_tds_budgeted(query, tds, stats, budget);
+        let subw = match &selection.fhtw {
+            Some(fhtw) if !required => {
+                panda_entropy::subw_against_fhtw(query, tds, stats, fhtw, budget)
+            }
+            _ => panda_entropy::subw_with_tds_budgeted(query, tds, stats, budget),
+        };
         selection.subw = kept(subw, required)?;
     }
     Ok(())
@@ -492,7 +514,8 @@ pub(crate) fn select(
         Err(e) => return Err(e),
     };
 
-    let subw_result = panda_entropy::subw_with_tds_budgeted(query, &tds, stats, &mut budget);
+    let subw_result =
+        panda_entropy::subw_against_fhtw(query, &tds, stats, &fhtw_report, &mut budget);
     let lp_pivots_used = pivots_used(&budget);
 
     let mut selection = match subw_result {

@@ -17,6 +17,8 @@
 // this module's own enumeration; a miss would be an enumeration bug,
 // not an input condition.
 
+use std::collections::BTreeSet;
+
 use crate::cq::ConjunctiveQuery;
 use crate::hypergraph::{is_acyclic, join_tree_of, Hypergraph, JoinTree};
 use crate::var::{Var, VarSet};
@@ -134,12 +136,15 @@ impl TreeDecomposition {
             query.num_vars() <= MAX_ENUMERATION_VARS,
             "exhaustive TD enumeration is limited to {MAX_ENUMERATION_VARS} variables"
         );
-        let vars: Vec<Var> = query.all_vars().to_vec();
+        let mut order: Vec<Var> = query.all_vars().to_vec();
+        // Candidates keep their first-seen order; the set only answers
+        // membership, in O(log n) where a scan of the list took O(n).
         let mut candidates: Vec<TreeDecomposition> = Vec::new();
-        let mut order = vars.clone();
+        let mut seen: BTreeSet<TreeDecomposition> = BTreeSet::new();
         permute(&mut order, 0, &mut |perm| {
             let td = TreeDecomposition::from_elimination_order(query, perm);
-            if !candidates.contains(&td) {
+            if !seen.contains(&td) {
+                seen.insert(td.clone());
                 candidates.push(td);
             }
         });
@@ -314,6 +319,41 @@ mod tests {
         // Eliminate X first ⇒ T2.
         let td2 = TreeDecomposition::from_elimination_order(&q, &[Var(0), Var(1), Var(2), Var(3)]);
         assert_eq!(td2.bags(), &[vs(&[3, 0, 1]), vs(&[1, 2, 3])]);
+    }
+
+    /// Every triangulation of the convex polygon `lo, lo + 1, …, hi`, as
+    /// triangle lists.
+    fn triangulations(lo: u32, hi: u32) -> Vec<Vec<VarSet>> {
+        if hi - lo < 2 {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for apex in lo + 1..hi {
+            for left in triangulations(lo, apex) {
+                for right in triangulations(apex, hi) {
+                    let mut bags = vec![vs(&[lo, apex, hi])];
+                    bags.extend(left.iter().chain(&right));
+                    all.push(bags);
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn the_tds_of_a_boolean_cycle_are_its_triangulations_in_order() {
+        // The n-cycle's decompositions are the Catalan(n − 2) triangulations
+        // of the n-gon, one triangle per bag, returned in sorted order.
+        for (n, count) in [(6u32, 14), (7, 42)] {
+            let body: Vec<String> =
+                (0..n).map(|i| format!("R{i}(V{i},V{})", (i + 1) % n)).collect();
+            let q = parse_query(&format!("Q() :- {}", body.join(", "))).unwrap();
+            let mut expected: Vec<TreeDecomposition> =
+                triangulations(0, n - 1).into_iter().map(TreeDecomposition::new).collect();
+            expected.sort();
+            assert_eq!(expected.len(), count);
+            assert_eq!(TreeDecomposition::enumerate(&q), expected, "{n}-cycle");
+        }
     }
 
     #[test]

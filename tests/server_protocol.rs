@@ -521,6 +521,104 @@ fn golden_an_lp_budget_downgrade_ships_the_fhtw_chains_certificates() {
     );
 }
 
+/// Loads `db` (whose relations the query names), then sends `BUDGET
+/// pivots=P` and `EXPLAIN query`, where `P` is four times the pivots of the
+/// `fhtw` chain on the statistics the session will measure.  Returns the
+/// EXPLAIN reply and the pivots the plan is expected to use: the `fhtw`
+/// chain's plus those of deciding `subw` against it.
+fn explain_under_four_fhtw_chains(query: &str, db: &Database) -> (Vec<String>, u64) {
+    use panda::entropy::{fhtw_with_tds_budgeted, subw_against_fhtw, PivotBudget};
+    let parsed = parse_query(query).unwrap();
+    let stats = StatisticsSet::measure(&parsed, db);
+    let tds = TreeDecomposition::enumerate(&parsed);
+    let mut probe = PivotBudget::unlimited();
+    let fhtw = fhtw_with_tds_budgeted(&parsed, &tds, &stats, &mut probe).unwrap();
+    let pivots = 4 * probe.used();
+    subw_against_fhtw(&parsed, &tds, &stats, &fhtw, &mut probe).unwrap();
+
+    let mut script = Vec::new();
+    for name in db.relation_names() {
+        let rel = db.relation(&name).unwrap();
+        script.push(format!("LOAD {name} {}", rel.arity()));
+        for row in rel.canonical_rows() {
+            script.push(row.iter().map(u64::to_string).collect::<Vec<_>>().join(" "));
+        }
+        script.push("END".to_string());
+    }
+    script.push(format!("BUDGET pivots={pivots}"));
+    script.push(format!("EXPLAIN {query}"));
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&script);
+    // One reply line per LOAD block, then the BUDGET reply.
+    let loads = db.relation_names().len();
+    assert_eq!(out[loads], format!("OK budgets pivots={pivots} branches=none rows=none"));
+    (out[loads + 1..].to_vec(), probe.used())
+}
+
+#[test]
+fn golden_a_five_cycle_over_two_rows_plans_within_four_fhtw_chains() {
+    // WHEN a 5-cycle over a two-row relation is explained under a pivot
+    // budget of four fhtw chains, THEN its first selector LP proves
+    // subw = fhtw = 1: the static plan is chosen on the width rule, not
+    // forced by an exhausted budget inside the 197-LP subw chain.
+    let query = "Q(A,B) :- PwR(A,B), PwR(B,C), PwR(C,D), PwR(D,E), PwR(E,A)";
+    let mut db = Database::new();
+    db.insert("PwR", Relation::from_rows(2, vec![[1, 2], [2, 1]]));
+    let (explain, pivots) = explain_under_four_fhtw_chains(query, &db);
+    assert_eq!(
+        explain,
+        [
+            "OK explain lines=13".to_string(),
+            format!("query: {query}"),
+            "strategy: static-td".to_string(),
+            "selected: static-td".to_string(),
+            "rule: td-fallback".to_string(),
+            "reason: no_width_gap".to_string(),
+            "widths: fhtw = 1, subw = 1".to_string(),
+            "branches: 1".to_string(),
+            format!("lp pivots used: {pivots}"),
+            "downgrades: (none)".to_string(),
+            "branch bounds:".to_string(),
+            "  {A,B,C}: 1 (certified)".to_string(),
+            "  {A,C,D}: 1 (certified)".to_string(),
+            "  {A,D,E}: 1 (certified)".to_string(),
+        ]
+    );
+}
+
+#[test]
+fn golden_a_four_path_plans_within_four_fhtw_chains() {
+    // WHEN the non-free-connex 4-path is explained under a pivot budget of
+    // four fhtw chains, THEN the one selector that can reach fhtw is solved
+    // alone and proves subw = fhtw, where the full chain needs 197 LPs.
+    let query = "Q(A,E) :- PvR(A,B), PvS(B,C), PvT(C,D), PvU(D,E)";
+    let random = panda::workloads::erdos_renyi_db(&["R", "S", "T", "U"], 30, 120, 7);
+    let mut db = Database::new();
+    for name in ["R", "S", "T", "U"] {
+        db.insert(format!("Pv{name}"), random.relation(name).unwrap().clone());
+    }
+    let (explain, pivots) = explain_under_four_fhtw_chains(query, &db);
+    assert_eq!(
+        explain,
+        [
+            "OK explain lines=13".to_string(),
+            format!("query: {query}"),
+            "strategy: static-td".to_string(),
+            "selected: static-td".to_string(),
+            "rule: td-fallback".to_string(),
+            "reason: no_width_gap".to_string(),
+            "widths: fhtw = 1543213/1000000, subw = 1543213/1000000".to_string(),
+            "branches: 1".to_string(),
+            format!("lp pivots used: {pivots}"),
+            "downgrades: (none)".to_string(),
+            "branch bounds:".to_string(),
+            "  {A,B,C}: 55489/50000 (certified)".to_string(),
+            "  {A,C,D}: 1473841/1000000 (certified)".to_string(),
+            "  {A,D,E}: 1543213/1000000 (certified)".to_string(),
+        ]
+    );
+}
+
 #[test]
 fn golden_explicit_plans_are_cached_like_auto() {
     // One pass: a second session would find the plan cached.

@@ -413,6 +413,116 @@ fn downgrades_chain_lp_budget_then_memory_budget() {
 }
 
 // ---------------------------------------------------------------------------
+// Rules 3/4 decide `subw` against `fhtw`: the full chain's answer, fewer LPs.
+// ---------------------------------------------------------------------------
+
+/// Asserts that `subw_against_fhtw` gives the full chain's value, its
+/// complete certificate list when there is a gap and one verified witness
+/// at `fhtw` otherwise, and that the Auto plan picks the gap rule exactly
+/// when the full chain shows a gap, charging the `fhtw` chain plus the
+/// decision and nothing else.
+fn assert_decision_matches_full_chain(
+    label: &str,
+    query: &ConjunctiveQuery,
+    stats: &StatisticsSet,
+    db: &Database,
+) {
+    use panda::entropy::{
+        fhtw_with_tds_budgeted, subw_against_fhtw, subw_with_tds_budgeted, PivotBudget,
+    };
+    let tds = TreeDecomposition::enumerate(query);
+    let mut fhtw_budget = PivotBudget::unlimited();
+    let fhtw = fhtw_with_tds_budgeted(query, &tds, stats, &mut fhtw_budget).unwrap();
+    let full = subw_with_tds_budgeted(query, &tds, stats, &mut PivotBudget::unlimited()).unwrap();
+    let mut decision_budget = PivotBudget::unlimited();
+    let decided = subw_against_fhtw(query, &tds, stats, &fhtw, &mut decision_budget).unwrap();
+    assert_eq!(decided.value, full.value, "{label}: value");
+    let gap = full.value < fhtw.value;
+    if gap {
+        assert_eq!(decided.per_selector.len(), full.per_selector.len(), "{label}");
+        for (d, f) in decided.per_selector.iter().zip(&full.per_selector) {
+            assert_eq!(d.selector, f.selector, "{label}: selector");
+            assert_eq!(d.report, f.report, "{label}: bound and certificate");
+        }
+    } else {
+        assert_eq!(decided.per_selector.len(), 1, "{label}: one witness");
+        let witness = &decided.per_selector[0].report;
+        witness.flow.verify_identity().expect("the witness verifies");
+        assert_eq!(witness.log_bound, fhtw.value, "{label}: witness");
+    }
+
+    let planner = Panda::new(query.clone()).with_statistics(stats.clone());
+    let report = planner
+        .clone()
+        .with_budgets(Budgets::unlimited().with_lp_pivot_budget(u64::MAX))
+        .plan_report(db)
+        .unwrap();
+    assert_eq!(report.rule == SelectorRule::SubwGap, gap, "{label}: rule {}", report.rule);
+    assert_eq!((report.fhtw, report.subw), (Some(fhtw.value), Some(full.value)), "{label}");
+    assert_eq!(
+        report.lp_pivots_used,
+        Some(fhtw_budget.used() + decision_budget.used()),
+        "{label}: pivots"
+    );
+    // The informational `subw` beside an explicit static plan is decided too.
+    let explicit = planner.plan_report_for(db, EvaluationStrategy::StaticTd).unwrap();
+    assert_eq!(explicit.subw, Some(full.value), "{label}: informational subw");
+}
+
+fn two_row_db() -> Database {
+    let mut db = Database::new();
+    db.insert("R", panda::relation::Relation::from_rows(2, vec![[1, 2], [2, 1]]));
+    db
+}
+
+#[test]
+fn deciding_subw_against_fhtw_equals_the_full_chain() {
+    use panda::workloads::{double_star_db, erdos_renyi_db, four_cycle_projected};
+    let shapes = [
+        "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)",
+        "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X), V(X,Z)",
+        "Q(A) :- R(A,B), S(B,C), T(C,A), U(A,D), V(D,E), W(E,A)",
+        "Q(A) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A), W(A,C), P(A,D)",
+        "Q(A,E) :- R(A,B), S(B,C), T(A,C), U(B,D), V(C,D), W(D,E)",
+    ];
+    for seed in 1..=3 {
+        let db = erdos_renyi_db(&["R", "S", "T", "U", "V", "W", "P"], 30, 121, seed);
+        for text in shapes {
+            let query = parse_query(text).unwrap();
+            let stats = StatisticsSet::measure(&query, &db);
+            assert_decision_matches_full_chain(&format!("{text} / {seed}"), &query, &stats, &db);
+        }
+    }
+    let c4 = four_cycle_projected();
+    let star = double_star_db(16);
+    assert_decision_matches_full_chain("4-cycle under S□", &c4, &gap_stats(&c4), &star);
+    for db in [star, double_star_db(64)] {
+        let stats = StatisticsSet::measure(&c4, &db);
+        assert_decision_matches_full_chain("4-cycle / double star", &c4, &stats, &db);
+    }
+    let triangle = parse_query("Q(A,B,C) :- R(A,B), R(B,C), R(C,A)").unwrap();
+    let db = two_row_db();
+    let stats = StatisticsSet::measure(&triangle, &db);
+    assert_decision_matches_full_chain("triangle / two rows", &triangle, &stats, &db);
+}
+
+#[test]
+fn the_four_path_decision_skips_to_its_one_candidate() {
+    let query = parse_query("Q(A,E) :- R(A,B), S(B,C), T(C,D), U(D,E)").unwrap();
+    let db = panda::workloads::erdos_renyi_db(&["R", "S", "T", "U"], 30, 120, 7);
+    let stats = StatisticsSet::measure(&query, &db);
+    assert_decision_matches_full_chain("4-path", &query, &stats, &db);
+}
+
+#[test]
+fn the_five_cycle_over_two_rows_is_decided_by_its_first_selector() {
+    let query = parse_query("Q(A,B) :- R(A,B), R(B,C), R(C,D), R(D,E), R(E,A)").unwrap();
+    let db = two_row_db();
+    let stats = StatisticsSet::measure(&query, &db);
+    assert_decision_matches_full_chain("5-cycle", &query, &stats, &db);
+}
+
+// ---------------------------------------------------------------------------
 // Explicit strategies never downgrade: budgets surface as structured errors.
 // ---------------------------------------------------------------------------
 
