@@ -10,9 +10,10 @@
 //! vertices, 120 edges per relation, seed 7).  Each row is one
 //! [`plan_chains`] call: statistics measured, tree decompositions
 //! enumerated, then the `fhtw` and `subw` chains under one unlimited pivot
-//! budget.  The last two columns are what a cold `Auto` plan pays instead:
+//! budget.  The `decision` columns are what a cold `Auto` plan pays instead:
 //! the `fhtw` chain's pivots plus those of deciding `subw < fhtw`, and the
-//! seconds of the decision alone.
+//! seconds of the decision alone.  The last column is the LP kernel's
+//! throughput over both chains: `pivots / (fhtw s + subw s)`.
 
 use panda_bench::{plan_chains, render_table, time_it};
 use panda_entropy::polymatroid_bound;
@@ -43,6 +44,7 @@ fn main() {
                 format!("{:.3}", row.subw_s),
                 row.decision_pivots.to_string(),
                 format!("{:.3}", row.decision_s),
+                format!("{:.0}", row.pivots as f64 / (row.fhtw_s + row.subw_s)),
             ]
         })
         .collect();
@@ -61,6 +63,7 @@ fn main() {
                 "subw s",
                 "decision pivots",
                 "decision s",
+                "pivots/s",
             ],
             &rows,
         )

@@ -23,10 +23,12 @@
 //!   [`LinearProgram::solve_warm`] (warm-startable, every pivot charged
 //!   to a [`PivotBudget`]) stores the constraint matrix as sparse
 //!   columns and maintains a product-form basis inverse (dense
-//!   snapshot + eta file) updated per pivot, so per-iteration work scales
-//!   with the matrix nonzeros — the polymatroid LPs of `subw` on
-//!   5+-variable queries have 2–4 nonzeros per row, which is where the
-//!   speedup over the tableau comes from;
+//!   snapshot + eta file) updated per pivot.  It prices the columns once
+//!   per phase and then carries the reduced costs across each pivot from
+//!   one row of the basis inverse, so per-iteration work scales with the
+//!   matrix nonzeros — the polymatroid LPs of `subw` on 5+-variable
+//!   queries have 2–4 nonzeros per row, which is where the speedup over
+//!   the tableau comes from;
 //! * the **dense tableau** behind [`LinearProgram::solve_dense`] rewrites
 //!   the full `m × (n + m)` tableau per pivot and is kept as the simple,
 //!   auditable reference the tests compare against.

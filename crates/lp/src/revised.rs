@@ -20,9 +20,12 @@
 //! * the basis inverse is kept in **product form**: a dense snapshot
 //!   `B₀⁻¹` from the last refactorisation plus one sparse *eta* vector per
 //!   pivot since, applied by [`BasisInverse::ftran`]/[`BasisInverse::btran`],
-//! * pricing computes the duals `y = c_B B⁻¹` with one BTRAN and then one
-//!   sparse dot product per column, instead of updating a dense
-//!   reduced-cost row against a dense pivot row,
+//! * pricing runs once per phase — the duals `y = c_B B⁻¹` with one BTRAN,
+//!   then one sparse dot product per column — and each pivot then updates
+//!   the reduced costs from the pivot row `ρ_r = e_r B⁻¹` (one BTRAN of a
+//!   unit vector, one sparse dot per column): the dense tableau's
+//!   reduced-cost row update without the dense rows.  Debug builds check
+//!   the updated costs against a fresh pricing at every phase's optimum,
 //! * the basic solution `x_B = B⁻¹ b` is updated incrementally per pivot.
 //!
 //! The eta file is periodically collapsed ([`BasisInverse::refactor`]) by
@@ -205,6 +208,17 @@ impl BasisInverse {
     }
 }
 
+/// The dot product `v · a_j` of a dense row vector with one sparse column.
+fn row_entry(v: &[Rat], col: &[(usize, Rat)]) -> Rat {
+    let mut entry = Rat::ZERO;
+    for &(i, a) in col {
+        if !v[i].is_zero() {
+            entry += v[i] * a;
+        }
+    }
+    entry
+}
+
 /// The working state of a revised-simplex solve.
 pub(crate) struct RevisedSimplex<'a> {
     lp: &'a LinearProgram,
@@ -368,6 +382,12 @@ impl<'a> RevisedSimplex<'a> {
 
     /// Runs the simplex iterations for the given cost vector, charging one
     /// unit of `budget` per pivot applied.
+    ///
+    /// The reduced costs are priced once, when the phase starts, and then
+    /// updated across each pivot from the pivot row
+    /// ([`RevisedSimplex::update_reduced_costs`]).  Exact arithmetic makes
+    /// the updated values equal to a fresh pricing, so every pivot choice
+    /// is the one a re-pricing engine would make.
     fn optimize(
         &mut self,
         cost: &[Rat],
@@ -376,11 +396,16 @@ impl<'a> RevisedSimplex<'a> {
     ) -> Result<Phase, LpError> {
         let m = self.basis.len();
         let bland_threshold = 4 * (m + self.num_cols) + 64;
+        let mut reduced = self.price(cost, bar_artificials);
         for iteration in 0..ITERATION_LIMIT {
             let use_bland = iteration >= bland_threshold;
-            let y = self.duals_vector(cost);
-            let entering = self.choose_entering(cost, &y, bar_artificials, use_bland);
+            let entering = self.choose_entering(&reduced, bar_artificials, use_bland);
             let Some(entering) = entering else {
+                debug_assert_eq!(
+                    reduced,
+                    self.price(cost, bar_artificials),
+                    "updated reduced costs must equal a fresh pricing"
+                );
                 return Ok(Phase::Optimal);
             };
             let w = self.transformed_column(entering);
@@ -393,9 +418,66 @@ impl<'a> RevisedSimplex<'a> {
             if !budget.consume() {
                 return Err(LpError::PivotBudgetExhausted { limit: budget.limit() });
             }
+            self.update_reduced_costs(&mut reduced, leaving_row, entering, &w, bar_artificials);
             self.pivot(leaving_row, entering, &w);
         }
         Err(LpError::IterationLimit(ITERATION_LIMIT))
+    }
+
+    /// Whether column `j` may enter: nonbasic, and not an artificial while
+    /// artificials are barred.  Only these columns' reduced costs are
+    /// maintained; the others stay zero.
+    fn may_enter(&self, j: usize, bar_artificials: bool) -> bool {
+        !(self.in_basis[j] || bar_artificials && self.is_artificial[j])
+    }
+
+    /// Prices every column that may enter: `d_j = c_j − y · a_j` with the
+    /// simplex multipliers `y = c_B B⁻¹` (one BTRAN, then one sparse dot
+    /// per column).
+    fn price(&self, cost: &[Rat], bar_artificials: bool) -> Vec<Rat> {
+        let y = self.duals_vector(cost);
+        (0..self.num_cols)
+            .map(|j| {
+                if self.may_enter(j, bar_artificials) {
+                    cost[j] - row_entry(&y, &self.cols[j])
+                } else {
+                    Rat::ZERO
+                }
+            })
+            .collect()
+    }
+
+    /// Carries the reduced costs across the pivot on (`row`, `entering`)
+    /// with `w = B⁻¹ a_entering`, before the pivot is applied: with the
+    /// pivot row `ρ_r = e_r B⁻¹` (one BTRAN of a unit vector) and
+    /// `α_rj = ρ_r · a_j`, every column that may enter loses
+    /// `(d_q / w_r) · α_rj`.  The entering column's cost becomes zero and
+    /// the leaving column's `−d_q / w_r` (its `α_rj` is one).  This is the
+    /// dense tableau's reduced-cost row update, read off sparse columns.
+    fn update_reduced_costs(
+        &self,
+        reduced: &mut [Rat],
+        row: usize,
+        entering: usize,
+        w: &[Rat],
+        bar_artificials: bool,
+    ) {
+        let step = reduced[entering] / w[row];
+        let rho = self.inverse_row(row);
+        for (j, d) in reduced.iter_mut().enumerate() {
+            if j == entering || !self.may_enter(j, bar_artificials) {
+                continue;
+            }
+            let alpha = row_entry(&rho, &self.cols[j]);
+            if !alpha.is_zero() {
+                *d -= step * alpha;
+            }
+        }
+        reduced[entering] = Rat::ZERO;
+        let leaving = self.basis[row];
+        if !(bar_artificials && self.is_artificial[leaving]) {
+            reduced[leaving] = -step;
+        }
     }
 
     /// The simplex multipliers `y = c_B B⁻¹` (one BTRAN).
@@ -405,15 +487,12 @@ impl<'a> RevisedSimplex<'a> {
         y
     }
 
-    /// The reduced cost `d_j = c_j − y · a_j` of one column (sparse dot).
-    fn reduced_cost(&self, cost: &[Rat], y: &[Rat], j: usize) -> Rat {
-        let mut d = cost[j];
-        for &(i, v) in &self.cols[j] {
-            if !y[i].is_zero() {
-                d -= y[i] * v;
-            }
-        }
-        d
+    /// Row `r` of the basis inverse, `e_r B⁻¹` (one BTRAN of a unit vector).
+    fn inverse_row(&self, row: usize) -> Vec<Rat> {
+        let mut rho = vec![Rat::ZERO; self.basis.len()];
+        rho[row] = Rat::ONE;
+        self.inv.btran(&mut rho);
+        rho
     }
 
     /// Entering-column choice, mirroring the dense engine: Dantzig's
@@ -422,18 +501,13 @@ impl<'a> RevisedSimplex<'a> {
     /// their reduced cost is identically zero, never positive.
     fn choose_entering(
         &self,
-        cost: &[Rat],
-        y: &[Rat],
+        reduced: &[Rat],
         bar_artificials: bool,
         use_bland: bool,
     ) -> Option<usize> {
         let mut best: Option<(usize, Rat)> = None;
-        for j in 0..self.num_cols {
-            if self.in_basis[j] || (bar_artificials && self.is_artificial[j]) {
-                continue;
-            }
-            let d = self.reduced_cost(cost, y, j);
-            if !d.is_positive() {
+        for (j, &d) in reduced.iter().enumerate() {
+            if !self.may_enter(j, bar_artificials) || !d.is_positive() {
                 continue;
             }
             if use_bland {
@@ -520,21 +594,9 @@ impl<'a> RevisedSimplex<'a> {
             if !self.is_artificial[self.basis[row]] {
                 continue;
             }
-            let mut rho = vec![Rat::ZERO; m];
-            rho[row] = Rat::ONE;
-            self.inv.btran(&mut rho);
-            let col = (0..self.num_cols).find(|&j| {
-                if self.is_artificial[j] {
-                    return false;
-                }
-                let mut entry = Rat::ZERO;
-                for &(i, v) in &self.cols[j] {
-                    if !rho[i].is_zero() {
-                        entry += rho[i] * v;
-                    }
-                }
-                !entry.is_zero()
-            });
+            let rho = self.inverse_row(row);
+            let col = (0..self.num_cols)
+                .find(|&j| !self.is_artificial[j] && !row_entry(&rho, &self.cols[j]).is_zero());
             if let Some(col) = col {
                 let w = self.transformed_column(col);
                 self.pivot(row, col, &w);

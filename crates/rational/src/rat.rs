@@ -51,18 +51,13 @@ impl Rat {
     #[must_use]
     pub fn new(num: i128, den: i128) -> Self {
         assert!(den != 0, "Rat denominator must be non-zero");
-        let mut num = num;
-        let mut den = den;
-        if den < 0 {
-            num = -num;
-            den = -den;
-        }
+        let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
         let g = gcd(num, den);
         if g > 1 {
-            num /= g;
-            den /= g;
+            Rat { num: quot(num, g), den: quot(den, g) }
+        } else {
+            Rat { num, den }
         }
-        Rat { num, den }
     }
 
     /// Creates a rational from an integer.
@@ -138,7 +133,13 @@ impl Rat {
     #[must_use]
     pub fn recip(&self) -> Self {
         assert!(self.num != 0, "cannot invert zero");
-        Rat::new(self.den, self.num)
+        // Swapping the fields of a reduced fraction keeps it reduced; only
+        // the sign has to move back to the numerator.
+        if self.num < 0 {
+            Rat { num: -self.den, den: -self.num }
+        } else {
+            Rat { num: self.den, den: self.num }
+        }
     }
 
     /// Converts to `f64`.  Exact for small fractions; used only for
@@ -186,12 +187,23 @@ impl Rat {
 
     /// Checked addition used internally; panics with context on overflow.
     fn add_impl(self, rhs: Self) -> Self {
+        if rhs.num == 0 {
+            return self;
+        }
+        if self.num == 0 {
+            return rhs;
+        }
+        if self.den == rhs.den {
+            // a/b + c/b: the lcm is b itself.
+            let num = self.num.checked_add(rhs.num).expect("Rat addition overflow (numerator)");
+            return Rat::new(num, self.den);
+        }
         // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d) keeps the
-        // intermediates as small as possible.
+        // intermediates as small as possible; l/b = d/g and l/d = b/g.
         let g = gcd(self.den, rhs.den);
-        let l = (self.den / g).checked_mul(rhs.den).expect("Rat addition overflow (denominator)");
-        let lhs_scale = l / self.den;
-        let rhs_scale = l / rhs.den;
+        let lhs_scale = quot(rhs.den, g);
+        let rhs_scale = quot(self.den, g);
+        let l = rhs_scale.checked_mul(rhs.den).expect("Rat addition overflow (denominator)");
         let num = self
             .num
             .checked_mul(lhs_scale)
@@ -201,16 +213,30 @@ impl Rat {
     }
 
     fn mul_impl(self, rhs: Self) -> Self {
+        if self.num == 0 || rhs.num == 0 {
+            return Rat::ZERO;
+        }
         // Cross-reduce before multiplying to keep intermediates small.
+        // Both operands are in lowest terms, so once the cross gcds are
+        // divided out the product is too: no third gcd.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
-        let num = (self.num / g1)
-            .checked_mul(rhs.num / g2)
+        let num = quot(self.num, g1)
+            .checked_mul(quot(rhs.num, g2))
             .expect("Rat multiplication overflow (numerator)");
-        let den = (self.den / g2)
-            .checked_mul(rhs.den / g1)
+        let den = quot(self.den, g2)
+            .checked_mul(quot(rhs.den, g1))
             .expect("Rat multiplication overflow (denominator)");
-        Rat::new(num, den)
+        Rat { num, den }
+    }
+}
+
+/// `a / g` for a positive divisor `g`, in `i64` when both operands fit:
+/// an `i128` division is a library call, an `i64` one an instruction.
+fn quot(a: i128, g: i128) -> i128 {
+    match (i64::try_from(a), i64::try_from(g)) {
+        (Ok(a), Ok(g)) => i128::from(a / g),
+        _ => a / g,
     }
 }
 
@@ -476,8 +502,175 @@ mod tests {
         assert!((Rat::new(-1, 4).to_f64() + 0.25).abs() < 1e-12);
     }
 
+    #[test]
+    fn negative_recip_moves_the_sign_to_the_numerator() {
+        let r = Rat::new(-3, 5).recip();
+        assert_eq!((r.numer(), r.denom()), (-5, 3));
+        assert_eq!(Rat::new(-1, 7).recip(), Rat::from_int(-7));
+    }
+
+    #[test]
+    fn parsing_i128_min_gives_a_reduced_fraction() {
+        let r: Rat = "-170141183460469231731687303715884105728/6".parse().unwrap();
+        assert_eq!(r, Rat::new(-(1 << 126), 3));
+        assert_eq!((r.numer(), r.denom()), (-(1 << 126), 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat addition overflow (numerator)")]
+    fn addition_overflow_over_one_denominator_panics() {
+        let _ = Rat::from_int(i128::MAX) + Rat::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat addition overflow (denominator)")]
+    fn addition_overflow_of_the_lcm_panics() {
+        let _ = Rat::new(1, 1 << 100) + Rat::new(1, (1 << 100) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat multiplication overflow (numerator)")]
+    fn multiplication_overflow_of_the_numerator_panics() {
+        let _ = Rat::from_int(1 << 100) * Rat::from_int(1 << 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "Rat multiplication overflow (denominator)")]
+    fn multiplication_overflow_of_the_denominator_panics() {
+        let _ = Rat::new(1, 1 << 100) * Rat::new(1, (1 << 100) - 1);
+    }
+
+    /// The arithmetic before the 64-bit fast paths, kept as the oracle for
+    /// the differential property below: Euclid's gcd on `i128`, the lcm in
+    /// every sum, and a reducing constructor after every product.
+    mod oracle {
+        use super::Rat;
+
+        pub(super) fn gcd(mut a: i128, mut b: i128) -> i128 {
+            a = a.abs();
+            b = b.abs();
+            while b != 0 {
+                let t = a % b;
+                a = b;
+                b = t;
+            }
+            a
+        }
+
+        pub(super) fn new(num: i128, den: i128) -> Rat {
+            assert!(den != 0, "Rat denominator must be non-zero");
+            let mut num = num;
+            let mut den = den;
+            if den < 0 {
+                num = -num;
+                den = -den;
+            }
+            let g = gcd(num, den);
+            if g > 1 {
+                num /= g;
+                den /= g;
+            }
+            Rat { num, den }
+        }
+
+        pub(super) fn add(x: Rat, y: Rat) -> Rat {
+            let g = gcd(x.den, y.den);
+            let l = (x.den / g).checked_mul(y.den).expect("Rat addition overflow (denominator)");
+            let lhs_scale = l / x.den;
+            let rhs_scale = l / y.den;
+            let num = x
+                .num
+                .checked_mul(lhs_scale)
+                .and_then(|a| y.num.checked_mul(rhs_scale).and_then(|b| a.checked_add(b)))
+                .expect("Rat addition overflow (numerator)");
+            new(num, l)
+        }
+
+        pub(super) fn mul(x: Rat, y: Rat) -> Rat {
+            let g1 = gcd(x.num, y.den);
+            let g2 = gcd(y.num, x.den);
+            let num = (x.num / g1)
+                .checked_mul(y.num / g2)
+                .expect("Rat multiplication overflow (numerator)");
+            let den = (x.den / g2)
+                .checked_mul(y.den / g1)
+                .expect("Rat multiplication overflow (denominator)");
+            new(num, den)
+        }
+
+        pub(super) fn recip(x: Rat) -> Rat {
+            assert!(x.num != 0, "cannot invert zero");
+            new(x.den, x.num)
+        }
+    }
+
+    /// Runs `f`, turning a panic into its message so that both sides of a
+    /// differential check must fail alike.
+    fn outcome(f: impl FnOnce() -> Rat + std::panic::UnwindSafe) -> Result<Rat, String> {
+        std::panic::catch_unwind(f).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    /// A non-zero integer from one of six bands: small; just around 2⁶³;
+    /// just around 2⁶⁴; up to 2¹⁰⁰; a multiple of 2⁵²; a multiple of 3²⁰.
+    fn banded() -> impl Strategy<Value = i128> {
+        (0u8..6, -(1i128 << 20)..(1 << 20), -(1i128 << 100)..(1 << 100)).prop_map(
+            |(band, k, wide)| {
+                let magnitude = match band {
+                    0 => k.abs() % 1000,
+                    1 => (1 << 63) + k % 64,
+                    2 => (1 << 64) + k % 64,
+                    3 => wide.abs(),
+                    4 => (k.abs() % 4096) << 52,
+                    _ => (k.abs() % 1000) * 3_486_784_401,
+                };
+                let value = if wide < 0 { -magnitude } else { magnitude };
+                if value == 0 {
+                    1
+                } else {
+                    value
+                }
+            },
+        )
+    }
+
+    /// A rational built from two banded integers, by both constructors.
+    fn banded_rat() -> impl Strategy<Value = Rat> {
+        (banded(), banded()).prop_map(|(n, d)| {
+            let r = Rat::new(n, d);
+            assert_eq!(r, oracle::new(n, d), "new({n}, {d})");
+            r
+        })
+    }
+
     fn small_rat() -> impl Strategy<Value = Rat> {
         (-1000i128..1000, 1i128..1000).prop_map(|(n, d)| Rat::new(n, d))
+    }
+
+    proptest! {
+        #[test]
+        fn prop_gcd_matches_euclid(a in banded(), b in banded()) {
+            prop_assert_eq!(crate::gcd(a, b), oracle::gcd(a, b));
+            prop_assert_eq!(crate::gcd(a, 0), oracle::gcd(a, 0));
+        }
+
+        #[test]
+        fn prop_arithmetic_matches_the_oracle(x in banded_rat(), y in banded_rat(), same_den in 0u8..2) {
+            // Half the cases share one denominator, the `a/b + c/b` path;
+            // `1 + k·b` is coprime to `b`, so the fraction is reduced.
+            let y = if same_den == 0 { y } else { Rat { num: 1 + (y.num % 1000) * x.den, den: x.den } };
+            prop_assert_eq!(outcome(|| x + y), outcome(|| oracle::add(x, y)));
+            prop_assert_eq!(outcome(|| x - y), outcome(|| oracle::add(x, -y)));
+            prop_assert_eq!(outcome(|| x * y), outcome(|| oracle::mul(x, y)));
+            prop_assert_eq!(outcome(|| x / y), outcome(|| oracle::mul(x, oracle::recip(y))));
+            prop_assert_eq!(x.recip(), oracle::recip(x));
+            prop_assert_eq!((-x).recip(), oracle::recip(-x));
+        }
     }
 
     proptest! {

@@ -478,16 +478,9 @@ fn two_row_db() -> Database {
 #[test]
 fn deciding_subw_against_fhtw_equals_the_full_chain() {
     use panda::workloads::{double_star_db, erdos_renyi_db, four_cycle_projected};
-    let shapes = [
-        "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)",
-        "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X), V(X,Z)",
-        "Q(A) :- R(A,B), S(B,C), T(C,A), U(A,D), V(D,E), W(E,A)",
-        "Q(A) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A), W(A,C), P(A,D)",
-        "Q(A,E) :- R(A,B), S(B,C), T(A,C), U(B,D), V(C,D), W(D,E)",
-    ];
     for seed in 1..=3 {
         let db = erdos_renyi_db(&["R", "S", "T", "U", "V", "W", "P"], 30, 121, seed);
-        for text in shapes {
+        for text in PLAN_COLD_SHAPES {
             let query = parse_query(text).unwrap();
             let stats = StatisticsSet::measure(&query, &db);
             assert_decision_matches_full_chain(&format!("{text} / {seed}"), &query, &stats, &db);
@@ -520,6 +513,122 @@ fn the_five_cycle_over_two_rows_is_decided_by_its_first_selector() {
     let db = two_row_db();
     let stats = StatisticsSet::measure(&query, &db);
     assert_decision_matches_full_chain("5-cycle", &query, &stats, &db);
+}
+
+// ---------------------------------------------------------------------------
+// The simplex kernel's pivot path, pinned.
+// ---------------------------------------------------------------------------
+
+/// MD5 (RFC 1321) of `bytes` as lowercase hex: pins a whole EXPLAIN text
+/// in one table cell without a hashing dependency.
+fn md5_hex(bytes: &[u8]) -> String {
+    const SHIFTS: [u32; 16] = [7, 12, 17, 22, 5, 9, 14, 20, 4, 11, 16, 23, 6, 10, 15, 21];
+    let k: Vec<u32> =
+        (1..=64).map(|i| (f64::from(i).sin().abs() * 4_294_967_296.0) as u32).collect();
+    let mut data = bytes.to_vec();
+    data.push(0x80);
+    while data.len() % 64 != 56 {
+        data.push(0);
+    }
+    data.extend_from_slice(&((bytes.len() as u64).wrapping_mul(8)).to_le_bytes());
+    let mut state: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
+    for block in data.chunks(64) {
+        let m: Vec<u32> =
+            block.chunks(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect();
+        let [mut a, mut b, mut c, mut d] = state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let f = f.wrapping_add(a).wrapping_add(k[i]).wrapping_add(m[g]);
+            a = d;
+            d = c;
+            c = b;
+            b = b.wrapping_add(f.rotate_left(SHIFTS[(i / 16) * 4 + i % 4]));
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+    state.iter().flat_map(|s| s.to_le_bytes()).map(|byte| format!("{byte:02x}")).collect()
+}
+
+/// `plan_cold`'s five shapes, as the repo benchmark sends them.
+const PLAN_COLD_SHAPES: [&str; 5] = [
+    "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)",
+    "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X), V(X,Z)",
+    "Q(A) :- R(A,B), S(B,C), T(C,A), U(A,D), V(D,E), W(E,A)",
+    "Q(A) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A), W(A,C), P(A,D)",
+    "Q(A,E) :- R(A,B), S(B,C), T(A,C), U(B,D), V(C,D), W(D,E)",
+];
+
+#[test]
+fn auto_plans_keep_their_pivot_counts_and_explain_bytes() {
+    use panda::workloads::{double_star_db, erdos_renyi_db, four_cycle_projected};
+    assert_eq!(md5_hex(b""), "d41d8cd98f00b204e9800998ecf8427e");
+    assert_eq!(
+        md5_hex(b"The quick brown fox jumps over the lazy dog"),
+        "9e107d9d372bb6826bd81d3542a419d6"
+    );
+    // (label, `lp_pivots_used`, md5 of the EXPLAIN text).  Every simplex
+    // pivot choice compares exact rationals, so a kernel change that
+    // computes the same numbers differently keeps this table; one that
+    // moves a single pivot does not.
+    let pinned: [(&str, u64, &str); 16] = [
+        ("c4_proj / 1", 107, "06091ed0ad02a961b1edd125b88e806d"),
+        ("c4_chord / 1", 52, "243d8f3afbe7ba5d54d7cc74f927a1dc"),
+        ("bowtie / 1", 636, "2503505a169d738cebe91c4c5137d5b8"),
+        ("c5_2chords / 1", 641, "bf6c950c248194c05979d45a6b20eb51"),
+        ("diamond_tail / 1", 1311, "1bde47b44aa2e93c31e40a9f0d255aeb"),
+        ("c4_proj / 2", 104, "9a4a082cbfcdc72add58a17c7d14a3a1"),
+        ("c4_chord / 2", 50, "e0746e54a81647bbfff82d42658138ea"),
+        ("bowtie / 2", 638, "1796eb5c672be6e1cb5b34fc550ac3f8"),
+        ("c5_2chords / 2", 646, "1c16666e9de67cba6efa27d9d57a8a68"),
+        ("diamond_tail / 2", 1303, "cf1ef1c52f44849fe6b60cddc60d0b78"),
+        ("c4_proj / 3", 106, "f7066dca9bedb91fdc766e69a61a0b71"),
+        ("c4_chord / 3", 48, "04ce01f5d5e084aecd442b01799beb3d"),
+        ("bowtie / 3", 643, "03e52386cb69271851f2bd4b5373f688"),
+        ("c5_2chords / 3", 642, "a409aed8728022da1afdd64399662cdf"),
+        ("diamond_tail / 3", 1320, "b259ebeac402957189f79b754467a1a2"),
+        ("4-cycle / double_star_db(64)", 107, "86fd0be53cfecdc06fdad026f6e1dad2"),
+    ];
+    let names = ["c4_proj", "c4_chord", "bowtie", "c5_2chords", "diamond_tail"];
+    let mut cases = Vec::new();
+    for seed in 1..=3 {
+        let db = erdos_renyi_db(&["R", "S", "T", "U", "V", "W", "P"], 30, 121, seed);
+        for (name, text) in names.iter().zip(PLAN_COLD_SHAPES) {
+            cases.push((format!("{name} / {seed}"), parse_query(text).unwrap(), db.clone()));
+        }
+    }
+    cases.push((
+        "4-cycle / double_star_db(64)".to_string(),
+        four_cycle_projected(),
+        double_star_db(64),
+    ));
+    let observed: Vec<(String, u64, String)> = cases
+        .into_iter()
+        .map(|(label, query, db)| {
+            let explain = Panda::new(query)
+                .with_budgets(Budgets::unlimited().with_lp_pivot_budget(u64::MAX))
+                .explain(&db)
+                .unwrap();
+            let report = &explain.report;
+            if label.starts_with("4-cycle") {
+                // The adaptive plan: the decision runs the full `subw` chain.
+                assert_eq!(report.rule, SelectorRule::SubwGap, "{label}");
+            }
+            let pivots = report.lp_pivots_used.expect("a configured limit reports pivots");
+            (label, pivots, md5_hex(explain.to_string().as_bytes()))
+        })
+        .collect();
+    let expected: Vec<(String, u64, String)> = pinned
+        .iter()
+        .map(|&(label, pivots, md5)| (label.to_string(), pivots, md5.to_string()))
+        .collect();
+    assert_eq!(observed, expected);
 }
 
 // ---------------------------------------------------------------------------
