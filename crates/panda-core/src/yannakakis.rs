@@ -3,11 +3,16 @@
 //! Given relations whose schemas form an α-acyclic hypergraph with a join
 //! tree, the classic algorithm performs a bottom-up and a top-down semijoin
 //! pass (after which every remaining tuple participates in some answer) and
-//! then assembles the answer bottom-up, projecting onto the free variables
-//! plus whatever the parent still needs.  For free-connex instances this
-//! runs in `O(Σ|R_i| + |output|)` up to logarithmic factors — the guarantee
-//! the paper invokes for the final step of every static and adaptive plan
-//! (Eq. 12 and Eq. 29).
+//! then assembles the answer bottom-up.  The assembly projects *before* it
+//! joins: a node first drops every variable that is neither free nor shared
+//! with a neighbour, and after joining each child it drops the variables
+//! only that child read.  No join carries a variable that neither a later
+//! join nor the answer reads.  That is what keeps the tail near the
+//! `O(Σ|R_i| + |output|)` the paper invokes for the final step of every
+//! static and adaptive plan (Eq. 12 and Eq. 29): on the double star each
+//! degree branch joins `N/2` rows for an answer of `N/2`, where joining
+//! first and projecting after would build the product of two leaf sets,
+//! `N²/4` rows.  [`yannakakis_profiled`] reports those row counts.
 //!
 //! Both semijoin passes go through [`panda_relation::operators::semijoin`],
 //! which serves the filter side's hash table from the relation's shared
@@ -19,64 +24,117 @@
 // the tree decomposition's own node ids, and the take()/expect pairs
 // encode the bottom-up visit order (children strictly before parents).
 
-use panda_query::hypergraph::join_tree_of;
+use panda_query::hypergraph::{join_tree_of, JoinTree};
 use panda_query::{Var, VarSet};
 use panda_relation::Relation;
 
 use crate::binding::VarRelation;
 
+/// What one run of [`yannakakis_profiled`] built, in rows: exact counts,
+/// the same at every thread count, so tests can pin them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct YannakakisProfile {
+    /// The rows of every join the assembly built, summed.
+    pub assembly_rows: usize,
+    /// The rows of the largest join the assembly built.
+    pub assembly_rows_max: usize,
+}
+
 /// Evaluates the join of `relations` projected onto `free`, assuming their
-/// schemas form an acyclic hypergraph.  Returns `None` if they do not (the
-/// caller should fall back to a different strategy).
+/// schemas form an acyclic hypergraph.  Returns `None` if they do not, or
+/// if some free variable occurs in no relation (the caller should fall
+/// back to a different strategy).
 #[must_use]
 pub fn yannakakis_free_connex(relations: &[VarRelation], free: VarSet) -> Option<VarRelation> {
-    if relations.is_empty() {
-        return Some(VarRelation::boolean(true));
-    }
+    yannakakis_profiled(relations, free).map(|(answer, _)| answer)
+}
+
+/// [`yannakakis_free_connex`], with the rows its assembly built.
+#[must_use]
+pub fn yannakakis_profiled(
+    relations: &[VarRelation],
+    free: VarSet,
+) -> Option<(VarRelation, YannakakisProfile)> {
     let schemas: Vec<VarSet> = relations.iter().map(VarRelation::var_set).collect();
+    let covered: VarSet = schemas.iter().fold(VarSet::EMPTY, |acc, s| acc.union(*s));
+    if !free.is_subset_of(covered) {
+        return None;
+    }
+    if relations.is_empty() {
+        return Some((VarRelation::boolean(true), YannakakisProfile::default()));
+    }
     let tree = join_tree_of(&schemas)?;
+    let nodes = full_reducer(&tree, relations);
+    let mut profile = YannakakisProfile::default();
+    let root = assemble(&tree, &nodes, free, &mut profile);
+    let order: Vec<Var> = free.to_vec();
+    Some((root.project_onto(&order), profile))
+}
 
+/// Passes 1 and 2: the bottom-up semijoins (children filter parents), then
+/// the top-down ones (parents filter children).  Afterwards every remaining
+/// tuple of every node extends to a tuple of the full join.
+fn full_reducer(tree: &JoinTree, relations: &[VarRelation]) -> Vec<VarRelation> {
     let mut nodes: Vec<VarRelation> = relations.to_vec();
-
-    // Pass 1: bottom-up semijoin reduction (children filter parents).
     for &node in &tree.bottom_up {
         if let Some(parent) = tree.parent[node] {
             nodes[parent] = nodes[parent].semijoin(&nodes[node]);
         }
     }
-    // Pass 2: top-down semijoin reduction (parents filter children).
     for &node in &tree.top_down() {
         let parent_rel = tree.parent[node].map(|p| nodes[p].clone());
         if let Some(parent_rel) = parent_rel {
             nodes[node] = nodes[node].semijoin(&parent_rel);
         }
     }
+    nodes
+}
 
-    // Pass 3: bottom-up assembly with projection.  At each node we keep the
-    // free variables seen so far plus the variables shared with the parent.
+/// Pass 3: assembles the reduced `nodes` bottom-up.  A node keeps the free
+/// variables, the variables it shares with its parent, and those it shares
+/// with the children it has yet to join; everything else is projected away
+/// before the node's first join and after each child's.  What reaches the
+/// parent is the subtree's free variables plus the variables it shares with
+/// the parent.
+fn assemble(
+    tree: &JoinTree,
+    nodes: &[VarRelation],
+    free: VarSet,
+    profile: &mut YannakakisProfile,
+) -> VarRelation {
     let mut partial: Vec<Option<VarRelation>> = vec![None; nodes.len()];
     for &node in &tree.bottom_up {
-        let mut acc = nodes[node].clone();
-        for &child in &tree.children[node] {
+        let vars = nodes[node].var_set();
+        let shared = |other: usize| vars.intersect(nodes[other].var_set());
+        let up = tree.parent[node].map_or(free, |parent| free.union(shared(parent)));
+        let children = &tree.children[node];
+        // `needed[k]`: what the node must still carry once it has joined
+        // its first `k` children.
+        let mut needed = vec![up; children.len() + 1];
+        for k in (0..children.len()).rev() {
+            needed[k] = needed[k + 1].union(shared(children[k]));
+        }
+        let mut acc = drop_unneeded(nodes[node].clone(), needed[0]);
+        for (k, &child) in children.iter().enumerate() {
             let child_rel = partial[child].take().expect("children processed before parents");
             acc = acc.natural_join(&child_rel);
+            profile.assembly_rows += acc.len();
+            profile.assembly_rows_max = profile.assembly_rows_max.max(acc.len());
+            acc = drop_unneeded(acc, needed[k + 1]);
         }
-        let keep: VarSet = match tree.parent[node] {
-            Some(parent) => free.union(acc.var_set().intersect(nodes[parent].var_set())),
-            None => free,
-        };
-        partial[node] = Some(acc.project_to_set(keep.intersect(acc.var_set())));
+        partial[node] = Some(acc);
     }
-    let root_result = partial[tree.root].take().expect("root processed last");
+    partial[tree.root].take().expect("root processed last")
+}
 
-    // The root result covers every free variable that occurs in the inputs;
-    // free variables not occurring at all (ill-formed input) are rejected.
-    let covered: VarSet = schemas.iter().fold(VarSet::EMPTY, |acc, s| acc.union(*s));
-    if !free.is_subset_of(covered) {
-        return None;
+/// Projects `rel` onto its variables in `needed`, or returns it as it is
+/// when it carries nothing else.
+fn drop_unneeded(rel: VarRelation, needed: VarSet) -> VarRelation {
+    if rel.var_set().is_subset_of(needed) {
+        rel
+    } else {
+        rel.project_to_set(needed)
     }
-    let order: Vec<Var> = free.to_vec();
-    Some(root_result.project_onto(&order))
 }
 
 /// Convenience wrapper: evaluates a free-connex acyclic *query* directly
@@ -109,6 +167,166 @@ mod tests {
     use panda_relation::Database;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    use crate::binary::left_deep_join;
+
+    /// The textbook assembly that joins first and projects after: join
+    /// every child into its node, then keep the free variables plus what
+    /// the parent shares.  The differential oracle of [`assemble`]; returns
+    /// the answer and the largest join it built.
+    fn materialising_assembly(
+        tree: &JoinTree,
+        nodes: &[VarRelation],
+        free: VarSet,
+    ) -> (VarRelation, usize) {
+        let mut largest = 0;
+        let mut partial: Vec<Option<VarRelation>> = vec![None; nodes.len()];
+        for &node in &tree.bottom_up {
+            let mut acc = nodes[node].clone();
+            for &child in &tree.children[node] {
+                let child_rel = partial[child].take().expect("children processed before parents");
+                acc = acc.natural_join(&child_rel);
+                largest = largest.max(acc.len());
+            }
+            let keep: VarSet = match tree.parent[node] {
+                Some(parent) => free.union(acc.var_set().intersect(nodes[parent].var_set())),
+                None => free,
+            };
+            partial[node] = Some(acc.project_to_set(keep.intersect(acc.var_set())));
+        }
+        let root = partial[tree.root].take().expect("root processed last");
+        (root.project_onto(&free.to_vec()), largest)
+    }
+
+    fn vars(ids: &[u32]) -> Vec<Var> {
+        ids.iter().map(|&v| Var(v)).collect()
+    }
+
+    /// A random relation over `schema`, with values below `domain`.
+    fn random_relation(rng: &mut StdRng, schema: &[Var], rows: usize, domain: u64) -> VarRelation {
+        let mut rel = Relation::new(schema.len());
+        for _ in 0..rows {
+            let row: Vec<u64> = schema.iter().map(|_| rng.gen_range(0..domain)).collect();
+            rel.push_row(&row);
+        }
+        VarRelation::new(schema.to_vec(), rel.deduped())
+    }
+
+    /// Random acyclic schemas: each node after the first takes a random
+    /// subset of an earlier node's variables (possibly none, which makes
+    /// the hypergraph disconnected) plus fresh ones, so the generating
+    /// tree has the running-intersection property.
+    fn random_acyclic_schemas(rng: &mut StdRng) -> Vec<Vec<Var>> {
+        let mut next = 0u32;
+        let mut fresh = |count: usize| {
+            let out: Vec<u32> = (next..next + count as u32).collect();
+            next += count as u32;
+            out
+        };
+        let mut schemas: Vec<Vec<u32>> = vec![fresh(rng.gen_range(1..4usize))];
+        for _ in 1..rng.gen_range(1..6usize) {
+            let parent = schemas[rng.gen_range(0..schemas.len())].clone();
+            let mut schema: Vec<u32> =
+                parent.into_iter().filter(|_| rng.gen_range(0..3u32) > 0).collect();
+            let extra = rng.gen_range(usize::from(schema.is_empty())..3);
+            schema.extend(fresh(extra));
+            schemas.push(schema);
+        }
+        schemas.iter().map(|s| vars(s)).collect()
+    }
+
+    #[test]
+    fn projecting_before_joining_answers_what_the_materialising_assembly_answers() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut smaller = 0;
+        for case in 0..400 {
+            let schemas = random_acyclic_schemas(&mut rng);
+            let domain = rng.gen_range(2..5u64);
+            let relations: Vec<VarRelation> = schemas
+                .iter()
+                .map(|s| {
+                    let rows = rng.gen_range(0..12usize);
+                    random_relation(&mut rng, s, rows, domain)
+                })
+                .collect();
+            let covered: Vec<Var> =
+                relations.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set())).to_vec();
+            let free: VarSet =
+                covered.into_iter().filter(|_| rng.gen_range(0..2u32) == 0).collect();
+
+            let (answer, profile) = yannakakis_profiled(&relations, free).expect("acyclic");
+            let set_schemas: Vec<VarSet> = relations.iter().map(VarRelation::var_set).collect();
+            let tree = join_tree_of(&set_schemas).expect("acyclic");
+            let nodes = full_reducer(&tree, &relations);
+            let (oracle, oracle_largest) = materialising_assembly(&tree, &nodes, free);
+            let order = free.to_vec();
+            assert_eq!(answer.vars, order, "case {case}");
+            assert_eq!(answer.rel.canonical_rows(), oracle.rel.canonical_rows(), "case {case}");
+            let joined = left_deep_join(relations.clone(), free);
+            assert_eq!(
+                answer.rel.canonical_rows(),
+                joined.canonical_rows_ordered(&order),
+                "case {case}"
+            );
+            assert!(profile.assembly_rows_max <= oracle_largest, "case {case}");
+            assert!(profile.assembly_rows >= profile.assembly_rows_max, "case {case}");
+            smaller += usize::from(profile.assembly_rows_max < oracle_largest);
+        }
+        // The cases exercise the projections, not only the answers.
+        assert!(smaller >= 20, "only {smaller} cases built a smaller join");
+    }
+
+    /// The double star's two bags for the 4-cycle `Q(X,Y)` under the TD
+    /// `{X,Y,W} – {Y,Z,W}`, on the branch where `Y` and `W` are the hub:
+    /// `U ⋈ R` over `{W,X,Y}` and `S ⋈ T` over `{Y,Z,W}`, `half` rows each.
+    fn double_star_branch_bags(half: u64) -> Vec<VarRelation> {
+        let (x, y, z, w) = (Var(0), Var(1), Var(2), Var(3));
+        let hub = 1;
+        let leaves = || (0..half).map(|i| i + 2);
+        let xyw = Relation::from_rows(3, leaves().map(|leaf| [leaf, hub, hub]));
+        let yzw = Relation::from_rows(3, leaves().map(|leaf| [hub, leaf, hub]));
+        vec![VarRelation::new(vec![x, y, w], xyw), VarRelation::new(vec![y, z, w], yzw)]
+    }
+
+    #[test]
+    fn a_double_star_branch_assembles_in_linear_rows() {
+        let free = VarSet::from_iter([Var(0), Var(1)]);
+        for half in [16u64, 64, 256] {
+            let bags = double_star_branch_bags(half);
+            let (answer, profile) = yannakakis_profiled(&bags, free).unwrap();
+            assert_eq!(answer.len() as u64, half);
+            let half = half as usize;
+            assert_eq!(profile, YannakakisProfile { assembly_rows: half, assembly_rows_max: half });
+
+            // Joining first builds the product of the leaf sets when the
+            // join tree is rooted at `{Y,Z,W}`, as the given order roots it.
+            let mut largests = Vec::new();
+            for reversed in [false, true] {
+                let mut bags = bags.clone();
+                if reversed {
+                    bags.reverse();
+                }
+                let schemas: Vec<VarSet> = bags.iter().map(VarRelation::var_set).collect();
+                let tree = join_tree_of(&schemas).unwrap();
+                let (oracle, largest) =
+                    materialising_assembly(&tree, &full_reducer(&tree, &bags), free);
+                assert_eq!(oracle.rel.canonical_rows(), answer.rel.canonical_rows());
+                let (_, profile) = yannakakis_profiled(&bags, free).unwrap();
+                assert_eq!(profile.assembly_rows_max, half);
+                largests.push(largest);
+            }
+            assert_eq!(largests, [half * half, half]);
+        }
+    }
+
+    #[test]
+    fn uncovered_free_variables_are_rejected_before_any_work() {
+        let r = VarRelation::new(vec![Var(0)], Relation::from_rows(1, vec![[1]]));
+        assert!(yannakakis_free_connex(&[r], VarSet::from_iter([Var(0), Var(1)])).is_none());
+        // No relations cover no variable: only the Boolean query has an answer.
+        assert!(yannakakis_free_connex(&[], VarSet::singleton(Var(0))).is_none());
+        assert_eq!(yannakakis_free_connex(&[], VarSet::EMPTY).unwrap().len(), 1);
+    }
 
     fn path_db(n: u64, fanout: u64) -> Database {
         let mut db = Database::new();

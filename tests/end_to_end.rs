@@ -3,6 +3,7 @@
 //! DDR evaluator must always produce valid models.
 
 use panda::core::faq;
+use panda::core::yannakakis::yannakakis_profiled;
 use panda::core::DdrEvaluator;
 use panda::prelude::*;
 use panda::workloads::{double_star_db, erdos_renyi_db, four_cycle_projected, zipf_graph_db};
@@ -144,6 +145,57 @@ fn ddr_models_are_pinned_target_by_target() {
     let got: Vec<(&str, Vec<(usize, u64)>)> =
         got.iter().map(|(label, targets)| (label.as_str(), targets.clone())).collect();
     assert_eq!(got, expected);
+}
+
+/// The bags of one branch under `td`, built as the executor builds them:
+/// every atom joins the first bag containing it (Eq. 13), and each
+/// non-empty bag is the worst-case-optimal join of its atoms.
+fn branch_bags(q: &ConjunctiveQuery, db: &Database, td: &TreeDecomposition) -> Vec<VarRelation> {
+    let inputs = VarRelation::bind_all(q, db);
+    let mut assigned: Vec<Vec<VarRelation>> = vec![Vec::new(); td.num_bags()];
+    for (atom, input) in q.atoms().iter().zip(inputs) {
+        let bag = td.bags().iter().position(|b| atom.var_set().is_subset_of(*b)).unwrap();
+        assigned[bag].push(input);
+    }
+    assigned
+        .into_iter()
+        .filter(|atoms| !atoms.is_empty())
+        .map(|atoms| {
+            let vars = atoms.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set()));
+            GenericJoin::new(vars).join(&atoms, &vars.to_vec())
+        })
+        .collect()
+}
+
+/// The Yannakakis tail of the adaptive plan on the double star (E8's
+/// instance, `N = 2·half` rows a relation): the degree branches whose bags
+/// are non-empty, each with the rows its assembly joined in total and at
+/// most.  Each joins `half` rows, the size of its answer.  Joining first
+/// and projecting after builds `half²` rows in both branches.
+#[test]
+fn adaptive_branches_on_the_double_star_assemble_in_linear_rows() {
+    let q = four_cycle_projected();
+    for half in [64u64, 512] {
+        let db = double_star_db(half);
+        let stats = StatisticsSet::measure(&q, &db);
+        let (fhtw, subw) = (fhtw(&q, &stats).unwrap(), subw(&q, &stats).unwrap());
+        let evaluator = PandaEvaluator::from_reports(&q, &subw, &fhtw);
+        let mut answer = Relation::new(2);
+        let mut assembled = Vec::new();
+        for (i, branch) in evaluator.build_branches(&q, &db).iter().enumerate() {
+            let bags = branch_bags(&q, branch, &evaluator.choose_td_for(&q, branch));
+            let (out, profile) = yannakakis_profiled(&bags, q.free_vars()).unwrap();
+            answer.extend_from(&out.rel);
+            if profile.assembly_rows > 0 {
+                assembled.push((i, profile.assembly_rows, profile.assembly_rows_max));
+            }
+        }
+        let h = half as usize;
+        assert_eq!(assembled, [(4, h, h), (11, h, h)], "half {half}");
+        let expected = Panda::new(q.clone()).evaluate_with(&db, EvaluationStrategy::Adaptive);
+        assert_eq!(answer.canonical_rows(), expected.rel.canonical_rows(), "half {half}");
+        assert_eq!(expected.len(), 2 * h, "half {half}");
+    }
 }
 
 #[test]
