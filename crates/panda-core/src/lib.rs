@@ -53,7 +53,6 @@ pub mod binding;
 pub mod config;
 pub mod ddr_eval;
 pub mod faq;
-pub mod fingerprint;
 pub mod generic_join;
 pub mod materialize;
 pub mod panda;
@@ -69,7 +68,6 @@ pub use binding::VarRelation;
 // through the `Panda` facade.
 pub use config::{Budgets, Engine, Parallelism};
 pub use ddr_eval::{DdrEvaluator, DdrModel};
-pub use fingerprint::{canonicalize_query, CanonicalQuery};
 pub use generic_join::GenericJoin;
 pub use materialize::MaterializedSubplan;
 pub use panda::{EvaluationStrategy, Explain, Panda, PlanReport, StrategyError};

@@ -30,10 +30,10 @@ use crate::binding::VarRelation;
 use crate::config::{Budgets, Engine};
 use crate::generic_join::GenericJoin;
 use crate::materialize::MaterializedSubplan;
+use crate::plan_cache;
 use crate::plans::PartitionSpec;
 use crate::selector::{self, Binding, BranchBound, Downgrade, ReasonCode, Selection, SelectorRule};
 use crate::yannakakis::yannakakis_query;
-use crate::{fingerprint, plan_cache};
 
 /// The evaluation strategies exposed by [`Panda`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,15 +435,13 @@ impl Panda {
     /// that plans nothing ([`selector::plans`]), which therefore measures
     /// no statistics and records no cache event.
     ///
-    /// Keying is by the *canonical* form of the query (structural
-    /// isomorphism — variable renaming and body-atom permutation), the
-    /// canonical encoding of the statistics the planner would consume, the
-    /// budgets, and the requested strategy.  Thread count is deliberately
-    /// excluded: planning is engine-independent
-    /// (`tests/parallel_determinism.rs` pins it), so a plan cached under
-    /// one engine serves every other bit-identically.  With `want_widths`
-    /// the key also pins the exact variable numbering so width reports are
-    /// always expressed in the query's own variables.
+    /// The key (`plan_cache::PlanKey::new`) is the query as parsed, the
+    /// statistics the planner would consume, the budgets, the requested
+    /// strategy and `want_widths`; the evaluation path also accepts the
+    /// key's report-path twin.  Thread count is deliberately excluded:
+    /// planning is engine-independent (`tests/parallel_determinism.rs`
+    /// pins it), so a plan cached under one engine serves every other
+    /// bit-identically.
     fn plan_request(
         &self,
         db: &Database,
@@ -460,46 +458,33 @@ impl Panda {
             let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
             return Ok((selection, binding, Vec::new()));
         };
-        let canon = fingerprint::canonicalize_query(&self.query);
-        let stats_enc = fingerprint::canonical_statistics_encoding(stats, &canon.renaming);
-        let key = plan_cache::PlanKey {
-            canon: canon.encoding.clone(),
-            exact: if want_widths { Some(canon.renaming.clone()) } else { None },
-            stats: stats_enc,
-            budgets: self.budgets,
-            requested,
-            want_widths,
-        };
-        // The evaluation path can also be served by a same-numbering
-        // report-path entry: a plan with widths is a superset of a plan
-        // without, so explain-then-evaluate plans exactly once.
-        let fallback = (!want_widths).then(|| plan_cache::PlanKey {
-            exact: Some(canon.renaming.clone()),
-            want_widths: true,
-            ..key.clone()
-        });
-        let (mut selection, events) =
-            match plan_cache::lookup(&key, fallback.as_ref(), &canon.renaming) {
-                Some(selection) => (selection, vec![ReasonCode::PlanCacheHit]),
-                None => {
-                    let selection = selector::select(
-                        &self.query,
-                        stats,
-                        self.budgets,
-                        requested,
-                        want_widths,
-                        &self.cancel,
-                    )?;
-                    // Only completed selections reach the cache: a cancelled
-                    // (or otherwise failed) plan returned above leaves the
-                    // cache untouched.
-                    let mut events = vec![ReasonCode::PlanCacheMiss];
-                    if plan_cache::insert(key, canon.renaming, &selection) {
-                        events.push(ReasonCode::PlanCacheEvict);
-                    }
-                    (selection, events)
+        let key =
+            plan_cache::PlanKey::new(&self.query, stats, self.budgets, requested, want_widths);
+        // The evaluation path can also be served by the report-path entry:
+        // a plan with widths is a superset of a plan without, so
+        // explain-then-evaluate plans exactly once.
+        let fallback = (!want_widths).then(|| key.report_twin());
+        let (mut selection, events) = match plan_cache::lookup(&key, fallback.as_ref()) {
+            Some(selection) => (selection, vec![ReasonCode::PlanCacheHit]),
+            None => {
+                let selection = selector::select(
+                    &self.query,
+                    stats,
+                    self.budgets,
+                    requested,
+                    want_widths,
+                    &self.cancel,
+                )?;
+                // Only completed selections reach the cache: a cancelled
+                // (or otherwise failed) plan returned above leaves the
+                // cache untouched.
+                let mut events = vec![ReasonCode::PlanCacheMiss];
+                if plan_cache::insert(key, &selection) {
+                    events.push(ReasonCode::PlanCacheEvict);
                 }
-            };
+                (selection, events)
+            }
+        };
         let binding = selector::bind(&mut selection, &self.query, db, self.budgets);
         Ok((selection, binding, events))
     }

@@ -5,40 +5,35 @@
 //! of `(query structure, statistics, budgets, requested strategy)`: the
 //! selector never sees the data.  This module caches completed
 //! (crate-internal) `Selection`s process-wide under exactly that key, so a
-//! repeated (or structurally-isomorphic — see [`crate::fingerprint`]) query
-//! skips straight to binding, the per-request step that applies the plan
-//! to the request's data (branches, shared subplans, the branch and memory
-//! budgets).  An entry therefore serves any database with equal
-//! statistics, each bound to its own data.  Explicit requests are cached
-//! like `Auto`; only evaluating one that plans nothing skips the cache.
+//! repeated query skips straight to binding, the per-request step that
+//! applies the plan to the request's data (branches, shared subplans, the
+//! branch and memory budgets).  An entry therefore serves any database
+//! with equal statistics, each bound to its own data.  Explicit requests
+//! are cached like `Auto`; only evaluating one that plans nothing skips
+//! the cache.
 //!
-//! **Key.**  The canonical query encoding (renaming-invariant), the
-//! canonical statistics encoding
-//! ([`canonical_statistics_encoding`](crate::fingerprint::canonical_statistics_encoding):
-//! label-free, renaming-invariant, derived from the exact
-//! [`StatisticsSet`](panda_entropy::StatisticsSet) the planner consumes),
-//! the [`Budgets`], the requested [`EvaluationStrategy`], and the
-//! `want_widths` flag.  The thread count is not in the key because the
-//! selector never receives it: planning runs on the calling thread under
-//! the request's one pivot budget, so a plan built under one
-//! [`Engine`](crate::Engine) *is* the plan built under any other.  The
-//! request's cancel token is not in the key either: a token can only
-//! abort planning, and an aborted selection never reaches the cache.
+//! **Key.**  `PlanKey::new` builds the whole key from the query as parsed:
+//! the variable count, the free set and the sorted atoms (relation symbol
+//! plus variable ids); the [`StatisticsSet`] the planner consumes, under
+//! the same ids, sorted and without its labels; the [`Budgets`]; the
+//! requested [`EvaluationStrategy`]; and the `want_widths` flag.  The
+//! query name and the variable names are left out, so a repeated query
+//! hits whatever its names, and so does a body-atom permutation that keeps
+//! the order in which the variables first occur.  An isomorphic query
+//! whose variables are numbered differently is a different key and plans
+//! cold.  A hit serves the cached selection as-is, byte-identical to what
+//! a cold `select` would return, so warm rows, reports and EXPLAIN
+//! renderings are bit-identical to cold ones.  The evaluation path also
+//! accepts the key's report-path twin (`PlanKey::report_twin`), whose plan
+//! carries strictly more (the widths), so `EXPLAIN` then `QUERY` plans
+//! once.
 //!
-//! **Serving.**  A hit whose entry was inserted by a query with the *same*
-//! variable numbering (the common case: the same query re-run, a query
-//! differing only in variable/query names, or a body-atom permutation
-//! preserving the variables' first-occurrence order) serves the cached
-//! selection as-is — byte-identical to what a
-//! cold `select` would return, so warm execution, reports and EXPLAIN
-//! renderings are bit-identical to cold ones.  A hit across a genuinely
-//! different numbering (isomorphic queries whose variables first occur in
-//! different orders) is served on the evaluation path by renaming the
-//! cached plan's execution artifacts (decompositions, degree partitions)
-//! through the canonical bijection; the width *reports* are dropped from
-//! the renamed copy (execution never reads them) and report-path
-//! (`want_widths`) entries key on the exact numbering instead, so every
-//! served report is always in the query's own variables.
+//! The thread count is not in the key because the selector never receives
+//! it: planning runs on the calling thread under the request's one pivot
+//! budget, so a plan built under one [`Engine`](crate::Engine) *is* the
+//! plan built under any other.  The request's cancel token is not in the
+//! key either: a token can only abort planning, and an aborted selection
+//! never reaches the cache.
 //!
 //! **Eviction.**  Deterministic least-recently-used by access *count*
 //! ticks — never wall-clock time (the workspace D3 lint bans clocks) — in
@@ -52,12 +47,11 @@
 // memoisation of deterministic selections (see `PLAN_CACHE`).
 use std::sync::{Arc, Mutex, PoisonError};
 
-use panda_query::{TreeDecomposition, Var, VarSet};
+use panda_entropy::{StatKind, StatisticsSet};
+use panda_query::ConjunctiveQuery;
 
 use crate::config::Budgets;
-use crate::fingerprint::rename_set;
 use crate::panda::EvaluationStrategy;
-use crate::plans::{PandaEvaluator, PartitionSpec};
 use crate::selector::Selection;
 
 /// Capacity of the process-wide plan cache (entries).  Eviction is
@@ -68,26 +62,114 @@ pub const PLAN_CACHE_CAP: usize = 64;
 /// thread count is not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PlanKey {
-    /// Canonical query encoding ([`crate::fingerprint::canonicalize_query`]).
-    pub(crate) canon: Vec<u8>,
-    /// For report-path (`want_widths`) entries: the exact canonical
-    /// renaming, so reports — which embed variable sets in certificates —
-    /// are only ever served to the numbering that built them.
-    pub(crate) exact: Option<Vec<u32>>,
-    /// Canonical statistics encoding
-    /// ([`crate::fingerprint::canonical_statistics_encoding`]).
-    pub(crate) stats: Vec<u8>,
+    /// The query's structure: variable count, free set, sorted atoms.
+    query: Vec<u8>,
+    /// The statistics under the query's variable ids, sorted, label-free.
+    stats: Vec<u8>,
     /// The planning budgets (they shape downgrades, hence the plan).
-    pub(crate) budgets: Budgets,
+    budgets: Budgets,
     /// The requested strategy (rule 1 plans only what it names).
-    pub(crate) requested: EvaluationStrategy,
+    requested: EvaluationStrategy,
     /// Whether informational widths were requested (the report path).
-    pub(crate) want_widths: bool,
+    want_widths: bool,
+}
+
+impl PlanKey {
+    /// The key of one planning request.
+    pub(crate) fn new(
+        query: &ConjunctiveQuery,
+        stats: &StatisticsSet,
+        budgets: Budgets,
+        requested: EvaluationStrategy,
+        want_widths: bool,
+    ) -> Self {
+        PlanKey {
+            query: encode_query(query),
+            stats: encode_statistics(stats),
+            budgets,
+            requested,
+            want_widths,
+        }
+    }
+
+    /// The same request on the report path: its plan carries the widths
+    /// on top of everything evaluation reads.
+    pub(crate) fn report_twin(&self) -> Self {
+        PlanKey { want_widths: true, ..self.clone() }
+    }
+}
+
+/// The variable count, the free set, then the sorted atoms, each its
+/// relation symbol, arity and variable ids.  The query name and the
+/// variable names never influence a plan and are left out.
+fn encode_query(query: &ConjunctiveQuery) -> Vec<u8> {
+    let mut out = vec![query.num_vars() as u8];
+    out.extend_from_slice(&query.free_vars().bits().to_le_bytes());
+    let mut atoms: Vec<Vec<u8>> = query
+        .atoms()
+        .iter()
+        .map(|atom| {
+            let mut enc: Vec<u8> = atom.relation.as_bytes().to_vec();
+            enc.push(0);
+            enc.push(atom.arity() as u8);
+            enc.extend(atom.vars.iter().map(|v| v.index() as u8));
+            enc
+        })
+        .collect();
+    atoms.sort();
+    for atom in atoms {
+        out.push(0xff);
+        out.extend_from_slice(&atom);
+    }
+    out
+}
+
+/// The log base, then the sorted per-constraint encodings (guard symbol,
+/// kind, variable sets, count, exact log value).  The human-readable
+/// `label` is left out: it never influences planning.
+fn encode_statistics(stats: &StatisticsSet) -> Vec<u8> {
+    let mut out = stats.base().to_le_bytes().to_vec();
+    let mut encoded: Vec<Vec<u8>> = stats
+        .stats()
+        .iter()
+        .map(|stat| {
+            let mut enc: Vec<u8> = Vec::new();
+            match &stat.guard {
+                Some(g) => {
+                    enc.push(1);
+                    enc.extend_from_slice(g.as_bytes());
+                }
+                None => enc.push(0),
+            }
+            enc.push(0);
+            match stat.kind {
+                StatKind::Degree { cond, subj } => {
+                    enc.push(1);
+                    enc.extend_from_slice(&cond.bits().to_le_bytes());
+                    enc.extend_from_slice(&subj.bits().to_le_bytes());
+                }
+                StatKind::LpNorm { cond, subj, k } => {
+                    enc.push(2);
+                    enc.extend_from_slice(&cond.bits().to_le_bytes());
+                    enc.extend_from_slice(&subj.bits().to_le_bytes());
+                    enc.extend_from_slice(&k.to_le_bytes());
+                }
+            }
+            enc.extend_from_slice(&stat.count.to_le_bytes());
+            enc.extend_from_slice(&stat.log_value.numer().to_le_bytes());
+            enc.extend_from_slice(&stat.log_value.denom().to_le_bytes());
+            enc
+        })
+        .collect();
+    encoded.sort();
+    for enc in encoded {
+        out.push(0xff);
+        out.extend_from_slice(&enc);
+    }
+    out
 }
 
 struct Slot {
-    /// The canonical renaming of the query that inserted the entry.
-    renaming: Vec<u32>,
     selection: Arc<Selection>,
     last_used: u64,
 }
@@ -112,21 +194,14 @@ fn lock() -> std::sync::MutexGuard<'static, CacheState> {
     PLAN_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Looks up a selection, refreshing its LRU position.  `renaming` is the
-/// *current* query's canonical renaming; an entry inserted under a
-/// different numbering is served renamed (evaluation-path entries only —
-/// see the module docs).
+/// Looks up a selection, refreshing its LRU position.
 ///
 /// `fallback` is an optional second key tried when `key` is absent — the
 /// evaluation path passes its report-path twin, whose entries carry
 /// strictly more information (widths) than execution needs, so an
 /// explain-then-evaluate sequence plans exactly once.  One lookup counts
 /// one hit or one miss regardless of which tier served it.
-pub(crate) fn lookup(
-    key: &PlanKey,
-    fallback: Option<&PlanKey>,
-    renaming: &[u32],
-) -> Option<Selection> {
+pub(crate) fn lookup(key: &PlanKey, fallback: Option<&PlanKey>) -> Option<Selection> {
     let mut cache = lock();
     let found = cache
         .entries
@@ -144,16 +219,12 @@ pub(crate) fn lookup(
     // very vector under the same lock.
     let slot = &mut cache.entries[pos].1;
     slot.last_used = tick;
-    if slot.renaming == renaming {
-        Some((*slot.selection).clone())
-    } else {
-        Some(rename_selection(&slot.selection, &compose(&slot.renaming, renaming)))
-    }
+    Some((*slot.selection).clone())
 }
 
 /// Inserts a freshly planned selection, evicting the least-recently-used
 /// entry if the cache is full.  Returns `true` iff an eviction happened.
-pub(crate) fn insert(key: PlanKey, renaming: Vec<u32>, selection: &Selection) -> bool {
+pub(crate) fn insert(key: PlanKey, selection: &Selection) -> bool {
     let mut cache = lock();
     cache.tick += 1;
     let tick = cache.tick;
@@ -182,61 +253,8 @@ pub(crate) fn insert(key: PlanKey, renaming: Vec<u32>, selection: &Selection) ->
         cache.evictions += 1;
         evicted = true;
     }
-    cache
-        .entries
-        .push((key, Slot { renaming, selection: Arc::new(selection.clone()), last_used: tick }));
+    cache.entries.push((key, Slot { selection: Arc::new(selection.clone()), last_used: tick }));
     evicted
-}
-
-/// `sigma[v]` maps the cached query's variable `v` to the current query's
-/// variable with the same canonical id.
-fn compose(cached: &[u32], current: &[u32]) -> Vec<u32> {
-    let mut inverse = vec![0u32; current.len()];
-    for (var, &canonical) in current.iter().enumerate() {
-        // panda-lint: allow(P1) -- both slices are canonical renamings of
-        // the same canonical encoding: bijections on `0..len`, so every
-        // canonical id indexes in range.
-        inverse[canonical as usize] = var as u32;
-    }
-    // panda-lint: allow(P1) -- see above: canonical ids are `< len`.
-    cached.iter().map(|&canonical| inverse[canonical as usize]).collect()
-}
-
-/// Renames a cached selection's execution artifacts into the current
-/// query's variables.  Width reports are dropped (they are only consumed
-/// by the report path, whose entries never take this branch).
-fn rename_selection(selection: &Selection, sigma: &[u32]) -> Selection {
-    let set = |s: VarSet| rename_set(s, sigma);
-    let td =
-        |t: &TreeDecomposition| TreeDecomposition::new(t.bags().iter().map(|&b| set(b)).collect());
-    // panda-lint: allow(P1) -- `sigma` has one slot per query variable and
-    // plan artifacts only mention query variables.
-    let vars = |vs: &[Var]| vs.iter().map(|v| Var(sigma[v.index()])).collect();
-    Selection {
-        rule: selection.rule,
-        reason: selection.reason,
-        selected: selection.selected,
-        executed: selection.executed,
-        downgrades: selection.downgrades.clone(),
-        fhtw: None,
-        subw: None,
-        tds: selection.tds.iter().map(td).collect(),
-        best_td: selection.best_td.as_ref().map(td),
-        evaluator: selection.evaluator.as_ref().map(|e| PandaEvaluator {
-            tds: e.tds.iter().map(td).collect(),
-            partitions: e
-                .partitions
-                .iter()
-                .map(|p| PartitionSpec {
-                    relation: p.relation.clone(),
-                    group_vars: vars(&p.group_vars),
-                    value_vars: vars(&p.value_vars),
-                })
-                .collect(),
-            max_branches: e.max_branches,
-        }),
-        lp_pivots_used: selection.lp_pivots_used,
-    }
 }
 
 /// A snapshot of the plan cache's counters and size.
@@ -275,43 +293,4 @@ pub fn plan_cache_clear() {
     cache.hits = 0;
     cache.misses = 0;
     cache.evictions = 0;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::selector::{ReasonCode, SelectorRule};
-
-    // These tests exercise only the pure helpers: the shared cache itself
-    // is pinned end-to-end (cold/warm bit-identity, isomorphic hits, LRU
-    // eviction order) by `tests/plan_cache_differential.rs`, which can
-    // serialise access to the process-wide state.
-
-    #[test]
-    fn compose_maps_cached_variables_onto_current_ones() {
-        // cached: v0→c2, v1→c0, v2→c1;  current: v0→c0, v1→c1, v2→c2.
-        let sigma = compose(&[2, 0, 1], &[0, 1, 2]);
-        // cached v0 has canonical id 2 = current v2, and so on.
-        assert_eq!(sigma, vec![2, 0, 1]);
-        // Composing a renaming with itself is the identity.
-        assert_eq!(compose(&[2, 0, 1], &[2, 0, 1]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rename_selection_renames_artifacts_and_drops_widths() {
-        let mut selection = Selection::new(
-            SelectorRule::SubwGap,
-            ReasonCode::SubwBelowFhtw,
-            EvaluationStrategy::Adaptive,
-        );
-        let bag: VarSet = [Var(0), Var(1)].into_iter().collect();
-        selection.tds = vec![TreeDecomposition::new(vec![bag])];
-        selection.best_td = Some(TreeDecomposition::new(vec![bag]));
-        let renamed = rename_selection(&selection, &[1, 2, 0]);
-        let expected: VarSet = [Var(1), Var(2)].into_iter().collect();
-        assert_eq!(renamed.tds[0].bags(), &[expected]);
-        assert_eq!(renamed.best_td.unwrap().bags(), &[expected]);
-        assert!(renamed.fhtw.is_none() && renamed.subw.is_none());
-        assert_eq!(renamed.rule, SelectorRule::SubwGap);
-    }
 }

@@ -23,7 +23,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::index::HashIndex;
 use crate::relation::{Relation, Tuple, Value};
 
 /// The per-group distinct-value counts of a relation for one split of its
@@ -370,16 +369,10 @@ pub fn lp_norm_of_degree_sequence(
     sum.powf(1.0 / f64::from(k))
 }
 
-/// Builds an index and reports `max_degree` through it — sanity helper used
-/// in tests to cross-check [`degree_profile`] against [`HashIndex`].
-#[must_use]
-pub fn max_degree_via_index(relation: &Relation, group_cols: &[usize]) -> usize {
-    HashIndex::build(relation, group_cols).max_degree()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::HashIndex;
     use proptest::prelude::*;
 
     fn skewed() -> Relation {
@@ -508,6 +501,12 @@ mod tests {
         assert!((l1 - 7.0).abs() < 1e-9);
         let l2 = lp_norm_of_degree_sequence(&r, &[0], &[1], 2);
         assert!((l2 - (16.0f64 + 4.0 + 1.0).sqrt()).abs() < 1e-9);
+    }
+
+    /// Builds an index and reports `max_degree` through it, to cross-check
+    /// [`degree_profile`] against [`HashIndex`].
+    fn max_degree_via_index(relation: &Relation, group_cols: &[usize]) -> usize {
+        HashIndex::build(relation, group_cols).max_degree()
     }
 
     #[test]

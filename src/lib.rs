@@ -77,11 +77,10 @@ pub use panda_workloads as workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use panda_core::{
-        canonicalize_query, plan_cache_clear, plan_cache_stats, BinaryJoinPlan, BranchBound,
-        Budgets, CancelToken, CanonicalQuery, DdrEvaluator, Downgrade, Engine, EvaluationStrategy,
-        Explain, GenericJoin, MaterializedSubplan, Panda, PandaEvaluator, Parallelism,
-        PlanCacheStats, PlanReport, ReasonCode, SelectorRule, StaticTdPlan, StrategyError,
-        VarRelation,
+        plan_cache_clear, plan_cache_stats, BinaryJoinPlan, BranchBound, Budgets, CancelToken,
+        DdrEvaluator, Downgrade, Engine, EvaluationStrategy, Explain, GenericJoin,
+        MaterializedSubplan, Panda, PandaEvaluator, Parallelism, PlanCacheStats, PlanReport,
+        ReasonCode, SelectorRule, StaticTdPlan, StrategyError, VarRelation,
     };
     pub use panda_entropy::{
         agm_bound, ddr_polymatroid_bound, fhtw, polymatroid_bound, subw, ShannonFlow, Statistic,

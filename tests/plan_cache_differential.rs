@@ -3,13 +3,16 @@
 //! order, the same [`PlanReport`] (up to the `cache_events` telemetry
 //! field, which records hit/miss and is deliberately excluded from the
 //! bit-identity contract and from EXPLAIN), and byte-identical EXPLAIN
-//! text — across both engines and structurally isomorphic query variants.
+//! text — across both engines and every query that shares a key.
 //!
 //! Coverage mirrors the parallel-determinism suite's two corpora: the
 //! E1–E15 experiment workloads at reduced sizes and a proptest random
-//! operator corpus, plus plan-cache-specific pins (isomorphic hits across
-//! variable renamings and body-atom permutations, cross-engine serving,
-//! deterministic LRU eviction).
+//! operator corpus, plus plan-cache-specific pins.  The key is the query
+//! as parsed: renamed variables or head and body-atom permutations that
+//! keep the variables' first-occurrence order hit; a renumbered isomorphic
+//! query, a different free set, relation symbol, join structure or atom
+//! misses; statistics hit whatever their order and labels.  Also pinned:
+//! cross-engine serving and deterministic LRU eviction.
 //!
 //! The plan cache is process-wide, so every test in this binary holds
 //! `CACHE_LOCK` while it manipulates cache state; other test binaries are
@@ -167,19 +170,17 @@ fn cached_plans_serve_across_engines() {
     assert_eq!(report_modulo_cache_events(&cold_report), report_modulo_cache_events(&warm_report));
 }
 
-/// Structurally isomorphic queries — same structure under renamed
-/// variables, permuted body atoms, a different query name — share one
-/// cache slot, and a warm isomorphic run is bit-identical to its own cold
-/// run.
+/// The key is the query as parsed: renamed variables, a renamed head and
+/// body-atom permutations that keep the order in which the variables
+/// first occur leave it unchanged, so each variant hits the base query's
+/// slot, and a warm variant run is bit-identical to its own cold run.
 #[test]
-fn isomorphic_queries_share_a_slot_and_stay_bit_identical() {
+fn same_numbering_variants_share_a_slot_and_stay_bit_identical() {
     let _guard = cache_guard();
     let base = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
-    // Renamed variables and a renamed head; first-occurrence numbering is
-    // unchanged, so the cached selection serves as-is.
+    // Renamed variables and a renamed head.
     let renamed = parse_query("P(A,B) :- R(A,B), S(B,C), T(C,D), U(D,A)").unwrap();
-    // Body atoms permuted; X,Y,Z,W still first occur in that order, so
-    // the first-occurrence numbering is again unchanged.
+    // Body atoms permuted; X,Y,Z,W still first occur in that order.
     let permuted = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), U(W,X), T(Z,W)").unwrap();
     let db = workloads::double_star_db(24);
 
@@ -204,7 +205,7 @@ fn isomorphic_queries_share_a_slot_and_stay_bit_identical() {
         assert_eq!(
             report.cache_events,
             vec![ReasonCode::PlanCacheHit],
-            "isomorphic variant must hit the plan cache"
+            "a same-numbering variant must hit the plan cache"
         );
         assert_eq!(&p.explain(&db).unwrap().to_string(), cold_explain);
         assert_eq!(&raw_rows(&p.evaluate(&db)), cold_rows);
@@ -217,11 +218,10 @@ fn isomorphic_queries_share_a_slot_and_stay_bit_identical() {
 }
 
 /// An isomorphic query whose variables first occur in a *different order*
-/// (σ ≠ identity) is served on the evaluation path by renaming the cached
-/// plan's execution artifacts — and the served execution is bit-identical
-/// to that query's own cold evaluation.
+/// has a different key: it misses, plans on its own key, and its warm
+/// rows and EXPLAIN are bit-identical to its cold ones.
 #[test]
-fn renumbered_isomorphic_queries_evaluate_identically() {
+fn a_renumbered_isomorphic_query_misses_and_plans_on_its_own_key() {
     let _guard = cache_guard();
     // Triangle with rotated body: numbering by first occurrence gives the
     // second query a genuinely different variable numbering.
@@ -230,17 +230,98 @@ fn renumbered_isomorphic_queries_evaluate_identically() {
     let db = workloads::erdos_renyi_db(&["R", "S", "T"], 40, 300, 9);
 
     plan_cache_clear();
-    let cold_rows = raw_rows(&Panda::new(q2.clone()).evaluate(&db));
+    let p2 = Panda::new(q2.clone());
+    let cold_explain = p2.explain(&db).unwrap().to_string();
+    let cold_rows = raw_rows(&p2.evaluate(&db));
 
     plan_cache_clear();
-    let before = plan_cache_stats();
     let _ = Panda::new(q1).evaluate(&db);
-    let warm_rows = raw_rows(&Panda::new(q2).evaluate(&db));
+    let before = plan_cache_stats();
+    let p2 = Panda::new(q2);
+    let first = p2.plan_report(&db).unwrap();
+    assert_eq!(first.cache_events, vec![ReasonCode::PlanCacheMiss], "q2 misses q1's slot");
+    let warm_explain = p2.explain(&db).unwrap().to_string();
+    let warm_rows = raw_rows(&p2.evaluate(&db));
     let after = plan_cache_stats();
 
-    assert_eq!(cold_rows, warm_rows, "renamed served plan must match cold evaluation");
-    assert_eq!(after.misses - before.misses, 1, "q1 plans cold");
-    assert_eq!(after.hits - before.hits, 1, "q2 is served from q1's slot");
+    assert_eq!(cold_explain, warm_explain, "warm EXPLAIN must be byte-identical to cold");
+    assert_eq!(cold_rows, warm_rows, "warm rows must be bit-identical to cold");
+    assert_eq!(after.misses - before.misses, 1, "q2 plans once, on its own key");
+    assert_eq!(after.hits - before.hits, 2, "q2's EXPLAIN and QUERY are served its own plan");
+    assert_eq!(after.entries, 2, "q1 and q2 hold one slot each");
+}
+
+/// Queries that differ in what planning reads — the free set, a relation
+/// symbol, the join structure, an extra atom — never share a key.
+#[test]
+fn queries_that_plan_differently_get_different_keys() {
+    let _guard = cache_guard();
+    let db = random_graph_db(&["R", "S", "T"], 12, 40, 3);
+    let base = "Q(X,Y) :- R(X,Y), S(Y,Z)";
+    for other in [
+        // Different free set.
+        "Q(X,Z) :- R(X,Y), S(Y,Z)",
+        // Different relation symbol.
+        "Q(X,Y) :- R(X,Y), T(Y,Z)",
+        // Different join structure.
+        "Q(X,Y) :- R(X,Y), S(X,Z)",
+        // Extra atom.
+        "Q(X,Y) :- R(X,Y), S(Y,Z), S(Z,X)",
+    ] {
+        plan_cache_clear();
+        let _ = Panda::new(parse_query(base).unwrap()).plan_report(&db).unwrap();
+        let report = Panda::new(parse_query(other).unwrap()).plan_report(&db).unwrap();
+        assert_eq!(report.cache_events, vec![ReasonCode::PlanCacheMiss], "{other} after {base}");
+    }
+}
+
+/// The statistics part of the key ignores the order of the constraints
+/// and their human-readable labels: a body-atom permutation measures them
+/// in another order and hits, and so do supplied statistics reversed and
+/// relabelled.  Different data misses.
+#[test]
+fn statistics_keys_ignore_order_and_labels() {
+    let _guard = cache_guard();
+    // The same variables first occur in the same order in both bodies.
+    let q1 = parse_query("Q(X,Y) :- R(X,Y), S(Y,Z), T(X,Z)").unwrap();
+    let q2 = parse_query("Q(A,B) :- R(A,B), T(A,C), S(B,C)").unwrap();
+    let mut db = random_graph_db(&["R", "T"], 6, 10, 4);
+    db.insert("S", panda::relation::Relation::from_rows(2, vec![[2, 5], [3, 5], [3, 6]]));
+    let (s1, s2) = (StatisticsSet::measure(&q1, &db), StatisticsSet::measure(&q2, &db));
+    assert_ne!(s1.stats(), s2.stats(), "the atom order is the measurement order");
+    let mut relabelled = StatisticsSet::new(s1.base());
+    for (i, stat) in s1.stats().iter().rev().enumerate() {
+        relabelled.push(Statistic { label: format!("constraint #{i}"), ..stat.clone() });
+    }
+
+    plan_cache_clear();
+    let _ = Panda::new(q1.clone()).plan_report(&db).unwrap();
+    let report = Panda::new(q2).plan_report(&db).unwrap();
+    assert_eq!(report.cache_events, vec![ReasonCode::PlanCacheHit], "measured in another order");
+
+    plan_cache_clear();
+    let _ = Panda::new(q1.clone()).with_statistics(s1).plan_report(&db).unwrap();
+    let report = Panda::new(q1.clone()).with_statistics(relabelled).plan_report(&db).unwrap();
+    assert_eq!(report.cache_events, vec![ReasonCode::PlanCacheHit], "reversed and relabelled");
+
+    // Different data, different statistics, different key.
+    db.insert("S", panda::relation::Relation::from_rows(2, vec![[2, 5]]));
+    let report = Panda::new(q1).plan_report(&db).unwrap();
+    assert_eq!(report.cache_events, vec![ReasonCode::PlanCacheMiss]);
+}
+
+/// A symmetric self-join — every atom the same symbol, every variable in
+/// two atoms — keys on the query as parsed like any other: it hits warm,
+/// bit-identical to cold, under both engines.
+#[test]
+fn a_symmetric_self_join_hits_warm_and_stays_bit_identical() {
+    let _guard = cache_guard();
+    let query = parse_query("Tri() :- E(A,B), E(B,C), E(C,A)").unwrap();
+    let db = random_graph_db(&["E"], 20, 120, 5);
+    for engine in [Engine::Sequential, Engine::Parallel(Parallelism::threads(2))] {
+        let label = format!("triangle self-join/{}threads", engine.threads());
+        assert_cold_warm_identical(&query, &db, engine, &label);
+    }
 }
 
 /// LRU eviction is deterministic in access counts: filling the cache past
