@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use panda_query::{ConjunctiveQuery, Var, VarSet};
 use panda_relation::fan_out::ordered_map;
-use panda_relation::{Database, Relation, Value, ValueIndex};
+use panda_relation::{Adjacency, Database, Relation, Value};
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
@@ -118,8 +118,15 @@ impl GenericJoin {
                     .filter(|(_, w)| bound_set.contains(**w))
                     .map(|(i, w)| (i, *w))
                     .unzip();
-                let candidates = input.rel.value_index(&bound_cols, v_col);
-                per_atom.push(LevelIndex { bound_vars, candidates });
+                // Nothing bound yet: the level reads the sorted distinct
+                // column, the key list of `(v | rest)`.
+                let adjacency = if bound_cols.is_empty() {
+                    let all: Vec<usize> = (0..input.rel.arity()).collect();
+                    input.rel.adjacency(&[v_col], &all)
+                } else {
+                    input.rel.adjacency(&bound_cols, &[v_col])
+                };
+                per_atom.push(LevelIndex { bound_vars, adjacency });
             }
             levels.push(per_atom);
         }
@@ -130,9 +137,7 @@ impl GenericJoin {
             // Both engines consume this one candidate sequence, so the
             // parallel/sequential bit-identical contract has a single
             // source of truth for the top-level order.
-            let Some(candidates) = top_level_candidates(&levels[0]) else {
-                return VarRelation::new(output_vars, Relation::new(output.len()));
-            };
+            let candidates = top_level_candidates(&levels[0]);
             let v0 = order[0];
             let run_chunk = |chunk: &[Value]| -> Relation {
                 let mut assignment: HashMap<Var, Value> = HashMap::new();
@@ -191,39 +196,48 @@ impl GenericJoin {
     }
 }
 
-/// Per level, per atom: an index from the atom's already-bound columns to
-/// the distinct candidate values of the current variable.  These are served
-/// from each relation's shared cache, so repeated generic joins over the
-/// same relation (across PANDA branches, or across bench iterations)
-/// rebuild nothing.
+/// Per level, per atom: the adjacency from the atom's already-bound
+/// columns to the distinct candidate values of the current variable.  These
+/// are served from each relation's shared cache, so repeated generic joins
+/// over the same relation (across PANDA branches, or across bench
+/// iterations) rebuild nothing.
 struct LevelIndex {
     /// variables of the atom bound before this level, in ascending column
     /// order (the cache's canonical key order)
     bound_vars: Vec<Var>,
-    /// candidate values for the level variable, per bound key
-    candidates: Arc<ValueIndex>,
+    /// `(bound columns | level column)`, or `(level column | rest)` when
+    /// nothing is bound
+    adjacency: Arc<Adjacency>,
+}
+
+impl LevelIndex {
+    /// The sorted distinct candidate values for the bound `key`, if any
+    /// row carries it.
+    fn candidates(&self, key: &[Value]) -> Option<&[Value]> {
+        if self.bound_vars.is_empty() {
+            return Some(self.adjacency.keys());
+        }
+        self.adjacency.find(key).map(|group| self.adjacency.values(group))
+    }
 }
 
 /// The intersected candidate values of the *first* order variable — the
 /// generic join's top-level branches, in exactly the order the sequential
 /// search visits them (ascending: the smallest atom's sorted candidate
-/// list, filtered against the others).  `None` means some atom has no
-/// tuples at all, i.e. an empty result.
-fn top_level_candidates(indexes: &[LevelIndex]) -> Option<Vec<Value>> {
-    let mut lists: Vec<&Vec<Value>> = Vec::with_capacity(indexes.len());
+/// list, filtered against the others).
+fn top_level_candidates(indexes: &[LevelIndex]) -> Vec<Value> {
+    let mut lists: Vec<&[Value]> = Vec::with_capacity(indexes.len());
     for idx in indexes {
         debug_assert!(idx.bound_vars.is_empty(), "level 0 has no bound variables");
-        lists.push(idx.candidates.candidates(&[])?);
+        lists.push(idx.adjacency.keys());
     }
     lists.sort_by_key(|l| l.len());
     let (smallest, rest) = lists.split_first().expect("at least one atom");
-    Some(
-        smallest
-            .iter()
-            .copied()
-            .filter(|value| rest.iter().all(|other| other.binary_search(value).is_ok()))
-            .collect(),
-    )
+    smallest
+        .iter()
+        .copied()
+        .filter(|value| rest.iter().all(|other| other.binary_search(value).is_ok()))
+        .collect()
 }
 
 /// The recursive backtracking search of the generic join: binds the
@@ -254,10 +268,10 @@ fn search(
     }
     // Candidate lists for the current assignment, one per atom containing
     // v; intersect starting from the smallest.
-    let mut lists: Vec<&Vec<Value>> = Vec::with_capacity(indexes.len());
+    let mut lists: Vec<&[Value]> = Vec::with_capacity(indexes.len());
     for idx in indexes {
         let key: Vec<Value> = idx.bound_vars.iter().map(|w| assignment[w]).collect();
-        match idx.candidates.candidates(&key) {
+        match idx.candidates(&key) {
             Some(values) => lists.push(values),
             None => return, // no compatible tuple in this atom
         }

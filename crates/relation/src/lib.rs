@@ -10,14 +10,15 @@
 //!   symbol of a query),
 //! * relational operators (projection, selection, natural join on column
 //!   pairs, semijoin, antijoin, union, difference) in [`operators`],
-//! * hash indexes and the shared per-relation index/degree cache in
-//!   [`index`] — relation storage is `Arc`-shared and copy-on-write, so
-//!   O(1) relation clones share built indexes and measured degrees across
-//!   every consumer of the same data (see [`Relation::index_for`],
-//!   [`Relation::value_index`] and [`Relation::grouped_degrees`]),
-//! * degree statistics, heavy/light splitting and power-of-two degree
-//!   bucketing in [`stats`] — the measurements that feed degree constraints
-//!   (Section 3.2 of the paper) and PANDA's data partitioning (Section 8),
+//! * the shared per-relation cache in [`index`]: hash indexes for row-id
+//!   probes ([`Relation::index_for`]) and sorted adjacencies
+//!   ([`Relation::adjacency`]), the one structure that degrees,
+//!   generic-join candidates and distinct counts all read — relation
+//!   storage is `Arc`-shared and copy-on-write, so O(1) relation clones
+//!   share them across every consumer of the same data,
+//! * degree statistics and power-of-two degree bucketing in [`stats`] —
+//!   the measurements that feed degree constraints (Section 3.2 of the
+//!   paper) and PANDA's data partitioning (Section 8),
 //! * commutative semirings and annotated relations in [`semiring`] and
 //!   [`annotated`] for FAQ-style aggregate queries (Section 9.1).
 //!
@@ -49,7 +50,7 @@ pub mod stats;
 
 pub use annotated::AnnotatedRelation;
 pub use database::Database;
-pub use index::{HashIndex, ValueIndex};
+pub use index::{Adjacency, HashIndex};
 pub use relation::{Relation, Tuple, Value};
 pub use semiring::{BoolSemiring, CountingSemiring, MaxMinSemiring, MinPlusSemiring, Semiring};
-pub use stats::{DegreeBucket, DegreeProfile, GroupedDegrees};
+pub use stats::DegreeBucket;

@@ -7,8 +7,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::index::{is_canonical_cols, HashIndex, IndexCache, ValueIndex};
-use crate::stats::GroupedDegrees;
+use crate::index::{is_canonical_cols, Adjacency, HashIndex, IndexCache};
 
 /// A single attribute value.  The engine is value-agnostic; strings and
 /// other domains are dictionary-encoded to `u64` by the caller.
@@ -51,7 +50,7 @@ pub type Tuple = Vec<Value>;
 pub struct Relation {
     arity: usize,
     data: Arc<Vec<Value>>,
-    cache: Arc<IndexCache>,
+    pub(crate) cache: Arc<IndexCache>,
 }
 
 impl Relation {
@@ -252,35 +251,35 @@ impl Relation {
         rows
     }
 
-    /// The number of *distinct* rows (the count — and only the count — is
-    /// cached across repeated calls).
+    /// The number of *distinct* rows: the `total` of the cached
+    /// adjacency `(first column | rest)`.
     #[must_use]
     pub fn distinct_count(&self) -> usize {
         if self.arity == 0 {
             return self.len();
         }
-        let cols: Vec<usize> = (0..self.arity).collect();
-        self.cache.distinct_count(self, &cols)
+        let all: Vec<usize> = (0..self.arity).collect();
+        self.adjacency(&[0], &all).total()
     }
 
     /// The number of distinct values of a set of columns (order and
-    /// repetition irrelevant; the count is cached across repeated calls).
+    /// repetition irrelevant): the key count of the cached adjacency
+    /// `(cols | rest)`.
     ///
     /// # Panics
     ///
     /// Panics if a column index is out of range.
     #[must_use]
     pub fn distinct_count_of(&self, cols: &[usize]) -> usize {
-        let mut canonical = cols.to_vec();
-        canonical.sort_unstable();
-        canonical.dedup();
-        for &c in &canonical {
+        let keys = canonical(cols);
+        if let Some(&c) = keys.last() {
             assert!(c < self.arity, "count column {c} out of range for arity {}", self.arity);
         }
-        if self.arity == 0 {
-            return self.len();
+        if keys.len() == self.arity {
+            return self.distinct_count();
         }
-        self.cache.distinct_count(self, &canonical)
+        let all: Vec<usize> = (0..self.arity).collect();
+        self.adjacency(&keys, &all).num_keys()
     }
 
     /// Extends this relation with all rows of `other`.
@@ -358,41 +357,11 @@ impl Relation {
         self.cache.cached_index(cols)
     }
 
-    /// The cached [`ValueIndex`] for `value_col` grouped by the canonical
-    /// (strictly increasing) `group_cols`, building it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_cols` is not strictly increasing or a column is out
-    /// of range.
-    ///
-    /// # Examples
-    ///
-    /// The candidate values of a generic-join level: distinct, sorted
-    /// values of one column per bound prefix.
-    ///
-    /// ```
-    /// use panda_relation::Relation;
-    ///
-    /// let r = Relation::from_rows(2, vec![[1, 30], [1, 10], [1, 30], [2, 5]]);
-    /// let idx = r.value_index(&[0], 1);
-    /// assert_eq!(idx.candidates(&[1]), Some(&vec![10, 30]));
-    /// assert_eq!(idx.candidates(&[9]), None);
-    /// // Clones share the cached index.
-    /// assert!(std::sync::Arc::ptr_eq(&idx, &r.clone().value_index(&[0], 1)));
-    /// ```
-    #[must_use]
-    pub fn value_index(&self, group_cols: &[usize], value_col: usize) -> Arc<ValueIndex> {
-        assert!(
-            is_canonical_cols(group_cols),
-            "value_index requires strictly increasing group columns, got {group_cols:?}"
-        );
-        self.cache.value_index(self, group_cols, value_col)
-    }
-
-    /// The cached [`GroupedDegrees`] of `value_cols` given `group_cols`
-    /// (column order and repetitions are irrelevant to degrees, so the sets
-    /// are canonicalised internally), building it on first use.
+    /// The cached [`Adjacency`] of `value_cols` given `key_cols`,
+    /// building it on first use.  The split is canonicalised first: each
+    /// side sorted and deduplicated, and the key columns removed from the
+    /// value columns (they are constant within a group), so passing every
+    /// column as `value_cols` asks for `(key_cols | rest)`.
     ///
     /// # Panics
     ///
@@ -405,30 +374,27 @@ impl Relation {
     ///
     /// // deg(col 1 | col 0): group 1 has two distinct values, group 2 one.
     /// let r = Relation::from_rows(2, vec![[1, 10], [1, 11], [2, 20]]);
-    /// let gd = r.grouped_degrees(&[0], &[1]);
-    /// assert_eq!(gd.max_degree(), 2);
-    /// assert_eq!(gd.num_groups(), 2);
-    /// assert_eq!(gd.degree_of_row(&[1, 99]), 2);
+    /// let adj = r.adjacency(&[0], &[1]);
+    /// assert_eq!(adj.max_degree(), 2);
+    /// assert_eq!(adj.num_keys(), 2);
+    /// // Clones share the cached adjacency; `(0 | rest)` is the same split.
+    /// assert!(std::sync::Arc::ptr_eq(&adj, &r.clone().adjacency(&[0, 0], &[0, 1])));
     /// ```
     #[must_use]
-    pub fn grouped_degrees(
-        &self,
-        group_cols: &[usize],
-        value_cols: &[usize],
-    ) -> Arc<GroupedDegrees> {
-        let canonical = |cols: &[usize]| -> Vec<usize> {
-            let mut v = cols.to_vec();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let group = canonical(group_cols);
-        let value = canonical(value_cols);
-        for &c in group.iter().chain(value.iter()) {
-            assert!(c < self.arity, "degree column {c} out of range for arity {}", self.arity);
-        }
-        self.cache.grouped_degrees(self, &group, &value)
+    pub fn adjacency(&self, key_cols: &[usize], value_cols: &[usize]) -> Arc<Adjacency> {
+        let keys = canonical(key_cols);
+        let mut values = canonical(value_cols);
+        values.retain(|c| keys.binary_search(c).is_err());
+        self.cache.adjacency(self, &keys, &values)
     }
+}
+
+/// `cols` sorted and deduplicated.
+fn canonical(cols: &[usize]) -> Vec<usize> {
+    let mut cols = cols.to_vec();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 impl PartialEq for Relation {

@@ -4,198 +4,22 @@
 //! constraint* `deg_R(Y | X) ≤ N_{Y|X}`: for every fixed assignment of the
 //! columns `X`, the number of distinct `Y`-values is bounded.  This module
 //! measures those degrees on concrete relation instances, and implements
-//! the two partitioning primitives the PANDA algorithm relies on
-//! (Section 8.2):
+//! the partitioning primitive the PANDA algorithm relies on (Section 8.2):
+//! **power-of-two degree bucketing**, which produces `O(log N)` buckets
+//! within which degrees are uniform up to a factor of two — the
+//! "uniformization" that turns worst-case bounds into per-branch costs.
 //!
-//! * **heavy/light splitting** at a threshold (e.g. `deg_S(Z|Y=y) ≤ √N`),
-//! * **power-of-two degree bucketing**, which produces `O(log N)` buckets
-//!   within which degrees are uniform up to a factor of two — the
-//!   "uniformization" that turns worst-case bounds into per-branch costs.
-//!
-//! All measurements go through one shared [`GroupedDegrees`] map (group →
-//! number of distinct value-tuples), obtained via
-//! [`Relation::grouped_degrees`] so repeated measurements of the same
-//! `(relation, group, value)` triple — ubiquitous in the adaptive plan's
-//! per-branch costing — are served from the relation's cache.
+//! Every measurement reads one cached [`Adjacency`](crate::Adjacency)
+//! per column split, obtained via [`Relation::adjacency`]: a degree is
+//! the length of a group's value list, so repeated measurements of the
+//! same `(relation, group, value)` triple — ubiquitous in the adaptive
+//! plan's per-branch costing — are offset differences on a structure
+//! built once.
 
-// panda-lint: allow-file(P1) -- degree vectors are sized to the group
-// columns they were built from two lines earlier.
+// panda-lint: allow-file(P1) -- group ids come from the adjacency's own
+// `find`, and every row's key occurs in its relation's adjacency.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::relation::{Relation, Tuple, Value};
-
-/// The per-group distinct-value counts of a relation for one split of its
-/// columns into group columns `X` and value columns `Y`: for every distinct
-/// `X`-value, the number of distinct `Y`-values co-occurring with it
-/// (`deg_R(Y|X=x) = |π_Y σ_{X=x} R|`).  Duplicate rows are ignored.
-///
-/// The column sets are canonical (sorted, deduplicated) — degrees do not
-/// depend on column order or repetition — which is what lets one computed
-/// map serve [`degree_profile`], [`split_heavy_light`],
-/// [`bucket_by_degree`] and [`degree_sequence`] alike, cached on the
-/// relation via [`Relation::grouped_degrees`].
-#[derive(Debug, Clone)]
-pub struct GroupedDegrees {
-    group_cols: Vec<usize>,
-    value_cols: Vec<usize>,
-    degrees: HashMap<Tuple, usize>,
-    max_degree: usize,
-    min_degree: usize,
-    total: usize,
-}
-
-impl GroupedDegrees {
-    /// Measures the degrees on a relation.  `group_cols` and `value_cols`
-    /// must already be canonical (strictly increasing); use
-    /// [`Relation::grouped_degrees`] to canonicalise and cache.
-    ///
-    /// Hash order never reaches an ordered sink here: the degrees map and
-    /// the max/min/total folds are order-insensitive.
-    #[must_use]
-    pub(crate) fn compute(relation: &Relation, group_cols: &[usize], value_cols: &[usize]) -> Self {
-        let degrees: HashMap<Tuple, usize> = match (group_cols, value_cols) {
-            (_, []) => {
-                // Every group has exactly one distinct (empty) value-tuple, so
-                // this degenerates to a distinct count over the group columns —
-                // no per-group set needed.
-                let mut degrees = HashMap::with_capacity(relation.len());
-                for row in relation.iter() {
-                    let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
-                    degrees.entry(key).or_insert(1);
-                }
-                degrees
-            }
-            (&[g], &[v]) => {
-                // deg(v | g), the shape every binary atom is measured in:
-                // per-group sets keyed by the bare values, no `Tuple` per row.
-                let mut groups: HashMap<Value, HashSet<Value>> = HashMap::new();
-                for row in relation.iter() {
-                    groups.entry(row[g]).or_default().insert(row[v]);
-                }
-                groups
-                    .into_iter()
-                    .map(|(key, values)| (vec![key], values.len()))
-                    .collect::<HashMap<_, _>>()
-            }
-            _ => {
-                let mut groups: HashMap<Tuple, HashSet<Tuple>> = HashMap::new();
-                for row in relation.iter() {
-                    let key: Tuple = group_cols.iter().map(|&c| row[c]).collect();
-                    let value: Tuple = value_cols.iter().map(|&c| row[c]).collect();
-                    groups.entry(key).or_default().insert(value);
-                }
-                groups
-                    .into_iter()
-                    .map(|(key, values)| (key, values.len()))
-                    .collect::<HashMap<_, _>>()
-            }
-        };
-        let mut max_degree = 0;
-        let mut min_degree = usize::MAX;
-        let mut total = 0;
-        for &d in degrees.values() {
-            max_degree = max_degree.max(d);
-            min_degree = min_degree.min(d);
-            total += d;
-        }
-        if degrees.is_empty() {
-            min_degree = 0;
-        }
-        GroupedDegrees {
-            group_cols: group_cols.to_vec(),
-            value_cols: value_cols.to_vec(),
-            degrees,
-            max_degree,
-            min_degree,
-            total,
-        }
-    }
-
-    /// The canonical group (conditioning) columns.
-    #[must_use]
-    pub fn group_cols(&self) -> &[usize] {
-        &self.group_cols
-    }
-
-    /// The canonical value columns.
-    #[must_use]
-    pub fn value_cols(&self) -> &[usize] {
-        &self.value_cols
-    }
-
-    /// Number of distinct group values.
-    #[must_use]
-    pub fn num_groups(&self) -> usize {
-        self.degrees.len()
-    }
-
-    /// Maximum over groups of the number of distinct value-tuples, i.e.
-    /// `deg_R(Y | X)`.
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.max_degree
-    }
-
-    /// Minimum over groups of the number of distinct value-tuples (zero for
-    /// an empty relation).
-    #[must_use]
-    pub fn min_degree(&self) -> usize {
-        self.min_degree
-    }
-
-    /// Total number of distinct `(X, Y)` pairs.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The degree of the group the given row belongs to (zero if the row's
-    /// group does not occur, i.e. the row is not from this relation).
-    #[must_use]
-    pub fn degree_of_row(&self, row: &[Value]) -> usize {
-        let key: Tuple = self.group_cols.iter().map(|&c| row[c]).collect();
-        self.degrees.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Every degree value observed per group, sorted descending.
-    #[must_use]
-    pub fn sequence_desc(&self) -> Vec<usize> {
-        let mut seq: Vec<usize> = self.degrees.values().copied().collect();
-        seq.sort_unstable_by(|a, b| b.cmp(a));
-        seq
-    }
-}
-
-/// The measured degree profile of a relation with respect to a split of its
-/// columns into group columns `X` and value columns `Y`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegreeProfile {
-    /// The group (conditioning) columns `X`.
-    pub group_cols: Vec<usize>,
-    /// The value columns `Y`.
-    pub value_cols: Vec<usize>,
-    /// Number of distinct `X`-values.
-    pub num_groups: usize,
-    /// Maximum over groups of the number of distinct `Y`-values, i.e.
-    /// `deg_R(Y | X)`.
-    pub max_degree: usize,
-    /// Total number of distinct `(X, Y)` pairs.
-    pub total: usize,
-}
-
-impl DegreeProfile {
-    /// Average degree (total / groups), rounded up; zero for an empty
-    /// relation.
-    #[must_use]
-    pub fn avg_degree_ceil(&self) -> usize {
-        if self.num_groups == 0 {
-            0
-        } else {
-            self.total.div_ceil(self.num_groups)
-        }
-    }
-}
+use crate::relation::Relation;
 
 /// One bucket of a power-of-two degree bucketing.
 #[derive(Debug, Clone)]
@@ -210,71 +34,20 @@ pub struct DegreeBucket {
     pub num_groups: usize,
 }
 
-/// Measures the degree of `value_cols` given `group_cols` in `relation`.
+/// The maximum degree `deg_R(Y | X)` of `value_cols` given `group_cols`.
 ///
 /// Duplicate rows are ignored (degrees are about *distinct* values, per the
 /// paper's definition `deg_R(Y|X=x) = |π_Y σ_{X=x} R|`).
 #[must_use]
-pub fn degree_profile(
-    relation: &Relation,
-    group_cols: &[usize],
-    value_cols: &[usize],
-) -> DegreeProfile {
-    let gd = relation.grouped_degrees(group_cols, value_cols);
-    DegreeProfile {
-        group_cols: group_cols.to_vec(),
-        value_cols: value_cols.to_vec(),
-        num_groups: gd.num_groups(),
-        max_degree: gd.max_degree(),
-        total: gd.total(),
-    }
-}
-
-/// The maximum degree `deg_R(Y | X)`; convenience wrapper around
-/// [`Relation::grouped_degrees`].
-#[must_use]
 pub fn max_degree(relation: &Relation, group_cols: &[usize], value_cols: &[usize]) -> usize {
-    relation.grouped_degrees(group_cols, value_cols).max_degree()
+    relation.adjacency(group_cols, value_cols).max_degree()
 }
 
-/// The number of distinct values of a set of columns.  Only the resulting
-/// count is cached on the relation (see [`Relation::distinct_count_of`]).
+/// The number of distinct values of a set of columns (see
+/// [`Relation::distinct_count_of`]).
 #[must_use]
 pub fn distinct_count(relation: &Relation, cols: &[usize]) -> usize {
     relation.distinct_count_of(cols)
-}
-
-/// Splits `relation` into `(light, heavy)` parts: a tuple goes to `heavy`
-/// iff its group value has strictly more than `threshold` distinct
-/// value-column assignments.  This is the partitioning used in the paper's
-/// running example (`deg_S(Z|Y=y) ≤ √N` vs `> √N`, Section 8.2).
-///
-/// When one side is empty the other is an O(1) clone of the input (shared
-/// storage, shared index cache).
-#[must_use]
-pub fn split_heavy_light(
-    relation: &Relation,
-    group_cols: &[usize],
-    value_cols: &[usize],
-    threshold: usize,
-) -> (Relation, Relation) {
-    let gd = relation.grouped_degrees(group_cols, value_cols);
-    if gd.max_degree() <= threshold {
-        return (relation.clone(), Relation::new(relation.arity()));
-    }
-    if gd.min_degree() > threshold {
-        return (Relation::new(relation.arity()), relation.clone());
-    }
-    let mut light = Relation::new(relation.arity());
-    let mut heavy = Relation::new(relation.arity());
-    for row in relation.iter() {
-        if gd.degree_of_row(row) > threshold {
-            heavy.push_row(row);
-        } else {
-            light.push_row(row);
-        }
-    }
-    (light, heavy)
 }
 
 /// The inclusive upper end of the power-of-two degree bucket starting at
@@ -286,9 +59,16 @@ fn bucket_hi(j: u32) -> usize {
     }
 }
 
+/// `floor(log2(degree))`: the power-of-two bucket a degree falls in.
+fn bucket_of(degree: usize) -> u32 {
+    debug_assert!(degree >= 1);
+    usize::BITS - 1 - degree.leading_zeros()
+}
+
 /// Buckets `relation` by the degree of its groups into power-of-two ranges
 /// `[2^j, 2^{j+1})`.  Buckets are returned in increasing degree order and
-/// empty buckets are omitted; together they partition the relation's rows.
+/// empty buckets are omitted; together they partition the relation's rows,
+/// and each bucket keeps its rows in the input's order.
 ///
 /// When all groups fall in one bucket, that bucket's relation is an O(1)
 /// clone of the input (shared storage, shared index cache).
@@ -301,43 +81,35 @@ pub fn bucket_by_degree(
     if relation.is_empty() {
         return Vec::new();
     }
-    let gd = relation.grouped_degrees(group_cols, value_cols);
-    let bucket_of = |degree: usize| -> u32 {
-        debug_assert!(degree >= 1);
-        usize::BITS - 1 - degree.leading_zeros() // floor(log2(degree))
+    let adj = relation.adjacency(group_cols, value_cols);
+    let lo = bucket_of(adj.degrees().min().unwrap_or(1));
+    let hi = bucket_of(adj.max_degree());
+    let bucket = |j: u32, relation: Relation, num_groups: usize| DegreeBucket {
+        degree_lo: 1usize << j,
+        degree_hi: bucket_hi(j),
+        relation,
+        num_groups,
     };
-    let lo_bucket = bucket_of(gd.min_degree());
-    let hi_bucket = bucket_of(gd.max_degree());
-    if lo_bucket == hi_bucket {
-        return vec![DegreeBucket {
-            degree_lo: 1usize << lo_bucket,
-            degree_hi: bucket_hi(lo_bucket),
-            relation: relation.clone(),
-            num_groups: gd.num_groups(),
-        }];
+    if lo == hi {
+        return vec![bucket(lo, relation.clone(), adj.num_keys())];
     }
-    let mut buckets: HashMap<u32, (Relation, HashSet<Tuple>)> = HashMap::new();
+    let mut parts: Vec<(Relation, usize)> =
+        (lo..=hi).map(|_| (Relation::new(relation.arity()), 0)).collect();
+    for degree in adj.degrees() {
+        parts[(bucket_of(degree) - lo) as usize].1 += 1;
+    }
+    let mut key = Vec::with_capacity(adj.key_cols().len());
     for row in relation.iter() {
-        let degree = gd.degree_of_row(row);
-        let bucket_id = bucket_of(degree);
-        let key: Tuple = gd.group_cols().iter().map(|&c| row[c]).collect();
-        let entry = buckets
-            .entry(bucket_id)
-            .or_insert_with(|| (Relation::new(relation.arity()), HashSet::new()));
-        entry.0.push_row(row);
-        entry.1.insert(key);
+        key.clear();
+        key.extend(adj.key_cols().iter().map(|&c| row[c]));
+        let group = adj.find(&key).expect("every row's key is in its relation's adjacency");
+        parts[(bucket_of(adj.degree(group)) - lo) as usize].0.push_row(row);
     }
-    let mut out: Vec<DegreeBucket> = buckets
-        .into_iter()
-        .map(|(j, (rel, groups))| DegreeBucket {
-            degree_lo: 1usize << j,
-            degree_hi: bucket_hi(j),
-            relation: rel,
-            num_groups: groups.len(),
-        })
-        .collect();
-    out.sort_by_key(|b| b.degree_lo);
-    out
+    (lo..=hi)
+        .zip(parts)
+        .filter(|(_, (_, num_groups))| *num_groups > 0)
+        .map(|(j, (relation, num_groups))| bucket(j, relation, num_groups))
+        .collect()
 }
 
 /// Returns every degree value observed per group, sorted descending.
@@ -348,7 +120,9 @@ pub fn degree_sequence(
     group_cols: &[usize],
     value_cols: &[usize],
 ) -> Vec<usize> {
-    relation.grouped_degrees(group_cols, value_cols).sequence_desc()
+    let mut seq: Vec<usize> = relation.adjacency(group_cols, value_cols).degrees().collect();
+    seq.sort_unstable_by(|a, b| b.cmp(a));
+    seq
 }
 
 /// The ℓ_k norm of the degree sequence of `value_cols` given `group_cols`,
@@ -381,13 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn degree_profile_basic() {
+    fn degree_counts_basic() {
         let r = skewed();
-        let p = degree_profile(&r, &[0], &[1]);
-        assert_eq!(p.num_groups, 3);
-        assert_eq!(p.max_degree, 4);
-        assert_eq!(p.total, 7);
-        assert_eq!(p.avg_degree_ceil(), 3);
+        let adj = r.adjacency(&[0], &[1]);
+        assert_eq!(adj.num_keys(), 3);
+        assert_eq!(adj.max_degree(), 4);
+        assert_eq!(adj.total(), 7);
         assert_eq!(max_degree(&r, &[0], &[1]), 4);
         assert_eq!(max_degree(&r, &[1], &[0]), 1);
     }
@@ -401,55 +174,25 @@ mod tests {
     #[test]
     fn cardinality_is_degree_with_empty_condition() {
         let r = skewed();
-        let p = degree_profile(&r, &[], &[0, 1]);
-        assert_eq!(p.max_degree, 7);
-        assert_eq!(p.num_groups, 1);
+        let adj = r.adjacency(&[], &[0, 1]);
+        assert_eq!(adj.max_degree(), 7);
+        assert_eq!(adj.num_keys(), 1);
         assert_eq!(distinct_count(&r, &[0]), 3);
         assert_eq!(distinct_count(&r, &[0, 1]), 7);
     }
 
     #[test]
-    fn grouped_degrees_is_order_and_repetition_invariant() {
+    fn adjacency_is_order_and_repetition_invariant() {
         let r = Relation::from_rows(3, vec![[1, 10, 5], [1, 11, 5], [2, 20, 6]]);
-        let a = r.grouped_degrees(&[0, 2], &[1]);
-        let b = r.grouped_degrees(&[2, 0, 0], &[1, 1]);
-        assert_eq!(a.group_cols(), b.group_cols());
-        assert_eq!(a.max_degree(), b.max_degree());
-        assert_eq!(a.num_groups(), 2);
-        assert_eq!(a.min_degree(), 1);
+        let a = r.adjacency(&[0, 2], &[1]);
+        let b = r.clone().adjacency(&[2, 0, 0], &[1, 1]);
+        assert!(std::sync::Arc::ptr_eq(&a, &b), "one cached adjacency per canonical split");
+        assert_eq!(a.key_cols(), &[0, 2]);
+        assert_eq!(a.num_keys(), 2);
+        assert_eq!(a.degrees().min(), Some(1));
         assert_eq!(a.max_degree(), 2);
-        assert_eq!(a.degree_of_row(&[1, 99, 5]), 2);
-        assert_eq!(a.degree_of_row(&[9, 0, 9]), 0);
-    }
-
-    #[test]
-    fn grouped_degrees_is_cached_on_the_relation() {
-        let r = skewed();
-        let a = r.grouped_degrees(&[0], &[1]);
-        let b = r.clone().grouped_degrees(&[0], &[1]);
-        assert!(std::sync::Arc::ptr_eq(&a, &b), "clones must share the degree cache");
-    }
-
-    #[test]
-    fn heavy_light_split_partitions_rows() {
-        let r = skewed();
-        let (light, heavy) = split_heavy_light(&r, &[0], &[1], 2);
-        assert_eq!(light.len() + heavy.len(), r.len());
-        // group 1 (degree 4) is heavy, groups 2 and 3 light.
-        assert_eq!(heavy.len(), 4);
-        assert_eq!(light.len(), 3);
-        assert!(heavy.iter().all(|row| row[0] == 1));
-    }
-
-    #[test]
-    fn heavy_light_split_fast_paths_share_storage() {
-        let r = skewed();
-        let (light, heavy) = split_heavy_light(&r, &[0], &[1], 100);
-        assert!(light.shares_storage_with(&r), "all-light split must be an O(1) clone");
-        assert!(heavy.is_empty());
-        let (light, heavy) = split_heavy_light(&r, &[0], &[1], 0);
-        assert!(heavy.shares_storage_with(&r), "all-heavy split must be an O(1) clone");
-        assert!(light.is_empty());
+        assert_eq!(a.find(&[1, 5]).map(|g| a.degree(g)), Some(2));
+        assert_eq!(a.find(&[9, 9]), None);
     }
 
     #[test]
@@ -503,16 +246,14 @@ mod tests {
         assert!((l2 - (16.0f64 + 4.0 + 1.0).sqrt()).abs() < 1e-9);
     }
 
-    /// Builds an index and reports `max_degree` through it, to cross-check
-    /// [`degree_profile`] against [`HashIndex`].
-    fn max_degree_via_index(relation: &Relation, group_cols: &[usize]) -> usize {
-        HashIndex::build(relation, group_cols).max_degree()
-    }
-
     #[test]
-    fn index_and_profile_agree() {
+    fn index_and_adjacency_agree() {
+        // `skewed` has no duplicate rows, so a group's row count is its
+        // degree.
         let r = skewed();
-        assert_eq!(max_degree_via_index(&r, &[0]), max_degree(&r, &[0], &[1]));
+        let index = HashIndex::build(&r, &[0]);
+        let via_index = (1..=3).map(|g| index.probe(&[g]).len()).max();
+        assert_eq!(via_index, Some(max_degree(&r, &[0], &[1])));
     }
 
     proptest! {
@@ -526,28 +267,13 @@ mod tests {
                 let d = max_degree(&b.relation, &[0], &[1]);
                 prop_assert!(d <= b.degree_hi);
                 prop_assert!(max_degree(&b.relation, &[0], &[1]) >= 1);
-            }
-        }
-
-        #[test]
-        fn prop_heavy_light_respects_threshold(
-            rows in proptest::collection::vec((0u64..10, 0u64..30), 1..100),
-            threshold in 1usize..6,
-        ) {
-            let rel = Relation::from_rows(2, rows.iter().map(|(a, b)| [*a, *b])).deduped();
-            let (light, heavy) = split_heavy_light(&rel, &[0], &[1], threshold);
-            prop_assert_eq!(light.len() + heavy.len(), rel.len());
-            if !light.is_empty() {
-                prop_assert!(max_degree(&light, &[0], &[1]) <= threshold);
-            }
-            // every heavy group has degree > threshold in the original.
-            let heavy_groups: std::collections::HashSet<u64> = heavy.iter().map(|r| r[0]).collect();
-            for g in heavy_groups {
-                let mut vals = std::collections::HashSet::new();
-                for row in rel.iter() {
-                    if row[0] == g { vals.insert(row[1]); }
-                }
-                prop_assert!(vals.len() > threshold);
+                // A bucket keeps the input's rows of its groups, in order.
+                let groups: std::collections::BTreeSet<u64> =
+                    b.relation.iter().map(|r| r[0]).collect();
+                prop_assert_eq!(groups.len(), b.num_groups);
+                let expected: Vec<&[u64]> =
+                    rel.iter().filter(|r| groups.contains(&r[0])).collect();
+                prop_assert_eq!(b.relation.iter().collect::<Vec<_>>(), expected);
             }
         }
     }

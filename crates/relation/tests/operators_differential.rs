@@ -2,7 +2,7 @@
 //! checked against a naive nested-loop reference on random inputs, through
 //! both execution paths — fresh index and cached index.
 
-use panda_relation::{operators, Relation, Tuple, Value};
+use panda_relation::{operators, stats, Relation, Tuple, Value};
 use proptest::prelude::*;
 
 /// Nested-loop reference join: all columns of `left` followed by the
@@ -163,11 +163,11 @@ proptest! {
 
 proptest! {
     #[test]
-    fn prop_grouped_degrees_match_naive_count(rows in rows_strategy(3, 50)) {
+    fn prop_adjacency_degrees_match_naive_count(rows in rows_strategy(3, 50)) {
         use std::collections::{BTreeMap, BTreeSet};
         // Duplicate rows and the empty relation are both in the strategy's
-        // range.  The splits cover the single-column branch, the general
-        // multi-column branch and the `value_cols = []` branch.
+        // range.  The splits cover one and two key columns, one and two
+        // value columns, no key column and no value column.
         let r = rel_from(3, &rows);
         for (g, v) in [
             (&[0][..], &[1][..]),
@@ -184,20 +184,29 @@ proptest! {
             for row in r.iter() {
                 naive.entry(pick(row, g)).or_default().insert(pick(row, v));
             }
-            let gd = r.grouped_degrees(g, v);
+            let adj = r.adjacency(g, v);
+            let degree_of_row =
+                |row: &[Value]| adj.find(&pick(row, g)).map_or(0, |k| adj.degree(k));
             let mut seq: Vec<usize> = naive.values().map(BTreeSet::len).collect();
             seq.sort_unstable_by(|a, b| b.cmp(a));
-            prop_assert_eq!(gd.num_groups(), naive.len(), "groups deg({:?} | {:?})", v, g);
-            prop_assert_eq!(gd.max_degree(), seq.first().copied().unwrap_or(0));
-            prop_assert_eq!(gd.min_degree(), seq.last().copied().unwrap_or(0));
-            prop_assert_eq!(gd.total(), seq.iter().sum::<usize>());
-            prop_assert_eq!(gd.sequence_desc(), seq, "deg({:?} | {:?})", v, g);
+            prop_assert_eq!(adj.num_keys(), naive.len(), "groups deg({:?} | {:?})", v, g);
+            prop_assert_eq!(adj.max_degree(), seq.first().copied().unwrap_or(0));
+            prop_assert_eq!(adj.degrees().min().unwrap_or(0), seq.last().copied().unwrap_or(0));
+            prop_assert_eq!(adj.total(), seq.iter().sum::<usize>());
+            prop_assert_eq!(stats::degree_sequence(&r, g, v), seq, "deg({:?} | {:?})", v, g);
             for row in r.iter() {
-                prop_assert_eq!(gd.degree_of_row(row), naive[&pick(row, g)].len());
+                prop_assert_eq!(degree_of_row(row), naive[&pick(row, g)].len());
             }
             // 9 is outside the value domain: an absent group has degree 0.
             if !g.is_empty() {
-                prop_assert_eq!(gd.degree_of_row(&[9, 9, 9]), 0);
+                prop_assert_eq!(degree_of_row(&[9, 9, 9]), 0);
+            }
+            // The keys and each group's values are the naive map, in order.
+            let keys: Vec<Value> = naive.keys().flatten().copied().collect();
+            prop_assert_eq!(adj.keys(), &keys[..]);
+            for (k, values) in naive.values().enumerate() {
+                let values: Vec<Value> = values.iter().flatten().copied().collect();
+                prop_assert_eq!(adj.values(k), &values[..]);
             }
         }
     }

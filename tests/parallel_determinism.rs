@@ -207,6 +207,45 @@ fn explain_output_is_engine_independent() {
     }
 }
 
+/// `Q(A,B,C,D) :- P(A,B,C), R(C,D), S(A,D)`: at level `C` the generic
+/// join looks candidates up in `P` by the two-column bound key `(A, B)`.
+/// The answer equals a nested loop, and the rows are bit-identical
+/// sequentially and at 2 and 3 threads.
+#[test]
+fn generic_join_with_a_two_column_bound_prefix_matches_a_nested_loop() {
+    let query = parse_query("Q(A,B,C,D) :- P(A,B,C), R(C,D), S(A,D)").unwrap();
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = |arity: usize, n: usize, domain: u64| -> Relation {
+            Relation::from_rows(
+                arity,
+                (0..n).map(|_| (0..arity).map(|_| rng.gen_range(0..domain)).collect::<Vec<_>>()),
+            )
+        };
+        let (p, r, s) = (rows(3, 150, 5), rows(2, 40, 6), rows(2, 40, 6));
+        let mut expected = std::collections::BTreeSet::new();
+        for pr in p.iter() {
+            for rr in r.iter().filter(|rr| rr[0] == pr[2]) {
+                if s.iter().any(|sr| sr[0] == pr[0] && sr[1] == rr[1]) {
+                    expected.insert(vec![pr[0], pr[1], pr[2], rr[1]]);
+                }
+            }
+        }
+        let mut db = Database::new();
+        db.insert("P", p);
+        db.insert("R", r);
+        db.insert("S", s);
+        let seq = GenericJoin::evaluate_with_engine(&query, &db, Engine::Sequential);
+        assert!(!expected.is_empty(), "seed {seed}: the instance has answers");
+        assert_eq!(seq.rel.canonical_rows(), expected.into_iter().collect::<Vec<_>>());
+        for threads in [2, 3] {
+            let engine = Engine::Parallel(Parallelism::threads(threads));
+            let par = GenericJoin::evaluate_with_engine(&query, &db, engine);
+            assert_eq!(raw_rows(&par), raw_rows(&seq), "seed {seed}, {threads} threads");
+        }
+    }
+}
+
 proptest! {
     // Random triangle instances through the generic join's parallel
     // top-level split.

@@ -2,41 +2,59 @@
 //! naively here, and the EXPLAIN bytes those statistics produce.
 //!
 //! The root `cargo test` does not run the member-crate suites, so this is
-//! where tier-1 sees `panda-relation`'s degree measurement
-//! (`GroupedDegrees::compute`, whose `deg(v | g)` branch every binary atom
-//! goes through) end to end: the paper's two small instances, measured by
-//! the engine and counted by hand, must give the same statistics set and
-//! the same plan text.
+//! where tier-1 sees `panda-relation`'s degree measurement end to end: every
+//! degree and cardinality is read off a sorted adjacency
+//! (`Relation::adjacency`), one or two key columns at a time.  The paper's
+//! two small instances, a ternary atom and an empty relation, measured by
+//! the engine and counted by hand, must give the same statistics set, and
+//! the double star the same plan text.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use panda::prelude::*;
 use panda::workloads::{double_star_db, figure2_db, four_cycle_projected};
 
-/// `max_x |{y : (x, y) ∈ rows}|` over distinct pairs — `deg(y | x)`.
-fn naive_max_degree(pairs: impl Iterator<Item = (u64, u64)>) -> u64 {
-    let mut groups: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    for (x, y) in pairs {
-        groups.entry(x).or_default().insert(y);
+/// `max_x |{y : (x, y) ∈ rows}|` over distinct rows — `deg(y | x)` — for
+/// `x` the columns in `cond` and `y` the other columns.
+fn naive_degree(rows: &BTreeSet<Vec<u64>>, cond: &[usize]) -> u64 {
+    let mut groups: BTreeMap<Vec<u64>, BTreeSet<Vec<u64>>> = BTreeMap::new();
+    for row in rows {
+        let (x, y): (Vec<_>, Vec<_>) = row.iter().enumerate().partition(|(i, _)| cond.contains(i));
+        groups
+            .entry(x.into_iter().map(|(_, v)| *v).collect())
+            .or_default()
+            .insert(y.into_iter().map(|(_, v)| *v).collect());
     }
     groups.values().map(BTreeSet::len).max().unwrap_or(0) as u64
 }
 
-/// What `StatisticsSet::measure` documents for a query of binary atoms:
-/// per atom its distinct-row cardinality and both single-variable degree
-/// constraints, in base `‖D‖`.
+/// What `StatisticsSet::measure` documents: per atom its distinct-row
+/// cardinality and its degrees conditioned on each single variable and on
+/// each (arity−1)-subset of its variables, every count clamped to at
+/// least 1, in base `‖D‖`.
 fn naive_statistics(query: &ConjunctiveQuery, db: &Database) -> StatisticsSet {
-    let mut expected = StatisticsSet::new(db.total_tuples() as u64);
+    let mut expected = StatisticsSet::new((db.total_tuples() as u64).max(2));
     for atom in query.atoms() {
         let rel = db.relation(&atom.relation).expect("every atom has its relation");
-        assert_eq!(atom.arity(), 2, "the reference counts binary atoms only");
-        let (a, b) = (VarSet::singleton(atom.vars[0]), VarSet::singleton(atom.vars[1]));
-        let rows: BTreeSet<(u64, u64)> = rel.iter().map(|row| (row[0], row[1])).collect();
-        expected.add_cardinality(atom.relation.clone(), a.union(b), rows.len() as u64);
-        let forward = naive_max_degree(rows.iter().copied());
-        let backward = naive_max_degree(rows.iter().map(|&(x, y)| (y, x)));
-        expected.add_degree(atom.relation.clone(), a, b, forward);
-        expected.add_degree(atom.relation.clone(), b, a, backward);
+        let rows: BTreeSet<Vec<u64>> = rel.iter().map(<[u64]>::to_vec).collect();
+        let vars = atom.var_set();
+        expected.add_cardinality(atom.relation.clone(), vars, (rows.len() as u64).max(1));
+        let arity = atom.arity();
+        let sizes: BTreeSet<usize> = [1, arity - 1].into_iter().filter(|&k| k >= 1).collect();
+        for mask in 0..1usize << arity {
+            let cond: Vec<usize> = (0..arity).filter(|&i| mask >> i & 1 == 1).collect();
+            if !sizes.contains(&cond.len()) {
+                continue;
+            }
+            let cond_vars: VarSet = cond.iter().map(|&i| atom.vars[i]).collect();
+            let degree = naive_degree(&rows, &cond).max(1);
+            expected.add_degree(
+                atom.relation.clone(),
+                cond_vars,
+                vars.difference(cond_vars),
+                degree,
+            );
+        }
     }
     expected
 }
@@ -63,10 +81,32 @@ fn measured_statistics_match_a_naive_count() {
     assert_eq!(counts, vec![16, 8, 8]);
 }
 
+#[test]
+fn ternary_and_empty_atoms_measure_like_a_naive_count() {
+    let query = parse_query("Q(A,B,C,D) :- P(A,B,C), R(C,D), E(A,D)").unwrap();
+    let mut db = Database::new();
+    // Skewed and with duplicate rows: `i` in 0..10 occurs twice.
+    let p = (0..40u64).chain(0..10).map(|i| [i % 3, i % 4, i % 7 / (1 + i % 2)]);
+    db.insert("P", Relation::from_rows(3, p));
+    db.insert("R", Relation::from_rows(2, (0..20u64).map(|i| [i % 4, i % 6])));
+    db.insert("E", Relation::new(2));
+    let measured = StatisticsSet::measure(&query, &db);
+    let expected = naive_statistics(&query, &db);
+    assert_eq!(measured.base(), expected.base(), "base is ‖D‖");
+    assert_eq!(sorted_by_label(&measured), sorted_by_label(&expected));
+    // The ternary atom: its cardinality, then degrees given `{A}`, `{B}`,
+    // `{A,B}`, `{C}`, `{A,C}`, `{B,C}`.  The empty atom clamps to 1.
+    let counts =
+        |guard: &str| -> Vec<u64> { measured.for_guard(guard).iter().map(|s| s.count).collect() };
+    assert_eq!(counts("P"), vec![40, 14, 10, 4, 9, 3, 3]);
+    assert_eq!(counts("E"), vec![1, 1, 1]);
+}
+
 /// EXPLAIN of the projected 4-cycle over the §5.1 double star (`half` = 8)
 /// with measured statistics.  The bytes were recorded at commit 44f5a00,
-/// before `GroupedDegrees::compute` gained its single-column branch; a
-/// change to how degrees are counted must not move them.
+/// when degrees were counted in per-group hash sets; neither the sorted
+/// adjacency that counts them now nor any later change to how degrees are
+/// counted may move them.
 const DOUBLE_STAR_EXPLAIN: &str = concat!(
     "query: Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)\n",
     "strategy: adaptive\n",
