@@ -19,7 +19,6 @@
 // panda-lint: allow-file(P1) -- column indices are validated against
 // both arities at the top of join/semijoin before any row is touched.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::index::HashIndex;
@@ -27,6 +26,10 @@ use crate::relation::{Relation, Tuple, Value};
 
 /// Projects `relation` onto the given columns (in the given order),
 /// removing duplicates (first occurrences kept, in input row order).
+///
+/// Rows are deduplicated in the output buffer itself, by the same sink
+/// [`join`] streams into: each projected row is hashed and mapped to its
+/// row id there, so no row is allocated or copied outside that buffer.
 ///
 /// # Panics
 ///
@@ -36,15 +39,14 @@ pub fn project(relation: &Relation, cols: &[usize]) -> Relation {
     for &c in cols {
         assert!(c < relation.arity(), "projection column {c} out of range");
     }
-    let mut out = Relation::with_capacity(cols.len(), relation.len());
-    let mut seen: HashSet<Tuple> = HashSet::with_capacity(relation.len());
+    let mut out = DedupSink::new(cols.len(), relation.len());
+    let mut row_buf: Tuple = Tuple::with_capacity(cols.len());
     for row in relation.iter() {
-        let projected: Tuple = cols.iter().map(|&c| row[c]).collect();
-        if seen.insert(projected.clone()) {
-            out.push_row(&projected);
-        }
+        row_buf.clear();
+        row_buf.extend(cols.iter().map(|&c| row[c]));
+        out.push(&row_buf);
     }
-    out
+    out.into_relation()
 }
 
 /// Selects the rows where column `col` equals `value`.  Preserves row
@@ -157,14 +159,18 @@ struct DedupSink {
 }
 
 impl DedupSink {
-    fn new(arity: usize) -> Self {
+    /// A sink with room for `rows` distinct rows before it reallocates.
+    fn new(arity: usize, rows: usize) -> Self {
         DedupSink {
             arity,
-            data: Vec::new(),
+            data: Vec::with_capacity(arity * rows),
             rows: 0,
             zero_arity_present: false,
             hasher: std::collections::hash_map::RandomState::new(),
-            first_with_hash: std::collections::HashMap::default(),
+            first_with_hash: std::collections::HashMap::with_capacity_and_hasher(
+                if arity == 0 { 0 } else { rows },
+                PrehashedState,
+            ),
             overflow: Vec::new(),
         }
     }
@@ -238,7 +244,7 @@ pub fn join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relatio
     let build_left = choose_build_left(left, right, on);
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
     let (idx, probe_cols) = build_side_index(build, on, build_left);
-    let mut out = DedupSink::new(out_arity);
+    let mut out = DedupSink::new(out_arity, 0);
     let mut row_buf: Tuple = Tuple::with_capacity(out_arity);
     let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
     for prow in probe.iter() {

@@ -245,10 +245,71 @@ impl Relation {
     /// the canonical form used to compare query outputs in tests.
     #[must_use]
     pub fn canonical_rows(&self) -> Vec<Tuple> {
-        let mut rows: Vec<Tuple> = self.iter().map(<[Value]>::to_vec).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
+        let cols: Vec<usize> = (0..self.arity).collect();
+        self.canonical_row_ids(&cols).into_iter().map(|i| self.row(i).to_vec()).collect()
+    }
+
+    /// The canonical order of the rows projected onto `cols`: row ids
+    /// sorted lexicographically by their projections, one per distinct
+    /// projection (the id of its first occurrence).  The one sort behind
+    /// [`Relation::canonical_rows`] and the server's reply rendering.
+    ///
+    /// When the projected values and the row id fit in 128 bits together
+    /// (dictionary-encoded values are small), each row is packed into one
+    /// integer key and the keys are sorted in place; otherwise the row ids
+    /// are sorted by comparing the projections where they lie.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use panda_relation::Relation;
+    ///
+    /// let r = Relation::from_rows(2, vec![[2, 10], [1, 20], [2, 30], [1, 20]]);
+    /// assert_eq!(r.canonical_row_ids(&[1, 0]), vec![0, 1, 2]);
+    /// assert_eq!(r.canonical_row_ids(&[0]), vec![1, 0]);
+    /// ```
+    #[must_use]
+    pub fn canonical_row_ids(&self, cols: &[usize]) -> Vec<usize> {
+        for &c in cols {
+            assert!(c < self.arity, "canonical order column {c} out of range");
+        }
+        // A column's width in bits is that of the OR of its values.
+        let mut ors = vec![0u64; cols.len()];
+        for row in self.iter() {
+            for (or, &c) in ors.iter_mut().zip(cols) {
+                *or |= row[c];
+            }
+        }
+        let widths: Vec<u32> = ors.iter().map(|or| u64::BITS - or.leading_zeros()).collect();
+        let id_bits = usize::BITS - self.len().leading_zeros();
+        if widths.iter().sum::<u32>() + id_bits <= u128::BITS {
+            // The first column in the most significant bits, the row id in
+            // the least: integer order is the canonical order, ties by id.
+            let mut keys: Vec<u128> = self
+                .iter()
+                .enumerate()
+                .map(|(id, row)| {
+                    let packed = cols
+                        .iter()
+                        .zip(&widths)
+                        .fold(0u128, |key, (&c, &w)| (key << w) | u128::from(row[c]));
+                    (packed << id_bits) | id as u128
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup_by(|later, kept| *later >> id_bits == *kept >> id_bits);
+            let id_mask = (1u128 << id_bits) - 1;
+            return keys.into_iter().map(|key| (key & id_mask) as usize).collect();
+        }
+        let projection = |id: usize| cols.iter().map(move |&c| self.row(id)[c]);
+        let mut ids: Vec<usize> = (0..self.len()).collect();
+        ids.sort_unstable_by(|&a, &b| projection(a).cmp(projection(b)).then(a.cmp(&b)));
+        ids.dedup_by(|&mut later, &mut kept| projection(later).eq(projection(kept)));
+        ids
     }
 
     /// The number of *distinct* rows: the `total` of the cached
@@ -529,6 +590,28 @@ mod tests {
             sorted.sort();
             sorted.dedup();
             prop_assert_eq!(canon, sorted);
+        }
+
+        #[test]
+        fn prop_canonical_row_ids_match_a_sort_of_projections(
+            rows in proptest::collection::vec(proptest::collection::vec(0u64..4, 3..4), 0..40),
+            wide in 0u64..2,
+        ) {
+            // `wide` spreads the values over all 64 bits, so three columns
+            // no longer pack into 128 bits and the comparison sort runs.
+            let scale = if wide == 1 { u64::MAX / 3 } else { 1 };
+            let rel = Relation::from_rows(3, rows.iter().map(|r| r.iter().map(|v| v * scale).collect::<Vec<_>>()));
+            for cols in [&[0, 1, 2][..], &[2, 0][..], &[1, 1][..], &[1][..], &[][..]] {
+                let mut naive: Vec<(Tuple, usize)> = rel
+                    .iter()
+                    .enumerate()
+                    .map(|(id, row)| (cols.iter().map(|&c| row[c]).collect(), id))
+                    .collect();
+                naive.sort();
+                naive.dedup_by(|later, kept| later.0 == kept.0);
+                let expected: Vec<usize> = naive.into_iter().map(|(_, id)| id).collect();
+                prop_assert_eq!(rel.canonical_row_ids(cols), expected, "cols {:?}", cols);
+            }
         }
     }
 }

@@ -1,6 +1,10 @@
 //! Differential tests for the operator layer: every join-shaped operator is
 //! checked against a naive nested-loop reference on random inputs, through
-//! both execution paths — fresh index and cached index.
+//! both execution paths — fresh index and cached index — and the
+//! projection against a first-occurrence `HashSet` reference, row order
+//! included.
+
+use std::collections::HashSet;
 
 use panda_relation::{operators, stats, Relation, Tuple, Value};
 use proptest::prelude::*;
@@ -46,6 +50,16 @@ fn naive_antijoin(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> V
     rows.sort();
     rows.dedup();
     rows
+}
+
+/// Reference projection: each row's projection, kept the first time it is
+/// seen, in input order.
+fn naive_project(rel: &Relation, cols: &[usize]) -> Vec<Tuple> {
+    let mut seen: HashSet<Tuple> = HashSet::new();
+    rel.iter()
+        .map(|row| cols.iter().map(|&c| row[c]).collect::<Tuple>())
+        .filter(|projected| seen.insert(projected.clone()))
+        .collect()
 }
 
 fn rel_from(arity: usize, rows: &[Vec<Value>]) -> Relation {
@@ -140,6 +154,20 @@ proptest! {
         let semi = operators::semijoin(&left, &right, &on);
         let anti = operators::antijoin(&left, &right, &on);
         prop_assert_eq!(semi.len() + anti.len(), left.len());
+    }
+
+    #[test]
+    fn prop_project_matches_first_occurrence_dedup(
+        rows in rows_strategy(3, 40),
+        cols in proptest::collection::vec(0usize..3, 0..5),
+    ) {
+        // Duplicate rows, the empty input, repeated and permuted columns
+        // and the zero-column output are all in the strategies' ranges.
+        let rel = rel_from(3, &rows);
+        let out = operators::project(&rel, &cols);
+        prop_assert_eq!(out.arity(), cols.len());
+        let got: Vec<Tuple> = out.iter().map(<[Value]>::to_vec).collect();
+        prop_assert_eq!(got, naive_project(&rel, &cols), "cols {:?}", cols);
     }
 
     #[test]

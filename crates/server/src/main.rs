@@ -22,7 +22,27 @@ use panda_server::serve::{serve, serve_stdio, ServeOptions};
 
 const USAGE: &str = "usage: panda-server [--listen <addr>] [--stdio] [--once]";
 
+/// Freed heap the allocator keeps mapped for the next request, per arena.
+const RETAINED_HEAP_BYTES: usize = 32 << 20;
+
+/// Keeps a request's freed buffers mapped for the next request.
+///
+/// A large `QUERY` (a 128k-row answer) allocates and frees tens of
+/// megabytes of flat buffers.  glibc's default thresholds hand that memory
+/// back to the kernel when the request ends, so the next request faults
+/// every page in again (~5 000 minor faults a request), and on a virtual
+/// machine whose balloon reclaims free pages each fault costs whatever the
+/// host is doing at the time.  Freeing one block above the mmap threshold
+/// (and at most 32 MiB) lifts that threshold to the block's size and the
+/// heap-trim threshold to twice it (mallopt(3), "dynamic mmap threshold"),
+/// so up to [`RETAINED_HEAP_BYTES`] of free heap stay mapped.  Other
+/// allocators ignore the hint.
+fn keep_freed_heap_mapped() {
+    drop(std::hint::black_box(Vec::<u8>::with_capacity(RETAINED_HEAP_BYTES / 2)));
+}
+
 fn main() -> ExitCode {
+    keep_freed_heap_mapped();
     let mut listen: Option<String> = None;
     let mut stdio = false;
     let mut once = false;

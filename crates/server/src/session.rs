@@ -30,10 +30,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use panda_core::{
     plan_cache_stats, Budgets, CancelToken, Engine, EvaluationStrategy, Panda, ReasonCode,
-    StrategyError,
+    StrategyError, VarRelation,
 };
 use panda_entropy::BoundError;
-use panda_query::{parse_query, Var};
+use panda_query::{parse_query, ConjunctiveQuery, Var};
 use panda_relation::{Database, Relation, Value};
 
 use crate::protocol::{
@@ -322,35 +322,7 @@ impl Session {
         match panda.try_evaluate_with_events(&self.db, self.strategy()) {
             Ok((result, events)) => {
                 self.stats.absorb(&events);
-                let query = panda.query();
-                if query.is_boolean() {
-                    let truth = if result.is_empty() { "false" } else { "true" };
-                    return Reply {
-                        lines: vec![
-                            format!("OK rows n={} vars=() lines=1", result.len()),
-                            truth.to_string(),
-                        ],
-                        quit: false,
-                    };
-                }
-                let order: Vec<Var> = query.free_vars().to_vec();
-                let names: Vec<&str> = order
-                    .iter()
-                    .map(|v| query.var_names().get(v.0 as usize).map_or("?", String::as_str))
-                    .collect();
-                let rows = result.canonical_rows_ordered(&order);
-                let mut lines = Vec::with_capacity(rows.len() + 1);
-                lines.push(format!(
-                    "OK rows n={} vars={} lines={}",
-                    rows.len(),
-                    names.join(","),
-                    rows.len()
-                ));
-                for row in rows {
-                    let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                    lines.push(cells.join(" "));
-                }
-                Reply { lines, quit: false }
+                render_answer(panda.query(), &result).unwrap_or_else(Reply::error)
             }
             Err(err) => Reply::error(wire_strategy_error(&err)),
         }
@@ -424,6 +396,62 @@ impl Session {
             s.hits, s.misses, s.evictions
         ))
     }
+}
+
+/// Renders a `QUERY` answer: the header, then one line per distinct row of
+/// `result` on the query's free variables, in canonical order.  That order
+/// is one sort of row ids ([`Relation::canonical_row_ids`]), and each line
+/// is written digit by digit into a `String` of its exact length, so the
+/// answer is read once and copied nowhere else.  A free variable missing
+/// from `result` answers `ERR internal`.
+fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply, WireError> {
+    if query.is_boolean() {
+        let truth = if result.is_empty() { "false" } else { "true" };
+        return Ok(Reply {
+            lines: vec![format!("OK rows n={} vars=() lines=1", result.len()), truth.to_string()],
+            quit: false,
+        });
+    }
+    let order: Vec<Var> = query.free_vars().to_vec();
+    let missing =
+        || WireError::new(ErrorCode::Internal, "a free variable is missing from the answer");
+    let cols: Vec<usize> =
+        order.iter().map(|v| result.column_of(*v)).collect::<Option<_>>().ok_or_else(missing)?;
+    let names: Vec<&str> = order
+        .iter()
+        .map(|v| query.var_names().get(v.0 as usize).map_or("?", String::as_str))
+        .collect();
+    let ids = result.rel.canonical_row_ids(&cols);
+    let mut lines = Vec::with_capacity(ids.len() + 1);
+    lines.push(format!("OK rows n={} vars={} lines={}", ids.len(), names.join(","), ids.len()));
+    for id in ids {
+        // Every `get` is `Some`: `cols` are columns of `result`.
+        let row = result.rel.row(id);
+        let values = || cols.iter().filter_map(|&c| row.get(c).copied());
+        let mut line =
+            String::with_capacity(values().map(decimal_len).sum::<usize>() + cols.len() - 1);
+        for (k, value) in values().enumerate() {
+            if k > 0 {
+                line.push(' ');
+            }
+            push_decimal(&mut line, value);
+        }
+        lines.push(line);
+    }
+    Ok(Reply { lines, quit: false })
+}
+
+/// The number of decimal digits of `value`.
+fn decimal_len(value: Value) -> usize {
+    value.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `value` in decimal, most significant digit first.
+fn push_decimal(line: &mut String, value: Value) {
+    if value >= 10 {
+        push_decimal(line, value / 10);
+    }
+    line.push(char::from(b'0' + (value % 10) as u8));
 }
 
 fn fmt_opt(value: Option<u64>) -> String {
@@ -516,6 +544,22 @@ mod tests {
         assert_eq!(yes.lines, vec!["OK rows n=1 vars=() lines=1", "true"]);
         let no = session.handle_line("QUERY Q() :- E(A,A)");
         assert_eq!(no.lines, vec!["OK rows n=0 vars=() lines=1", "false"]);
+    }
+
+    #[test]
+    fn an_answer_without_a_free_variable_is_an_internal_error_and_rows_render_canonically() {
+        let query = parse_query("Q(B,A) :- R(A,B)").unwrap();
+        let rows = Relation::from_rows(2, vec![[20, 1], [3, 0], [20, 1], [1000, 7]]);
+        let missing = VarRelation::new(vec![Var(0), Var(2)], rows.clone());
+        let reply = render_answer(&query, &missing).unwrap_err().render();
+        assert_eq!(reply, "ERR internal a free variable is missing from the answer");
+        // Columns bound as (B, A): rendered in variable order (A, B), sorted,
+        // duplicates once, zero and multi-digit values intact.
+        let answer = VarRelation::new(vec![Var(1), Var(0)], rows);
+        assert_eq!(
+            render_answer(&query, &answer).unwrap().lines,
+            vec!["OK rows n=3 vars=A,B lines=3", "0 3", "1 20", "7 1000"]
+        );
     }
 
     #[test]
