@@ -1,7 +1,7 @@
 //! A textbook binary-join baseline.
 //!
 //! This is the "classical query plan" the paper contrasts PANDA against: a
-//! greedy left-deep sequence of pairwise hash joins with projection
+//! greedy left-deep sequence of pairwise joins with projection
 //! push-down.  It has no worst-case guarantees — on cyclic queries or
 //! skewed data its intermediate results can be quadratically larger than
 //! both the AGM bound and the submodular-width bound, which is exactly what

@@ -411,21 +411,23 @@ pub(crate) fn chain_join_estimate(atoms: &[&Atom], db: &Database) -> f64 {
     bound
 }
 
-/// The exact size of the natural join of two atoms: probe the first
-/// relation's (cached) hash index on the shared variables with every row of
-/// the second relation and sum the matching group sizes (`Σ_k |A_k| ·
-/// |B_k|`), all in linear time.  The per-branch TD choice calls this for
-/// every bag of every candidate decomposition, so serving the group counts
-/// from the relation's shared index cache is what keeps adaptive planning
-/// cheap across branches.
+/// The exact size of the natural join of two atoms: look every row of the
+/// second relation up in the first relation's cached adjacency `(shared
+/// columns | rest)` and sum the matching groups' degrees (`Σ_k |A_k| ·
+/// |B_k|`), in `O(|B| log |A|)`.  A degree counts *distinct* rows, which
+/// is the stored count for every relation that reaches the planner: `LOAD`
+/// deduplicates what it stores, and so does every generator.  The
+/// per-branch TD choice calls this for every bag of every candidate
+/// decomposition, so serving the groups from the relation's shared cache
+/// is what keeps adaptive planning cheap across branches.
 fn exact_pairwise_join_size(a: &Atom, b: &Atom, db: &Database) -> f64 {
     let (Some(ra), Some(rb)) = (db.relation(&a.relation), db.relation(&b.relation)) else {
         return 0.0;
     };
     let shared: Vec<Var> = a.vars.iter().copied().filter(|v| b.vars.contains(v)).collect();
     // `position_of` returns first positions of distinct variables, so the
-    // canonicalised column pairs have distinct `a`-columns as the cache
-    // requires.
+    // canonicalised column pairs have distinct `a`-columns, aligned with
+    // the adjacency's sorted key columns.
     let mut pairs: Vec<(usize, usize)> = shared
         .iter()
         .map(|v| (a.position_of(*v).expect("shared"), b.position_of(*v).expect("shared")))
@@ -434,13 +436,16 @@ fn exact_pairwise_join_size(a: &Atom, b: &Atom, db: &Database) -> f64 {
     pairs.dedup();
     let cols_a: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let cols_b: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-    let idx = ra.index_for(&cols_a);
+    let all_a: Vec<usize> = (0..ra.arity()).collect();
+    let adjacency = ra.adjacency(&cols_a, &all_a);
     let mut total: f64 = 0.0;
     let mut key: Vec<u64> = Vec::with_capacity(cols_b.len());
     for row in rb.iter() {
         key.clear();
         key.extend(cols_b.iter().map(|&c| row[c]));
-        total += idx.probe(&key).len() as f64;
+        if let Some(group) = adjacency.find(&key) {
+            total += adjacency.degree(group) as f64;
+        }
     }
     total.max(1.0)
 }
@@ -646,5 +651,40 @@ mod tests {
         // A cover also exists for a single-variable bag.
         let cover = greedy_projection_cover(q2.atoms(), &db2, VarSet::singleton(Var(1))).unwrap();
         assert_eq!(cover.len(), 1);
+    }
+
+    #[test]
+    fn exact_pairwise_join_size_matches_a_nested_loop() {
+        // One shared variable, then two (in different column orders on the
+        // two sides); small domains make many keys repeat.
+        for (text, seed) in [
+            ("Q(A) :- R(A,B), S(B,C)", 1),
+            ("Q(A) :- R(A,B), S(C,B)", 2),
+            ("Q(A) :- R(A,B,C), S(C,D,B)", 3),
+            ("Q(A) :- R(B,A,C), S(A,B,D)", 4),
+        ] {
+            let q = parse_query(text).unwrap();
+            let (a, b) = (&q.atoms()[0], &q.atoms()[1]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut db = Database::new();
+            for atom in [a, b] {
+                let arity = atom.vars.len();
+                let rows = (0..60).map(|_| (0..arity).map(|_| rng.gen_range(0..5)).collect());
+                let rows: Vec<Vec<u64>> = rows.collect();
+                db.insert(
+                    &atom.relation,
+                    Relation::from_rows(arity, rows.iter().map(Vec::as_slice)).deduped(),
+                );
+            }
+            let (ra, rb) = (db.relation(&a.relation).unwrap(), db.relation(&b.relation).unwrap());
+            let agree = |ra_row: &[u64], rb_row: &[u64]| {
+                a.vars.iter().enumerate().all(|(i, v)| {
+                    b.vars.iter().enumerate().all(|(j, w)| v != w || ra_row[i] == rb_row[j])
+                })
+            };
+            let naive = ra.iter().flat_map(|x| rb.iter().filter(move |y| agree(x, y))).count();
+            assert!(naive > 1, "{text}: the instance must join");
+            assert_eq!(exact_pairwise_join_size(a, b, &db), naive as f64, "{text}");
+        }
     }
 }

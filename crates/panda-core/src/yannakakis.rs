@@ -15,10 +15,10 @@
 //! `N²/4` rows.  [`yannakakis_profiled`] reports those row counts.
 //!
 //! Both semijoin passes go through [`panda_relation::operators::semijoin`],
-//! which serves the filter side's hash table from the relation's shared
-//! index cache — so repeated runs over the same database (across PANDA
-//! branches or bench iterations) rebuild no leaf indexes, and semijoins
-//! that filter nothing return O(1) clones.
+//! which probes the filter side's adjacency from the relation's shared
+//! cache — so repeated runs over the same database (across PANDA branches
+//! or bench iterations) re-sort no leaf, and semijoins that filter nothing
+//! return O(1) clones.
 
 // panda-lint: allow-file(P1) -- semijoin passes index per-node slots by
 // the tree decomposition's own node ids, and the take()/expect pairs

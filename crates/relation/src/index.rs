@@ -1,13 +1,14 @@
-//! The per-relation cache of derived structures: hash indexes for row-id
-//! probes, and sorted adjacencies for everything that groups values.
+//! The per-relation cache of derived structures: one sorted adjacency per
+//! column split, the one structure every grouping read and every probe of
+//! a relation goes through.
 //!
 //! The PANDA/subw algorithms repeatedly measure, semijoin, join and
 //! partition the *same* relations across proof-sequence steps and degree
 //! branches.  To avoid rebuilding identical structures every time, every
 //! [`Relation`] carries an `IndexCache`: a lazily populated map from
-//! canonical (sorted, distinct) column sets to built structures.  Because
-//! relation storage is `Arc`-shared, an O(1) relation clone shares the
-//! cache too — the second read of the same `(relation, columns)` pair
+//! canonical (sorted, distinct) column splits to built adjacencies.
+//! Because relation storage is `Arc`-shared, an O(1) relation clone shares
+//! the cache too — the second read of the same `(relation, split)` pair
 //! anywhere in the engine is a lookup, not a build.  Mutating a relation
 //! detaches it from the shared cache (see `Relation::invalidate_derived`).
 //!
@@ -15,13 +16,14 @@
 //! rows projected onto key columns `K` then value columns `V`, sorted and
 //! deduplicated.  The paper's degree `deg_R(V | K = k)` (Section 3.2) is
 //! the length of `k`'s value list, a generic-join level's candidates are
-//! one value list (or the key list, when nothing is bound yet), and a
-//! distinct count is a number of keys, so one structure per column split
-//! serves all three.
+//! one value list (or the key list, when nothing is bound yet), a distinct
+//! count is a number of keys, and a join, semijoin or antijoin probes the
+//! build side's `(K | rest)` split by binary search on the key, so one
+//! structure per column split serves them all.
 
-// panda-lint: allow-file(P1) -- key columns are canonicalised and
-// bounds-checked against the arity before an index is ever built, and an
-// adjacency's group ids index its own `offsets`.
+// panda-lint: allow-file(P1) -- an adjacency's columns are bounds-checked
+// against the arity by the sort that builds it, and its group ids index its
+// own `offsets`.
 
 use std::collections::HashMap;
 // panda-lint: allow(D2) -- the index cache is the one sanctioned use of
@@ -32,62 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // contents are a pure function of the relation, never of timing.
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::relation::{Relation, Tuple, Value};
-
-/// A hash index mapping the values of a fixed set of key columns to the row
-/// indices that carry them.
-///
-/// The index borrows nothing from the relation; it stores owned key tuples
-/// and row ids, so the relation can be mutated afterwards (at which point
-/// the index is stale and should be rebuilt).  Indexes obtained through
-/// [`Relation::index_for`] are cached and never stale: mutation detaches
-/// the relation from its cache.
-///
-/// # Examples
-///
-/// ```
-/// use panda_relation::{HashIndex, Relation};
-///
-/// let r = Relation::from_rows(2, vec![[1, 10], [1, 20], [2, 30]]);
-/// let idx = HashIndex::build(&r, &[0]);
-/// assert_eq!(idx.probe(&[1]).len(), 2);
-/// assert_eq!(idx.probe(&[9]).len(), 0);
-/// assert!(idx.contains_key(&[2]));
-/// ```
-#[derive(Debug, Clone)]
-pub struct HashIndex {
-    map: HashMap<Tuple, Vec<usize>>,
-}
-
-impl HashIndex {
-    /// Builds an index on `key_cols` of `relation`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any column index is out of range.
-    #[must_use]
-    pub fn build(relation: &Relation, key_cols: &[usize]) -> Self {
-        check_cols(relation, key_cols);
-        let mut map: HashMap<Tuple, Vec<usize>> = HashMap::with_capacity(relation.len());
-        for (i, row) in relation.iter().enumerate() {
-            let key: Tuple = key_cols.iter().map(|&c| row[c]).collect();
-            map.entry(key).or_default().push(i);
-        }
-        HashIndex { map }
-    }
-
-    /// Row ids whose key columns equal `key` (empty slice if none).
-    #[must_use]
-    pub fn probe(&self, key: &[Value]) -> &[usize] {
-        self.map.get(key).map_or(&[], Vec::as_slice)
-    }
-
-    /// Whether any row carries the given key.
-    #[must_use]
-    pub fn contains_key(&self, key: &[Value]) -> bool {
-        self.map.contains_key(key)
-    }
-}
+use crate::relation::{Relation, Value};
 
 /// A relation's distinct rows projected onto key columns `K` followed by
 /// value columns `V`, sorted: the distinct `K`-values in ascending order
@@ -126,27 +73,26 @@ pub struct Adjacency {
 
 impl Adjacency {
     /// Builds the adjacency of canonical `key_cols | value_cols` (each
-    /// strictly increasing, disjoint) with one sort of the projected rows.
+    /// strictly increasing, disjoint) from one sort of the projected rows:
+    /// [`Relation::canonical_row_ids`] of `key_cols ++ value_cols`.
     fn build(relation: &Relation, key_cols: &[usize], value_cols: &[usize]) -> Self {
         let cols: Vec<usize> = key_cols.iter().chain(value_cols).copied().collect();
-        check_cols(relation, &cols);
-        let (rows, n) = sorted_distinct(relation, &cols);
-        let (k, width) = (key_cols.len(), cols.len());
+        let ids = relation.canonical_row_ids(&cols);
         let mut keys = Vec::new();
         let mut offsets = vec![0];
-        let mut values = Vec::with_capacity(n * value_cols.len());
-        for i in 0..n {
-            let (key, value) = rows[i * width..(i + 1) * width].split_at(k);
-            if i == 0 || key != &rows[(i - 1) * width..(i - 1) * width + k] {
+        let mut values = Vec::with_capacity(ids.len() * value_cols.len());
+        for (i, &id) in ids.iter().enumerate() {
+            let row = relation.row(id);
+            if i == 0 || key_cols.iter().any(|&c| relation.row(ids[i - 1])[c] != row[c]) {
                 if i > 0 {
                     offsets.push(i);
                 }
-                keys.extend_from_slice(key);
+                keys.extend(key_cols.iter().map(|&c| row[c]));
             }
-            values.extend_from_slice(value);
+            values.extend(value_cols.iter().map(|&c| row[c]));
         }
-        if n > 0 {
-            offsets.push(n);
+        if !ids.is_empty() {
+            offsets.push(ids.len());
         }
         Adjacency {
             key_cols: key_cols.to_vec(),
@@ -226,55 +172,10 @@ impl Adjacency {
     }
 }
 
-/// Panics unless every column is in range for `relation`.
-fn check_cols(relation: &Relation, cols: &[usize]) {
-    for &c in cols {
-        assert!(c < relation.arity(), "column {c} out of range for arity {}", relation.arity());
-    }
-}
-
-/// The distinct rows of `relation` projected onto `cols`, sorted, as a flat
-/// buffer of `cols.len()` values per row, and their number.
-fn sorted_distinct(relation: &Relation, cols: &[usize]) -> (Vec<Value>, usize) {
-    match cols.len() {
-        0 => (Vec::new(), usize::from(!relation.is_empty())),
-        1 => sorted_distinct_fixed::<1>(relation, cols),
-        2 => sorted_distinct_fixed::<2>(relation, cols),
-        3 => sorted_distinct_fixed::<3>(relation, cols),
-        _ => {
-            let mut rows: Vec<Tuple> =
-                relation.iter().map(|row| cols.iter().map(|&c| row[c]).collect()).collect();
-            rows.sort_unstable();
-            rows.dedup();
-            (rows.concat(), rows.len())
-        }
-    }
-}
-
-/// [`sorted_distinct`] for a fixed width: rows as arrays, no allocation
-/// per row.
-fn sorted_distinct_fixed<const W: usize>(
-    relation: &Relation,
-    cols: &[usize],
-) -> (Vec<Value>, usize) {
-    let mut rows: Vec<[Value; W]> =
-        relation.iter().map(|row| std::array::from_fn(|i| row[cols[i]])).collect();
-    rows.sort_unstable();
-    rows.dedup();
-    (rows.concat(), rows.len())
-}
-
-/// `true` iff the slice is strictly increasing — the canonical shape for
-/// cached key-column sets.
-pub(crate) fn is_canonical_cols(cols: &[usize]) -> bool {
-    cols.windows(2).all(|w| w[0] < w[1])
-}
-
 /// Cache key for an [`Adjacency`]: canonical key and value columns.
-type SplitKey = (Vec<usize>, Vec<usize>);
+pub(crate) type SplitKey = (Vec<usize>, Vec<usize>);
 
-/// The per-relation cache of derived structures: hash indexes keyed by
-/// canonical (sorted, distinct) key columns, and adjacencies keyed by
+/// The per-relation cache of derived structures: adjacencies keyed by
 /// canonical (key, value) column pairs.
 ///
 /// The cache lives behind the relation's storage `Arc`, so O(1) clones
@@ -288,7 +189,6 @@ pub(crate) struct IndexCache {
     // pure function of the relation's rows, so population order (and the
     // winner of a racing duplicate build) cannot influence any result.
     populated: AtomicBool,
-    indexes: Mutex<HashMap<Vec<usize>, Arc<HashIndex>>>,
     adjacencies: Mutex<HashMap<SplitKey, Arc<Adjacency>>>,
 }
 
@@ -299,51 +199,24 @@ impl IndexCache {
         self.populated.load(Ordering::Relaxed)
     }
 
-    fn mark_populated(&self) {
-        self.populated.store(true, Ordering::Relaxed);
-    }
-
-    /// Returns the cached hash index for a canonical column set, if built.
-    pub(crate) fn cached_index(&self, cols: &[usize]) -> Option<Arc<HashIndex>> {
-        self.indexes.lock().unwrap_or_else(PoisonError::into_inner).get(cols).cloned()
-    }
-
-    /// Returns the hash index for a canonical column set, building and
-    /// caching it on first use.
-    pub(crate) fn index(&self, relation: &Relation, cols: &[usize]) -> Arc<HashIndex> {
-        if let Some(idx) = self.cached_index(cols) {
-            return idx;
-        }
-        let built = Arc::new(HashIndex::build(relation, cols));
-        self.mark_populated();
-        self.indexes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(cols.to_vec())
-            .or_insert(built)
-            .clone()
+    /// Returns the cached adjacency for a canonical key/value column pair,
+    /// if one was built.
+    pub(crate) fn cached_adjacency(&self, split: &SplitKey) -> Option<Arc<Adjacency>> {
+        self.adjacencies.lock().unwrap_or_else(PoisonError::into_inner).get(split).cloned()
     }
 
     /// Returns the adjacency for a canonical key/value column pair,
     /// building and caching it on first use.
-    pub(crate) fn adjacency(
-        &self,
-        relation: &Relation,
-        key_cols: &[usize],
-        value_cols: &[usize],
-    ) -> Arc<Adjacency> {
-        let key = (key_cols.to_vec(), value_cols.to_vec());
-        if let Some(adj) =
-            self.adjacencies.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned()
-        {
+    pub(crate) fn adjacency(&self, relation: &Relation, split: SplitKey) -> Arc<Adjacency> {
+        if let Some(adj) = self.cached_adjacency(&split) {
             return adj;
         }
-        let built = Arc::new(Adjacency::build(relation, key_cols, value_cols));
-        self.mark_populated();
+        let built = Arc::new(Adjacency::build(relation, &split.0, &split.1));
+        self.populated.store(true, Ordering::Relaxed);
         self.adjacencies
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
+            .entry(split)
             .or_insert(built)
             .clone()
     }
@@ -358,39 +231,40 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operators;
 
     #[test]
     fn build_and_probe() {
         let r = Relation::from_rows(3, vec![[1, 10, 100], [1, 20, 200], [2, 10, 300]]);
-        let idx = HashIndex::build(&r, &[0, 1]);
-        assert_eq!(idx.probe(&[1, 10]), &[0]);
-        assert_eq!(idx.probe(&[1, 20]), &[1]);
-        assert_eq!(idx.probe(&[2, 10]), &[2]);
-        assert!(idx.probe(&[2, 20]).is_empty());
+        let adj = r.adjacency(&[0, 1], &[0, 1, 2]);
+        let probe = |key: &[Value]| adj.find(key).map(|g| adj.values(g));
+        assert_eq!(probe(&[1, 10]), Some(&[100][..]));
+        assert_eq!(probe(&[1, 20]), Some(&[200][..]));
+        assert_eq!(probe(&[2, 10]), Some(&[300][..]));
+        assert_eq!(probe(&[2, 20]), None);
     }
 
     #[test]
     fn duplicated_keys_probe_every_row() {
-        let r = Relation::from_rows(2, vec![[1, 1], [1, 2], [1, 3], [2, 4]]);
-        let idx = HashIndex::build(&r, &[0]);
-        assert_eq!(idx.probe(&[1]), &[0, 1, 2]);
-        assert!(idx.contains_key(&[2]));
+        let r = Relation::from_rows(2, vec![[1, 3], [1, 2], [1, 3], [1, 1], [2, 4]]);
+        let adj = r.adjacency(&[0], &[0, 1]);
+        assert_eq!(adj.values(adj.find(&[1]).unwrap()), &[1, 2, 3]);
+        assert!(adj.find(&[2]).is_some());
     }
 
     #[test]
     fn empty_key_groups_everything() {
-        let r = Relation::from_rows(2, vec![[1, 1], [2, 2], [3, 3]]);
-        let idx = HashIndex::build(&r, &[]);
-        assert_eq!(idx.probe(&[]).len(), 3);
+        let r = Relation::from_rows(2, vec![[1, 1], [2, 2], [3, 3], [2, 2]]);
         let adj = r.adjacency(&[], &[0, 1]);
         assert_eq!((adj.num_keys(), adj.max_degree(), adj.find(&[])), (1, 3, Some(0)));
+        assert_eq!(adj.values(0), &[1, 1, 2, 2, 3, 3]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_column_panics() {
         let r = Relation::new(1);
-        let _ = HashIndex::build(&r, &[2]);
+        let _ = r.adjacency(&[2], &[0]);
     }
 
     #[test]
@@ -409,6 +283,31 @@ mod tests {
         let rest = r.adjacency(&[2], &[0, 1]);
         assert_eq!(rest.values(0), &[1, 10, 1, 30]);
         assert_eq!(rest.total(), 4);
+        // No key column: one group holding every distinct projection.
+        let unkeyed = r.adjacency(&[], &[1]);
+        assert_eq!((unkeyed.num_keys(), unkeyed.keys()), (1, &[][..]));
+        assert_eq!(unkeyed.values(0), &[7, 10, 30]);
+        // Four columns whose values need 45 bits each do not pack into a
+        // 128-bit key: the rows are sorted by comparing them in place.
+        let big = 1u64 << 44;
+        let r = Relation::from_rows(
+            4,
+            vec![
+                [2, big + 2, big, big + 1],
+                [1, big + 5, big, big],
+                [2, big + 2, big, big + 1],
+                [1, big, big + 9, big],
+                [1, big + 5, big, big],
+            ],
+        );
+        let adj = r.adjacency(&[0], &[0, 1, 2, 3]);
+        assert_eq!(adj.keys(), &[1, 2]);
+        assert_eq!(adj.values(0), &[big, big + 9, big, big + 5, big, big]);
+        assert_eq!(adj.values(1), &[big + 2, big, big + 1]);
+        assert_eq!((adj.total(), r.distinct_count()), (3, 3));
+        let by_tail = r.adjacency(&[2, 3], &[1]);
+        assert_eq!(by_tail.keys(), &[big, big, big, big + 1, big + 9, big]);
+        assert_eq!(by_tail.values(0), &[big + 5]);
     }
 
     #[test]
@@ -420,13 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_index_is_shared_between_clones() {
+    fn cached_adjacency_is_shared_between_clones() {
         let r = Relation::from_rows(2, vec![[1, 10], [2, 20]]);
-        let idx1 = r.index_for(&[0]);
         let clone = r.clone();
-        let idx2 = clone.index_for(&[0]);
-        assert!(Arc::ptr_eq(&idx1, &idx2), "clones must share the index cache");
+        assert!(r.try_cached_adjacency(&[0], &[1]).is_none());
         let adj = r.adjacency(&[0], &[1]);
+        assert!(Arc::ptr_eq(&adj, &clone.try_cached_adjacency(&[0], &[1]).unwrap()));
         assert!(Arc::ptr_eq(&adj, &clone.adjacency(&[0], &[1])));
     }
 
@@ -434,21 +332,21 @@ mod tests {
     fn mutation_detaches_from_the_shared_cache() {
         let mut r = Relation::from_rows(2, vec![[1, 10], [2, 20]]);
         let original = r.clone();
-        let before = r.index_for(&[0]);
+        let before = r.adjacency(&[0], &[1]);
         r.push_row(&[3, 30]);
-        let after = r.index_for(&[0]);
+        let after = r.adjacency(&[0], &[1]);
         assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(after.probe(&[3]).len(), 1);
-        // The original clone still sees its (valid) cached index.
-        assert!(Arc::ptr_eq(&before, &original.index_for(&[0])));
-        assert!(original.index_for(&[0]).probe(&[3]).is_empty());
+        assert!(after.find(&[3]).is_some());
+        // The original clone still sees its (valid) cached adjacency.
+        assert!(Arc::ptr_eq(&before, &original.adjacency(&[0], &[1])));
+        assert!(original.adjacency(&[0], &[1]).find(&[3]).is_none());
         // `reserve` writes no row but may re-home the buffer: it must
         // detach a populated cache as well.
         let mut reserved = original.clone();
         let _ = reserved.distinct_count();
         reserved.reserve(8);
-        assert!(reserved.try_cached_index(&[0]).is_none());
-        assert!(Arc::ptr_eq(&before, &original.index_for(&[0])));
+        assert!(reserved.try_cached_adjacency(&[0], &[1]).is_none());
+        assert!(Arc::ptr_eq(&before, &original.adjacency(&[0], &[1])));
         assert_eq!(reserved.distinct_count(), 2);
     }
 
@@ -471,6 +369,12 @@ mod tests {
         assert_eq!(by_a.values(by_a.find(&[1]).unwrap()), &[2, 3]);
         // PANDA's partition on `deg(0 | 1)`.
         assert_eq!(crate::stats::bucket_by_degree(&r, &[1], &[0]).len(), 2);
+        // A join on each column, with `r` as the build side (the probe
+        // side is larger), and a semijoin filtered by `r`.
+        let probe = Relation::from_rows(1, vec![[1], [2], [3], [4], [5], [6]]);
+        assert_eq!(operators::join(&r, &probe, &[(0, 0)]).len(), 4);
+        assert_eq!(operators::join(&r, &probe, &[(1, 0)]).len(), 4);
+        assert_eq!(operators::semijoin(&probe, &r, &[(0, 1)]).len(), 3);
         assert_eq!(r.cache.num_adjacencies(), 2, "exactly (0|1) and (1|0)");
     }
 }

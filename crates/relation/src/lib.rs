@@ -10,12 +10,12 @@
 //!   symbol of a query),
 //! * relational operators (projection, selection, natural join on column
 //!   pairs, semijoin, antijoin, union, difference) in [`operators`],
-//! * the shared per-relation cache in [`index`]: hash indexes for row-id
-//!   probes ([`Relation::index_for`]) and sorted adjacencies
+//! * the shared per-relation cache in [`index`]: sorted adjacencies
 //!   ([`Relation::adjacency`]), the one structure that degrees,
-//!   generic-join candidates and distinct counts all read — relation
-//!   storage is `Arc`-shared and copy-on-write, so O(1) relation clones
-//!   share them across every consumer of the same data,
+//!   generic-join candidates, distinct counts and every join, semijoin
+//!   and antijoin probe all read — relation storage is `Arc`-shared and
+//!   copy-on-write, so O(1) relation clones share them across every
+//!   consumer of the same data,
 //! * degree statistics and power-of-two degree bucketing in [`stats`] —
 //!   the measurements that feed degree constraints (Section 3.2 of the
 //!   paper) and PANDA's data partitioning (Section 8),
@@ -50,7 +50,7 @@ pub mod stats;
 
 pub use annotated::AnnotatedRelation;
 pub use database::Database;
-pub use index::{Adjacency, HashIndex};
+pub use index::Adjacency;
 pub use relation::{Relation, Tuple, Value};
 pub use semiring::{BoolSemiring, CountingSemiring, MaxMinSemiring, MinPlusSemiring, Semiring};
 pub use stats::DegreeBucket;

@@ -6,11 +6,12 @@
 //! of the atom).  The variable-aware layer lives in `panda-core`.
 //!
 //! The join-shaped operators ([`join`], [`semijoin`], [`antijoin`] and the
-//! set operations built on them) consult the build side's shared index
-//! cache ([`Relation::index_for`]) before building a hash table, so
+//! set operations built on them) probe the build side's cached adjacency
+//! `(join columns | rest)` ([`Relation::adjacency`]) by binary search, so
 //! repeated joins on the same `(relation, key columns)` pair — the normal
 //! case across PANDA's degree branches and Yannakakis' semijoin passes —
-//! pay for the index once.
+//! pay for the sort once, and a join on a base relation's column reuses
+//! the split that measuring its degrees already built.
 //!
 //! Every operator runs on the calling thread.  A parallel engine fans out
 //! one level up, over independent work items (generic-join candidates,
@@ -21,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::index::HashIndex;
+use crate::index::Adjacency;
 use crate::relation::{Relation, Tuple, Value};
 
 /// Projects `relation` onto the given columns (in the given order),
@@ -76,40 +77,48 @@ pub fn select_where<F: FnMut(&[Value]) -> bool>(relation: &Relation, mut pred: F
     out
 }
 
-/// The join pairs rewritten for one build side: pairs sorted by build
-/// column with exact duplicates removed, split into (build columns, probe
-/// columns).  Returns `None` when a build column repeats with different
-/// probe columns — that shape needs a bespoke (uncached) index.
-fn canonical_pairs(on: &[(usize, usize)], build_is_left: bool) -> Option<(Vec<usize>, Vec<usize>)> {
-    let mut pairs: Vec<(usize, usize)> =
-        on.iter().map(|&(l, r)| if build_is_left { (l, r) } else { (r, l) }).collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
-        return None;
-    }
-    Some((pairs.iter().map(|p| p.0).collect(), pairs.iter().map(|p| p.1).collect()))
+/// How rows of one side of a join find their matches on the other, the
+/// build side: through the build side's cached adjacency `(K | rest)` on
+/// its distinct join columns `K`.
+struct Probe {
+    adjacency: Arc<Adjacency>,
+    /// The probe column equated with each key column, in key order.
+    probe_cols: Vec<usize>,
+    /// Pairs of probe columns equated with the same build column: a probe
+    /// row matches only where each pair agrees.
+    ties: Vec<(usize, usize)>,
 }
 
-/// The hash index of `build` on the join columns, served from the shared
-/// cache when the column set is canonical, built fresh otherwise.
-/// `build_is_left` selects which component of each `on` pair belongs to the
-/// build side; the returned probe columns are aligned with the index's key
-/// columns.
-fn build_side_index(
-    build: &Relation,
-    on: &[(usize, usize)],
-    build_is_left: bool,
-) -> (Arc<HashIndex>, Vec<usize>) {
-    match canonical_pairs(on, build_is_left) {
-        Some((build_cols, probe_cols)) => (build.index_for(&build_cols), probe_cols),
-        None => {
-            let build_cols: Vec<usize> =
-                on.iter().map(|&(l, r)| if build_is_left { l } else { r }).collect();
-            let probe_cols: Vec<usize> =
-                on.iter().map(|&(l, r)| if build_is_left { r } else { l }).collect();
-            (Arc::new(HashIndex::build(build, &build_cols)), probe_cols)
+impl Probe {
+    /// The probe of `build` under `on`; `build_is_left` selects which
+    /// component of each pair belongs to the build side.
+    fn new(build: &Relation, on: &[(usize, usize)], build_is_left: bool) -> Self {
+        let mut pairs: Vec<(usize, usize)> =
+            on.iter().map(|&(l, r)| if build_is_left { (l, r) } else { (r, l) }).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let (mut key_cols, mut probe_cols, mut ties) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &(b, p)) in pairs.iter().enumerate() {
+            if i > 0 && pairs[i - 1].0 == b {
+                ties.push((probe_cols[probe_cols.len() - 1], p));
+            } else {
+                key_cols.push(b);
+                probe_cols.push(p);
+            }
         }
+        let all: Vec<usize> = (0..build.arity()).collect();
+        Probe { adjacency: build.adjacency(&key_cols, &all), probe_cols, ties }
+    }
+
+    /// The group of build rows matching `row`, if any; `key` is scratch
+    /// space and holds the group's key afterwards.
+    fn group(&self, row: &[Value], key: &mut Tuple) -> Option<usize> {
+        if self.ties.iter().any(|&(a, b)| row[a] != row[b]) {
+            return None;
+        }
+        key.clear();
+        key.extend(self.probe_cols.iter().map(|&c| row[c]));
+        self.adjacency.find(key)
     }
 }
 
@@ -217,8 +226,7 @@ impl DedupSink {
     }
 }
 
-/// Hash-joins `left` and `right` on the column pairs
-/// `on = [(lcol, rcol)]`.
+/// Joins `left` and `right` on the column pairs `on = [(lcol, rcol)]`.
 ///
 /// The output schema is all columns of `left` followed by the columns of
 /// `right` that are **not** join columns (in their original order), i.e. the
@@ -226,7 +234,10 @@ impl DedupSink {
 /// The output is deduplicated (streamed — duplicates are dropped as they
 /// are produced, never materialised).
 ///
-/// The build side's hash index is served from the relation's shared cache.
+/// Each probe row looks its key up in the build side's cached adjacency
+/// `(join columns | rest)`, and the build rows it meets are that group's
+/// distinct rows in sorted order: the output lists probe rows in storage
+/// order and, within one, its matches in the build side's sorted order.
 ///
 /// # Panics
 ///
@@ -243,16 +254,28 @@ pub fn join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relatio
     let out_arity = left.arity() + right_keep_cols.len();
     let build_left = choose_build_left(left, right, on);
     let (build, probe) = if build_left { (left, right) } else { (right, left) };
-    let (idx, probe_cols) = build_side_index(build, on, build_left);
+    let plan = Probe::new(build, on, build_left);
+    let adjacency = &plan.adjacency;
+    let key_cols = adjacency.key_cols();
+    let rest_cols: Vec<usize> = (0..build.arity()).filter(|c| !key_cols.contains(c)).collect();
+    let width = rest_cols.len();
     let mut out = DedupSink::new(out_arity, 0);
     let mut row_buf: Tuple = Tuple::with_capacity(out_arity);
-    let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
+    let mut key_buf: Tuple = Tuple::with_capacity(key_cols.len());
+    let mut brow: Tuple = vec![0; build.arity()];
     for prow in probe.iter() {
-        key_buf.clear();
-        key_buf.extend(probe_cols.iter().map(|&c| prow[c]));
-        for &brow_id in idx.probe(&key_buf) {
-            let brow = build.row(brow_id);
-            let (lrow, rrow) = if build_left { (brow, prow) } else { (prow, brow) };
+        let Some(group) = plan.group(prow, &mut key_buf) else {
+            continue;
+        };
+        for (&c, &v) in key_cols.iter().zip(&key_buf) {
+            brow[c] = v;
+        }
+        let values = adjacency.values(group);
+        for entry in 0..adjacency.degree(group) {
+            for (&c, &v) in rest_cols.iter().zip(&values[entry * width..(entry + 1) * width]) {
+                brow[c] = v;
+            }
+            let (lrow, rrow) = if build_left { (&brow[..], prow) } else { (prow, &brow[..]) };
             row_buf.clear();
             row_buf.extend_from_slice(lrow);
             row_buf.extend(right_keep_cols.iter().map(|&c| rrow[c]));
@@ -262,12 +285,14 @@ pub fn join(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relatio
     out.into_relation()
 }
 
-/// Chooses the build side: prefer a side whose index is already cached;
-/// otherwise build on the smaller side for cache friendliness and probe
-/// with the other.
+/// Chooses the build side: prefer a side whose adjacency on its join
+/// columns is already cached; otherwise build on the smaller side and
+/// probe with the other.
 fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> bool {
     let cached = |rel: &Relation, is_left: bool| {
-        canonical_pairs(on, is_left).is_some_and(|(cols, _)| rel.try_cached_index(&cols).is_some())
+        let cols: Vec<usize> = on.iter().map(|&(l, r)| if is_left { l } else { r }).collect();
+        let all: Vec<usize> = (0..rel.arity()).collect();
+        rel.try_cached_adjacency(&cols, &all).is_some()
     };
     match (cached(left, true), cached(right, false)) {
         (true, false) => true,
@@ -316,16 +341,10 @@ fn filter_by_membership(
         assert!(l < left.arity(), "left join column {l} out of range");
         assert!(r < right.arity(), "right join column {r} out of range");
     }
-    let (idx, probe_cols) = build_side_index(right, on, false);
-    let mut key_buf: Tuple = Tuple::with_capacity(probe_cols.len());
-    let keep: Vec<bool> = left
-        .iter()
-        .map(|row| {
-            key_buf.clear();
-            key_buf.extend(probe_cols.iter().map(|&c| row[c]));
-            idx.contains_key(&key_buf) == keep_matches
-        })
-        .collect();
+    let plan = Probe::new(right, on, false);
+    let mut key_buf: Tuple = Tuple::with_capacity(plan.probe_cols.len());
+    let keep: Vec<bool> =
+        left.iter().map(|row| plan.group(row, &mut key_buf).is_some() == keep_matches).collect();
     if keep.iter().all(|&k| k) {
         return left.clone();
     }
@@ -439,14 +458,15 @@ mod tests {
     }
 
     #[test]
-    fn join_hits_the_cached_index_on_repeat() {
+    fn join_hits_the_cached_adjacency_on_repeat() {
         let r = Relation::from_rows(2, vec![[1, 2], [2, 3]]);
         let s = Relation::from_rows(2, vec![[2, 5], [3, 7]]);
         let first = join(&r, &s, &[(1, 0)]);
-        // After one join, one side carries a cached index; the second join
-        // must produce identical output through the cached path.
+        // After one join, one side carries a cached adjacency; the second
+        // join must produce identical output through the cached path.
         assert!(
-            r.try_cached_index(&[1]).is_some() || s.try_cached_index(&[0]).is_some(),
+            r.try_cached_adjacency(&[1], &[0]).is_some()
+                || s.try_cached_adjacency(&[0], &[1]).is_some(),
             "a join must populate the build side's cache"
         );
         let second = join(&r, &s, &[(1, 0)]);

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::index::{is_canonical_cols, Adjacency, HashIndex, IndexCache};
+use crate::index::{Adjacency, IndexCache, SplitKey};
 
 /// A single attribute value.  The engine is value-agnostic; strings and
 /// other domains are dictionary-encoded to `u64` by the caller.
@@ -20,7 +20,8 @@ pub type Tuple = Vec<Value>;
 ///
 /// Tuples are stored row-major in a single flat vector, `arity` values per
 /// row.  The vector is `Arc`-shared: cloning a relation is O(1) and shares
-/// both the tuple storage and the relation's [`index cache`](Relation::index_for),
+/// both the tuple storage and the relation's cache of
+/// [adjacencies](Relation::adjacency),
 /// while mutation is copy-on-write (a mutated clone copies the data once
 /// and detaches from the shared cache, leaving other clones untouched).
 ///
@@ -203,7 +204,8 @@ impl Relation {
     }
 
     /// Returns `true` iff the relation contains the given row (linear scan;
-    /// build a [`crate::HashIndex`] for repeated probes).
+    /// for repeated probes, [`find`](crate::Adjacency::find) the row in
+    /// the cached [`Relation::adjacency`] of all columns).
     #[must_use]
     pub fn contains(&self, row: &[Value]) -> bool {
         self.iter().any(|r| r == row)
@@ -211,7 +213,7 @@ impl Relation {
 
     /// Removes duplicate rows in place, keeping the first occurrence of
     /// every row.  When the relation is already duplicate-free this is a
-    /// no-op that preserves shared storage and cached indexes.
+    /// no-op that preserves shared storage and cached adjacencies.
     pub fn dedup(&mut self) {
         if self.arity == 0 || self.len() <= 1 {
             return;
@@ -380,44 +382,6 @@ impl Relation {
         Arc::make_mut(&mut self.data).reserve(additional * self.arity.max(1));
     }
 
-    /// The cached hash index on the given canonical (strictly increasing)
-    /// key columns, building it on first use.  Clones of this relation
-    /// share the cache, so repeated joins on the same `(relation, key
-    /// columns)` pair build the index once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` is not strictly increasing or a column is out of
-    /// range.
-    #[must_use]
-    pub fn index_for(&self, cols: &[usize]) -> Arc<HashIndex> {
-        assert!(
-            is_canonical_cols(cols),
-            "index_for requires strictly increasing key columns, got {cols:?}"
-        );
-        self.cache.index(self, cols)
-    }
-
-    /// The cached hash index on the given canonical key columns, if one was
-    /// already built — used by the operator layer to prefer an indexed
-    /// build side.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use panda_relation::Relation;
-    ///
-    /// let r = Relation::from_rows(2, vec![[1, 10], [2, 20]]);
-    /// assert!(r.try_cached_index(&[0]).is_none());
-    /// let built = r.index_for(&[0]); // builds and caches
-    /// let cached = r.try_cached_index(&[0]).unwrap();
-    /// assert!(std::sync::Arc::ptr_eq(&built, &cached));
-    /// ```
-    #[must_use]
-    pub fn try_cached_index(&self, cols: &[usize]) -> Option<Arc<HashIndex>> {
-        self.cache.cached_index(cols)
-    }
-
     /// The cached [`Adjacency`] of `value_cols` given `key_cols`,
     /// building it on first use.  The split is canonicalised first: each
     /// side sorted and deduplicated, and the key columns removed from the
@@ -443,11 +407,28 @@ impl Relation {
     /// ```
     #[must_use]
     pub fn adjacency(&self, key_cols: &[usize], value_cols: &[usize]) -> Arc<Adjacency> {
-        let keys = canonical(key_cols);
-        let mut values = canonical(value_cols);
-        values.retain(|c| keys.binary_search(c).is_err());
-        self.cache.adjacency(self, &keys, &values)
+        self.cache.adjacency(self, split(key_cols, value_cols))
     }
+
+    /// The cached [`Relation::adjacency`] of the same split, if one was
+    /// already built — the operator layer prefers a build side that has
+    /// one.
+    pub(crate) fn try_cached_adjacency(
+        &self,
+        key_cols: &[usize],
+        value_cols: &[usize],
+    ) -> Option<Arc<Adjacency>> {
+        self.cache.cached_adjacency(&split(key_cols, value_cols))
+    }
+}
+
+/// The canonical split of [`Relation::adjacency`]: both sides sorted and
+/// deduplicated, the key columns removed from the value columns.
+fn split(key_cols: &[usize], value_cols: &[usize]) -> SplitKey {
+    let keys = canonical(key_cols);
+    let mut values = canonical(value_cols);
+    values.retain(|c| keys.binary_search(c).is_err());
+    (keys, values)
 }
 
 /// `cols` sorted and deduplicated.

@@ -146,7 +146,6 @@ pub fn lp_norm_of_degree_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HashIndex;
     use proptest::prelude::*;
 
     fn skewed() -> Relation {
@@ -244,16 +243,6 @@ mod tests {
         assert!((l1 - 7.0).abs() < 1e-9);
         let l2 = lp_norm_of_degree_sequence(&r, &[0], &[1], 2);
         assert!((l2 - (16.0f64 + 4.0 + 1.0).sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn index_and_adjacency_agree() {
-        // `skewed` has no duplicate rows, so a group's row count is its
-        // degree.
-        let r = skewed();
-        let index = HashIndex::build(&r, &[0]);
-        let via_index = (1..=3).map(|g| index.probe(&[g]).len()).max();
-        assert_eq!(via_index, Some(max_degree(&r, &[0], &[1])));
     }
 
     proptest! {

@@ -1,6 +1,6 @@
 //! Differential tests for the operator layer: every join-shaped operator is
-//! checked against a naive nested-loop reference on random inputs, through
-//! both execution paths — fresh index and cached index — and the
+//! checked against a naive nested-loop reference on random inputs, with
+//! and without the build side's adjacency already cached — and the
 //! projection against a first-occurrence `HashSet` reference, row order
 //! included.
 
@@ -114,22 +114,36 @@ proptest! {
 
     #[test]
     fn prop_cached_and_fresh_index_paths_agree(
-        lrows in rows_strategy(2, 30),
-        rrows in rows_strategy(2, 30),
+        lrows in rows_strategy(3, 30),
+        rrows in rows_strategy(3, 30),
+        on in proptest::collection::vec((0usize..3, 0usize..3), 0..4),
     ) {
-        let left = rel_from(2, &lrows);
-        let right = rel_from(2, &rrows);
-        let on = [(1, 0)];
-        // Fresh relations (cold cache) vs the same join repeated (warm
-        // cache on the build side) vs a pre-warmed probe-side index (which
-        // flips the build-side choice).
-        let cold = operators::join(&left, &right, &on).canonical_rows();
-        let warm = operators::join(&left, &right, &on).canonical_rows();
-        prop_assert_eq!(&cold, &warm);
-        let _ = left.index_for(&[1]);
-        let _ = right.index_for(&[0]);
-        let both_cached = operators::join(&left, &right, &on).canonical_rows();
-        prop_assert_eq!(&cold, &both_cached);
+        // Repeats on either side of `on` (one column equated with several)
+        // are in the strategy's range.  Each operator runs three ways:
+        // cold, with the left side's `(K | rest)` adjacency pre-warmed, and
+        // with the right side's pre-warmed, which flips the build side.
+        let expected = (
+            naive_join(&rel_from(3, &lrows), &rel_from(3, &rrows), &on),
+            naive_semijoin(&rel_from(3, &lrows), &rel_from(3, &rrows), &on),
+            naive_antijoin(&rel_from(3, &lrows), &rel_from(3, &rrows), &on),
+        );
+        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        for warm in ["cold", "left", "right"] {
+            let left = rel_from(3, &lrows);
+            let right = rel_from(3, &rrows);
+            match warm {
+                "left" => drop(left.adjacency(&lcols, &[0, 1, 2])),
+                "right" => drop(right.adjacency(&rcols, &[0, 1, 2])),
+                _ => {}
+            }
+            let got = (
+                operators::join(&left, &right, &on).canonical_rows(),
+                operators::semijoin(&left, &right, &on).canonical_rows(),
+                operators::antijoin(&left, &right, &on).canonical_rows(),
+            );
+            prop_assert_eq!(&got, &expected, "{} on {:?}", warm, on);
+        }
     }
 
     #[test]
