@@ -381,6 +381,7 @@ fn e10_semirings() {
     let count = faq::count_assignments(&boolean, &db);
     let sat = faq::is_satisfiable(&boolean, &db);
     let min_w = faq::min_weight(&boolean, &db, &|_, row| (row[0] + row[1]) as i64);
+    assert_eq!(sat, count > 0, "the 4-cycle is satisfiable iff it has an assignment");
     println!(
         "Boolean 4-cycle on an Erdős–Rényi instance (N ≈ {}):",
         db.relation("R").unwrap().len()
@@ -391,6 +392,8 @@ fn e10_semirings() {
     let path = panda_query::parse_query("P() :- R(A,B), S(B,C), T(C,D)").unwrap();
     let path_db = path_instance(2000, 4, 11);
     let (cnt, secs) = time_it(|| faq::count_assignments(&path, &path_db));
+    let full = GenericJoin::evaluate(&path.with_free(path.all_vars()), &path_db);
+    assert_eq!(cnt, full.len() as u64, "the join-tree count is the full join's size");
     println!(
         "acyclic 3-path #CQ over N = {}: {} assignments in {:.4}s (join-tree DP)",
         path_db.total_tuples(),

@@ -241,27 +241,6 @@ impl StatisticsSet {
         self
     }
 
-    /// Adds a degree constraint with an explicitly chosen exact log value
-    /// (useful when the bound is symbolic, e.g. `√N` exactly).
-    pub fn add_degree_with_log(
-        &mut self,
-        guard: impl Into<String>,
-        cond: VarSet,
-        subj: VarSet,
-        count: u64,
-        log_value: Rat,
-    ) -> &mut Self {
-        let guard = guard.into();
-        self.stats.push(Statistic {
-            label: format!("deg_{guard}({subj:?}|{cond:?}) ≤ {count}"),
-            kind: StatKind::Degree { cond, subj },
-            guard: Some(guard),
-            count,
-            log_value,
-        });
-        self
-    }
-
     /// The paper's *identical cardinality constraints* `S`: every atom of
     /// the query is bounded by the same size `n` (Section 3.2).
     #[must_use]

@@ -17,9 +17,10 @@
 //! deduplicated.  The paper's degree `deg_R(V | K = k)` (Section 3.2) is
 //! the length of `k`'s value list, a generic-join level's candidates are
 //! one value list (or the key list, when nothing is bound yet), a distinct
-//! count is a number of keys, and a join, semijoin or antijoin probes the
-//! build side's `(K | rest)` split by binary search on the key, so one
-//! structure per column split serves them all.
+//! count is a number of keys, a join or semijoin probes the build side's
+//! `(K | rest)` split by binary search on the key, and a FAQ join-tree
+//! message holds one semiring element per group of it, so one structure
+//! per column split serves them all.
 
 // panda-lint: allow-file(P1) -- an adjacency's columns are bounds-checked
 // against the arity by the sort that builds it, and its group ids index its

@@ -8,19 +8,21 @@
 //!   columns,
 //! * [`Database`] — a named collection of relations (one per relation
 //!   symbol of a query),
-//! * relational operators (projection, selection, natural join on column
-//!   pairs, semijoin, antijoin, union, difference) in [`operators`],
+//! * the relational operators plans call — projection, selection, natural
+//!   join on column pairs, semijoin and column reordering — in
+//!   [`operators`],
 //! * the shared per-relation cache in [`index`]: sorted adjacencies
 //!   ([`Relation::adjacency`]), the one structure that degrees,
-//!   generic-join candidates, distinct counts and every join, semijoin
-//!   and antijoin probe all read — relation storage is `Arc`-shared and
-//!   copy-on-write, so O(1) relation clones share them across every
-//!   consumer of the same data,
+//!   generic-join candidates, distinct counts, every join and semijoin
+//!   probe and every FAQ message all read — relation storage is
+//!   `Arc`-shared and copy-on-write, so O(1) relation clones share them
+//!   across every consumer of the same data,
 //! * degree statistics and power-of-two degree bucketing in [`stats`] —
 //!   the measurements that feed degree constraints (Section 3.2 of the
 //!   paper) and PANDA's data partitioning (Section 8),
-//! * commutative semirings and annotated relations in [`semiring`] and
-//!   [`annotated`] for FAQ-style aggregate queries (Section 9.1).
+//! * commutative semirings in [`semiring`] for FAQ-style aggregate
+//!   queries (Section 9.1), which `panda-core`'s `faq` evaluates over
+//!   these relations.
 //!
 //! Values are plain `u64`s: the paper's queries range over abstract
 //! domains, and dictionary-encoding strings to integers is standard
@@ -39,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod annotated;
 pub mod database;
 pub mod fan_out;
 pub mod index;
@@ -48,7 +49,6 @@ pub mod relation;
 pub mod semiring;
 pub mod stats;
 
-pub use annotated::AnnotatedRelation;
 pub use database::Database;
 pub use index::Adjacency;
 pub use relation::{Relation, Tuple, Value};

@@ -1,12 +1,12 @@
-//! Relational operators: projection, selection, joins and set operations.
+//! Relational operators: projection, selection, join, semijoin and column
+//! reordering — the five that plans call.
 //!
 //! All operators are positional: a join is specified by pairs of column
 //! indices to equate, mirroring how an [`crate::Relation`] is bound to a
 //! query atom (column *i* of the relation instance is the *i*-th variable
 //! of the atom).  The variable-aware layer lives in `panda-core`.
 //!
-//! The join-shaped operators ([`join`], [`semijoin`], [`antijoin`] and the
-//! set operations built on them) probe the build side's cached adjacency
+//! [`join`] and [`semijoin`] probe the build side's cached adjacency
 //! `(join columns | rest)` ([`Relation::adjacency`]) by binary search, so
 //! repeated joins on the same `(relation, key columns)` pair — the normal
 //! case across PANDA's degree branches and Yannakakis' semijoin passes —
@@ -48,20 +48,6 @@ pub fn project(relation: &Relation, cols: &[usize]) -> Relation {
         out.push(&row_buf);
     }
     out.into_relation()
-}
-
-/// Selects the rows where column `col` equals `value`.  Preserves row
-/// order.
-#[must_use]
-pub fn select_eq(relation: &Relation, col: usize, value: Value) -> Relation {
-    assert!(col < relation.arity(), "selection column {col} out of range");
-    let mut out = Relation::new(relation.arity());
-    for row in relation.iter() {
-        if row[col] == value {
-            out.push_row(row);
-        }
-    }
-    out
 }
 
 /// Selects the rows satisfying an arbitrary predicate.  Preserves row
@@ -301,12 +287,6 @@ fn choose_build_left(left: &Relation, right: &Relation, on: &[(usize, usize)]) -
     }
 }
 
-/// The Cartesian product of two relations (a join with no join columns).
-#[must_use]
-pub fn cartesian_product(left: &Relation, right: &Relation) -> Relation {
-    join(left, right, &[])
-}
-
 /// Semijoin: the rows of `left` that have at least one matching row in
 /// `right` under the column pairs `on`.  Preserves `left`'s row order;
 /// when nothing is filtered the result is an O(1) clone of `left`.
@@ -316,35 +296,13 @@ pub fn cartesian_product(left: &Relation, right: &Relation) -> Relation {
 /// Panics if a column index is out of range.
 #[must_use]
 pub fn semijoin(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relation {
-    filter_by_membership(left, right, on, true)
-}
-
-/// Antijoin: the rows of `left` with **no** matching row in `right`.
-/// Preserves `left`'s row order; when nothing is filtered the result is an
-/// O(1) clone of `left`.
-///
-/// # Panics
-///
-/// Panics if a column index is out of range.
-#[must_use]
-pub fn antijoin(left: &Relation, right: &Relation, on: &[(usize, usize)]) -> Relation {
-    filter_by_membership(left, right, on, false)
-}
-
-fn filter_by_membership(
-    left: &Relation,
-    right: &Relation,
-    on: &[(usize, usize)],
-    keep_matches: bool,
-) -> Relation {
     for &(l, r) in on {
         assert!(l < left.arity(), "left join column {l} out of range");
         assert!(r < right.arity(), "right join column {r} out of range");
     }
     let plan = Probe::new(right, on, false);
     let mut key_buf: Tuple = Tuple::with_capacity(plan.probe_cols.len());
-    let keep: Vec<bool> =
-        left.iter().map(|row| plan.group(row, &mut key_buf).is_some() == keep_matches).collect();
+    let keep: Vec<bool> = left.iter().map(|row| plan.group(row, &mut key_buf).is_some()).collect();
     if keep.iter().all(|&k| k) {
         return left.clone();
     }
@@ -354,32 +312,6 @@ fn filter_by_membership(
         out.push_row(row);
     }
     out
-}
-
-/// Set union of two relations of equal arity (deduplicated).
-#[must_use]
-pub fn union(left: &Relation, right: &Relation) -> Relation {
-    assert_eq!(left.arity(), right.arity(), "union arity mismatch");
-    let mut out = left.clone();
-    out.extend_from(right);
-    out.deduped()
-}
-
-/// Set difference `left \ right` of two relations of equal arity.
-#[must_use]
-pub fn difference(left: &Relation, right: &Relation) -> Relation {
-    assert_eq!(left.arity(), right.arity(), "difference arity mismatch");
-    let all: Vec<usize> = (0..left.arity()).collect();
-    let on: Vec<(usize, usize)> = all.iter().map(|&c| (c, c)).collect();
-    antijoin(&left.clone().deduped(), right, &on)
-}
-
-/// Set intersection of two relations of equal arity.
-#[must_use]
-pub fn intersection(left: &Relation, right: &Relation) -> Relation {
-    assert_eq!(left.arity(), right.arity(), "intersection arity mismatch");
-    let on: Vec<(usize, usize)> = (0..left.arity()).map(|c| (c, c)).collect();
-    semijoin(&left.clone().deduped(), right, &on)
 }
 
 /// Renames (reorders) columns: output column `i` is input column
@@ -425,8 +357,6 @@ mod tests {
     #[test]
     fn select_filters_rows() {
         let r = r_edges();
-        assert_eq!(select_eq(&r, 0, 2).len(), 2);
-        assert_eq!(select_eq(&r, 1, 9).len(), 0);
         assert_eq!(select_where(&r, |row| row[0] < row[1]).len(), 3);
     }
 
@@ -474,23 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn cartesian_product_sizes_multiply() {
-        let a = Relation::from_rows(1, vec![[1], [2], [3]]);
-        let b = Relation::from_rows(1, vec![[10], [20]]);
-        let p = cartesian_product(&a, &b);
-        assert_eq!(p.len(), 6);
-        assert_eq!(p.arity(), 2);
-    }
-
-    #[test]
-    fn semijoin_and_antijoin_partition_left() {
+    fn semijoin_keeps_matching_rows() {
         let l = r_edges();
         let r = Relation::from_rows(1, vec![[2], [3]]);
         let semi = semijoin(&l, &r, &[(0, 0)]);
-        let anti = antijoin(&l, &r, &[(0, 0)]);
-        assert_eq!(semi.len() + anti.len(), l.len());
         assert_eq!(semi.canonical_rows(), vec![vec![2, 3], vec![2, 4], vec![3, 1]]);
-        assert_eq!(anti.canonical_rows(), vec![vec![1, 2]]);
     }
 
     #[test]
@@ -499,17 +417,6 @@ mod tests {
         let r = Relation::from_rows(1, vec![[1], [2], [3]]);
         let semi = semijoin(&l, &r, &[(0, 0)]);
         assert!(semi.shares_storage_with(&l), "a no-op semijoin must be an O(1) clone");
-        let anti = antijoin(&l, &Relation::new(1), &[(0, 0)]);
-        assert!(anti.shares_storage_with(&l), "a no-op antijoin must be an O(1) clone");
-    }
-
-    #[test]
-    fn union_difference_intersection() {
-        let a = Relation::from_rows(1, vec![[1], [2], [3]]);
-        let b = Relation::from_rows(1, vec![[3], [4]]);
-        assert_eq!(union(&a, &b).canonical_rows(), vec![vec![1], vec![2], vec![3], vec![4]]);
-        assert_eq!(difference(&a, &b).canonical_rows(), vec![vec![1], vec![2]]);
-        assert_eq!(intersection(&a, &b).canonical_rows(), vec![vec![3]]);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! for which PANDA's overlapping data partitioning is harmless, from
 //! non-idempotent ones such as counting, where PANDA does not directly
 //! apply (Section 9.1, open problem in Section 10).  The
-//! [`Semiring::IS_IDEMPOTENT`] associated constant lets the planner check
-//! this at compile time.
+//! [`Semiring::IS_IDEMPOTENT`] associated constant records which kind each
+//! instance is; this module's tests check the flag against `a ⊕ a = a`,
+//! and no evaluator reads it: `panda-core`'s `faq` computes every semiring
+//! the same way.
 
 /// A commutative semiring `(K, ⊕, ⊗)` with identities `zero` and `one`.
 pub trait Semiring: Clone + std::fmt::Debug + 'static {

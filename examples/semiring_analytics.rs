@@ -22,9 +22,7 @@ fn main() {
     let cost = |_: &str, row: &[u64]| (row[0].abs_diff(row[1]) % 17) as i64;
     println!("  min total cost (min,+) = {:?}", faq::min_weight(&chain, &db, &cost));
 
-    // The cyclic 4-cycle body: counting uses a single tree decomposition
-    // because the counting semiring is not idempotent (the paper's open
-    // problem), while Boolean/min-plus can use the adaptive machinery.
+    // The cyclic 4-cycle body: every semiring enumerates the full join.
     let cycle = four_cycle_boolean();
     let graph = erdos_renyi_db(&["R", "S", "T", "U"], 80, 900, 3);
     println!("\ncyclic body: {cycle}");

@@ -200,15 +200,26 @@ fn adaptive_branches_on_the_double_star_assemble_in_linear_rows() {
 
 #[test]
 fn counting_matches_full_enumeration_on_random_instances() {
-    let q = parse_query("Q() :- R(X,Y), S(Y,Z), T(Z,X)").unwrap();
-    let full = q.with_free(q.all_vars());
-    for seed in 0..4u64 {
-        let db = random_db_for(&q, 7, 40, seed);
-        let counted = faq::count_assignments(&q, &db);
-        let enumerated = Panda::new(full.clone())
-            .evaluate_with(&db, EvaluationStrategy::GenericJoin)
-            .len() as u64;
-        assert_eq!(counted, enumerated, "seed {seed}");
+    // The triangle enumerates its full join; the 3-path runs the join-tree
+    // messages.
+    for body in ["Q() :- R(X,Y), S(Y,Z), T(Z,X)", "Q() :- R(X,Y), S(Y,Z), T(Z,W)"] {
+        let q = parse_query(body).unwrap();
+        let full = q.with_free(q.all_vars());
+        let enumerate = |db: &Database| {
+            Panda::new(full.clone()).evaluate_with(db, EvaluationStrategy::GenericJoin).len() as u64
+        };
+        for seed in 0..4u64 {
+            let db = random_db_for(&q, 7, 40, seed);
+            assert_eq!(faq::count_assignments(&q, &db), enumerate(&db), "{body}, seed {seed}");
+        }
+        // Every row stored twice: an assignment still counts once.
+        let mut db = random_db_for(&q, 7, 40, 4);
+        for atom in q.atoms() {
+            let mut doubled = db.relation(&atom.relation).unwrap().clone();
+            doubled.extend_from(db.relation(&atom.relation).unwrap());
+            db.insert(atom.relation.clone(), doubled);
+        }
+        assert_eq!(faq::count_assignments(&q, &db), enumerate(&db), "{body}, duplicated rows");
     }
 }
 
