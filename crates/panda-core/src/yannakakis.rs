@@ -1,32 +1,50 @@
 //! The Yannakakis algorithm for free-connex acyclic joins.
 //!
 //! Given relations whose schemas form an α-acyclic hypergraph with a join
-//! tree, the classic algorithm performs a bottom-up and a top-down semijoin
-//! pass (after which every remaining tuple participates in some answer) and
-//! then assembles the answer bottom-up.  The assembly projects *before* it
-//! joins: a node first drops every variable that is neither free nor shared
-//! with a neighbour, and after joining each child it drops the variables
-//! only that child read.  No join carries a variable that neither a later
-//! join nor the answer reads.  That is what keeps the tail near the
-//! `O(Σ|R_i| + |output|)` the paper invokes for the final step of every
-//! static and adaptive plan (Eq. 12 and Eq. 29): on the double star each
-//! degree branch joins `N/2` rows for an answer of `N/2`, where joining
-//! first and projecting after would build the product of two leaf sets,
-//! `N²/4` rows.  [`yannakakis_profiled`] reports those row counts.
+//! tree, the algorithm runs four passes:
+//!
+//! 1. bottom-up semijoins (children filter parents);
+//! 2. top-down semijoins (parents filter children), after which every
+//!    remaining tuple of every node extends to a tuple of the full join;
+//! 3. a bottom-up assembly that joins a child into its parent only when
+//!    their separator (the variables they share) holds a variable that is
+//!    not free.  The assembly projects *before* it joins: a node first
+//!    drops every variable that is neither free nor shared with a
+//!    neighbour, and after joining each child it drops the variables only
+//!    that child read.  A child whose separator is entirely free is left
+//!    unjoined: it and the nodes joined into it form a *factor*, whose
+//!    columns are all free;
+//! 4. a nested cursor over the factors: in preorder from the factor that
+//!    holds the first free variable, each factor's cached adjacency
+//!    `(separator | rest)` lists the rows that extend the answer prefix
+//!    written so far, and every combination of factor rows is one answer
+//!    row.  No join crosses a free separator and nothing is deduplicated
+//!    or projected at the end; when the preorder visits the free
+//!    variables in their own order (the full 3-path does), the rows come
+//!    out sorted.
+//!
+//! That keeps the tail at the `O(Σ|R_i| + |output|)` the paper invokes for
+//! the final step of every static and adaptive plan (Eq. 12 and Eq. 29):
+//! on the double star each degree branch joins `N/2` rows for an answer of
+//! `N/2`, where joining first and projecting after would build the product
+//! of two leaf sets, `N²/4` rows.  [`yannakakis_profiled`] reports the rows
+//! pass 3 joins.
 //!
 //! Both semijoin passes go through [`panda_relation::operators::semijoin`],
 //! which probes the filter side's adjacency from the relation's shared
 //! cache — so repeated runs over the same database (across PANDA branches
 //! or bench iterations) re-sort no leaf, and semijoins that filter nothing
-//! return O(1) clones.
+//! return O(1) clones whose cached adjacencies pass 4 reads as they are.
 
 // panda-lint: allow-file(P1) -- semijoin passes index per-node slots by
 // the tree decomposition's own node ids, and the take()/expect pairs
 // encode the bottom-up visit order (children strictly before parents).
 
+use std::sync::Arc;
+
 use panda_query::hypergraph::{join_tree_of, JoinTree};
 use panda_query::{Var, VarSet};
-use panda_relation::Relation;
+use panda_relation::{Adjacency, Relation, Value};
 
 use crate::binding::VarRelation;
 
@@ -43,7 +61,8 @@ pub struct YannakakisProfile {
 /// Evaluates the join of `relations` projected onto `free`, assuming their
 /// schemas form an acyclic hypergraph.  Returns `None` if they do not, or
 /// if some free variable occurs in no relation (the caller should fall
-/// back to a different strategy).
+/// back to a different strategy).  The answer's columns are `free` in
+/// variable order, one row per answer.
 #[must_use]
 pub fn yannakakis_free_connex(relations: &[VarRelation], free: VarSet) -> Option<VarRelation> {
     yannakakis_profiled(relations, free).map(|(answer, _)| answer)
@@ -66,9 +85,8 @@ pub fn yannakakis_profiled(
     let tree = join_tree_of(&schemas)?;
     let nodes = full_reducer(&tree, relations);
     let mut profile = YannakakisProfile::default();
-    let root = assemble(&tree, &nodes, free, &mut profile);
-    let order: Vec<Var> = free.to_vec();
-    Some((root.project_onto(&order), profile))
+    let factors = assemble(&tree, &nodes, free, &mut profile);
+    Some((enumerate(&tree, &nodes, &factors, free), profile))
 }
 
 /// Passes 1 and 2: the bottom-up semijoins (children filter parents), then
@@ -90,32 +108,39 @@ fn full_reducer(tree: &JoinTree, relations: &[VarRelation]) -> Vec<VarRelation> 
     nodes
 }
 
-/// Pass 3: assembles the reduced `nodes` bottom-up.  A node keeps the free
-/// variables, the variables it shares with its parent, and those it shares
-/// with the children it has yet to join; everything else is projected away
-/// before the node's first join and after each child's.  What reaches the
-/// parent is the subtree's free variables plus the variables it shares with
-/// the parent.
+/// Pass 3: assembles the reduced `nodes` bottom-up into factors.  A child
+/// is joined into its parent only when their separator holds a non-free
+/// variable.  A node keeps the free variables, the variables it shares
+/// with its parent, and those it shares with the children it has yet to
+/// join; everything else is projected away before the node's first join
+/// and after each child's.  Returns, per node, the factor it heads: the
+/// root and every child left unjoined head one (all its columns are free
+/// variables and separator variables, which are free); a joined node
+/// heads none.
 fn assemble(
     tree: &JoinTree,
     nodes: &[VarRelation],
     free: VarSet,
     profile: &mut YannakakisProfile,
-) -> VarRelation {
+) -> Vec<Option<VarRelation>> {
     let mut partial: Vec<Option<VarRelation>> = vec![None; nodes.len()];
     for &node in &tree.bottom_up {
         let vars = nodes[node].var_set();
         let shared = |other: usize| vars.intersect(nodes[other].var_set());
         let up = tree.parent[node].map_or(free, |parent| free.union(shared(parent)));
-        let children = &tree.children[node];
+        let joined: Vec<usize> = tree.children[node]
+            .iter()
+            .copied()
+            .filter(|&child| !shared(child).is_subset_of(free))
+            .collect();
         // `needed[k]`: what the node must still carry once it has joined
         // its first `k` children.
-        let mut needed = vec![up; children.len() + 1];
-        for k in (0..children.len()).rev() {
-            needed[k] = needed[k + 1].union(shared(children[k]));
+        let mut needed = vec![up; joined.len() + 1];
+        for k in (0..joined.len()).rev() {
+            needed[k] = needed[k + 1].union(shared(joined[k]));
         }
         let mut acc = drop_unneeded(nodes[node].clone(), needed[0]);
-        for (k, &child) in children.iter().enumerate() {
+        for (k, &child) in joined.iter().enumerate() {
             let child_rel = partial[child].take().expect("children processed before parents");
             acc = acc.natural_join(&child_rel);
             profile.assembly_rows += acc.len();
@@ -124,7 +149,7 @@ fn assemble(
         }
         partial[node] = Some(acc);
     }
-    partial[tree.root].take().expect("root processed last")
+    partial
 }
 
 /// Projects `rel` onto its variables in `needed`, or returns it as it is
@@ -134,6 +159,125 @@ fn drop_unneeded(rel: VarRelation, needed: VarSet) -> VarRelation {
         rel
     } else {
         rel.project_to_set(needed)
+    }
+}
+
+/// One factor's cursor in pass 4: its cached adjacency, keyed on the
+/// variables already written when the cursor is reached.
+struct Level {
+    adjacency: Arc<Adjacency>,
+    /// The answer column of each key column, in the adjacency's key order.
+    key_at: Vec<usize>,
+    /// The answer column of each value column, in its value order.
+    value_at: Vec<usize>,
+}
+
+impl Level {
+    /// The cursor of `factor` keyed on `key`; `order` lists the answer's
+    /// columns.
+    fn new(factor: &VarRelation, key: VarSet, order: &[Var]) -> Self {
+        let at = |c: usize| {
+            order.iter().position(|v| *v == factor.vars[c]).expect("a factor's columns are free")
+        };
+        let (key_cols, value_cols): (Vec<usize>, Vec<usize>) =
+            (0..factor.vars.len()).partition(|&c| key.contains(factor.vars[c]));
+        Level {
+            adjacency: factor.rel.adjacency(&key_cols, &value_cols),
+            key_at: key_cols.into_iter().map(at).collect(),
+            value_at: value_cols.into_iter().map(at).collect(),
+        }
+    }
+
+    /// Writes each entry of `group` into `row`, calling `then` after each.
+    fn each_entry(&self, group: usize, row: &mut [Value], mut then: impl FnMut(&mut [Value])) {
+        let width = self.value_at.len();
+        let values = self.adjacency.values(group);
+        for entry in 0..self.adjacency.degree(group) {
+            for (&at, &value) in self.value_at.iter().zip(&values[entry * width..]) {
+                row[at] = value;
+            }
+            then(row);
+        }
+    }
+}
+
+/// Pass 4: enumerates the answer from the factors of [`assemble`].  The
+/// factors form a tree whose edges are the unjoined children's separators.
+/// It is walked in preorder from the factor holding the first free
+/// variable, children in the order of the first variable they add; the
+/// root's cursor reads `(first variable | rest)` and every other factor's
+/// `(separator | rest)`.  A factor that adds no variable is skipped: after
+/// the full reducer every prefix finds its separator there.  Each row is
+/// one combination of factor rows, written straight into one flat buffer.
+fn enumerate(
+    tree: &JoinTree,
+    nodes: &[VarRelation],
+    factors: &[Option<VarRelation>],
+    free: VarSet,
+) -> VarRelation {
+    let order = free.to_vec();
+    let Some(&first) = order.first() else {
+        return VarRelation::boolean(factors.iter().flatten().all(|f| !f.is_empty()));
+    };
+    // The factor each node belongs to, and each factor's links to its
+    // neighbours with their separators.
+    let mut owner = vec![0; nodes.len()];
+    let mut links: Vec<Vec<(usize, VarSet)>> = vec![Vec::new(); nodes.len()];
+    for node in tree.top_down() {
+        owner[node] = match tree.parent[node] {
+            Some(parent) if factors[node].is_none() => owner[parent],
+            Some(parent) => {
+                let sep = nodes[node].var_set().intersect(nodes[parent].var_set());
+                links[owner[parent]].push((node, sep));
+                links[node].push((owner[parent], sep));
+                node
+            }
+            None => node,
+        };
+    }
+    let factor = |node: usize| factors[node].as_ref().expect("a factor heads its own group");
+    let root = (0..nodes.len())
+        .find(|&node| factors[node].as_ref().is_some_and(|f| f.column_of(first).is_some()))
+        .expect("every free variable is in some factor");
+
+    let mut levels = Vec::new();
+    let mut stack = vec![(root, None, VarSet::singleton(first))];
+    while let Some((at, from, key)) = stack.pop() {
+        if from.is_none() || !factor(at).var_set().is_subset_of(key) {
+            levels.push(Level::new(factor(at), key, &order));
+        }
+        let mut next: Vec<(Option<Var>, usize, VarSet)> = links[at]
+            .iter()
+            .filter(|&&(to, _)| Some(to) != from)
+            .map(|&(to, sep)| (factor(to).var_set().difference(sep).iter().next(), to, sep))
+            .collect();
+        next.sort_unstable_by_key(|&(added, to, _)| (added, to));
+        stack.extend(next.into_iter().rev().map(|(_, to, sep)| (to, Some(at), sep)));
+    }
+
+    let mut out: Vec<Value> = Vec::new();
+    let mut row: Vec<Value> = vec![0; order.len()];
+    let mut key: Vec<Value> = Vec::new();
+    let (top, deeper) = levels.split_first().expect("the root's cursor");
+    for group in 0..top.adjacency.num_keys() {
+        // The root's key is the first free variable alone.
+        row[top.key_at[0]] = top.adjacency.keys()[group];
+        top.each_entry(group, &mut row, |row| descend(deeper, row, &mut key, &mut out));
+    }
+    VarRelation::new(order.clone(), Relation::from_flat(order.len(), out))
+}
+
+/// Extends the answer prefix in `row` through the cursors of `levels`,
+/// appending every completed row to `out`.
+fn descend(levels: &[Level], row: &mut [Value], key: &mut Vec<Value>, out: &mut Vec<Value>) {
+    let Some((level, deeper)) = levels.split_first() else {
+        out.extend_from_slice(row);
+        return;
+    };
+    key.clear();
+    key.extend(level.key_at.iter().map(|&at| row[at]));
+    if let Some(group) = level.adjacency.find(key) {
+        level.each_entry(group, row, |row| descend(deeper, row, key, out));
     }
 }
 
@@ -261,6 +405,8 @@ mod tests {
             let (oracle, oracle_largest) = materialising_assembly(&tree, &nodes, free);
             let order = free.to_vec();
             assert_eq!(answer.vars, order, "case {case}");
+            // Pass 4 does not dedup: each answer must come out once.
+            assert_eq!(answer.len(), answer.rel.distinct_count(), "case {case}");
             assert_eq!(answer.rel.canonical_rows(), oracle.rel.canonical_rows(), "case {case}");
             let joined = left_deep_join(relations.clone(), free);
             assert_eq!(
@@ -401,6 +547,70 @@ mod tests {
         db.insert("T", Relation::from_rows(2, vec![[1, 1000], [9, 9000]]));
         let out = yannakakis_query(&q, &db).unwrap();
         assert_eq!(out.rel.canonical_rows(), vec![vec![1, 10, 100, 1000]]);
+    }
+
+    #[test]
+    fn the_full_path_enumerates_sorted_rows_without_a_join() {
+        let q = parse_query("Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D)").unwrap();
+        let db = path_db(60, 5);
+        let bound = VarRelation::bind_all(&q, &db);
+        let (answer, profile) = yannakakis_profiled(&bound, q.free_vars()).unwrap();
+        assert_eq!(profile.assembly_rows, 0);
+        assert_eq!(answer.vars, q.free_vars().to_vec());
+        let rows: Vec<&[u64]> = answer.rel.iter().collect();
+        assert!(rows.len() > 60, "{} rows", rows.len());
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly increasing");
+        let wcoj = GenericJoin::evaluate(&q, &db);
+        assert_eq!(answer.rel.canonical_rows(), wcoj.canonical_rows_ordered(&answer.vars));
+    }
+
+    #[test]
+    fn a_preorder_out_of_variable_order_gives_unsorted_rows_of_the_same_answer() {
+        // From `R(A,B)` the preorder visits `S`, `T` (adding `C`, `E`)
+        // before the second `R` (adding `D`): within one `(A,B,C)` prefix
+        // `E` varies slowest, so the rows are not in column order.
+        let q = parse_query("Q(A,B,C,D,E) :- R(A,B), S(B,C), R(A,D), T(C,E)").unwrap();
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut db = Database::new();
+        for name in ["R", "S", "T"] {
+            let rows = (0..20).map(|_| [rng.gen_range(0..4u64), rng.gen_range(0..4u64)]);
+            db.insert(name, Relation::from_rows(2, rows).deduped());
+        }
+        let bound = VarRelation::bind_all(&q, &db);
+        let answer = yannakakis_free_connex(&bound, q.free_vars()).unwrap();
+        let rows: Vec<&[u64]> = answer.rel.iter().collect();
+        assert!(!rows.windows(2).all(|w| w[0] < w[1]), "rows out of column order");
+        assert_eq!(answer.len(), answer.rel.distinct_count());
+        let wcoj = GenericJoin::evaluate(&q, &db);
+        assert_eq!(answer.rel.canonical_rows(), wcoj.canonical_rows_ordered(&answer.vars));
+    }
+
+    #[test]
+    fn a_free_centre_star_enumerates_every_combination_of_its_arms() {
+        // Every separator is free, so nothing is joined.  The star's arms
+        // form a chain of factors.  In the second query the root factor
+        // `R(A,B)` has two children, `S` (adding `C`) and `T` (adding
+        // `D`), and `T` has `U`: taken in that order, the rows come out
+        // sorted.
+        let star = parse_query("Q(A,B,C,D) :- R(A,B), S(A,C), T(A,D)").unwrap();
+        let q = parse_query("Q(A,B,C,D,E) :- R(A,B), S(A,C), T(B,D), U(D,E)").unwrap();
+        let mut rng = StdRng::seed_from_u64(35);
+        for _ in 0..10 {
+            let mut db = Database::new();
+            for name in ["R", "S", "T", "U"] {
+                let rows = (0..30).map(|_| [rng.gen_range(0..5u64), rng.gen_range(0..5u64)]);
+                db.insert(name, Relation::from_rows(2, rows).deduped());
+            }
+            for q in [&star, &q] {
+                let bound = VarRelation::bind_all(q, &db);
+                let (answer, profile) = yannakakis_profiled(&bound, q.free_vars()).unwrap();
+                assert_eq!(profile.assembly_rows, 0);
+                let rows: Vec<&[u64]> = answer.rel.iter().collect();
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows strictly increasing");
+                let wcoj = GenericJoin::evaluate(q, &db);
+                assert_eq!(answer.rel.canonical_rows(), wcoj.canonical_rows_ordered(&answer.vars));
+            }
+        }
     }
 
     #[test]

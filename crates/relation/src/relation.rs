@@ -67,11 +67,27 @@ impl Relation {
         Relation::from_flat(arity, Vec::with_capacity(arity * rows))
     }
 
-    /// Wraps an already-validated flat row-major buffer — the fast path for
-    /// operator output sinks that assemble rows without per-row checks.
-    /// For arity zero the buffer must be the empty-or-marker encoding.
-    pub(crate) fn from_flat(arity: usize, data: Vec<Value>) -> Self {
-        debug_assert!(
+    /// Wraps a flat row-major buffer, `arity` values per row, without
+    /// per-row checks — the fast path for producers that assemble whole
+    /// rows themselves (operator output sinks, enumerators).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arity` is positive and the buffer's length is not a
+    /// multiple of it.  For arity zero the buffer must be empty (no tuple)
+    /// or hold one marker value (the empty tuple).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use panda_relation::Relation;
+    ///
+    /// let r = Relation::from_flat(2, vec![1, 10, 2, 20]);
+    /// assert_eq!(r.row(1), &[2, 20]);
+    /// ```
+    #[must_use]
+    pub fn from_flat(arity: usize, data: Vec<Value>) -> Self {
+        assert!(
             if arity == 0 { data.len() <= 1 } else { data.len() % arity == 0 },
             "flat buffer of length {} is not row-aligned for arity {arity}",
             data.len()
@@ -256,10 +272,13 @@ impl Relation {
     /// projection (the id of its first occurrence).  The one sort behind
     /// [`Relation::canonical_rows`] and the server's reply rendering.
     ///
-    /// When the projected values and the row id fit in 128 bits together
-    /// (dictionary-encoded values are small), each row is packed into one
-    /// integer key and the keys are sorted in place; otherwise the row ids
-    /// are sorted by comparing the projections where they lie.
+    /// One linear pass comes first: when the projections are already
+    /// strictly increasing (rows enumerated in order), the answer is
+    /// `0..len` and nothing is sorted.  Otherwise, when the projected
+    /// values and the row id fit in 128 bits together (dictionary-encoded
+    /// values are small), each row is packed into one integer key and the
+    /// keys are sorted in place; failing that, the row ids are sorted by
+    /// comparing the projections where they lie.
     ///
     /// # Panics
     ///
@@ -278,6 +297,10 @@ impl Relation {
     pub fn canonical_row_ids(&self, cols: &[usize]) -> Vec<usize> {
         for &c in cols {
             assert!(c < self.arity, "canonical order column {c} out of range");
+        }
+        let mut pairs = self.iter().zip(self.iter().skip(1));
+        if pairs.all(|(row, next)| projection_cmp(row, next, cols).is_lt()) {
+            return (0..self.len()).collect();
         }
         // A column's width in bits is that of the OR of its values.
         let mut ors = vec![0u64; cols.len()];
@@ -307,10 +330,10 @@ impl Relation {
             let id_mask = (1u128 << id_bits) - 1;
             return keys.into_iter().map(|key| (key & id_mask) as usize).collect();
         }
-        let projection = |id: usize| cols.iter().map(move |&c| self.row(id)[c]);
+        let cmp = |a: usize, b: usize| projection_cmp(self.row(a), self.row(b), cols);
         let mut ids: Vec<usize> = (0..self.len()).collect();
-        ids.sort_unstable_by(|&a, &b| projection(a).cmp(projection(b)).then(a.cmp(&b)));
-        ids.dedup_by(|&mut later, &mut kept| projection(later).eq(projection(kept)));
+        ids.sort_unstable_by(|&a, &b| cmp(a, b).then(a.cmp(&b)));
+        ids.dedup_by(|&mut later, &mut kept| cmp(later, kept).is_eq());
         ids
     }
 
@@ -429,6 +452,17 @@ fn split(key_cols: &[usize], value_cols: &[usize]) -> SplitKey {
     let mut values = canonical(value_cols);
     values.retain(|c| keys.binary_search(c).is_err());
     (keys, values)
+}
+
+/// How `a` and `b` compare lexicographically on the columns `cols`.
+fn projection_cmp(a: &[Value], b: &[Value], cols: &[usize]) -> std::cmp::Ordering {
+    for &c in cols {
+        match a[c].cmp(&b[c]) {
+            std::cmp::Ordering::Equal => {}
+            unequal => return unequal,
+        }
+    }
+    std::cmp::Ordering::Equal
 }
 
 /// `cols` sorted and deduplicated.
@@ -581,17 +615,30 @@ mod tests {
             // `wide` spreads the values over all 64 bits, so three columns
             // no longer pack into 128 bits and the comparison sort runs.
             let scale = if wide == 1 { u64::MAX / 3 } else { 1 };
-            let rel = Relation::from_rows(3, rows.iter().map(|r| r.iter().map(|v| v * scale).collect::<Vec<_>>()));
-            for cols in [&[0, 1, 2][..], &[2, 0][..], &[1, 1][..], &[1][..], &[][..]] {
-                let mut naive: Vec<(Tuple, usize)> = rel
-                    .iter()
-                    .enumerate()
-                    .map(|(id, row)| (cols.iter().map(|&c| row[c]).collect(), id))
-                    .collect();
-                naive.sort();
-                naive.dedup_by(|later, kept| later.0 == kept.0);
-                let expected: Vec<usize> = naive.into_iter().map(|(_, id)| id).collect();
-                prop_assert_eq!(rel.canonical_row_ids(cols), expected, "cols {:?}", cols);
+            let drawn: Vec<Tuple> = rows.iter().map(|r| r.iter().map(|v| v * scale).collect()).collect();
+            let mut sorted = drawn.clone();
+            sorted.sort();
+            sorted.dedup();
+            // Sorted, but each row twice in a row: not strictly increasing,
+            // so the sort must still run and dedup.
+            let doubled: Vec<Tuple> = sorted.iter().flat_map(|r| [r.clone(), r.clone()]).collect();
+            let descending: Vec<Tuple> = sorted.iter().rev().cloned().collect();
+            let inputs = [("drawn", drawn), ("sorted", sorted), ("doubled", doubled), ("descending", descending)];
+            for (shape, rows) in inputs {
+                let rel = Relation::from_rows(3, &rows);
+                // On `sorted`, `[0, 1, 2]` takes the linear path and the
+                // other orders (sorted on all columns, not on `cols`) sort.
+                for cols in [&[0, 1, 2][..], &[2, 0][..], &[1, 1][..], &[1][..], &[][..]] {
+                    let mut naive: Vec<(Tuple, usize)> = rel
+                        .iter()
+                        .enumerate()
+                        .map(|(id, row)| (cols.iter().map(|&c| row[c]).collect(), id))
+                        .collect();
+                    naive.sort();
+                    naive.dedup_by(|later, kept| later.0 == kept.0);
+                    let expected: Vec<usize> = naive.into_iter().map(|(_, id)| id).collect();
+                    prop_assert_eq!(rel.canonical_row_ids(cols), expected, "{} cols {:?}", shape, cols);
+                }
             }
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! This is its own test binary, not a part of `server_protocol.rs`: the
 //! plan cache is process-wide and holds 64 entries, and the databases here
-//! plan 72 distinct statistics sets, which would evict the entries whose
-//! hits and misses the golden transcripts there pin.
+//! plan more distinct statistics sets than that, which would evict the
+//! entries whose hits and misses the golden transcripts there pin.
 
 use panda::prelude::*;
 use panda::server::body_lines;
@@ -63,6 +63,19 @@ fn query_replies_render_the_reference_rows_under_every_strategy() {
         "Q(A,B,C) :- PxR(A,B), PxS(B,C), PxT(C,A)",
         // A Boolean query.
         "Q() :- PxR(A,B), PxS(B,C), PxT(C,A)",
+        // The full 3-path: the answer comes out of Yannakakis in the
+        // canonical order, and the renderer sorts nothing.
+        "Q(A,B,C,D) :- PxR(A,B), PxS(B,C), PxT(C,D)",
+        // Its head reversed: variables are numbered by their first
+        // occurrence in the body, so the columns stay `A,B,C,D`.
+        "Q(D,C,B,A) :- PxR(A,B), PxS(B,C), PxT(C,D)",
+        // A free-centre star: every arm is a factor of its own.
+        "Q(A,B,C,D) :- PxR(A,B), PxS(A,C), PxT(A,D)",
+        // A private non-free variable, `C`, whose atom adds no column.
+        "Q(A,B,D) :- PxR(A,B), PxS(B,C), PxT(B,D)",
+        // A tree whose preorder writes `E` before `D`: the rows come out
+        // unsorted, and the renderer's sort puts them in order.
+        "Q(A,B,C,D,E) :- PxR(A,B), PxS(B,C), PxR(A,D), PxT(C,E)",
     ];
     let mut rows_rendered = 0;
     for seed in 0..6u64 {
