@@ -1,9 +1,9 @@
-//! The planner's outliers: the two queries the served benchmark leaves
-//! out of its loop because each one's full `subw` chain takes tens of
-//! seconds, measured chain by chain, then the single largest Γ₅ LP.
+//! The planner's outliers: the two queries whose full `subw` chain (197
+//! selector LPs, about 10 000 pivots each) the served benchmark leaves out
+//! of its loop, measured chain by chain, then the single largest Γ₅ LP.
 //!
 //! ```text
-//! cargo run --release -p panda-bench --bin planner_outliers   # about 1.5 minutes
+//! cargo run --release -p panda-bench --bin planner_outliers   # about 2 seconds
 //! ```
 //!
 //! Both queries run over the same random instance (`erdos_renyi_db` with 30

@@ -242,15 +242,16 @@ struct GammaLp {
 impl GammaLp {
     /// Builds the LP `max h(target)` (single target) or `max t` with
     /// `t ≤ h(B)` for every target (DDR form), subject to `h ⊨ S, Γ_n`,
-    /// instantiated from `scaffold`.  The row order — statistics,
-    /// targets, elementals — matches the scaffold-free construction the
-    /// seed shipped with, so *cold* solves follow the same pivot paths and
-    /// extract the same dual certificates as before the refactor.
-    /// Warm-started solves ([`GammaLp::solve_warm`] with a hint) may reach
-    /// a different optimal basis when the optimum is degenerate — Γ_n LPs
-    /// routinely are — so their certificates can legitimately differ; every
-    /// certificate is still verified by `ShannonFlow::verify_identity`
-    /// before it is returned, and the optimal *value* never changes.
+    /// instantiated from `scaffold`, in the row order statistics, targets,
+    /// elementals.  Every row is `≤ log N` (with `log N ≥ 0`), `t − h(B) ≤ 0`
+    /// or `expr_e(h) ≥ 0`, and the solver gives each a slack, so a cold
+    /// solve starts at `h = 0` from the all-slack basis and runs no
+    /// phase 1.  Warm-started solves ([`GammaLp::solve_warm`] with a hint)
+    /// may reach a different optimal basis when the optimum is degenerate —
+    /// Γ_n LPs routinely are — so their certificates can legitimately
+    /// differ; every certificate is still verified by
+    /// `ShannonFlow::verify_identity` before it is returned, and the
+    /// optimal *value* never changes.
     fn build(scaffold: &GammaScaffold, targets: &[VarSet]) -> Self {
         assert!(!targets.is_empty(), "at least one target set is required");
         let universe = scaffold.space.universe();
@@ -315,8 +316,10 @@ impl GammaLp {
     /// statistics, same number of target rows) and returning this solve's
     /// basis for the next LP in the family.  `subw` chains selector LPs
     /// this way and `fhtw` chains per-bag LPs (whose constraints are
-    /// *identical* — only the objective moves), skipping phase 1 whenever
-    /// the carried basis is still exactly feasible.
+    /// *identical* — only the objective moves): the solve starts from the
+    /// carried basis instead of `h = 0` whenever that basis is still
+    /// exactly feasible, and takes over its factorisation as it stands
+    /// when its basic columns are unchanged (the whole `fhtw` chain).
     ///
     /// Every simplex pivot is charged to `budget`; the solve aborts with
     /// [`BoundError::PivotBudgetExhausted`] once it runs out and with
@@ -325,7 +328,7 @@ impl GammaLp {
         &self,
         stats: &StatisticsSet,
         targets: &[VarSet],
-        hint: Option<&Basis>,
+        hint: Option<Basis>,
         budget: &mut PivotBudget,
     ) -> Result<(BoundReport, Option<Basis>), BoundError> {
         let (outcome, basis) = self.lp.solve_warm(hint, budget).map_err(|e| match e {
@@ -364,7 +367,9 @@ impl GammaLp {
             .collect();
 
         // μ: multipliers of the elemental rows (`≥` rows have non-positive
-        // duals under the solver's sign convention, so negate).
+        // duals under the solver's sign convention, so negate; the solver
+        // states each `≥ 0` row as `−expr_e(h) ≤ 0` and flips its dual
+        // back).
         let witness: Vec<(Elemental, Rat)> = self
             .elemental_rows
             .iter()
@@ -577,7 +582,7 @@ pub fn fhtw_with_tds_budgeted(
         let mut per_bag = Vec::with_capacity(td.num_bags());
         for &bag in td.bags() {
             let lp = GammaLp::build(&scaffold, &[bag]);
-            let (report, basis) = lp.solve_warm(stats, &[bag], carried.as_ref(), budget)?;
+            let (report, basis) = lp.solve_warm(stats, &[bag], carried.take(), budget)?;
             // An Ok solve is always Optimal here, and Optimal always
             // carries a basis.
             carried = basis;
@@ -705,8 +710,8 @@ pub fn subw_against_fhtw(
 /// reaches `stop_at`, if one is given.  Selector LPs share the Γ_n
 /// scaffold and differ only in their target rows; consecutive selectors
 /// with equally many bags are structurally compatible, so the optimal
-/// basis carries over and phase 1 is skipped whenever it is still
-/// feasible.
+/// basis carries over whenever it is still feasible, with its
+/// factorisation when the changed target columns are all nonbasic.
 fn selector_chain(
     scaffold: &GammaScaffold,
     stats: &StatisticsSet,
@@ -718,7 +723,7 @@ fn selector_chain(
     let mut carried: Option<Basis> = None;
     for selector in selectors {
         let lp = GammaLp::build(scaffold, selector.bags());
-        let (report, basis) = lp.solve_warm(stats, selector.bags(), carried.as_ref(), budget)?;
+        let (report, basis) = lp.solve_warm(stats, selector.bags(), carried.take(), budget)?;
         // An Ok solve is always Optimal here, and Optimal always carries a
         // basis.
         carried = basis;
@@ -1064,6 +1069,21 @@ mod tests {
     fn the_five_cycle_over_two_rows_is_decided_by_its_first_selector() {
         let q = parse_query("Q(A,B) :- R(A,B), R(B,C), R(C,D), R(D,E), R(E,A)").unwrap();
         assert_decision_matches_full_chain("5-cycle", &q, &StatisticsSet::measure(&q, &two_rows()));
+    }
+
+    #[test]
+    fn the_five_cycle_fhtw_chain_starts_at_h_zero() {
+        // Every row of a Γ_n LP is `≤ log N` or `≥ 0`, so the all-slack
+        // basis (h = 0) is feasible and no LP of the chain runs a phase 1.
+        // With an artificial on each `≥ 0` elemental row the same chain
+        // took 753 pivots; a phase 1 that comes back shows here first.
+        let q = parse_query("Q(A,B) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)").unwrap();
+        let stats = StatisticsSet::identical_cardinalities(&q, 1000);
+        let tds = TreeDecomposition::enumerate(&q);
+        let mut budget = PivotBudget::unlimited();
+        let report = fhtw_with_tds_budgeted(&q, &tds, &stats, &mut budget).unwrap();
+        assert_eq!(report.value, Rat::from_int(2));
+        assert_eq!(budget.used(), 180);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! [`panda_rational::Rat`]:
 //!
 //! * maximisation problems with non-negative variables,
-//! * `≤`, `≥` and `=` constraints with arbitrary right-hand sides,
+//! * `≤`, `≥` and `=` constraints with arbitrary right-hand sides; phase 1
+//!   runs only when a `≥` row with a positive right-hand side or an `=`
+//!   row needs an artificial — a `≥ 0` row takes a slack, so the
+//!   polymatroid LPs start feasible at `h = 0`,
 //! * Dantzig pricing with an automatic switch to Bland's rule so the many
 //!   degenerate rows of polymatroid LPs cannot cause cycling,
 //! * exact dual values recovered by solving `Bᵀy = c_B` over the final
@@ -20,8 +23,9 @@
 //! Two implementations of the method exist:
 //!
 //! * the **sparse revised simplex** behind [`LinearProgram::solve`] and
-//!   [`LinearProgram::solve_warm`] (warm-startable, every pivot charged
-//!   to a [`PivotBudget`]) stores the constraint matrix as sparse
+//!   [`LinearProgram::solve_warm`] (warm-startable from a [`Basis`] that
+//!   carries its factorisation, every pivot charged to a [`PivotBudget`])
+//!   stores the constraint matrix as sparse
 //!   columns and maintains a product-form basis inverse (dense
 //!   snapshot + eta file) updated per pivot.  It prices the columns once
 //!   per phase and then carries the reduced costs across each pivot from

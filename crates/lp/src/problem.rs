@@ -2,26 +2,42 @@
 
 use panda_rational::Rat;
 
-use crate::revised::RevisedSimplex;
+use crate::revised::{Factor, RevisedSimplex};
 use crate::simplex::Simplex;
 use crate::solution::LpOutcome;
 use crate::LpError;
 
 /// An opaque warm-start token: the optimal basis of a completed
-/// revised-simplex solve, returned by [`LinearProgram::solve_warm`].
+/// revised-simplex solve, returned by [`LinearProgram::solve_warm`], with
+/// that solve's factorisation.
 ///
 /// Feeding it back into `solve_warm` on a *structurally compatible*
 /// program (same variable count, same constraint kinds in the same order —
 /// e.g. the Γ_n LPs of two bag selectors with equally many target rows)
-/// lets the solver skip phase 1 entirely when the carried basis is still
-/// feasible.  Compatibility and exact feasibility are verified before use;
-/// an unusable hint silently falls back to the ordinary two-phase solve,
-/// so a stale token can cost time but never correctness.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// starts the solve from that basis instead of the all-slack one when the
+/// basis is still exactly feasible (`B⁻¹b ≥ 0`).  When every basic column
+/// of the new program equals the old one, the carried inverse is reused
+/// as it stands; otherwise the basis is refactorised.  Compatibility and
+/// exact feasibility are verified before use; an unusable hint silently
+/// falls back to the cold solve, so a stale token can cost time but never
+/// correctness.
+///
+/// Two bases are equal when they name the same columns: the factorisation
+/// is a cache of those columns' inverse and does not enter the comparison.
+#[derive(Debug, Clone)]
 pub struct Basis {
     pub(crate) cols: Vec<usize>,
     pub(crate) num_cols: usize,
+    pub(crate) factor: Option<Factor>,
 }
+
+impl PartialEq for Basis {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols == other.cols && self.num_cols == other.num_cols
+    }
+}
+
+impl Eq for Basis {}
 
 /// The relational operator of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,9 +240,11 @@ impl LinearProgram {
     /// together with this solve's final basis (when one exists) for
     /// chaining across a family of related programs.
     ///
-    /// The hint is used only if it is structurally compatible with this
-    /// program and still *exactly* feasible (checked over the rationals);
-    /// otherwise the ordinary two-phase solve runs.  Note that a
+    /// The hint is taken by value: its factorisation moves into this solve
+    /// and on into the returned basis, so a chain keeps one basis inverse
+    /// alive, not one per link.  It is used only if it is structurally
+    /// compatible with this program and still *exactly* feasible (checked
+    /// over the rationals); otherwise the cold solve runs.  Note that a
     /// warm-started solve may reach a different optimal basis than a cold
     /// one when the optimum is degenerate, so the dual certificate can
     /// legitimately differ; the objective value cannot.
@@ -243,7 +261,7 @@ impl LinearProgram {
     /// auditable reference and stays parameter-free.
     pub fn solve_warm(
         &self,
-        hint: Option<&Basis>,
+        hint: Option<Basis>,
         budget: &mut crate::PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
         self.validate()?;

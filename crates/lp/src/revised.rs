@@ -11,6 +11,12 @@
 //! auditable reference implementation (see
 //! [`LinearProgram::solve_dense`](crate::LinearProgram::solve_dense)).
 //!
+//! Only rows that need one get an artificial: a `≥` row with a positive
+//! right-hand side, or an `=` row.  A `≥ 0` row is stated as `−a·x ≤ 0`
+//! and takes a slack, so a Γ_n LP — `≤ log N` statistics rows over a cone
+//! of `≥ 0` elemental rows — starts at `h = 0` from the all-slack basis
+//! and runs phase 2 alone.
+//!
 //! What changes is the representation, and with it the per-pivot cost:
 //!
 //! * the constraint matrix is stored as **sparse columns**
@@ -28,10 +34,13 @@
 //!   the updated costs against a fresh pricing at every phase's optimum,
 //! * the basic solution `x_B = B⁻¹ b` is updated incrementally per pivot.
 //!
-//! The eta file is periodically collapsed ([`BasisInverse::refactor`]) by
+//! The eta file is periodically collapsed ([`BasisInverse::invert`]) by
 //! exactly inverting the current basis matrix with Gauss–Jordan
 //! elimination, which bounds the FTRAN/BTRAN cost and keeps the rational
 //! entries at tableau-entry magnitudes (quotients of basis subdeterminants).
+//! A finished solve hands its inverse on inside the returned [`Basis`]
+//! ([`Factor`]), and a warm start whose basic columns are unchanged
+//! installs it without inverting anything.
 
 // panda-lint: allow-file(P1) -- revised-simplex kernel: basis, eta and
 // column indices are invariants of the pivoting automaton (every index
@@ -55,6 +64,7 @@ const REFACTOR_EVERY: usize = 64;
 /// One pivot's eta vector.  If `w = B_old⁻¹ a_entering` and the pivot row
 /// is `r`, then `B_new = B_old · E` with `E = I + (w − e_r) e_rᵀ`, and
 /// `E⁻¹` is applied in `O(nnz(w))`.
+#[derive(Clone)]
 struct Eta {
     /// The pivot row `r`.
     row: usize,
@@ -66,6 +76,7 @@ struct Eta {
 
 /// Product-form representation of the basis inverse:
 /// `B⁻¹ = E_k⁻¹ ⋯ E_1⁻¹ B₀⁻¹`.
+#[derive(Clone)]
 struct BasisInverse {
     m: usize,
     /// Dense `B₀⁻¹` from the last refactorisation; `None` means identity
@@ -140,13 +151,13 @@ impl BasisInverse {
         }
     }
 
-    /// Collapses the eta file: exactly inverts the current basis matrix
-    /// (given by sparse columns) with Gauss–Jordan elimination and installs
-    /// the result as the new snapshot.  Returns `false` (leaving the state
-    /// untouched) if the columns are singular, which can only happen for a
-    /// caller-supplied warm-start basis — pivoting preserves nonsingularity.
-    fn refactor(&mut self, basis_columns: &[&[(usize, Rat)]]) -> bool {
-        let m = self.m;
+    /// Exactly inverts a basis matrix, given by its sparse columns, with
+    /// Gauss–Jordan elimination: a fresh snapshot with an empty eta file.
+    /// Returns `None` if the columns are singular, which can only happen
+    /// for a caller-supplied warm-start basis — pivoting preserves
+    /// nonsingularity.
+    fn invert(basis_columns: &[&[(usize, Rat)]]) -> Option<Self> {
+        let m = basis_columns.len();
         let mut a = vec![vec![Rat::ZERO; m]; m];
         for (col, entries) in basis_columns.iter().enumerate() {
             for &(row, v) in *entries {
@@ -161,9 +172,7 @@ impl BasisInverse {
             })
             .collect();
         for col in 0..m {
-            let Some(p) = (col..m).find(|&r| !a[r][col].is_zero()) else {
-                return false;
-            };
+            let p = (col..m).find(|&r| !a[r][col].is_zero())?;
             a.swap(col, p);
             inv.swap(col, p);
             let d = a[col][col].recip();
@@ -202,9 +211,36 @@ impl BasisInverse {
                 }
             }
         }
-        self.base = Some(inv);
-        self.etas.clear();
-        true
+        Some(BasisInverse { m, base: Some(inv), etas: Vec::new() })
+    }
+}
+
+/// The factorisation a finished solve hands to the next one inside its
+/// [`Basis`]: the final basis inverse and the basic columns it inverts, in
+/// row order.  A program whose basic columns are these same columns has
+/// the same basis matrix, so the inverse is exact for it as it stands.
+#[derive(Clone)]
+pub(crate) struct Factor {
+    inv: BasisInverse,
+    columns: Vec<Vec<(usize, Rat)>>,
+}
+
+impl Factor {
+    /// Whether this is the inverse of the basis that `basis` names among
+    /// the columns of `matrix`.
+    fn inverts(&self, basis: &[usize], matrix: &[Vec<(usize, Rat)>]) -> bool {
+        self.columns.len() == basis.len()
+            && self.columns.iter().zip(basis).all(|(column, &b)| *column == matrix[b])
+    }
+}
+
+impl std::fmt::Debug for Factor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Factor")
+            .field("rows", &self.inv.m)
+            .field("dense_snapshot", &self.inv.base.is_some())
+            .field("etas", &self.inv.etas.len())
+            .finish()
     }
 }
 
@@ -272,9 +308,10 @@ impl<'a> RevisedSimplex<'a> {
         }
     }
 
-    /// Runs the two-phase solve, optionally starting phase 2 directly from
-    /// a carried-over basis (see [`LinearProgram::solve_warm`]), and
-    /// returns the final basis for the next solve in the family.
+    /// Runs the solve — phase 1 only when the program has artificials —
+    /// optionally starting phase 2 directly from a carried-over basis (see
+    /// [`LinearProgram::solve_warm`]), and returns the final basis, with
+    /// its factorisation, for the next solve in the family.
     ///
     /// Every pivot of both phases consumes one unit of `budget` and the
     /// solve aborts with [`LpError::PivotBudgetExhausted`] once it runs
@@ -284,7 +321,7 @@ impl<'a> RevisedSimplex<'a> {
     /// sequence under any limit.
     pub(crate) fn run_warm(
         mut self,
-        hint: Option<&Basis>,
+        hint: Option<Basis>,
         budget: &mut PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
         let warm = hint.is_some_and(|h| self.try_install_basis(h));
@@ -303,7 +340,12 @@ impl<'a> RevisedSimplex<'a> {
                 let objective = self.current_objective(&cost);
                 let primal = self.extract_primal();
                 let duals = self.extract_duals(&cost);
-                let basis = Basis { cols: self.basis.clone(), num_cols: self.num_cols };
+                // The basic columns are distinct, so each can be moved out
+                // of this (finished) solve's matrix.
+                let mut cols = self.cols;
+                let columns = self.basis.iter().map(|&b| std::mem::take(&mut cols[b])).collect();
+                let factor = Some(Factor { inv: self.inv, columns });
+                let basis = Basis { cols: self.basis, num_cols: self.num_cols, factor };
                 Ok((LpOutcome::Optimal(Solution { objective, primal, duals }), Some(basis)))
             }
         }
@@ -315,6 +357,13 @@ impl<'a> RevisedSimplex<'a> {
     /// Returns `false` — leaving the initial all-slack/artificial state
     /// intact — on any mismatch.
     ///
+    /// When the hint's [`Factor`] inverts exactly this program's basic
+    /// columns (the `fhtw` chain, where only the objective moves, or a
+    /// selector step whose changed target columns are all nonbasic), its
+    /// inverse is taken over as it stands; otherwise the basis is
+    /// refactorised.  Both are the exact `B⁻¹`, so the choice moves no
+    /// pivot, only the Gauss–Jordan pass.
+    ///
     /// Hints containing artificial columns are rejected outright: a hint's
     /// basic artificial sat at zero on a *redundant* row of the program it
     /// came from, but the same row of this program may be independent, and
@@ -323,7 +372,7 @@ impl<'a> RevisedSimplex<'a> {
     /// an infeasible point as optimal.  Artificial-free feasible bases
     /// cannot reach artificials later (they are barred from entering), so
     /// feasibility of the original rows is preserved pivot by pivot.
-    fn try_install_basis(&mut self, hint: &Basis) -> bool {
+    fn try_install_basis(&mut self, hint: Basis) -> bool {
         let m = self.basis.len();
         if hint.num_cols != self.num_cols || hint.cols.len() != m {
             return false;
@@ -335,12 +384,19 @@ impl<'a> RevisedSimplex<'a> {
             }
             seen[col] = true;
         }
-        let basis_columns: Vec<&[(usize, Rat)]> =
-            hint.cols.iter().map(|&b| self.cols[b].as_slice()).collect();
-        let mut inv = BasisInverse::identity(m);
-        if !inv.refactor(&basis_columns) {
-            return false;
-        }
+        let Basis { cols, factor, .. } = hint;
+        let carried = factor.filter(|factor| factor.inverts(&cols, &self.cols));
+        let inv = match carried {
+            Some(factor) => factor.inv,
+            None => {
+                let basis_columns: Vec<&[(usize, Rat)]> =
+                    cols.iter().map(|&b| self.cols[b].as_slice()).collect();
+                let Some(inv) = BasisInverse::invert(&basis_columns) else {
+                    return false;
+                };
+                inv
+            }
+        };
         let mut x_b = self.rhs.clone();
         inv.ftran(&mut x_b);
         if x_b.iter().any(Rat::is_negative) {
@@ -349,10 +405,10 @@ impl<'a> RevisedSimplex<'a> {
         self.inv = inv;
         self.x_b = x_b;
         self.in_basis = vec![false; self.num_cols];
-        for &col in &hint.cols {
+        for &col in &cols {
             self.in_basis[col] = true;
         }
-        self.basis = hint.cols.clone();
+        self.basis = cols;
         true
     }
 
@@ -574,7 +630,11 @@ impl<'a> RevisedSimplex<'a> {
         if self.inv.etas.len() >= REFACTOR_EVERY {
             let basis_columns: Vec<&[(usize, Rat)]> =
                 self.basis.iter().map(|&b| self.cols[b].as_slice()).collect();
-            self.inv.refactor(&basis_columns);
+            // Free the old inverse and its etas before building the new
+            // one, so a solve never holds two dense inverses at once.
+            self.inv = BasisInverse::identity(self.basis.len());
+            self.inv =
+                BasisInverse::invert(&basis_columns).expect("pivoting keeps the basis nonsingular");
             debug_assert_eq!(self.x_b, {
                 let mut v = self.rhs.clone();
                 self.inv.ftran(&mut v);
@@ -632,5 +692,106 @@ impl<'a> RevisedSimplex<'a> {
             .enumerate()
             .map(|(i, info)| if info.flipped { -y[i] } else { y[i] })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::ConstraintOp;
+
+    /// `max h(target)` over Γ₃ (subsets as bitmasks, `h(S)` at index
+    /// `S − 1`) with `h(AB), h(BC), h(AC) ≤ 1`.  `scale` multiplies the
+    /// `h(ABC)` coefficient of the first monotonicity row, so a scale other
+    /// than 1 changes exactly one coefficient of the `h(ABC)` column.
+    fn gamma3(target: usize, scale: i128) -> LinearProgram {
+        let h = |s: usize| s - 1;
+        let mut lp = LinearProgram::new(7);
+        lp.set_objective_coeff(h(target), Rat::ONE);
+        for pair in [0b011, 0b110, 0b101] {
+            lp.add_constraint(vec![(h(pair), Rat::ONE)], ConstraintOp::Le, Rat::ONE);
+        }
+        for i in 0..3 {
+            let coeff = if i == 0 { Rat::from_int(scale) } else { Rat::ONE };
+            let rest = 0b111 & !(1 << i);
+            lp.add_constraint(
+                vec![(h(0b111), coeff), (h(rest), -Rat::ONE)],
+                ConstraintOp::Ge,
+                Rat::ZERO,
+            );
+        }
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            let (a, b) = (1 << i, 1 << j);
+            for k in [0, 0b111 & !(a | b)] {
+                let mut coeffs =
+                    vec![(h(k | a), Rat::ONE), (h(k | b), Rat::ONE), (h(k | a | b), -Rat::ONE)];
+                if k != 0 {
+                    coeffs.push((h(k), -Rat::ONE));
+                }
+                lp.add_constraint(coeffs, ConstraintOp::Ge, Rat::ZERO);
+            }
+        }
+        lp
+    }
+
+    /// Whether installing `hint` in `lp` reuses its inverse instead of
+    /// refactorising.
+    fn factor_fits(hint: &Basis, lp: &LinearProgram) -> bool {
+        let factor = hint.factor.as_ref().expect("an optimal solve carries its factor");
+        factor.inverts(&hint.cols, &StandardForm::new(lp).cols)
+    }
+
+    fn solve_counted(lp: &LinearProgram, hint: Option<Basis>) -> (LpOutcome, Option<Basis>, u64) {
+        let mut budget = PivotBudget::unlimited();
+        let (outcome, basis) = RevisedSimplex::new(lp).run_warm(hint, &mut budget).unwrap();
+        (outcome, basis, budget.used())
+    }
+
+    #[test]
+    fn a_carried_factor_changes_nothing_but_the_refactorisation() {
+        let (_, first, _) = solve_counted(&gamma3(0b111, 1), None);
+        let mut hint = first.expect("optimal");
+        // The fhtw chain's shape: the same rows, only the objective moves.
+        for target in [0b011, 0b001, 0b110, 0b111, 0b100, 0b101, 0b010] {
+            let lp = gamma3(target, 1);
+            assert!(factor_fits(&hint, &lp), "target {target:#b}");
+            let stripped = Basis { factor: None, ..hint.clone() };
+            let (carried, carried_basis, carried_pivots) = solve_counted(&lp, Some(hint));
+            let (refactored, refactored_basis, refactored_pivots) =
+                solve_counted(&lp, Some(stripped));
+            assert_eq!(carried, refactored, "target {target:#b}");
+            assert_eq!(carried_basis, refactored_basis, "target {target:#b}");
+            assert_eq!(carried_pivots, refactored_pivots, "target {target:#b}");
+            assert_eq!(
+                carried.optimal().unwrap().objective,
+                lp.solve().unwrap().optimal().unwrap().objective
+            );
+            hint = carried_basis.expect("optimal");
+        }
+    }
+
+    #[test]
+    fn a_factor_of_other_columns_is_refactorised() {
+        let (_, first, _) = solve_counted(&gamma3(0b111, 1), None);
+        let hint = first.expect("optimal");
+        // h(ABC) is basic at the optimum (it is 3/2), and its column now
+        // differs in one coefficient.
+        let perturbed = gamma3(0b111, 2);
+        assert!(hint.cols.contains(&(0b111 - 1)));
+        assert!(!factor_fits(&hint, &perturbed));
+
+        let mut engine = RevisedSimplex::new(&perturbed);
+        assert!(engine.try_install_basis(hint.clone()), "the refactorised basis is feasible");
+        let mut x_b = engine.rhs.clone();
+        let basis_columns: Vec<&[(usize, Rat)]> =
+            engine.basis.iter().map(|&b| engine.cols[b].as_slice()).collect();
+        BasisInverse::invert(&basis_columns).expect("nonsingular").ftran(&mut x_b);
+        assert_eq!(engine.x_b, x_b, "x_B comes from the new matrix, not the carried inverse");
+
+        let (warm, _, _) = solve_counted(&perturbed, Some(hint));
+        let warm = warm.expect_optimal("warm");
+        let cold = perturbed.solve().unwrap().expect_optimal("cold");
+        assert_eq!(warm.objective, cold.objective);
+        assert!(warm.certificate_violations(&perturbed).is_empty());
     }
 }

@@ -1,4 +1,7 @@
-//! The two-phase dense-tableau simplex method over exact rationals.
+//! The two-phase dense-tableau simplex method over exact rationals, and
+//! the standard form both engines share.  Only `≥` rows with a positive
+//! right-hand side and `=` rows carry artificials (a `≥ 0` row takes a
+//! slack), so a program without them — every Γ_n LP — skips phase 1.
 
 // panda-lint: allow-file(P1) -- dense tableau kernel: every row/column
 // index is bounded by the tableau dimensions fixed at construction;
@@ -6,7 +9,7 @@
 
 use panda_rational::Rat;
 
-use crate::problem::{ConstraintOp, LinearProgram};
+use crate::problem::{Constraint, ConstraintOp, LinearProgram};
 use crate::solution::{LpOutcome, Solution};
 use crate::LpError;
 
@@ -20,8 +23,8 @@ pub(crate) const ITERATION_LIMIT: usize = 200_000;
 /// rows — and therefore recover duals — identically.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowInfo {
-    /// `true` if the row was multiplied by −1 to make its right-hand side
-    /// non-negative.
+    /// `true` if the row was multiplied by −1: to make its right-hand side
+    /// non-negative, or to turn `a·x ≥ 0` into a slack row `−a·x ≤ 0`.
     pub(crate) flipped: bool,
     /// Column index of the variable that is basic in this row in the
     /// *initial* tableau (a slack or an artificial).  Reading this column of
@@ -31,9 +34,10 @@ pub(crate) struct RowInfo {
 }
 
 /// The shared standard-form normalisation both engines are built from —
-/// the single source of truth for row flipping, the column layout
-/// (structural variables first, then slacks/surpluses in row order, then
-/// artificials in row order) and the initial all-slack/artificial basis.
+/// the single source of truth for row flipping (negative right-hand sides
+/// and `≥ 0` rows), the column layout (structural variables first, then
+/// slacks/surpluses in row order, then artificials in row order) and the
+/// initial all-slack/artificial basis.
 ///
 /// The engines' bit-for-bit equivalence (identical bases, optima and
 /// duals) requires them to see the *same* standard form; constructing it
@@ -64,7 +68,7 @@ impl StandardForm {
         let mut num_slack = 0usize;
         let mut num_artificial = 0usize;
         for c in lp.constraints() {
-            let flipped = c.rhs.is_negative();
+            let flipped = is_flipped(c);
             let op = effective_op(c.op, flipped);
             match op {
                 ConstraintOp::Le => num_slack += 1,
@@ -87,7 +91,7 @@ impl StandardForm {
         let mut next_artificial = n + num_slack;
 
         for (i, c) in lp.constraints().iter().enumerate() {
-            let flipped = c.rhs.is_negative();
+            let flipped = is_flipped(c);
             let sign = if flipped { -Rat::ONE } else { Rat::ONE };
             for (j, coeff) in &c.coeffs {
                 cols[*j].push((i, *coeff * sign));
@@ -370,6 +374,14 @@ impl<'a> Simplex<'a> {
 pub(crate) enum Phase {
     Optimal,
     Unbounded,
+}
+
+/// Whether a constraint is multiplied by −1 in the standard form: when
+/// its right-hand side is negative, and when it reads `a·x ≥ 0`, which
+/// then needs a slack (basic at zero) instead of a surplus and an
+/// artificial.
+fn is_flipped(c: &Constraint) -> bool {
+    c.rhs.is_negative() || (c.rhs.is_zero() && c.op == ConstraintOp::Ge)
 }
 
 pub(crate) fn effective_op(op: ConstraintOp, flipped: bool) -> ConstraintOp {

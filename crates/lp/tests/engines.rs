@@ -34,7 +34,7 @@ fn solve_both(lp: &LinearProgram) -> LpOutcome {
 }
 
 /// A warm-startable solve nobody limits.
-fn warm_solve(lp: &LinearProgram, hint: Option<&Basis>) -> (LpOutcome, Option<Basis>) {
+fn warm_solve(lp: &LinearProgram, hint: Option<Basis>) -> (LpOutcome, Option<Basis>) {
     lp.solve_warm(hint, &mut PivotBudget::unlimited()).expect("revised solve")
 }
 
@@ -142,7 +142,7 @@ fn warm_start_skips_phase_one_and_matches_the_cold_objective() {
     let basis = basis.expect("optimal solve returns a basis");
 
     let second = build(vec![Rat::ZERO, Rat::ZERO, Rat::ONE]);
-    let (warm, _) = warm_solve(&second, Some(&basis));
+    let (warm, _) = warm_solve(&second, Some(basis));
     let warm = warm.expect_optimal("warm");
     let cold = second.solve().unwrap().expect_optimal("cold");
     // A degenerate optimum may pick a different basis, but the optimal
@@ -193,7 +193,7 @@ fn incompatible_warm_hint_falls_back_to_the_cold_path() {
     let mut other = LinearProgram::new(2);
     other.set_objective(vec![Rat::ONE, Rat::ONE]);
     other.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Le, r(5));
-    let (with_hint, _) = warm_solve(&other, Some(&basis));
+    let (with_hint, _) = warm_solve(&other, Some(basis));
     assert_eq!(with_hint, other.solve().unwrap(), "stale hint must not change the result");
 }
 
@@ -214,7 +214,7 @@ fn warm_hint_with_a_basic_artificial_is_rejected() {
     second.set_objective(vec![Rat::ZERO, Rat::ONE]);
     second.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Eq, r(2));
     second.add_constraint(vec![(0, Rat::ONE), (1, -Rat::ONE)], ConstraintOp::Eq, r(2));
-    let (warm, _) = warm_solve(&second, basis.as_ref());
+    let (warm, _) = warm_solve(&second, basis);
     let cold = second.solve().unwrap();
     assert_eq!(warm, cold);
     let s = warm.expect_optimal("x=2, y=0 is the unique feasible point");
@@ -234,11 +234,97 @@ fn infeasible_warm_hint_falls_back_to_the_cold_path() {
     };
     let (_, basis) = warm_solve(&build(1), None);
     let loose = build(-30); // flips the row normalisation: hint may not fit
-    let (warm, _) = warm_solve(&loose, basis.as_ref());
+    let (warm, _) = warm_solve(&loose, basis);
     assert_eq!(warm, loose.solve().unwrap());
 }
 
+/// A random program in the shape of a Γ_n LP: every row is `≤ b` with
+/// `b ≥ 0` (kind 0), `≥ 0` (kind 1) or `≥ b` with `b > 0` (kind 2).  With
+/// `negate_ge_zero`, each `≥ 0` row `a·x ≥ 0` is stated as `−a·x ≤ 0`
+/// instead.
+fn slack_form_lp(
+    objective: &[i128],
+    rows: &[(usize, i128, Vec<i128>)],
+    negate_ge_zero: bool,
+) -> LinearProgram {
+    let n = objective.len();
+    let mut lp = LinearProgram::new(n);
+    lp.set_objective(objective.iter().map(|&c| r(c)).collect());
+    for (kind, b, coeffs) in rows {
+        let coeffs: Vec<(usize, Rat)> =
+            coeffs.iter().enumerate().map(|(i, &c)| (i % n, r(c))).collect();
+        match kind {
+            0 => lp.add_constraint(coeffs, ConstraintOp::Le, r(*b)),
+            1 if negate_ge_zero => lp.add_constraint(
+                coeffs.into_iter().map(|(j, c)| (j, -c)).collect(),
+                ConstraintOp::Le,
+                Rat::ZERO,
+            ),
+            1 => lp.add_constraint(coeffs, ConstraintOp::Ge, Rat::ZERO),
+            _ => lp.add_constraint(coeffs, ConstraintOp::Ge, r(*b + 1)),
+        };
+    }
+    lp
+}
+
+/// A `≥ 0` row takes a slack, not an artificial: a program whose rows are
+/// all `≤ b` (b ≥ 0) or `≥ 0` starts at x = 0 and never pivots an
+/// artificial, so a cone like this one is solved in phase 2 alone.
+#[test]
+fn ge_zero_rows_start_feasible_at_the_origin() {
+    // maximise x + y  s.t.  x − y ≥ 0, y ≥ 0 (as a row), x ≤ 3
+    let mut lp = LinearProgram::new(2);
+    lp.set_objective(vec![Rat::ONE, Rat::ONE]);
+    lp.add_constraint(vec![(0, Rat::ONE), (1, -Rat::ONE)], ConstraintOp::Ge, Rat::ZERO);
+    lp.add_constraint(vec![(1, Rat::ONE)], ConstraintOp::Ge, Rat::ZERO);
+    lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, r(3));
+    let mut budget = PivotBudget::unlimited();
+    let (outcome, _) = lp.solve_warm(None, &mut budget).unwrap();
+    assert_eq!(outcome, solve_both(&lp));
+    let s = outcome.expect_optimal("bounded by x ≤ 3 and y ≤ x");
+    assert_eq!(s.objective, r(6));
+    // x enters, then y: two phase-2 pivots, and no phase 1 before them.
+    assert_eq!(budget.used(), 2);
+    assert_eq!(s.duals, vec![-Rat::ONE, Rat::ZERO, r(2)]);
+}
+
 proptest! {
+    // Programs in the Γ_n shape (`≤ b` with b ≥ 0, `≥ 0`, `≥ b` with
+    // b > 0): the two engines stay bit-identical, and a `≥ 0` row gives
+    // the same optimum, primal point, dual (with its sign flipped) and
+    // final basis whether it is stated as `a·x ≥ 0` or as `−a·x ≤ 0`.
+    #[test]
+    fn prop_ge_zero_rows_solve_as_their_negated_le_rows(
+        objective in collection::vec(-3i128..4, 1..4),
+        rows in collection::vec(
+            (0usize..3, 0i128..10, collection::vec(-3i128..4, 1..5)),
+            1..7,
+        ),
+    ) {
+        let lp = slack_form_lp(&objective, &rows, false);
+        let dense = lp.solve_dense().unwrap();
+        let (revised, basis) = warm_solve(&lp, None);
+        prop_assert_eq!(&dense, &revised);
+
+        let negated = slack_form_lp(&objective, &rows, true);
+        prop_assert_eq!(&negated.solve_dense().unwrap(), &negated.solve().unwrap());
+        let (negated_outcome, negated_basis) = warm_solve(&negated, None);
+        prop_assert_eq!(&negated_basis, &basis);
+        match (revised, negated_outcome) {
+            (LpOutcome::Optimal(s), LpOutcome::Optimal(t)) => {
+                prop_assert_eq!(s.objective, t.objective);
+                prop_assert_eq!(&s.primal, &t.primal);
+                for (i, (kind, _, _)) in rows.iter().enumerate() {
+                    let expected = if *kind == 1 { -s.duals[i] } else { s.duals[i] };
+                    prop_assert_eq!(t.duals[i], expected, "row {}", i);
+                }
+                prop_assert!(s.certificate_violations(&lp).is_empty());
+                prop_assert!(t.certificate_violations(&negated).is_empty());
+            }
+            (s, t) => prop_assert_eq!(s, t),
+        }
+    }
+
     // Random small LPs: both engines must return bitwise-identical
     // outcomes (objective, primal and duals), and optimal certificates
     // must pass the full audit — primal feasibility, dual feasibility,
@@ -305,7 +391,7 @@ proptest! {
         let first = build(&objective);
         let (_, basis) = warm_solve(&first, None);
         let second = build(&second_objective);
-        let (warm, _) = warm_solve(&second, basis.as_ref());
+        let (warm, _) = warm_solve(&second, basis);
         let cold = second.solve().unwrap();
         match (warm, cold) {
             (LpOutcome::Optimal(w), LpOutcome::Optimal(c)) => {

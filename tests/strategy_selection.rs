@@ -578,22 +578,22 @@ fn auto_plans_keep_their_pivot_counts_and_explain_bytes() {
     // computes the same numbers differently keeps this table; one that
     // moves a single pivot does not.
     let pinned: [(&str, u64, &str); 16] = [
-        ("c4_proj / 1", 107, "06091ed0ad02a961b1edd125b88e806d"),
-        ("c4_chord / 1", 52, "243d8f3afbe7ba5d54d7cc74f927a1dc"),
-        ("bowtie / 1", 636, "2503505a169d738cebe91c4c5137d5b8"),
-        ("c5_2chords / 1", 641, "bf6c950c248194c05979d45a6b20eb51"),
-        ("diamond_tail / 1", 1311, "1bde47b44aa2e93c31e40a9f0d255aeb"),
-        ("c4_proj / 2", 104, "9a4a082cbfcdc72add58a17c7d14a3a1"),
-        ("c4_chord / 2", 50, "e0746e54a81647bbfff82d42658138ea"),
-        ("bowtie / 2", 638, "1796eb5c672be6e1cb5b34fc550ac3f8"),
-        ("c5_2chords / 2", 646, "1c16666e9de67cba6efa27d9d57a8a68"),
-        ("diamond_tail / 2", 1303, "cf1ef1c52f44849fe6b60cddc60d0b78"),
-        ("c4_proj / 3", 106, "f7066dca9bedb91fdc766e69a61a0b71"),
-        ("c4_chord / 3", 48, "04ce01f5d5e084aecd442b01799beb3d"),
-        ("bowtie / 3", 643, "03e52386cb69271851f2bd4b5373f688"),
-        ("c5_2chords / 3", 642, "a409aed8728022da1afdd64399662cdf"),
-        ("diamond_tail / 3", 1320, "b259ebeac402957189f79b754467a1a2"),
-        ("4-cycle / double_star_db(64)", 107, "86fd0be53cfecdc06fdad026f6e1dad2"),
+        ("c4_proj / 1", 50, "134f291dd74339503185dfe242d13afd"),
+        ("c4_chord / 1", 33, "0af9b892d581edeb65666e9c8e153165"),
+        ("bowtie / 1", 57, "590687e17ce291837c17282a0d7417c7"),
+        ("c5_2chords / 1", 71, "201415a324fdfc098b80492761bd29a3"),
+        ("diamond_tail / 1", 122, "1a03da09f0716b1d144bab3ff8007ce9"),
+        ("c4_proj / 2", 48, "8d9e4469e1a2c97333962eb2ca5dea95"),
+        ("c4_chord / 2", 35, "e7240083efac923e830d6092dafb3338"),
+        ("bowtie / 2", 61, "41024bd280b48b76de0612c4cf85026f"),
+        ("c5_2chords / 2", 76, "3ef5797ef6c20d3b3153b28c746bc8b0"),
+        ("diamond_tail / 2", 121, "f689ed46473a07c0856fe9c24ebeba00"),
+        ("c4_proj / 3", 54, "1b43032cf4494dd40d443f5b508f11be"),
+        ("c4_chord / 3", 36, "54d77beea4b0b722135003367ce2c4c1"),
+        ("bowtie / 3", 58, "2be5f3e7badc51fdafbb55699c58d95e"),
+        ("c5_2chords / 3", 69, "868238d10fa1b73eaf2cc6cb487f4af0"),
+        ("diamond_tail / 3", 142, "bd00e322e28e0b614de6bc68aacc7071"),
+        ("4-cycle / double_star_db(64)", 50, "414b5f52eeb796813d31146cddfd3abc"),
     ];
     let names = ["c4_proj", "c4_chord", "bowtie", "c5_2chords", "diamond_tail"];
     let mut cases = Vec::new();
