@@ -1,12 +1,15 @@
-//! The planner's outliers: the two queries whose full `subw` chain (197
-//! selector LPs, about 10 000 pivots each) the served benchmark leaves out
-//! of its loop, measured chain by chain, then the single largest Γ₅ LP.
+//! The planner's outliers: the queries whose full `subw` chain the served
+//! benchmark leaves out of its loop, measured chain by chain, then the
+//! single largest Γ₅ LP.  The 5-cycle and the 4-path each solve 21
+//! selector LPs, the minimal transversals of their 5 TDs' bag sets (Eq. 41),
+//! and about 1 000–1 200 pivots over both chains; the 5-path solves 174 Γ₆
+//! selector LPs over 14 TDs, which takes nearly all of the run.
 //!
 //! ```text
-//! cargo run --release -p panda-bench --bin planner_outliers   # about 2 seconds
+//! cargo run --release -p panda-bench --bin planner_outliers   # about 20 seconds
 //! ```
 //!
-//! Both queries run over the same random instance (`erdos_renyi_db` with 30
+//! All queries run over the same random instance (`erdos_renyi_db` with 30
 //! vertices, 120 edges per relation, seed 7).  Each row is one
 //! [`plan_chains`] call: statistics measured, tree decompositions
 //! enumerated, then the `fhtw` and `subw` chains under one unlimited pivot
@@ -27,6 +30,11 @@ fn main() {
             "4-path Q(A,E)",
             parse_query("Q(A,E) :- R(A,B), S(B,C), T(C,D), U(D,E)").expect("valid query"),
             vec!["R", "S", "T", "U"],
+        ),
+        (
+            "5-path Q(A,F)",
+            parse_query("Q(A,F) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,F)").expect("valid query"),
+            vec!["R", "S", "T", "U", "V"],
         ),
     ];
     let rows: Vec<Vec<String>> = outliers

@@ -9,9 +9,10 @@
 //!   evaluation, adaptive-vs-static scaling and the FMM comparison of
 //!   Section 9.3,
 //! * the **`planner_outliers` binary** (`src/bin/planner_outliers.rs`)
-//!   times the two cold plans too slow for the served benchmark's loop —
-//!   the projected 5-cycle and the non-free-connex 4-path — chain by chain
-//!   through [`plan_chains`], then the Γ₅ full-target polymatroid bound,
+//!   times the cold plans too slow for the served benchmark's loop — the
+//!   projected 5-cycle and the non-free-connex 4- and 5-paths — chain by
+//!   chain through [`plan_chains`], then the Γ₅ full-target polymatroid
+//!   bound,
 //! * this library holds the shared helpers: [`time_it`], the power-law
 //!   slope fit [`log_log_slope`] used to check `N^{3/2}` vs `N²` scaling
 //!   (E8), and the [`render_table`] text-table renderer.

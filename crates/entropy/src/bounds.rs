@@ -6,7 +6,9 @@
 //! * [`polymatroid_bound`] — `max h(F)` (Theorem 4.1, right-most term),
 //! * [`ddr_polymatroid_bound`] — `max min_B h(B)` (Theorem 5.1),
 //! * [`fhtw`] — `min_T max_{B ∈ bags(T)} max_h h(B)` (Eq. 22),
-//! * [`subw`] — `max_{B ∈ BS(Q)} max_h min_{B ∈ B} h(B)` (Eq. 41),
+//! * [`subw`] — `max_{B ∈ BS(Q)} max_h min_{B ∈ B} h(B)` (Eq. 41), over
+//!   the minimal transversals of the TDs' bag sets, the only selectors
+//!   that can attain the maximum,
 //! * [`agm_bound`] — the all-cardinalities special case of the polymatroid
 //!   bound (the AGM bound / fractional edge cover).
 //!
@@ -29,6 +31,8 @@
 // panda-lint: allow-file(P1) -- LP variable ids are minted by the
 // Γ-LP builder in this module, so objective/constraint lookups are
 // in range by construction.
+
+use std::collections::BTreeMap;
 
 use panda_lp::{Basis, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_query::{BagSelector, ConjunctiveQuery, TreeDecomposition, VarSet};
@@ -139,7 +143,9 @@ pub struct SubwReport {
     pub value: Rat,
     /// The tree decompositions used (`TD(Q)`).
     pub tds: Vec<TreeDecomposition>,
-    /// The DDR bounds of the bag selectors in `BS(Q)`.  From
+    /// The DDR bounds of the bag selectors in `BS(Q)` that can attain
+    /// Eq. 41's maximum: the minimal transversals of the TDs' bag sets
+    /// ([`BagSelector::enumerate`]).  From
     /// [`subw_with_tds_budgeted`], one per selector.  From
     /// [`subw_against_fhtw`], the same complete list whenever
     /// `value < fhtw`; otherwise the one selector that witnesses
@@ -170,10 +176,11 @@ impl SubwReport {
 /// matter of replaying stored rows instead of re-enumerating the
 /// `O(n² · 2ⁿ)` elemental inequalities.
 ///
-/// `subw` solves one LP per bag selector — 197 of them for the 5-cycle —
-/// and `fhtw` one per bag, all over the same `(universe, statistics)`
-/// scaffold, so each chain builds it once up front and every LP of the
-/// chain replays it.  A single bound builds its own.
+/// `subw` solves one LP per minimal transversal of the TDs' bag sets —
+/// 21 of them for the 5-cycle (Eq. 41) — and `fhtw` one per distinct bag,
+/// all over the same `(universe, statistics)` scaffold, so each chain
+/// builds it once up front and every LP of the chain replays it.  A single
+/// bound builds its own.
 struct GammaScaffold {
     space: EntropyVarSpace,
     /// Per-statistic `(sparse coefficients, rhs)` of the `≤` rows.
@@ -561,7 +568,9 @@ pub fn fhtw(query: &ConjunctiveQuery, stats: &StatisticsSet) -> Result<FhtwRepor
 /// [`PivotBudget`]; aborts with [`BoundError::PivotBudgetExhausted`] once
 /// the budget runs out and with [`BoundError::Cancelled`] once its token
 /// fires.  The budget counts pivots, it never alters one, so a chain that
-/// completes returns bit-for-bit the same report under any limit.
+/// completes returns bit-for-bit the same report under any limit.  A bag
+/// shared by several decompositions is solved once, where it first occurs,
+/// and every decomposition's entry for it carries that report.
 ///
 /// # Panics
 ///
@@ -574,18 +583,28 @@ pub fn fhtw_with_tds_budgeted(
 ) -> Result<FhtwReport, BoundError> {
     let scaffold = GammaScaffold::build(query.all_vars(), stats);
     let mut per_td: Vec<TdCost> = Vec::with_capacity(tds.len());
-    // Per-bag LPs share every constraint (only the objective moves), so
-    // each solve warm-starts from the previous bag's optimal basis.
+    // Each distinct bag is solved once, at its first occurrence; later
+    // occurrences reuse that report.  Per-bag LPs share every constraint
+    // (only the objective moves), so each solve warm-starts from the
+    // previous solve's optimal basis.
+    let mut solved: BTreeMap<VarSet, BoundReport> = BTreeMap::new();
     let mut carried: Option<Basis> = None;
     for td in tds {
         let mut worst = Rat::ZERO;
         let mut per_bag = Vec::with_capacity(td.num_bags());
         for &bag in td.bags() {
-            let lp = GammaLp::build(&scaffold, &[bag]);
-            let (report, basis) = lp.solve_warm(stats, &[bag], carried.take(), budget)?;
-            // An Ok solve is always Optimal here, and Optimal always
-            // carries a basis.
-            carried = basis;
+            let report = match solved.get(&bag) {
+                Some(report) => report.clone(),
+                None => {
+                    let lp = GammaLp::build(&scaffold, &[bag]);
+                    let (report, basis) = lp.solve_warm(stats, &[bag], carried.take(), budget)?;
+                    // An Ok solve is always Optimal here, and Optimal
+                    // always carries a basis.
+                    carried = basis;
+                    solved.insert(bag, report.clone());
+                    report
+                }
+            };
             worst = worst.max(report.log_bound);
             per_bag.push((bag, report));
         }
@@ -1077,13 +1096,16 @@ mod tests {
         // basis (h = 0) is feasible and no LP of the chain runs a phase 1.
         // With an artificial on each `≥ 0` elemental row the same chain
         // took 753 pivots; a phase 1 that comes back shows here first.
+        // The 5 TDs list 15 bags, 10 of them distinct; each distinct bag's
+        // LP is solved once.
         let q = parse_query("Q(A,B) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)").unwrap();
         let stats = StatisticsSet::identical_cardinalities(&q, 1000);
         let tds = TreeDecomposition::enumerate(&q);
         let mut budget = PivotBudget::unlimited();
         let report = fhtw_with_tds_budgeted(&q, &tds, &stats, &mut budget).unwrap();
         assert_eq!(report.value, Rat::from_int(2));
-        assert_eq!(budget.used(), 180);
+        assert_eq!(report.per_td.iter().map(|(_, _, per_bag)| per_bag.len()).sum::<usize>(), 15);
+        assert_eq!(budget.used(), 154);
     }
 
     #[test]

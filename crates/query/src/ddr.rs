@@ -7,15 +7,16 @@
 //! *disjunctive datalog rule* (DDR) per *bag selector* — a choice of one
 //! bag from every TD (Eq. 34).  Each DDR is costed by the polymatroid bound
 //! of Theorem 5.1, and the maximum over bag selectors is the submodular
-//! width.
+//! width (Eq. 41).  A selector that contains another has the lower bound,
+//! so only the *minimal transversals* of the TDs' bag sets are enumerated.
 
 use crate::cq::{Atom, ConjunctiveQuery};
 use crate::td::TreeDecomposition;
 use crate::var::VarSet;
 
-/// A bag selector: one bag chosen from each tree decomposition of the
-/// adaptive plan.  Duplicate bags are kept only once (choosing the same bag
-/// from two TDs yields the same disjunct twice).
+/// A bag selector: a set of bags that hits every tree decomposition of the
+/// adaptive plan — one bag chosen from each, each distinct bag kept once
+/// (choosing the same bag from two TDs yields the same disjunct twice).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BagSelector {
     bags: Vec<VarSet>,
@@ -48,29 +49,56 @@ impl BagSelector {
         self.bags.is_empty()
     }
 
-    /// Enumerates `BS(Q)`: every way of choosing one bag from each of the
-    /// given tree decompositions.  Selectors that end up with the same set
-    /// of distinct bags are merged.
+    /// Enumerates the bag selectors that can attain `subw` (Eq. 41): the
+    /// *minimal transversals* of the hypergraph whose edges are the given
+    /// tree decompositions' bag sets, sorted.  Any other selector of
+    /// `BS(Q)` contains one of these, and adding a bag to a selector can
+    /// only lower its bound `max_h min_{B ∈ S} h(B)`; likewise a model of
+    /// the DDR of a minimal selector is a model of every superset's DDR.
+    ///
+    /// Berge's algorithm takes one decomposition at a time.  A minimal
+    /// transversal of the decompositions seen so far that already hits the
+    /// next one stays as it is; one that misses it is extended by each of
+    /// its bags, and an extension is kept only if every bag still has a
+    /// private decomposition — one that no other bag of the extension
+    /// hits.  No transversal is generated twice.
     #[must_use]
     pub fn enumerate(tds: &[TreeDecomposition]) -> Vec<BagSelector> {
         if tds.is_empty() {
             return Vec::new();
         }
-        let mut selectors: Vec<Vec<VarSet>> = vec![Vec::new()];
+        let mut seen: Vec<&[VarSet]> = Vec::with_capacity(tds.len());
+        let mut minimal: Vec<Vec<VarSet>> = vec![Vec::new()];
         for td in tds {
-            let mut next = Vec::with_capacity(selectors.len() * td.num_bags());
-            for partial in &selectors {
-                for &bag in td.bags() {
-                    let mut choice = partial.clone();
-                    choice.push(bag);
-                    next.push(choice);
+            let edge = td.bags();
+            let mut next = Vec::with_capacity(minimal.len());
+            for partial in minimal {
+                if partial.iter().any(|bag| edge.contains(bag)) {
+                    next.push(partial);
+                    continue;
+                }
+                for &bag in edge {
+                    // `bag` alone hits `edge`; every bag before it needs a
+                    // private edge among those seen, one `bag` misses.
+                    let stays_minimal = partial.iter().all(|&kept| {
+                        seen.iter().any(|earlier| {
+                            earlier.contains(&kept)
+                                && !earlier.contains(&bag)
+                                && partial.iter().filter(|b| earlier.contains(b)).count() == 1
+                        })
+                    });
+                    if stays_minimal {
+                        let mut extended = partial.clone();
+                        extended.push(bag);
+                        next.push(extended);
+                    }
                 }
             }
-            selectors = next;
+            seen.push(edge);
+            minimal = next;
         }
-        let mut result: Vec<BagSelector> = selectors.into_iter().map(BagSelector::new).collect();
+        let mut result: Vec<BagSelector> = minimal.into_iter().map(BagSelector::new).collect();
         result.sort();
-        result.dedup();
         result
     }
 }
@@ -173,6 +201,11 @@ impl DisjunctiveRule {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeSet, HashSet};
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
     use crate::parser::parse_query;
     use crate::var::Var;
@@ -207,15 +240,93 @@ mod tests {
         }
     }
 
+    /// The reference enumerator: the cross product of one bag per TD, with
+    /// each choice kept as the set of its bags (a bitmask over the distinct
+    /// bags), filtered to its ⊆-minimal sets and sorted.  Removing a bag
+    /// from a choice while the rest still hits every TD gives another
+    /// choice (the TDs that chose that bag choose another of the rest), so
+    /// a choice contains a smaller one iff it has a bag whose removal
+    /// leaves a choice: one lookup per bag instead of a pairwise scan.
+    fn minimal_cross_product(tds: &[TreeDecomposition]) -> Vec<BagSelector> {
+        if tds.is_empty() {
+            return Vec::new();
+        }
+        let bags: Vec<VarSet> = tds
+            .iter()
+            .flat_map(TreeDecomposition::bags)
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert!(bags.len() <= 64, "the oracle's choices are 64-bit masks");
+        let bit = |bag: &VarSet| 1u64 << bags.binary_search(bag).unwrap();
+        let mut choices: HashSet<u64> = HashSet::from([0]);
+        for td in tds {
+            choices = choices
+                .iter()
+                .flat_map(|&partial| td.bags().iter().map(move |bag| partial | bit(bag)))
+                .collect();
+        }
+        let members = |choice: u64| (0..bags.len()).filter(move |i| choice >> i & 1 == 1);
+        let mut minimal: Vec<BagSelector> = choices
+            .iter()
+            .filter(|&&choice| members(choice).all(|i| !choices.contains(&(choice & !(1 << i)))))
+            .map(|&choice| BagSelector::new(members(choice).map(|i| bags[i]).collect()))
+            .collect();
+        minimal.sort();
+        minimal
+    }
+
     #[test]
     fn selectors_with_shared_bags_are_merged() {
+        // The cross product has 4 choices: {01}+{01} collapses to {01},
+        // which {01,12} and {01,23} contain; {12,23} is the other minimal
+        // one.
         let td1 = TreeDecomposition::new(vec![vs(&[0, 1]), vs(&[1, 2])]);
         let td2 = TreeDecomposition::new(vec![vs(&[0, 1]), vs(&[2, 3])]);
-        let selectors = BagSelector::enumerate(&[td1, td2]);
-        // Raw cross product has 4 choices; the {0,1}+{0,1} choice collapses
-        // to a single-bag selector.
-        assert!(selectors.iter().any(|s| s.len() == 1));
-        assert_eq!(selectors.len(), 4);
+        let tds = [td1, td2];
+        let expected = vec![
+            BagSelector::new(vec![vs(&[0, 1])]),
+            BagSelector::new(vec![vs(&[1, 2]), vs(&[2, 3])]),
+        ];
+        assert_eq!(BagSelector::enumerate(&tds), expected);
+        assert_eq!(minimal_cross_product(&tds), expected);
+
+        // 4-cycle, 5-cycle, 4-path and 5-path: 4, 21, 21 and 174
+        // selectors out of 4, 243, 243 and 2.7·10⁸ choices.
+        for (text, count) in [
+            ("Q() :- R(A,B), S(B,C), T(C,D), U(D,A)", 4),
+            ("Q(A,B) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)", 21),
+            ("Q(A,E) :- R(A,B), S(B,C), T(C,D), U(D,E)", 21),
+            ("Q(A,F) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,F)", 174),
+        ] {
+            let tds = TreeDecomposition::enumerate(&parse_query(text).unwrap());
+            let selectors = BagSelector::enumerate(&tds);
+            assert_eq!(selectors.len(), count, "{text}");
+            assert_eq!(selectors, minimal_cross_product(&tds), "{text}");
+        }
+    }
+
+    #[test]
+    fn selectors_of_random_decomposition_lists_match_the_cross_product() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for case in 0..500 {
+            // Up to 5 TDs of up to 4 bags over 4 variables, so that bags
+            // repeat across TDs and contain one another.
+            let tds: Vec<TreeDecomposition> = (0..rng.gen_range(1..6))
+                .map(|_| {
+                    let bags = (0..rng.gen_range(1..5))
+                        .map(|_| VarSet::from_bits(rng.gen_range(1..16)))
+                        .collect();
+                    TreeDecomposition::new(bags)
+                })
+                .collect();
+            assert_eq!(
+                BagSelector::enumerate(&tds),
+                minimal_cross_product(&tds),
+                "case {case}: {tds:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   of a query via elimination orders (the set `TD(Q)` of the paper),
 //! * [`DisjunctiveRule`] and [`BagSelector`] — disjunctive datalog rules
 //!   (Section 5.1) and the bag selectors `BS(Q)` used to rewrite an
-//!   adaptive query plan into a conjunction of DDRs (Eq. 32–34).
+//!   adaptive query plan into a conjunction of DDRs (Eq. 32–34), of which
+//!   only the minimal transversals of the TDs' bag sets can attain `subw`
+//!   (Eq. 41).
 //!
 //! Everything here is independent of data; the relational substrate lives
 //! in `panda-relation` and the two are tied together by `panda-core`.

@@ -33,8 +33,8 @@ pub fn triangle_query() -> ConjunctiveQuery {
 /// cycle family of Eq. (2).  With five variables its polymatroid LPs have
 /// `2⁵ − 1 = 31` entropy variables and ~100 elemental rows, an order of
 /// magnitude past the 4-cycle, which makes it the workspace's reference
-/// workload for LP-solver performance (`subw` enumerates 197 bag selectors,
-/// each one a Γ₅ LP).
+/// workload for LP-solver performance (`subw` enumerates the 21 minimal
+/// transversals of its 5 TDs' bag sets (Eq. 41), each one a Γ₅ LP).
 #[must_use]
 pub fn five_cycle_projected() -> ConjunctiveQuery {
     parse_query("Q(A,B) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)").expect("valid query")

@@ -560,7 +560,7 @@ fn golden_a_five_cycle_over_two_rows_plans_within_four_fhtw_chains() {
     // WHEN a 5-cycle over a two-row relation is explained under a pivot
     // budget of four fhtw chains, THEN its first selector LP proves
     // subw = fhtw = 1: the static plan is chosen on the width rule, not
-    // forced by an exhausted budget inside the 197-LP subw chain.
+    // forced by an exhausted budget inside the 21-LP subw chain.
     let query = "Q(A,B) :- PwR(A,B), PwR(B,C), PwR(C,D), PwR(D,E), PwR(E,A)";
     let mut db = Database::new();
     db.insert("PwR", Relation::from_rows(2, vec![[1, 2], [2, 1]]));
@@ -590,7 +590,7 @@ fn golden_a_five_cycle_over_two_rows_plans_within_four_fhtw_chains() {
 fn golden_a_four_path_plans_within_four_fhtw_chains() {
     // WHEN the non-free-connex 4-path is explained under a pivot budget of
     // four fhtw chains, THEN the one selector that can reach fhtw is solved
-    // alone and proves subw = fhtw, where the full chain needs 197 LPs.
+    // alone and proves subw = fhtw, where the full chain needs 21 LPs.
     let query = "Q(A,E) :- PvR(A,B), PvS(B,C), PvT(C,D), PvU(D,E)";
     let random = panda::workloads::erdos_renyi_db(&["R", "S", "T", "U"], 30, 120, 7);
     let mut db = Database::new();
@@ -615,6 +615,40 @@ fn golden_a_four_path_plans_within_four_fhtw_chains() {
             "  {A,B,C}: 55489/50000 (certified)".to_string(),
             "  {A,C,D}: 1473841/1000000 (certified)".to_string(),
             "  {A,D,E}: 1543213/1000000 (certified)".to_string(),
+        ]
+    );
+}
+
+#[test]
+fn golden_a_five_path_and_a_six_cycle_over_two_rows_plan_over_minimal_selectors() {
+    // WHEN a two-row relation is loaded, THEN the 5-path QUERY answers
+    // and the 6-cycle EXPLAIN proves fhtw = subw = 1.  Each query's 14
+    // TDs admit 2.7·10⁸ choices of one bag each, too many to hold in
+    // memory; the planner enumerates only the 174 minimal transversals.
+    let query = "QUERY Q(A,F) :- PxR(A,B), PxR(B,C), PxR(C,D), PxR(D,E), PxR(E,F)";
+    let cycle = "Q(A,B) :- PxR(A,B), PxR(B,C), PxR(C,D), PxR(D,E), PxR(E,F), PxR(F,A)";
+    let (explain, query_line) = (format!("EXPLAIN {cycle}"), format!("query: {cycle}"));
+    assert_eq!(
+        transcript(&["LOAD PxR 2", "1 2", "2 1", "END", query, &explain]),
+        vec![
+            "OK loaded rel=PxR rows=2",
+            "OK rows n=2 vars=A,F lines=2",
+            "1 2",
+            "2 1",
+            "OK explain lines=13",
+            &query_line,
+            "strategy: static-td",
+            "selected: static-td",
+            "rule: td-fallback",
+            "reason: no_width_gap",
+            "widths: fhtw = 1, subw = 1",
+            "branches: 1",
+            "downgrades: (none)",
+            "branch bounds:",
+            "  {A,B,C}: 1 (certified)",
+            "  {A,C,D}: 1 (certified)",
+            "  {A,D,E}: 1 (certified)",
+            "  {A,E,F}: 1 (certified)",
         ]
     );
 }
