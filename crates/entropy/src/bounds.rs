@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use panda_lp::{Basis, ConstraintOp, LinearProgram, LpError, LpOutcome, PivotBudget};
+use panda_lp::{Basis, LinearProgram, LpError, LpOutcome, PivotBudget};
 use panda_query::{BagSelector, ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_rational::Rat;
 
@@ -185,7 +185,8 @@ struct GammaScaffold {
     space: EntropyVarSpace,
     /// Per-statistic `(sparse coefficients, rhs)` of the `≤` rows.
     stat_rows: Vec<(Vec<(usize, Rat)>, Rat)>,
-    /// Elemental inequalities with their sparse `≥ 0` coefficients.
+    /// Elemental inequalities `expr_e(h) ≥ 0`, each with the sparse
+    /// coefficients of its row `−expr_e(h) ≤ 0`.
     elementals: Vec<(Elemental, Vec<(usize, Rat)>)>,
 }
 
@@ -215,14 +216,14 @@ impl GammaScaffold {
             stat_rows.push((coeffs, stat.log_value));
         }
 
-        // Elemental Shannon inequalities `expr_e(h) ≥ 0`.
+        // Elemental Shannon inequalities `expr_e(h) ≥ 0`, as `−expr_e(h) ≤ 0`.
         let elementals = Elemental::enumerate(universe)
             .into_iter()
             .map(|elemental| {
                 let coeffs: Vec<(usize, Rat)> = elemental
                     .coefficients()
                     .into_iter()
-                    .map(|(s, c)| (space.index_of(s), Rat::from_int(i128::from(c))))
+                    .map(|(s, c)| (space.index_of(s), Rat::from_int(-i128::from(c))))
                     .collect();
                 (elemental, coeffs)
             })
@@ -250,10 +251,10 @@ impl GammaLp {
     /// Builds the LP `max h(target)` (single target) or `max t` with
     /// `t ≤ h(B)` for every target (DDR form), subject to `h ⊨ S, Γ_n`,
     /// instantiated from `scaffold`, in the row order statistics, targets,
-    /// elementals.  Every row is `≤ log N` (with `log N ≥ 0`), `t − h(B) ≤ 0`
-    /// or `expr_e(h) ≥ 0`, and the solver gives each a slack, so a cold
-    /// solve starts at `h = 0` from the all-slack basis and runs no
-    /// phase 1.  Warm-started solves ([`GammaLp::solve_warm`] with a hint)
+    /// elementals.  Every row is `≤ log N` (with `log N ≥ 0`),
+    /// `t − h(B) ≤ 0` or `−expr_e(h) ≤ 0`, the one form the solver takes,
+    /// so a cold solve starts at `h = 0` from the all-slack basis.
+    /// Warm-started solves ([`GammaLp::solve_warm`] with a hint)
     /// may reach a different optimal basis when the optimum is degenerate —
     /// Γ_n LPs routinely are — so their certificates can legitimately
     /// differ; every certificate is still verified by
@@ -285,7 +286,7 @@ impl GammaLp {
         // Statistics rows, replayed from the scaffold.
         let mut stat_rows = Vec::with_capacity(scaffold.stat_rows.len());
         for (coeffs, rhs) in &scaffold.stat_rows {
-            let row = lp.add_constraint(coeffs.clone(), ConstraintOp::Le, *rhs);
+            let row = lp.add_constraint(coeffs.clone(), *rhs);
             stat_rows.push(row);
         }
 
@@ -295,7 +296,6 @@ impl GammaLp {
             for &bag in targets {
                 let row = lp.add_constraint(
                     vec![(t, Rat::ONE), (space.index_of(bag), -Rat::ONE)],
-                    ConstraintOp::Le,
                     Rat::ZERO,
                 );
                 target_rows.push((row, bag));
@@ -305,7 +305,7 @@ impl GammaLp {
         // Elemental rows, replayed from the scaffold.
         let mut elemental_rows = Vec::with_capacity(scaffold.elementals.len());
         for (elemental, coeffs) in &scaffold.elementals {
-            let row = lp.add_constraint(coeffs.clone(), ConstraintOp::Ge, Rat::ZERO);
+            let row = lp.add_constraint(coeffs.clone(), Rat::ZERO);
             elemental_rows.push((row, *elemental));
         }
 
@@ -343,15 +343,10 @@ impl GammaLp {
             LpError::Cancelled => BoundError::Cancelled,
             other => BoundError::Solver(other.to_string()),
         })?;
-        let solution =
-            match outcome {
-                LpOutcome::Optimal(s) => s,
-                LpOutcome::Unbounded => return Err(BoundError::Unbounded),
-                LpOutcome::Infeasible => return Err(BoundError::Solver(
-                    "polymatroid LP reported infeasible, which is impossible (h = 0 is feasible)"
-                        .to_string(),
-                )),
-            };
+        let solution = match outcome {
+            LpOutcome::Optimal(s) => s,
+            LpOutcome::Unbounded => return Err(BoundError::Unbounded),
+        };
 
         // λ: multipliers of the target rows (or 1 on the single target).
         let targets_with_lambda: Vec<(VarSet, Rat)> = if self.t_var.is_some() {
@@ -373,14 +368,11 @@ impl GammaLp {
             .filter(|(_, w)| !w.is_zero())
             .collect();
 
-        // μ: multipliers of the elemental rows (`≥` rows have non-positive
-        // duals under the solver's sign convention, so negate; the solver
-        // states each `≥ 0` row as `−expr_e(h) ≤ 0` and flips its dual
-        // back).
+        // μ: multipliers of the elemental rows `−expr_e(h) ≤ 0`.
         let witness: Vec<(Elemental, Rat)> = self
             .elemental_rows
             .iter()
-            .map(|(row, e)| (*e, -solution.duals[*row]))
+            .map(|(row, e)| (*e, solution.duals[*row]))
             .filter(|(_, mu)| !mu.is_zero())
             .collect();
 
@@ -1092,10 +1084,10 @@ mod tests {
 
     #[test]
     fn the_five_cycle_fhtw_chain_starts_at_h_zero() {
-        // Every row of a Γ_n LP is `≤ log N` or `≥ 0`, so the all-slack
-        // basis (h = 0) is feasible and no LP of the chain runs a phase 1.
-        // With an artificial on each `≥ 0` elemental row the same chain
-        // took 753 pivots; a phase 1 that comes back shows here first.
+        // Every row of a Γ_n LP is `≤ b` with `b ≥ 0`, so each LP of the
+        // chain starts from the all-slack basis (h = 0); a solver that
+        // first searched for a feasible point elsewhere took 753 pivots
+        // here.
         // The 5 TDs list 15 bags, 10 of them distinct; each distinct bag's
         // LP is solved once.
         let q = parse_query("Q(A,B) :- R(A,B), S(B,C), T(C,D), U(D,E), V(E,A)").unwrap();

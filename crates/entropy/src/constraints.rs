@@ -161,8 +161,21 @@ impl StatisticsSet {
         self.stats.is_empty()
     }
 
-    /// Adds a raw statistic.
+    /// Adds a raw statistic.  Every other `add_*` method goes through here.
+    ///
+    /// # Panics
+    ///
+    /// If `stat.log_value` is negative.  Each statistic becomes an LP row
+    /// `… ≤ log_value`, and the LP solver requires a non-negative
+    /// right-hand side; a count of 0 or 1 has `log_value` 0
+    /// ([`exact_log`]).
     pub fn push(&mut self, stat: Statistic) -> &mut Self {
+        assert!(
+            !stat.log_value.is_negative(),
+            "statistic `{}` has a negative logarithm {}",
+            stat.label,
+            stat.log_value
+        );
         self.stats.push(stat);
         self
     }
@@ -183,8 +196,7 @@ impl StatisticsSet {
             count,
             log_value: exact_log(self.base, count),
         };
-        self.stats.push(stat);
-        self
+        self.push(stat)
     }
 
     /// Adds a degree constraint `deg_guard(subj | cond) ≤ count`.
@@ -203,8 +215,7 @@ impl StatisticsSet {
             count,
             log_value: exact_log(self.base, count),
         };
-        self.stats.push(stat);
-        self
+        self.push(stat)
     }
 
     /// Adds a functional dependency `cond → subj` on the guard relation
@@ -237,8 +248,7 @@ impl StatisticsSet {
             count,
             log_value: exact_log(self.base, count),
         };
-        self.stats.push(stat);
-        self
+        self.push(stat)
     }
 
     /// The paper's *identical cardinality constraints* `S`: every atom of
@@ -418,6 +428,36 @@ mod tests {
         let s = StatisticsSet::measure(&q, &db);
         assert!(!s.is_empty());
         assert!(s.stats().iter().all(|st| st.count >= 1));
+    }
+
+    #[test]
+    fn boundary_statistics_have_log_zero_and_bound_zero() {
+        let q = parse_query("Q(X,Y) :- R(X,Y)").unwrap();
+        let xy = q.all_vars();
+        let mut built = StatisticsSet::new(2);
+        built.add_cardinality("R", xy, 0);
+        built.add_functional_dependency("R", vs(&[0]), vs(&[1]));
+        let mut empty = Database::new();
+        empty.insert("R", Relation::new(2));
+        let missing = StatisticsSet::measure(&q, &Database::new());
+        for stats in [built, missing, StatisticsSet::measure(&q, &empty)] {
+            assert!(stats.stats().iter().all(|st| st.log_value == Rat::ZERO), "{stats:?}");
+            let report = crate::polymatroid_bound(xy, xy, &stats).unwrap();
+            assert_eq!(report.log_bound, Rat::ZERO);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative logarithm")]
+    fn push_rejects_a_negative_log_value() {
+        let mut s = StatisticsSet::new(2);
+        s.push(Statistic {
+            label: "below one".into(),
+            kind: StatKind::Degree { cond: VarSet::EMPTY, subj: vs(&[0]) },
+            guard: None,
+            count: 0,
+            log_value: Rat::new(-1, 2),
+        });
     }
 
     #[test]

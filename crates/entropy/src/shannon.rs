@@ -228,13 +228,14 @@ impl ShannonFlow {
     /// (Section 7: "Every rational Shannon-flow inequality can be converted
     /// to an integral one").  Residual terms become monotonicities to ∅.
     ///
-    /// Returns an error if any source statistic is an ℓ_k-norm constraint:
-    /// the proof-sequence machinery of Section 7 operates on degree
-    /// constraints only (the ℓ_k extension of Section 9.2 changes the shape
-    /// of the source terms).
+    /// Returns an error if a source statistic with nonzero weight is an
+    /// ℓ_k-norm constraint: the proof-sequence machinery of Section 7
+    /// operates on degree constraints only (the ℓ_k extension of Section
+    /// 9.2 changes the shape of the source terms).  Zero-weight sources are
+    /// dropped from the integral flow, so their kind does not matter.
     pub fn to_integral(&self) -> Result<IntegralShannonFlow, String> {
-        for (stat, _) in &self.sources {
-            if matches!(stat.kind, StatKind::LpNorm { .. }) {
+        for (stat, w) in &self.sources {
+            if !w.is_zero() && matches!(stat.kind, StatKind::LpNorm { .. }) {
                 return Err(format!(
                     "cannot build an integral flow over ℓ_k-norm statistic `{}`",
                     stat.label
@@ -513,9 +514,10 @@ mod tests {
             },
             Rat::ZERO,
         ));
-        // zero-weight LP-norm stats are filtered out...
-        assert!(flow.to_integral().is_err() || flow.to_integral().is_ok());
-        // ...but non-zero ones are rejected.
+        // A zero-weight ℓ_k source is dropped from the integral flow...
+        let integral = flow.to_integral().unwrap();
+        assert_eq!(integral, paper_flow().to_integral().unwrap());
+        // ...but a nonzero one is rejected.
         flow.sources.last_mut().unwrap().1 = Rat::new(1, 2);
         assert!(flow.to_integral().is_err());
     }

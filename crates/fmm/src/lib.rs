@@ -9,16 +9,14 @@
 //!
 //! * [`BoolMatrix`] — a dense bit-packed Boolean matrix with word-parallel
 //!   multiplication,
-//! * [`CountMatrix`] — a dense `u64` counting matrix with naive and
-//!   Strassen multiplication,
-//! * [`relation_to_matrix`] / [`detect_four_cycle_fmm`] — converting binary
-//!   relations to matrices and the FMM-based Boolean 4-cycle detector that
-//!   experiment E12 compares against the combinatorial evaluators,
+//! * [`detect_four_cycle_fmm`] — the matrix-product Boolean 4-cycle
+//!   detector that experiment E12 compares against
+//!   [`detect_four_cycle_join`], a hash-join pipeline,
 //! * the ω-subw *values* themselves live in `panda_entropy::mm`.
 
 #![forbid(unsafe_code)]
 pub mod detect;
 pub mod matrix;
 
-pub use detect::{count_four_cycles_fmm, detect_four_cycle_fmm, detect_four_cycle_join};
-pub use matrix::{relation_to_matrix, BoolMatrix, CountMatrix};
+pub use detect::{detect_four_cycle_fmm, detect_four_cycle_join};
+pub use matrix::BoolMatrix;

@@ -1,11 +1,7 @@
-//! Dense Boolean and counting matrices.
+//! Dense bit-packed Boolean matrices.
 
 // panda-lint: allow-file(P1) -- dense matrix kernel: `(i, j)` accesses
 // are bounded by the `rows`/`cols` dimensions every constructor checks.
-
-use std::collections::HashMap;
-
-use panda_relation::{Relation, Value};
 
 /// A dense Boolean matrix stored as bit-packed rows (64 columns per word).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,163 +100,6 @@ impl BoolMatrix {
     }
 }
 
-/// A dense counting matrix over `u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<u64>,
-}
-
-impl CountMatrix {
-    /// Creates an all-zero matrix.
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        CountMatrix { rows, cols, data: vec![0; rows * cols] }
-    }
-
-    /// The number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Reads an entry.
-    #[must_use]
-    pub fn get(&self, row: usize, col: usize) -> u64 {
-        self.data[row * self.cols + col]
-    }
-
-    /// Writes an entry.
-    pub fn set(&mut self, row: usize, col: usize, value: u64) {
-        self.data[row * self.cols + col] = value;
-    }
-
-    /// Naive `O(n³)` product.
-    ///
-    /// Arithmetic is performed modulo `2^64` (wrapping); since the true
-    /// entries of a counting product fit in `u64` for all the workloads in
-    /// this repository, the final result is exact.  Wrapping is required so
-    /// that the intermediate differences of [`CountMatrix::multiply_strassen`]
-    /// (which can be "negative" modulo `2^64`) still combine correctly.
-    #[must_use]
-    pub fn multiply_naive(&self, other: &CountMatrix) -> CountMatrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch");
-        let mut out = CountMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    let cell = &mut out.data[i * out.cols + j];
-                    *cell = cell.wrapping_add(a.wrapping_mul(other.get(k, j)));
-                }
-            }
-        }
-        out
-    }
-
-    /// Strassen's recursive product (ω ≈ 2.807) for square power-of-two
-    /// matrices, falling back to the naive product below a cutoff or for
-    /// non-square shapes.
-    #[must_use]
-    pub fn multiply_strassen(&self, other: &CountMatrix) -> CountMatrix {
-        const CUTOFF: usize = 64;
-        if self.rows != self.cols
-            || other.rows != other.cols
-            || self.rows != other.rows
-            || !self.rows.is_power_of_two()
-            || self.rows <= CUTOFF
-        {
-            return self.multiply_naive(other);
-        }
-        let n = self.rows;
-        let h = n / 2;
-        let sub = |m: &CountMatrix, r0: usize, c0: usize| -> CountMatrix {
-            let mut s = CountMatrix::zeros(h, h);
-            for i in 0..h {
-                for j in 0..h {
-                    s.set(i, j, m.get(r0 + i, c0 + j));
-                }
-            }
-            s
-        };
-        let add = |a: &CountMatrix, b: &CountMatrix| -> CountMatrix {
-            let mut s = CountMatrix::zeros(h, h);
-            for i in 0..h * h {
-                s.data[i] = a.data[i].wrapping_add(b.data[i]);
-            }
-            s
-        };
-        // Counting matrices are unsigned; Strassen needs subtraction, so we
-        // work in wrapping arithmetic — the final results are exact because
-        // the true values are non-negative and bounded.
-        let sub_m = |a: &CountMatrix, b: &CountMatrix| -> CountMatrix {
-            let mut s = CountMatrix::zeros(h, h);
-            for i in 0..h * h {
-                s.data[i] = a.data[i].wrapping_sub(b.data[i]);
-            }
-            s
-        };
-        let (a11, a12, a21, a22) =
-            (sub(self, 0, 0), sub(self, 0, h), sub(self, h, 0), sub(self, h, h));
-        let (b11, b12, b21, b22) =
-            (sub(other, 0, 0), sub(other, 0, h), sub(other, h, 0), sub(other, h, h));
-        let m1 = add(&a11, &a22).multiply_strassen(&add(&b11, &b22));
-        let m2 = add(&a21, &a22).multiply_strassen(&b11);
-        let m3 = a11.multiply_strassen(&sub_m(&b12, &b22));
-        let m4 = a22.multiply_strassen(&sub_m(&b21, &b11));
-        let m5 = add(&a11, &a12).multiply_strassen(&b22);
-        let m6 = sub_m(&a21, &a11).multiply_strassen(&add(&b11, &b12));
-        let m7 = sub_m(&a12, &a22).multiply_strassen(&add(&b21, &b22));
-        let c11 = add(&sub_m(&add(&m1, &m4), &m5), &m7);
-        let c12 = add(&m3, &m5);
-        let c21 = add(&m2, &m4);
-        let c22 = add(&add(&sub_m(&m1, &m2), &m3), &m6);
-        let mut out = CountMatrix::zeros(n, n);
-        for i in 0..h {
-            for j in 0..h {
-                out.set(i, j, c11.get(i, j));
-                out.set(i, j + h, c12.get(i, j));
-                out.set(i + h, j, c21.get(i, j));
-                out.set(i + h, j + h, c22.get(i, j));
-            }
-        }
-        out
-    }
-}
-
-/// Converts a binary relation into a Boolean matrix, returning the matrix
-/// together with the dictionaries mapping row values (column 0 of the
-/// relation) and column values (column 1) to matrix indices.
-#[must_use]
-pub fn relation_to_matrix(
-    rel: &Relation,
-) -> (BoolMatrix, HashMap<Value, usize>, HashMap<Value, usize>) {
-    assert_eq!(rel.arity(), 2, "relation_to_matrix expects a binary relation");
-    let mut row_ids: HashMap<Value, usize> = HashMap::new();
-    let mut col_ids: HashMap<Value, usize> = HashMap::new();
-    for row in rel.iter() {
-        let next = row_ids.len();
-        row_ids.entry(row[0]).or_insert(next);
-        let next = col_ids.len();
-        col_ids.entry(row[1]).or_insert(next);
-    }
-    let mut m = BoolMatrix::zeros(row_ids.len().max(1), col_ids.len().max(1));
-    for row in rel.iter() {
-        m.set(row_ids[&row[0]], col_ids[&row[1]]);
-    }
-    (m, row_ids, col_ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,39 +160,5 @@ mod tests {
         assert!(!a.intersects(&b));
         b.set(1, 2);
         assert!(a.intersects(&b));
-    }
-
-    #[test]
-    fn strassen_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 128;
-        let mut a = CountMatrix::zeros(n, n);
-        let mut b = CountMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                a.set(i, j, rng.gen_range(0..4));
-                b.set(i, j, rng.gen_range(0..4));
-            }
-        }
-        let naive = a.multiply_naive(&b);
-        let strassen = a.multiply_strassen(&b);
-        assert_eq!(naive, strassen);
-    }
-
-    #[test]
-    fn strassen_falls_back_for_odd_shapes() {
-        let a = CountMatrix::zeros(3, 5);
-        let b = CountMatrix::zeros(5, 2);
-        let c = a.multiply_strassen(&b);
-        assert_eq!((c.rows(), c.cols()), (3, 2));
-    }
-
-    #[test]
-    fn relation_conversion_round_trips() {
-        let rel = Relation::from_rows(2, vec![[10, 20], [10, 30], [40, 20]]);
-        let (m, rows, cols) = relation_to_matrix(&rel);
-        assert_eq!(m.count_ones(), 3);
-        assert!(m.get(rows[&10], cols[&30]));
-        assert!(!m.get(rows[&40], cols[&30]));
     }
 }

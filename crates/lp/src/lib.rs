@@ -7,14 +7,14 @@
 //! Shannon-flow inequalities (Lemma 6.1) from which PANDA derives its query
 //! plans, so the duals must be exact rational numbers, not floats.
 //!
-//! This crate implements a two-phase primal simplex method over
-//! [`panda_rational::Rat`]:
+//! This crate implements the primal simplex method over
+//! [`panda_rational::Rat`] for one form of program:
 //!
-//! * maximisation problems with non-negative variables,
-//! * `≤`, `≥` and `=` constraints with arbitrary right-hand sides; phase 1
-//!   runs only when a `≥` row with a positive right-hand side or an `=`
-//!   row needs an artificial — a `≥ 0` row takes a slack, so the
-//!   polymatroid LPs start feasible at `h = 0`,
+//! * maximise `c · x` subject to `A x ≤ b`, `x ≥ 0`, with `b ≥ 0` — every
+//!   polymatroid LP has this form (statistics rows `≤ log N` with
+//!   `log N ≥ 0`, target rows `t − h(B) ≤ 0`, elemental rows
+//!   `−expr_e(h) ≤ 0`), so each solve starts feasible from the all-slack
+//!   basis at `x = 0` and no program is infeasible,
 //! * Dantzig pricing with an automatic switch to Bland's rule so the many
 //!   degenerate rows of polymatroid LPs cannot cause cycling,
 //! * exact dual values recovered by solving `Bᵀy = c_B` over the final
@@ -25,14 +25,13 @@
 //! * the **sparse revised simplex** behind [`LinearProgram::solve`] and
 //!   [`LinearProgram::solve_warm`] (warm-startable from a [`Basis`] that
 //!   carries its factorisation, every pivot charged to a [`PivotBudget`])
-//!   stores the constraint matrix as sparse
-//!   columns and maintains a product-form basis inverse (dense
-//!   snapshot + eta file) updated per pivot.  It prices the columns once
-//!   per phase and then carries the reduced costs across each pivot from
-//!   one row of the basis inverse, so per-iteration work scales with the
-//!   matrix nonzeros — the polymatroid LPs of `subw` on 5+-variable
-//!   queries have 2–4 nonzeros per row, which is where the speedup over
-//!   the tableau comes from;
+//!   stores the constraint matrix as sparse columns and maintains a
+//!   product-form basis inverse (dense snapshot + eta file) updated per
+//!   pivot.  It prices the columns once and then carries the reduced
+//!   costs across each pivot from one row of the basis inverse, so
+//!   per-iteration work scales with the matrix nonzeros — the
+//!   polymatroid LPs of `subw` on 5+-variable queries have 2–4 nonzeros
+//!   per row, which is where the speedup over the tableau comes from;
 //! * the **dense tableau** behind [`LinearProgram::solve_dense`] rewrites
 //!   the full `m × (n + m)` tableau per pivot and is kept as the simple,
 //!   auditable reference the tests compare against.
@@ -45,19 +44,15 @@
 //! # Example
 //!
 //! ```
-//! use panda_lp::{ConstraintOp, LinearProgram, LpOutcome};
+//! use panda_lp::{LinearProgram, LpOutcome};
 //! use panda_rational::Rat;
 //!
 //! // maximise 3x + 5y  subject to  x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18, x,y ≥ 0
 //! let mut lp = LinearProgram::new(2);
 //! lp.set_objective(vec![Rat::from_int(3), Rat::from_int(5)]);
-//! lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, Rat::from_int(4));
-//! lp.add_constraint(vec![(1, Rat::from_int(2))], ConstraintOp::Le, Rat::from_int(12));
-//! lp.add_constraint(
-//!     vec![(0, Rat::from_int(3)), (1, Rat::from_int(2))],
-//!     ConstraintOp::Le,
-//!     Rat::from_int(18),
-//! );
+//! lp.add_constraint(vec![(0, Rat::ONE)], Rat::from_int(4));
+//! lp.add_constraint(vec![(1, Rat::from_int(2))], Rat::from_int(12));
+//! lp.add_constraint(vec![(0, Rat::from_int(3)), (1, Rat::from_int(2))], Rat::from_int(18));
 //! let solution = match lp.solve().unwrap() {
 //!     LpOutcome::Optimal(s) => s,
 //!     other => panic!("unexpected outcome: {other:?}"),
@@ -79,16 +74,16 @@ mod simplex;
 mod solution;
 
 pub use budget::{CancelToken, PivotBudget};
-pub use problem::{Basis, Constraint, ConstraintOp, LinearProgram};
+pub use problem::{Basis, Constraint, LinearProgram};
 pub use solution::{LpOutcome, Solution};
 
-// Compile-time thread-safety guarantee for the parallel per-bag LP
-// chains in `panda-entropy`: whole `LinearProgram`s are built on chain
-// threads and `Basis`/`Solution` values are carried between warm-started
-// solves inside one, so every solver artifact must be `Send + Sync`
-// (plain owned rational data, no interior mutability).  A regression that
-// introduced e.g. an `Rc` into these types would break parallel width
-// computation at a distance — this pins it at compile time.
+// Compile-time thread-safety guarantee.  A server request plans on a
+// worker thread while the connection's TCP reader holds a clone of the
+// `CancelToken` inside the request's `PivotBudget` and fires it on
+// `CANCEL`, so the budget and its token cross threads.  The other solver
+// artifacts are plain owned rational data; pinning them `Send + Sync` too
+// keeps an `Rc` or a `Cell` from creeping into anything a request hands
+// between threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<LinearProgram>();
@@ -103,20 +98,6 @@ const _: () = {
 /// Errors reported by the solver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LpError {
-    /// The objective vector length does not match the number of variables.
-    ObjectiveDimensionMismatch {
-        /// Number of variables declared in the program.
-        expected: usize,
-        /// Length of the supplied objective vector.
-        got: usize,
-    },
-    /// A constraint references a variable index outside the program.
-    VariableOutOfRange {
-        /// The offending variable index.
-        index: usize,
-        /// Number of variables declared in the program.
-        num_vars: usize,
-    },
     /// The simplex iteration limit was exceeded (should not happen with
     /// Bland's rule; indicates a bug or a pathological input).
     IterationLimit(usize),
@@ -139,13 +120,6 @@ pub enum LpError {
 impl std::fmt::Display for LpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LpError::ObjectiveDimensionMismatch { expected, got } => write!(
-                f,
-                "objective has {got} coefficients but the program has {expected} variables"
-            ),
-            LpError::VariableOutOfRange { index, num_vars } => {
-                write!(f, "variable index {index} out of range (program has {num_vars} variables)")
-            }
             LpError::IterationLimit(limit) => {
                 write!(f, "simplex exceeded the iteration limit of {limit}")
             }

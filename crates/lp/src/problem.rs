@@ -12,12 +12,12 @@ use crate::LpError;
 /// that solve's factorisation.
 ///
 /// Feeding it back into `solve_warm` on a *structurally compatible*
-/// program (same variable count, same constraint kinds in the same order —
-/// e.g. the Γ_n LPs of two bag selectors with equally many target rows)
-/// starts the solve from that basis instead of the all-slack one when the
-/// basis is still exactly feasible (`B⁻¹b ≥ 0`).  When every basic column
-/// of the new program equals the old one, the carried inverse is reused
-/// as it stands; otherwise the basis is refactorised.  Compatibility and
+/// program (same variable and constraint counts — e.g. the Γ_n LPs of two
+/// bag selectors with equally many target rows) starts the solve from that
+/// basis instead of the all-slack one when the basis is still exactly
+/// feasible (`B⁻¹b ≥ 0`).  When every basic column of the new program
+/// equals the old one, the carried inverse is reused as it stands;
+/// otherwise the basis is refactorised.  Compatibility and
 /// exact feasibility are verified before use; an unusable hint silently
 /// falls back to the cold solve, so a stale token can cost time but never
 /// correctness.
@@ -39,25 +39,12 @@ impl PartialEq for Basis {
 
 impl Eq for Basis {}
 
-/// The relational operator of a constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ConstraintOp {
-    /// `a · x ≤ b`
-    Le,
-    /// `a · x ≥ b`
-    Ge,
-    /// `a · x = b`
-    Eq,
-}
-
-/// A single linear constraint `a · x {≤,≥,=} b` stored sparsely.
+/// A single linear constraint `a · x ≤ b` stored sparsely, with `b ≥ 0`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Constraint {
     /// Sparse coefficient list `(variable index, coefficient)`.
     pub coeffs: Vec<(usize, Rat)>,
-    /// The relational operator.
-    pub op: ConstraintOp,
-    /// The right-hand side.
+    /// The right-hand side, never negative.
     pub rhs: Rat,
 }
 
@@ -71,20 +58,19 @@ impl Constraint {
     /// Returns `true` iff the point satisfies the constraint exactly.
     #[must_use]
     pub fn is_satisfied_by(&self, point: &[Rat]) -> bool {
-        let lhs = self.lhs_at(point);
-        match self.op {
-            ConstraintOp::Le => lhs <= self.rhs,
-            ConstraintOp::Ge => lhs >= self.rhs,
-            ConstraintOp::Eq => lhs == self.rhs,
-        }
+        self.lhs_at(point) <= self.rhs
     }
 }
 
-/// A linear program `maximise c · x  subject to  constraints, x ≥ 0`.
+/// A linear program `maximise c · x  subject to  A x ≤ b, x ≥ 0`, with
+/// `b ≥ 0`.
 ///
-/// All variables are implicitly non-negative, which matches every LP built
-/// by the entropy crate (entropy values and the auxiliary `t` variable of
-/// the submodular-width LP are non-negative).
+/// This is the one form every LP of the entropy crate takes: the variables
+/// (entropy values and the auxiliary `t` of the submodular-width LP) are
+/// non-negative, and each row is a statistic `≤ log N` with `log N ≥ 0`, a
+/// target row `t − h(B) ≤ 0` or a negated elemental row `−expr_e(h) ≤ 0`.
+/// Since `b ≥ 0`, the origin is feasible and every solve starts from the
+/// all-slack basis: no program is infeasible.
 #[derive(Debug, Clone)]
 pub struct LinearProgram {
     num_vars: usize,
@@ -126,8 +112,9 @@ impl LinearProgram {
 
     /// Sets the (maximisation) objective from a dense coefficient vector.
     ///
-    /// Returns an error if the length does not match the variable count,
-    /// but leaves the previous objective untouched in that case.
+    /// # Panics
+    ///
+    /// If the length does not match the variable count.
     pub fn set_objective(&mut self, coeffs: Vec<Rat>) -> &mut Self {
         assert_eq!(
             coeffs.len(),
@@ -141,6 +128,10 @@ impl LinearProgram {
     }
 
     /// Sets a single objective coefficient.
+    ///
+    /// # Panics
+    ///
+    /// If `var` is not a variable of the program.
     pub fn set_objective_coeff(&mut self, var: usize, coeff: Rat) -> &mut Self {
         assert!(var < self.num_vars, "variable {var} out of range");
         // panda-lint: allow(P1) -- in range by the assert directly above.
@@ -148,15 +139,17 @@ impl LinearProgram {
         self
     }
 
-    /// Adds a constraint given sparsely as `(variable, coefficient)` pairs.
-    /// Duplicate variable entries are summed.  Returns the constraint index,
-    /// which identifies the constraint's dual value in [`crate::Solution`].
-    pub fn add_constraint(
-        &mut self,
-        coeffs: Vec<(usize, Rat)>,
-        op: ConstraintOp,
-        rhs: Rat,
-    ) -> usize {
+    /// Adds the constraint `a · x ≤ rhs`, with `a` given sparsely as
+    /// `(variable, coefficient)` pairs.  Duplicate variable entries are
+    /// summed.  Returns the constraint index, which identifies the
+    /// constraint's dual value in [`crate::Solution`].
+    ///
+    /// # Panics
+    ///
+    /// If a coefficient names a variable outside the program, or if `rhs`
+    /// is negative: the solver starts every program at the origin, which
+    /// is feasible exactly when every right-hand side is non-negative.
+    pub fn add_constraint(&mut self, coeffs: Vec<(usize, Rat)>, rhs: Rat) -> usize {
         for (j, _) in &coeffs {
             assert!(
                 *j < self.num_vars,
@@ -164,6 +157,7 @@ impl LinearProgram {
                 self.num_vars
             );
         }
+        assert!(!rhs.is_negative(), "constraint has a negative right-hand side {rhs}");
         // Merge duplicates so the dense tableau rows stay canonical.
         let mut merged: Vec<(usize, Rat)> = Vec::with_capacity(coeffs.len());
         for (j, c) in coeffs {
@@ -174,48 +168,22 @@ impl LinearProgram {
             }
         }
         merged.retain(|(_, c)| !c.is_zero());
-        self.constraints.push(Constraint { coeffs: merged, op, rhs });
+        self.constraints.push(Constraint { coeffs: merged, rhs });
         self.constraints.len() - 1
     }
 
-    /// Validates internal consistency; called by [`LinearProgram::solve`].
-    fn validate(&self) -> Result<(), LpError> {
-        if self.objective.len() != self.num_vars {
-            return Err(LpError::ObjectiveDimensionMismatch {
-                expected: self.num_vars,
-                got: self.objective.len(),
-            });
-        }
-        for constraint in &self.constraints {
-            for (j, _) in &constraint.coeffs {
-                if *j >= self.num_vars {
-                    return Err(LpError::VariableOutOfRange { index: *j, num_vars: self.num_vars });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves the program with the two-phase simplex method (the sparse
-    /// revised engine).
+    /// Solves the program with the simplex method (the sparse revised
+    /// engine), starting from the all-slack basis.
     ///
     /// ```
-    /// use panda_lp::{ConstraintOp, LinearProgram, LpOutcome};
+    /// use panda_lp::LinearProgram;
     /// use panda_rational::Rat;
     ///
     /// // maximise x + y  subject to  2x + y ≤ 4, x + 3y ≤ 6, x,y ≥ 0
     /// let mut lp = LinearProgram::new(2);
     /// lp.set_objective(vec![Rat::ONE, Rat::ONE]);
-    /// lp.add_constraint(
-    ///     vec![(0, Rat::from_int(2)), (1, Rat::ONE)],
-    ///     ConstraintOp::Le,
-    ///     Rat::from_int(4),
-    /// );
-    /// lp.add_constraint(
-    ///     vec![(0, Rat::ONE), (1, Rat::from_int(3))],
-    ///     ConstraintOp::Le,
-    ///     Rat::from_int(6),
-    /// );
+    /// lp.add_constraint(vec![(0, Rat::from_int(2)), (1, Rat::ONE)], Rat::from_int(4));
+    /// lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::from_int(3))], Rat::from_int(6));
     /// let solution = lp.solve().unwrap().expect_optimal("doc");
     /// assert_eq!(solution.objective, Rat::new(14, 5));
     /// assert!(solution.certificate_violations(&lp).is_empty());
@@ -225,13 +193,12 @@ impl LinearProgram {
     }
 
     /// Solves the program with the dense-tableau reference engine: the
-    /// same two-phase method and pivot rules, rewriting the full
+    /// same method and pivot rules, rewriting the full
     /// `m × (n + m)` tableau per pivot.  Returns bit-for-bit the same
     /// outcome as [`LinearProgram::solve`], duals included; it is the
     /// differential reference of `crates/lp/tests/engines.rs` and of the
     /// Γ-corpus test in `panda-entropy`, not an engine to choose.
     pub fn solve_dense(&self) -> Result<LpOutcome, LpError> {
-        self.validate()?;
         Simplex::new(self).run()
     }
 
@@ -264,7 +231,6 @@ impl LinearProgram {
         hint: Option<Basis>,
         budget: &mut crate::PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
-        self.validate()?;
         RevisedSimplex::new(self).run_warm(hint, budget)
     }
 
@@ -293,7 +259,6 @@ mod tests {
         let mut lp = LinearProgram::new(2);
         lp.add_constraint(
             vec![(0, Rat::ONE), (0, Rat::ONE), (1, Rat::from_int(2))],
-            ConstraintOp::Le,
             Rat::from_int(5),
         );
         let c = &lp.constraints()[0];
@@ -304,11 +269,7 @@ mod tests {
     #[test]
     fn drops_zero_coefficients() {
         let mut lp = LinearProgram::new(2);
-        lp.add_constraint(
-            vec![(0, Rat::ONE), (0, -Rat::ONE), (1, Rat::ONE)],
-            ConstraintOp::Le,
-            Rat::from_int(5),
-        );
+        lp.add_constraint(vec![(0, Rat::ONE), (0, -Rat::ONE), (1, Rat::ONE)], Rat::from_int(5));
         assert_eq!(lp.constraints()[0].coeffs, vec![(1, Rat::ONE)]);
     }
 
@@ -316,7 +277,7 @@ mod tests {
     fn feasibility_check() {
         let mut lp = LinearProgram::new(2);
         lp.set_objective(vec![Rat::ONE, Rat::ONE]);
-        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Le, Rat::from_int(3));
+        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], Rat::from_int(3));
         assert!(lp.is_feasible(&[Rat::ONE, Rat::ONE]));
         assert!(!lp.is_feasible(&[Rat::from_int(2), Rat::from_int(2)]));
         assert!(!lp.is_feasible(&[-Rat::ONE, Rat::ZERO]));
@@ -327,6 +288,13 @@ mod tests {
     #[should_panic(expected = "references variable")]
     fn out_of_range_variable_panics() {
         let mut lp = LinearProgram::new(1);
-        lp.add_constraint(vec![(3, Rat::ONE)], ConstraintOp::Le, Rat::ONE);
+        lp.add_constraint(vec![(3, Rat::ONE)], Rat::ONE);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative right-hand side")]
+    fn negative_rhs_panics() {
+        let mut lp = LinearProgram::new(1);
+        lp.add_constraint(vec![(0, -Rat::ONE)], Rat::from_int(-3));
     }
 }

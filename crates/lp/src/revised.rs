@@ -1,21 +1,15 @@
 //! The sparse revised simplex method over exact rationals.
 //!
 //! This engine solves the same standard form as the dense tableau in
-//! [`crate::simplex`] and follows the *identical* pivot rules — the same
-//! two-phase structure, the same Dantzig pricing with the same switch to
-//! Bland's rule, the same ratio-test tie-breaking, the same
-//! artificial-elimination pass between the phases.  Because every pivot
-//! decision is made on exact rational quantities that both engines compute
-//! identically, the two visit the same sequence of bases and return
-//! bit-for-bit identical optima and duals; the dense tableau is kept as the
-//! auditable reference implementation (see
+//! [`crate::simplex`] — `A x + s = b` with `b ≥ 0`, from the all-slack
+//! basis — and follows the *identical* pivot rules: the same Dantzig
+//! pricing with the same switch to Bland's rule and the same ratio-test
+//! tie-breaking.  Because every pivot decision is made on exact rational
+//! quantities that both engines compute identically, the two visit the
+//! same sequence of bases and return bit-for-bit identical optima and
+//! duals; the dense tableau is kept as the auditable reference
+//! implementation (see
 //! [`LinearProgram::solve_dense`](crate::LinearProgram::solve_dense)).
-//!
-//! Only rows that need one get an artificial: a `≥` row with a positive
-//! right-hand side, or an `=` row.  A `≥ 0` row is stated as `−a·x ≤ 0`
-//! and takes a slack, so a Γ_n LP — `≤ log N` statistics rows over a cone
-//! of `≥ 0` elemental rows — starts at `h = 0` from the all-slack basis
-//! and runs phase 2 alone.
 //!
 //! What changes is the representation, and with it the per-pivot cost:
 //!
@@ -26,12 +20,12 @@
 //! * the basis inverse is kept in **product form**: a dense snapshot
 //!   `B₀⁻¹` from the last refactorisation plus one sparse *eta* vector per
 //!   pivot since, applied by [`BasisInverse::ftran`]/[`BasisInverse::btran`],
-//! * pricing runs once per phase — the duals `y = c_B B⁻¹` with one BTRAN,
+//! * pricing runs once per solve — the duals `y = c_B B⁻¹` with one BTRAN,
 //!   then one sparse dot product per column — and each pivot then updates
 //!   the reduced costs from the pivot row `ρ_r = e_r B⁻¹` (one BTRAN of a
 //!   unit vector, one sparse dot per column): the dense tableau's
 //!   reduced-cost row update without the dense rows.  Debug builds check
-//!   the updated costs against a fresh pricing at every phase's optimum,
+//!   the updated costs against a fresh pricing at the optimum,
 //! * the basic solution `x_B = B⁻¹ b` is updated incrementally per pivot.
 //!
 //! The eta file is periodically collapsed ([`BasisInverse::invert`]) by
@@ -51,7 +45,7 @@ use panda_rational::Rat;
 
 use crate::budget::PivotBudget;
 use crate::problem::{Basis, LinearProgram};
-use crate::simplex::{Phase, RowInfo, StandardForm, ITERATION_LIMIT};
+use crate::simplex::{StandardForm, Stop, ITERATION_LIMIT};
 use crate::solution::{LpOutcome, Solution};
 use crate::LpError;
 
@@ -80,7 +74,7 @@ struct Eta {
 struct BasisInverse {
     m: usize,
     /// Dense `B₀⁻¹` from the last refactorisation; `None` means identity
-    /// (the initial all-slack/artificial basis).
+    /// (the initial all-slack basis).
     base: Option<Vec<Vec<Rat>>>,
     etas: Vec<Eta>,
 }
@@ -271,10 +265,6 @@ pub(crate) struct RevisedSimplex<'a> {
     inv: BasisInverse,
     num_cols: usize,
     num_structural: usize,
-    /// `is_artificial[j]` iff column `j` is an artificial variable.
-    is_artificial: Vec<bool>,
-    has_artificials: bool,
-    row_info: Vec<RowInfo>,
 }
 
 impl<'a> RevisedSimplex<'a> {
@@ -284,10 +274,6 @@ impl<'a> RevisedSimplex<'a> {
         // drift apart.
         let form = StandardForm::new(lp);
         let m = lp.num_constraints();
-        let mut is_artificial = vec![false; form.num_cols];
-        for &a in &form.artificial_cols {
-            is_artificial[a] = true;
-        }
         let mut in_basis = vec![false; form.num_cols];
         for &b in &form.basis {
             in_basis[b] = true;
@@ -302,44 +288,34 @@ impl<'a> RevisedSimplex<'a> {
             inv: BasisInverse::identity(m),
             num_cols: form.num_cols,
             num_structural: lp.num_vars(),
-            has_artificials: !form.artificial_cols.is_empty(),
-            is_artificial,
-            row_info: form.row_info,
         }
     }
 
-    /// Runs the solve — phase 1 only when the program has artificials —
-    /// optionally starting phase 2 directly from a carried-over basis (see
-    /// [`LinearProgram::solve_warm`]), and returns the final basis, with
-    /// its factorisation, for the next solve in the family.
+    /// Runs the solve from the all-slack basis, or from a carried-over
+    /// basis when it fits (see [`LinearProgram::solve_warm`]), and returns
+    /// the final basis, with its factorisation, for the next solve in the
+    /// family.
     ///
-    /// Every pivot of both phases consumes one unit of `budget` and the
-    /// solve aborts with [`LpError::PivotBudgetExhausted`] once it runs
-    /// out.  The post-phase-1 artificial-elimination pass is bookkeeping
-    /// (at most one degenerate pivot per redundant row, `O(m)` in total)
-    /// and is not charged, so solves that finish visit the identical basis
-    /// sequence under any limit.
+    /// Every pivot consumes one unit of `budget` and the solve aborts with
+    /// [`LpError::PivotBudgetExhausted`] once it runs out, so solves that
+    /// finish visit the identical basis sequence under any limit.
     pub(crate) fn run_warm(
         mut self,
         hint: Option<Basis>,
         budget: &mut PivotBudget,
     ) -> Result<(LpOutcome, Option<Basis>), LpError> {
-        let warm = hint.is_some_and(|h| self.try_install_basis(h));
-        if !warm {
-            if let Some(outcome) = self.phase_one(budget)? {
-                return Ok((outcome, None));
-            }
+        // A hint that does not fit leaves the all-slack start in place.
+        if let Some(hint) = hint {
+            self.try_install_basis(hint);
         }
-
-        // Phase 2: optimise the real objective.
         let mut cost = vec![Rat::ZERO; self.num_cols];
         cost[..self.num_structural].copy_from_slice(self.lp.objective());
-        match self.optimize(&cost, /*bar_artificials=*/ true, budget)? {
-            Phase::Unbounded => Ok((LpOutcome::Unbounded, None)),
-            Phase::Optimal => {
+        match self.optimize(&cost, budget)? {
+            Stop::Unbounded => Ok((LpOutcome::Unbounded, None)),
+            Stop::Optimal => {
                 let objective = self.current_objective(&cost);
                 let primal = self.extract_primal();
-                let duals = self.extract_duals(&cost);
+                let duals = self.duals_vector(&cost);
                 // The basic columns are distinct, so each can be moved out
                 // of this (finished) solve's matrix.
                 let mut cols = self.cols;
@@ -352,10 +328,11 @@ impl<'a> RevisedSimplex<'a> {
     }
 
     /// Attempts to install a warm-start basis: the hint must have the same
-    /// standard-form shape, name each row a distinct *non-artificial*
-    /// column, be nonsingular, and be exactly feasible (`B⁻¹b ≥ 0`).
-    /// Returns `false` — leaving the initial all-slack/artificial state
-    /// intact — on any mismatch.
+    /// standard-form shape, name each row a distinct column, be
+    /// nonsingular, and be exactly feasible (`B⁻¹b ≥ 0`: a basis that was
+    /// optimal for another right-hand side need not be feasible for this
+    /// one).  Returns `false` — leaving the initial all-slack state intact —
+    /// on any mismatch.
     ///
     /// When the hint's [`Factor`] inverts exactly this program's basic
     /// columns (the `fhtw` chain, where only the objective moves, or a
@@ -363,15 +340,6 @@ impl<'a> RevisedSimplex<'a> {
     /// inverse is taken over as it stands; otherwise the basis is
     /// refactorised.  Both are the exact `B⁻¹`, so the choice moves no
     /// pivot, only the Gauss–Jordan pass.
-    ///
-    /// Hints containing artificial columns are rejected outright: a hint's
-    /// basic artificial sat at zero on a *redundant* row of the program it
-    /// came from, but the same row of this program may be independent, and
-    /// phase 2 (which skips the phase-1 machinery on a warm start) could
-    /// then legally pivot the artificial to a positive value — i.e. report
-    /// an infeasible point as optimal.  Artificial-free feasible bases
-    /// cannot reach artificials later (they are barred from entering), so
-    /// feasibility of the original rows is preserved pivot by pivot.
     fn try_install_basis(&mut self, hint: Basis) -> bool {
         let m = self.basis.len();
         if hint.num_cols != self.num_cols || hint.cols.len() != m {
@@ -379,7 +347,7 @@ impl<'a> RevisedSimplex<'a> {
         }
         let mut seen = vec![false; self.num_cols];
         for &col in &hint.cols {
-            if col >= self.num_cols || seen[col] || self.is_artificial[col] {
+            if col >= self.num_cols || seen[col] {
                 return false;
             }
             seen[col] = true;
@@ -412,61 +380,32 @@ impl<'a> RevisedSimplex<'a> {
         true
     }
 
-    /// Runs phase 1 (when artificials exist), returning `Some(Infeasible)`
-    /// to short-circuit or `None` to proceed to phase 2.
-    fn phase_one(&mut self, budget: &mut PivotBudget) -> Result<Option<LpOutcome>, LpError> {
-        if self.has_artificials {
-            let mut phase1_cost = vec![Rat::ZERO; self.num_cols];
-            for (j, cost) in phase1_cost.iter_mut().enumerate() {
-                if self.is_artificial[j] {
-                    *cost = -Rat::ONE;
-                }
-            }
-            let outcome = self.optimize(&phase1_cost, /*bar_artificials=*/ false, budget)?;
-            debug_assert!(
-                !matches!(outcome, Phase::Unbounded),
-                "phase 1 objective is bounded above by zero"
-            );
-            let phase1_value = self.current_objective(&phase1_cost);
-            if phase1_value.is_negative() {
-                return Ok(Some(LpOutcome::Infeasible));
-            }
-            self.pivot_out_basic_artificials();
-        }
-        Ok(None)
-    }
-
     /// Runs the simplex iterations for the given cost vector, charging one
     /// unit of `budget` per pivot applied.
     ///
-    /// The reduced costs are priced once, when the phase starts, and then
+    /// The reduced costs are priced once, when the loop starts, and then
     /// updated across each pivot from the pivot row
     /// ([`RevisedSimplex::update_reduced_costs`]).  Exact arithmetic makes
     /// the updated values equal to a fresh pricing, so every pivot choice
     /// is the one a re-pricing engine would make.
-    fn optimize(
-        &mut self,
-        cost: &[Rat],
-        bar_artificials: bool,
-        budget: &mut PivotBudget,
-    ) -> Result<Phase, LpError> {
+    fn optimize(&mut self, cost: &[Rat], budget: &mut PivotBudget) -> Result<Stop, LpError> {
         let m = self.basis.len();
         let bland_threshold = 4 * (m + self.num_cols) + 64;
-        let mut reduced = self.price(cost, bar_artificials);
+        let mut reduced = self.price(cost);
         for iteration in 0..ITERATION_LIMIT {
             let use_bland = iteration >= bland_threshold;
-            let entering = self.choose_entering(&reduced, bar_artificials, use_bland);
+            let entering = self.choose_entering(&reduced, use_bland);
             let Some(entering) = entering else {
                 debug_assert_eq!(
                     reduced,
-                    self.price(cost, bar_artificials),
+                    self.price(cost),
                     "updated reduced costs must equal a fresh pricing"
                 );
-                return Ok(Phase::Optimal);
+                return Ok(Stop::Optimal);
             };
             let w = self.transformed_column(entering);
             let Some(leaving_row) = self.choose_leaving(&w) else {
-                return Ok(Phase::Unbounded);
+                return Ok(Stop::Unbounded);
             };
             if budget.is_cancelled() {
                 return Err(LpError::Cancelled);
@@ -474,54 +413,38 @@ impl<'a> RevisedSimplex<'a> {
             if !budget.consume() {
                 return Err(LpError::PivotBudgetExhausted { limit: budget.limit() });
             }
-            self.update_reduced_costs(&mut reduced, leaving_row, entering, &w, bar_artificials);
+            self.update_reduced_costs(&mut reduced, leaving_row, entering, &w);
             self.pivot(leaving_row, entering, &w);
         }
         Err(LpError::IterationLimit(ITERATION_LIMIT))
     }
 
-    /// Whether column `j` may enter: nonbasic, and not an artificial while
-    /// artificials are barred.  Only these columns' reduced costs are
-    /// maintained; the others stay zero.
-    fn may_enter(&self, j: usize, bar_artificials: bool) -> bool {
-        !(self.in_basis[j] || bar_artificials && self.is_artificial[j])
-    }
-
-    /// Prices every column that may enter: `d_j = c_j − y · a_j` with the
+    /// Prices every nonbasic column: `d_j = c_j − y · a_j` with the
     /// simplex multipliers `y = c_B B⁻¹` (one BTRAN, then one sparse dot
-    /// per column).
-    fn price(&self, cost: &[Rat], bar_artificials: bool) -> Vec<Rat> {
+    /// per column).  A basic column's reduced cost is zero.
+    fn price(&self, cost: &[Rat]) -> Vec<Rat> {
         let y = self.duals_vector(cost);
-        (0..self.num_cols)
-            .map(|j| {
-                if self.may_enter(j, bar_artificials) {
-                    cost[j] - row_entry(&y, &self.cols[j])
-                } else {
-                    Rat::ZERO
-                }
-            })
-            .collect()
+        let mut reduced = vec![Rat::ZERO; self.num_cols];
+        for (j, d) in reduced.iter_mut().enumerate() {
+            if !self.in_basis[j] {
+                *d = cost[j] - row_entry(&y, &self.cols[j]);
+            }
+        }
+        reduced
     }
 
     /// Carries the reduced costs across the pivot on (`row`, `entering`)
     /// with `w = B⁻¹ a_entering`, before the pivot is applied: with the
     /// pivot row `ρ_r = e_r B⁻¹` (one BTRAN of a unit vector) and
-    /// `α_rj = ρ_r · a_j`, every column that may enter loses
+    /// `α_rj = ρ_r · a_j`, every nonbasic column loses
     /// `(d_q / w_r) · α_rj`.  The entering column's cost becomes zero and
     /// the leaving column's `−d_q / w_r` (its `α_rj` is one).  This is the
     /// dense tableau's reduced-cost row update, read off sparse columns.
-    fn update_reduced_costs(
-        &self,
-        reduced: &mut [Rat],
-        row: usize,
-        entering: usize,
-        w: &[Rat],
-        bar_artificials: bool,
-    ) {
+    fn update_reduced_costs(&self, reduced: &mut [Rat], row: usize, entering: usize, w: &[Rat]) {
         let step = reduced[entering] / w[row];
         let rho = self.inverse_row(row);
         for (j, d) in reduced.iter_mut().enumerate() {
-            if j == entering || !self.may_enter(j, bar_artificials) {
+            if j == entering || self.in_basis[j] {
                 continue;
             }
             let alpha = row_entry(&rho, &self.cols[j]);
@@ -530,10 +453,7 @@ impl<'a> RevisedSimplex<'a> {
             }
         }
         reduced[entering] = Rat::ZERO;
-        let leaving = self.basis[row];
-        if !(bar_artificials && self.is_artificial[leaving]) {
-            reduced[leaving] = -step;
-        }
+        reduced[self.basis[row]] = -step;
     }
 
     /// The simplex multipliers `y = c_B B⁻¹` (one BTRAN).
@@ -555,15 +475,10 @@ impl<'a> RevisedSimplex<'a> {
     /// largest-reduced-cost rule (first index on ties) with a switch to
     /// Bland's smallest-index rule.  Basic columns are skipped outright —
     /// their reduced cost is identically zero, never positive.
-    fn choose_entering(
-        &self,
-        reduced: &[Rat],
-        bar_artificials: bool,
-        use_bland: bool,
-    ) -> Option<usize> {
+    fn choose_entering(&self, reduced: &[Rat], use_bland: bool) -> Option<usize> {
         let mut best: Option<(usize, Rat)> = None;
         for (j, &d) in reduced.iter().enumerate() {
-            if !self.may_enter(j, bar_artificials) || !d.is_positive() {
+            if self.in_basis[j] || !d.is_positive() {
                 continue;
             }
             if use_bland {
@@ -643,27 +558,6 @@ impl<'a> RevisedSimplex<'a> {
         }
     }
 
-    /// Removes artificial variables from the basis after phase 1, mirroring
-    /// the dense engine: for each such row, pivot on the first non-artificial
-    /// column with a non-zero entry in the row (read off via one BTRAN of
-    /// the row's unit vector).  Rows whose artificial cannot be pivoted out
-    /// are redundant and keep the artificial basic at value zero.
-    fn pivot_out_basic_artificials(&mut self) {
-        let m = self.basis.len();
-        for row in 0..m {
-            if !self.is_artificial[self.basis[row]] {
-                continue;
-            }
-            let rho = self.inverse_row(row);
-            let col = (0..self.num_cols)
-                .find(|&j| !self.is_artificial[j] && !row_entry(&rho, &self.cols[j]).is_zero());
-            if let Some(col) = col {
-                let w = self.transformed_column(col);
-                self.pivot(row, col, &w);
-            }
-        }
-    }
-
     fn current_objective(&self, cost: &[Rat]) -> Rat {
         self.basis
             .iter()
@@ -682,26 +576,15 @@ impl<'a> RevisedSimplex<'a> {
         }
         primal
     }
-
-    /// Recovers the dual values `y = c_B B⁻¹` directly from one BTRAN; the
-    /// sign is flipped back for rows that were normalised by −1.
-    fn extract_duals(&self, cost: &[Rat]) -> Vec<Rat> {
-        let y = self.duals_vector(cost);
-        self.row_info
-            .iter()
-            .enumerate()
-            .map(|(i, info)| if info.flipped { -y[i] } else { y[i] })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::ConstraintOp;
 
     /// `max h(target)` over Γ₃ (subsets as bitmasks, `h(S)` at index
-    /// `S − 1`) with `h(AB), h(BC), h(AC) ≤ 1`.  `scale` multiplies the
+    /// `S − 1`) with `h(AB), h(BC), h(AC) ≤ 1`, each elemental row
+    /// `expr(h) ≥ 0` stated as `−expr(h) ≤ 0`.  `scale` multiplies the
     /// `h(ABC)` coefficient of the first monotonicity row, so a scale other
     /// than 1 changes exactly one coefficient of the `h(ABC)` column.
     fn gamma3(target: usize, scale: i128) -> LinearProgram {
@@ -709,26 +592,22 @@ mod tests {
         let mut lp = LinearProgram::new(7);
         lp.set_objective_coeff(h(target), Rat::ONE);
         for pair in [0b011, 0b110, 0b101] {
-            lp.add_constraint(vec![(h(pair), Rat::ONE)], ConstraintOp::Le, Rat::ONE);
+            lp.add_constraint(vec![(h(pair), Rat::ONE)], Rat::ONE);
         }
         for i in 0..3 {
-            let coeff = if i == 0 { Rat::from_int(scale) } else { Rat::ONE };
+            let coeff = if i == 0 { Rat::from_int(-scale) } else { -Rat::ONE };
             let rest = 0b111 & !(1 << i);
-            lp.add_constraint(
-                vec![(h(0b111), coeff), (h(rest), -Rat::ONE)],
-                ConstraintOp::Ge,
-                Rat::ZERO,
-            );
+            lp.add_constraint(vec![(h(0b111), coeff), (h(rest), Rat::ONE)], Rat::ZERO);
         }
         for (i, j) in [(0, 1), (0, 2), (1, 2)] {
             let (a, b) = (1 << i, 1 << j);
             for k in [0, 0b111 & !(a | b)] {
                 let mut coeffs =
-                    vec![(h(k | a), Rat::ONE), (h(k | b), Rat::ONE), (h(k | a | b), -Rat::ONE)];
+                    vec![(h(k | a), -Rat::ONE), (h(k | b), -Rat::ONE), (h(k | a | b), Rat::ONE)];
                 if k != 0 {
-                    coeffs.push((h(k), -Rat::ONE));
+                    coeffs.push((h(k), Rat::ONE));
                 }
-                lp.add_constraint(coeffs, ConstraintOp::Ge, Rat::ZERO);
+                lp.add_constraint(coeffs, Rat::ZERO);
             }
         }
         lp

@@ -2,29 +2,27 @@
 
 use panda_rational::Rat;
 
-use crate::problem::{ConstraintOp, LinearProgram};
+use crate::problem::LinearProgram;
 
-/// The result of solving a linear program.
+/// The result of solving a linear program.  The origin is feasible for
+/// every [`LinearProgram`], so a solve either reaches an optimum or finds
+/// the objective unbounded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LpOutcome {
     /// An optimal solution was found.
     Optimal(Solution),
-    /// The feasible region is empty.
-    Infeasible,
     /// The objective is unbounded above on the feasible region.
     Unbounded,
 }
 
 impl LpOutcome {
     /// Returns the contained solution, panicking otherwise.  Convenient in
-    /// code paths where infeasibility/unboundedness indicates a bug (e.g.
-    /// polymatroid LPs, which are always feasible).
+    /// code paths where unboundedness indicates a bug.
     #[must_use]
     #[track_caller]
     pub fn expect_optimal(self, context: &str) -> Solution {
         match self {
             LpOutcome::Optimal(s) => s,
-            LpOutcome::Infeasible => panic!("{context}: LP unexpectedly infeasible"),
             LpOutcome::Unbounded => panic!("{context}: LP unexpectedly unbounded"),
         }
     }
@@ -49,8 +47,7 @@ impl LpOutcome {
 /// 1. **strong duality** — `Σ_i duals[i] · rhs_i == objective`,
 /// 2. **dual feasibility** — for every variable `j`,
 ///    `Σ_i duals[i] · a_ij ≥ c_j`,
-/// 3. **signs** — `≤` constraints have `duals[i] ≥ 0`, `≥` constraints have
-///    `duals[i] ≤ 0`, `=` constraints are unrestricted.
+/// 3. **signs** — every `duals[i] ≥ 0`.
 ///
 /// These are exactly the properties the entropy crate needs to read off a
 /// Shannon-flow inequality (Lemma 6.1 of the paper) from the submodular
@@ -59,18 +56,18 @@ impl LpOutcome {
 /// # Example
 ///
 /// ```
-/// use panda_lp::{ConstraintOp, LinearProgram};
+/// use panda_lp::LinearProgram;
 /// use panda_rational::Rat;
 ///
-/// // maximise x  subject to  x ≤ 3, x + y ≥ 1
+/// // maximise x  subject to  x ≤ 3, y − x ≤ 1
 /// let mut lp = LinearProgram::new(2);
 /// lp.set_objective(vec![Rat::ONE, Rat::ZERO]);
-/// lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, Rat::from_int(3));
-/// lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Ge, Rat::ONE);
+/// lp.add_constraint(vec![(0, Rat::ONE)], Rat::from_int(3));
+/// lp.add_constraint(vec![(0, -Rat::ONE), (1, Rat::ONE)], Rat::ONE);
 /// let solution = lp.solve().unwrap().expect_optimal("example");
 /// assert_eq!(solution.objective, Rat::from_int(3));
 /// // Strong duality: Σ duals[i] · rhs_i == objective, with the binding
-/// // `≤` constraint carrying multiplier 1 and the slack `≥` carrying 0.
+/// // first constraint carrying multiplier 1 and the slack second one 0.
 /// assert_eq!(solution.duals, vec![Rat::ONE, Rat::ZERO]);
 /// assert!(solution.certificate_violations(&lp).is_empty());
 /// ```
@@ -112,13 +109,8 @@ impl Solution {
             ));
         }
         // Sign conventions.
-        for (i, (d, c)) in self.duals.iter().zip(lp.constraints()).enumerate() {
-            let ok = match c.op {
-                ConstraintOp::Le => !d.is_negative(),
-                ConstraintOp::Ge => !d.is_positive(),
-                ConstraintOp::Eq => true,
-            };
-            if !ok {
+        for (i, d) in self.duals.iter().enumerate() {
+            if d.is_negative() {
                 violations.push(format!("dual {i} has the wrong sign: {d}"));
             }
         }
@@ -145,7 +137,7 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConstraintOp, LinearProgram};
+    use crate::LinearProgram;
 
     fn solve(lp: &LinearProgram) -> Solution {
         lp.solve().unwrap().expect_optimal("test")
@@ -156,13 +148,9 @@ mod tests {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18.
         let mut lp = LinearProgram::new(2);
         lp.set_objective(vec![Rat::from_int(3), Rat::from_int(5)]);
-        lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, Rat::from_int(4));
-        lp.add_constraint(vec![(1, Rat::from_int(2))], ConstraintOp::Le, Rat::from_int(12));
-        lp.add_constraint(
-            vec![(0, Rat::from_int(3)), (1, Rat::from_int(2))],
-            ConstraintOp::Le,
-            Rat::from_int(18),
-        );
+        lp.add_constraint(vec![(0, Rat::ONE)], Rat::from_int(4));
+        lp.add_constraint(vec![(1, Rat::from_int(2))], Rat::from_int(12));
+        lp.add_constraint(vec![(0, Rat::from_int(3)), (1, Rat::from_int(2))], Rat::from_int(18));
         let s = solve(&lp);
         assert_eq!(s.objective, Rat::from_int(36));
         assert_eq!(s.primal, vec![Rat::from_int(2), Rat::from_int(6)]);
@@ -179,19 +167,11 @@ mod tests {
         for a in 0..3usize {
             for b in 0..3usize {
                 if a != b {
-                    lp.add_constraint(
-                        vec![(a, Rat::ONE), (b, -Rat::ONE)],
-                        ConstraintOp::Le,
-                        Rat::ZERO,
-                    );
+                    lp.add_constraint(vec![(a, Rat::ONE), (b, -Rat::ONE)], Rat::ZERO);
                 }
             }
         }
-        lp.add_constraint(
-            vec![(0, Rat::ONE), (1, Rat::ONE), (2, Rat::ONE)],
-            ConstraintOp::Le,
-            Rat::from_int(9),
-        );
+        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE), (2, Rat::ONE)], Rat::from_int(9));
         let s = solve(&lp);
         assert_eq!(s.objective, Rat::from_int(9));
         assert!(s.certificate_violations(&lp).is_empty());
@@ -201,47 +181,8 @@ mod tests {
     fn unbounded_detected() {
         let mut lp = LinearProgram::new(2);
         lp.set_objective(vec![Rat::ONE, Rat::ZERO]);
-        lp.add_constraint(vec![(1, Rat::ONE)], ConstraintOp::Le, Rat::from_int(3));
+        lp.add_constraint(vec![(1, Rat::ONE)], Rat::from_int(3));
         assert_eq!(lp.solve().unwrap(), LpOutcome::Unbounded);
-    }
-
-    #[test]
-    fn infeasible_detected() {
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![Rat::ONE]);
-        lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, Rat::from_int(1));
-        lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Ge, Rat::from_int(2));
-        assert_eq!(lp.solve().unwrap(), LpOutcome::Infeasible);
-    }
-
-    #[test]
-    fn equality_and_ge_constraints() {
-        // max x + y s.t. x + y ≤ 10, x ≥ 2, x + 2y = 8  ⇒  x = 8, y = 0.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(vec![Rat::ONE, Rat::ONE]);
-        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Le, Rat::from_int(10));
-        lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Ge, Rat::from_int(2));
-        lp.add_constraint(
-            vec![(0, Rat::ONE), (1, Rat::from_int(2))],
-            ConstraintOp::Eq,
-            Rat::from_int(8),
-        );
-        let s = solve(&lp);
-        assert_eq!(s.objective, Rat::from_int(8));
-        assert_eq!(s.primal, vec![Rat::from_int(8), Rat::ZERO]);
-        assert!(s.certificate_violations(&lp).is_empty());
-    }
-
-    #[test]
-    fn negative_rhs_handled_by_normalisation() {
-        // max x s.t. -x ≤ -3 (i.e. x ≥ 3), x ≤ 5.
-        let mut lp = LinearProgram::new(1);
-        lp.set_objective(vec![Rat::ONE]);
-        lp.add_constraint(vec![(0, -Rat::ONE)], ConstraintOp::Le, Rat::from_int(-3));
-        lp.add_constraint(vec![(0, Rat::ONE)], ConstraintOp::Le, Rat::from_int(5));
-        let s = solve(&lp);
-        assert_eq!(s.objective, Rat::from_int(5));
-        assert!(s.certificate_violations(&lp).is_empty());
     }
 
     #[test]
@@ -249,9 +190,9 @@ mod tests {
         // max t s.t. t ≤ x, t ≤ y, x + y ≤ 3  ⇒  t = 3/2.
         let mut lp = LinearProgram::new(3);
         lp.set_objective(vec![Rat::ONE, Rat::ZERO, Rat::ZERO]);
-        lp.add_constraint(vec![(0, Rat::ONE), (1, -Rat::ONE)], ConstraintOp::Le, Rat::ZERO);
-        lp.add_constraint(vec![(0, Rat::ONE), (2, -Rat::ONE)], ConstraintOp::Le, Rat::ZERO);
-        lp.add_constraint(vec![(1, Rat::ONE), (2, Rat::ONE)], ConstraintOp::Le, Rat::from_int(3));
+        lp.add_constraint(vec![(0, Rat::ONE), (1, -Rat::ONE)], Rat::ZERO);
+        lp.add_constraint(vec![(0, Rat::ONE), (2, -Rat::ONE)], Rat::ZERO);
+        lp.add_constraint(vec![(1, Rat::ONE), (2, Rat::ONE)], Rat::from_int(3));
         let s = solve(&lp);
         assert_eq!(s.objective, Rat::new(3, 2));
         assert!(s.certificate_violations(&lp).is_empty());
@@ -260,7 +201,7 @@ mod tests {
     #[test]
     fn zero_objective_is_fine() {
         let mut lp = LinearProgram::new(2);
-        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], ConstraintOp::Le, Rat::from_int(4));
+        lp.add_constraint(vec![(0, Rat::ONE), (1, Rat::ONE)], Rat::from_int(4));
         let s = solve(&lp);
         assert_eq!(s.objective, Rat::ZERO);
         assert!(s.certificate_violations(&lp).is_empty());
