@@ -21,14 +21,14 @@ impl BoolMatrix {
     }
 
     /// The number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    fn rows(&self) -> usize {
         self.rows
     }
 
     /// The number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    fn cols(&self) -> usize {
         self.cols
     }
 

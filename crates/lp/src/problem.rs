@@ -51,13 +51,13 @@ pub struct Constraint {
 impl Constraint {
     /// Evaluates the left-hand side on a point.
     #[must_use]
-    pub fn lhs_at(&self, point: &[Rat]) -> Rat {
+    pub(crate) fn lhs_at(&self, point: &[Rat]) -> Rat {
         self.coeffs.iter().map(|(j, c)| *c * point.get(*j).copied().unwrap_or(Rat::ZERO)).sum()
     }
 
     /// Returns `true` iff the point satisfies the constraint exactly.
     #[must_use]
-    pub fn is_satisfied_by(&self, point: &[Rat]) -> bool {
+    pub(crate) fn is_satisfied_by(&self, point: &[Rat]) -> bool {
         self.lhs_at(point) <= self.rhs
     }
 }
@@ -237,7 +237,7 @@ impl LinearProgram {
     /// Checks whether a point is feasible (satisfies every constraint and
     /// non-negativity).  Useful in tests and for auditing LP certificates.
     #[must_use]
-    pub fn is_feasible(&self, point: &[Rat]) -> bool {
+    pub(crate) fn is_feasible(&self, point: &[Rat]) -> bool {
         point.len() == self.num_vars
             && point.iter().all(|v| !v.is_negative())
             && self.constraints.iter().all(|c| c.is_satisfied_by(point))
@@ -245,7 +245,7 @@ impl LinearProgram {
 
     /// Evaluates the objective at a point.
     #[must_use]
-    pub fn objective_at(&self, point: &[Rat]) -> Rat {
+    pub(crate) fn objective_at(&self, point: &[Rat]) -> Rat {
         self.objective.iter().zip(point.iter()).map(|(c, x)| *c * *x).sum()
     }
 }

@@ -28,8 +28,8 @@ impl LpOutcome {
     }
 
     /// Returns the contained solution if optimal.
-    #[must_use]
-    pub fn optimal(self) -> Option<Solution> {
+    #[cfg(test)]
+    pub(crate) fn optimal(self) -> Option<Solution> {
         match self {
             LpOutcome::Optimal(s) => Some(s),
             _ => None,

@@ -40,7 +40,8 @@ use crate::config::Engine;
 use crate::generic_join::GenericJoin;
 use crate::materialize::BoundPlan;
 use crate::plans::{
-    cheaper_construction, partition_branches, partitions_of, PartitionSpec, MAX_BRANCHES,
+    cheaper_construction, partition_branches, partitions_of, separate_self_joins, PartitionSpec,
+    MAX_BRANCHES,
 };
 use crate::yannakakis::empty_result;
 
@@ -160,17 +161,17 @@ impl DdrEvaluator {
     /// cover there ([`crate::plans::estimate_bag_size`]'s estimate; the
     /// first on a tie) as its output, built by the cheaper construction.
     pub(crate) fn bind(&self, db: &Database) -> BoundPlan {
-        let body = self.rule.body();
-        let branches = partition_branches(body, &self.partitions, self.max_branches, db);
+        let (body, specs, db) = separate_self_joins(self.rule.body(), &self.partitions, db);
+        let branches = partition_branches(&body, &specs, self.max_branches, &db);
         let chosen = branches.iter().filter_map(|branch| {
             self.rule
                 .head()
                 .iter()
-                .map(|&head| (head, cheaper_construction(body, branch, head)))
+                .map(|&head| (head, cheaper_construction(&body, branch, head)))
                 .min_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))
                 .map(|(head, (_, construction))| (branch, head, vec![construction]))
         });
-        BoundPlan::new(body, chosen)
+        BoundPlan::new(&body, chosen)
     }
 }
 

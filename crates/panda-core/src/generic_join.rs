@@ -8,26 +8,33 @@
 //! variables are bound one at a time and the candidate values for each
 //! variable are obtained by intersecting, over all atoms containing it, the
 //! values compatible with the current partial assignment.
+//!
+//! The search is one level of `cursor.rs` per variable, each atom read
+//! through its relation's cached adjacency from the columns bound before
+//! it.  The output variables are bound first; the rest form an existential
+//! suffix where the cursor stops at the first witness, so a projection or
+//! a Boolean query emits each answer once and never enumerates the
+//! witnesses it projects away.  An output variable that shares no atom
+//! with those bound before it waits for an existential one linking it, and
+//! the cursor deduplicates the rows under that prefix: binding it early
+//! would try every `(A,C)` pair of `Q(A,C) :- R(A,B), S(B,C)`.
 
-// panda-lint: allow-file(P1) -- the per-variable candidate lists are
-// built non-empty immediately before the split_first/expect calls, and
-// column positions come from each atom's own schema.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+// panda-lint: allow-file(P1) -- column positions come from each atom's own
+// schema, and every occurring variable has a position in the order.
 
 use panda_query::{ConjunctiveQuery, Var, VarSet};
-use panda_relation::fan_out::ordered_map;
-use panda_relation::{Adjacency, Database, Relation, Value};
+use panda_relation::{Database, Relation};
 
 use crate::binding::VarRelation;
 use crate::config::Engine;
+use crate::cursor::{Cursor, Level, Reader};
 
 /// A worst-case-optimal join evaluator for (sub)queries.
 #[derive(Debug, Clone)]
 pub struct GenericJoin {
-    /// The variable order used for the backtracking search.  Defaults to
-    /// ascending variable index; callers may override it.
+    /// The search's tie-breaking variable order: a variable sharing an atom
+    /// with a bound one goes first, an output one first among those, then
+    /// this order.  Defaults to ascending variable index.
     pub variable_order: Vec<Var>,
 }
 
@@ -46,8 +53,8 @@ impl GenericJoin {
     }
 
     /// Joins the given bound relations over all variables of the order that
-    /// appear in them and projects the result onto `output`, deduplicated.
-    /// Equivalent to [`GenericJoin::join_with_engine`] with
+    /// appear in them and projects the result onto `output`, each answer
+    /// once.  Equivalent to [`GenericJoin::join_with_engine`] with
     /// [`Engine::Sequential`].
     ///
     /// Variable-free relations are treated as Boolean filters: if any of
@@ -67,11 +74,11 @@ impl GenericJoin {
     /// [`GenericJoin::join`] under an explicit [`Engine`].
     ///
     /// Under a parallel engine the **top-level branches** of the
-    /// backtracking search — the candidate values of the first variable in
-    /// the order — are split into contiguous chunks evaluated on the
-    /// engine's threads; chunk outputs are concatenated in candidate order and
-    /// deduplicated exactly like the sequential stream, so the result is
-    /// bit-identical to sequential evaluation at any thread count.
+    /// backtracking search — the candidate values of the first output
+    /// variable — are split into contiguous chunks evaluated on the
+    /// engine's threads, and the chunk outputs are concatenated in
+    /// candidate order, so the result is bit-identical to sequential
+    /// evaluation at any thread count.
     ///
     /// # Panics
     ///
@@ -86,9 +93,9 @@ impl GenericJoin {
         // Keep only the order variables that actually occur — but the order
         // must mention every occurring variable.
         let occurring: VarSet = inputs.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set()));
-        let order: Vec<Var> =
+        let vars: Vec<Var> =
             self.variable_order.iter().copied().filter(|v| occurring.contains(*v)).collect();
-        let covered: VarSet = order.iter().copied().collect();
+        let covered: VarSet = vars.iter().copied().collect();
         assert!(
             occurring.is_subset_of(covered),
             "variable order {:?} does not cover the occurring variables {:?}; the missing \
@@ -97,82 +104,55 @@ impl GenericJoin {
             occurring.difference(covered).to_vec()
         );
         for out in output {
-            assert!(order.contains(out), "output variable {out:?} does not occur in the join");
+            assert!(vars.contains(out), "output variable {out:?} does not occur in the join");
         }
         if inputs.iter().any(|r| r.is_empty() && r.vars.is_empty()) {
             return VarRelation::new(output.to_vec(), Relation::new(output.len()));
         }
-
-        let mut levels: Vec<Vec<LevelIndex>> = Vec::with_capacity(order.len());
-        for (level, &v) in order.iter().enumerate() {
-            let bound_set: VarSet = order[..level].iter().copied().collect();
-            let mut per_atom = Vec::new();
-            for input in inputs {
-                let Some(v_col) = input.column_of(v) else { continue };
-                // Enumerating the schema yields ascending (hence canonical)
-                // column order.
-                let (bound_cols, bound_vars): (Vec<usize>, Vec<Var>) = input
-                    .vars
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| bound_set.contains(**w))
-                    .map(|(i, w)| (i, *w))
-                    .unzip();
-                // Nothing bound yet: the level reads the sorted distinct
-                // column, the key list of `(v | rest)`.
-                let adjacency = if bound_cols.is_empty() {
-                    let all: Vec<usize> = (0..input.rel.arity()).collect();
-                    input.rel.adjacency(&[v_col], &all)
-                } else {
-                    input.rel.adjacency(&bound_cols, &[v_col])
-                };
-                per_atom.push(LevelIndex { bound_vars, adjacency });
-            }
-            levels.push(per_atom);
+        if vars.is_empty() {
+            return VarRelation::boolean(true); // only non-empty variable-free inputs
         }
 
-        let output_vars = output.to_vec();
-        if !order.is_empty() && !levels[0].is_empty() {
-            // Top-level case split: the candidates of the first variable.
-            // Both engines consume this one candidate sequence, so the
-            // parallel/sequential bit-identical contract has a single
-            // source of truth for the top-level order.
-            let candidates = top_level_candidates(&levels[0]);
-            let v0 = order[0];
-            let run_chunk = |chunk: &[Value]| -> Relation {
-                let mut assignment: HashMap<Var, Value> = HashMap::new();
-                let mut out = Relation::new(output_vars.len());
-                for &value in chunk {
-                    assignment.insert(v0, value);
-                    search(&order, 1, &levels, &mut assignment, &output_vars, &mut out);
-                    assignment.remove(&v0);
-                }
-                out
+        // Output variables first, each sharing an atom with a bound one if one
+        // can; else an existential one that does, under which rows repeat.
+        let mut order = Vec::new();
+        while order.len() < vars.len() {
+            let joined = |v: &Var| {
+                order.is_empty()
+                    || inputs
+                        .iter()
+                        .any(|r| r.vars.contains(v) && r.vars.iter().any(|w| order.contains(w)))
             };
-            let threads = engine.threads();
-            if threads > 1 && candidates.len() >= 2 {
-                let k = threads.min(candidates.len());
-                let chunks: Vec<&[Value]> = (0..k)
-                    .map(|i| &candidates[candidates.len() * i / k..candidates.len() * (i + 1) / k])
-                    .collect();
-                let pieces = ordered_map(threads, &chunks, |chunk| run_chunk(chunk));
-                // In chunk order; the first piece is adopted in O(1).
-                let mut merged = Relation::new(output_vars.len());
-                for piece in pieces {
-                    merged.extend_from(&piece);
-                }
-                return VarRelation::new(output_vars, merged.deduped());
-            }
-            let out = run_chunk(&candidates);
-            return VarRelation::new(output_vars, out.deduped());
+            let open = vars.iter().filter(|v| !order.contains(*v));
+            let v =
+                *open.min_by_key(|v| (!joined(v), !output.contains(*v))).expect("an open variable");
+            order.push(v);
         }
-
-        // Degenerate shapes (no occurring variables, or a first variable
-        // bound by no atom): plain backtracking from level 0.
-        let mut assignment: HashMap<Var, Value> = HashMap::new();
-        let mut out = Relation::new(output.len());
-        search(&order, 0, &levels, &mut assignment, &output_vars, &mut out);
-        VarRelation::new(output_vars, out.deduped())
+        let output_levels = order.iter().rposition(|v| output.contains(v)).map_or(0, |i| i + 1);
+        let slot = |v: Var| order.iter().position(|w| *w == v).expect("an occurring variable");
+        let levels = (0..order.len())
+            .map(|depth| {
+                let readers = inputs.iter().filter_map(|input| {
+                    let column = input.column_of(order[depth])?;
+                    let bound: Vec<usize> = (0..input.vars.len())
+                        .filter(|&c| order[..depth].contains(&input.vars[c]))
+                        .collect();
+                    // Nothing bound yet: the level reads the sorted distinct
+                    // column, the key list of `(column | rest)`.
+                    let adjacency = if bound.is_empty() {
+                        input.rel.adjacency(&[column], &(0..input.rel.arity()).collect::<Vec<_>>())
+                    } else {
+                        input.rel.adjacency(&bound, &[column])
+                    };
+                    let key = bound.iter().map(|&c| slot(input.vars[c])).collect();
+                    Some(Reader { adjacency, key })
+                });
+                Level { readers: readers.collect(), writes: vec![depth] }
+            })
+            .collect();
+        let cursor =
+            Cursor { levels, output_levels, output: output.iter().map(|&v| slot(v)).collect() };
+        VarRelation::new(output.to_vec(), cursor.run(engine.threads()))
     }
 
     /// Evaluates a full or projected conjunctive query with a worst-case
@@ -193,100 +173,6 @@ impl GenericJoin {
         let inputs = VarRelation::bind_all(query, db);
         let join = GenericJoin::new(query.all_vars());
         join.join_with_engine(&inputs, &query.free_vars().to_vec(), engine)
-    }
-}
-
-/// Per level, per atom: the adjacency from the atom's already-bound
-/// columns to the distinct candidate values of the current variable.  These
-/// are served from each relation's shared cache, so repeated generic joins
-/// over the same relation (across PANDA branches, or across bench
-/// iterations) rebuild nothing.
-struct LevelIndex {
-    /// variables of the atom bound before this level, in ascending column
-    /// order (the cache's canonical key order)
-    bound_vars: Vec<Var>,
-    /// `(bound columns | level column)`, or `(level column | rest)` when
-    /// nothing is bound
-    adjacency: Arc<Adjacency>,
-}
-
-impl LevelIndex {
-    /// The sorted distinct candidate values for the bound `key`, if any
-    /// row carries it.
-    fn candidates(&self, key: &[Value]) -> Option<&[Value]> {
-        if self.bound_vars.is_empty() {
-            return Some(self.adjacency.keys());
-        }
-        self.adjacency.find(key).map(|group| self.adjacency.values(group))
-    }
-}
-
-/// The intersected candidate values of the *first* order variable — the
-/// generic join's top-level branches, in exactly the order the sequential
-/// search visits them (ascending: the smallest atom's sorted candidate
-/// list, filtered against the others).
-fn top_level_candidates(indexes: &[LevelIndex]) -> Vec<Value> {
-    let mut lists: Vec<&[Value]> = Vec::with_capacity(indexes.len());
-    for idx in indexes {
-        debug_assert!(idx.bound_vars.is_empty(), "level 0 has no bound variables");
-        lists.push(idx.adjacency.keys());
-    }
-    lists.sort_by_key(|l| l.len());
-    let (smallest, rest) = lists.split_first().expect("at least one atom");
-    smallest
-        .iter()
-        .copied()
-        .filter(|value| rest.iter().all(|other| other.binary_search(value).is_ok()))
-        .collect()
-}
-
-/// The recursive backtracking search of the generic join: binds the
-/// variables of `order[level..]` one at a time by intersecting, per atom,
-/// the candidate values compatible with the current partial `assignment`,
-/// and pushes the projection of every full assignment onto `output` into
-/// `out` (in candidate order — deterministic).
-fn search(
-    order: &[Var],
-    level: usize,
-    levels: &[Vec<LevelIndex>],
-    assignment: &mut HashMap<Var, Value>,
-    output: &[Var],
-    out: &mut Relation,
-) {
-    if level == order.len() {
-        let row: Vec<Value> = output.iter().map(|v| assignment[v]).collect();
-        out.push_row(&row);
-        return;
-    }
-    let v = order[level];
-    let indexes = &levels[level];
-    if indexes.is_empty() {
-        // The variable occurs in no atom (cannot happen for well-formed
-        // queries); skip it.
-        search(order, level + 1, levels, assignment, output, out);
-        return;
-    }
-    // Candidate lists for the current assignment, one per atom containing
-    // v; intersect starting from the smallest.
-    let mut lists: Vec<&[Value]> = Vec::with_capacity(indexes.len());
-    for idx in indexes {
-        let key: Vec<Value> = idx.bound_vars.iter().map(|w| assignment[w]).collect();
-        match idx.candidates(&key) {
-            Some(values) => lists.push(values),
-            None => return, // no compatible tuple in this atom
-        }
-    }
-    lists.sort_by_key(|l| l.len());
-    let (smallest, rest) = lists.split_first().expect("non-empty");
-    'values: for &value in smallest.iter() {
-        for other in rest {
-            if other.binary_search(&value).is_err() {
-                continue 'values;
-            }
-        }
-        assignment.insert(v, value);
-        search(order, level + 1, levels, assignment, output, out);
-        assignment.remove(&v);
     }
 }
 
@@ -454,6 +340,20 @@ mod tests {
             let par_rows: Vec<Vec<u64>> = par.rel.iter().map(<[u64]>::to_vec).collect();
             assert_eq!(par_rows, seq_rows, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn a_projection_joins_through_the_variable_linking_its_outputs() {
+        // `A` and `C` share no atom: bound first, they would pair every `A`
+        // with every `C` (2.5·10⁹ pairs here) before `B` pruned them.
+        let q = parse_query("Q(A,C) :- R(A,B), S(B,C)").unwrap();
+        let n = 50_000u64;
+        let mut db = Database::new();
+        db.insert("R", Relation::from_rows(2, (0..n).map(|i| [i, i])));
+        db.insert("S", Relation::from_rows(2, (0..n).map(|i| [i, n - i])));
+        let out = GenericJoin::evaluate(&q, &db);
+        assert_eq!(out.len(), n as usize);
+        assert_eq!(out.rel.distinct_count(), n as usize);
     }
 
     #[test]

@@ -51,6 +51,7 @@
 pub mod binary;
 pub mod binding;
 pub mod config;
+mod cursor;
 pub mod ddr_eval;
 pub mod faq;
 pub mod generic_join;

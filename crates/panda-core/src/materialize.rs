@@ -8,12 +8,16 @@
 //! or a DDR (PAPER.md stages 3–5), or the whole input for a static plan —
 //! with the branch's output schema and the `Construction` of each of its
 //! bags.  A conjunctive branch assigns every atom to the first bag of its
-//! tree decomposition containing it (Eq. 13), joins each bag and outputs
-//! the free variables; a DDR branch builds the one head disjunct it routes
+//! tree decomposition containing it (Eq. 13), joins each bag projected onto
+//! what the plan reads of it — the free variables and those the branch's
+//! other bags hold; a non-free variable of one bag only is existential
+//! there, and the join's cursor stops at its first witness — and outputs
+//! the free variables.  A DDR branch builds the one head disjunct it routes
 //! its tuples to (§8.2), by a join or a projection cover, and outputs it.
 //!
 //! A bag's key is its construction — which atoms, by position in the
-//! plan's one atom list, and for a cover each step's overlap — plus the
+//! plan's one atom list, the variables a join outputs, and for a cover each
+//! step's overlap — plus the
 //! [storage identity](panda_relation::Relation::storage_id) of each atom's
 //! relation in the branch.  Branch databases differ only in the
 //! *partitioned* relations — every other relation is the same `Arc`-shared
@@ -67,9 +71,9 @@ pub struct MaterializedSubplan {
 /// into the plan's atom list).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Construction {
-    /// The worst-case-optimal join of these atoms, over the variables they
-    /// cover.
-    Join(Vec<usize>),
+    /// The worst-case-optimal join of these atoms, projected onto these of
+    /// the variables they cover.
+    Join(Vec<usize>, VarSet),
     /// The natural join of each atom's projection onto its overlap, in this
     /// order (a Cartesian product where the overlaps are disjoint): a
     /// superset of the bag's projection of the body join, which is what a
@@ -81,7 +85,7 @@ impl Construction {
     /// The variables the construction builds.
     fn bag(&self, atoms: &[Atom]) -> VarSet {
         match self {
-            Construction::Join(ids) => {
+            Construction::Join(ids, _) => {
                 ids.iter().fold(VarSet::EMPTY, |acc, &i| acc.union(atoms[i].var_set()))
             }
             Construction::Cover(steps) => {
@@ -93,7 +97,7 @@ impl Construction {
     /// The atoms it reads, in construction order.
     fn atoms(&self) -> Vec<usize> {
         match self {
-            Construction::Join(ids) => ids.clone(),
+            Construction::Join(ids, _) => ids.clone(),
             Construction::Cover(steps) => steps.iter().map(|&(i, _)| i).collect(),
         }
     }
@@ -170,7 +174,11 @@ impl BoundPlan {
     /// Binds `query` to each branch database under the decomposition that
     /// branch runs: every atom joins the first bag containing it (Eq. 13),
     /// one job per non-empty bag in bag order, and every branch outputs the
-    /// free variables.
+    /// free variables.  A job outputs its bag's free variables and those
+    /// its branch's other bags read: a non-free variable of one bag only
+    /// is existential there, so the join projects it away.  That output is
+    /// a function of the bag's atoms, so it keys the job without changing
+    /// which branches share it.
     ///
     /// # Panics
     ///
@@ -179,17 +187,31 @@ impl BoundPlan {
         query: &ConjunctiveQuery,
         branches: impl IntoIterator<Item = (&'a Database, &'a TreeDecomposition)>,
     ) -> Self {
+        let (atoms, free) = (query.atoms(), query.free_vars());
         let joins = |td: &TreeDecomposition| {
             let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); td.num_bags()];
-            for (i, atom) in query.atoms().iter().enumerate() {
+            for (i, atom) in atoms.iter().enumerate() {
                 let vars = atom.var_set();
                 let bag = td.bags().iter().position(|b| vars.is_subset_of(*b));
                 assigned[bag.expect("a valid TD contains every atom in some bag")].push(i);
             }
-            assigned.into_iter().filter(|ids| !ids.is_empty()).map(Construction::Join).collect()
+            assigned
+                .into_iter()
+                .filter(|ids| !ids.is_empty())
+                .map(|ids| {
+                    let (mut covered, mut read) = (VarSet::EMPTY, free);
+                    for (i, atom) in atoms.iter().enumerate() {
+                        if ids.contains(&i) {
+                            covered = covered.union(atom.var_set());
+                        } else {
+                            read = read.union(atom.var_set());
+                        }
+                    }
+                    Construction::Join(ids, covered.intersect(read))
+                })
+                .collect()
         };
-        let free = query.free_vars();
-        BoundPlan::new(query.atoms(), branches.into_iter().map(|(db, td)| (db, free, joins(td))))
+        BoundPlan::new(atoms, branches.into_iter().map(|(db, td)| (db, free, joins(td))))
     }
 
     /// The number of branches.
@@ -216,9 +238,9 @@ impl BoundPlan {
     fn build(&self, job: &BagJob, engine: Engine) -> VarRelation {
         let inputs = &self.branches[job.branch].inputs;
         match &job.construction {
-            Construction::Join(ids) => {
+            Construction::Join(ids, output) => {
                 let inputs: Vec<VarRelation> = ids.iter().map(|&i| inputs[i].clone()).collect();
-                GenericJoin::new(job.bag).join_with_engine(&inputs, &job.bag.to_vec(), engine)
+                GenericJoin::new(job.bag).join_with_engine(&inputs, &output.to_vec(), engine)
             }
             Construction::Cover(steps) => steps
                 .iter()
@@ -294,6 +316,8 @@ mod tests {
     use super::*;
     use panda_entropy::StatisticsSet;
     use panda_query::{parse_query, Var};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use crate::plans::{cheaper_construction, greedy_projection_cover, PandaEvaluator};
 
@@ -314,7 +338,7 @@ mod tests {
 
     /// The key of joining the query's first atom.
     fn first_atom_key(q: &ConjunctiveQuery, db: &Database) -> SubplanKey {
-        subplan_key(&Construction::Join(vec![0]), q.atoms(), db)
+        subplan_key(&Construction::Join(vec![0], q.atoms()[0].var_set()), q.atoms(), db)
     }
 
     #[test]
@@ -366,7 +390,7 @@ mod tests {
         // |π(cover)| = 50 ties |S ⋈ T| = 50, so the cheaper construction is
         // the join; a cover job and a join job never share a key.
         let (_, join) = cheaper_construction(q.atoms(), &db, bag);
-        assert!(matches!(join, Construction::Join(_)));
+        assert!(matches!(join, Construction::Join(..)));
         assert_ne!(subplan_key(&cover, q.atoms(), &db), subplan_key(&join, q.atoms(), &db));
 
         let plan = BoundPlan::new(q.atoms(), [(&db, bag, vec![cover])]);
@@ -381,6 +405,36 @@ mod tests {
         for row in full.rel.iter() {
             assert!(out.project_onto(&[Var(1), Var(2), Var(3)]).rel.contains(row));
         }
+    }
+
+    #[test]
+    fn a_bag_job_outputs_what_the_plan_reads_of_its_bag() {
+        // `diamond_tail`: the bag {A,B,C,D} is read through {A} (free) and
+        // {D} (shared with {D,E}); B and C are existential there.
+        let q = parse_query("Q(A,E) :- R(A,B), S(B,C), T(A,C), U(B,D), V(C,D), W(D,E)").unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut db = Database::new();
+        for name in ["R", "S", "T", "U", "V", "W"] {
+            let edges = (0..700).map(|_| [rng.gen_range(0..30u64), rng.gen_range(0..30u64)]);
+            db.insert(name, Relation::from_rows(2, edges).deduped());
+        }
+        let vars = |ids: &[u32]| -> VarSet { ids.iter().map(|&v| Var(v)).collect() };
+        let (abcd, ad) = (vars(&[0, 1, 2, 3]), vars(&[0, 3]));
+        let td = TreeDecomposition::new(vec![abcd, vars(&[3, 4])]);
+        let plan = BoundPlan::for_query(&q, [(&db, &td)]);
+        let constructions: Vec<&Construction> = plan.jobs.iter().map(|j| &j.construction).collect();
+        let tail = Construction::Join(vec![5], vars(&[3, 4]));
+        assert_eq!(constructions, [&Construction::Join(vec![0, 1, 2, 3, 4], ad), &tail]);
+        assert_eq!(plan.jobs[0].bag, abcd);
+
+        let bag = plan.build(&plan.jobs[0], Engine::Sequential);
+        assert_eq!(bag.vars, ad.to_vec());
+        let inputs: Vec<VarRelation> = VarRelation::bind_all(&q, &db)[..5].to_vec();
+        let full = GenericJoin::new(abcd).join(&inputs, &abcd.to_vec());
+        let pairs = full.project_onto(&ad.to_vec());
+        assert_eq!(bag.rel.canonical_rows(), pairs.rel.canonical_rows());
+        assert_eq!(bag.len(), pairs.len(), "one row per (A,D) pair");
+        assert!(bag.len() <= 900 && 10 * bag.len() < full.len(), "{} of {}", bag.len(), full.len());
     }
 
     #[test]

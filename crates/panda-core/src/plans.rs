@@ -118,10 +118,50 @@ pub(crate) fn partitions_of(flow: &ShannonFlow) -> BTreeSet<PartitionSpec> {
 /// a DDR, whose binding code it bounds.
 pub(crate) const MAX_BRANCHES: usize = 4096;
 
+/// Gives every atom over a repeated relation symbol its own entry, so that
+/// partitioning one atom's input leaves the others whole: atom `i` over a
+/// repeated `R` reads `R#i` (`#` is in no loadable name), an O(1) clone of
+/// `R` in the returned database, and each spec over `R` names the entry of
+/// the first atom over `R` holding the spec's variables.  Without a
+/// repeated symbol the atoms, specs and relations come back as they are.
+pub(crate) fn separate_self_joins(
+    atoms: &[Atom],
+    specs: &[PartitionSpec],
+    db: &Database,
+) -> (Vec<Atom>, Vec<PartitionSpec>, Database) {
+    let mut separated = db.clone();
+    let mut bound = atoms.to_vec();
+    for (i, atom) in bound.iter_mut().enumerate() {
+        if atoms.iter().filter(|other| other.relation == atom.relation).count() < 2 {
+            continue;
+        }
+        let entry = format!("{}#{i}", atom.relation);
+        if let Some(rel) = db.relation(&atom.relation) {
+            separated.insert(entry.clone(), rel.clone());
+        }
+        atom.relation = entry;
+    }
+    let specs = specs.iter().map(|spec| {
+        let holds = |atom: &Atom| {
+            atom.relation == spec.relation
+                && spec.group_vars.iter().chain(&spec.value_vars).all(|v| atom.vars.contains(v))
+        };
+        let relation = atoms.iter().position(holds).map(|i| bound[i].relation.clone());
+        PartitionSpec {
+            relation: relation.unwrap_or_else(|| spec.relation.clone()),
+            ..spec.clone()
+        }
+    });
+    let specs = specs.collect();
+    (bound, specs, separated)
+}
+
 /// Splits `db` into branch databases: the cross product of the per-spec
 /// power-of-two degree buckets, capped at `max_branches`.  A spec's
 /// variables map to columns through the first of `atoms` over its
-/// relation; specs that do not map are skipped.
+/// relation; specs that do not map are skipped.  Every relation symbol
+/// of `atoms` must be distinct ([`separate_self_joins`]): a partitioned
+/// relation replaces its symbol's entry for every atom over it.
 pub(crate) fn partition_branches(
     atoms: &[Atom],
     specs: &[PartitionSpec],
@@ -242,18 +282,34 @@ impl PandaEvaluator {
     /// branch's decomposition and keys its bags — the one place the
     /// adaptive plan reads the data (see [`crate::materialize`]).
     pub(crate) fn bind(&self, query: &ConjunctiveQuery, db: &Database) -> BoundPlan {
-        let branches = self.build_branches(query, db);
+        let (query, branches) = self.separated_branches(query, db);
         let tds: Vec<TreeDecomposition> =
-            branches.iter().map(|branch| self.choose_td_for(query, branch)).collect();
-        BoundPlan::for_query(query, branches.iter().zip(&tds))
+            branches.iter().map(|branch| self.choose_td_for(&query, branch)).collect();
+        BoundPlan::for_query(&query, branches.iter().zip(&tds))
     }
 
     /// Splits the database into branch databases according to the partition
     /// specs (cross product of per-relation degree buckets, capped at
-    /// [`PandaEvaluator::max_branches`]).
+    /// [`PandaEvaluator::max_branches`]).  When `query` repeats a relation
+    /// symbol, each atom over it reads its own entry (`R#i` for atom `i`)
+    /// and only those entries are partitioned; the symbol's own entry
+    /// stays whole in every branch.
     #[must_use]
     pub fn build_branches(&self, query: &ConjunctiveQuery, db: &Database) -> Vec<Database> {
-        partition_branches(query.atoms(), &self.partitions, self.max_branches, db)
+        self.separated_branches(query, db).1
+    }
+
+    /// [`PandaEvaluator::build_branches`], with `query` over the entries
+    /// its atoms read there.
+    fn separated_branches(
+        &self,
+        query: &ConjunctiveQuery,
+        db: &Database,
+    ) -> (ConjunctiveQuery, Vec<Database>) {
+        let (atoms, specs, db) = separate_self_joins(query.atoms(), &self.partitions, db);
+        let branches = partition_branches(&atoms, &specs, self.max_branches, &db);
+        let names = query.var_names().to_vec();
+        (ConjunctiveQuery::build(query.name(), names, query.free_vars(), atoms), branches)
     }
 
     /// Chooses the cheapest tree decomposition for one branch.  The cost of
@@ -327,7 +383,7 @@ pub(crate) fn cheaper_construction(
             return (cover_cost, Construction::Cover(steps));
         }
     }
-    (join_cost, Construction::Join(contained))
+    (join_cost, Construction::Join(contained, covered))
 }
 
 /// A degree-aware upper bound on the size of the natural join of `atoms`:

@@ -14,14 +14,14 @@
 //!    that child read.  A child whose separator is entirely free is left
 //!    unjoined: it and the nodes joined into it form a *factor*, whose
 //!    columns are all free;
-//! 4. a nested cursor over the factors: in preorder from the factor that
-//!    holds the first free variable, each factor's cached adjacency
-//!    `(separator | rest)` lists the rows that extend the answer prefix
-//!    written so far, and every combination of factor rows is one answer
-//!    row.  No join crosses a free separator and nothing is deduplicated
-//!    or projected at the end; when the preorder visits the free
-//!    variables in their own order (the full 3-path does), the rows come
-//!    out sorted.
+//! 4. a nested cursor over the factors (`cursor.rs`, the one the
+//!    generic join runs on): in preorder from the factor that holds the
+//!    first free variable, each factor's cached adjacency `(separator |
+//!    rest)` lists the rows that extend the answer prefix written so far,
+//!    and every combination of factor rows is one answer row.  No join
+//!    crosses a free separator and nothing is deduplicated or projected at
+//!    the end; when the preorder visits the free variables in their own
+//!    order (the full 3-path does), the rows come out sorted.
 //!
 //! That keeps the tail at the `O(Σ|R_i| + |output|)` the paper invokes for
 //! the final step of every static and adaptive plan (Eq. 12 and Eq. 29):
@@ -40,13 +40,12 @@
 // the tree decomposition's own node ids, and the take()/expect pairs
 // encode the bottom-up visit order (children strictly before parents).
 
-use std::sync::Arc;
-
 use panda_query::hypergraph::{join_tree_of, JoinTree};
 use panda_query::{Var, VarSet};
-use panda_relation::{Adjacency, Relation, Value};
+use panda_relation::Relation;
 
 use crate::binding::VarRelation;
+use crate::cursor::{Cursor, Level, Reader};
 
 /// What one run of [`yannakakis_profiled`] built, in rows: exact counts,
 /// the same at every thread count, so tests can pin them.
@@ -162,53 +161,13 @@ fn drop_unneeded(rel: VarRelation, needed: VarSet) -> VarRelation {
     }
 }
 
-/// One factor's cursor in pass 4: its cached adjacency, keyed on the
-/// variables already written when the cursor is reached.
-struct Level {
-    adjacency: Arc<Adjacency>,
-    /// The answer column of each key column, in the adjacency's key order.
-    key_at: Vec<usize>,
-    /// The answer column of each value column, in its value order.
-    value_at: Vec<usize>,
-}
-
-impl Level {
-    /// The cursor of `factor` keyed on `key`; `order` lists the answer's
-    /// columns.
-    fn new(factor: &VarRelation, key: VarSet, order: &[Var]) -> Self {
-        let at = |c: usize| {
-            order.iter().position(|v| *v == factor.vars[c]).expect("a factor's columns are free")
-        };
-        let (key_cols, value_cols): (Vec<usize>, Vec<usize>) =
-            (0..factor.vars.len()).partition(|&c| key.contains(factor.vars[c]));
-        Level {
-            adjacency: factor.rel.adjacency(&key_cols, &value_cols),
-            key_at: key_cols.into_iter().map(at).collect(),
-            value_at: value_cols.into_iter().map(at).collect(),
-        }
-    }
-
-    /// Writes each entry of `group` into `row`, calling `then` after each.
-    fn each_entry(&self, group: usize, row: &mut [Value], mut then: impl FnMut(&mut [Value])) {
-        let width = self.value_at.len();
-        let values = self.adjacency.values(group);
-        for entry in 0..self.adjacency.degree(group) {
-            for (&at, &value) in self.value_at.iter().zip(&values[entry * width..]) {
-                row[at] = value;
-            }
-            then(row);
-        }
-    }
-}
-
-/// Pass 4: enumerates the answer from the factors of [`assemble`].  The
-/// factors form a tree whose edges are the unjoined children's separators.
-/// It is walked in preorder from the factor holding the first free
-/// variable, children in the order of the first variable they add; the
-/// root's cursor reads `(first variable | rest)` and every other factor's
-/// `(separator | rest)`.  A factor that adds no variable is skipped: after
-/// the full reducer every prefix finds its separator there.  Each row is
-/// one combination of factor rows, written straight into one flat buffer.
+/// Pass 4: enumerates the answer from the factors of [`assemble`], which
+/// form a tree linked by the unjoined children's separators.  In preorder
+/// from the factor holding the first free variable (children by the first
+/// variable they add) each factor is a `cursor.rs` level reading its
+/// `(separator | rest)` group; the root's keys come first.  A factor adding
+/// no variable is skipped: after the full reducer every prefix finds its
+/// separator there.
 fn enumerate(
     tree: &JoinTree,
     nodes: &[VarRelation],
@@ -239,12 +198,25 @@ fn enumerate(
     let root = (0..nodes.len())
         .find(|&node| factors[node].as_ref().is_some_and(|f| f.column_of(first).is_some()))
         .expect("every free variable is in some factor");
+    let slot = |v: Var| order.iter().position(|w| *w == v).expect("a factor's columns are free");
+    // The level reading `factor`'s group of the variables in `key`.
+    let level = |factor: &VarRelation, key: VarSet| {
+        let (key_cols, value_cols): (Vec<usize>, Vec<usize>) =
+            (0..factor.vars.len()).partition(|&c| key.contains(factor.vars[c]));
+        let adjacency = factor.rel.adjacency(&key_cols, &value_cols);
+        let key = key_cols.iter().map(|&c| slot(factor.vars[c])).collect();
+        let writes = value_cols.iter().map(|&c| slot(factor.vars[c])).collect();
+        Level { readers: vec![Reader { adjacency, key }], writes }
+    };
 
-    let mut levels = Vec::new();
+    // The root's first level lists its keys: the first variable's values.
+    let mut groups = level(factor(root), VarSet::singleton(first));
+    let keys = Reader { adjacency: groups.readers.swap_remove(0).adjacency, key: Vec::new() };
+    let mut levels = vec![Level { readers: vec![keys], writes: vec![slot(first)] }];
     let mut stack = vec![(root, None, VarSet::singleton(first))];
     while let Some((at, from, key)) = stack.pop() {
-        if from.is_none() || !factor(at).var_set().is_subset_of(key) {
-            levels.push(Level::new(factor(at), key, &order));
+        if !factor(at).var_set().is_subset_of(key) {
+            levels.push(level(factor(at), key));
         }
         let mut next: Vec<(Option<Var>, usize, VarSet)> = links[at]
             .iter()
@@ -254,31 +226,8 @@ fn enumerate(
         next.sort_unstable_by_key(|&(added, to, _)| (added, to));
         stack.extend(next.into_iter().rev().map(|(_, to, sep)| (to, Some(at), sep)));
     }
-
-    let mut out: Vec<Value> = Vec::new();
-    let mut row: Vec<Value> = vec![0; order.len()];
-    let mut key: Vec<Value> = Vec::new();
-    let (top, deeper) = levels.split_first().expect("the root's cursor");
-    for group in 0..top.adjacency.num_keys() {
-        // The root's key is the first free variable alone.
-        row[top.key_at[0]] = top.adjacency.keys()[group];
-        top.each_entry(group, &mut row, |row| descend(deeper, row, &mut key, &mut out));
-    }
-    VarRelation::new(order.clone(), Relation::from_flat(order.len(), out))
-}
-
-/// Extends the answer prefix in `row` through the cursors of `levels`,
-/// appending every completed row to `out`.
-fn descend(levels: &[Level], row: &mut [Value], key: &mut Vec<Value>, out: &mut Vec<Value>) {
-    let Some((level, deeper)) = levels.split_first() else {
-        out.extend_from_slice(row);
-        return;
-    };
-    key.clear();
-    key.extend(level.key_at.iter().map(|&at| row[at]));
-    if let Some(group) = level.adjacency.find(key) {
-        level.each_entry(group, row, |row| descend(deeper, row, key, out));
-    }
+    let cursor = Cursor { output_levels: levels.len(), levels, output: (0..order.len()).collect() };
+    VarRelation::new(order, cursor.run(1))
 }
 
 /// Convenience wrapper: evaluates a free-connex acyclic *query* directly

@@ -138,6 +138,35 @@ fn golden_boolean_queries() {
     );
 }
 
+/// A self-join under an adaptive plan: each atom over the repeated symbol
+/// is partitioned on its own.  A hub with 12 two-way spokes plus a 4-cycle
+/// and one chord, 29 rows; `auto` plans it adaptive, and partitioning the
+/// symbol once for all four atoms used to drop every combination of
+/// tuples from different degree buckets (4 rows instead of 28).
+#[test]
+fn golden_an_adaptive_self_join_answers_what_the_generic_join_answers() {
+    let cycle = "QUERY Q(X,Y) :- PsR(X,Y), PsR(Y,Z), PsR(Z,W), PsR(W,X)";
+    let mut script = vec!["LOAD PsR 2".to_string()];
+    for leaf in 2..=13 {
+        script.push(format!("1 {leaf}"));
+        script.push(format!("{leaf} 1"));
+    }
+    script.extend(["20 21", "21 22", "22 23", "23 20", "2 3", "END"].map(String::from));
+    script.push(cycle.replace("QUERY", "EXPLAIN"));
+    script.push(cycle.to_string());
+    script.push("STRATEGY generic-join".to_string());
+    script.push(cycle.to_string());
+    let lines: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&lines);
+    assert_eq!(out[0], "OK loaded rel=PsR rows=29");
+    assert!(out.iter().any(|line| line == "strategy: adaptive"), "{out:?}");
+    assert!(!out.iter().any(|line| line == "branches: 1"), "{out:?}");
+    let strategy = out.iter().position(|line| line == "OK strategy=generic-join").unwrap();
+    let auto = out.iter().position(|line| line.starts_with("OK rows")).unwrap();
+    assert_eq!(out[auto], "OK rows n=28 vars=X,Y lines=28");
+    assert_eq!(out[auto..strategy], out[strategy + 1..]);
+}
+
 #[test]
 fn golden_error_responses() {
     assert_eq!(
