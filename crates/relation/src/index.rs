@@ -21,6 +21,16 @@
 //! `(K | rest)` split by binary search on the key, and a FAQ join-tree
 //! message holds one semiring element per group of it, so one structure
 //! per column split serves them all.
+//!
+//! A build is one sort.  When the projection onto `K ++ V` fits in 64
+//! bits (each column as wide as the OR of its values — dictionary-encoded
+//! values are small), every row packs into one `u64` whose integer order
+//! is the lexicographic order; the packed rows are sorted, deduplicated
+//! and unpacked into keys, offsets and values, with no row id and no
+//! second read of the rows.  A wider projection sorts row ids
+//! ([`Relation::canonical_row_ids`]) and reads each row through its id.
+//! With one key column, [`Adjacency::find`] binary-searches the flat keys
+//! as integers.
 
 // panda-lint: allow-file(P1) -- an adjacency's columns are bounds-checked
 // against the arity by the sort that builds it, and its group ids index its
@@ -74,9 +84,81 @@ pub struct Adjacency {
 
 impl Adjacency {
     /// Builds the adjacency of canonical `key_cols | value_cols` (each
-    /// strictly increasing, disjoint) from one sort of the projected rows:
-    /// [`Relation::canonical_row_ids`] of `key_cols ++ value_cols`.
+    /// strictly increasing, disjoint) from one sort of the projected rows.
+    ///
+    /// When the projection's bit widths (a column's is that of the OR of
+    /// its values) fit in 64 bits together, each row's projection is
+    /// packed into one `u64`, first column most significant, so integer
+    /// order is the lexicographic order; the packed rows are sorted and
+    /// deduplicated, and keys, offsets and values are unpacked from them.
+    /// Wider projections sort row ids instead
+    /// ([`Relation::canonical_row_ids`] of `key_cols ++ value_cols`).
     fn build(relation: &Relation, key_cols: &[usize], value_cols: &[usize]) -> Self {
+        let cols: Vec<usize> = key_cols.iter().chain(value_cols).copied().collect();
+        for &c in &cols {
+            assert!(c < relation.arity(), "adjacency column {c} out of range");
+        }
+        let mut ors = vec![0u64; cols.len()];
+        for row in relation.iter() {
+            for (or, &c) in ors.iter_mut().zip(&cols) {
+                *or |= row[c];
+            }
+        }
+        let widths: Vec<u32> = ors.iter().map(|or| u64::BITS - or.leading_zeros()).collect();
+        if widths.iter().sum::<u32>() > u64::BITS {
+            return Self::build_by_row_ids(relation, key_cols, value_cols);
+        }
+        let mut packed: Vec<u64> = relation
+            .iter()
+            .map(|row| {
+                cols.iter()
+                    .zip(&widths)
+                    .fold(0u64, |key, (&c, &w)| key.checked_shl(w).unwrap_or(0) | row[c])
+            })
+            .collect();
+        packed.sort_unstable();
+        packed.dedup();
+        // Each column's field: its shift from the least significant end and
+        // its mask.
+        let mut shift = 0;
+        let mut fields = vec![(0, 0); cols.len()];
+        for (field, &w) in fields.iter_mut().zip(&widths).rev() {
+            *field = (shift, u64::MAX.checked_shr(u64::BITS - w).unwrap_or(0));
+            shift += w;
+        }
+        let (key_fields, value_fields) = fields.split_at(key_cols.len());
+        let value_bits: u32 = widths[key_cols.len()..].iter().sum();
+        let unpack = |p: u64, (shift, mask): (u32, u64)| p.checked_shr(shift).unwrap_or(0) & mask;
+        let mut keys = Vec::new();
+        let mut offsets = vec![0];
+        let mut values = Vec::with_capacity(packed.len() * value_cols.len());
+        let mut last_key = None;
+        for (i, &p) in packed.iter().enumerate() {
+            let key = p.checked_shr(value_bits).unwrap_or(0);
+            if last_key != Some(key) {
+                if last_key.is_some() {
+                    offsets.push(i);
+                }
+                last_key = Some(key);
+                keys.extend(key_fields.iter().map(|&f| unpack(p, f)));
+            }
+            values.extend(value_fields.iter().map(|&f| unpack(p, f)));
+        }
+        if !packed.is_empty() {
+            offsets.push(packed.len());
+        }
+        Adjacency {
+            key_cols: key_cols.to_vec(),
+            value_width: value_cols.len(),
+            keys,
+            offsets,
+            values,
+        }
+    }
+
+    /// [`Adjacency::build`] for projections wider than 64 bits: the row
+    /// ids in canonical order, each row read where it lies.
+    fn build_by_row_ids(relation: &Relation, key_cols: &[usize], value_cols: &[usize]) -> Self {
         let cols: Vec<usize> = key_cols.iter().chain(value_cols).copied().collect();
         let ids = relation.canonical_row_ids(&cols);
         let mut keys = Vec::new();
@@ -124,10 +206,15 @@ impl Adjacency {
         &self.keys
     }
 
-    /// The group id of `key`, if some row carries it (binary search).
+    /// The group id of `key`, if some row carries it (binary search; with
+    /// one key column, over the flat keys themselves).
     #[must_use]
     pub fn find(&self, key: &[Value]) -> Option<usize> {
         let k = self.key_cols.len();
+        if let (1, &[key]) = (k, key) {
+            let group = self.keys.partition_point(|&v| v < key);
+            return (self.keys.get(group) == Some(&key)).then_some(group);
+        }
         let (mut lo, mut hi) = (0, self.num_keys());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -309,6 +396,17 @@ mod tests {
         let by_tail = r.adjacency(&[2, 3], &[1]);
         assert_eq!(by_tail.keys(), &[big, big, big, big + 1, big + 9, big]);
         assert_eq!(by_tail.values(0), &[big + 5]);
+    }
+
+    #[test]
+    fn a_zero_column_beside_a_full_width_one_packs() {
+        // Widths 0 and 64: the zero column's field lies 64 bits up.
+        let r = Relation::from_rows(2, vec![[0, u64::MAX], [0, 5], [0, u64::MAX]]);
+        let adj = r.adjacency(&[0], &[1]);
+        assert_eq!((adj.keys(), adj.values(0)), (&[0][..], &[5, u64::MAX][..]));
+        let adj = r.adjacency(&[1], &[0]);
+        assert_eq!(adj.keys(), &[5, u64::MAX]);
+        assert_eq!((adj.find(&[u64::MAX]), adj.values(1)), (Some(1), &[0][..]));
     }
 
     #[test]

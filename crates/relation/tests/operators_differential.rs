@@ -249,3 +249,66 @@ fn projection_of_zero_columns_is_boolean() {
     let empty = Relation::new(2);
     assert!(operators::project(&empty, &[]).is_empty());
 }
+
+/// Every canonical split `(K | V)` of `0..arity`: `K` and `V` disjoint,
+/// each strictly increasing, either possibly empty.
+fn every_split(arity: usize) -> Vec<(Vec<usize>, Vec<usize>)> {
+    let cols = |mask: usize| -> Vec<usize> { (0..arity).filter(|c| mask >> c & 1 == 1).collect() };
+    let mut splits = Vec::new();
+    for k in 0..1usize << arity {
+        for v in 0..1usize << arity {
+            if k & v == 0 {
+                splits.push((cols(k), cols(v)));
+            }
+        }
+    }
+    splits
+}
+
+proptest! {
+    #[test]
+    fn prop_packed_and_wide_adjacencies_match_a_map_of_sets(
+        arity in 1usize..5,
+        kinds in proptest::collection::vec(0u8..3, 4..5),
+        rows in proptest::collection::vec(proptest::collection::vec(0u64..6, 4..5), 0..40),
+    ) {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Column `c` holds small values (< 2^10), values at 2^44 or values
+        // near 2^64, so a split's projection fits in 64 bits (packed) or
+        // not (row ids) depending on its columns; duplicate rows and the
+        // empty relation are in range.
+        let value = |c: usize, v: Value| match kinds[c] {
+            0 => v,
+            1 => (1 << 44) + v,
+            _ => u64::MAX - v,
+        };
+        let rows: Vec<Vec<Value>> = rows
+            .iter()
+            .map(|row| row.iter().take(arity).enumerate().map(|(c, &v)| value(c, v)).collect())
+            .collect();
+        let r = rel_from(arity, &rows);
+        for (g, v) in every_split(arity) {
+            let pick =
+                |row: &[Value], cols: &[usize]| -> Tuple { cols.iter().map(|&c| row[c]).collect() };
+            let mut naive: BTreeMap<Tuple, BTreeSet<Tuple>> = BTreeMap::new();
+            for row in r.iter() {
+                naive.entry(pick(row, &g)).or_default().insert(pick(row, &v));
+            }
+            let adj = r.adjacency(&g, &v);
+            let keys: Vec<Value> = naive.keys().flatten().copied().collect();
+            prop_assert_eq!(adj.keys(), &keys[..], "keys of ({:?} | {:?})", g, v);
+            prop_assert_eq!(adj.num_keys(), naive.len());
+            prop_assert_eq!(adj.total(), naive.values().map(BTreeSet::len).sum::<usize>());
+            for (group, (key, values)) in naive.iter().enumerate() {
+                prop_assert_eq!(adj.find(key), Some(group), "find {:?} in ({:?} | {:?})", key, g, v);
+                prop_assert_eq!(adj.degree(group), values.len());
+                let values: Vec<Value> = values.iter().flatten().copied().collect();
+                prop_assert_eq!(adj.values(group), &values[..], "({:?} | {:?})", g, v);
+            }
+            // 7 is in no column's domain: no group carries it.
+            if !g.is_empty() {
+                prop_assert_eq!(adj.find(&vec![7; g.len()]), None);
+            }
+        }
+    }
+}

@@ -47,4 +47,4 @@ pub mod session;
 pub use panda_core::Engine;
 pub use protocol::{body_lines, parse_request, Command, ErrorCode, Request, WireError};
 pub use serve::{serve, serve_connection, serve_stdio, ServeOptions, QUEUE_CAP};
-pub use session::{Reply, Session, SessionCacheStats};
+pub use session::{Lines, Reply, Session, SessionCacheStats};

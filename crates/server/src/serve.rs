@@ -53,10 +53,12 @@
 //!
 //! # Writing
 //!
-//! Sockets run with `TCP_NODELAY` and a response is assembled whole and
-//! written with one `write_all`: there is nothing for Nagle's algorithm to
-//! coalesce, and no second piece that waits for a delayed acknowledgement
-//! of the first.
+//! Sockets run with `TCP_NODELAY` and a response is written with one
+//! `write_all` of the buffer the session rendered it into
+//! ([`crate::session::Lines::as_bytes`]), copied nowhere first: there is
+//! nothing for Nagle's algorithm to coalesce, and no second piece that
+//! waits for a delayed acknowledgement of the first.  The stdio loop
+//! writes the same buffer.
 
 // panda-lint: allow-file(D2) -- this file IS the serving layer's
 // scheduler: the mutex/condvar pair implements the bounded FIFO hand-off
@@ -124,19 +126,15 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Writes one whole response with one `write_all`, so it leaves as one
-/// burst of segments instead of pieces that each wait for the last one's
-/// acknowledgement.
-fn write_reply(writer: &Mutex<TcpStream>, lines: &[String]) -> io::Result<()> {
-    if lines.is_empty() {
+/// Writes one whole response — its lines, each newline-terminated, as the
+/// session rendered them into one buffer — with one `write_all`, so it
+/// leaves as one burst of segments instead of pieces that each wait for
+/// the last one's acknowledgement.
+fn write_reply(writer: &Mutex<TcpStream>, bytes: &[u8]) -> io::Result<()> {
+    if bytes.is_empty() {
         return Ok(());
     }
-    let mut bytes = Vec::with_capacity(lines.iter().map(|line| line.len() + 1).sum());
-    for line in lines {
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-    }
-    lock(writer).write_all(&bytes)
+    lock(writer).write_all(bytes)
 }
 
 /// Hands `job` to the worker, blocking while the queue is full; an error
@@ -215,7 +213,7 @@ fn read_requests(stream: TcpStream, shared: &Shared, writer: &Mutex<TcpStream>) 
                 ErrorCode::LineTooLong,
                 format!("request line exceeds {MAX_LINE_BYTES} bytes"),
             );
-            write_reply(writer, &[err.render()])?;
+            write_reply(writer, format!("{}\n", err.render()).as_bytes())?;
             continue;
         }
         let line = line.trim_end_matches(['\r', '\n']);
@@ -259,7 +257,7 @@ fn read_requests(stream: TcpStream, shared: &Shared, writer: &Mutex<TcpStream>) 
                 }
             };
             if let Some(state) = state {
-                write_reply(writer, &[format!("OK cancel id={id} state={state}")])?;
+                write_reply(writer, format!("OK cancel id={id} state={state}\n").as_bytes())?;
                 continue;
             }
             // Unknown here: the session answers pending/done in order.
@@ -306,7 +304,7 @@ fn worker_loop(
         let mut quit = false;
         for line in job.text.lines() {
             let reply = session.handle_line_with(line, Some(&job.cancel));
-            write_reply(writer, &reply.lines)?;
+            write_reply(writer, reply.lines.as_bytes())?;
             if reply.quit {
                 quit = true;
                 break;
@@ -405,10 +403,7 @@ pub(crate) fn serve_lines(
             return out.flush();
         }
         let reply = session.handle_line(&String::from_utf8_lossy(&raw));
-        for l in &reply.lines {
-            out.write_all(l.as_bytes())?;
-            out.write_all(b"\n")?;
-        }
+        out.write_all(reply.lines.as_bytes())?;
         out.flush()?;
         if reply.quit {
             return Ok(());

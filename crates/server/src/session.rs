@@ -24,6 +24,16 @@
 //! and for a row that is a first-byte check.  Rows are parsed into one
 //! reused buffer and pushed straight into the [`Relation`] that `END` will
 //! deduplicate and insert, so a row allocates nothing and is stored once.
+//!
+//! # Rendering a reply
+//!
+//! A [`Reply`]'s [`Lines`] are one `String` holding every line with its
+//! `'\n'`, plus the line count: the bytes a transport writes, as they go
+//! on the wire.  A `QUERY` answer writes its header and then each row
+//! straight into that buffer, every integer from a stack digit buffer, so
+//! rendering allocates nothing per row and the transport writes the
+//! buffer as it is.  Callers that want owned lines iterate a `Lines` by
+//! value.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,8 +56,9 @@ use crate::protocol::{
 /// plus whether the session asked to end.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Reply {
-    /// The response lines, in order.  Empty for blank input lines.
-    pub lines: Vec<String>,
+    /// The response lines, in order, rendered into one buffer.  Empty for
+    /// blank input lines.
+    pub lines: Lines,
     /// `true` after `QUIT`: the transport should close after writing.
     pub quit: bool,
 }
@@ -58,11 +69,69 @@ impl Reply {
     }
 
     fn line(text: String) -> Reply {
-        Reply { lines: vec![text], quit: false }
+        Reply { lines: Lines::from_line(text), quit: false }
     }
 
     fn error(err: WireError) -> Reply {
         Reply::line(err.render())
+    }
+}
+
+/// The lines of one [`Reply`] as the wire carries them: one buffer in
+/// which every line ends in `'\n'`, plus the number of lines.  A
+/// transport writes [`Lines::as_bytes`] whole; [`Lines::iter`] reads the
+/// lines without their newlines, and iterating by value yields them as
+/// owned `String`s.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Lines {
+    text: String,
+    count: usize,
+}
+
+impl Lines {
+    /// The number of lines.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether there is no line (no response at all).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The lines in order, each without its newline.
+    pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
+        self.text.split_terminator('\n')
+    }
+
+    /// The wire bytes: every line followed by `'\n'`.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
+    /// One line, which must hold no newline, ending its own buffer.
+    fn from_line(mut text: String) -> Lines {
+        text.push('\n');
+        Lines { text, count: 1 }
+    }
+
+    /// Appends one line, which must hold no newline.
+    fn push(&mut self, line: &str) {
+        self.text.push_str(line);
+        self.text.push('\n');
+        self.count += 1;
+    }
+}
+
+impl IntoIterator for Lines {
+    type Item = String;
+    type IntoIter = std::vec::IntoIter<String>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().map(str::to_string).collect::<Vec<_>>().into_iter()
     }
 }
 
@@ -262,7 +331,7 @@ impl Session {
             Command::Budget(patch) => self.patch_budgets(patch),
             Command::Stats { global } => self.render_stats(global),
             Command::Cancel { .. } => Reply::none(), // handled above
-            Command::Quit => Reply { lines: vec!["OK bye".to_string()], quit: true },
+            Command::Quit => Reply { lines: Lines::from_line("OK bye".to_string()), quit: true },
         });
         let reply = catch_unwind(dispatch).unwrap_or_else(|payload| {
             let message = payload
@@ -337,10 +406,12 @@ impl Session {
             Ok(explain) => {
                 self.stats.absorb(&explain.report.cache_events);
                 let text = explain.to_string();
-                let body: Vec<String> = text.lines().map(str::to_string).collect();
-                let mut lines = Vec::with_capacity(body.len() + 1);
-                lines.push(format!("OK explain lines={}", body.len()));
-                lines.extend(body);
+                let mut lines =
+                    Lines::from_line(format!("OK explain lines={}", text.lines().count()));
+                lines.text.reserve(text.len() + 1);
+                for line in text.lines() {
+                    lines.push(line);
+                }
                 Reply { lines, quit: false }
             }
             Err(err) => Reply::error(wire_bound_error(&err)),
@@ -400,17 +471,17 @@ impl Session {
 
 /// Renders a `QUERY` answer: the header, then one line per distinct row of
 /// `result` on the query's free variables, in canonical order.  That order
-/// is one sort of row ids ([`Relation::canonical_row_ids`]), and each line
-/// is written digit by digit into a `String` of its exact length, so the
-/// answer is read once and copied nowhere else.  A free variable missing
-/// from `result` answers `ERR internal`.
+/// is one sort of row ids ([`Relation::canonical_row_ids`]), and every
+/// line is written straight into the reply's one buffer, each integer
+/// from a stack digit buffer, so a row allocates nothing and the answer is
+/// copied nowhere else.  A free variable missing from `result` answers
+/// `ERR internal`.
 fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply, WireError> {
     if query.is_boolean() {
         let truth = if result.is_empty() { "false" } else { "true" };
-        return Ok(Reply {
-            lines: vec![format!("OK rows n={} vars=() lines=1", result.len()), truth.to_string()],
-            quit: false,
-        });
+        let mut lines = Lines::from_line(format!("OK rows n={} vars=() lines=1", result.len()));
+        lines.push(truth);
+        return Ok(Reply { lines, quit: false });
     }
     let order: Vec<Var> = query.free_vars().to_vec();
     let missing =
@@ -422,36 +493,44 @@ fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply
         .map(|v| query.var_names().get(v.0 as usize).map_or("?", String::as_str))
         .collect();
     let ids = result.rel.canonical_row_ids(&cols);
-    let mut lines = Vec::with_capacity(ids.len() + 1);
-    lines.push(format!("OK rows n={} vars={} lines={}", ids.len(), names.join(","), ids.len()));
+    let header = format!("OK rows n={} vars={} lines={}\n", ids.len(), names.join(","), ids.len());
+    let count = ids.len() + 1;
+    // The rows are written as bytes, every one ASCII, and checked once at
+    // the end: cheaper than a `str` check per value.  At least one digit
+    // and one separator per value; small values are the common case, so
+    // this is close to the answer's size.
+    let mut bytes = header.into_bytes();
+    bytes.reserve(ids.len() * cols.len() * 2);
     for id in ids {
-        // Every `get` is `Some`: `cols` are columns of `result`.
         let row = result.rel.row(id);
-        let values = || cols.iter().filter_map(|&c| row.get(c).copied());
-        let mut line =
-            String::with_capacity(values().map(decimal_len).sum::<usize>() + cols.len() - 1);
-        for (k, value) in values().enumerate() {
+        // Every `get` is `Some`: `cols` are columns of `result`.
+        for (k, value) in cols.iter().filter_map(|&c| row.get(c).copied()).enumerate() {
             if k > 0 {
-                line.push(' ');
+                bytes.push(b' ');
             }
-            push_decimal(&mut line, value);
+            push_decimal(&mut bytes, value);
         }
-        lines.push(line);
+        bytes.push(b'\n');
     }
-    Ok(Reply { lines, quit: false })
+    let text = String::from_utf8(bytes)
+        .map_err(|_| WireError::new(ErrorCode::Internal, "a rendered row is not ASCII"))?;
+    Ok(Reply { lines: Lines { text, count }, quit: false })
 }
 
-/// The number of decimal digits of `value`.
-fn decimal_len(value: Value) -> usize {
-    value.checked_ilog10().map_or(1, |d| d as usize + 1)
-}
-
-/// Appends `value` in decimal, most significant digit first.
-fn push_decimal(line: &mut String, value: Value) {
-    if value >= 10 {
-        push_decimal(line, value / 10);
+/// Appends `value` in decimal, its digits first written into a stack
+/// buffer from the least significant end.
+fn push_decimal(out: &mut Vec<u8>, mut value: Value) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (value % 10) as u8;
+        start -= 1;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
     }
-    line.push(char::from(b'0' + (value % 10) as u8));
+    out.extend_from_slice(digits.get(start..).unwrap_or_default());
 }
 
 fn fmt_opt(value: Option<u64>) -> String {
@@ -490,6 +569,11 @@ fn wire_bound_error(err: &BoundError) -> WireError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reply's lines, without their newlines.
+    fn lines(reply: &Reply) -> Vec<&str> {
+        reply.lines.iter().collect()
+    }
 
     fn feed(session: &mut Session, lines: &[&str]) -> Vec<String> {
         let mut out = Vec::new();
@@ -530,7 +614,7 @@ mod tests {
             ]
         );
         let explain = session.handle_line("EXPLAIN Q(A,B) :- R(A,B), S(B,C)");
-        let header = explain.lines.first().cloned().unwrap_or_default();
+        let header = explain.lines.iter().next().unwrap_or_default().to_string();
         assert!(header.starts_with("OK explain lines="), "{header}");
         assert_eq!(crate::protocol::body_lines(&header), explain.lines.len() - 1);
         assert!(explain.lines.iter().any(|l| l == "strategy: yannakakis"));
@@ -541,9 +625,9 @@ mod tests {
         let mut session = Session::new();
         feed(&mut session, &["LOAD E 2", "1 2", "2 3", "1 3", "END"]);
         let yes = session.handle_line("QUERY Tri() :- E(A,B), E(B,C), E(A,C)");
-        assert_eq!(yes.lines, vec!["OK rows n=1 vars=() lines=1", "true"]);
+        assert_eq!(lines(&yes), vec!["OK rows n=1 vars=() lines=1", "true"]);
         let no = session.handle_line("QUERY Q() :- E(A,A)");
-        assert_eq!(no.lines, vec!["OK rows n=0 vars=() lines=1", "false"]);
+        assert_eq!(lines(&no), vec!["OK rows n=0 vars=() lines=1", "false"]);
     }
 
     #[test]
@@ -557,9 +641,67 @@ mod tests {
         // duplicates once, zero and multi-digit values intact.
         let answer = VarRelation::new(vec![Var(1), Var(0)], rows);
         assert_eq!(
-            render_answer(&query, &answer).unwrap().lines,
+            lines(&render_answer(&query, &answer).unwrap()),
             vec!["OK rows n=3 vars=A,B lines=3", "0 3", "1 20", "7 1000"]
         );
+    }
+
+    /// Checks the framing of a non-empty reply and returns its bytes as
+    /// text: the `'\n'` count is `len()`, which is the header's `lines=`
+    /// plus one, and collecting the lines by value (what the staged
+    /// benchmark replay does) gives header and body.
+    fn framed(reply: &Reply) -> String {
+        let text = String::from_utf8(reply.lines.as_bytes().to_vec()).unwrap();
+        let header = reply.lines.iter().next().unwrap();
+        assert_eq!(text.matches('\n').count(), reply.lines.len(), "{text:?}");
+        assert_eq!(reply.lines.len(), crate::protocol::body_lines(header) + 1, "{text:?}");
+        let mut collected = Vec::<String>::new();
+        collected.extend(reply.lines.clone());
+        assert_eq!(collected, text.lines().collect::<Vec<_>>());
+        text
+    }
+
+    #[test]
+    fn the_reply_buffer_renders_the_bytes_format_renders() {
+        let mut values: Vec<Value> =
+            vec![0, 9, 10, 99, 100, u64::from(u32::MAX), 1 << 44, u64::MAX];
+        values.extend((1..20).flat_map(|k| [10u64.pow(k) - 1, 10u64.pow(k)]));
+        let rows: Vec<[Value; 2]> =
+            values.iter().zip(values.iter().rev()).map(|(&a, &b)| [a, b]).collect();
+        let query = parse_query("Q(A,B) :- R(A,B)").unwrap();
+        let answer =
+            VarRelation::new(vec![Var(0), Var(1)], Relation::from_rows(2, rows.iter().copied()));
+        let mut sorted = rows.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut expected = format!("OK rows n={0} vars=A,B lines={0}\n", sorted.len());
+        for [a, b] in &sorted {
+            expected.push_str(&format!("{a} {b}\n"));
+        }
+        assert_eq!(framed(&render_answer(&query, &answer).unwrap()), expected);
+
+        // An empty answer: the header alone.
+        let empty = VarRelation::new(vec![Var(0), Var(1)], Relation::new(2));
+        assert_eq!(
+            framed(&render_answer(&query, &empty).unwrap()),
+            "OK rows n=0 vars=A,B lines=0\n"
+        );
+
+        // Boolean answers, and an EXPLAIN, through the session.
+        let mut session = Session::new();
+        feed(&mut session, &["LOAD R 2", "1 2", "2 3", "END"]);
+        let yes = session.handle_line("QUERY T() :- R(A,B), R(B,C)");
+        assert_eq!(framed(&yes), "OK rows n=1 vars=() lines=1\ntrue\n");
+        let no = session.handle_line("QUERY F() :- R(A,A)");
+        assert_eq!(framed(&no), "OK rows n=0 vars=() lines=1\nfalse\n");
+        let explain = session.handle_line("EXPLAIN Q(A,C) :- R(A,B), R(B,C)");
+        let text = framed(&explain);
+        let library = Panda::new(parse_query("Q(A,C) :- R(A,B), R(B,C)").unwrap())
+            .explain(&session.db)
+            .unwrap()
+            .to_string();
+        let body: String = library.lines().map(|l| format!("{l}\n")).collect();
+        assert_eq!(text, format!("OK explain lines={}\n{body}", library.lines().count()));
     }
 
     #[test]
@@ -642,16 +784,16 @@ mod tests {
         let mut session = Session::new();
         feed(&mut session, &["LOAD R 2", "1 2", "END"]);
         let ack = session.handle_line("CANCEL 7");
-        assert_eq!(ack.lines, vec!["OK cancel id=7 state=pending"]);
+        assert_eq!(lines(&ack), vec!["OK cancel id=7 state=pending"]);
         let reply = session.handle_line("#7 QUERY Q(A,B) :- R(A,B)");
         assert_eq!(reply.lines.len(), 1);
         assert!(reply.lines.iter().all(|l| l.starts_with("ERR cancelled")), "{reply:?}");
         // The tag is now done; cancelling again reports that, and the
         // session still answers queries.
         let ack = session.handle_line("CANCEL 7");
-        assert_eq!(ack.lines, vec!["OK cancel id=7 state=done"]);
+        assert_eq!(lines(&ack), vec!["OK cancel id=7 state=done"]);
         let reply = session.handle_line("#8 QUERY Q(A,B) :- R(A,B)");
-        assert_eq!(reply.lines, vec!["OK rows n=1 vars=A,B lines=1", "1 2"]);
+        assert_eq!(lines(&reply), vec!["OK rows n=1 vars=A,B lines=1", "1 2"]);
     }
 
     #[test]
@@ -663,31 +805,31 @@ mod tests {
         let reply = session.handle_line_with("QUERY Q(A,B) :- R(A,B)", Some(&token));
         assert!(reply.lines.iter().all(|l| l.starts_with("ERR cancelled")), "{reply:?}");
         let reply = session.handle_line("QUERY Q(A,B) :- R(A,B)");
-        assert_eq!(reply.lines, vec!["OK rows n=1 vars=A,B lines=1", "1 2"]);
+        assert_eq!(lines(&reply), vec!["OK rows n=1 vars=A,B lines=1", "1 2"]);
     }
 
     #[test]
     fn strategy_budget_and_stats_round_trip() {
         let mut session = Session::new();
-        assert_eq!(session.handle_line("STRATEGY").lines, vec!["OK strategy=auto"]);
+        assert_eq!(lines(&session.handle_line("STRATEGY")), vec!["OK strategy=auto"]);
         assert_eq!(
-            session.handle_line("STRATEGY generic-join").lines,
+            lines(&session.handle_line("STRATEGY generic-join")),
             vec!["OK strategy=generic-join"]
         );
         assert_eq!(
-            session.handle_line("STRATEGY warp-drive").lines,
+            lines(&session.handle_line("STRATEGY warp-drive")),
             vec!["ERR malformed_request unknown strategy `warp-drive`"]
         );
         assert_eq!(
-            session.handle_line("BUDGET pivots=100 rows=50").lines,
+            lines(&session.handle_line("BUDGET pivots=100 rows=50")),
             vec!["OK budgets pivots=100 branches=none rows=50"]
         );
         assert_eq!(
-            session.handle_line("BUDGET pivots=none").lines,
+            lines(&session.handle_line("BUDGET pivots=none")),
             vec!["OK budgets pivots=none branches=none rows=50"]
         );
         let stats = session.handle_line("STATS");
-        assert_eq!(stats.lines, vec!["OK stats hits=0 misses=0 evictions=0 bypasses=0"]);
+        assert_eq!(lines(&stats), vec!["OK stats hits=0 misses=0 evictions=0 bypasses=0"]);
         let global = session.handle_line("STATS GLOBAL");
         assert_eq!(global.lines.len(), 1);
         assert!(global.lines.iter().all(|l| l.starts_with("OK stats-global hits=")));
@@ -697,7 +839,7 @@ mod tests {
     fn quit_sets_the_quit_flag() {
         let mut session = Session::new();
         let reply = session.handle_line("QUIT");
-        assert_eq!(reply.lines, vec!["OK bye"]);
+        assert_eq!(lines(&reply), vec!["OK bye"]);
         assert!(reply.quit);
     }
 
@@ -713,7 +855,7 @@ mod tests {
         );
         let text = "Q(X,Y) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)";
         let reply = session.handle_line(&format!("EXPLAIN {text}"));
-        let via_wire = reply.lines.get(1..).map(<[String]>::to_vec).unwrap_or_default();
+        let via_wire: Vec<&str> = reply.lines.iter().skip(1).collect();
 
         let mut db = Database::new();
         db.insert("R", Relation::from_rows(2, vec![[1, 2], [2, 3]]));

@@ -86,7 +86,7 @@ impl ShellBackend {
         match self {
             ShellBackend::Embedded(session) => {
                 let reply = session.handle_line(line);
-                Ok((reply.lines, reply.quit))
+                Ok((reply.lines.into_iter().collect(), reply.quit))
             }
             ShellBackend::Connected(conn) => conn.request(line),
         }

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 
 /// The framing invariant every reply must satisfy, fuzz or not.
 fn framing_ok(reply: &Reply) -> Result<(), String> {
-    let Some(header) = reply.lines.first() else {
+    let Some(header) = reply.lines.iter().next() else {
         return Ok(()); // silent replies (blank lines, LOAD data) are legal
     };
     if !header.starts_with("OK") && !header.starts_with("ERR") {
@@ -61,7 +61,7 @@ proptest! {
         // session must still be usable: close any block, then ping.
         let _ = session.handle_line("END");
         let pong = session.handle_line("PING");
-        prop_assert_eq!(&pong.lines, &vec!["OK pong".to_string()]);
+        prop_assert_eq!(pong.lines.iter().collect::<Vec<_>>(), vec!["OK pong"]);
     }
 }
 
@@ -266,11 +266,11 @@ proptest! {
         if let Err(msg) = framing_ok(&reply) {
             prop_assert!(false, "{msg}");
         }
-        let header = reply.lines.first().cloned().unwrap_or_default();
+        let header = reply.lines.iter().next().unwrap_or_default().to_string();
         prop_assert!(
             header.starts_with(&format!("OK rows n={} ", expected.len())),
             "header {:?} disagrees with {} library rows", header, expected.len()
         );
-        prop_assert_eq!(reply.lines.get(1..).unwrap_or(&[]), &expected[..]);
+        prop_assert_eq!(reply.lines.iter().skip(1).collect::<Vec<_>>(), &expected[..]);
     }
 }

@@ -39,7 +39,7 @@ fn replay(mut session: Session, lines: &[&str]) -> Vec<String> {
 }
 
 fn check_framing(reply: &Reply) {
-    if let Some(header) = reply.lines.first() {
+    if let Some(header) = reply.lines.iter().next() {
         assert!(
             header.starts_with("OK") || header.starts_with("ERR"),
             "header must start with OK/ERR: {header}"
@@ -853,7 +853,7 @@ fn golden_a_request_that_panics_answers_internal_and_the_session_keeps_serving()
 fn golden_quit() {
     let mut session = Session::new();
     let reply = session.handle_line("QUIT");
-    assert_eq!(reply.lines, vec!["OK bye"]);
+    assert_eq!(reply.lines.iter().collect::<Vec<_>>(), vec!["OK bye"]);
     assert!(reply.quit);
 }
 
@@ -917,7 +917,7 @@ fn wire_explain_is_byte_identical_to_the_library_path() {
     ] {
         let reply = session.handle_line(&format!("EXPLAIN {text}"));
         check_framing(&reply);
-        let wire_body = reply.lines[1..].join("\n");
+        let wire_body = reply.lines.iter().skip(1).collect::<Vec<_>>().join("\n");
         let library = Panda::new(parse_query(text).unwrap()).explain(&db).unwrap().to_string();
         assert_eq!(wire_body, library.trim_end_matches('\n'), "EXPLAIN diverges for {text}");
     }

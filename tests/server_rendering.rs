@@ -100,17 +100,22 @@ fn query_replies_render_the_reference_rows_under_every_strategy() {
             for text in queries {
                 // ... and asks each query under each strategy,
                 let reply = session.handle_line(&format!("QUERY {text}"));
+                let header = reply.lines.iter().next().unwrap();
                 // (`lines=` announces the body exactly, answer or error.)
-                assert_eq!(body_lines(&reply.lines[0]), reply.lines.len() - 1, "{:?}", reply.lines);
+                assert_eq!(body_lines(header), reply.lines.len() - 1, "{:?}", reply.lines);
                 let panda = Panda::new(parse_query(text).unwrap());
                 match panda.try_evaluate_with(&db, strategy) {
                     // THEN an answer is the reference rendering of the
                     // in-process result, byte for byte,
                     Ok(result) => {
                         let expected = reference_rendering(panda.query(), &result);
-                        assert_eq!(reply.lines, expected, "seed {seed} {strategy} {text}");
+                        assert_eq!(
+                            reply.lines.iter().collect::<Vec<_>>(),
+                            expected,
+                            "seed {seed} {strategy} {text}"
+                        );
                         // AND `n=` counts the body it heads.
-                        let n: usize = reply.lines[0]
+                        let n: usize = header
                             .split_whitespace()
                             .find_map(|field| field.strip_prefix("n="))
                             .and_then(|n| n.parse().ok())
@@ -122,7 +127,7 @@ fn query_replies_render_the_reference_rows_under_every_strategy() {
                     // THEN a strategy that cannot run the query answers
                     // an error instead.
                     Err(err) => {
-                        assert!(reply.lines[0].starts_with("ERR"), "{err}: {:?}", reply.lines)
+                        assert!(header.starts_with("ERR"), "{err}: {:?}", reply.lines)
                     }
                 }
             }
