@@ -27,8 +27,11 @@
 //! values are small), every row packs into one `u64` whose integer order
 //! is the lexicographic order; the packed rows are sorted, deduplicated
 //! and unpacked into keys, offsets and values, with no row id and no
-//! second read of the rows.  A wider projection sorts row ids
-//! ([`Relation::canonical_row_ids`]) and reads each row through its id.
+//! second read of the rows.  A wider projection sorts row ids as
+//! [`Relation::canonical_row_ids`] does, with the widths already measured,
+//! and reads each row through its id.  The widths and the packing are the
+//! relation's own (`Relation::column_widths`, `relation::pack`), shared
+//! with that sort.
 //! With one key column, [`Adjacency::find`] binary-searches the flat keys
 //! as integers.
 
@@ -45,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 // contents are a pure function of the relation, never of timing.
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::relation::{Relation, Value};
+use crate::relation::{pack, Relation, Value};
 
 /// A relation's distinct rows projected onto key columns `K` followed by
 /// value columns `V`, sorted: the distinct `K`-values in ascending order
@@ -91,31 +94,22 @@ impl Adjacency {
     /// packed into one `u64`, first column most significant, so integer
     /// order is the lexicographic order; the packed rows are sorted and
     /// deduplicated, and keys, offsets and values are unpacked from them.
-    /// Wider projections sort row ids instead
-    /// ([`Relation::canonical_row_ids`] of `key_cols ++ value_cols`).
+    /// Wider projections sort row ids instead, as
+    /// [`Relation::canonical_row_ids`] of `key_cols ++ value_cols` does
+    /// past its sortedness pass, reusing the widths.
     fn build(relation: &Relation, key_cols: &[usize], value_cols: &[usize]) -> Self {
         let cols: Vec<usize> = key_cols.iter().chain(value_cols).copied().collect();
         for &c in &cols {
             assert!(c < relation.arity(), "adjacency column {c} out of range");
         }
-        let mut ors = vec![0u64; cols.len()];
-        for row in relation.iter() {
-            for (or, &c) in ors.iter_mut().zip(&cols) {
-                *or |= row[c];
-            }
-        }
-        let widths: Vec<u32> = ors.iter().map(|or| u64::BITS - or.leading_zeros()).collect();
+        let widths = relation.column_widths(&cols);
         if widths.iter().sum::<u32>() > u64::BITS {
-            return Self::build_by_row_ids(relation, key_cols, value_cols);
+            let ids = relation.sorted_row_ids(&cols, &widths);
+            return Self::from_row_ids(relation, key_cols, value_cols, &ids);
         }
-        let mut packed: Vec<u64> = relation
-            .iter()
-            .map(|row| {
-                cols.iter()
-                    .zip(&widths)
-                    .fold(0u64, |key, (&c, &w)| key.checked_shl(w).unwrap_or(0) | row[c])
-            })
-            .collect();
+        // Each packed row fits its `u64`: the widths sum to at most 64.
+        let mut packed: Vec<u64> =
+            relation.iter().map(|row| pack(row, &cols, &widths) as u64).collect();
         packed.sort_unstable();
         packed.dedup();
         // Each column's field: its shift from the least significant end and
@@ -156,11 +150,15 @@ impl Adjacency {
         }
     }
 
-    /// [`Adjacency::build`] for projections wider than 64 bits: the row
-    /// ids in canonical order, each row read where it lies.
-    fn build_by_row_ids(relation: &Relation, key_cols: &[usize], value_cols: &[usize]) -> Self {
-        let cols: Vec<usize> = key_cols.iter().chain(value_cols).copied().collect();
-        let ids = relation.canonical_row_ids(&cols);
+    /// [`Adjacency::build`] for projections wider than 64 bits: `ids` are
+    /// the row ids in canonical `key_cols ++ value_cols` order, and each
+    /// row is read where it lies.
+    fn from_row_ids(
+        relation: &Relation,
+        key_cols: &[usize],
+        value_cols: &[usize],
+        ids: &[usize],
+    ) -> Self {
         let mut keys = Vec::new();
         let mut offsets = vec![0];
         let mut values = Vec::with_capacity(ids.len() * value_cols.len());

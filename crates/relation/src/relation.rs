@@ -302,28 +302,33 @@ impl Relation {
         if pairs.all(|(row, next)| projection_cmp(row, next, cols).is_lt()) {
             return (0..self.len()).collect();
         }
-        // A column's width in bits is that of the OR of its values.
+        self.sorted_row_ids(cols, &self.column_widths(cols))
+    }
+
+    /// The bit width of each of `cols`: that of the OR of the column's
+    /// values, so the column's every value fits in it.  The field widths
+    /// of every packed projection ([`pack`]).
+    pub(crate) fn column_widths(&self, cols: &[usize]) -> Vec<u32> {
         let mut ors = vec![0u64; cols.len()];
         for row in self.iter() {
             for (or, &c) in ors.iter_mut().zip(cols) {
                 *or |= row[c];
             }
         }
-        let widths: Vec<u32> = ors.iter().map(|or| u64::BITS - or.leading_zeros()).collect();
+        ors.iter().map(|or| u64::BITS - or.leading_zeros()).collect()
+    }
+
+    /// [`Relation::canonical_row_ids`] without its sortedness pass, given
+    /// the [`Relation::column_widths`] of `cols`.
+    pub(crate) fn sorted_row_ids(&self, cols: &[usize], widths: &[u32]) -> Vec<usize> {
         let id_bits = usize::BITS - self.len().leading_zeros();
         if widths.iter().sum::<u32>() + id_bits <= u128::BITS {
-            // The first column in the most significant bits, the row id in
-            // the least: integer order is the canonical order, ties by id.
+            // The row id in the least significant bits: integer order is
+            // the canonical order, ties by id.
             let mut keys: Vec<u128> = self
                 .iter()
                 .enumerate()
-                .map(|(id, row)| {
-                    let packed = cols
-                        .iter()
-                        .zip(&widths)
-                        .fold(0u128, |key, (&c, &w)| (key << w) | u128::from(row[c]));
-                    (packed << id_bits) | id as u128
-                })
+                .map(|(id, row)| (pack(row, cols, widths) << id_bits) | id as u128)
                 .collect();
             keys.sort_unstable();
             keys.dedup_by(|later, kept| *later >> id_bits == *kept >> id_bits);
@@ -452,6 +457,14 @@ fn split(key_cols: &[usize], value_cols: &[usize]) -> SplitKey {
     let mut values = canonical(value_cols);
     values.retain(|c| keys.binary_search(c).is_err());
     (keys, values)
+}
+
+/// `row` projected onto `cols` as one integer: column `cols[i]` in
+/// `widths[i]` bits (its [`Relation::column_widths`] entry), the first
+/// column most significant, so integer order is the lexicographic order of
+/// the projections.  The widths must sum to at most 128.
+pub(crate) fn pack(row: &[Value], cols: &[usize], widths: &[u32]) -> u128 {
+    cols.iter().zip(widths).fold(0u128, |key, (&c, &w)| (key << w) | u128::from(row[c]))
 }
 
 /// How `a` and `b` compare lexicographically on the columns `cols`.

@@ -28,8 +28,7 @@
 //! # Rendering a reply
 //!
 //! A [`Reply`]'s [`Lines`] are one `String` holding every line with its
-//! `'\n'`, plus the line count: the bytes a transport writes, as they go
-//! on the wire.  A `QUERY` answer writes its header and then each row
+//! `'\n'`: the bytes a transport writes, as they go on the wire.  A `QUERY` answer writes its header and then each row
 //! straight into that buffer, every integer from a stack digit buffer, so
 //! rendering allocates nothing per row and the transport writes the
 //! buffer as it is.  Callers that want owned lines iterate a `Lines` by
@@ -78,51 +77,46 @@ impl Reply {
 }
 
 /// The lines of one [`Reply`] as the wire carries them: one buffer in
-/// which every line ends in `'\n'`, plus the number of lines.  A
-/// transport writes [`Lines::as_bytes`] whole; [`Lines::iter`] reads the
-/// lines without their newlines, and iterating by value yields them as
-/// owned `String`s.
+/// which every line ends in `'\n'`.  A transport writes
+/// [`Lines::as_bytes`] whole; [`Lines::iter`] reads the lines without
+/// their newlines, and iterating by value yields them as owned `String`s.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Lines {
-    text: String,
-    count: usize,
-}
+pub struct Lines(String);
 
 impl Lines {
-    /// The number of lines.
+    /// The number of lines: the number of `'\n'` in the buffer.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.count
+        self.0.bytes().filter(|&b| b == b'\n').count()
     }
 
     /// Whether there is no line (no response at all).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.0.is_empty()
     }
 
     /// The lines in order, each without its newline.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
-        self.text.split_terminator('\n')
+        self.0.split_terminator('\n')
     }
 
     /// The wire bytes: every line followed by `'\n'`.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
-        self.text.as_bytes()
+        self.0.as_bytes()
     }
 
     /// One line, which must hold no newline, ending its own buffer.
     fn from_line(mut text: String) -> Lines {
         text.push('\n');
-        Lines { text, count: 1 }
+        Lines(text)
     }
 
     /// Appends one line, which must hold no newline.
     fn push(&mut self, line: &str) {
-        self.text.push_str(line);
-        self.text.push('\n');
-        self.count += 1;
+        self.0.push_str(line);
+        self.0.push('\n');
     }
 }
 
@@ -408,7 +402,7 @@ impl Session {
                 let text = explain.to_string();
                 let mut lines =
                     Lines::from_line(format!("OK explain lines={}", text.lines().count()));
-                lines.text.reserve(text.len() + 1);
+                lines.0.reserve(text.len() + 1);
                 for line in text.lines() {
                     lines.push(line);
                 }
@@ -494,7 +488,6 @@ fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply
         .collect();
     let ids = result.rel.canonical_row_ids(&cols);
     let header = format!("OK rows n={} vars={} lines={}\n", ids.len(), names.join(","), ids.len());
-    let count = ids.len() + 1;
     // The rows are written as bytes, every one ASCII, and checked once at
     // the end: cheaper than a `str` check per value.  At least one digit
     // and one separator per value; small values are the common case, so
@@ -514,7 +507,7 @@ fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply
     }
     let text = String::from_utf8(bytes)
         .map_err(|_| WireError::new(ErrorCode::Internal, "a rendered row is not ASCII"))?;
-    Ok(Reply { lines: Lines { text, count }, quit: false })
+    Ok(Reply { lines: Lines(text), quit: false })
 }
 
 /// Appends `value` in decimal, its digits first written into a stack
@@ -647,13 +640,16 @@ mod tests {
     }
 
     /// Checks the framing of a non-empty reply and returns its bytes as
-    /// text: the `'\n'` count is `len()`, which is the header's `lines=`
+    /// text: the bytes end in `'\n'`, their `'\n'` count is `len()` and
+    /// the number of lines `iter()` reads, which is the header's `lines=`
     /// plus one, and collecting the lines by value (what the staged
     /// benchmark replay does) gives header and body.
     fn framed(reply: &Reply) -> String {
         let text = String::from_utf8(reply.lines.as_bytes().to_vec()).unwrap();
         let header = reply.lines.iter().next().unwrap();
+        assert!(text.ends_with('\n'), "{text:?}");
         assert_eq!(text.matches('\n').count(), reply.lines.len(), "{text:?}");
+        assert_eq!(reply.lines.iter().count(), reply.lines.len(), "{text:?}");
         assert_eq!(reply.lines.len(), crate::protocol::body_lines(header) + 1, "{text:?}");
         let mut collected = Vec::<String>::new();
         collected.extend(reply.lines.clone());

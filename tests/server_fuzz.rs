@@ -38,8 +38,10 @@ fn framing_ok(reply: &Reply) -> Result<(), String> {
     if body_lines(header) != reply.lines.len() - 1 {
         return Err(format!("lines= does not match the body: {:?}", reply.lines));
     }
-    if reply.lines.iter().any(|l| l.contains('\n')) {
-        return Err(format!("reply lines must not embed newlines: {:?}", reply.lines));
+    // `len()` counts the `'\n'` on the wire; a buffer that does not end in
+    // one holds an unterminated line that count misses.
+    if reply.lines.as_bytes().last() != Some(&b'\n') {
+        return Err(format!("the reply bytes must end in a newline: {:?}", reply.lines));
     }
     Ok(())
 }

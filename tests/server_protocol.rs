@@ -50,6 +50,8 @@ fn check_framing(reply: &Reply) {
             "lines= must announce the body exactly: {:?}",
             reply.lines
         );
+        // `len()` counts the `'\n'` on the wire, so every line must end in one.
+        assert_eq!(reply.lines.as_bytes().last(), Some(&b'\n'), "{:?}", reply.lines);
     }
 }
 

@@ -109,9 +109,10 @@ fn query_replies_render_the_reference_rows_under_every_strategy() {
                     // in-process result, byte for byte,
                     Ok(result) => {
                         let expected = reference_rendering(panda.query(), &result);
+                        let wire: String = expected.iter().map(|l| format!("{l}\n")).collect();
                         assert_eq!(
-                            reply.lines.iter().collect::<Vec<_>>(),
-                            expected,
+                            String::from_utf8_lossy(reply.lines.as_bytes()),
+                            wire,
                             "seed {seed} {strategy} {text}"
                         );
                         // AND `n=` counts the body it heads.
