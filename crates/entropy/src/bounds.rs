@@ -63,6 +63,10 @@ pub enum BoundError {
     /// never absorbed into a fail-soft fallback: the caller asked for the
     /// work to stop, not for a cheaper substitute.
     Cancelled,
+    /// The query has more variables than `TD(Q)` is enumerated for
+    /// ([`MAX_ENUMERATION_VARS`](panda_query::td::MAX_ENUMERATION_VARS)),
+    /// so no width over it can be computed.
+    TooManyVariables(usize),
 }
 
 impl std::fmt::Display for BoundError {
@@ -79,6 +83,11 @@ impl std::fmt::Display for BoundError {
             BoundError::Cancelled => {
                 write!(f, "the computation was cancelled before the bound was computed")
             }
+            BoundError::TooManyVariables(vars) => write!(
+                f,
+                "the query has {vars} variables; tree decompositions are enumerated for at most {}",
+                panda_query::td::MAX_ENUMERATION_VARS
+            ),
         }
     }
 }

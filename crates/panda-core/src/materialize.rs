@@ -21,8 +21,12 @@
 //! [storage identity](panda_relation::Relation::storage_id) of each atom's
 //! relation in the branch.  Branch databases differ only in the
 //! *partitioned* relations — every other relation is the same `Arc`-shared
-//! instance — so a bag built the same way from unpartitioned atoms has the
-//! same key in every branch, and equal keys imply value-identical outputs.
+//! instance, and so is every bucket of a partitioned one, since a
+//! relation caches its bucketing per split
+//! ([`bucket_by_degree`](panda_relation::stats::bucket_by_degree)) —
+//! so a bag built the same way from unpartitioned atoms, or from the same
+//! buckets, has the same key in every branch that reads them, and equal
+//! keys imply value-identical outputs.
 //! The bound plan is therefore one list of **bag jobs** in first-seen
 //! order, each with the number of branch scans it serves (the
 //! `push_plan_for_materialization` / `num_scans` idea of

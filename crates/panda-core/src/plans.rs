@@ -161,7 +161,10 @@ pub(crate) fn separate_self_joins(
 /// variables map to columns through the first of `atoms` over its
 /// relation; specs that do not map are skipped.  Every relation symbol
 /// of `atoms` must be distinct ([`separate_self_joins`]): a partitioned
-/// relation replaces its symbol's entry for every atom over it.
+/// relation replaces its symbol's entry for every atom over it.  The
+/// buckets come from the relation's cache, so two branches that bucket the
+/// same relation on the same split hold the same bucket relations, and a
+/// warm request rebuilds none of them.
 pub(crate) fn partition_branches(
     atoms: &[Atom],
     specs: &[PartitionSpec],
@@ -191,9 +194,9 @@ pub(crate) fn partition_branches(
                 next.push(branch.clone());
                 continue;
             }
-            for bucket in buckets {
+            for bucket in buckets.iter() {
                 let mut b = branch.clone();
-                b.insert(spec.relation.clone(), bucket.relation);
+                b.insert(spec.relation.clone(), bucket.relation.clone());
                 next.push(b);
             }
         }
@@ -467,23 +470,25 @@ pub(crate) fn chain_join_estimate(atoms: &[&Atom], db: &Database) -> f64 {
     bound
 }
 
-/// The exact size of the natural join of two atoms: look every row of the
-/// second relation up in the first relation's cached adjacency `(shared
-/// columns | rest)` and sum the matching groups' degrees (`Σ_k |A_k| ·
-/// |B_k|`), in `O(|B| log |A|)`.  A degree counts *distinct* rows, which
-/// is the stored count for every relation that reaches the planner: `LOAD`
-/// deduplicates what it stores, and so does every generator.  The
-/// per-branch TD choice calls this for every bag of every candidate
-/// decomposition, so serving the groups from the relation's shared cache
-/// is what keeps adaptive planning cheap across branches.
+/// The exact size of the natural join of two atoms, `Σ_k |A_k| · |B_k|`
+/// over the shared-column values `k`: walk the groups of the second
+/// relation's cached adjacency `(shared columns | rest)`, look each key up
+/// in the first relation's, and add the product of the two groups'
+/// degrees, in `O(|π_k B| log |π_k A|)`.  The sum is exact in `u128`.  A
+/// degree counts *distinct* rows, which is the stored count for every
+/// relation that reaches the planner: `LOAD` deduplicates what it stores,
+/// and so does every generator.  The per-branch TD choice calls this for
+/// every bag of every candidate decomposition, so serving the groups from
+/// the relations' shared caches is what keeps adaptive planning cheap
+/// across branches.
 fn exact_pairwise_join_size(a: &Atom, b: &Atom, db: &Database) -> f64 {
     let (Some(ra), Some(rb)) = (db.relation(&a.relation), db.relation(&b.relation)) else {
         return 0.0;
     };
     let shared: Vec<Var> = a.vars.iter().copied().filter(|v| b.vars.contains(v)).collect();
     // `position_of` returns first positions of distinct variables, so the
-    // canonicalised column pairs have distinct `a`-columns, aligned with
-    // the adjacency's sorted key columns.
+    // canonicalised column pairs have distinct columns on both sides, and
+    // `a`'s are aligned with its adjacency's sorted key columns.
     let mut pairs: Vec<(usize, usize)> = shared
         .iter()
         .map(|v| (a.position_of(*v).expect("shared"), b.position_of(*v).expect("shared")))
@@ -492,18 +497,24 @@ fn exact_pairwise_join_size(a: &Atom, b: &Atom, db: &Database) -> f64 {
     pairs.dedup();
     let cols_a: Vec<usize> = pairs.iter().map(|p| p.0).collect();
     let cols_b: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-    let all_a: Vec<usize> = (0..ra.arity()).collect();
-    let adjacency = ra.adjacency(&cols_a, &all_a);
-    let mut total: f64 = 0.0;
-    let mut key: Vec<u64> = Vec::with_capacity(cols_b.len());
-    for row in rb.iter() {
+    let adj_a = ra.adjacency(&cols_a, &(0..ra.arity()).collect::<Vec<_>>());
+    let adj_b = rb.adjacency(&cols_b, &(0..rb.arity()).collect::<Vec<_>>());
+    // `b`'s keys come in its sorted column order; `a` reads them in the
+    // order of `cols_a`.
+    let order: Vec<usize> =
+        cols_b.iter().map(|c| adj_b.key_cols().binary_search(c).expect("a key column")).collect();
+    let width = order.len();
+    let mut total: u128 = 0;
+    let mut key: Vec<u64> = Vec::with_capacity(width);
+    for (group, degree) in adj_b.degrees().enumerate() {
+        let b_key = &adj_b.keys()[group * width..(group + 1) * width];
         key.clear();
-        key.extend(cols_b.iter().map(|&c| row[c]));
-        if let Some(group) = adjacency.find(&key) {
-            total += adjacency.degree(group) as f64;
+        key.extend(order.iter().map(|&i| b_key[i]));
+        if let Some(found) = adj_a.find(&key) {
+            total += adj_a.degree(found) as u128 * degree as u128;
         }
     }
-    total.max(1.0)
+    (total as f64).max(1.0)
 }
 
 /// Greedily covers `bag` by projections of atoms: returns, per step, the

@@ -18,8 +18,9 @@
 //!    show no gap; the best single-TD (fhtw) plan is optimal among the
 //!    decomposition plans.
 //! 5. **Generic default** ([`SelectorRule::GenericDefault`]) — no width
-//!    is available (unbounded statistics, or the LP budget died before
-//!    `fhtw` finished); a worst-case optimal generic join needs no
+//!    is available (unbounded statistics, the LP budget died before
+//!    `fhtw` finished, or the query has more variables than `TD(Q)` is
+//!    enumerated for); a worst-case optimal generic join needs no
 //!    planning at all.
 //!
 //! Rules 3 and 4 need one bit of `subw`, so `subw` is decided against the
@@ -83,6 +84,7 @@ use panda_entropy::{
     SubwReport,
 };
 use panda_query::hypergraph::is_acyclic;
+use panda_query::td::MAX_ENUMERATION_VARS;
 use panda_query::{ConjunctiveQuery, TreeDecomposition, VarSet};
 use panda_rational::Rat;
 use panda_relation::Database;
@@ -143,6 +145,8 @@ pub enum ReasonCode {
     NoWidthGap,
     /// No finite width exists (the statistics leave the output unbounded).
     WidthsUnavailable,
+    /// The query has more variables than `TD(Q)` is enumerated for.
+    TooManyVariables,
     /// The LP pivot budget ran out mid-planning.
     LpBudgetExhausted,
     /// The adaptive plan's branch fan-out exceeded the branch budget.
@@ -169,6 +173,7 @@ impl ReasonCode {
             ReasonCode::SubwBelowFhtw => "subw_below_fhtw",
             ReasonCode::NoWidthGap => "no_width_gap",
             ReasonCode::WidthsUnavailable => "widths_unavailable",
+            ReasonCode::TooManyVariables => "too_many_variables",
             ReasonCode::LpBudgetExhausted => "lp_budget_exhausted",
             ReasonCode::BranchBudgetExceeded => "branch_budget_exceeded",
             ReasonCode::MemoryBudgetExceeded => "memory_budget_exceeded",
@@ -367,7 +372,9 @@ pub(crate) fn bind(
 /// required `subw` is the full chain, whose every selector flow the
 /// adaptive plan reads.  Otherwise it is informational — EXPLAIN shows it
 /// though no decision rests on it — and only [`BoundError::Cancelled`]
-/// propagates; any other error leaves it absent.  An informational `subw`
+/// propagates; any other error leaves it absent.  A query over more than
+/// [`MAX_ENUMERATION_VARS`] variables has no `TD(Q)`: its widths are
+/// [`BoundError::TooManyVariables`].  An informational `subw`
 /// beside a known `fhtw` is only its value, so it is decided against `fhtw`
 /// ([`panda_entropy::subw_against_fhtw`]).
 fn solve_widths(
@@ -385,6 +392,10 @@ fn solve_widths(
         }
     }
     if selection.tds.is_empty() {
+        if query.num_vars() > MAX_ENUMERATION_VARS {
+            let error = BoundError::TooManyVariables(query.num_vars());
+            return if required { Err(error) } else { Ok(()) };
+        }
         selection.tds = TreeDecomposition::enumerate(query);
     }
     let tds = &selection.tds;
@@ -482,6 +493,14 @@ pub(crate) fn select(
         return Ok(selection);
     }
 
+    if query.num_vars() > MAX_ENUMERATION_VARS {
+        // Rule 5: no width over `TD(Q)` can be computed.
+        return Ok(Selection::new(
+            SelectorRule::GenericDefault,
+            ReasonCode::TooManyVariables,
+            EvaluationStrategy::GenericJoin,
+        ));
+    }
     let tds = TreeDecomposition::enumerate(query);
     let mut budget = budgets.pivot_budget(cancel);
 

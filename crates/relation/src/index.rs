@@ -1,16 +1,23 @@
 //! The per-relation cache of derived structures: one sorted adjacency per
 //! column split, the one structure every grouping read and every probe of
-//! a relation goes through.
+//! a relation goes through, and one degree partition per column split.
 //!
 //! The PANDA/subw algorithms repeatedly measure, semijoin, join and
 //! partition the *same* relations across proof-sequence steps and degree
 //! branches.  To avoid rebuilding identical structures every time, every
-//! [`Relation`] carries an `IndexCache`: a lazily populated map from
-//! canonical (sorted, distinct) column splits to built adjacencies.
+//! [`Relation`] carries an `IndexCache`: two lazily populated maps from
+//! canonical (sorted, distinct) column splits, one to built adjacencies
+//! and one to the relation's power-of-two degree buckets
+//! ([`bucket_by_degree`](crate::stats::bucket_by_degree)).
 //! Because relation storage is `Arc`-shared, an O(1) relation clone shares
 //! the cache too — the second read of the same `(relation, split)` pair
-//! anywhere in the engine is a lookup, not a build.  Mutating a relation
-//! detaches it from the shared cache (see `Relation::invalidate_derived`).
+//! anywhere in the engine is a lookup, not a build.  A cached bucket is a
+//! relation of its own with a cache of its own, so the buckets and
+//! adjacencies of a bucket are built once per relation too, not once per
+//! degree branch or per request.  The cache holds at most one copy of the
+//! rows per cached split, and is freed with the relation's last clone
+//! (a `LOAD` that replaces it).  Mutating a relation detaches it from the
+//! shared cache (see `Relation::invalidate_derived`).
 //!
 //! An [`Adjacency`] is the sorted-trie level of Leapfrog Triejoin: the
 //! rows projected onto key columns `K` then value columns `V`, sorted and
@@ -49,6 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::relation::{pack, Relation, Value};
+use crate::stats::DegreeBucket;
 
 /// A relation's distinct rows projected onto key columns `K` followed by
 /// value columns `V`, sorted: the distinct `K`-values in ascending order
@@ -261,14 +269,19 @@ impl Adjacency {
 /// Cache key for an [`Adjacency`]: canonical key and value columns.
 pub(crate) type SplitKey = (Vec<usize>, Vec<usize>);
 
-/// The per-relation cache of derived structures: adjacencies keyed by
-/// canonical (key, value) column pairs.
+/// The per-relation cache of derived structures: adjacencies and degree
+/// buckets, each keyed by canonical (key, value) column pairs.
 ///
 /// The cache lives behind the relation's storage `Arc`, so O(1) clones
 /// share it; interior mutability makes population transparent to callers
-/// holding `&Relation`.  Builds happen outside the lock (a racing duplicate
-/// build is harmless), and a relaxed "populated" flag lets the mutation
-/// path skip allocating a replacement cache when nothing was ever cached.
+/// holding `&Relation`.  Builds happen outside the lock, and an insert
+/// keeps the first entry stored, so racing callers share one instance (a
+/// duplicate build is wasted, never visible).  A relaxed "populated" flag
+/// lets the mutation path skip allocating a replacement cache when nothing
+/// was ever cached.
+///
+/// A bucket set never holds a clone of its own relation: that clone would
+/// share this cache, and the cache would keep itself alive.
 #[derive(Debug, Default)]
 pub(crate) struct IndexCache {
     // panda-lint: allow(D2) -- memoisation only: every cached value is a
@@ -276,6 +289,7 @@ pub(crate) struct IndexCache {
     // winner of a racing duplicate build) cannot influence any result.
     populated: AtomicBool,
     adjacencies: Mutex<HashMap<SplitKey, Arc<Adjacency>>>,
+    buckets: Mutex<HashMap<SplitKey, Arc<[DegreeBucket]>>>,
 }
 
 impl IndexCache {
@@ -297,9 +311,35 @@ impl IndexCache {
         if let Some(adj) = self.cached_adjacency(&split) {
             return adj;
         }
+        #[cfg(test)]
+        builds::count(|b| b.0 += 1);
         let built = Arc::new(Adjacency::build(relation, &split.0, &split.1));
         self.populated.store(true, Ordering::Relaxed);
         self.adjacencies
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(split)
+            .or_insert(built)
+            .clone()
+    }
+
+    /// Returns the cached degree buckets of a canonical split, if they were
+    /// stored.
+    pub(crate) fn cached_buckets(&self, split: &SplitKey) -> Option<Arc<[DegreeBucket]>> {
+        self.buckets.lock().unwrap_or_else(PoisonError::into_inner).get(split).cloned()
+    }
+
+    /// Stores `built`, the degree buckets of a canonical split, unless a
+    /// racing caller stored them first, and returns the stored entry.
+    pub(crate) fn insert_buckets(
+        &self,
+        split: SplitKey,
+        built: Arc<[DegreeBucket]>,
+    ) -> Arc<[DegreeBucket]> {
+        #[cfg(test)]
+        builds::count(|b| b.1 += 1);
+        self.populated.store(true, Ordering::Relaxed);
+        self.buckets
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(split)
@@ -311,6 +351,30 @@ impl IndexCache {
     #[cfg(test)]
     pub(crate) fn num_adjacencies(&self) -> usize {
         self.adjacencies.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+}
+
+/// The structures this thread built, for tests that pin how often a read
+/// is served from the cache.
+#[cfg(test)]
+pub(crate) mod builds {
+    use std::cell::Cell;
+
+    thread_local! {
+        static BUILDS: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(super) fn count(f: impl FnOnce(&mut (usize, usize))) {
+        BUILDS.with(|cell| {
+            let mut builds = cell.get();
+            f(&mut builds);
+            cell.set(builds);
+        });
+    }
+
+    /// The adjacencies and the bucket sets this thread has built so far.
+    pub(crate) fn so_far() -> (usize, usize) {
+        BUILDS.with(Cell::get)
     }
 }
 

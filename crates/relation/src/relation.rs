@@ -274,7 +274,9 @@ impl Relation {
     ///
     /// One linear pass comes first: when the projections are already
     /// strictly increasing (rows enumerated in order), the answer is
-    /// `0..len` and nothing is sorted.  Otherwise, when the projected
+    /// `0..len` and nothing is sorted
+    /// ([`Relation::canonical_reordering`] answers `None` then, and
+    /// allocates nothing).  Otherwise, when the projected
     /// values and the row id fit in 128 bits together (dictionary-encoded
     /// values are small), each row is packed into one integer key and the
     /// keys are sorted in place; failing that, the row ids are sorted by
@@ -295,14 +297,36 @@ impl Relation {
     /// ```
     #[must_use]
     pub fn canonical_row_ids(&self, cols: &[usize]) -> Vec<usize> {
+        self.canonical_reordering(cols).unwrap_or_else(|| (0..self.len()).collect())
+    }
+
+    /// [`Relation::canonical_row_ids`], or `None` when the rows already
+    /// are in that order (their projections onto `cols` strictly
+    /// increase), so a reader walks `0..len` with no id vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a column index is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use panda_relation::Relation;
+    ///
+    /// let r = Relation::from_rows(2, vec![[1, 30], [2, 10], [2, 20]]);
+    /// assert_eq!(r.canonical_reordering(&[0, 1]), None);
+    /// assert_eq!(r.canonical_reordering(&[1]), Some(vec![1, 2, 0]));
+    /// ```
+    #[must_use]
+    pub fn canonical_reordering(&self, cols: &[usize]) -> Option<Vec<usize>> {
         for &c in cols {
             assert!(c < self.arity, "canonical order column {c} out of range");
         }
         let mut pairs = self.iter().zip(self.iter().skip(1));
         if pairs.all(|(row, next)| projection_cmp(row, next, cols).is_lt()) {
-            return (0..self.len()).collect();
+            return None;
         }
-        self.sorted_row_ids(cols, &self.column_widths(cols))
+        Some(self.sorted_row_ids(cols, &self.column_widths(cols)))
     }
 
     /// The bit width of each of `cols`: that of the OR of the column's
@@ -452,7 +476,7 @@ impl Relation {
 
 /// The canonical split of [`Relation::adjacency`]: both sides sorted and
 /// deduplicated, the key columns removed from the value columns.
-fn split(key_cols: &[usize], value_cols: &[usize]) -> SplitKey {
+pub(crate) fn split(key_cols: &[usize], value_cols: &[usize]) -> SplitKey {
     let keys = canonical(key_cols);
     let mut values = canonical(value_cols);
     values.retain(|c| keys.binary_search(c).is_err());

@@ -14,12 +14,16 @@
 //! the length of a group's value list, so repeated measurements of the
 //! same `(relation, group, value)` triple — ubiquitous in the adaptive
 //! plan's per-branch costing — are offset differences on a structure
-//! built once.
+//! built once.  A bucketing is cached beside the adjacencies, so every
+//! degree branch and every request that partitions the same relation on
+//! the same split reads the same bucket relations.
 
 // panda-lint: allow-file(P1) -- group ids come from the adjacency's own
 // `find`, and every row's key occurs in its relation's adjacency.
 
-use crate::relation::Relation;
+use std::sync::Arc;
+
+use crate::relation::{split, Relation};
 
 /// One bucket of a power-of-two degree bucketing.
 #[derive(Debug, Clone)]
@@ -70,18 +74,27 @@ fn bucket_of(degree: usize) -> u32 {
 /// empty buckets are omitted; together they partition the relation's rows,
 /// and each bucket keeps its rows in the input's order.
 ///
-/// When all groups fall in one bucket, that bucket's relation is an O(1)
-/// clone of the input (shared storage, shared index cache).
+/// The split is canonicalised as [`Relation::adjacency`]'s is, and the
+/// buckets are cached on the relation: a second call on the same split,
+/// from any clone, returns the same bucket relations (same
+/// [storage](Relation::storage_id), same caches).  When all groups fall in
+/// one bucket, that bucket's relation is an O(1) clone of the input
+/// (shared storage, shared index cache), and nothing is stored: the clone
+/// would keep its own cache alive.
 #[must_use]
 pub fn bucket_by_degree(
     relation: &Relation,
     group_cols: &[usize],
     value_cols: &[usize],
-) -> Vec<DegreeBucket> {
+) -> Arc<[DegreeBucket]> {
     if relation.is_empty() {
-        return Vec::new();
+        return Arc::new([]);
     }
-    let adj = relation.adjacency(group_cols, value_cols);
+    let split = split(group_cols, value_cols);
+    if let Some(buckets) = relation.cache.cached_buckets(&split) {
+        return buckets;
+    }
+    let adj = relation.cache.adjacency(relation, split.clone());
     let lo = bucket_of(adj.degrees().min().unwrap_or(1));
     let hi = bucket_of(adj.max_degree());
     let bucket = |j: u32, relation: Relation, num_groups: usize| DegreeBucket {
@@ -91,7 +104,7 @@ pub fn bucket_by_degree(
         num_groups,
     };
     if lo == hi {
-        return vec![bucket(lo, relation.clone(), adj.num_keys())];
+        return Arc::new([bucket(lo, relation.clone(), adj.num_keys())]);
     }
     let mut parts: Vec<(Relation, usize)> =
         (lo..=hi).map(|_| (Relation::new(relation.arity()), 0)).collect();
@@ -105,11 +118,12 @@ pub fn bucket_by_degree(
         let group = adj.find(&key).expect("every row's key is in its relation's adjacency");
         parts[(bucket_of(adj.degree(group)) - lo) as usize].0.push_row(row);
     }
-    (lo..=hi)
+    let built = (lo..=hi)
         .zip(parts)
         .filter(|(_, (_, num_groups))| *num_groups > 0)
         .map(|(j, (relation, num_groups))| bucket(j, relation, num_groups))
-        .collect()
+        .collect();
+    relation.cache.insert_buckets(split, built)
 }
 
 /// Returns every degree value observed per group, sorted descending.
@@ -200,7 +214,7 @@ mod tests {
         let buckets = bucket_by_degree(&r, &[0], &[1]);
         let total: usize = buckets.iter().map(|b| b.relation.len()).sum();
         assert_eq!(total, r.len());
-        for b in &buckets {
+        for b in buckets.iter() {
             let d = max_degree(&b.relation, &[0], &[1]);
             assert!(
                 d >= b.degree_lo && d <= b.degree_hi,
@@ -224,6 +238,87 @@ mod tests {
         assert_eq!(buckets.len(), 1);
         assert!(buckets[0].relation.shares_storage_with(&r));
         assert_eq!(buckets[0].num_groups, 3);
+    }
+
+    #[test]
+    fn a_repeated_bucketing_returns_the_same_storage() {
+        let r = skewed();
+        let ids = |buckets: &[DegreeBucket]| -> Vec<_> {
+            buckets.iter().map(|b| b.relation.storage_id()).collect()
+        };
+        let first = bucket_by_degree(&r, &[0], &[1]);
+        // A clone shares the cache; `[0, 0] | [0, 1]` is the same split.
+        let again = bucket_by_degree(&r.clone(), &[0, 0], &[0, 1]);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(ids(&first), ids(&again));
+        // Another split is another entry.
+        assert_eq!(bucket_by_degree(&r, &[1], &[0]).len(), 1);
+        assert!(Arc::ptr_eq(&first, &bucket_by_degree(&r, &[0], &[1])));
+    }
+
+    #[test]
+    fn mutation_detaches_the_cached_buckets() {
+        let original = skewed();
+        let before = bucket_by_degree(&original, &[0], &[1]);
+        let mut pushed = original.clone();
+        pushed.push_row(&[3, 31]);
+        let after = bucket_by_degree(&pushed, &[0], &[1]);
+        assert!(!Arc::ptr_eq(&before, &after));
+        // Group 3 now has degree 2: it joins group 2's bucket.
+        assert_eq!(after.iter().map(|b| b.num_groups).collect::<Vec<_>>(), vec![2, 1]);
+        let mut reserved = original.clone();
+        reserved.reserve(8);
+        assert!(reserved.cache.cached_buckets(&split(&[0], &[1])).is_none());
+        // The original still reads its own (valid) buckets.
+        assert!(Arc::ptr_eq(&before, &bucket_by_degree(&original, &[0], &[1])));
+    }
+
+    #[test]
+    fn dropping_a_relation_frees_its_buckets() {
+        let r = skewed();
+        let cache = Arc::downgrade(&r.cache);
+        let buckets = bucket_by_degree(&r, &[0], &[1]);
+        let stored = Arc::downgrade(&buckets);
+        let bucket_cache = Arc::downgrade(&buckets[0].relation.cache);
+        let _ = bucket_by_degree(&buckets[2].relation, &[1], &[0]);
+        drop((r, buckets));
+        assert!(cache.upgrade().is_none(), "the relation's cache is freed");
+        assert!(stored.upgrade().is_none(), "so are its buckets");
+        assert!(bucket_cache.upgrade().is_none(), "and their caches");
+        // One bucket is a clone of the relation, kept by no cache.
+        let single = Relation::from_rows(2, vec![[1, 10], [2, 20]]);
+        let cache = Arc::downgrade(&single.cache);
+        let buckets = bucket_by_degree(&single, &[0], &[1]);
+        assert!(Arc::ptr_eq(&buckets[0].relation.cache, &single.cache));
+        drop((single, buckets));
+        assert!(cache.upgrade().is_none(), "a single bucket makes no cycle");
+    }
+
+    #[test]
+    fn a_warm_second_partition_builds_nothing() {
+        // What an adaptive bind does with each relation of the double
+        // star: bucket on both directions, then read every bucket's
+        // adjacencies.
+        let star: Vec<[u64; 2]> =
+            (0..8).map(|i| [0, i]).chain((1..8).map(|i| [i, 0])).chain([[5, 6], [6, 5]]).collect();
+        let r = Relation::from_rows(2, star);
+        let bind = || {
+            let mut leaves = Vec::new();
+            for first in bucket_by_degree(&r, &[0], &[1]).iter() {
+                for second in bucket_by_degree(&first.relation, &[1], &[0]).iter() {
+                    let _ = second.relation.adjacency(&[0], &[1]);
+                    let _ = second.relation.adjacency(&[1], &[0]);
+                    leaves.push(second.relation.storage_id());
+                }
+            }
+            leaves
+        };
+        let start = crate::index::builds::so_far();
+        let cold = bind();
+        let warm = crate::index::builds::so_far();
+        assert!(warm.0 > start.0 && warm.1 > start.1, "the cold bind builds");
+        assert_eq!(bind(), cold, "the warm bind reads the same bucket relations");
+        assert_eq!(crate::index::builds::so_far(), warm, "and builds nothing");
     }
 
     #[test]
@@ -252,7 +347,7 @@ mod tests {
             let buckets = bucket_by_degree(&rel, &[0], &[1]);
             let total: usize = buckets.iter().map(|b| b.relation.len()).sum();
             prop_assert_eq!(total, rel.len());
-            for b in &buckets {
+            for b in buckets.iter() {
                 let d = max_degree(&b.relation, &[0], &[1]);
                 prop_assert!(d <= b.degree_hi);
                 prop_assert!(max_degree(&b.relation, &[0], &[1]) >= 1);

@@ -42,6 +42,7 @@ fn keep_freed_heap_mapped() {
 }
 
 fn main() -> ExitCode {
+    panda_server::log_panics_on_one_line("panda-server");
     keep_freed_heap_mapped();
     let mut listen: Option<String> = None;
     let mut stdio = false;

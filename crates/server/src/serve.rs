@@ -427,10 +427,9 @@ mod tests {
 
     #[test]
     fn stdio_answers_a_panicking_request_and_keeps_serving() {
-        // Ten variables: TD enumeration panics on more than nine.
-        let input = "LOAD R 2\n1 2\n2 1\nEND\n\
-                     QUERY Q(A,B,C,D,E,F,G,H,I,J) :- R(A,B), R(B,C), R(C,D), R(D,E), R(E,F), \
-                     R(F,G), R(G,H), R(H,I), R(I,J), R(J,A)\nPING\n";
+        // A one-column atom over a two-column relation: the binding
+        // asserts that the arities agree.
+        let input = "LOAD R 2\n1 2\n2 1\nEND\nQUERY Q(A) :- R(A)\nPING\n";
         let mut out = Vec::new();
         serve_lines(input.as_bytes(), &mut out, Engine::Sequential).unwrap();
         let out = String::from_utf8(out).unwrap();

@@ -34,6 +34,7 @@
 //! buffer as it is.  Callers that want owned lines iterate a `Lines` by
 //! value.
 
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -328,14 +329,9 @@ impl Session {
             Command::Quit => Reply { lines: Lines::from_line("OK bye".to_string()), quit: true },
         });
         let reply = catch_unwind(dispatch).unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("no message");
             Reply::error(WireError::new(
                 ErrorCode::Internal,
-                format!("the request panicked: {message}"),
+                format!("the request panicked: {}", panic_message(&*payload)),
             ))
         });
         if let Some(id) = request.id {
@@ -463,9 +459,33 @@ impl Session {
     }
 }
 
+/// A panic's message: its `&str` or `String` payload.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message")
+}
+
+/// Makes every panic of this process log one stderr line,
+/// `<program>: panicked at <file>:<line>: <message>` (the message's line
+/// breaks as spaces), in place of the default hook's report and
+/// backtrace.  For the `main`s of the binaries: a panicking request is
+/// already answered `ERR internal` by [`Session::handle_line_with`], and
+/// the session keeps serving, so a multi-line report per request is noise.
+pub fn log_panics_on_one_line(program: &'static str) {
+    std::panic::set_hook(Box::new(move |info| {
+        let at = info.location().map_or_else(String::new, |l| format!(" at {l}"));
+        let message = panic_message(info.payload()).replace('\n', " ");
+        eprintln!("{program}: panicked{at}: {message}");
+    }));
+}
+
 /// Renders a `QUERY` answer: the header, then one line per distinct row of
 /// `result` on the query's free variables, in canonical order.  That order
-/// is one sort of row ids ([`Relation::canonical_row_ids`]), and every
+/// is one sort of row ids ([`Relation::canonical_reordering`]), or none
+/// when the rows already are in it, and every
 /// line is written straight into the reply's one buffer, each integer
 /// from a stack digit buffer, so a row allocates nothing and the answer is
 /// copied nowhere else.  A free variable missing from `result` answers
@@ -486,16 +506,16 @@ fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply
         .iter()
         .map(|v| query.var_names().get(v.0 as usize).map_or("?", String::as_str))
         .collect();
-    let ids = result.rel.canonical_row_ids(&cols);
-    let header = format!("OK rows n={} vars={} lines={}\n", ids.len(), names.join(","), ids.len());
+    let reordering = result.rel.canonical_reordering(&cols);
+    let n = reordering.as_ref().map_or(result.rel.len(), Vec::len);
+    let header = format!("OK rows n={n} vars={} lines={n}\n", names.join(","));
     // The rows are written as bytes, every one ASCII, and checked once at
     // the end: cheaper than a `str` check per value.  At least one digit
     // and one separator per value; small values are the common case, so
     // this is close to the answer's size.
     let mut bytes = header.into_bytes();
-    bytes.reserve(ids.len() * cols.len() * 2);
-    for id in ids {
-        let row = result.rel.row(id);
+    bytes.reserve(n * cols.len() * 2);
+    let mut write_row = |row: &[Value]| {
         // Every `get` is `Some`: `cols` are columns of `result`.
         for (k, value) in cols.iter().filter_map(|&c| row.get(c).copied()).enumerate() {
             if k > 0 {
@@ -504,6 +524,10 @@ fn render_answer(query: &ConjunctiveQuery, result: &VarRelation) -> Result<Reply
             push_decimal(&mut bytes, value);
         }
         bytes.push(b'\n');
+    };
+    match reordering {
+        Some(ids) => ids.into_iter().for_each(|id| write_row(result.rel.row(id))),
+        None => result.rel.iter().for_each(write_row),
     }
     let text = String::from_utf8(bytes)
         .map_err(|_| WireError::new(ErrorCode::Internal, "a rendered row is not ASCII"))?;
@@ -555,7 +579,9 @@ fn wire_bound_error(err: &BoundError) -> WireError {
             WireError::new(ErrorCode::BudgetExceeded, format!("reason=lp_budget_exhausted {err}"))
         }
         BoundError::Solver(_) => WireError::new(ErrorCode::SolverError, err.to_string()),
-        BoundError::Unbounded => WireError::new(ErrorCode::TdUnavailable, err.to_string()),
+        BoundError::Unbounded | BoundError::TooManyVariables(_) => {
+            WireError::new(ErrorCode::TdUnavailable, err.to_string())
+        }
     }
 }
 

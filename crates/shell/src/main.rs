@@ -79,6 +79,7 @@ fn run() -> io::Result<ExitCode> {
 }
 
 fn main() -> ExitCode {
+    panda_server::log_panics_on_one_line("panda-shell");
     match run() {
         Ok(code) => code,
         Err(e) => {

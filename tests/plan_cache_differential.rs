@@ -432,7 +432,7 @@ fn a_cached_plan_is_bound_to_each_requests_data() {
     let b_report = assert_warm_serves_the_second_instance_as_cold(&panda, &a, &b, "B after A");
     assert_eq!(b_report.strategy, EvaluationStrategy::Adaptive);
     assert_eq!((a_report.branch_count, b_report.branch_count), (81, 256));
-    assert_eq!((a_report.materializations.len(), b_report.materializations.len()), (13, 22));
+    assert_eq!((a_report.materializations.len(), b_report.materializations.len()), (30, 52));
 
     // The branch budget binds on B's 256 branches, warm as cold.
     let budgeted = Panda::new(query).with_budgets(Budgets::unlimited().with_branch_budget(81));

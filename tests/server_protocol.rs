@@ -352,7 +352,7 @@ fn golden_explain_binds_each_instance_under_a_shared_plan() {
             "OK loaded rel=PmS rows=40",
             "OK loaded rel=PmT rows=40",
             "OK loaded rel=PmU rows=40",
-            "OK explain lines=27",
+            "OK explain lines=44",
             "query: Q(X,Y) :- PmR(X,Y), PmS(Y,Z), PmT(Z,W), PmU(W,X)",
             "strategy: adaptive",
             "selected: adaptive",
@@ -368,23 +368,40 @@ fn golden_explain_binds_each_instance_under_a_shared_plan() {
             "  {X,Z,W} | {Y,Z,W}: 34071/31250 (certified)",
             "materialised subplans:",
             "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (7 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (7 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (8 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (7 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (8 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (8 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (8 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (2 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (2 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (5 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (5 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (5 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
             "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (2 scans, materialised once)",
             "  {Y,Z,W}: PmS * PmT (2 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (5 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (2 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (8 scans, materialised once)",
             "OK loaded rel=PmR rows=40",
             "OK loaded rel=PmS rows=40",
             "OK loaded rel=PmT rows=40",
             "OK loaded rel=PmU rows=40",
-            "OK explain lines=37",
+            "OK explain lines=67",
             "query: Q(X,Y) :- PmR(X,Y), PmS(Y,Z), PmT(Z,W), PmU(W,X)",
             "strategy: binary-join",
             "selected: adaptive",
@@ -401,24 +418,54 @@ fn golden_explain_binds_each_instance_under_a_shared_plan() {
             "  {X,Z,W} | {Y,Z,W}: 34071/31250 (certified)",
             "materialised subplans:",
             "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
             "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
-            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (14 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (15 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
             "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (6 scans, materialised once)",
+            "  {X,Z,W}: PmT * PmU (7 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (7 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (6 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (7 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (6 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (4 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (4 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (14 scans, materialised once)",
+            "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (6 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
+            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
+            "  {X,Y,W}: PmR * PmU (3 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (7 scans, materialised once)",
-            "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
             "  {Y,Z,W}: PmS * PmT (3 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
             "  {X,Y,Z}: PmR * PmS (15 scans, materialised once)",
@@ -441,6 +488,28 @@ fn double_star_loads(names: &[&str]) -> Vec<String> {
 }
 
 #[test]
+fn golden_explain_is_byte_stable_when_asked_again_and_after_a_reload() {
+    // WHEN the same adaptive EXPLAIN is asked twice (the second binds from
+    // the relations' cached degree buckets), and again after a LOAD of the
+    // same rows (fresh relations, their buckets built anew), THEN all
+    // three replies are the same bytes, shared subplans included.
+    let explain = "EXPLAIN Q(X,Y) :- PwR(X,Y), PwS(Y,Z), PwT(Z,W), PwU(W,X)";
+    let loads = double_star_loads(&["PwR", "PwS", "PwT", "PwU"]);
+    let mut script = loads.clone();
+    script.extend([explain.to_string(), explain.to_string()]);
+    script.extend(loads);
+    script.push(explain.to_string());
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&script);
+    let reply = &out[4..31];
+    assert_eq!(reply[0], "OK explain lines=26");
+    assert!(reply.contains(&"branches: 16".to_string()), "{reply:?}");
+    assert_eq!(&out[31..58], reply, "asked again");
+    assert_eq!(out[58..62].iter().filter(|l| l.starts_with("OK loaded")).count(), 4);
+    assert_eq!(&out[62..], reply, "after a reload of the same rows");
+}
+
+#[test]
 fn golden_explicit_adaptive_explains_the_plan_its_query_runs() {
     // An explicit strategy plans through the selector, the plan cache and
     // the binding `Auto` uses, so its EXPLAIN shows the branches and shared
@@ -453,14 +522,14 @@ fn golden_explicit_adaptive_explains_the_plan_its_query_runs() {
     );
     let script: Vec<&str> = script.iter().map(String::as_str).collect();
     let out = transcript(&script);
-    let auto = &out[4..24];
-    let explicit = &out[25..45];
+    let auto = &out[4..31];
+    let explicit = &out[32..59];
     assert_eq!(auto[4..6], ["rule: subw-gap", "reason: subw_below_fhtw"]);
     assert_eq!([&auto[..4], &auto[6..]].concat(), [&explicit[..4], &explicit[6..]].concat());
     assert_eq!(
         explicit,
         [
-            "OK explain lines=19",
+            "OK explain lines=26",
             "query: Q(X,Y) :- PnR(X,Y), PnS(Y,Z), PnT(Z,W), PnU(W,X)",
             "strategy: adaptive",
             "selected: adaptive",
@@ -475,15 +544,22 @@ fn golden_explicit_adaptive_explains_the_plan_its_query_runs() {
             "  {X,Y,W} | {X,Z,W}: 1071429/1000000 (certified)",
             "  {X,Z,W} | {Y,Z,W}: 1071429/1000000 (certified)",
             "materialised subplans:",
+            "  {X,Y,W}: PnR * PnU (3 scans, materialised once)",
+            "  {Y,Z,W}: PnS * PnT (2 scans, materialised once)",
             "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
+            "  {X,Z,W}: PnT * PnU (3 scans, materialised once)",
+            "  {X,Z,W}: PnT * PnU (3 scans, materialised once)",
+            "  {X,Z,W}: PnT * PnU (3 scans, materialised once)",
+            "  {Y,Z,W}: PnS * PnT (3 scans, materialised once)",
+            "  {X,Y,W}: PnR * PnU (2 scans, materialised once)",
             "  {Y,Z,W}: PnS * PnT (2 scans, materialised once)",
-            "  {Y,Z,W}: PnS * PnT (2 scans, materialised once)",
+            "  {X,Y,W}: PnR * PnU (2 scans, materialised once)",
             "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
             "  {X,Y,Z}: PnR * PnS (3 scans, materialised once)",
         ]
     );
     assert_eq!(
-        out[45..],
+        out[59..],
         [
             "OK budgets pivots=none branches=2 rows=none",
             "OK explain lines=15",
@@ -823,30 +899,107 @@ fn golden_cancellation_lifecycle() {
 
 #[test]
 fn golden_a_request_that_panics_answers_internal_and_the_session_keeps_serving() {
-    // WHEN a request panics inside the library (ten variables: TD
-    // enumeration stops at nine), THEN it is answered `ERR internal`, its
-    // tag counts as done, and the session answers the next requests.
+    // WHEN a request panics inside the library (a one-column atom over a
+    // two-column relation: the binding asserts the arities agree), THEN
+    // it is answered `ERR internal`, its tag counts as done, and the
+    // session answers the next requests.
     assert_eq!(
         transcript(&[
             "LOAD PzR 2",
             "1 2",
             "2 1",
             "END",
-            "#5 QUERY Q(A,B,C,D,E,F,G,H,I,J) :- PzR(A,B), PzR(B,C), PzR(C,D), PzR(D,E), \
-             PzR(E,F), PzR(F,G), PzR(G,H), PzR(H,I), PzR(I,J), PzR(J,A)",
+            "#5 QUERY Q(A) :- PzR(A)",
             "CANCEL 5",
             "QUERY Q(A,B) :- PzR(A,B)",
             "PING",
         ]),
         vec![
             "OK loaded rel=PzR rows=2",
-            "ERR internal the request panicked: exhaustive TD enumeration is limited to 9 \
-             variables",
+            "ERR internal the request panicked: assertion `left == right` failed: atom PzR/1 \
+             is bound to a stored relation of arity 2   left: 2  right: 1",
             "OK cancel id=5 state=done",
             "OK rows n=2 vars=A,B lines=2",
             "1 2",
             "2 1",
             "OK pong",
+        ]
+    );
+}
+
+/// A path over `n` variables `V0 … V(n-1)` of the `PyR` edges, its
+/// endpoints free.
+fn long_path(verb: &str, n: usize) -> String {
+    let atoms: Vec<String> = (1..n).map(|i| format!("PyR(V{},V{i})", i - 1)).collect();
+    format!("{verb} Q(V0,V{}) :- {}", n - 1, atoms.join(", "))
+}
+
+#[test]
+fn golden_a_query_past_nine_variables_runs_the_generic_join_under_auto() {
+    // WHEN the 10-variable path with free endpoints (acyclic, not
+    // free-connex, so Auto would plan widths over `TD(Q)`) is explained
+    // and queried under `auto`, THEN no decomposition is enumerated: the
+    // generic default answers with reason `too_many_variables`, and its
+    // rows are the generic join's.  A shorter path still plans widths.
+    let mut script = ["LOAD PyR 2", "1 2", "2 1", "2 3", "END"].map(String::from).to_vec();
+    script.extend([long_path("EXPLAIN", 10), long_path("QUERY", 10)]);
+    script.extend(["STRATEGY generic-join".to_string(), long_path("QUERY", 10)]);
+    script.extend(["STRATEGY auto".to_string(), long_path("EXPLAIN", 4)]);
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let out = transcript(&script);
+    let rows = ["OK rows n=3 vars=V0,V9 lines=3", "1 2", "2 1", "2 3"];
+    assert_eq!(
+        out[..14],
+        [
+            ["OK loaded rel=PyR rows=3", "OK explain lines=8"].as_slice(),
+            &[&long_path("query:", 10)[..]],
+            &[
+                "strategy: generic-join",
+                "selected: generic-join",
+                "rule: generic-default",
+                "reason: too_many_variables",
+                "widths: (not computed)",
+                "branches: 1",
+                "downgrades: (none)",
+            ],
+            &rows,
+        ]
+        .concat()
+    );
+    assert_eq!(out[14..19], [&["OK strategy=generic-join"][..], &rows].concat());
+    assert_eq!(out[19], "OK strategy=auto");
+    assert!(out[20..].iter().any(|line| line == "rule: td-fallback"), "{out:?}");
+}
+
+#[test]
+fn golden_an_explicit_width_strategy_past_nine_variables_answers_td_unavailable() {
+    // WHEN `static-td` or `adaptive` is named for the 10-variable path,
+    // THEN QUERY and EXPLAIN answer `ERR td_unavailable` (the strategy
+    // leaves no fallback), and the session keeps serving.
+    let mut script = ["LOAD PxR 2", "1 2", "END"].map(String::from).to_vec();
+    for strategy in ["static-td", "adaptive"] {
+        script.push(format!("STRATEGY {strategy}"));
+        script.push(long_path("QUERY", 10).replace("PyR", "PxR"));
+        script.push(long_path("EXPLAIN", 10).replace("PyR", "PxR"));
+    }
+    script.push("PING".to_string());
+    let script: Vec<&str> = script.iter().map(String::as_str).collect();
+    let limit = "the query has 10 variables; tree decompositions are enumerated for at most 9";
+    assert_eq!(
+        transcript(&script),
+        vec![
+            "OK loaded rel=PxR rows=1".to_string(),
+            "OK strategy=static-td".to_string(),
+            format!(
+                "ERR td_unavailable no tree decomposition could be costed for static-td: {limit}"
+            ),
+            format!("ERR td_unavailable {limit}"),
+            "OK strategy=adaptive".to_string(),
+            format!(
+                "ERR td_unavailable no tree decomposition could be costed for adaptive: {limit}"
+            ),
+            format!("ERR td_unavailable {limit}"),
+            "OK pong".to_string(),
         ]
     );
 }

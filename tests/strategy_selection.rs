@@ -593,7 +593,7 @@ fn auto_plans_keep_their_pivot_counts_and_explain_bytes() {
         ("bowtie / 3", 58, "2be5f3e7badc51fdafbb55699c58d95e"),
         ("c5_2chords / 3", 69, "868238d10fa1b73eaf2cc6cb487f4af0"),
         ("diamond_tail / 3", 142, "bd00e322e28e0b614de6bc68aacc7071"),
-        ("4-cycle / double_star_db(64)", 50, "414b5f52eeb796813d31146cddfd3abc"),
+        ("4-cycle / double_star_db(64)", 50, "20a6481780ee30c38d5ea73d3ccfa656"),
     ];
     let names = ["c4_proj", "c4_chord", "bowtie", "c5_2chords", "diamond_tail"];
     let mut cases = Vec::new();
